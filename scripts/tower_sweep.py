@@ -1,8 +1,11 @@
 """Run the LatAut tower over every spec up to a size bound.
 
 Buckets the runs by step count and lists the specs that need the full three
-steps.  The interesting output is how rare sharpness is: a tower reaches
-step 3 only when the first step lands exactly on C2^2.
+steps.  With G_1 = S_a4 x S_B, a tower needs all three exactly when a4 >= 2
+and B >= 2, unless one of the two is 4 and the other is at least 3 but not 4
+(then G_2 is already trivial).  Most sharp towers pass through C2 at step 2:
+with the defaults below, 95 of the 105 do, and only the 10 whose first step
+lands on C2^2 pass through S3.
 
     python scripts/tower_sweep.py --degrees 3 4 5 6 7 --max-T 6
 """

@@ -269,10 +269,10 @@ def brute_force_automorphisms(
     against all previously assigned pairs in both directions.  Output is
     sorted by mapping, so the identity comes first.
     """
-    a = lattice.to_abstract() if isinstance(lattice, Lattice) else lattice
-    n = a.n
+    n = len(lattice)
     if n > max_size:
         raise TooLarge(f"{n} elements exceeds the search bound {max_size}")
+    a = lattice.to_abstract() if isinstance(lattice, Lattice) else lattice
     if n == 0:
         return [LatticeAutomorphism(())]
     colours = _refined_classes(a)
@@ -331,16 +331,21 @@ def brute_force_automorphisms(
 
 def induced_permutation(phi: LatticeAutomorphism, lat: Lattice) -> SlotPermutation:
     """Read the slot permutation off an automorphism via the factor atoms."""
-    atoms = factor_atoms(lat)
+    return _induced_by_atoms(phi, factor_atoms(lat), lat.spec)
+
+
+def _induced_by_atoms(
+    phi: LatticeAutomorphism, atoms: list[int], spec: TowerGroupSpec
+) -> SlotPermutation:
     slot_of_atom = {atom: s for s, atom in enumerate(atoms)}
-    mapping = [0] * lat.spec.num_slots
+    mapping = [0] * spec.num_slots
     for s, atom in enumerate(atoms):
         image = phi(atom)
         if image not in slot_of_atom:
             raise ClassViolation(f"automorphism sends factor atom {atom} to non-atom {image}")
         mapping[s] = slot_of_atom[image]
     sigma = SlotPermutation(tuple(mapping))
-    _check_class_preserving(lat.spec, sigma)
+    _check_class_preserving(spec, sigma)
     return sigma
 
 
@@ -411,12 +416,13 @@ def verify_product_formula(
     brute_set = {a.mapping for a in autos}
     predicted = factorial(spec.a4) * factorial(spec.b)
 
+    atoms = factor_atoms(lat)
     taus: dict[tuple[int, ...], SlotPermutation] = {}
     round_trip_ok = True
     for sigma in _class_permutations(spec):
         phi = tau_on_lattice(sigma, lat)
         taus[phi.mapping] = sigma
-        if induced_permutation(phi, lat).mapping != sigma.mapping:
+        if _induced_by_atoms(phi, atoms, spec).mapping != sigma.mapping:
             round_trip_ok = False
     constructive = len(taus)
 

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -478,28 +479,56 @@ class AbstractLattice:
     def __init__(self, down_masks: Iterable[int]):
         self.down = tuple(down_masks)
         self.n = len(self.down)
-        up = [0] * self.n
+        # the up sets fill in as bit buffers: OR-ing 1 << j into an int
+        # would copy the whole int once per set bit
+        rows = [bytearray((self.n + 7) // 8) for _ in range(self.n)]
         for j, mask in enumerate(self.down):
             if not (mask >> j) & 1:
                 raise LatTowerError(f"down set of {j} misses {j} itself")
-            for i in range(self.n):
-                if (mask >> i) & 1:
-                    up[i] |= 1 << j
-        self.up = tuple(up)
+            if mask >> self.n:
+                raise LatTowerError(f"down set of {j} names elements outside 0..{self.n - 1}")
+            byte, bit = j >> 3, 1 << (j & 7)
+            while mask:
+                i = mask.bit_length() - 1
+                rows[i][byte] |= bit
+                mask ^= 1 << i
+        self.up = tuple(int.from_bytes(row, "little") for row in rows)
+
+    def __len__(self) -> int:
+        return self.n
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.down[j] >> i) & 1)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with j covering i."""
+        """Pairs (i, j) with j covering i, sorted.
+
+        The elements that j covers are the maximal elements of its strict
+        down set, the candidates.  Climbing from any candidate to any
+        candidate strictly above it ends, within the height of the poset, at
+        a maximal candidate i.  Emit (i, j), drop i and everything below it
+        from the candidates, and climb again until none is left.  This is
+        exact: dropping down[i] removes no other maximal candidate, since
+        those are incomparable with i; and a later climb cannot end below a
+        dropped candidate, because it would then have been dropped with it.
+        The cost is one climb per cover edge instead of a test per pair.
+        """
         out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and self.leq(i, j):
-                    between = self.down[j] & self.up[i]
-                    if bin(between).count("1") == 2:
-                        out.append((i, j))
+        for j, mask in enumerate(self.down):
+            candidates = mask ^ (1 << j)
+            while candidates:
+                # element orders put larger elements late, so starting from
+                # the highest index usually makes the climb empty
+                i = candidates.bit_length() - 1
+                while True:
+                    above = (self.up[i] & candidates) ^ (1 << i)
+                    if not above:
+                        break
+                    i = above.bit_length() - 1
+                out.append((i, j))
+                candidates &= ~self.down[i]
+        out.sort()
         return tuple(out)
 
     @cached_property
@@ -560,23 +589,54 @@ class Lattice:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
+        """``down_masks[j]`` is the bitmask of all i with element i <= element j.
+
+        This is ``leq`` evaluated for a whole column at once.  Element i lies
+        below element j exactly when eff_i[s] <= eff_j[s] at every slot s and
+        W_i is inside W_j.  One sweep over the elements collects ``le[s][p]``,
+        the elements with eff[s] <= p, and ``has[v]``, the elements whose W
+        contains the sign vector v.  Then
+
+            down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]).
+
+        The first factor is the componentwise test read off one column per
+        slot.  The second is exact because W_i lies inside W_j precisely when
+        W_i holds no vector outside W_j.  It depends on W_j alone, so it is
+        computed once per distinct sign subspace.
+        """
+        num_slots = self.spec.num_slots
+        at = [[0] * len(ChainPosition) for _ in range(num_slots)]
+        with_signs: dict[Subspace, int] = {}
+        for i, e in enumerate(self.elements):
+            bit = 1 << i
+            for s, pos in enumerate(e.profile.eff):
+                at[s][pos] |= bit
+            w = e.profile.signs
+            with_signs[w] = with_signs.get(w, 0) | bit
+        le = [list(accumulate(row, or_)) for row in at]
+        has = [0] * (1 << num_slots)
+        for w, mask in with_signs.items():
+            for v in w.elements():
+                has[v] |= mask
+        everything = (1 << len(self.elements)) - 1
+        inside: dict[Subspace, int] = {}
+        for w in with_signs:
+            outside = 0
+            for v in range(1 << num_slots):
+                if not w.contains(v):
+                    outside |= has[v]
+            inside[w] = everything & ~outside
         masks = []
-        for j, ej in enumerate(self.elements):
-            m = 0
-            for i, ei in enumerate(self.elements):
-                if leq(ei, ej):
-                    m |= 1 << i
+        for e in self.elements:
+            m = inside[e.profile.signs]
+            for s, pos in enumerate(e.profile.eff):
+                m &= le[s][pos]
             masks.append(m)
         return tuple(masks)
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        up = [0] * len(self.elements)
-        for j, mask in enumerate(self.down_masks):
-            for i in range(len(self.elements)):
-                if (mask >> i) & 1:
-                    up[i] |= 1 << j
-        return tuple(up)
+        return self.to_abstract().up
 
     @cached_property
     def _down_index(self) -> dict[int, int]:

@@ -18,7 +18,7 @@ from typing import Union
 
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, make_spec
-from .lattice_core import AbstractLattice, enumerate_lattice
+from .lattice_core import AbstractLattice, Lattice, enumerate_lattice
 from .autgroup import brute_force_automorphisms
 from .perm_oracle import ConcreteGroup, normal_subgroup_poset
 
@@ -146,7 +146,7 @@ class StepReport:
     predicted_order: int
     observed_order: int | None
     skipped: str | None
-    match: bool
+    match: bool | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,15 +161,16 @@ class StepReport:
 
 def _node_lattice(
     node: TowerNode, max_order: int, max_slots: int
-) -> AbstractLattice:
-    """The normal-subgroup lattice of the node's group, as a bare poset.
+) -> Lattice | AbstractLattice:
+    """The normal-subgroup lattice of the node's group.
 
-    Tower groups go through the triple enumeration; anything with a C2
-    factor goes through the permutation oracle; the trivial group is a
-    single point.  TooLarge propagates to the caller.
+    Tower groups go through the triple enumeration and come back enumerated,
+    so the search checks its size bound before the order relation is built;
+    anything with a C2 factor goes through the permutation oracle; the
+    trivial group is a single point.  TooLarge propagates to the caller.
     """
     if isinstance(node, StartNode):
-        return enumerate_lattice(node.spec, max_slots=max_slots).to_abstract()
+        return enumerate_lattice(node.spec, max_slots=max_slots)
     degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
     if not degrees:
         return AbstractLattice((1,))
@@ -178,7 +179,7 @@ def _node_lattice(
     exponents: dict[int, int] = {}
     for d in degrees:
         exponents[d] = exponents.get(d, 0) + 1
-    return enumerate_lattice(make_spec(exponents), max_slots=max_slots).to_abstract()
+    return enumerate_lattice(make_spec(exponents), max_slots=max_slots)
 
 
 def verify_step_against_lattice(
@@ -192,7 +193,7 @@ def verify_step_against_lattice(
     The step claims LatAut of the node is S_a x S_b of order a! * b!; the
     check recomputes the node's lattice and counts its automorphisms with
     the order-only search.  Nodes beyond the size bounds are reported as
-    skipped rather than guessed at.
+    skipped, with ``match`` None, rather than guessed at.
     """
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
@@ -206,7 +207,7 @@ def verify_step_against_lattice(
             predicted_order=predicted,
             observed_order=None,
             skipped=str(exc),
-            match=True,
+            match=None,
         )
     return StepReport(
         node=format_node(node),

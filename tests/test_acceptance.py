@@ -119,7 +119,9 @@ def test_criterion_5_tower_termination_and_sharpness():
         assert sharp.nodes[2] != PairNode(0, 0)
 
 
-MODULAR_SPECS = ("S3", "S4", "S3^2", "S3*S4", "S4^2", "S3^3", "S3^2*S4", "S3*S4^2", "S4^3")
+MODULAR_SPECS = (
+    "S3", "S4", "S3^2", "S3*S4", "S4^2", "S3^3", "S3^2*S4", "S3*S4^2", "S4^3", "S3^4", "S4^2*S3^2",
+)
 ROUND_TRIP_SPECS = ("S3^2", "S3*S4", "S4^2", "S3^3", "S3^2*S4", "S4^2*S3^2", "S5^2*S3^2", "S3^5")
 
 

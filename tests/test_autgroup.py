@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from lattower import autgroup
 from lattower.autgroup import (
     LatticeAutomorphism,
     SlotPermutation,
@@ -19,6 +20,7 @@ from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import (
     AbstractLattice,
+    enumerate_lattice,
     leq,
     sign_parity_element,
     sub_product_element,
@@ -69,6 +71,14 @@ def test_brute_force_output_is_sorted_with_identity_first():
 def test_brute_force_respects_size_bound(lattices):
     with pytest.raises(TooLarge):
         brute_force_automorphisms(lattices.get("S3^3"), max_size=10)
+
+
+def test_size_bound_is_checked_before_the_order_relation():
+    lat = enumerate_lattice(parse_spec("S4^3*S3^2"))
+    with pytest.raises(TooLarge, match="1564 elements exceeds the search bound 100"):
+        verify_product_formula(lat.spec, max_size=100, lattice=lat)
+    assert "down_masks" not in vars(lat)
+    assert "_abstract" not in vars(lat)
 
 
 def test_brute_force_finds_only_order_maps(lattices):
@@ -203,3 +213,16 @@ def test_product_formula_json(lattices):
     assert d["spec"] == "S3^2"
     assert d["match"] is True
     assert d["predicted_order"] == 2
+
+
+def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
+    calls = []
+
+    def counting_factor_atoms(lat):
+        calls.append(lat)
+        return factor_atoms(lat)
+
+    monkeypatch.setattr(autgroup, "factor_atoms", counting_factor_atoms)
+    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    assert report.match and report.constructive_order == 6
+    assert len(calls) == 1

@@ -43,6 +43,7 @@ def test_exit_code_on_parse_error(capsys):
 def test_exit_code_on_bound_violation(capsys):
     assert main(["enumerate", "--spec", "S3^9"]) == 3
     assert main(["enumerate", "--spec", "S3^3", "--max-T", "2"]) == 3
+    assert main(["aut", "--spec", "S4^3*S3^2", "--max-lattice", "100"]) == 3
 
 
 def test_tower_text(capsys):

@@ -23,6 +23,7 @@ from lattower.gf2 import (
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import (
+    AbstractLattice,
     FAMILY_MIXED,
     FAMILY_SIGN_PARITY,
     FAMILY_SUB_PRODUCT,
@@ -44,6 +45,8 @@ from lattower.lattice_core import (
     profile_to_triple,
     validate_triple,
 )
+from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
+from test_acceptance import ROUND_TRIP_SPECS
 
 # censuses (sub-products, sign-parity, mixed, total).  The first five are
 # confirmed against the raw permutation computation in test_perm_oracle; the
@@ -319,3 +322,72 @@ def test_json_dump_shape(lattices):
     assert len(d["hasse_edges"]) == len(lat.covers())
     families = {e["family"] for e in d["elements"]}
     assert families == {FAMILY_SUB_PRODUCT, FAMILY_SIGN_PARITY}
+
+
+# Referees for the column-at-a-time order relation and the climbing covers:
+# each fast path against the definition it replaces, pair by pair.
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _check_up_and_covers(a: AbstractLattice) -> None:
+    """``up`` is the transpose of ``down``; ``covers`` is i < j with |[i, j]| = 2."""
+    n = a.n
+    for i in range(n):
+        assert a.up[i] == _mask(j for j in range(n) if (a.down[j] >> i) & 1), i
+    assert a.covers == tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and a.leq(i, j) and bin(a.down[j] & a.up[i]).count("1") == 2
+    )
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
+def test_down_masks_match_pairwise_leq(text, lattices):
+    lat = lattices.get(text)
+    for j, ej in enumerate(lat.elements):
+        expected = _mask(i for i, ei in enumerate(lat.elements) if leq(ei, ej))
+        assert lat.down_masks[j] == expected, (text, j)
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
+def test_up_masks_and_covers_by_definition(text, lattices):
+    lat = lattices.get(text)
+    a = lat.to_abstract()
+    assert a.down == lat.down_masks
+    assert lat.up_masks == a.up
+    _check_up_and_covers(a)
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_GROUP_DEGREES))
+def test_covers_by_definition_on_lemma_posets(name):
+    _check_up_and_covers(normal_subgroup_poset(ConcreteGroup(LEMMA_GROUP_DEGREES[name])))
+
+
+HAND_BUILT_POSETS = {
+    "empty": ((), ()),
+    "point": ((0b1,), ()),
+    # 3 < 2 < 1 < 0: the index order runs against the order relation
+    "chain": ((0b1111, 0b1110, 0b1100, 0b1000), ((1, 0), (2, 1), (3, 2))),
+    "antichain": ((0b001, 0b010, 0b100), ()),
+    # 2, 3 below both of 0, 1: not a lattice, the pair has no join
+    "2-crown": ((0b1101, 0b1110, 0b0100, 0b1000), ((2, 0), (2, 1), (3, 0), (3, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_POSETS))
+def test_covers_on_hand_built_posets(name):
+    down, covers = HAND_BUILT_POSETS[name]
+    a = AbstractLattice(down)
+    assert len(a) == len(down)
+    assert a.covers == covers
+    _check_up_and_covers(a)
+
+
+@pytest.mark.parametrize("down", [(0b10,), (0b11,), (-1,)])
+def test_abstract_lattice_rejects_bad_down_sets(down):
+    with pytest.raises(LatTowerError):
+        AbstractLattice(down)

@@ -113,7 +113,14 @@ def test_verify_step_skips_oversized_nodes():
     report = verify_step_against_lattice(PairNode(2, 7))  # order 10080, oracle bound 5000
     assert report.skipped is not None
     assert report.observed_order is None
-    assert report.match
+    assert report.match is None
     d = report.to_json_dict()
     assert d["node"] == "C2*S7"
     assert d["skipped"]
+
+
+def test_verify_step_skips_an_oversized_start_node():
+    report = verify_step_against_lattice(StartNode(parse_spec("S4^2*S3^2")), max_size=10)
+    assert report.skipped == "256 elements exceeds the search bound 10"
+    assert report.observed_order is None
+    assert report.to_json_dict()["match"] is None
