@@ -5,7 +5,7 @@ their normal subgroups from raw permutations, and compares counts, profiles
 and all pairwise meet/join/leq answers against the triple enumeration.  Any
 disagreement raises immediately; a clean run prints one line per spec.
 
-    python scripts/oracle_check.py --max-order 5000
+    python scripts/oracle_check.py --max-order 1000
 """
 
 import argparse
@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from lattower.group_spec import format_spec, make_spec
-from lattower.perm_oracle import differential_validate
+from lattower.perm_oracle import DEFAULT_MAX_ORDER, differential_validate
 
 
 @dataclass
@@ -29,7 +29,7 @@ def parse_args() -> OracleCheckConfig:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--max-T", dest="max_slots", type=int, default=4)
-    parser.add_argument("--max-order", type=int, default=5000)
+    parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     args = parser.parse_args()
     return OracleCheckConfig(tuple(sorted(set(args.degrees))), args.max_slots, args.max_order)
 

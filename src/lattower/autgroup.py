@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
+from typing import Callable
 
 from .errors import ClassViolation, LatTowerError, TooLarge
 from .gf2 import Subspace, _reduce
 from .group_spec import ChainPosition, TowerGroupSpec, chain_iso, format_spec
 from .lattice_core import (
+    DEFAULT_MAX_SLOTS,
     AbstractLattice,
     AdmissibleTriple,
     Lattice,
@@ -183,41 +185,42 @@ def _check_class_preserving(spec: TowerGroupSpec, sigma: SlotPermutation) -> Non
             )
 
 
-def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
-    """Relabel a normal subgroup along a class-preserving slot permutation.
+def _triple_relabelling(
+    spec: TowerGroupSpec, sigma: SlotPermutation
+) -> Callable[[AdmissibleTriple], AdmissibleTriple]:
+    """The relabelling of triples along sigma, with its chain isomorphisms built once.
 
     Coupled slots move to their images, uncoupled chain positions transport
     along the unique chain isomorphism (which fixes every position name),
     and the sign subgroup is rewritten in the coordinate order of the image.
     """
-    t = e.triple
-    spec = t.spec
     _check_class_preserving(spec, sigma)
-    coupled = tuple(sorted(sigma(s) for s in t.coupled))
-    new_index = {s: j for j, s in enumerate(coupled)}
-    vectors = []
-    for row in t.signs.basis:
-        w = 0
-        for j, s in enumerate(t.coupled):
-            if (row >> j) & 1:
-                w |= 1 << new_index[sigma(s)]
-        vectors.append(w)
-    signs = Subspace(t.signs.width, _reduce(vectors))
-    positions = []
-    for s, p in t.positions:
-        iso = chain_iso(spec.slots[s].degree, spec.slots[sigma(s)].degree)
-        positions.append((sigma(s), iso[p]))
-    return element_from_triple(
-        AdmissibleTriple(spec, coupled, tuple(sorted(positions)), signs)
-    )
+    isos = [chain_iso(slot.degree, spec.slots[sigma(slot.index)].degree) for slot in spec.slots]
+
+    def relabel(t: AdmissibleTriple) -> AdmissibleTriple:
+        coupled = tuple(sorted(sigma(s) for s in t.coupled))
+        new_bit = [1 << coupled.index(sigma(s)) for s in t.coupled]
+        vectors = [
+            sum(b for j, b in enumerate(new_bit) if (row >> j) & 1) for row in t.signs.basis
+        ]
+        signs = Subspace(t.signs.width, _reduce(vectors))
+        positions = tuple(sorted((sigma(s), isos[s][p]) for s, p in t.positions))
+        return AdmissibleTriple(spec, coupled, positions, signs)
+
+    return relabel
+
+
+def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
+    """Relabel a normal subgroup along a class-preserving slot permutation."""
+    return element_from_triple(_triple_relabelling(e.spec, sigma)(e.triple))
 
 
 def tau_on_lattice(sigma: SlotPermutation, lat: Lattice) -> LatticeAutomorphism:
     """The induced permutation of element indices."""
-    mapping = tuple(
-        lat.index_of_triple(tau_sigma(sigma, e).triple) for e in lat.elements
+    relabel = _triple_relabelling(lat.spec, sigma)
+    return LatticeAutomorphism(
+        tuple(lat.index_of_triple(relabel(e.triple)) for e in lat.elements)
     )
-    return LatticeAutomorphism(mapping)
 
 
 def _refined_classes(a: AbstractLattice) -> list[int]:
@@ -401,7 +404,7 @@ def _adjacent_transpositions(spec: TowerGroupSpec) -> list[SlotPermutation]:
 
 def verify_product_formula(
     spec: TowerGroupSpec,
-    max_slots: int = 8,
+    max_slots: int = DEFAULT_MAX_SLOTS,
     max_size: int = DEFAULT_MAX_LATTICE,
     lattice: Lattice | None = None,
 ) -> ProductFormulaReport:

@@ -21,17 +21,19 @@ from .errors import (
     SpecParseError,
     TooLarge,
 )
-from .autgroup import brute_force_automorphisms, verify_product_formula
+from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms, verify_product_formula
 from .group_spec import parse_spec
-from .lattice_core import AbstractLattice, Lattice, enumerate_lattice
+from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, enumerate_lattice
 from .perm_oracle import (
     DEFAULT_MAX_ORDER,
     LEMMA_GROUP_DEGREES,
     ConcreteGroup,
+    all_normal_subgroups,
     differential_validate,
+    lemma_lattices,
     normal_subgroup_poset,
 )
-from .tower import StartNode, format_run, run_tower
+from .tower import StartNode, format_node, format_run, run_tower
 
 EXIT_PARSE = 2
 EXIT_BOUNDS = 3
@@ -40,28 +42,47 @@ EXIT_MISMATCH = 4
 _PARSE_ERRORS = (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent)
 
 
+# Every option a subcommand can take; each bound default comes from the
+# module that enforces the bound.
+_OPTIONS = {
+    "--spec": dict(required=True, help="group literal, e.g. S4^2*S3^2"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--out": dict(help="write output to this file"),
+    "--max-order": dict(type=int, default=DEFAULT_MAX_ORDER),
+    "--max-T": dict(dest="max_slots", type=int, default=DEFAULT_MAX_SLOTS),
+    "--max-lattice": dict(type=int, default=DEFAULT_MAX_LATTICE),
+}
+
+# subcommand -> (help, the options its handler reads)
+_SUBCOMMANDS = {
+    "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-T"),
+    "aut": (
+        "check LatAut(G) against the slot formula",
+        "--spec --format --out --max-T --max-lattice",
+    ),
+    "tower": ("iterate G -> LatAut(G) to the trivial group", "--spec --format --out"),
+    "oracle-diff": (
+        "differential validation against permutations",
+        "--spec --format --out --max-order --max-T",
+    ),
+    "hasse": ("covering relations as DOT", "--spec --out --max-order --max-T"),
+    "lemmas": (
+        "small-group lattices and their symmetries",
+        "--format --out --max-order --max-lattice",
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattower",
         description="normal-subgroup lattices of products of symmetric groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="group literal, e.g. S4^2*S3^2")
-        p.add_argument("--format", choices=("text", "json", "dot"), default=None)
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-        p.add_argument("--max-T", dest="max_slots", type=int, default=8)
-        p.add_argument("--max-lattice", type=int, default=2000)
-
-    add_common(sub.add_parser("enumerate", help="census or full dump of N(G)"))
-    add_common(sub.add_parser("aut", help="check LatAut(G) against the slot formula"))
-    add_common(sub.add_parser("tower", help="iterate G -> LatAut(G) to the trivial group"))
-    add_common(sub.add_parser("oracle-diff", help="differential validation against permutations"))
-    add_common(sub.add_parser("hasse", help="covering relations as DOT"))
-    add_common(sub.add_parser("lemmas", help="small-group lattices and their symmetries"), spec=False)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -83,7 +104,7 @@ def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     lat = enumerate_lattice(spec, max_slots=args.max_slots)
     c = lat.census
-    if (args.format or "text") == "json":
+    if args.format == "json":
         _emit(_json_dump(lat.to_json_dict()), args.out)
     else:
         _emit(
@@ -97,7 +118,7 @@ def cmd_enumerate(args) -> int:
 def cmd_aut(args) -> int:
     spec = parse_spec(args.spec)
     report = verify_product_formula(spec, max_slots=args.max_slots, max_size=args.max_lattice)
-    if (args.format or "text") == "json":
+    if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
         verdict = "match" if report.match else "MISMATCH"
@@ -116,9 +137,7 @@ def cmd_aut(args) -> int:
 def cmd_tower(args) -> int:
     spec = parse_spec(args.spec)
     run = run_tower(StartNode(spec))
-    if (args.format or "text") == "json":
-        from .tower import format_node
-
+    if args.format == "json":
         data = {
             "nodes": [format_node(n) for n in run.nodes],
             "steps": run.steps,
@@ -132,47 +151,33 @@ def cmd_tower(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     spec = parse_spec(args.spec)
-    try:
-        report = differential_validate(spec, max_order=args.max_order, max_slots=args.max_slots)
-    except OracleMismatch as exc:
-        _emit(_json_dump({"ok": False, "error": str(exc)}), args.out)
-        return EXIT_MISMATCH
-    if (args.format or "text") == "json":
+    report = differential_validate(spec, max_order=args.max_order, max_slots=args.max_slots)
+    if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
         _emit("ok", args.out)
     return 0
 
 
+def _dot(labels, covers) -> str:
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  n{i} -> n{j};" for i, j in covers]
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def _dot_of_lattice(lat: Lattice) -> str:
-    lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i, e in enumerate(lat.elements):
-        lines.append(f'  n{i} [label="{e.family}:{e.order}"];')
-    for i, j in lat.covers():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _dot_of_abstract(a: AbstractLattice, orders: list[int]) -> str:
-    lines = ["digraph lattice {", "  rankdir=BT;"]
-    for i, order in enumerate(orders):
-        lines.append(f'  n{i} [label="{order}"];')
-    for i, j in a.covers:
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines)
+    return _dot((f"{e.family}:{e.order}" for e in lat.elements), lat.covers())
 
 
 def cmd_hasse(args) -> int:
     name = args.spec.strip()
     if name in LEMMA_GROUP_DEGREES:
-        from .perm_oracle import all_normal_subgroups
-
         group = ConcreteGroup(LEMMA_GROUP_DEGREES[name], max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
-        _emit(_dot_of_abstract(poset, [len(n) for n in normals]), args.out)
+        _emit(_dot((len(n) for n in normals), poset.covers), args.out)
         return 0
     spec = parse_spec(args.spec)
     lat = enumerate_lattice(spec, max_slots=args.max_slots)
@@ -182,12 +187,10 @@ def cmd_hasse(args) -> int:
 
 def cmd_lemmas(args) -> int:
     rows = []
-    for name, degrees in LEMMA_GROUP_DEGREES.items():
-        group = ConcreteGroup(degrees, max_order=args.max_order)
-        poset = normal_subgroup_poset(group)
+    for name, poset in lemma_lattices(args.max_order).items():
         autos = brute_force_automorphisms(poset, max_size=args.max_lattice)
         rows.append({"group": name, "elements": poset.n, "automorphisms": len(autos)})
-    if (args.format or "text") == "json":
+    if args.format == "json":
         _emit(_json_dump(rows), args.out)
     else:
         _emit(
@@ -210,8 +213,11 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except _PARSE_ERRORS as exc:

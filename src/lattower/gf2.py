@@ -71,20 +71,6 @@ class SignVector:
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.width))
 
-    @classmethod
-    def from_signs(cls, signs: Iterable[int]) -> "SignVector":
-        signs = tuple(signs)
-        bits = 0
-        for i, s in enumerate(signs):
-            if s == -1:
-                bits |= 1 << i
-            elif s != 1:
-                raise WidthMismatch(f"signs must be +1/-1, got {s}")
-        return cls(len(signs), bits)
-
-    def to_signs(self) -> tuple[int, ...]:
-        return tuple(-1 if (self.bits >> i) & 1 else 1 for i in range(self.width))
-
 
 @dataclass(frozen=True)
 class Subspace:

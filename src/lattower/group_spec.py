@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import (
     ChainLengthMismatch,
@@ -239,11 +239,3 @@ def format_spec(spec: TowerGroupSpec) -> str:
     for degree, mult in sorted(spec.exponents, reverse=True):
         parts.append(f"S{degree}" if mult == 1 else f"S{degree}^{mult}")
     return "*".join(parts)
-
-
-def iter_slot_pairs(spec: TowerGroupSpec) -> Iterator[tuple[FactorSlot, FactorSlot]]:
-    """All ordered pairs of distinct slots; handy for antichain style checks."""
-    for s in spec.slots:
-        for t in spec.slots:
-            if s.index != t.index:
-                yield s, t

@@ -22,6 +22,7 @@ from .errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
 from .gf2 import span
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec, make_spec
 from .lattice_core import (
+    DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
     Profile,
@@ -437,7 +438,7 @@ class OracleReport:
 def differential_validate(
     spec: TowerGroupSpec,
     max_order: int = DEFAULT_MAX_ORDER,
-    max_slots: int = 8,
+    max_slots: int = DEFAULT_MAX_SLOTS,
     lattice: Lattice | None = None,
 ) -> OracleReport:
     """Compare the triple enumeration against the raw permutation computation.

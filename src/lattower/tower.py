@@ -18,9 +18,9 @@ from typing import Union
 
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, make_spec
-from .lattice_core import AbstractLattice, Lattice, enumerate_lattice
-from .autgroup import brute_force_automorphisms
-from .perm_oracle import ConcreteGroup, normal_subgroup_poset
+from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice, enumerate_lattice
+from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms
+from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
     "StartNode",
@@ -121,7 +121,7 @@ def _factor_name(n: int) -> str:
 def format_node(node: TowerNode) -> str:
     if isinstance(node, StartNode):
         return format_spec(node.spec)
-    parts = [_factor_name(x) for x in (node.a, node.b) if x >= 2]
+    parts = [_factor_name(x) for x in sorted((node.a, node.b), reverse=True) if x >= 2]
     if not parts:
         return "1"
     if len(parts) == 2 and parts[0] == parts[1]:
@@ -184,9 +184,9 @@ def _node_lattice(
 
 def verify_step_against_lattice(
     node: TowerNode,
-    max_order: int = 5000,
-    max_slots: int = 8,
-    max_size: int = 2000,
+    max_order: int = DEFAULT_MAX_ORDER,
+    max_slots: int = DEFAULT_MAX_SLOTS,
+    max_size: int = DEFAULT_MAX_LATTICE,
 ) -> StepReport:
     """Check one latauto_step answer against a brute-force count.
 

@@ -3,8 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lattower import cli
 from lattower.cli import main
+from lattower.errors import OracleMismatch
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +48,95 @@ def test_exit_code_on_bound_violation(capsys):
     assert main(["enumerate", "--spec", "S3^9"]) == 3
     assert main(["enumerate", "--spec", "S3^3", "--max-T", "2"]) == 3
     assert main(["aut", "--spec", "S4^3*S3^2", "--max-lattice", "100"]) == 3
+    assert main(["aut", "--spec", "S3^2", "--max-T", "1"]) == 3
+    assert main(["hasse", "--spec", "S3^3", "--max-T", "2"]) == 3
+    assert main(["hasse", "--spec", "C2^2", "--max-order", "1"]) == 3
+    assert main(["oracle-diff", "--spec", "S3", "--max-T", "0"]) == 3
+    assert main(["lemmas", "--max-order", "1"]) == 3
+    assert main(["lemmas", "--max-lattice", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(line.startswith("error:") for line in captured.err.splitlines())
+
+
+# The options each subcommand takes besides --out.
+ACCEPTED = {
+    "enumerate": {"--spec", "--format", "--max-T"},
+    "aut": {"--spec", "--format", "--max-T", "--max-lattice"},
+    "tower": {"--spec", "--format"},
+    "oracle-diff": {"--spec", "--format", "--max-order", "--max-T"},
+    "hasse": {"--spec", "--max-order", "--max-T"},
+    "lemmas": {"--format", "--max-order", "--max-lattice"},
+}
+REJECTED = [
+    ("enumerate", "--max-order", "1"),
+    ("enumerate", "--max-lattice", "1"),
+    ("enumerate", "--format", "dot"),
+    ("aut", "--max-order", "1"),
+    ("aut", "--format", "dot"),
+    ("tower", "--max-T", "1"),
+    ("tower", "--max-order", "1"),
+    ("tower", "--max-lattice", "1"),
+    ("tower", "--format", "dot"),
+    ("oracle-diff", "--max-lattice", "1"),
+    ("oracle-diff", "--format", "dot"),
+    ("hasse", "--format", "text"),
+    ("hasse", "--max-lattice", "1"),
+    ("lemmas", "--max-T", "1"),
+    ("lemmas", "--format", "dot"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", REJECTED)
+def test_options_a_subcommand_does_not_read_are_rejected(command, option, value, capsys):
+    spec = [] if command == "lemmas" else ["--spec", "S3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *spec, option, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_mismatch_goes_to_stderr(fmt, monkeypatch, capsys):
+    def mismatch(*args, **kwargs):
+        raise OracleMismatch("S3^2: leq disagrees on pair (0, 1)")
+
+    monkeypatch.setattr(cli, "differential_validate", mismatch)
+    assert main(["oracle-diff", "--spec", "S3^2", "--format", fmt]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@given(
+    command=st.sampled_from(sorted(ACCEPTED)),
+    spec=st.sampled_from([None, "1", "S3", "S4", "S3^2", "S4*S3", "C2^2", "S2", "S3^", "junk"]),
+    fmt=st.sampled_from([None, "text", "json", "dot"]),
+    bounds=st.dictionaries(
+        st.sampled_from(["--max-order", "--max-T", "--max-lattice"]), st.integers(-1, 3)
+    ),
+)
+def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
+    argv = [command]
+    if spec is not None:
+        argv += ["--spec", spec]
+    if fmt is not None:
+        argv += ["--format", fmt]
+    for option, value in bounds.items():
+        argv += [option, str(value)]
+    used = set(argv[1::2])
+    usage_error = (
+        not used <= ACCEPTED[command]
+        or fmt == "dot"
+        or (command != "lemmas" and spec is None)
+    )
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2 and usage_error
+    else:
+        assert not usage_error
+        assert code in (0, 2, 3, 4)
 
 
 def test_tower_text(capsys):

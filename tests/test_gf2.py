@@ -21,15 +21,11 @@ def test_sign_vector_string_round_trip():
     v = SignVector.from_string("0110")
     assert v.bits == 0b0110
     assert v.to_string() == "0110"
-    assert v.to_signs() == (1, -1, -1, 1)
-    assert SignVector.from_signs((1, -1, -1, 1)) == v
 
 
 def test_sign_vector_rejects_bad_input():
     with pytest.raises(WidthMismatch):
         SignVector.from_string("01x")
-    with pytest.raises(WidthMismatch):
-        SignVector.from_signs((1, 0))
     with pytest.raises(WidthMismatch):
         SignVector(2, 4)
 

@@ -15,7 +15,6 @@ from lattower.group_spec import (
     chain,
     chain_iso,
     format_spec,
-    iter_slot_pairs,
     legal_position,
     make_spec,
     parse_spec,
@@ -144,13 +143,6 @@ def test_chain_position_tokens_round_trip():
         assert ChainPosition.from_token(p.token) is p
     with pytest.raises(IllegalChainPosition):
         ChainPosition.from_token("klein")
-
-
-def test_iter_slot_pairs():
-    spec = parse_spec("S3^3")
-    pairs = list(iter_slot_pairs(spec))
-    assert len(pairs) == 6
-    assert all(s.index != t.index for s, t in pairs)
 
 
 exponent_maps = st.dictionaries(

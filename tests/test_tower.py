@@ -60,7 +60,8 @@ def test_format_node():
     assert format_node(PairNode(0, 3)) == "S3"
     assert format_node(PairNode(3, 3)) == "S3^2"
     assert format_node(PairNode(4, 3)) == "S4*S3"
-    assert format_node(PairNode(2, 5)) == "C2*S5"
+    assert format_node(PairNode(2, 5)) == "S5*C2"
+    assert format_node(PairNode(3, 2)) == format_node(PairNode(2, 3)) == "S3*C2"
     assert format_node(StartNode(parse_spec("s3^2*s4^2"))) == "S4^2*S3^2"
 
 
@@ -115,7 +116,7 @@ def test_verify_step_skips_oversized_nodes():
     assert report.observed_order is None
     assert report.match is None
     d = report.to_json_dict()
-    assert d["node"] == "C2*S7"
+    assert d["node"] == "S7*C2"
     assert d["skipped"]
 
 
