@@ -4,8 +4,9 @@ A permutation of the factor slots that keeps degree-4 slots among degree-4
 slots induces a lattice automorphism tau by relabelling triples; the induced
 maps realise all of LatAut(G), which is the product of the symmetric groups
 on the class-A and class-B slots.  The brute-force search below knows none
-of that: it works on the bare order relation and finds every automorphism by
-backtracking, so agreement between the two routes is genuine evidence.
+of that: it works on the bare order relation, backtracks over the
+join-irreducible elements and extends each map to the rest by joins, so
+agreement between the two routes is genuine evidence.
 
 The bridge between abstract automorphisms and slot permutations is the set
 of complemented elements.  These are exactly the sub-products that are full
@@ -29,6 +30,7 @@ from .lattice_core import (
     AdmissibleTriple,
     Lattice,
     LatticeElement,
+    TripleKey,
     element_from_triple,
     enumerate_lattice,
 )
@@ -187,40 +189,42 @@ def _check_class_preserving(spec: TowerGroupSpec, sigma: SlotPermutation) -> Non
 
 def _triple_relabelling(
     spec: TowerGroupSpec, sigma: SlotPermutation
-) -> Callable[[AdmissibleTriple], AdmissibleTriple]:
+) -> Callable[[AdmissibleTriple], TripleKey]:
     """The relabelling of triples along sigma, with its chain isomorphisms built once.
 
     Coupled slots move to their images, uncoupled chain positions transport
     along the unique chain isomorphism (which fixes every position name),
     and the sign subgroup is rewritten in the coordinate order of the image.
+    The result is the image's key (see ``Lattice.index_of_key``), built
+    without a new triple or a validated subspace.
     """
     _check_class_preserving(spec, sigma)
     isos = [chain_iso(slot.degree, spec.slots[sigma(slot.index)].degree) for slot in spec.slots]
+    image = sigma.mapping
 
-    def relabel(t: AdmissibleTriple) -> AdmissibleTriple:
-        coupled = tuple(sorted(sigma(s) for s in t.coupled))
-        new_bit = [1 << coupled.index(sigma(s)) for s in t.coupled]
+    def relabel(t: AdmissibleTriple) -> TripleKey:
+        coupled = tuple(sorted(image[s] for s in t.coupled))
+        new_bit = [1 << coupled.index(image[s]) for s in t.coupled]
         vectors = [
             sum(b for j, b in enumerate(new_bit) if (row >> j) & 1) for row in t.signs.basis
         ]
-        signs = Subspace(t.signs.width, _reduce(vectors))
-        positions = tuple(sorted((sigma(s), isos[s][p]) for s, p in t.positions))
-        return AdmissibleTriple(spec, coupled, positions, signs)
+        positions = tuple(sorted((image[s], isos[s][p]) for s, p in t.positions))
+        return coupled, positions, _reduce(vectors)
 
     return relabel
 
 
 def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
     """Relabel a normal subgroup along a class-preserving slot permutation."""
-    return element_from_triple(_triple_relabelling(e.spec, sigma)(e.triple))
+    coupled, positions, basis = _triple_relabelling(e.spec, sigma)(e.triple)
+    signs = Subspace(len(coupled), basis)
+    return element_from_triple(AdmissibleTriple(e.spec, coupled, positions, signs))
 
 
 def tau_on_lattice(sigma: SlotPermutation, lat: Lattice) -> LatticeAutomorphism:
     """The induced permutation of element indices."""
     relabel = _triple_relabelling(lat.spec, sigma)
-    return LatticeAutomorphism(
-        tuple(lat.index_of_triple(relabel(e.triple)) for e in lat.elements)
-    )
+    return LatticeAutomorphism(tuple(lat.index_of_key(relabel(e.triple)) for e in lat.elements))
 
 
 def _refined_classes(a: AbstractLattice) -> list[int]:
@@ -265,12 +269,18 @@ def _canonical_ids(keys: list) -> list[int]:
 def brute_force_automorphisms(
     lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
 ) -> list[LatticeAutomorphism]:
-    """Every order automorphism, found by backtracking over the bare poset.
+    """Every lattice automorphism, found by backtracking over the bare poset.
 
-    The search never looks at triples, profiles or subgroup sets; candidates
-    are restricted by the invariant colouring and partial maps are checked
-    against all previously assigned pairs in both directions.  Output is
-    sorted by mapping, so the identity comes first.
+    The search never looks at triples, profiles or subgroup sets.  It
+    backtracks only over the join-irreducibles, the elements with exactly one
+    lower cover: every element of a finite lattice is a join of those, so an
+    automorphism is fixed by what it does on them.  Candidates are restricted
+    by the invariant colouring, and partial maps are checked against all
+    previously placed join-irreducibles in both directions.  Each full
+    assignment is then extended by joins (see ``_extension_by_joins``) and kept
+    if the extension is an automorphism.  Raises LatTowerError when the input
+    is not a lattice.  Output is sorted by mapping, so the identity comes
+    first.
     """
     n = len(lattice)
     if n > max_size:
@@ -283,53 +293,109 @@ def brute_force_automorphisms(
     for i, c in enumerate(colours):
         buckets.setdefault(c, []).append(i)
     candidates = [buckets[colours[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), colours[i], i))
+    # the colouring separates elements by their number of lower covers, so
+    # every candidate of a join-irreducible is one
+    irreducibles = [i for i in range(n) if len(a.down_covers[i]) == 1]
+    order = sorted(irreducibles, key=lambda i: (len(candidates[i]), colours[i], i))
+    extend = _extension_by_joins(a)
     down = a.down
 
+    m = len(order)
     mapping = [-1] * n
     used = [False] * n
-    next_choice = [0] * (n + 1)
+    next_choice = [0] * (m + 1)
     found: list[tuple[int, ...]] = []
     t = 0
     while t >= 0:
-        if t == n:
-            found.append(tuple(mapping))
-            t -= 1
+        if t == m:
+            image = extend(mapping)
+            if image is not None:
+                found.append(image)
+        else:
             x = order[t]
-            used[mapping[x]] = False
-            mapping[x] = -1
-            continue
-        x = order[t]
-        cand = candidates[x]
-        advanced = False
-        while next_choice[t] < len(cand):
-            y = cand[next_choice[t]]
-            next_choice[t] += 1
-            if used[y]:
-                continue
-            ok = True
-            for x2 in order[:t]:
-                y2 = mapping[x2]
-                if ((down[x2] >> x) & 1) != ((down[y2] >> y) & 1) or (
-                    (down[x] >> x2) & 1
-                ) != ((down[y] >> y2) & 1):
-                    ok = False
+            cand = candidates[x]
+            advanced = False
+            while next_choice[t] < len(cand):
+                y = cand[next_choice[t]]
+                next_choice[t] += 1
+                if used[y]:
+                    continue
+                ok = True
+                for x2 in order[:t]:
+                    y2 = mapping[x2]
+                    if ((down[x2] >> x) & 1) != ((down[y2] >> y) & 1) or (
+                        (down[x] >> x2) & 1
+                    ) != ((down[y] >> y2) & 1):
+                        ok = False
+                        break
+                if ok:
+                    mapping[x] = y
+                    used[y] = True
+                    t += 1
+                    next_choice[t] = 0
+                    advanced = True
                     break
-            if ok:
-                mapping[x] = y
-                used[y] = True
-                t += 1
-                next_choice[t] = 0
-                advanced = True
-                break
-        if not advanced:
-            t -= 1
-            if t < 0:
-                break
+            if advanced:
+                continue
+        t -= 1
+        if t >= 0:
             x = order[t]
             used[mapping[x]] = False
             mapping[x] = -1
-    return [LatticeAutomorphism(m) for m in sorted(found)]
+    return [LatticeAutomorphism(f) for f in sorted(found)]
+
+
+def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, ...] | None]:
+    """Extend a map of the join-irreducibles to every element, or reject it.
+
+    The other elements are visited in order of increasing down set, so their
+    lower covers come first.  The bottom maps to the bottom, and an element
+    with lower covers p != q maps to the join of the images of p and q: the
+    element whose up set is the intersection of theirs.  The extension is
+    kept only if it is a bijection that sends every cover to a cover; since
+    both ends have the same number of covers, it is then an automorphism of
+    the Hasse diagram and so of the order.  LatTowerError is raised when the
+    input has other than one minimal element or a needed join is missing,
+    since the search would then silently lose automorphisms.
+    """
+    n = a.n
+    lower, up = a.down_covers, a.up
+    bottoms = [i for i in range(n) if not lower[i]]
+    if len(bottoms) != 1:
+        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal elements")
+    bottom = bottoms[0]
+    by_up = {mask: i for i, mask in enumerate(up)}
+    rest = sorted(
+        (i for i in range(n) if len(lower[i]) != 1), key=lambda i: bin(a.down[i]).count("1")
+    )
+    is_cover = set(a.covers)
+    low = [i for i, _ in a.covers]
+    high = [j for _, j in a.covers]
+
+    def extend(mapping: list[int]) -> tuple[int, ...] | None:
+        image = list(mapping)
+        used = [False] * n
+        for y in mapping:
+            if y >= 0:
+                used[y] = True
+        for x in rest:
+            if x == bottom:
+                y = bottom
+            else:
+                first, second = lower[x][0], lower[x][1]
+                y = by_up.get(up[image[first]] & up[image[second]], -1)
+                if y < 0:
+                    raise LatTowerError(
+                        f"not a lattice: no join for the images of {first} and {second}"
+                    )
+            if used[y]:
+                return None
+            used[y] = True
+            image[x] = y
+        moved = zip(map(image.__getitem__, low), map(image.__getitem__, high))
+        return tuple(image) if is_cover.issuperset(moved) else None
+
+    return extend
 
 
 def induced_permutation(phi: LatticeAutomorphism, lat: Lattice) -> SlotPermutation:

@@ -23,10 +23,12 @@ from .errors import (
     IllegalChainPosition,
     NegativeExponent,
     SpecParseError,
+    TooLarge,
 )
 
 __all__ = [
     "DEFAULT_MAX_DEGREE",
+    "MAX_MULTIPLICITY",
     "ChainPosition",
     "FactorSlot",
     "TowerGroupSpec",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEGREE = 20
+# Copies of one degree a spec may hold.  Only the tower reads specs this
+# large, from the multiplicities alone, but a spec holds one slot per copy.
+MAX_MULTIPLICITY = 1000
 
 
 class ChainPosition(IntEnum):
@@ -172,6 +177,8 @@ def make_spec(
     """Validate a degree -> multiplicity map and build the canonical spec.
 
     Zero multiplicities are dropped; the empty map gives the trivial group.
+    A multiplicity above MAX_MULTIPLICITY raises TooLarge before any slot is
+    built.
     """
     cleaned: list[tuple[int, int]] = []
     for degree in sorted(exponents):
@@ -184,6 +191,8 @@ def make_spec(
             raise DegreeTooSmall(f"symmetric factor needs degree >= 3, got {degree}")
         if degree > max_degree:
             raise DegreeTooLarge(f"degree {degree} exceeds the maximum {max_degree}")
+        if mult > MAX_MULTIPLICITY:
+            raise TooLarge(f"{mult} copies of S{degree} exceeds the bound {MAX_MULTIPLICITY}")
         cleaned.append((degree, mult))
 
     slots: list[FactorSlot] = []
@@ -222,8 +231,11 @@ def parse_spec(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> TowerGroupSpe
         m = _PART_RE.fullmatch(part)
         if m is None:
             raise SpecParseError(text, position, f"bad factor {part!r}")
-        degree = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        try:
+            degree = int(m.group(1))
+            mult = int(m.group(2)) if m.group(2) else 1
+        except ValueError:  # more digits than int() will convert
+            raise SpecParseError(text, position, "number too long") from None
         if mult == 0:
             raise SpecParseError(text, position, "explicit zero multiplicity")
         exponents[degree] = exponents.get(degree, 0) + mult

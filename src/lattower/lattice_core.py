@@ -59,6 +59,7 @@ __all__ = [
     "FAMILY_SIGN_PARITY",
     "FAMILY_MIXED",
     "AdmissibleTriple",
+    "TripleKey",
     "Profile",
     "LatticeElement",
     "Census",
@@ -108,6 +109,10 @@ class AdmissibleTriple:
     @property
     def position_map(self) -> dict[int, ChainPosition]:
         return dict(self.positions)
+
+
+# An admissible triple within a known spec: (coupled, positions, signs.basis).
+TripleKey = tuple[tuple[int, ...], tuple[tuple[int, ChainPosition], ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -562,15 +567,20 @@ class AbstractLattice:
         return tuple(d)
 
 
+def _triple_key(t: AdmissibleTriple) -> TripleKey:
+    return t.coupled, t.positions, t.signs.basis
+
+
 class Lattice:
-    """The enumerated lattice of one tower group, in a fixed element order."""
+    """The enumerated lattice of one tower group, in a fixed element order.
+
+    The indexes below are built on first use, so enumerating pays for none.
+    """
 
     def __init__(self, spec: TowerGroupSpec, elements: tuple[LatticeElement, ...], census: Census):
         self.spec = spec
         self.elements = elements
         self.census = census
-        self._triple_index = {e.triple: i for i, e in enumerate(elements)}
-        self._profile_index = {e.profile: i for i, e in enumerate(elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -578,11 +588,29 @@ class Lattice:
     def __iter__(self) -> Iterator[LatticeElement]:
         return iter(self.elements)
 
+    @cached_property
+    def _key_index(self) -> dict[TripleKey, int]:
+        return {_triple_key(e.triple): i for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def _profile_index(self) -> dict[Profile, int]:
+        return {e.profile: i for i, e in enumerate(self.elements)}
+
     def index_of(self, e: LatticeElement) -> int:
-        return self._triple_index[e.triple]
+        return self.index_of_triple(e.triple)
 
     def index_of_triple(self, t: AdmissibleTriple) -> int:
-        return self._triple_index[t]
+        if t.spec != self.spec:
+            raise SpecMismatch(f"triple of {format_spec(t.spec)} in {format_spec(self.spec)}")
+        return self._key_index[_triple_key(t)]
+
+    def index_of_key(self, key: TripleKey) -> int:
+        """Look an element up by (coupled, positions, reduced sign basis).
+
+        Within one spec that key pins a triple down, and it hashes without
+        the spec and without building a validated triple or subspace.
+        """
+        return self._key_index[key]
 
     def index_of_profile(self, p: Profile) -> int:
         return self._profile_index[p]

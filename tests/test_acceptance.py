@@ -73,6 +73,8 @@ PRODUCT_FORMULA_CASES = {
     "S3*S4": 1,
     "S4^2*S3^2": 4,
     "S5^2*S3^2": 24,
+    "S3^5": 120,
+    "S4^3*S3^2": 12,
 }
 
 

@@ -15,7 +15,8 @@ from lattower.autgroup import (
     tau_sigma,
     verify_product_formula,
 )
-from lattower.errors import ClassViolation, TooLarge
+from lattower.errors import ClassViolation, LatTowerError, TooLarge
+from lattower.gf2 import iter_subspaces
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import (
@@ -25,6 +26,7 @@ from lattower.lattice_core import (
     sign_parity_element,
     sub_product_element,
 )
+from lattower.perm_oracle import lemma_lattices
 
 
 def _chain(n):
@@ -44,6 +46,75 @@ PENTAGON = AbstractLattice(
 )
 
 
+def _subspace_lattice(width):
+    # all subspaces of GF(2)^width under inclusion
+    spaces = list(iter_subspaces(width))
+    return AbstractLattice(
+        sum(1 << i for i, u in enumerate(spaces) if w.contains_subspace(u)) for w in spaces
+    )
+
+
+def _reference_automorphisms(a):
+    """The search over every element, kept as a referee for the search over
+    the join-irreducibles: colour-class candidates, each checked against all
+    previously placed elements in both directions."""
+    n = len(a)
+    if n == 0:
+        return [LatticeAutomorphism(())]
+    colours = autgroup._refined_classes(a)
+    buckets = {}
+    for i, c in enumerate(colours):
+        buckets.setdefault(c, []).append(i)
+    candidates = [buckets[colours[i]] for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), colours[i], i))
+    down = a.down
+
+    mapping = [-1] * n
+    used = [False] * n
+    next_choice = [0] * (n + 1)
+    found = []
+    t = 0
+    while t >= 0:
+        if t == n:
+            found.append(tuple(mapping))
+            t -= 1
+            x = order[t]
+            used[mapping[x]] = False
+            mapping[x] = -1
+            continue
+        x = order[t]
+        cand = candidates[x]
+        advanced = False
+        while next_choice[t] < len(cand):
+            y = cand[next_choice[t]]
+            next_choice[t] += 1
+            if used[y]:
+                continue
+            ok = True
+            for x2 in order[:t]:
+                y2 = mapping[x2]
+                if ((down[x2] >> x) & 1) != ((down[y2] >> y) & 1) or (
+                    (down[x] >> x2) & 1
+                ) != ((down[y] >> y2) & 1):
+                    ok = False
+                    break
+            if ok:
+                mapping[x] = y
+                used[y] = True
+                t += 1
+                next_choice[t] = 0
+                advanced = True
+                break
+        if not advanced:
+            t -= 1
+            if t < 0:
+                break
+            x = order[t]
+            used[mapping[x]] = False
+            mapping[x] = -1
+    return [LatticeAutomorphism(m) for m in sorted(found)]
+
+
 def test_brute_force_on_chains():
     for n in (1, 2, 5):
         autos = brute_force_automorphisms(_chain(n))
@@ -60,6 +131,48 @@ def test_brute_force_on_diamonds():
 def test_brute_force_on_pentagon():
     autos = brute_force_automorphisms(PENTAGON)
     assert len(autos) == 1
+
+
+def _mappings(autos):
+    return [phi.mapping for phi in autos]
+
+
+def test_search_agrees_with_the_reference_on_small_lattices():
+    small = [_chain(n) for n in (1, 2, 3, 5)] + [_diamond(k) for k in (2, 3, 4)] + [PENTAGON]
+    small += list(lemma_lattices().values())
+    for a in small:
+        assert _mappings(brute_force_automorphisms(a)) == _mappings(_reference_automorphisms(a))
+
+
+def test_search_on_the_subspace_lattice_of_gf2_cubed():
+    # the 7 points are the join-irreducibles: all 5,040 maps of them pass the
+    # order check, and only the 168 collineations extend
+    a = _subspace_lattice(3)
+    autos = brute_force_automorphisms(a)
+    assert len(autos) == 168
+    assert _mappings(autos) == _mappings(_reference_automorphisms(a))
+
+
+@pytest.mark.parametrize("text", ["S3^3", "S3*S4", "S4^2", "S3^4", "S4^2*S3^2", "S4^4"])
+def test_search_agrees_with_the_reference_on_tower_lattices(text, lattices):
+    a = lattices.get(text).to_abstract()
+    assert _mappings(brute_force_automorphisms(a)) == _mappings(_reference_automorphisms(a))
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        # the V: 0, 1 < 2 (the search over every element finds 2 maps)
+        ((0b001, 0b010, 0b111), "2 minimal elements"),
+        # the bowtie: 0, 1 < 2, 3
+        ((0b0001, 0b0010, 0b0111, 0b1011), "2 minimal elements"),
+        # a bottom, but 1 and 2 have the two upper bounds 3 and 4
+        ((0b00001, 0b00011, 0b00101, 0b01111, 0b10111), "no join"),
+    ],
+)
+def test_search_rejects_posets_that_are_not_lattices(masks, message):
+    with pytest.raises(LatTowerError, match=message):
+        brute_force_automorphisms(AbstractLattice(masks))
 
 
 def test_brute_force_output_is_sorted_with_identity_first():

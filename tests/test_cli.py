@@ -42,6 +42,7 @@ def test_exit_code_on_parse_error(capsys):
     assert main(["enumerate", "--spec", "S2"]) == 2
     assert main(["enumerate", "--spec", "junk"]) == 2
     assert main(["tower", "--spec", "S3^"]) == 2
+    assert main(["tower", "--spec", "S" + "9" * 5000]) == 2
 
 
 def test_exit_code_on_bound_violation(capsys):
@@ -54,6 +55,7 @@ def test_exit_code_on_bound_violation(capsys):
     assert main(["oracle-diff", "--spec", "S3", "--max-T", "0"]) == 3
     assert main(["lemmas", "--max-order", "1"]) == 3
     assert main(["lemmas", "--max-lattice", "0"]) == 3
+    assert main(["tower", "--spec", "S3^99999999999"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert all(line.startswith("error:") for line in captured.err.splitlines())

@@ -9,8 +9,10 @@ from lattower.errors import (
     IllegalChainPosition,
     NegativeExponent,
     SpecParseError,
+    TooLarge,
 )
 from lattower.group_spec import (
+    MAX_MULTIPLICITY,
     ChainPosition,
     chain,
     chain_iso,
@@ -59,11 +61,22 @@ def test_parse_trivial():
         ("S2", DegreeTooSmall),
         ("S1", DegreeTooSmall),
         ("S21", DegreeTooLarge),
+        # more digits than int() converts
+        ("S" + "9" * 5000, SpecParseError),
+        ("S3^" + "9" * 5000, SpecParseError),
+        ("S3^99999999999", TooLarge),
+        ("S3^999*S3^2", TooLarge),
     ],
 )
 def test_parse_rejects(bad, exc):
     with pytest.raises(exc):
         parse_spec(bad)
+
+
+def test_multiplicity_bound():
+    assert make_spec({3: MAX_MULTIPLICITY}).num_slots == MAX_MULTIPLICITY
+    with pytest.raises(TooLarge):
+        make_spec({5: MAX_MULTIPLICITY + 1})
 
 
 def test_make_spec_drops_zero_and_rejects_negative():
@@ -163,3 +176,25 @@ def test_slot_indices_are_canonical(exponents):
     degrees = spec.degrees
     assert list(degrees) == sorted(degrees)
     assert spec.a4 + spec.b == spec.num_slots
+
+
+factor_texts = st.builds(
+    lambda s, degree, mult: f"{s}{degree}" + ("" if mult is None else f"^{mult}"),
+    st.sampled_from("sS"),
+    st.integers(0, 25),
+    st.none() | st.integers(0, 1200),
+)
+spec_texts = st.one_of(
+    st.text(),
+    st.text(alphabet="sS0123456789^* \t", max_size=24),
+    st.lists(factor_texts, min_size=1, max_size=4).map("*".join),
+)
+
+
+@given(spec_texts)
+def test_parse_spec_parses_round_trips_or_refuses(text):
+    try:
+        spec = parse_spec(text)
+    except (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent, TooLarge):
+        return
+    assert parse_spec(format_spec(spec)) == spec
