@@ -130,17 +130,32 @@ def composition_table(autos: list[LatticeAutomorphism]) -> list[list[int]]:
     return [[index[a.compose(b).mapping] for b in autos] for a in autos]
 
 
-def complemented_elements(lat: Lattice) -> set[int]:
-    """Indices of all N with a complement: meet at bottom, join at top."""
-    bottom_mask = 1 << lat.bottom_index
-    top_mask = 1 << lat.top_index
-    down, up = lat.down_masks, lat.up_masks
+def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
+    """Indices of all N with a complement: meet at bottom, join at top.
+
+    In a finite lattice x ^ c is the bottom exactly when no atom lies under
+    both, and x v c is the top exactly when no coatom lies over both.  So the
+    complements of x are the elements above no atom under x and below no
+    coatom over x, two ORs of masks instead of a scan over every c.
+    """
+    order = lat.to_abstract() if isinstance(lat, Lattice) else lat
+    down, up = order.down, order.up
+    everything = (1 << len(down)) - 1
+    bottom = next(i for i, m in enumerate(down) if m == 1 << i)
+    top = next(i for i, m in enumerate(up) if m == 1 << i)
+    atoms = [i for i, m in enumerate(down) if i != bottom and m == 1 << bottom | 1 << i]
+    coatoms = [i for i, m in enumerate(up) if i != top and m == 1 << top | 1 << i]
     out = set()
-    for i in range(len(lat)):
-        for c in range(len(lat)):
-            if down[i] & down[c] == bottom_mask and up[i] & up[c] == top_mask:
-                out.add(i)
-                break
+    for x in range(len(down)):
+        excluded = 0
+        for a in atoms:
+            if (down[x] >> a) & 1:
+                excluded |= up[a]
+        for m in coatoms:
+            if (up[x] >> m) & 1:
+                excluded |= down[m]
+        if everything & ~excluded:
+            out.add(x)
     return out
 
 

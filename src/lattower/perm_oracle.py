@@ -1,22 +1,26 @@
 """Independent oracle: normal subgroups recomputed from raw permutations.
 
-Everything here works with explicit group elements and set operations, never
-with triples or profiles, so it can referee the enumeration.  A ConcreteGroup
-is a product of symmetric factors (degree 2 is allowed here, unlike in tower
-specs, so the small groups C2, C2^2 and C2 x Sm are covered too); elements
-are ranked mixed-radix into global ids and multiplied through per-factor
-lookup tables.  Normal subgroups come out of normal closures of conjugacy
-classes closed under pairwise joins, which reaches every normal subgroup
-because each one is the join of the closures of its elements.
+Everything here works with explicit group elements, products and
+conjugation, never with triples or profiles, so it can referee the
+enumeration.  A ConcreteGroup is a product of symmetric factors (degree 2 is
+allowed here, unlike in tower specs, so the small groups C2, C2^2 and C2 x Sm
+are covered too); elements are ranked mixed-radix into global ids and
+multiplied through per-factor lookup tables.  A normal subgroup is a union
+of conjugacy classes, so it is held as an int mask over the classes (Hulpke,
+"Computing normal subgroups", ISSAC 1998).  The group's ClassTable records
+which classes each class product C_i C_j meets; from it, inclusion, meet and
+join of normal subgroups are mask operations.  Normal subgroups come out of
+the normal closures of the classes closed under joins, which reaches every
+normal subgroup because each one is the join of the closures of its classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
 from .gf2 import span
@@ -34,9 +38,9 @@ __all__ = [
     "Perm",
     "ConcreteGroup",
     "ConcreteSubgroup",
+    "ClassTable",
     "concrete_group",
     "normal_closure",
-    "subgroup_join",
     "is_normal",
     "all_normal_subgroups",
     "normal_subgroup_poset",
@@ -228,6 +232,10 @@ class ConcreteGroup:
             Perm(t.perms[c]) for t, c in zip(self.tables, self.components[a])
         )
 
+    @cached_property
+    def class_table(self) -> "ClassTable":
+        return ClassTable(self)
+
 
 def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
     """Build the concrete group of a tower spec, factor j = slot j."""
@@ -251,20 +259,6 @@ class ConcreteSubgroup:
         return frozenset(self.ids)
 
 
-def _generated_subgroup(group: ConcreteGroup, gens: Iterable[int]) -> frozenset[int]:
-    seen = {group.identity}
-    frontier = [group.identity]
-    gens = sorted(set(gens))
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.product(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def _conjugacy_class(group: ConcreteGroup, g: int) -> frozenset[int]:
     seen = {g}
     frontier = [g]
@@ -279,9 +273,93 @@ def _conjugacy_class(group: ConcreteGroup, g: int) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ClassTable:
+    """Conjugacy classes of a ConcreteGroup and the supports of their products.
+
+    A normal subgroup is a union of conjugacy classes, so it is an int mask
+    with bit i set when it contains class i.  Class 0 is {identity}; the
+    other classes are numbered by their smallest element id.  ``prod[i][j]``
+    is the mask of the classes met by x_i * C_j for the representative x_i of
+    C_i (its smallest id).  Conjugating by g maps x_i * C_j onto
+    (g x_i g^-1) * C_j with the same classes, so this is the support of the
+    whole product set C_i * C_j, found with |G| products per class.
+    Inclusion is ``a & ~b == 0``, intersection is ``a & b``, and the product
+    N1 N2 of two normal subgroups is the OR of ``prod[i][j]`` over i in N1
+    and j in N2.
+    """
+
+    def __init__(self, group: ConcreteGroup):
+        class_of = [-1] * group.order
+        classes: list[tuple[int, ...]] = []
+        for g in range(group.order):
+            if class_of[g] < 0:
+                members = tuple(sorted(_conjugacy_class(group, g)))
+                for x in members:
+                    class_of[x] = len(classes)
+                classes.append(members)
+        self.classes = classes
+        self.class_of = class_of
+        prod = []
+        for members in classes:
+            x = members[0]
+            row = [0] * len(classes)
+            for y in range(group.order):
+                row[class_of[y]] |= 1 << class_of[group.product(x, y)]
+            prod.append(row)
+        self.prod = prod
+
+    def mask_of(self, sub: ConcreteSubgroup) -> int:
+        """The classes an element set meets; exact for a union of classes."""
+        class_of = self.class_of
+        mask = 0
+        for g in sub.ids:
+            mask |= 1 << class_of[g]
+        return mask
+
+    def subgroup(self, mask: int) -> ConcreteSubgroup:
+        return ConcreteSubgroup(
+            tuple(sorted(g for i in _bits(mask) for g in self.classes[i]))
+        )
+
+    def closure(self, c: int) -> int:
+        """The normal closure of class c: 1 and C_c, closed under products."""
+        prod = self.prod
+        mask = 1 | 1 << c
+        fresh = mask
+        while fresh:
+            grown = mask
+            for i in _bits(fresh):
+                grown |= prod[i][c]
+            fresh = grown & ~mask
+            mask = grown
+        return mask
+
+    def join(self, a: int, b: int) -> int:
+        """The product N1 N2 of two normal subgroups given as masks.
+
+        Classes of a inside b only contribute products already in b.
+        """
+        out = a | b
+        inside = list(_bits(b))
+        for i in _bits(a & ~b):
+            row = self.prod[i]
+            for j in inside:
+                out |= row[j]
+        return out
+
+
 def normal_closure(group: ConcreteGroup, g: int) -> ConcreteSubgroup:
-    """Smallest normal subgroup containing g: generate its conjugacy class."""
-    return ConcreteSubgroup.from_ids(_generated_subgroup(group, _conjugacy_class(group, g)))
+    """Smallest normal subgroup containing g: the closure of its class."""
+    table = group.class_table
+    return table.subgroup(table.closure(table.class_of[g]))
 
 
 def is_normal(group: ConcreteGroup, sub: ConcreteSubgroup) -> bool:
@@ -289,63 +367,37 @@ def is_normal(group: ConcreteGroup, sub: ConcreteSubgroup) -> bool:
     return all(group.conjugate(x, h) in ids for x in sub.ids for h in group.generators)
 
 
-def subgroup_join(
-    group: ConcreteGroup, a: ConcreteSubgroup, b: ConcreteSubgroup
-) -> ConcreteSubgroup:
-    """Product set AB, a subgroup because both inputs are normal."""
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    result = set(large.ids)
-    large_ids = large.ids
-    for r in small.ids:
-        if r in result:
-            continue
-        result.update(group.product(r, m) for m in large_ids)
-    return ConcreteSubgroup.from_ids(result)
-
-
 def all_normal_subgroups(group: ConcreteGroup) -> list[ConcreteSubgroup]:
-    """Every normal subgroup: closures of conjugacy classes, then join closure.
+    """Every normal subgroup, found as a union of conjugacy classes.
 
-    Sorted by (order, ids), so the trivial subgroup is first and the whole
-    group last.
+    Every normal subgroup is the product of the closures of its classes, so
+    joining each distinct closure onto everything found so far reaches all
+    of them, one closure at a time.  Sorted by (order, ids), so the trivial
+    subgroup is first and the whole group last.
     """
-    classified: set[int] = set()
-    seeds: set[tuple[int, ...]] = {(group.identity,)}
-    for g in range(group.order):
-        if g in classified:
-            continue
-        cls = _conjugacy_class(group, g)
-        classified.update(cls)
-        seeds.add(normal_closure(group, g).ids)
-    normals = {ids: ConcreteSubgroup(ids) for ids in seeds}
-    work = list(normals.values())
-    while work:
-        fresh: list[ConcreteSubgroup] = []
-        for i, a in enumerate(work):
-            for b in list(normals.values()):
-                j = subgroup_join(group, a, b)
-                if j.ids not in normals:
-                    normals[j.ids] = j
-                    fresh.append(j)
-        work = fresh
-    return sorted(normals.values(), key=lambda s: (len(s), s.ids))
+    table = group.class_table
+    closures = {table.closure(c) for c in range(len(table.classes))}
+    found = {1}
+    for s in sorted(closures):
+        found |= {table.join(s, n) for n in found}
+    return sorted((table.subgroup(m) for m in found), key=lambda s: (len(s), s.ids))
 
 
 def normal_subgroup_poset(
     group: ConcreteGroup, normals: list[ConcreteSubgroup] | None = None
 ) -> AbstractLattice:
-    """The subgroup-inclusion order as a bare lattice."""
+    """The subgroup-inclusion order as a bare lattice, read off class masks."""
     if normals is None:
         normals = all_normal_subgroups(group)
-    sets = [n.id_set() for n in normals]
-    masks = []
-    for j, big in enumerate(sets):
+    masks = [group.class_table.mask_of(n) for n in normals]
+    down = []
+    for big in masks:
         m = 0
-        for i, small in enumerate(sets):
-            if small <= big:
+        for i, small in enumerate(masks):
+            if not small & ~big:
                 m |= 1 << i
-        masks.append(m)
-    return AbstractLattice(masks)
+        down.append(m)
+    return AbstractLattice(down)
 
 
 def block_projection(
@@ -444,9 +496,9 @@ def differential_validate(
     """Compare the triple enumeration against the raw permutation computation.
 
     Checks, in order: the counts agree; profiles give a bijection between the
-    two lists; and for every pair, subset testing, set intersection and set
-    product agree with leq, meet and join on the enumerated side.  The first
-    divergence raises OracleMismatch.
+    two lists; and for every pair, inclusion, intersection and product of the
+    class masks agree with leq, meet and join on the enumerated side.  The
+    first divergence raises OracleMismatch.
     """
     group = concrete_group(spec, max_order=max_order)
     normals = all_normal_subgroups(group)
@@ -469,23 +521,21 @@ def differential_validate(
     if len(set(mapped)) != len(mapped):
         raise OracleMismatch(f"{name}: profile map is not injective")
 
-    by_ids = {n.ids: idx for n, idx in zip(normals, mapped)}
-    sets = [n.id_set() for n in normals]
+    table = group.class_table
+    masks = [table.mask_of(n) for n in normals]
+    by_mask = dict(zip(masks, mapped))
     pairs = 0
-    for i, (ni, idx_i) in enumerate(zip(normals, mapped)):
-        for j, (nj, idx_j) in enumerate(zip(normals, mapped)):
-            if j < i:
-                continue
+    for i, (mi, idx_i) in enumerate(zip(masks, mapped)):
+        for j in range(i, len(masks)):
+            mj, idx_j = masks[j], mapped[j]
             pairs += 1
-            if (sets[i] <= sets[j]) != lat.leq_idx(idx_i, idx_j):
+            if (not mi & ~mj) != lat.leq_idx(idx_i, idx_j):
                 raise OracleMismatch(f"{name}: leq disagrees on pair ({i}, {j})")
-            if (sets[j] <= sets[i]) != lat.leq_idx(idx_j, idx_i):
+            if (not mj & ~mi) != lat.leq_idx(idx_j, idx_i):
                 raise OracleMismatch(f"{name}: leq disagrees on pair ({j}, {i})")
-            meet_ids = tuple(sorted(sets[i] & sets[j]))
-            if by_ids.get(meet_ids) != lat.meet_idx(idx_i, idx_j):
+            if by_mask.get(mi & mj) != lat.meet_idx(idx_i, idx_j):
                 raise OracleMismatch(f"{name}: meet disagrees on pair ({i}, {j})")
-            join_ids = subgroup_join(group, ni, nj).ids
-            if by_ids.get(join_ids) != lat.join_idx(idx_i, idx_j):
+            if by_mask.get(table.join(mi, mj)) != lat.join_idx(idx_i, idx_j):
                 raise OracleMismatch(f"{name}: join disagrees on pair ({i}, {j})")
     return OracleReport(
         spec=name,

@@ -27,6 +27,7 @@ from lattower.lattice_core import (
     sub_product_element,
 )
 from lattower.perm_oracle import lemma_lattices
+from test_acceptance import PRODUCT_FORMULA_CASES
 
 
 def _chain(n):
@@ -235,6 +236,32 @@ def test_complemented_elements_are_the_full_sub_products(lattices):
         positions = {s: (CP.FULL if (bits >> s) & 1 else CP.TRIV) for s in range(2)}
         expected.add(lat.index_of(sub_product_element(lat.spec, positions)))
     assert comp == expected
+
+
+def _reference_complemented_elements(down, up):
+    """The scan over every pair that complemented_elements replaced."""
+    n = len(down)
+    bottom_mask = next(m for i, m in enumerate(down) if m == 1 << i)
+    top_mask = next(m for i, m in enumerate(up) if m == 1 << i)
+    return {
+        i
+        for i in range(n)
+        if any(down[i] & down[c] == bottom_mask and up[i] & up[c] == top_mask for c in range(n))
+    }
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES))
+def test_complemented_elements_match_the_pairwise_scan(text, lattices):
+    lat = lattices.get(text)
+    expected = _reference_complemented_elements(lat.down_masks, lat.up_masks)
+    assert complemented_elements(lat) == expected
+
+
+def test_complemented_elements_of_lemma_posets_match_the_pairwise_scan():
+    posets = {**lemma_lattices(), "chain": _chain(4), "one": _chain(1), "M3": _diamond(3)}
+    for name, poset in posets.items():
+        expected = _reference_complemented_elements(poset.down, poset.up)
+        assert complemented_elements(poset) == expected, name
 
 
 def test_factor_atoms_in_slot_order(lattices):

@@ -192,6 +192,64 @@ def test_hasse_of_lemma_group(capsys):
     assert sum("->" in l for l in lines) == 6
 
 
+# Nodes are numbered in the oracle's (order, ids) order, so equal-order normal
+# subgroups keep their places only while that tie-break holds.
+HASSE_OF_LEMMA_GROUP = {}
+HASSE_OF_LEMMA_GROUP["C2xS3"] = """digraph lattice {
+  rankdir=BT;
+  n0 [label="1"];
+  n1 [label="2"];
+  n2 [label="3"];
+  n3 [label="6"];
+  n4 [label="6"];
+  n5 [label="6"];
+  n6 [label="12"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n4;
+  n2 -> n3;
+  n2 -> n4;
+  n2 -> n5;
+  n3 -> n6;
+  n4 -> n6;
+  n5 -> n6;
+}
+"""
+
+HASSE_OF_LEMMA_GROUP["C2xS4"] = """digraph lattice {
+  rankdir=BT;
+  n0 [label="1"];
+  n1 [label="2"];
+  n2 [label="4"];
+  n3 [label="8"];
+  n4 [label="12"];
+  n5 [label="24"];
+  n6 [label="24"];
+  n7 [label="24"];
+  n8 [label="48"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n3;
+  n2 -> n3;
+  n2 -> n4;
+  n3 -> n6;
+  n4 -> n5;
+  n4 -> n6;
+  n4 -> n7;
+  n5 -> n8;
+  n6 -> n8;
+  n7 -> n8;
+}
+"""
+
+
+@pytest.mark.parametrize("spec", sorted(HASSE_OF_LEMMA_GROUP))
+def test_hasse_of_lemma_group_is_pinned(spec, capsys):
+    code, out = run_cli(capsys, "hasse", "--spec", spec)
+    assert code == 0
+    assert out == HASSE_OF_LEMMA_GROUP[spec]
+
+
 def test_hasse_of_tower_group(capsys):
     code, out = run_cli(capsys, "hasse", "--spec", "S4")
     assert code == 0

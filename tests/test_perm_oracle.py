@@ -6,6 +6,7 @@ from lattower.group_spec import parse_spec
 from lattower.perm_oracle import (
     ConcreteGroup,
     ConcreteSubgroup,
+    LEMMA_GROUP_DEGREES,
     Perm,
     all_normal_subgroups,
     block_intersection,
@@ -17,8 +18,59 @@ from lattower.perm_oracle import (
     lemma_lattices,
     normal_closure,
     normal_subgroup_poset,
-    subgroup_join,
 )
+
+
+# The set-based route the class masks replaced, kept as their referee.  It
+# uses only products and conjugation on element ids, never the class table.
+
+
+def _reference_normal_closure(group, g):
+    cls = {group.conjugate(g, h) for h in range(group.order)}
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for c in cls:
+            y = group.product(x, c)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return ConcreteSubgroup.from_ids(seen)
+
+
+def _reference_join(group, a, b):
+    """Product set AB, a subgroup because both inputs are normal."""
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    result = set(large.ids)
+    for r in small.ids:
+        if r in result:
+            continue
+        result.update(group.product(r, m) for m in large.ids)
+    return ConcreteSubgroup.from_ids(result)
+
+
+def _reference_normal_subgroups(group):
+    """Closures of one element per conjugacy class, then pairwise join closure."""
+    classified = set()
+    normals = {}
+    for g in range(group.order):
+        if g in classified:
+            continue
+        classified.update(group.conjugate(g, h) for h in range(group.order))
+        n = _reference_normal_closure(group, g)
+        normals[n.ids] = n
+    work = list(normals.values())
+    while work:
+        fresh = []
+        for a in work:
+            for b in list(normals.values()):
+                j = _reference_join(group, a, b)
+                if j.ids not in normals:
+                    normals[j.ids] = j
+                    fresh.append(j)
+        work = fresh
+    return sorted(normals.values(), key=lambda s: (len(s), s.ids))
 
 
 def test_perm_basics():
@@ -97,8 +149,22 @@ def test_subgroup_join():
     g = ConcreteGroup((3,))
     alt = ConcreteSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
     transposition = g.tables[0].index[(1, 0, 2)]
-    whole = subgroup_join(g, alt, normal_closure(g, transposition))
+    whole = _reference_join(g, alt, normal_closure(g, transposition))
     assert len(whole) == 6
+    assert is_normal(g, whole)
+    table = g.class_table
+    assert table.subgroup(table.join(table.mask_of(alt), table.mask_of(whole))) == whole
+
+
+def test_class_table_of_s4():
+    g = ConcreteGroup((4,))
+    table = g.class_table
+    # identity, transpositions, double transpositions, 3-cycles, 4-cycles
+    assert table.classes[0] == (g.identity,)
+    assert sorted(len(c) for c in table.classes) == [1, 3, 6, 6, 8]
+    assert all(table.class_of[x] == i for i, c in enumerate(table.classes) for x in c)
+    assert [c[0] for c in table.classes] == sorted(c[0] for c in table.classes)
+    assert g.class_table is table
 
 
 # normal subgroup counts recomputed from scratch on every run
@@ -124,6 +190,43 @@ def test_normal_subgroup_counts(degrees, count):
     assert len(normals[0]) == 1
     assert len(normals[-1]) == ConcreteGroup(degrees).order
     assert all(is_normal(ConcreteGroup(degrees), n) for n in normals)
+
+
+REFEREE_DEGREES = sorted(
+    set(NORMAL_COUNTS)
+    | {(3, 3, 3), (3, 3, 4), (4, 4), (3, 5)}
+    | set(LEMMA_GROUP_DEGREES.values())
+)
+
+
+def _name(degrees):
+    return "x".join(f"S{d}" for d in degrees)
+
+
+@pytest.mark.parametrize("degrees", REFEREE_DEGREES, ids=_name)
+def test_class_masks_find_the_reference_normal_subgroups(degrees):
+    g = ConcreteGroup(degrees)
+    normals = all_normal_subgroups(g)
+    assert [n.ids for n in normals] == [n.ids for n in _reference_normal_subgroups(g)]
+    assert all(is_normal(g, n) for n in normals)
+
+
+@pytest.mark.parametrize(
+    "degrees", [d for d in REFEREE_DEGREES if ConcreteGroup(d).order <= 216], ids=_name
+)
+def test_class_mask_operations_match_the_sets_on_every_pair(degrees):
+    g = ConcreteGroup(degrees)
+    table = g.class_table
+    normals = _reference_normal_subgroups(g)
+    sets = [n.id_set() for n in normals]
+    masks = [table.mask_of(n) for n in normals]
+    for n, m in zip(normals, masks):
+        assert table.subgroup(m) == n
+    for a, sa, ma in zip(normals, sets, masks):
+        for b, sb, mb in zip(normals, sets, masks):
+            assert (not ma & ~mb) == (sa <= sb)
+            assert table.subgroup(ma & mb) == ConcreteSubgroup.from_ids(sa & sb)
+            assert table.subgroup(table.join(ma, mb)) == _reference_join(g, a, b)
 
 
 def test_poset_of_s4_is_a_chain():
