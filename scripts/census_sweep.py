@@ -2,7 +2,9 @@
 
 Prints one row per spec: slot count, census split, group order, and how long
 the enumeration took.  Useful for eyeballing how the mixed family starts to
-dominate as slots are added.
+dominate as slots are added.  Every row is also checked against the
+closed-form ``census_of``: a census that differs from the families counted
+in the enumeration stops the sweep with an error.
 
     python scripts/census_sweep.py --degrees 3 4 --max-T 4
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from lattower.group_spec import format_spec, make_spec
-from lattower.lattice_core import enumerate_lattice
+from lattower.lattice_core import census_of, enumerate_lattice
 
 
 @dataclass
@@ -44,6 +46,9 @@ def sweep(config: SweepConfig) -> list[tuple]:
             lat = enumerate_lattice(spec)
             elapsed = time.perf_counter() - start
             c = lat.census
+            closed_form = census_of(spec)
+            if closed_form != c:
+                raise SystemExit(f"{format_spec(spec)}: census_of {closed_form}, enumerated {c}")
             rows.append(
                 (format_spec(spec), t, c.sub_products, c.sign_parity, c.mixed, c.total,
                  spec.group_order, elapsed)

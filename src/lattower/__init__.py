@@ -26,6 +26,7 @@ from .lattice_core import (
     Lattice,
     LatticeElement,
     Profile,
+    census_of,
     enumerate_lattice,
     join,
     leq,
@@ -50,6 +51,7 @@ __all__ = [
     "Census",
     "Lattice",
     "enumerate_lattice",
+    "census_of",
     "leq",
     "meet",
     "join",

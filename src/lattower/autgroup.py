@@ -31,6 +31,7 @@ from .lattice_core import (
     Lattice,
     LatticeElement,
     TripleKey,
+    census_of,
     element_from_triple,
     enumerate_lattice,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "tau_sigma",
     "tau_on_lattice",
     "brute_force_automorphisms",
+    "searchable_lattice",
     "induced_permutation",
     "composition_table",
     "ProductFormulaReport",
@@ -281,6 +283,23 @@ def _canonical_ids(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
+def _check_search_size(n: int, max_size: int) -> None:
+    if n > max_size:
+        raise TooLarge(f"{n} elements exceeds the search bound {max_size}")
+
+
+def searchable_lattice(
+    spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
+) -> Lattice:
+    """N(G) enumerated, once its closed-form census fits the search bound.
+
+    A lattice the search would refuse raises the search's own TooLarge
+    before a single element is built.
+    """
+    _check_search_size(census_of(spec, max_slots).total, max_size)
+    return enumerate_lattice(spec, max_slots)
+
+
 def brute_force_automorphisms(
     lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
 ) -> list[LatticeAutomorphism]:
@@ -298,8 +317,7 @@ def brute_force_automorphisms(
     first.
     """
     n = len(lattice)
-    if n > max_size:
-        raise TooLarge(f"{n} elements exceeds the search bound {max_size}")
+    _check_search_size(n, max_size)
     a = lattice.to_abstract() if isinstance(lattice, Lattice) else lattice
     if n == 0:
         return [LatticeAutomorphism(())]
@@ -495,7 +513,7 @@ def verify_product_formula(
     and the distinct relabelling maps tau.  Additionally every tau must land
     in the brute-force set and induce its own slot permutation back.
     """
-    lat = lattice if lattice is not None else enumerate_lattice(spec, max_slots)
+    lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
     autos = brute_force_automorphisms(lat, max_size)
     brute_set = {a.mapping for a in autos}
     predicted = factorial(spec.a4) * factorial(spec.b)

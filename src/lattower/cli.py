@@ -22,8 +22,8 @@ from .errors import (
     TooLarge,
 )
 from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms, verify_product_formula
-from .group_spec import parse_spec
-from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, enumerate_lattice
+from .group_spec import format_spec, parse_spec
+from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, census_of, enumerate_lattice
 from .perm_oracle import (
     DEFAULT_MAX_ORDER,
     LEMMA_GROUP_DEGREES,
@@ -102,16 +102,23 @@ def _json_dump(data) -> str:
 
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
-    lat = enumerate_lattice(spec, max_slots=args.max_slots)
-    c = lat.census
     if args.format == "json":
+        lat = enumerate_lattice(spec, max_slots=args.max_slots)
         _emit(_json_dump(lat.to_json_dict()), args.out)
-    else:
-        _emit(
+        return 0
+    c = census_of(spec, max_slots=args.max_slots)
+    try:
+        line = (
             f"total {c.total}: sub-products {c.sub_products}, "
-            f"sign-parity {c.sign_parity}, mixed {c.mixed}",
-            args.out,
+            f"sign-parity {c.sign_parity}, mixed {c.mixed}"
         )
+    except ValueError:
+        # past the interpreter's int-to-str digit limit, which stays as it is
+        raise TooLarge(
+            f"census of {format_spec(spec)} has a total of {c.total.bit_length()} bits, "
+            "too long to print in decimal"
+        ) from None
+    _emit(line, args.out)
     return 0
 
 

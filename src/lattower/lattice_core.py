@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from math import factorial
+from math import comb, factorial
 from operator import or_
 from typing import Iterable, Iterator, Mapping
 
@@ -77,6 +77,7 @@ __all__ = [
     "meet",
     "join",
     "enumerate_lattice",
+    "census_of",
     "decompose_mixed",
     "sub_product_element",
     "sign_parity_element",
@@ -380,16 +381,82 @@ def _admissible_subspaces(width: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
+def _galois_numbers(m: int) -> list[int]:
+    """G(0..m), where G(k) counts the subspaces of GF(2)^k.
+
+    These are the Galois numbers of Goldman and Rota ("The number of
+    subspaces of a vector space", 1969), G(k+1) = 2 G(k) + (2^k - 1) G(k-1).
+    """
+    g = [1, 2]
+    for k in range(1, m):
+        g.append(2 * g[k] + ((1 << k) - 1) * g[k - 1])
+    return g[: m + 1]
+
+
+@lru_cache(maxsize=None)
+def _admissible_count(width: int) -> int:
+    """a(w), the number of admissible sign subgroups of width w, in closed form.
+
+    A coordinate j fails admissibility when H contains the unit vector e_j or
+    is zero at j, never both.  The subspaces failing at every coordinate of a
+    k-set K split as one of those two choices per j in K plus any subspace on
+    the other w - k coordinates: 2^k G(w - k) of them.  Inclusion-exclusion
+    gives a(w) = sum_k (-2)^k C(w, k) G(w - k), and ``_admissible_subspaces``
+    is the enumeration it is refereed against.
+    """
+    g = _galois_numbers(width)
+    return sum((-2) ** k * comb(width, k) * g[width - k] for k in range(width + 1))
+
+
+def _check_slots(spec: TowerGroupSpec, max_slots: int) -> None:
+    n = spec.num_slots
+    if n > max_slots:
+        raise TooLarge(f"{n} slots exceeds the enumeration bound {max_slots}")
+
+
+def census_of(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) -> Census:
+    """The census of N(G) in closed form, without building an element.
+
+    Of a triple (J, P, H) only H depends on more than the slot classes: J
+    takes i of the a4 class-A slots and j of the B class-B slots, H is one
+    of the a(i + j) admissible sign subgroups, and P puts each uncoupled
+    slot on its chain, 4 positions at degree 4 and 3 elsewhere.  So
+
+        total = sum_{i, j} C(a4, i) C(B, j) a(i + j) 4^(a4 - i) 3^(B - j).
+
+    The sub-products are the J = {} term, 4^a4 3^B.  There is one
+    sign-parity element per J with |J| >= 2, 2^T - T - 1 of them, and the
+    rest are mixed.  Raises TooLarge past the same slot bound as
+    ``enumerate_lattice``, whose family count this referees.
+    """
+    _check_slots(spec, max_slots)
+    a4, b = spec.a4, spec.b
+    total = sum(
+        comb(a4, i) * comb(b, j) * _admissible_count(i + j) * 4 ** (a4 - i) * 3 ** (b - j)
+        for i in range(a4 + 1)
+        for j in range(b + 1)
+    )
+    sub_products = 4**a4 * 3**b
+    sign_parity = 2**spec.num_slots - spec.num_slots - 1
+    return Census(
+        sub_products=sub_products,
+        sign_parity=sign_parity,
+        mixed=total - sub_products - sign_parity,
+        total=total,
+    )
+
+
 def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) -> "Lattice":
     """All normal subgroups, by direct enumeration of admissible triples.
 
     Iterates the coupled set as a bitmask in ascending order, then the sign
     subgroup, then the chain positions of the uncoupled slots, so the output
-    order is deterministic.  The first element is the trivial subgroup.
+    order is deterministic.  The first element is the trivial subgroup.  The
+    census counts the families of the elements built, independently of
+    ``census_of``.
     """
+    _check_slots(spec, max_slots)
     n = spec.num_slots
-    if n > max_slots:
-        raise TooLarge(f"{n} slots exceeds the enumeration bound {max_slots}")
     elements: list[LatticeElement] = []
     chains = [chain(s.degree) for s in spec.slots]
     for j_mask in range(1 << n):

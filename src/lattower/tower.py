@@ -18,8 +18,8 @@ from typing import Union
 
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, make_spec
-from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice, enumerate_lattice
-from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms
+from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice
+from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms, searchable_lattice
 from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
@@ -160,17 +160,18 @@ class StepReport:
 
 
 def _node_lattice(
-    node: TowerNode, max_order: int, max_slots: int
+    node: TowerNode, max_order: int, max_slots: int, max_size: int
 ) -> Lattice | AbstractLattice:
     """The normal-subgroup lattice of the node's group.
 
-    Tower groups go through the triple enumeration and come back enumerated,
-    so the search checks its size bound before the order relation is built;
-    anything with a C2 factor goes through the permutation oracle; the
-    trivial group is a single point.  TooLarge propagates to the caller.
+    Tower groups go through the triple enumeration, and only when their
+    closed-form census fits the search bound, so an oversized node costs no
+    enumeration and no order relation; anything with a C2 factor goes
+    through the permutation oracle; the trivial group is a single point.
+    TooLarge propagates to the caller.
     """
     if isinstance(node, StartNode):
-        return enumerate_lattice(node.spec, max_slots=max_slots)
+        return searchable_lattice(node.spec, max_slots=max_slots, max_size=max_size)
     degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
     if not degrees:
         return AbstractLattice((1,))
@@ -179,7 +180,7 @@ def _node_lattice(
     exponents: dict[int, int] = {}
     for d in degrees:
         exponents[d] = exponents.get(d, 0) + 1
-    return enumerate_lattice(make_spec(exponents), max_slots=max_slots)
+    return searchable_lattice(make_spec(exponents), max_slots=max_slots, max_size=max_size)
 
 
 def verify_step_against_lattice(
@@ -198,7 +199,7 @@ def verify_step_against_lattice(
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
-        abstract = _node_lattice(node, max_order=max_order, max_slots=max_slots)
+        abstract = _node_lattice(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
         observed = len(brute_force_automorphisms(abstract, max_size=max_size))
     except TooLarge as exc:
         return StepReport(

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import cli
+from lattower import autgroup, cli
 from lattower.cli import main
 from lattower.errors import OracleMismatch
+from lattower.group_spec import parse_spec
+from lattower.lattice_core import enumerate_lattice
 
 
 def run_cli(capsys, *argv):
@@ -21,6 +23,62 @@ def test_enumerate_text(capsys):
     code, out = run_cli(capsys, "enumerate", "--spec", "S3^3")
     assert code == 0
     assert out == "total 38: sub-products 27, sign-parity 4, mixed 7\n"
+
+
+@pytest.mark.parametrize("spec", ["1", "S5", "S3^3", "S4^2*S3^2", "S4^4", "S7*S3^2"])
+def test_enumerate_text_is_the_enumerated_census(spec, capsys):
+    c = enumerate_lattice(parse_spec(spec)).census
+    code, out = run_cli(capsys, "enumerate", "--spec", spec)
+    assert code == 0
+    assert out == (
+        f"total {c.total}: sub-products {c.sub_products}, "
+        f"sign-parity {c.sign_parity}, mixed {c.mixed}\n"
+    )
+
+
+def _must_not_enumerate(*args, **kwargs):
+    raise AssertionError("enumerate_lattice called")
+
+
+def test_enumerate_text_builds_no_element(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_lattice", _must_not_enumerate)
+    code, out = run_cli(capsys, "enumerate", "--spec", "S3^8")
+    assert code == 0
+    assert out == "total 756682: sub-products 6561, sign-parity 247, mixed 749874\n"
+    assert main(["enumerate", "--spec", "S3^9"]) == 3
+    assert capsys.readouterr().err == "error: 9 slots exceeds the enumeration bound 8\n"
+    assert main(["enumerate", "--spec", "S3^3", "--max-T", "2"]) == 3
+    assert capsys.readouterr().err == "error: 3 slots exceeds the enumeration bound 2\n"
+
+
+def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert main(["enumerate", "--spec", "S3^300", "--max-T", "300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: census of S3^300 has a total of 22503 bits, too long to print in decimal\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--spec", "S3^7"], "error: 59866 elements exceeds the search bound 2000\n"),
+        (
+            ["--spec", "S4^3*S3^2", "--max-lattice", "100"],
+            "error: 1564 elements exceeds the search bound 100\n",
+        ),
+        (["--spec", "S3^9"], "error: 9 slots exceeds the enumeration bound 8\n"),
+    ],
+)
+def test_aut_refuses_an_oversized_lattice_before_enumerating(argv, err, monkeypatch, capsys):
+    monkeypatch.setattr(autgroup, "enumerate_lattice", _must_not_enumerate)
+    assert main(["aut", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_enumerate_json(capsys):

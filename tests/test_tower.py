@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lattower import autgroup
 from lattower.errors import NonTermination
 from lattower.group_spec import parse_spec
+from lattower.lattice_core import enumerate_lattice
 from lattower.tower import (
     PairNode,
     StartNode,
@@ -125,3 +127,27 @@ def test_verify_step_skips_an_oversized_start_node():
     assert report.skipped == "256 elements exceeds the search bound 10"
     assert report.observed_order is None
     assert report.to_json_dict()["match"] is None
+
+
+@pytest.mark.parametrize(
+    "node, max_size, elements",
+    [
+        (StartNode(parse_spec("S3^7")), 2000, 59866),
+        (StartNode(parse_spec("S4^2*S3^2")), 10, None),
+        (PairNode(3, 4), 5, None),
+        (PairNode(5, 5), 9, None),
+    ],
+)
+def test_oversized_nodes_are_skipped_before_enumerating(node, max_size, elements, monkeypatch):
+    if elements is None:
+        spec = node.spec if isinstance(node, StartNode) else parse_spec(format_node(node))
+        elements = len(enumerate_lattice(spec))
+
+    def must_not_enumerate(*args, **kwargs):
+        raise AssertionError("enumerate_lattice called")
+
+    monkeypatch.setattr(autgroup, "enumerate_lattice", must_not_enumerate)
+    report = verify_step_against_lattice(node, max_size=max_size)
+    assert report.skipped == f"{elements} elements exceeds the search bound {max_size}"
+    assert report.observed_order is None
+    assert report.match is None
