@@ -47,7 +47,6 @@ __all__ = [
     "brute_force_automorphisms",
     "searchable_lattice",
     "induced_permutation",
-    "composition_table",
     "ProductFormulaReport",
     "verify_product_formula",
 ]
@@ -124,12 +123,6 @@ class LatticeAutomorphism:
     @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.mapping))
-
-
-def composition_table(autos: list[LatticeAutomorphism]) -> list[list[int]]:
-    """table[i][j] = index of autos[i] composed after autos[j]."""
-    index = {a.mapping: i for i, a in enumerate(autos)}
-    return [[index[a.compose(b).mapping] for b in autos] for a in autos]
 
 
 def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:

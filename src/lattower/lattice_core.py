@@ -393,21 +393,6 @@ def _galois_numbers(m: int) -> list[int]:
     return g[: m + 1]
 
 
-@lru_cache(maxsize=None)
-def _admissible_count(width: int) -> int:
-    """a(w), the number of admissible sign subgroups of width w, in closed form.
-
-    A coordinate j fails admissibility when H contains the unit vector e_j or
-    is zero at j, never both.  The subspaces failing at every coordinate of a
-    k-set K split as one of those two choices per j in K plus any subspace on
-    the other w - k coordinates: 2^k G(w - k) of them.  Inclusion-exclusion
-    gives a(w) = sum_k (-2)^k C(w, k) G(w - k), and ``_admissible_subspaces``
-    is the enumeration it is refereed against.
-    """
-    g = _galois_numbers(width)
-    return sum((-2) ** k * comb(width, k) * g[width - k] for k in range(width + 1))
-
-
 def _check_slots(spec: TowerGroupSpec, max_slots: int) -> None:
     n = spec.num_slots
     if n > max_slots:
@@ -424,15 +409,26 @@ def census_of(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) -> Censu
 
         total = sum_{i, j} C(a4, i) C(B, j) a(i + j) 4^(a4 - i) 3^(B - j).
 
-    The sub-products are the J = {} term, 4^a4 3^B.  There is one
-    sign-parity element per J with |J| >= 2, 2^T - T - 1 of them, and the
-    rest are mixed.  Raises TooLarge past the same slot bound as
-    ``enumerate_lattice``, whose family count this referees.
+    A coordinate j of H fails admissibility when H contains the unit vector
+    e_j or is zero at j, never both, so by inclusion-exclusion
+    a(w) = sum_k (-2)^k C(w, k) G(w - k), with G(m) the number of subspaces
+    of GF(2)^m (the Galois numbers).  So a(w) is the linear map
+    x^m -> G(m) applied to (x - 2)^w, and the total is that map applied to
+    (x + 4 - 2)^a4 (x + 3 - 2)^B:
+
+        total = sum_{i, j} C(a4, i) C(B, j) 2^(a4 - i) G(i + j),
+
+    O(a4 B) terms with no a(w) at all.  The sub-products are the J = {}
+    term, 4^a4 3^B.  There is one sign-parity element per J with |J| >= 2,
+    2^T - T - 1 of them, and the rest are mixed.  Raises TooLarge past the
+    same slot bound as ``enumerate_lattice``, whose family count this
+    referees.
     """
     _check_slots(spec, max_slots)
     a4, b = spec.a4, spec.b
+    g = _galois_numbers(a4 + b)
     total = sum(
-        comb(a4, i) * comb(b, j) * _admissible_count(i + j) * 4 ** (a4 - i) * 3 ** (b - j)
+        comb(a4, i) * comb(b, j) * 2 ** (a4 - i) * g[i + j]
         for i in range(a4 + 1)
         for j in range(b + 1)
     )

@@ -9,9 +9,13 @@ multiplied through per-factor lookup tables.  A normal subgroup is a union
 of conjugacy classes, so it is held as an int mask over the classes (Hulpke,
 "Computing normal subgroups", ISSAC 1998).  The group's ClassTable records
 which classes each class product C_i C_j meets; from it, inclusion, meet and
-join of normal subgroups are mask operations.  Normal subgroups come out of
-the normal closures of the classes closed under joins, which reaches every
-normal subgroup because each one is the join of the closures of its classes.
+join of normal subgroups are mask operations.  In a direct product the
+classes are the products of factor classes and C_i C_j is the product of
+the per-factor class products, so the ClassTable is assembled from the
+conjugacy data of each factor and no element of the whole group is
+multiplied.  Normal subgroups come out of the normal closures of the classes
+closed under joins, which reaches every normal subgroup because each one is
+the join of the closures of its classes.
 """
 
 from __future__ import annotations
@@ -99,7 +103,14 @@ class Perm:
 
 
 class _FactorTable:
-    """Dense multiplication data for one symmetric factor."""
+    """Dense multiplication and conjugacy data for one symmetric factor.
+
+    ``classes`` lists the conjugacy classes, each as its sorted member
+    indices, numbered by smallest member (so class 0 is {identity});
+    ``class_of`` is the class of each permutation, and ``prod[a][b]`` is the
+    mask of the classes met by x_a * C_b for the smallest member x_a of
+    class a.
+    """
 
     def __init__(self, degree: int):
         self.degree = degree
@@ -118,6 +129,21 @@ class _FactorTable:
                 invp[y] = x
             self.inv[i] = index[tuple(invp)]
         self.sign_bit = [0 if Perm(p).sign == 1 else 1 for p in self.perms]
+        mul, inv = self.mul, self.inv
+        self.class_of = [-1] * n
+        self.classes: list[tuple[int, ...]] = []
+        for x in range(n):
+            if self.class_of[x] < 0:
+                members = tuple(sorted({mul[mul[h][x]][inv[h]] for h in range(n)}))
+                for y in members:
+                    self.class_of[y] = len(self.classes)
+                self.classes.append(members)
+        self.prod = []
+        for members in self.classes:
+            row = [0] * len(self.classes)
+            for cy, xy in zip(self.class_of, mul[members[0]]):
+                row[cy] |= 1 << self.class_of[xy]
+            self.prod.append(row)
 
     def position_ids(self, pos: ChainPosition) -> frozenset[int]:
         """Element ids of one chain subgroup; V only exists at degree 4."""
@@ -259,20 +285,6 @@ class ConcreteSubgroup:
         return frozenset(self.ids)
 
 
-def _conjugacy_class(group: ConcreteGroup, g: int) -> frozenset[int]:
-    seen = {g}
-    frontier = [g]
-    gens = group.generators
-    while frontier:
-        x = frontier.pop()
-        for h in gens:
-            y = group.conjugate(x, h)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, lowest first."""
     while mask:
@@ -281,39 +293,60 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _spread(mask: int, shifts: list[int]) -> int:
+    """The OR of mask shifted left by each amount."""
+    out = 0
+    for at in shifts:
+        out |= mask << at
+    return out
+
+
 class ClassTable:
     """Conjugacy classes of a ConcreteGroup and the supports of their products.
 
     A normal subgroup is a union of conjugacy classes, so it is an int mask
-    with bit i set when it contains class i.  Class 0 is {identity}; the
-    other classes are numbered by their smallest element id.  ``prod[i][j]``
-    is the mask of the classes met by x_i * C_j for the representative x_i of
-    C_i (its smallest id).  Conjugating by g maps x_i * C_j onto
+    with bit i set when it contains class i.  The classes of a direct
+    product are the products C_1 x ... x C_k of factor classes; class i is
+    numbered by the mixed radix of its factor-class indices, most
+    significant factor first.  Factor classes are numbered by smallest
+    member and element ids are mixed radix in the components, so class 0 is
+    {identity} and the others come by smallest element id.  ``prod[i][j]``
+    is the mask of the classes met by x_i * C_j for the representative x_i
+    of C_i (its smallest id).  Conjugating by g maps x_i * C_j onto
     (g x_i g^-1) * C_j with the same classes, so this is the support of the
-    whole product set C_i * C_j, found with |G| products per class.
+    whole product set C_i * C_j: the product of the per-factor supports.
     Inclusion is ``a & ~b == 0``, intersection is ``a & b``, and the product
     N1 N2 of two normal subgroups is the OR of ``prod[i][j]`` over i in N1
     and j in N2.
     """
 
     def __init__(self, group: ConcreteGroup):
-        class_of = [-1] * group.order
-        classes: list[tuple[int, ...]] = []
-        for g in range(group.order):
-            if class_of[g] < 0:
-                members = tuple(sorted(_conjugacy_class(group, g)))
-                for x in members:
-                    class_of[x] = len(classes)
-                classes.append(members)
+        # Built from the last factor up: a class of the factors from j on is
+        # a factor-j class c (the high digit) times a class of the factors
+        # after j, so a product support is one copy of the rest's support,
+        # shifted by c * width, for each factor-j class c in the factor-j
+        # support.
+        classes: list[tuple[int, ...]] = [(0,)]
+        class_of = [0]
+        prod = [[1]]
+        size = width = 1
+        for t in reversed(group.tables):
+            classes = [
+                tuple(x * size + g for x in head for g in tail)
+                for head in t.classes
+                for tail in classes
+            ]
+            class_of = [c * width + rest for c in t.class_of for rest in class_of]
+            offsets = [[[c * width for c in _bits(m)] for m in t_row] for t_row in t.prod]
+            prod = [
+                [_spread(mask, shifts) for shifts in row_offsets for mask in row]
+                for row_offsets in offsets
+                for row in prod
+            ]
+            size *= len(t.perms)
+            width *= len(t.classes)
         self.classes = classes
         self.class_of = class_of
-        prod = []
-        for members in classes:
-            x = members[0]
-            row = [0] * len(classes)
-            for y in range(group.order):
-                row[class_of[y]] |= 1 << class_of[group.product(x, y)]
-            prod.append(row)
         self.prod = prod
 
     def mask_of(self, sub: ConcreteSubgroup) -> int:

@@ -8,7 +8,6 @@ from lattower.autgroup import (
     SlotPermutation,
     brute_force_automorphisms,
     complemented_elements,
-    composition_table,
     factor_atoms,
     induced_permutation,
     tau_on_lattice,
@@ -204,9 +203,15 @@ def test_brute_force_finds_only_order_maps(lattices):
                 assert a.leq(i, j) == a.leq(phi(i), phi(j))
 
 
+def _composition_table(autos):
+    """table[i][j] = index of autos[i] composed after autos[j]."""
+    index = {a.mapping: i for i, a in enumerate(autos)}
+    return [[index[a.compose(b).mapping] for b in autos] for a in autos]
+
+
 def test_composition_table_is_a_group():
     autos = brute_force_automorphisms(_diamond(3))
-    table = composition_table(autos)
+    table = _composition_table(autos)
     n = len(autos)
     # identity at index 0, every row and column a permutation
     assert table[0] == list(range(n))

@@ -1,3 +1,6 @@
+from functools import lru_cache
+from math import comb
+
 import pytest
 
 from lattower.errors import (
@@ -45,6 +48,7 @@ from lattower.lattice_core import (
     triple_to_profile,
     profile_to_triple,
     validate_triple,
+    _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
 from test_acceptance import ROUND_TRIP_SPECS
@@ -103,14 +107,52 @@ def test_census_of_shares_the_slot_bound():
     assert census_of(parse_spec("S3^2"), max_slots=2).total == 10
 
 
+# The a(w) route the substituted census formula replaced, kept as its referee.
+
+
+@lru_cache(maxsize=None)
+def _admissible_count(width):
+    """a(w), the number of admissible sign subgroups of width w, in closed form.
+
+    A coordinate j fails admissibility when H contains the unit vector e_j or
+    is zero at j, never both.  The subspaces failing at every coordinate of a
+    k-set K split as one of those two choices per j in K plus any subspace on
+    the other w - k coordinates: 2^k G(w - k) of them.  Inclusion-exclusion
+    gives a(w) = sum_k (-2)^k C(w, k) G(w - k).
+    """
+    g = _galois_numbers(width)
+    return sum((-2) ** k * comb(width, k) * g[width - k] for k in range(width + 1))
+
+
+def _reference_total(a4, b):
+    """sum_{i, j} C(a4, i) C(B, j) a(i + j) 4^(a4 - i) 3^(B - j)."""
+    return sum(
+        comb(a4, i) * comb(b, j) * _admissible_count(i + j) * 4 ** (a4 - i) * 3 ** (b - j)
+        for i in range(a4 + 1)
+        for j in range(b + 1)
+    )
+
+
 def test_admissible_count_matches_the_gf2_enumeration():
-    from lattower.lattice_core import _admissible_count, _admissible_subspaces
+    from lattower.lattice_core import _admissible_subspaces
 
     assert [_admissible_count(w) for w in range(8)] == [
         len(_admissible_subspaces(w)) for w in range(8)
     ]
     # counted once by len(_admissible_subspaces(8)), 4.4 s, too slow to repeat here
     assert _admissible_count(8) == 152191
+
+
+@pytest.mark.parametrize("a4", range(9))
+def test_census_of_total_matches_the_admissible_count_sum(a4):
+    for b in range(9):
+        spec = make_spec({4: a4, 3: b})
+        assert census_of(spec, max_slots=16).total == _reference_total(a4, b), (a4, b)
+
+
+def test_census_of_total_matches_the_admissible_count_sum_on_s3_300():
+    spec = parse_spec("S3^300")
+    assert census_of(spec, max_slots=300).total == _reference_total(0, 300)
 
 
 # every split into a4 class-A and B class-B slots with a4 + B <= 6

@@ -73,6 +73,40 @@ def _reference_normal_subgroups(group):
     return sorted(normals.values(), key=lambda s: (len(s), s.ids))
 
 
+def _reference_class_table(group):
+    """Classes by a conjugation search over G, supports by k |G| products.
+
+    The whole-group construction the per-factor table replaced, kept as its
+    referee: returns (classes, class_of, prod) in the same numbering.
+    """
+    gens = group.generators
+    class_of = [-1] * group.order
+    classes = []
+    for g in range(group.order):
+        if class_of[g] >= 0:
+            continue
+        seen = {g}
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            for h in gens:
+                y = group.conjugate(x, h)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        members = tuple(sorted(seen))
+        for x in members:
+            class_of[x] = len(classes)
+        classes.append(members)
+    prod = []
+    for members in classes:
+        row = [0] * len(classes)
+        for y in range(group.order):
+            row[class_of[y]] |= 1 << class_of[group.product(members[0], y)]
+        prod.append(row)
+    return classes, class_of, prod
+
+
 def test_perm_basics():
     t = Perm((1, 0, 2))
     c = Perm((1, 2, 0))
@@ -201,6 +235,37 @@ REFEREE_DEGREES = sorted(
 
 def _name(degrees):
     return "x".join(f"S{d}" for d in degrees)
+
+
+@pytest.mark.parametrize(
+    "degrees", REFEREE_DEGREES + [(3, 3, 3, 3), (3, 3, 5), (3, 4, 4)], ids=_name
+)
+def test_class_table_matches_the_whole_group_construction(degrees):
+    g = ConcreteGroup(degrees)
+    table = g.class_table
+    assert (table.classes, table.class_of, table.prod) == _reference_class_table(g)
+
+
+@pytest.mark.parametrize(
+    "degrees, count", [((3, 3, 4, 4), 225), ((3, 3, 3, 3, 3), 243)], ids=["S4^2*S3^2", "S3^5"]
+)
+def test_class_count_is_the_product_of_the_partition_counts(degrees, count):
+    # p(3) = 3 and p(4) = 5: 3^2 * 5^2 and 3^5
+    g = ConcreteGroup(degrees, max_order=20_736)
+    table = g.class_table
+    assert len(table.classes) == count
+    assert sorted(x for c in table.classes for x in c) == list(range(g.order))
+
+
+def test_the_oracle_multiplies_no_element_of_the_whole_group(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("whole-group product")
+
+    monkeypatch.setattr(ConcreteGroup, "product", refuse)
+    report = differential_validate(parse_spec("S4*S3^2"))
+    assert (report.oracle_count, report.pairs_checked) == (48, 1176)
+    sizes = {name: poset.n for name, poset in lemma_lattices().items()}
+    assert sizes == {"C2": 2, "C2^2": 5, "C2xS3": 7, "C2xS4": 9, "C2xS5": 7}
 
 
 @pytest.mark.parametrize("degrees", REFEREE_DEGREES, ids=_name)
