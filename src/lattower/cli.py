@@ -21,9 +21,14 @@ from .errors import (
     SpecParseError,
     TooLarge,
 )
-from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms, verify_product_formula
+from .autgroup import (
+    DEFAULT_MAX_LATTICE,
+    automorphism_group,
+    searchable_lattice,
+    verify_product_formula,
+)
 from .group_spec import format_spec, parse_spec
-from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, census_of, enumerate_lattice
+from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, census_of
 from .perm_oracle import (
     DEFAULT_MAX_ORDER,
     LEMMA_GROUP_DEGREES,
@@ -55,7 +60,7 @@ _OPTIONS = {
 
 # subcommand -> (help, the options its handler reads)
 _SUBCOMMANDS = {
-    "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-T"),
+    "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-T --max-lattice"),
     "aut": (
         "check LatAut(G) against the slot formula",
         "--spec --format --out --max-T --max-lattice",
@@ -65,7 +70,7 @@ _SUBCOMMANDS = {
         "differential validation against permutations",
         "--spec --format --out --max-order --max-T",
     ),
-    "hasse": ("covering relations as DOT", "--spec --out --max-order --max-T"),
+    "hasse": ("covering relations as DOT", "--spec --out --max-order --max-T --max-lattice"),
     "lemmas": (
         "small-group lattices and their symmetries",
         "--format --out --max-order --max-lattice",
@@ -103,7 +108,7 @@ def _json_dump(data) -> str:
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
-        lat = enumerate_lattice(spec, max_slots=args.max_slots)
+        lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
         _emit(_json_dump(lat.to_json_dict()), args.out)
         return 0
     c = census_of(spec, max_slots=args.max_slots)
@@ -187,7 +192,7 @@ def cmd_hasse(args) -> int:
         _emit(_dot((len(n) for n in normals), poset.covers), args.out)
         return 0
     spec = parse_spec(args.spec)
-    lat = enumerate_lattice(spec, max_slots=args.max_slots)
+    lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
     _emit(_dot_of_lattice(lat), args.out)
     return 0
 
@@ -195,8 +200,8 @@ def cmd_hasse(args) -> int:
 def cmd_lemmas(args) -> int:
     rows = []
     for name, poset in lemma_lattices(args.max_order).items():
-        autos = brute_force_automorphisms(poset, max_size=args.max_lattice)
-        rows.append({"group": name, "elements": poset.n, "automorphisms": len(autos)})
+        order = automorphism_group(poset, max_size=args.max_lattice).order
+        rows.append({"group": name, "elements": poset.n, "automorphisms": order})
     if args.format == "json":
         _emit(_json_dump(rows), args.out)
     else:

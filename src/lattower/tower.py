@@ -19,7 +19,7 @@ from typing import Union
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, make_spec
 from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice
-from .autgroup import DEFAULT_MAX_LATTICE, brute_force_automorphisms, searchable_lattice
+from .autgroup import DEFAULT_MAX_LATTICE, automorphism_group, searchable_lattice
 from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
@@ -189,18 +189,20 @@ def verify_step_against_lattice(
     max_slots: int = DEFAULT_MAX_SLOTS,
     max_size: int = DEFAULT_MAX_LATTICE,
 ) -> StepReport:
-    """Check one latauto_step answer against a brute-force count.
+    """Check one latauto_step answer against the searched automorphism group.
 
     The step claims LatAut of the node is S_a x S_b of order a! * b!; the
-    check recomputes the node's lattice and counts its automorphisms with
-    the order-only search.  Nodes beyond the size bounds are reported as
-    skipped, with ``match`` None, rather than guessed at.
+    check recomputes the node's lattice and reads the order of its
+    automorphism group off the stabiliser chain of the order-only search
+    (``automorphism_group``), without listing the automorphisms.  Nodes
+    beyond the size bounds are reported as skipped, with ``match`` None,
+    rather than guessed at.
     """
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
         abstract = _node_lattice(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
-        observed = len(brute_force_automorphisms(abstract, max_size=max_size))
+        observed = automorphism_group(abstract, max_size=max_size).order
     except TooLarge as exc:
         return StepReport(
             node=format_node(node),

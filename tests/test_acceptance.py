@@ -80,6 +80,8 @@ PRODUCT_FORMULA_CASES = {
     "S5^2*S3^2": 24,
     "S3^5": 120,
     "S4^3*S3^2": 12,
+    "S3^6": 720,
+    "S4^3*S3^3": 36,
 }
 
 

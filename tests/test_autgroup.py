@@ -6,6 +6,7 @@ from lattower import autgroup
 from lattower.autgroup import (
     LatticeAutomorphism,
     SlotPermutation,
+    automorphism_group,
     brute_force_automorphisms,
     complemented_elements,
     factor_atoms,
@@ -26,6 +27,7 @@ from lattower.lattice_core import (
     sub_product_element,
 )
 from lattower.perm_oracle import lemma_lattices
+from lattower.stabiliser import schreier_sims
 from test_acceptance import PRODUCT_FORMULA_CASES
 
 
@@ -133,30 +135,184 @@ def test_brute_force_on_pentagon():
     assert len(autos) == 1
 
 
+def _listing_search(a):
+    """The join-irreducible search that listed every automorphism, kept as
+    the referee for the orbit-pruned search on lattices too large for the
+    search over every element: it extends every consistent assignment of
+    the join-irreducibles by joins and keeps those that extend."""
+    n = len(a)
+    colours = autgroup._refined_classes(a)
+    buckets = {}
+    for i, c in enumerate(colours):
+        buckets.setdefault(c, []).append(i)
+    candidates = [buckets[colours[i]] for i in range(n)]
+    irreducibles = [i for i in range(n) if len(a.down_covers[i]) == 1]
+    order = sorted(irreducibles, key=lambda i: (len(candidates[i]), colours[i], i))
+    extend = autgroup._extension_by_joins(a)
+    down = a.down
+    mapping = [-1] * n
+    used = [False] * n
+    found = []
+
+    def place(t):
+        if t == len(order):
+            image = extend(mapping)
+            if image is not None:
+                found.append(image)
+            return
+        x = order[t]
+        for y in candidates[x]:
+            if used[y] or any(
+                ((down[x2] >> x) & 1) != ((down[mapping[x2]] >> y) & 1)
+                or ((down[x] >> x2) & 1) != ((down[y] >> mapping[x2]) & 1)
+                for x2 in order[:t]
+            ):
+                continue
+            mapping[x], used[y] = y, True
+            place(t + 1)
+            mapping[x], used[y] = -1, False
+
+    place(0)
+    return sorted(found)
+
+
+def _generated_group(generators, n):
+    """Closure of the generators under composition, by breadth-first search."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in generators:
+                h = tuple(s[i] for i in g)
+                if h not in group:
+                    group.add(h)
+                    new.append(h)
+        frontier = new
+    return group
+
+
 def _mappings(autos):
     return [phi.mapping for phi in autos]
+
+
+def _assert_search_matches_the_reference(a):
+    reference = _mappings(_reference_automorphisms(a))
+    chain = automorphism_group(a)
+    assert chain.order == len(reference)
+    assert _generated_group(chain.generators, len(a)) == set(reference)
+    assert _mappings(brute_force_automorphisms(a)) == reference
 
 
 def test_search_agrees_with_the_reference_on_small_lattices():
     small = [_chain(n) for n in (1, 2, 3, 5)] + [_diamond(k) for k in (2, 3, 4)] + [PENTAGON]
     small += list(lemma_lattices().values())
     for a in small:
-        assert _mappings(brute_force_automorphisms(a)) == _mappings(_reference_automorphisms(a))
+        _assert_search_matches_the_reference(a)
 
 
 def test_search_on_the_subspace_lattice_of_gf2_cubed():
     # the 7 points are the join-irreducibles: all 5,040 maps of them pass the
     # order check, and only the 168 collineations extend
     a = _subspace_lattice(3)
-    autos = brute_force_automorphisms(a)
-    assert len(autos) == 168
-    assert _mappings(autos) == _mappings(_reference_automorphisms(a))
+    _assert_search_matches_the_reference(a)
+    assert automorphism_group(a).order == 168
+
+
+def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
+    # the 7 points form one colour class: candidates already in an orbit get
+    # no run, so the whole search extends fewer assignments (81) than the
+    # listing search keeps automorphisms (168), and 4 generators suffice
+    calls = []
+    real = autgroup._extension_by_joins
+
+    def counting(a):
+        extend = real(a)
+
+        def counted(mapping):
+            calls.append(1)
+            return extend(mapping)
+
+        return counted
+
+    monkeypatch.setattr(autgroup, "_extension_by_joins", counting)
+    chain = automorphism_group(_subspace_lattice(3))
+    assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
+    assert len(chain.generators) <= 7
+    assert len(calls) < 168
 
 
 @pytest.mark.parametrize("text", ["S3^3", "S3*S4", "S4^2", "S3^4", "S4^2*S3^2", "S4^4"])
 def test_search_agrees_with_the_reference_on_tower_lattices(text, lattices):
+    _assert_search_matches_the_reference(lattices.get(text).to_abstract())
+
+
+@pytest.mark.parametrize("text, order", [("S3^5", 120), ("S4^3*S3^2", 12)])
+def test_chain_order_is_the_length_of_the_full_listing(text, order, lattices):
     a = lattices.get(text).to_abstract()
-    assert _mappings(brute_force_automorphisms(a)) == _mappings(_reference_automorphisms(a))
+    listed = _listing_search(a)
+    assert len(listed) == order
+    assert automorphism_group(a).order == order
+    assert _mappings(brute_force_automorphisms(a)) == listed
+
+
+def test_sifting_rejects_what_is_not_an_automorphism(lattices):
+    lat = lattices.get("S3^3")
+    chain = automorphism_group(lat)
+    autos = _mappings(brute_force_automorphisms(lat))
+    for g in autos:
+        assert g in chain
+    bottom, top = lat.bottom_index, lat.top_index
+    swap = list(range(len(lat)))
+    swap[bottom], swap[top] = top, bottom
+    assert tuple(swap) not in chain
+    # an automorphism on the join-irreducibles, but not on two other elements
+    g = list(autos[1])
+    x, y = [i for i in range(len(lat)) if i not in chain.base and g[i] != i][:2]
+    g[x], g[y] = g[y], g[x]
+    assert tuple(g) not in chain
+    assert tuple(range(len(lat) - 1)) not in chain
+
+
+def test_schreier_sims_orders():
+    # S_5 on five points from a transposition and a 5-cycle, and from the
+    # adjacent transpositions; C_2 x C_3 from its two factors
+    assert schreier_sims([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 5).order == 120
+    adjacent = []
+    for k in range(4):
+        g = list(range(5))
+        g[k], g[k + 1] = k + 1, k
+        adjacent.append(tuple(g))
+    assert schreier_sims(adjacent, 5).order == 120
+    assert schreier_sims([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)], 5).order == 6
+    assert schreier_sims([], 4).order == 1
+    assert schreier_sims([(0, 1, 2)], 3).order == 1
+
+
+def test_schreier_sims_agrees_with_the_closure_on_random_groups(rng):
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        generators = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        group = _generated_group(generators, n)
+        chain = schreier_sims(generators, n)
+        assert chain.order == len(group), generators
+        assert sorted(chain.elements()) == sorted(group), generators
+        outside = [g for g in permutations(range(n)) if g not in group]
+        assert not any(g in chain for g in outside), generators
+
+
+@pytest.mark.parametrize("name", ["M3", "M4", "GF(2)^3", "S3^3", "S4^2*S3^2"])
+def test_schreier_sims_agrees_with_the_closure(name, lattices):
+    if name.startswith("S"):
+        a = lattices.get(name).to_abstract()
+    else:
+        a = {"M3": _diamond(3), "M4": _diamond(4), "GF(2)^3": _subspace_lattice(3)}[name]
+    generators = automorphism_group(a).generators
+    chain = schreier_sims(generators, len(a))
+    group = _generated_group(generators, len(a))
+    assert chain.order == len(group)
+    assert sorted(chain.elements()) == sorted(group)
 
 
 @pytest.mark.parametrize(
@@ -168,6 +324,10 @@ def test_search_agrees_with_the_reference_on_tower_lattices(text, lattices):
         ((0b0001, 0b0010, 0b0111, 0b1011), "2 minimal elements"),
         # a bottom, but 1 and 2 have the two upper bounds 3 and 4
         ((0b00001, 0b00011, 0b00101, 0b01111, 0b10111), "no join"),
+        # 1 and 2 have the two upper bounds 4 and 5, and 3 > 1 tells 1 from
+        # 2, so every join-irreducible has a colour of its own and no
+        # backtracking run is needed
+        ((0b000001, 0b000011, 0b000101, 0b001011, 0b010111, 0b100111), "no join"),
     ],
 )
 def test_search_rejects_posets_that_are_not_lattices(masks, message):
@@ -255,7 +415,8 @@ def _reference_complemented_elements(down, up):
     }
 
 
-@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES))
+# the pairwise scan is quadratic in the lattice: it stays off the largest cases
+@pytest.mark.parametrize("text", sorted(set(PRODUCT_FORMULA_CASES) - {"S3^6", "S4^3*S3^3"}))
 def test_complemented_elements_match_the_pairwise_scan(text, lattices):
     lat = lattices.get(text)
     expected = _reference_complemented_elements(lat.down_masks, lat.up_masks)
@@ -371,3 +532,70 @@ def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
     report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
     assert report.match and report.constructive_order == 6
     assert len(calls) == 1
+
+
+def _identity_tau(real, sigma, lat):
+    return LatticeAutomorphism(tuple(range(len(lat))))
+
+
+def _swap_bottom_and_top(real, sigma, lat):
+    mapping = list(real(sigma, lat).mapping)
+    b, t = lat.bottom_index, lat.top_index
+    mapping[b], mapping[t] = mapping[t], mapping[b]
+    return LatticeAutomorphism(tuple(mapping))
+
+
+def _tau_of_the_mirror_image(real, sigma, lat):
+    # the same generators in another order: only the round trip can tell
+    rho = SlotPermutation(tuple(reversed(range(len(sigma.mapping)))))
+    return real(rho.compose(sigma).compose(rho), lat)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [_identity_tau, _swap_bottom_and_top, _tau_of_the_mirror_image],
+    ids=["identity", "non-member", "another-transposition"],
+)
+def test_product_formula_fails_on_a_wrong_tau(wrong, lattices, monkeypatch):
+    real = autgroup.tau_on_lattice
+    monkeypatch.setattr(autgroup, "tau_on_lattice", lambda sigma, lat: wrong(real, sigma, lat))
+    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    assert not report.match
+    assert report.brute_force_order == 6
+
+
+def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
+    # every tau checks out, but (3.1 3.2) alone generates a group of order 2
+    adjacent = autgroup._adjacent_transpositions
+    monkeypatch.setattr(autgroup, "_adjacent_transpositions", lambda spec: adjacent(spec)[:1])
+    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    assert (report.brute_force_order, report.constructive_order) == (6, 2)
+    assert not report.match
+
+
+def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch):
+    # every tau conjugated by a swap pi of two elements that are neither
+    # join-irreducibles nor factor atoms: the maps still generate a group of
+    # order 6 and agree with the real tau on the factor atoms, so the order
+    # checks and the round trip pass, but they are not automorphisms, and
+    # only the sift rejects them
+    lat = lattices.get("S3^3")
+    chain = automorphism_group(lat)
+    atoms = set(factor_atoms(lat))
+    real = autgroup.tau_on_lattice
+    first = real(SlotPermutation((1, 0, 2)), lat).mapping
+    x, y = [i for i in range(len(lat)) if i not in chain.base and i not in atoms][:2]
+    if first[x] == x:
+        x, y = y, x
+    pi = list(range(len(lat)))
+    pi[x], pi[y] = y, x
+
+    def conjugated(sigma, lat):
+        mapping = real(sigma, lat).mapping
+        return LatticeAutomorphism(tuple(pi[mapping[pi[i]]] for i in range(len(lat))))
+
+    monkeypatch.setattr(autgroup, "tau_on_lattice", conjugated)
+    assert conjugated(SlotPermutation((1, 0, 2)), lat).mapping not in chain
+    report = verify_product_formula(parse_spec("S3^3"), lattice=lat)
+    assert (report.brute_force_order, report.constructive_order) == (6, 6)
+    assert not report.match

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -41,7 +42,7 @@ def _must_not_enumerate(*args, **kwargs):
 
 
 def test_enumerate_text_builds_no_element(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "enumerate_lattice", _must_not_enumerate)
+    monkeypatch.setattr(autgroup, "enumerate_lattice", _must_not_enumerate)
     code, out = run_cli(capsys, "enumerate", "--spec", "S3^8")
     assert code == 0
     assert out == "total 756682: sub-products 6561, sign-parity 247, mixed 749874\n"
@@ -65,7 +66,7 @@ def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["--spec", "S3^7"], "error: 59866 elements exceeds the search bound 2000\n"),
+        (["--spec", "S3^7"], "error: 59866 elements exceeds the search bound 10000\n"),
         (
             ["--spec", "S4^3*S3^2", "--max-lattice", "100"],
             "error: 1564 elements exceeds the search bound 100\n",
@@ -79,6 +80,44 @@ def test_aut_refuses_an_oversized_lattice_before_enumerating(argv, err, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hasse", "--spec", "S3^8", "--max-T", "8"],
+        ["enumerate", "--spec", "S3^8", "--format", "json"],
+        ["hasse", "--spec", "S3^3", "--max-lattice", "37"],
+    ],
+)
+def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
+    argv, monkeypatch, capsys
+):
+    monkeypatch.setattr(autgroup, "enumerate_lattice", _must_not_enumerate)
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    elements, bound = ("38", "37") if "S3^3" in argv else ("756682", "10000")
+    assert captured.err == f"error: {elements} elements exceeds the search bound {bound}\n"
+
+
+def test_the_lattice_bound_admits_what_it_names(capsys):
+    code, out = run_cli(capsys, "hasse", "--spec", "S3^3", "--max-lattice", "38")
+    assert code == 0
+    assert out.count(" -> ") == len(enumerate_lattice(parse_spec("S3^3")).covers())
+
+
+def test_aut_reports_a_wrong_tau_generator_as_a_mismatch(monkeypatch, capsys):
+    def identity_tau(sigma, lat):
+        return autgroup.LatticeAutomorphism(tuple(range(len(lat))))
+
+    monkeypatch.setattr(autgroup, "tau_on_lattice", identity_tau)
+    code, out = run_cli(capsys, "aut", "--spec", "S3^3")
+    assert code == 4
+    assert out.startswith("spec S3^3: LatAut order 6 = 0!*3! (brute force 6, constructive 1) ")
+    assert "MISMATCH" in out
 
 
 def test_enumerate_json(capsys):
@@ -121,16 +160,15 @@ def test_exit_code_on_bound_violation(capsys):
 
 # The options each subcommand takes besides --out.
 ACCEPTED = {
-    "enumerate": {"--spec", "--format", "--max-T"},
+    "enumerate": {"--spec", "--format", "--max-T", "--max-lattice"},
     "aut": {"--spec", "--format", "--max-T", "--max-lattice"},
     "tower": {"--spec", "--format"},
     "oracle-diff": {"--spec", "--format", "--max-order", "--max-T"},
-    "hasse": {"--spec", "--max-order", "--max-T"},
+    "hasse": {"--spec", "--max-order", "--max-T", "--max-lattice"},
     "lemmas": {"--format", "--max-order", "--max-lattice"},
 }
 REJECTED = [
     ("enumerate", "--max-order", "1"),
-    ("enumerate", "--max-lattice", "1"),
     ("enumerate", "--format", "dot"),
     ("aut", "--max-order", "1"),
     ("aut", "--format", "dot"),
@@ -141,7 +179,6 @@ REJECTED = [
     ("oracle-diff", "--max-lattice", "1"),
     ("oracle-diff", "--format", "dot"),
     ("hasse", "--format", "text"),
-    ("hasse", "--max-lattice", "1"),
     ("lemmas", "--max-T", "1"),
     ("lemmas", "--format", "dot"),
 ]
