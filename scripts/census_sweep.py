@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from lattower.group_spec import format_spec, make_spec
+from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.lattice_core import census_of, enumerate_lattice
 
 
@@ -38,10 +38,7 @@ def sweep(config: SweepConfig) -> list[tuple]:
     rows = []
     for t in range(1, config.max_slots + 1):
         for combo in combinations_with_replacement(config.degrees, t):
-            exponents: dict[int, int] = {}
-            for d in combo:
-                exponents[d] = exponents.get(d, 0) + 1
-            spec = make_spec(exponents)
+            spec = spec_of_degrees(combo)
             start = time.perf_counter()
             lat = enumerate_lattice(spec)
             elapsed = time.perf_counter() - start

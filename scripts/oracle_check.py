@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
-from lattower.group_spec import format_spec, make_spec
+from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.perm_oracle import DEFAULT_MAX_ORDER, differential_validate
 
 
@@ -45,10 +45,7 @@ def main() -> None:
                 order *= factorial(d)
             if order > config.max_order:
                 continue
-            exponents: dict[int, int] = {}
-            for d in combo:
-                exponents[d] = exponents.get(d, 0) + 1
-            spec = make_spec(exponents)
+            spec = spec_of_degrees(combo)
             t0 = time.perf_counter()
             report = differential_validate(spec, max_order=config.max_order)
             secs = time.perf_counter() - t0

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from lattower.group_spec import format_spec, make_spec
+from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.tower import StartNode, format_run, run_tower
 
 
@@ -42,10 +42,7 @@ def main() -> None:
     total = 0
     for t in range(config.max_slots + 1):
         for combo in combinations_with_replacement(config.degrees, t):
-            exponents: dict[int, int] = {}
-            for d in combo:
-                exponents[d] = exponents.get(d, 0) + 1
-            spec = make_spec(exponents)
+            spec = spec_of_degrees(combo)
             run = run_tower(StartNode(spec))
             histogram[run.steps] += 1
             total += 1

@@ -15,7 +15,6 @@ from .group_spec import (
     FactorSlot,
     TowerGroupSpec,
     chain,
-    chain_iso,
     format_spec,
     make_spec,
     parse_spec,
@@ -41,7 +40,6 @@ __all__ = [
     "FactorSlot",
     "TowerGroupSpec",
     "chain",
-    "chain_iso",
     "make_spec",
     "parse_spec",
     "format_spec",

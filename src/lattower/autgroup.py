@@ -1,13 +1,13 @@
 """Lattice automorphisms of N(G): constructive ones and a search for the group.
 
 A permutation of the factor slots that keeps degree-4 slots among degree-4
-slots induces a lattice automorphism tau by relabelling triples; the induced
-maps realise all of LatAut(G), which is the product of the symmetric groups
-on the class-A and class-B slots.  The search below knows none of that: it
-works on the bare order relation, backtracks over the join-irreducible
-elements, extends each map to the rest by joins, and keeps only enough
-automorphisms to generate the group, as a stabiliser chain whose orbit
-lengths give its order.  The product formula is then checked on groups,
+slots induces a lattice automorphism tau by permuting the coordinates of
+profiles; the induced maps realise all of LatAut(G), which is the product of
+the symmetric groups on the class-A and class-B slots.  The search below
+knows none of that: it works on the bare order relation, backtracks over the
+join-irreducible elements, extends each map to the rest by joins, and keeps
+only enough automorphisms to generate the group, as a stabiliser chain whose
+orbit lengths give its order.  The product formula is then checked on groups,
 not lists: the maps tau of the adjacent slot transpositions must generate a
 group of order a4! * b! (by Schreier-Sims) and each must sift through the
 searched chain, so agreement between the two routes is genuine evidence.
@@ -27,24 +27,22 @@ from typing import Callable
 
 from .errors import ClassViolation, LatTowerError, TooLarge
 from .gf2 import Subspace, _reduce
-from .group_spec import ChainPosition, TowerGroupSpec, chain_iso, format_spec
+from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
-    AdmissibleTriple,
     Lattice,
     LatticeElement,
-    TripleKey,
+    Profile,
     census_of,
-    element_from_triple,
+    element_from_profile,
     enumerate_lattice,
 )
-from .stabiliser import StabiliserChain, schreier_sims
+from .stabiliser import Perm, StabiliserChain, schreier_sims
 
 __all__ = [
     "DEFAULT_MAX_LATTICE",
     "SlotPermutation",
-    "LatticeAutomorphism",
     "complemented_elements",
     "factor_atoms",
     "tau_sigma",
@@ -107,31 +105,6 @@ class SlotPermutation:
                 t = self.mapping[t]
             cycles.append("(" + " ".join(name(x) for x in cyc) + ")")
         return "".join(cycles) if cycles else "()"
-
-
-@dataclass(frozen=True)
-class LatticeAutomorphism:
-    """A permutation of element indices preserving order both ways."""
-
-    mapping: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def compose(self, other: "LatticeAutomorphism") -> "LatticeAutomorphism":
-        return LatticeAutomorphism(
-            tuple(self.mapping[other.mapping[i]] for i in range(len(self.mapping)))
-        )
-
-    def inverse(self) -> "LatticeAutomorphism":
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return LatticeAutomorphism(tuple(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.mapping))
 
 
 def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
@@ -206,44 +179,45 @@ def _check_class_preserving(spec: TowerGroupSpec, sigma: SlotPermutation) -> Non
             )
 
 
-def _triple_relabelling(
+def _profile_relabelling(
     spec: TowerGroupSpec, sigma: SlotPermutation
-) -> Callable[[AdmissibleTriple], TripleKey]:
-    """The relabelling of triples along sigma, with its chain isomorphisms built once.
+) -> Callable[[Profile], tuple[tuple[ChainPosition, ...], tuple[int, ...]]]:
+    """The relabelling of profiles along sigma, a permutation of coordinates.
 
-    Coupled slots move to their images, uncoupled chain positions transport
-    along the unique chain isomorphism (which fixes every position name),
-    and the sign subgroup is rewritten in the coordinate order of the image.
-    The result is the image's key (see ``Lattice.index_of_key``), built
-    without a new triple or a validated subspace.
+    Slot s moves to sigma(s): eff'[sigma(s)] = eff[s], and bit s of every
+    sign pattern moves to bit sigma(s), after which the basis is reduced
+    again.  A position keeps its name because sigma preserves the slot
+    class and all class-B chains are TRIV < ALT < FULL.  The result is the
+    image's key in ``Lattice._profile_index``, built without a Profile or a
+    validated subspace.
     """
     _check_class_preserving(spec, sigma)
-    isos = [chain_iso(slot.degree, spec.slots[sigma(slot.index)].degree) for slot in spec.slots]
     image = sigma.mapping
+    source = sigma.inverse().mapping
+    # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
+    moved = [0] * (1 << spec.num_slots)
+    for v in range(1, len(moved)):
+        low = v & -v
+        moved[v] = moved[v ^ low] | 1 << image[low.bit_length() - 1]
 
-    def relabel(t: AdmissibleTriple) -> TripleKey:
-        coupled = tuple(sorted(image[s] for s in t.coupled))
-        new_bit = [1 << coupled.index(image[s]) for s in t.coupled]
-        vectors = [
-            sum(b for j, b in enumerate(new_bit) if (row >> j) & 1) for row in t.signs.basis
-        ]
-        positions = tuple(sorted((image[s], isos[s][p]) for s, p in t.positions))
-        return coupled, positions, _reduce(vectors)
+    def relabel(p: Profile) -> tuple[tuple[ChainPosition, ...], tuple[int, ...]]:
+        eff = tuple(map(p.eff.__getitem__, source))
+        return eff, _reduce(map(moved.__getitem__, p.signs.basis))
 
     return relabel
 
 
 def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
     """Relabel a normal subgroup along a class-preserving slot permutation."""
-    coupled, positions, basis = _triple_relabelling(e.spec, sigma)(e.triple)
-    signs = Subspace(len(coupled), basis)
-    return element_from_triple(AdmissibleTriple(e.spec, coupled, positions, signs))
+    eff, basis = _profile_relabelling(e.spec, sigma)(e.profile)
+    return element_from_profile(Profile(e.spec, eff, Subspace(e.spec.num_slots, basis)))
 
 
-def tau_on_lattice(sigma: SlotPermutation, lat: Lattice) -> LatticeAutomorphism:
+def tau_on_lattice(sigma: SlotPermutation, lat: Lattice) -> Perm:
     """The induced permutation of element indices."""
-    relabel = _triple_relabelling(lat.spec, sigma)
-    return LatticeAutomorphism(tuple(lat.index_of_key(relabel(e.triple)) for e in lat.elements))
+    relabel = _profile_relabelling(lat.spec, sigma)
+    index = lat._profile_index
+    return tuple(index[relabel(e.profile)] for e in lat.elements)
 
 
 def _refined_classes(a: AbstractLattice) -> list[int]:
@@ -415,13 +389,13 @@ def automorphism_group(
 
 def brute_force_automorphisms(
     lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
-) -> list[LatticeAutomorphism]:
+) -> list[Perm]:
     """Every lattice automorphism, listed from the chain of ``automorphism_group``.
 
     Output is sorted by mapping, so the identity comes first.
     """
     chain = automorphism_group(lattice, max_size)
-    return [LatticeAutomorphism(g) for g in sorted(chain.elements())]
+    return sorted(chain.elements())
 
 
 def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, ...] | None]:
@@ -477,18 +451,18 @@ def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, 
     return extend
 
 
-def induced_permutation(phi: LatticeAutomorphism, lat: Lattice) -> SlotPermutation:
+def induced_permutation(phi: Perm, lat: Lattice) -> SlotPermutation:
     """Read the slot permutation off an automorphism via the factor atoms."""
     return _induced_by_atoms(phi, factor_atoms(lat), lat.spec)
 
 
 def _induced_by_atoms(
-    phi: LatticeAutomorphism, atoms: list[int], spec: TowerGroupSpec
+    phi: Perm, atoms: list[int], spec: TowerGroupSpec
 ) -> SlotPermutation:
     slot_of_atom = {atom: s for s, atom in enumerate(atoms)}
     mapping = [0] * spec.num_slots
     for s, atom in enumerate(atoms):
-        image = phi(atom)
+        image = phi[atom]
         if image not in slot_of_atom:
             raise ClassViolation(f"automorphism sends factor atom {atom} to non-atom {image}")
         mapping[s] = slot_of_atom[image]
@@ -578,12 +552,12 @@ def verify_product_formula(
     round_trip_ok = all(
         _induced_by_atoms(phi, atoms, spec) == sigma for phi, sigma in zip(taus, sigmas)
     )
-    constructive = schreier_sims((phi.mapping for phi in taus), len(lat)).order
+    constructive = schreier_sims(taus, len(lat)).order
 
     match = (
         chain.order == predicted
         and constructive == predicted
-        and all(phi.mapping in chain for phi in taus)
+        and all(phi in chain for phi in taus)
         and round_trip_ok
     )
     labels = tuple(s.label for s in spec.slots)

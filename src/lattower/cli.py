@@ -53,9 +53,25 @@ _OPTIONS = {
     "--spec": dict(required=True, help="group literal, e.g. S4^2*S3^2"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--out": dict(help="write output to this file"),
-    "--max-order": dict(type=int, default=DEFAULT_MAX_ORDER),
-    "--max-T": dict(dest="max_slots", type=int, default=DEFAULT_MAX_SLOTS),
-    "--max-lattice": dict(type=int, default=DEFAULT_MAX_LATTICE),
+    "--max-order": dict(
+        type=int,
+        default=DEFAULT_MAX_ORDER,
+        help="largest permutation group to build (default %(default)s); "
+        "hasse on a tower group ignores it",
+    ),
+    "--max-T": dict(
+        dest="max_slots",
+        type=int,
+        default=DEFAULT_MAX_SLOTS,
+        help="most factor slots to enumerate (default %(default)s); "
+        "hasse on a small-group name ignores it",
+    ),
+    "--max-lattice": dict(
+        type=int,
+        default=DEFAULT_MAX_LATTICE,
+        help="most lattice elements to build (default %(default)s); "
+        "enumerate as text and hasse on a small-group name ignore it",
+    ),
 }
 
 # subcommand -> (help, the options its handler reads)
@@ -183,10 +199,14 @@ def _dot_of_lattice(lat: Lattice) -> str:
     return _dot((f"{e.family}:{e.order}" for e in lat.elements), lat.covers())
 
 
+# the small-group names, with case and whitespace ignored as in parse_spec
+_SMALL_GROUPS = {name.casefold(): degrees for name, degrees in LEMMA_GROUP_DEGREES.items()}
+
+
 def cmd_hasse(args) -> int:
-    name = args.spec.strip()
-    if name in LEMMA_GROUP_DEGREES:
-        group = ConcreteGroup(LEMMA_GROUP_DEGREES[name], max_order=args.max_order)
+    degrees = _SMALL_GROUPS.get("".join(args.spec.split()).casefold())
+    if degrees is not None:
+        group = ConcreteGroup(degrees, max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
         _emit(_dot((len(n) for n in normals), poset.covers), args.out)

@@ -8,7 +8,6 @@ __all__ = [
     "DegreeTooLarge",
     "NegativeExponent",
     "SpecParseError",
-    "ChainLengthMismatch",
     "IllegalChainPosition",
     "WidthMismatch",
     "BadCoordinate",
@@ -48,10 +47,6 @@ class SpecParseError(LatTowerError):
         super().__init__(f"{message} at position {position} in {text!r}")
         self.text = text
         self.position = position
-
-
-class ChainLengthMismatch(LatTowerError):
-    """No order isomorphism exists between chains of different lengths."""
 
 
 class IllegalChainPosition(LatTowerError):

@@ -11,13 +11,13 @@ degree has a three-level chain.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from math import factorial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
-    ChainLengthMismatch,
     DegreeTooLarge,
     DegreeTooSmall,
     IllegalChainPosition,
@@ -33,10 +33,10 @@ __all__ = [
     "FactorSlot",
     "TowerGroupSpec",
     "make_spec",
+    "spec_of_degrees",
     "parse_spec",
     "format_spec",
     "chain",
-    "chain_iso",
     "position_size",
 ]
 
@@ -80,21 +80,6 @@ def chain(degree: int) -> tuple[ChainPosition, ...]:
     if degree == 4:
         return (ChainPosition.TRIV, ChainPosition.V, ChainPosition.ALT, ChainPosition.FULL)
     return (ChainPosition.TRIV, ChainPosition.ALT, ChainPosition.FULL)
-
-
-def chain_iso(degree: int, other: int) -> dict[ChainPosition, ChainPosition]:
-    """The unique order isomorphism between two factor chains.
-
-    Chains of equal length are matched level by level, so the map fixes every
-    ChainPosition value.  Degree 4 pairs only with degree 4; any other pairing
-    of a class-A slot with a class-B slot raises ChainLengthMismatch.
-    """
-    src, dst = chain(degree), chain(other)
-    if len(src) != len(dst):
-        raise ChainLengthMismatch(
-            f"chains of S{degree} and S{other} have lengths {len(src)} and {len(dst)}"
-        )
-    return {p: q for p, q in zip(src, dst)}
 
 
 def position_size(pos: ChainPosition, degree: int) -> int:
@@ -207,6 +192,11 @@ def make_spec(
         a4=a4,
         b=len(slots) - a4,
     )
+
+
+def spec_of_degrees(degrees: Iterable[int]) -> TowerGroupSpec:
+    """The spec with one slot per listed degree, in any order: (4, 3, 4) is S4^2*S3."""
+    return make_spec(Counter(degrees))
 
 
 _PART_RE = re.compile(r"s(\d+)(?:\^(\d+))?", re.IGNORECASE)

@@ -59,7 +59,6 @@ __all__ = [
     "FAMILY_SIGN_PARITY",
     "FAMILY_MIXED",
     "AdmissibleTriple",
-    "TripleKey",
     "Profile",
     "LatticeElement",
     "Census",
@@ -106,14 +105,6 @@ class AdmissibleTriple:
     coupled: tuple[int, ...]
     positions: tuple[tuple[int, ChainPosition], ...]
     signs: Subspace
-
-    @property
-    def position_map(self) -> dict[int, ChainPosition]:
-        return dict(self.positions)
-
-
-# An admissible triple within a known spec: (coupled, positions, signs.basis).
-TripleKey = tuple[tuple[int, ...], tuple[tuple[int, ChainPosition], ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -630,10 +621,6 @@ class AbstractLattice:
         return tuple(d)
 
 
-def _triple_key(t: AdmissibleTriple) -> TripleKey:
-    return t.coupled, t.positions, t.signs.basis
-
-
 class Lattice:
     """The enumerated lattice of one tower group, in a fixed element order.
 
@@ -652,31 +639,22 @@ class Lattice:
         return iter(self.elements)
 
     @cached_property
-    def _key_index(self) -> dict[TripleKey, int]:
-        return {_triple_key(e.triple): i for i, e in enumerate(self.elements)}
+    def _profile_index(self) -> dict[tuple[tuple[ChainPosition, ...], tuple[int, ...]], int]:
+        """Element index by (eff, reduced sign basis).
 
-    @cached_property
-    def _profile_index(self) -> dict[Profile, int]:
-        return {e.profile: i for i, e in enumerate(self.elements)}
+        Within one spec that pair pins a profile down, and it hashes without
+        the spec, so a caller that permutes coordinates can look its image up
+        without building a Profile or a validated subspace.
+        """
+        return {(e.profile.eff, e.profile.signs.basis): i for i, e in enumerate(self.elements)}
 
     def index_of(self, e: LatticeElement) -> int:
-        return self.index_of_triple(e.triple)
-
-    def index_of_triple(self, t: AdmissibleTriple) -> int:
-        if t.spec != self.spec:
-            raise SpecMismatch(f"triple of {format_spec(t.spec)} in {format_spec(self.spec)}")
-        return self._key_index[_triple_key(t)]
-
-    def index_of_key(self, key: TripleKey) -> int:
-        """Look an element up by (coupled, positions, reduced sign basis).
-
-        Within one spec that key pins a triple down, and it hashes without
-        the spec and without building a validated triple or subspace.
-        """
-        return self._key_index[key]
+        return self.index_of_profile(e.profile)
 
     def index_of_profile(self, p: Profile) -> int:
-        return self._profile_index[p]
+        if p.spec != self.spec:
+            raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
+        return self._profile_index[p.eff, p.signs.basis]
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
 from .gf2 import span
-from .group_spec import ChainPosition, TowerGroupSpec, format_spec, make_spec
+from .group_spec import ChainPosition, TowerGroupSpec, format_spec, spec_of_degrees
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
@@ -490,12 +490,8 @@ def extract_profile(group: ConcreteGroup, sub: ConcreteSubgroup) -> Profile:
     return Profile(spec, tuple(eff), signs)
 
 
-@lru_cache(maxsize=None)
-def _spec_of_degrees(degrees: tuple[int, ...]) -> TowerGroupSpec:
-    exponents: dict[int, int] = {}
-    for d in degrees:
-        exponents[d] = exponents.get(d, 0) + 1
-    return make_spec(exponents)
+# extract_profile runs once per normal subgroup, always on the same degrees
+_spec_of_degrees = lru_cache(maxsize=None)(spec_of_degrees)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Union
 
 from .errors import NonTermination, TooLarge
-from .group_spec import TowerGroupSpec, format_spec, make_spec
+from .group_spec import TowerGroupSpec, format_spec, spec_of_degrees
 from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice
 from .autgroup import DEFAULT_MAX_LATTICE, automorphism_group, searchable_lattice
 from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
@@ -177,10 +177,7 @@ def _node_lattice(
         return AbstractLattice((1,))
     if degrees[0] == 2:
         return normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
-    exponents: dict[int, int] = {}
-    for d in degrees:
-        exponents[d] = exponents.get(d, 0) + 1
-    return searchable_lattice(make_spec(exponents), max_slots=max_slots, max_size=max_size)
+    return searchable_lattice(spec_of_degrees(degrees), max_slots=max_slots, max_size=max_size)
 
 
 def verify_step_against_lattice(

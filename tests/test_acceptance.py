@@ -17,7 +17,7 @@ from lattower.autgroup import (
     verify_product_formula,
 )
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import make_spec, parse_spec
+from lattower.group_spec import parse_spec, spec_of_degrees
 from lattower.lattice_core import (
     enumerate_lattice,
     leq_patterns,
@@ -113,10 +113,7 @@ def test_criterion_5_tower_termination_and_sharpness():
         checked = 0
         for t in range(7):
             for combo in combinations_with_replacement(degrees, t):
-                exponents = {}
-                for d in combo:
-                    exponents[d] = exponents.get(d, 0) + 1
-                run = run_tower(StartNode(make_spec(exponents)))
+                run = run_tower(StartNode(spec_of_degrees(combo)))
                 assert run.steps <= 3, combo
                 assert run.sharp == (run.steps == 3)
                 checked += 1

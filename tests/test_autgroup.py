@@ -4,7 +4,6 @@ import pytest
 
 from lattower import autgroup
 from lattower.autgroup import (
-    LatticeAutomorphism,
     SlotPermutation,
     automorphism_group,
     brute_force_automorphisms,
@@ -16,9 +15,9 @@ from lattower.autgroup import (
     verify_product_formula,
 )
 from lattower.errors import ClassViolation, LatTowerError, TooLarge
-from lattower.gf2 import iter_subspaces
+from lattower.gf2 import iter_subspaces, span
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import parse_spec
+from lattower.group_spec import chain, parse_spec
 from lattower.lattice_core import (
     AbstractLattice,
     enumerate_lattice,
@@ -62,7 +61,7 @@ def _reference_automorphisms(a):
     previously placed elements in both directions."""
     n = len(a)
     if n == 0:
-        return [LatticeAutomorphism(())]
+        return [()]
     colours = autgroup._refined_classes(a)
     buckets = {}
     for i, c in enumerate(colours):
@@ -114,13 +113,13 @@ def _reference_automorphisms(a):
             x = order[t]
             used[mapping[x]] = False
             mapping[x] = -1
-    return [LatticeAutomorphism(m) for m in sorted(found)]
+    return sorted(found)
 
 
 def test_brute_force_on_chains():
     for n in (1, 2, 5):
         autos = brute_force_automorphisms(_chain(n))
-        assert len(autos) == 1 and autos[0].is_identity
+        assert autos == [tuple(range(n))]
 
 
 def test_brute_force_on_diamonds():
@@ -193,16 +192,12 @@ def _generated_group(generators, n):
     return group
 
 
-def _mappings(autos):
-    return [phi.mapping for phi in autos]
-
-
 def _assert_search_matches_the_reference(a):
-    reference = _mappings(_reference_automorphisms(a))
+    reference = _reference_automorphisms(a)
     chain = automorphism_group(a)
     assert chain.order == len(reference)
     assert _generated_group(chain.generators, len(a)) == set(reference)
-    assert _mappings(brute_force_automorphisms(a)) == reference
+    assert brute_force_automorphisms(a) == reference
 
 
 def test_search_agrees_with_the_reference_on_small_lattices():
@@ -254,13 +249,13 @@ def test_chain_order_is_the_length_of_the_full_listing(text, order, lattices):
     listed = _listing_search(a)
     assert len(listed) == order
     assert automorphism_group(a).order == order
-    assert _mappings(brute_force_automorphisms(a)) == listed
+    assert brute_force_automorphisms(a) == listed
 
 
 def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
-    autos = _mappings(brute_force_automorphisms(lat))
+    autos = brute_force_automorphisms(lat)
     for g in autos:
         assert g in chain
     bottom, top = lat.bottom_index, lat.top_index
@@ -337,8 +332,8 @@ def test_search_rejects_posets_that_are_not_lattices(masks, message):
 
 def test_brute_force_output_is_sorted_with_identity_first():
     autos = brute_force_automorphisms(_diamond(3))
-    assert autos[0].is_identity
-    assert [a.mapping for a in autos] == sorted(a.mapping for a in autos)
+    assert autos[0] == tuple(range(5))
+    assert autos == sorted(autos)
 
 
 def test_brute_force_respects_size_bound(lattices):
@@ -360,13 +355,13 @@ def test_brute_force_finds_only_order_maps(lattices):
     for phi in brute_force_automorphisms(lat):
         for i in range(a.n):
             for j in range(a.n):
-                assert a.leq(i, j) == a.leq(phi(i), phi(j))
+                assert a.leq(i, j) == a.leq(phi[i], phi[j])
 
 
 def _composition_table(autos):
     """table[i][j] = index of autos[i] composed after autos[j]."""
-    index = {a.mapping: i for i, a in enumerate(autos)}
-    return [[index[a.compose(b).mapping] for b in autos] for a in autos]
+    index = {a: i for i, a in enumerate(autos)}
+    return [[index[tuple(map(a.__getitem__, b))] for b in autos] for a in autos]
 
 
 def test_composition_table_is_a_group():
@@ -478,7 +473,53 @@ def test_tau_on_lattice_preserves_order(lattices):
     phi = tau_on_lattice(SlotPermutation((2, 0, 1)), lat)
     for i, ei in enumerate(lat.elements):
         for j, ej in enumerate(lat.elements):
-            assert leq(ei, ej) == leq(lat.elements[phi(i)], lat.elements[phi(j)])
+            assert leq(ei, ej) == leq(lat.elements[phi[i]], lat.elements[phi[j]])
+
+
+def _reference_tau(sigma, lat):
+    """The triple relabelling that the profile route of tau replaced, kept as
+    its referee: coupled slots move to their images, H is rewritten in the
+    coordinate order of the image, and each uncoupled position is carried
+    along the order isomorphism between the chains of its slot and of the
+    image slot."""
+    spec = lat.spec
+    image = sigma.mapping
+    isos = []
+    for slot in spec.slots:
+        src, dst = chain(slot.degree), chain(spec.slots[image[slot.index]].degree)
+        assert len(src) == len(dst)
+        isos.append(dict(zip(src, dst)))
+    index = {
+        (e.triple.coupled, e.triple.positions, e.triple.signs): i
+        for i, e in enumerate(lat.elements)
+    }
+    out = []
+    for e in lat.elements:
+        t = e.triple
+        coupled = tuple(sorted(image[s] for s in t.coupled))
+        new_bit = [1 << coupled.index(image[s]) for s in t.coupled]
+        vectors = [
+            sum(b for j, b in enumerate(new_bit) if (row >> j) & 1) for row in t.signs.basis
+        ]
+        positions = tuple(sorted((image[s], isos[s][p]) for s, p in t.positions))
+        out.append(index[coupled, positions, span(len(coupled), vectors)])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("text", ["S3^4", "S4^2*S3^2", "S4^4", "S3^5"])
+def test_tau_matches_the_triple_relabelling_on_every_class_permutation(text, lattices):
+    lat = lattices.get(text)
+    sigmas = list(autgroup._class_permutations(lat.spec))
+    assert len(sigmas) == {"S3^4": 24, "S4^2*S3^2": 4, "S4^4": 24, "S3^5": 120}[text]
+    for sigma in sigmas:
+        assert tau_on_lattice(sigma, lat) == _reference_tau(sigma, lat)
+
+
+@pytest.mark.parametrize("text", ["S4^3*S3^2", "S3^6"])
+def test_tau_matches_the_triple_relabelling_on_the_adjacent_transpositions(text, lattices):
+    lat = lattices.get(text)
+    for sigma in autgroup._adjacent_transpositions(lat.spec):
+        assert tau_on_lattice(sigma, lat) == _reference_tau(sigma, lat)
 
 
 def test_induced_permutation_round_trip(lattices):
@@ -486,12 +527,6 @@ def test_induced_permutation_round_trip(lattices):
     for mapping in permutations(range(2)):
         sigma = SlotPermutation(mapping)
         assert induced_permutation(tau_on_lattice(sigma, lat), lat) == sigma
-
-
-def test_lattice_automorphism_algebra():
-    phi = LatticeAutomorphism((1, 0, 2))
-    assert phi.compose(phi).is_identity
-    assert phi.inverse() == phi
 
 
 @pytest.mark.parametrize(
@@ -535,14 +570,14 @@ def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
 
 
 def _identity_tau(real, sigma, lat):
-    return LatticeAutomorphism(tuple(range(len(lat))))
+    return tuple(range(len(lat)))
 
 
 def _swap_bottom_and_top(real, sigma, lat):
-    mapping = list(real(sigma, lat).mapping)
+    mapping = list(real(sigma, lat))
     b, t = lat.bottom_index, lat.top_index
     mapping[b], mapping[t] = mapping[t], mapping[b]
-    return LatticeAutomorphism(tuple(mapping))
+    return tuple(mapping)
 
 
 def _tau_of_the_mirror_image(real, sigma, lat):
@@ -583,7 +618,7 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     chain = automorphism_group(lat)
     atoms = set(factor_atoms(lat))
     real = autgroup.tau_on_lattice
-    first = real(SlotPermutation((1, 0, 2)), lat).mapping
+    first = real(SlotPermutation((1, 0, 2)), lat)
     x, y = [i for i in range(len(lat)) if i not in chain.base and i not in atoms][:2]
     if first[x] == x:
         x, y = y, x
@@ -591,11 +626,11 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     pi[x], pi[y] = y, x
 
     def conjugated(sigma, lat):
-        mapping = real(sigma, lat).mapping
-        return LatticeAutomorphism(tuple(pi[mapping[pi[i]]] for i in range(len(lat))))
+        mapping = real(sigma, lat)
+        return tuple(pi[mapping[pi[i]]] for i in range(len(lat)))
 
     monkeypatch.setattr(autgroup, "tau_on_lattice", conjugated)
-    assert conjugated(SlotPermutation((1, 0, 2)), lat).mapping not in chain
+    assert conjugated(SlotPermutation((1, 0, 2)), lat) not in chain
     report = verify_product_formula(parse_spec("S3^3"), lattice=lat)
     assert (report.brute_force_order, report.constructive_order) == (6, 6)
     assert not report.match

@@ -111,7 +111,7 @@ def test_the_lattice_bound_admits_what_it_names(capsys):
 
 def test_aut_reports_a_wrong_tau_generator_as_a_mismatch(monkeypatch, capsys):
     def identity_tau(sigma, lat):
-        return autgroup.LatticeAutomorphism(tuple(range(len(lat))))
+        return tuple(range(len(lat)))
 
     monkeypatch.setattr(autgroup, "tau_on_lattice", identity_tau)
     code, out = run_cli(capsys, "aut", "--spec", "S3^3")
@@ -343,6 +343,22 @@ def test_hasse_of_lemma_group_is_pinned(spec, capsys):
     code, out = run_cli(capsys, "hasse", "--spec", spec)
     assert code == 0
     assert out == HASSE_OF_LEMMA_GROUP[spec]
+
+
+@pytest.mark.parametrize(
+    "spelling, name",
+    [
+        ("c2", "C2"),
+        (" C2 ^ 2 ", "C2^2"),
+        ("C2 x S3", "C2xS3"),
+        ("c2XS4", "C2xS4"),
+        ("C2 xs5", "C2xS5"),
+    ],
+)
+def test_hasse_ignores_case_and_whitespace_in_small_group_names(spelling, name, capsys):
+    canonical = run_cli(capsys, "hasse", "--spec", name)
+    assert run_cli(capsys, "hasse", "--spec", spelling) == canonical
+    assert canonical[0] == 0
 
 
 def test_hasse_of_tower_group(capsys):

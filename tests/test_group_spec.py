@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lattower.errors import (
-    ChainLengthMismatch,
     DegreeTooLarge,
     DegreeTooSmall,
     IllegalChainPosition,
@@ -15,12 +14,12 @@ from lattower.group_spec import (
     MAX_MULTIPLICITY,
     ChainPosition,
     chain,
-    chain_iso,
     format_spec,
     legal_position,
     make_spec,
     parse_spec,
     position_size,
+    spec_of_degrees,
 )
 
 
@@ -117,17 +116,12 @@ def test_chain_lengths():
         chain(2)
 
 
-def test_chain_iso_fixes_positions():
-    iso = chain_iso(3, 7)
-    assert iso == {p: p for p in (ChainPosition.TRIV, ChainPosition.ALT, ChainPosition.FULL)}
-    assert chain_iso(4, 4)[ChainPosition.V] is ChainPosition.V
-
-
-def test_chain_iso_rejects_cross_class():
-    with pytest.raises(ChainLengthMismatch):
-        chain_iso(3, 4)
-    with pytest.raises(ChainLengthMismatch):
-        chain_iso(4, 5)
+def test_every_class_b_chain_is_the_same_tuple():
+    # tau permutes profile coordinates and keeps every position name, which
+    # is right only because a class-preserving slot permutation moves a
+    # position between equal chains
+    class_b = {chain(d) for d in range(3, 21) if d != 4}
+    assert class_b == {(ChainPosition.TRIV, ChainPosition.ALT, ChainPosition.FULL)}
 
 
 @pytest.mark.parametrize(
@@ -176,6 +170,13 @@ def test_slot_indices_are_canonical(exponents):
     degrees = spec.degrees
     assert list(degrees) == sorted(degrees)
     assert spec.a4 + spec.b == spec.num_slots
+
+
+@given(exponent_maps)
+def test_spec_of_degrees_inverts_degrees(exponents):
+    spec = make_spec(exponents)
+    assert spec_of_degrees(spec.degrees) == spec
+    assert spec_of_degrees(reversed(spec.degrees)) == spec
 
 
 factor_texts = st.builds(

@@ -290,6 +290,18 @@ def test_leq_rejects_mixed_specs():
         leq(bottom_element(parse_spec("S3")), bottom_element(parse_spec("S4")))
 
 
+def test_index_of_profile_refuses_another_spec(lattices):
+    # S3*S5 has the same slot count, positions and sign space as S3^2, so
+    # only the spec check keeps its bottom from being found in S3^2
+    lat = lattices.get("S3^2")
+    other = bottom_element(parse_spec("S3*S5"))
+    with pytest.raises(SpecMismatch):
+        lat.index_of_profile(other.profile)
+    with pytest.raises(SpecMismatch):
+        lat.index_of(other)
+    assert lat.index_of_profile(bottom_element(lat.spec).profile) == lat.bottom_index
+
+
 def test_lattice_ops_are_lattice_ops(lattices):
     # meet is the glb and join the lub with respect to leq, checked pairwise
     lat = lattices.get("S3^2*S4")
