@@ -34,6 +34,7 @@ from .lattice_core import (
     Lattice,
     LatticeElement,
     Profile,
+    _eff_packer,
     census_of,
     element_from_profile,
     enumerate_lattice,
@@ -181,35 +182,35 @@ def _check_class_preserving(spec: TowerGroupSpec, sigma: SlotPermutation) -> Non
 
 def _profile_relabelling(
     spec: TowerGroupSpec, sigma: SlotPermutation
-) -> Callable[[Profile], tuple[tuple[ChainPosition, ...], tuple[int, ...]]]:
+) -> Callable[[Profile], tuple[int, tuple[int, ...]]]:
     """The relabelling of profiles along sigma, a permutation of coordinates.
 
     Slot s moves to sigma(s): eff'[sigma(s)] = eff[s], and bit s of every
     sign pattern moves to bit sigma(s), after which the basis is reduced
     again.  A position keeps its name because sigma preserves the slot
     class and all class-B chains are TRIV < ALT < FULL.  The result is the
-    image's key in ``Lattice._profile_index``, built without a Profile or a
-    validated subspace.
+    image's key in ``Lattice._profile_index``, eff' packed with the reduced
+    basis, built without a Profile or a validated subspace.
     """
     _check_class_preserving(spec, sigma)
     image = sigma.mapping
-    source = sigma.inverse().mapping
+    pack = _eff_packer(image)
     # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
     moved = [0] * (1 << spec.num_slots)
     for v in range(1, len(moved)):
         low = v & -v
         moved[v] = moved[v ^ low] | 1 << image[low.bit_length() - 1]
 
-    def relabel(p: Profile) -> tuple[tuple[ChainPosition, ...], tuple[int, ...]]:
-        eff = tuple(map(p.eff.__getitem__, source))
-        return eff, _reduce(map(moved.__getitem__, p.signs.basis))
+    def relabel(p: Profile) -> tuple[int, tuple[int, ...]]:
+        return pack(p.eff), _reduce(map(moved.__getitem__, p.signs.basis))
 
     return relabel
 
 
 def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
     """Relabel a normal subgroup along a class-preserving slot permutation."""
-    eff, basis = _profile_relabelling(e.spec, sigma)(e.profile)
+    _, basis = _profile_relabelling(e.spec, sigma)(e.profile)
+    eff = tuple(map(e.profile.eff.__getitem__, sigma.inverse().mapping))
     return element_from_profile(Profile(e.spec, eff, Subspace(e.spec.num_slots, basis)))
 
 
@@ -270,8 +271,9 @@ def searchable_lattice(
     """N(G) enumerated, once its closed-form census fits the search bound.
 
     A lattice the search would refuse raises the search's own TooLarge
-    before a single element is built.  The same bound guards every caller
-    that builds the order relation, whose n^2 bits it also caps.
+    before a single element is built.  The same bound guards ``hasse`` and
+    ``enumerate --format json``, which build no order relation but print
+    every element and every cover.
     """
     _check_search_size(census_of(spec, max_slots).total, max_size)
     return enumerate_lattice(spec, max_slots)

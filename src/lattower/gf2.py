@@ -9,6 +9,7 @@ canonical form: two subspaces are equal iff their bases are equal.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -45,6 +46,36 @@ def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
             rows.append(v)
     rows.sort(key=_pivot)
     return tuple(rows)
+
+
+def _lift(row: int, coords: tuple[int, ...]) -> int:
+    """Embed a vector on the listed coordinates: bit j of row goes to bit coords[j]."""
+    w = 0
+    for j, c in enumerate(coords):
+        if (row >> j) & 1:
+            w |= 1 << c
+    return w
+
+
+def _widenings(basis: tuple[int, ...], coords: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(v, reduced basis of W + <v>) for each nonzero v inside the coordinate
+    mask and zero on the pivots of W, the reduced basis ``basis``.
+
+    These v are the reduced representatives of the cosets of W, so each
+    W + <v> is a different subspace.  Its reduced basis is W's with v added
+    at the rows that have v's pivot, and v inserted in pivot order.
+    """
+    pivots = [row & -row for row in basis]
+    free = coords & ~sum(pivots)
+    out = []
+    v = free
+    while v:
+        low = v & -v
+        rows = [row ^ v if row & low else row for row in basis]
+        rows.insert(bisect(pivots, low), v)
+        out.append((v, tuple(rows)))
+        v = (v - 1) & free
+    return out
 
 
 @dataclass(frozen=True)

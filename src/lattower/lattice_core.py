@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
-from math import comb, factorial
-from operator import or_
-from typing import Iterable, Iterator, Mapping
+from math import comb, factorial, prod
+from operator import lshift, or_
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     InvalidProfile,
@@ -44,7 +44,17 @@ from .errors import (
     WidthMismatch,
     LatTowerError,
 )
-from .gf2 import Subspace, iter_subspaces, parity_kernel, span, unit_span, zero_subspace
+from .gf2 import (
+    Subspace,
+    _lift,
+    _pivot,
+    _widenings,
+    iter_subspaces,
+    parity_kernel,
+    span,
+    unit_span,
+    zero_subspace,
+)
 from .group_spec import (
     ChainPosition,
     TowerGroupSpec,
@@ -186,6 +196,15 @@ def validate_triple(
     return AdmissibleTriple(spec, coupled_t, pos_items, signs)
 
 
+def _eff_packer(digits: Iterable[int]) -> Callable[[Iterable[ChainPosition]], int]:
+    """Packs eff into a base-4 int with eff[s] in digit digits[s].
+
+    ALT is 0b10 and FULL 0b11 there, so ORing 4^s raises ALT to FULL.
+    """
+    shifts = [2 * d for d in digits]
+    return lambda eff: sum(map(lshift, eff, shifts))
+
+
 def triple_to_profile(t: AdmissibleTriple) -> Profile:
     """Effective components and the full sign-pattern subspace of N(J, P, H)."""
     n = t.spec.num_slots
@@ -194,13 +213,7 @@ def triple_to_profile(t: AdmissibleTriple) -> Profile:
         eff[s] = ChainPosition.FULL
     for s, p in t.positions:
         eff[s] = p
-    vectors = []
-    for row in t.signs.basis:
-        w = 0
-        for j, s in enumerate(t.coupled):
-            if (row >> j) & 1:
-                w |= 1 << s
-        vectors.append(w)
+    vectors = [_lift(row, t.coupled) for row in t.signs.basis]
     for s, p in t.positions:
         if p is ChainPosition.FULL:
             vectors.append(1 << s)
@@ -441,24 +454,47 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
     order is deterministic.  The first element is the trivial subgroup.  The
     census counts the families of the elements built, independently of
     ``census_of``.
+
+    Each element is what ``element_from_triple`` builds.  The lifted basis
+    of H, the order |H| prod_{s in J} k_s!/2 and the parity-kernel test are
+    computed once per (J, H); each choice of positions then adds only the
+    unit vectors of its FULL slots.  Those lie off J and the lifted rows on
+    J, so together, sorted by pivot, they are already the reduced basis of W.
     """
     _check_slots(spec, max_slots)
     n = spec.num_slots
+    degrees = spec.degrees
     elements: list[LatticeElement] = []
-    chains = [chain(s.degree) for s in spec.slots]
+    counts = {FAMILY_SUB_PRODUCT: 0, FAMILY_SIGN_PARITY: 0, FAMILY_MIXED: 0}
     for j_mask in range(1 << n):
         coupled = tuple(s for s in range(n) if (j_mask >> s) & 1)
         subspaces = _admissible_subspaces(len(coupled))
         if not subspaces:
             continue
         off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
+        half = prod(factorial(degrees[s]) // 2 for s in coupled)
+        kernel = parity_kernel(len(coupled))
         for signs in subspaces:
-            for combo in product(*(chains[s] for s in off)):
+            lifted = tuple(_lift(row, coupled) for row in signs.basis)
+            # indexed by whether every slot off J is FULL
+            if not coupled:
+                families = (FAMILY_SUB_PRODUCT, FAMILY_SUB_PRODUCT)
+            elif signs == kernel:
+                families = (FAMILY_MIXED, FAMILY_SIGN_PARITY)
+            else:
+                families = (FAMILY_MIXED, FAMILY_MIXED)
+            order = signs.size * half
+            for combo in product(*(chain(degrees[s]) for s in off)):
+                eff = [ChainPosition.FULL] * n
+                for s, p in zip(off, combo):
+                    eff[s] = p
+                units = tuple(1 << s for s, p in zip(off, combo) if p is ChainPosition.FULL)
+                size = prod(position_size(p, degrees[s]) for s, p in zip(off, combo))
+                family = families[len(units) == len(off)]
+                counts[family] += 1
+                w = Subspace(n, tuple(sorted(lifted + units, key=_pivot)))
                 t = AdmissibleTriple(spec, coupled, tuple(zip(off, combo)), signs)
-                elements.append(element_from_triple(t))
-    counts = {FAMILY_SUB_PRODUCT: 0, FAMILY_SIGN_PARITY: 0, FAMILY_MIXED: 0}
-    for e in elements:
-        counts[e.family] += 1
+                elements.append(LatticeElement(t, Profile(spec, tuple(eff), w), family, order * size))
     census = Census(
         sub_products=counts[FAMILY_SUB_PRODUCT],
         sign_parity=counts[FAMILY_SIGN_PARITY],
@@ -631,6 +667,7 @@ class Lattice:
         self.spec = spec
         self.elements = elements
         self.census = census
+        self._pack = _eff_packer(range(spec.num_slots))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -639,14 +676,16 @@ class Lattice:
         return iter(self.elements)
 
     @cached_property
-    def _profile_index(self) -> dict[tuple[tuple[ChainPosition, ...], tuple[int, ...]], int]:
-        """Element index by (eff, reduced sign basis).
+    def _profile_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Element index by the packed key (eff as a base-4 int, reduced sign basis).
 
         Within one spec that pair pins a profile down, and it hashes without
-        the spec, so a caller that permutes coordinates can look its image up
-        without building a Profile or a validated subspace.
+        the spec, so a caller that permutes coordinates or moves up a cover
+        can look its image up without building a Profile or a validated
+        subspace.
         """
-        return {(e.profile.eff, e.profile.signs.basis): i for i, e in enumerate(self.elements)}
+        pack = self._pack
+        return {(pack(e.profile.eff), e.profile.signs.basis): i for i, e in enumerate(self.elements)}
 
     def index_of(self, e: LatticeElement) -> int:
         return self.index_of_profile(e.profile)
@@ -654,7 +693,7 @@ class Lattice:
     def index_of_profile(self, p: Profile) -> int:
         if p.spec != self.spec:
             raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
-        return self._profile_index[p.eff, p.signs.basis]
+        return self._profile_index[self._pack(p.eff), p.signs.basis]
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -739,7 +778,50 @@ class Lattice:
         raise LatTowerError("lattice has no top")
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return self.to_abstract().covers
+        """Pairs (i, j) with j covering i, sorted, read off the profiles.
+
+        The rank sum_s chainrank(min(eff_s, ALT)) + dim W rises strictly
+        along the order, so a move that raises it by one lands on a cover.
+        The up-covers of x = (eff, W) are exactly these moves:
+
+        * one chain step at a slot below ALT, W unchanged;
+        * W + <v> for each nonzero v supported on the slots at ALT or FULL
+          and zero on the pivots of W, which raises the ALT slots of v to
+          FULL.
+
+        Let y cover x.  A chain step at a slot below ALT that y raises lies
+        in [x, y], so it is y.  Otherwise y raises only ALT slots, W_y is
+        larger, and W + <v> for the reduced v of any vector of W_y outside W
+        lies in [x, y].  Each image is looked up under the packed key, where
+        the second move ORs 4^s in at each slot s of v.  No order relation
+        is built; ``AbstractLattice.covers`` referees this in the tests.
+        """
+        num_slots = self.spec.num_slots
+        index, pack = self._profile_index, self._pack
+        # one chain step up from TRIV or V: TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
+        steps = [(1 if d == 4 else 2) << 2 * s for s, d in enumerate(self.spec.degrees)]
+        # digit 1 at each slot of v: ORed into a key, it raises those slots from ALT to FULL
+        spread = [pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
+        widenings: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...]]]] = {}
+        out = []
+        for i, e in enumerate(self.elements):
+            eff, basis = e.profile.eff, e.profile.signs.basis
+            key = pack(eff)
+            moves, upper = [], 0
+            for s, p in enumerate(eff):
+                if p < ChainPosition.ALT:
+                    moves.append((key + steps[s], basis))
+                else:
+                    upper |= 1 << s
+            wider = widenings.get((basis, upper))
+            if wider is None:
+                wider = widenings[basis, upper] = _widenings(basis, upper)
+            moves += [(key | spread[v], w) for v, w in wider]
+            try:
+                out += [(i, j) for j in sorted(map(index.__getitem__, moves))]
+            except KeyError:
+                raise LatTowerError(f"a cover move from element {i} leaves the lattice") from None
+        return tuple(out)
 
     @cached_property
     def _abstract(self) -> AbstractLattice:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,27 @@ def test_enumerate_json(capsys):
     assert data["census"]["total"] == 10
     assert data["spec"] == "S3^2"
     assert len(data["elements"]) == 10
+
+
+# sha256 of stdout, pinned from the output the order-relation route printed
+# before the Hasse diagram was read off the profiles
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["hasse", "--spec", "S3^4"],
+            "84cd93ff844d17eb78bfc8336f0b8f9f69312c62ebca360d7b18fb98ad706b83",
+        ),
+        (
+            ["enumerate", "--spec", "S4^2*S3^2", "--format", "json"],
+            "0c31217ed9e302c879d1f7be261692fa51e0de29fcd175b55baacf1171616785",
+        ),
+    ],
+)
+def test_hasse_and_json_bytes_are_pinned(argv, digest, capsys):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_is_deterministic(capsys):

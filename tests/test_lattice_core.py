@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import pytest
@@ -24,9 +25,11 @@ from lattower.gf2 import (
     zero_subspace,
 )
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import make_spec, parse_spec
+from lattower.group_spec import chain, make_spec, parse_spec
 from lattower.lattice_core import (
     AbstractLattice,
+    AdmissibleTriple,
+    Lattice,
     FAMILY_MIXED,
     FAMILY_SIGN_PARITY,
     FAMILY_SUB_PRODUCT,
@@ -48,6 +51,7 @@ from lattower.lattice_core import (
     triple_to_profile,
     profile_to_triple,
     validate_triple,
+    _admissible_subspaces,
     _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
@@ -453,6 +457,56 @@ def test_up_masks_and_covers_by_definition(text, lattices):
     assert a.down == lat.down_masks
     assert lat.up_masks == a.up
     _check_up_and_covers(a)
+    assert lat.covers() == a.covers
+
+
+# too large for the pairwise definition, so the climb over the order
+# relation referees the cover moves there
+@pytest.mark.parametrize("text", ["S3^6", "S4^3*S3^2"])
+def test_cover_moves_match_the_order_relation(text, lattices):
+    lat = lattices.get(text)
+    assert lat.covers() == AbstractLattice(lat.down_masks).covers
+
+
+def test_a_cover_move_off_the_lattice_is_an_error(lattices):
+    lat = lattices.get("S3^3")
+    # every coatom has a move up to the top
+    top = lat.top_index
+    without_top = Lattice(lat.spec, lat.elements[:top] + lat.elements[top + 1 :], lat.census)
+    with pytest.raises(LatTowerError, match="leaves the lattice"):
+        without_top.covers()
+
+
+def _rank(e) -> int:
+    """sum_s chainrank(min(eff_s, ALT)) + dim W."""
+    steps = sum(chain(d).index(min(p, CP.ALT)) for d, p in zip(e.spec.degrees, e.profile.eff))
+    return steps + e.profile.signs.dim
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
+def test_profile_rank_is_the_height(text, lattices):
+    lat = lattices.get(text)
+    assert tuple(map(_rank, lat.elements)) == lat.to_abstract().heights
+
+
+def _reference_enumeration(spec) -> tuple:
+    """Every admissible triple in the enumeration's loop order, built one by one."""
+    n = spec.num_slots
+    out = []
+    for j_mask in range(1 << n):
+        coupled = tuple(s for s in range(n) if (j_mask >> s) & 1)
+        off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
+        for signs in _admissible_subspaces(len(coupled)):
+            for combo in product(*(chain(spec.slots[s].degree) for s in off)):
+                t = AdmissibleTriple(spec, coupled, tuple(zip(off, combo)), signs)
+                out.append(element_from_triple(t))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S3^6", "S4^3*S3^2"))
+def test_enumeration_builds_element_from_triple_in_order(text, lattices):
+    lat = lattices.get(text)
+    assert lat.elements == _reference_enumeration(lat.spec)
 
 
 @pytest.mark.parametrize("name", sorted(LEMMA_GROUP_DEGREES))
