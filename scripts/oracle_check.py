@@ -1,11 +1,13 @@
 """Differentially validate every spec the permutation oracle can reach.
 
 Walks all tower groups whose order fits under the oracle bound, recomputes
-their normal subgroups from raw permutations, and compares counts, profiles
-and all pairwise meet/join/leq answers against the triple enumeration.  Any
-disagreement raises immediately; a clean run prints one line per spec.
+their normal subgroups from conjugacy classes, and compares counts, profiles,
+every down set and all pairwise meet/join answers against the triple
+enumeration.  Any disagreement raises immediately; a clean run prints one
+line per spec.
 
     python scripts/oracle_check.py --max-order 1000
+    python scripts/oracle_check.py --degrees 3 --max-T 5 --max-order 7776   # up to S3^5
 """
 
 import argparse

@@ -1,27 +1,24 @@
 """Independent oracle: normal subgroups recomputed from raw permutations.
 
-Everything here works with explicit group elements, products and
-conjugation, never with triples or profiles, so it can referee the
-enumeration.  A ConcreteGroup is a product of symmetric factors (degree 2 is
-allowed here, unlike in tower specs, so the small groups C2, C2^2 and C2 x Sm
-are covered too); elements are ranked mixed-radix into global ids and
-multiplied through per-factor lookup tables.  A normal subgroup is a union
-of conjugacy classes, so it is held as an int mask over the classes (Hulpke,
-"Computing normal subgroups", ISSAC 1998).  The group's ClassTable records
-which classes each class product C_i C_j meets; from it, inclusion, meet and
-join of normal subgroups are mask operations.  In a direct product the
-classes are the products of factor classes and C_i C_j is the product of
-the per-factor class products, so the ClassTable is assembled from the
-conjugacy data of each factor and no element of the whole group is
-multiplied.  Normal subgroups come out of the normal closures of the classes
-closed under joins, which reaches every normal subgroup because each one is
-the join of the closures of its classes.
+Everything here works with permutations, products and conjugation, never
+with triples or profiles, so it can referee the enumeration.  A normal
+subgroup is a union of conjugacy classes, held as an int mask over the
+classes (Hulpke, "Computing normal subgroups", ISSAC 1998).  In a direct
+product of symmetric factors a class is a product of factor classes, so the
+ClassTable (class sizes, sign patterns, and the classes each product C_i C_j
+meets) is assembled from per-factor tables, and differential validation
+builds no element of the whole group.  Normal subgroups are the normal
+closures of the classes closed under joins.  The element route, a
+ConcreteGroup with mixed-radix element ids (degree 2 allowed, for the small
+groups C2, C2^2 and C2 x Sm) and subgroups as id lists, serves the small
+groups and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -34,22 +31,19 @@ from .lattice_core import (
     AbstractLattice,
     Lattice,
     Profile,
+    _check_slots,
     enumerate_lattice,
 )
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
-    "Perm",
     "ConcreteGroup",
     "ConcreteSubgroup",
     "ClassTable",
     "concrete_group",
     "normal_closure",
-    "is_normal",
     "all_normal_subgroups",
     "normal_subgroup_poset",
-    "block_projection",
-    "block_intersection",
     "extract_profile",
     "OracleReport",
     "differential_validate",
@@ -58,48 +52,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 5000
-
-
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of {0..d-1} given by its image tuple."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise LatTowerError(f"not a permutation: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        """self after other."""
-        return Perm(tuple(self.images[other.images[x]] for x in range(len(self.images))))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(tuple(inv))
-
-    @property
-    def sign(self) -> int:
-        """+1 for even, -1 for odd, by cycle parity."""
-        seen = [False] * len(self.images)
-        transpositions = 0
-        for x in range(len(self.images)):
-            if seen[x]:
-                continue
-            length = 0
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                y = self.images[y]
-                length += 1
-            transpositions += length - 1
-        return -1 if transpositions % 2 else 1
 
 
 class _FactorTable:
@@ -128,7 +80,8 @@ class _FactorTable:
             for x, y in enumerate(p):
                 invp[y] = x
             self.inv[i] = index[tuple(invp)]
-        self.sign_bit = [0 if Perm(p).sign == 1 else 1 for p in self.perms]
+        pairs = list(combinations(range(degree), 2))
+        self.sign_bit = [sum(p[x] > p[y] for x, y in pairs) & 1 for p in self.perms]
         mul, inv = self.mul, self.inv
         self.class_of = [-1] * n
         self.classes: list[tuple[int, ...]] = []
@@ -158,6 +111,15 @@ class _FactorTable:
             return frozenset(i for i, b in enumerate(self.sign_bit) if b == 0)
         return frozenset(range(len(self.perms)))
 
+    @cached_property
+    def chain_classes(self) -> dict[ChainPosition, int]:
+        """Each chain subgroup of this factor as a mask over its classes."""
+        return {
+            pos: sum(1 << c for c in {self.class_of[x] for x in self.position_ids(pos)})
+            for pos in ChainPosition
+            if pos is not ChainPosition.V or self.degree == 4
+        }
+
 
 @lru_cache(maxsize=None)
 def _factor_table(degree: int) -> _FactorTable:
@@ -176,12 +138,7 @@ class ConcreteGroup:
         if not all(d >= 2 for d in degrees):
             raise LatTowerError(f"factor degrees must be at least 2, got {degrees}")
         self.degrees = tuple(degrees)
-        order = 1
-        for d in self.degrees:
-            order *= factorial(d)
-        if order > max_order:
-            raise TooLarge(f"group order {order} exceeds the oracle bound {max_order}")
-        self.order = order
+        self.order = order = _group_order(self.degrees, max_order)
         self.tables = [_factor_table(d) for d in self.degrees]
         sizes = [factorial(d) for d in self.degrees]
         places = []
@@ -202,7 +159,6 @@ class ConcreteGroup:
             self.from_components(tuple(t.inv[c] for t, c in zip(self.tables, comp)))
             for comp in self.components
         ]
-        self._sign_bits: list[int] | None = None
 
     @property
     def identity(self) -> int:
@@ -228,39 +184,30 @@ class ConcreteGroup:
         comp[factor] = perm_index
         return self.from_components(comp)
 
-    @property
-    def generators(self) -> list[int]:
-        """A transposition and a full cycle in every factor."""
-        gens = []
-        for j, (d, table) in enumerate(zip(self.degrees, self.tables)):
-            swap = tuple([1, 0] + list(range(2, d)))
-            gens.append(self.embed(j, table.index[swap]))
-            if d > 2:
-                cyc = tuple(list(range(1, d)) + [0])
-                gens.append(self.embed(j, table.index[cyc]))
-        return gens
+    @cached_property
+    def _sign_bits(self) -> list[int]:
+        return [
+            sum(t.sign_bit[c] << j for j, (t, c) in enumerate(zip(self.tables, comp)))
+            for comp in self.components
+        ]
 
     def sign_bits(self, a: int) -> int:
         """Bit j set when the component in factor j is odd."""
-        if self._sign_bits is None:
-            bits = []
-            for comp in self.components:
-                v = 0
-                for j, (t, c) in enumerate(zip(self.tables, comp)):
-                    if t.sign_bit[c]:
-                        v |= 1 << j
-                bits.append(v)
-            self._sign_bits = bits
         return self._sign_bits[a]
-
-    def element_perms(self, a: int) -> tuple[Perm, ...]:
-        return tuple(
-            Perm(t.perms[c]) for t, c in zip(self.tables, self.components[a])
-        )
 
     @cached_property
     def class_table(self) -> "ClassTable":
-        return ClassTable(self)
+        return ClassTable(self.degrees)
+
+
+def _group_order(degrees: Sequence[int], max_order: int) -> int:
+    """|G| of a product of symmetric factors, refused past the oracle bound."""
+    order = 1
+    for d in degrees:
+        order *= factorial(d)
+    if order > max_order:
+        raise TooLarge(f"group order {order} exceeds the oracle bound {max_order}")
+    return order
 
 
 def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -302,52 +249,69 @@ def _spread(mask: int, shifts: list[int]) -> int:
 
 
 class ClassTable:
-    """Conjugacy classes of a ConcreteGroup and the supports of their products.
+    """Conjugacy classes of a product of symmetric groups, built per factor.
 
-    A normal subgroup is a union of conjugacy classes, so it is an int mask
-    with bit i set when it contains class i.  The classes of a direct
-    product are the products C_1 x ... x C_k of factor classes; class i is
-    numbered by the mixed radix of its factor-class indices, most
-    significant factor first.  Factor classes are numbered by smallest
-    member and element ids are mixed radix in the components, so class 0 is
-    {identity} and the others come by smallest element id.  ``prod[i][j]``
-    is the mask of the classes met by x_i * C_j for the representative x_i
-    of C_i (its smallest id).  Conjugating by g maps x_i * C_j onto
-    (g x_i g^-1) * C_j with the same classes, so this is the support of the
-    whole product set C_i * C_j: the product of the per-factor supports.
-    Inclusion is ``a & ~b == 0``, intersection is ``a & b``, and the product
-    N1 N2 of two normal subgroups is the OR of ``prod[i][j]`` over i in N1
-    and j in N2.
+    Class i is C_1 x ... x C_k, numbered by the mixed radix of its factor
+    classes, most significant factor first.  ``sizes[i]`` is its size,
+    ``signs[i]`` its sign pattern (bit j set when its factor-j component is
+    odd) and ``fibres[j][c]`` the mask of the classes whose factor-j class
+    is c.  ``prod[i][j]`` is the mask of the classes met by x * C_j for any
+    x in C_i; conjugation moves x within C_i and keeps those classes, so
+    this is the support of C_i C_j, the product of the factor supports.
+    For the element route, ``classes`` lists each class by ConcreteGroup
+    element ids and ``class_of`` inverts it, both built on first use; class
+    0 is {identity} and the others come by smallest element id.
     """
 
-    def __init__(self, group: ConcreteGroup):
+    def __init__(self, degrees: Sequence[int]):
         # Built from the last factor up: a class of the factors from j on is
         # a factor-j class c (the high digit) times a class of the factors
         # after j, so a product support is one copy of the rest's support,
         # shifted by c * width, for each factor-j class c in the factor-j
         # support.
-        classes: list[tuple[int, ...]] = [(0,)]
-        class_of = [0]
-        prod = [[1]]
-        size = width = 1
-        for t in reversed(group.tables):
-            classes = [
-                tuple(x * size + g for x in head for g in tail)
-                for head in t.classes
-                for tail in classes
-            ]
-            class_of = [c * width + rest for c in t.class_of for rest in class_of]
+        self.tables = [_factor_table(d) for d in degrees]
+        digits: list[tuple[int, ...]] = [()]
+        sizes, signs, prod = [1], [0], [[1]]
+        width = 1
+        for j in reversed(range(len(self.tables))):
+            t = self.tables[j]
+            digits = [(c,) + rest for c in range(len(t.classes)) for rest in digits]
+            sizes = [len(head) * rest for head in t.classes for rest in sizes]
+            signs = [t.sign_bit[head[0]] << j | rest for head in t.classes for rest in signs]
             offsets = [[[c * width for c in _bits(m)] for m in t_row] for t_row in t.prod]
             prod = [
                 [_spread(mask, shifts) for shifts in row_offsets for mask in row]
                 for row_offsets in offsets
                 for row in prod
             ]
-            size *= len(t.perms)
             width *= len(t.classes)
-        self.classes = classes
-        self.class_of = class_of
-        self.prod = prod
+        self.fibres = [[0] * len(t.classes) for t in self.tables]
+        for i, digit in enumerate(digits):
+            for fibre, c in zip(self.fibres, digit):
+                fibre[c] |= 1 << i
+        self.sizes, self.signs, self.prod = sizes, signs, prod
+
+    @cached_property
+    def classes(self) -> list[tuple[int, ...]]:
+        classes = [(0,)]
+        size = 1
+        for t in reversed(self.tables):
+            classes = [
+                tuple(x * size + g for x in head for g in tail)
+                for head in t.classes
+                for tail in classes
+            ]
+            size *= len(t.perms)
+        return classes
+
+    @cached_property
+    def class_of(self) -> list[int]:
+        class_of = [0]
+        width = 1
+        for t in reversed(self.tables):
+            class_of = [c * width + rest for c in t.class_of for rest in class_of]
+            width *= len(t.classes)
+        return class_of
 
     def mask_of(self, sub: ConcreteSubgroup) -> int:
         """The classes an element set meets; exact for a union of classes."""
@@ -362,6 +326,29 @@ class ClassTable:
             tuple(sorted(g for i in _bits(mask) for g in self.classes[i]))
         )
 
+    def order(self, mask: int) -> int:
+        sizes = self.sizes
+        return sum(sizes[i] for i in _bits(mask))
+
+    def profile(self, mask: int, spec: TowerGroupSpec) -> Profile:
+        """The profile of a normal subgroup, read off its classes.
+
+        The projection onto factor j is the set of factor-j classes the mask
+        meets, identified among the chain subgroups written as factor-class
+        masks; the sign subspace is spanned by the class sign patterns.
+        """
+        eff = []
+        for j, (t, fibre) in enumerate(zip(self.tables, self.fibres)):
+            proj = sum(1 << c for c, f in enumerate(fibre) if mask & f)
+            for pos, chain in t.chain_classes.items():
+                if proj == chain:
+                    eff.append(pos)
+                    break
+            else:
+                raise OracleMismatch(f"projection onto factor {j} is no chain subgroup")
+        signs = self.signs
+        return Profile(spec, tuple(eff), span(len(self.tables), {signs[i] for i in _bits(mask)}))
+
     def closure(self, c: int) -> int:
         """The normal closure of class c: 1 and C_c, closed under products."""
         prod = self.prod
@@ -375,19 +362,6 @@ class ClassTable:
             mask = grown
         return mask
 
-    def join(self, a: int, b: int) -> int:
-        """The product N1 N2 of two normal subgroups given as masks.
-
-        Classes of a inside b only contribute products already in b.
-        """
-        out = a | b
-        inside = list(_bits(b))
-        for i in _bits(a & ~b):
-            row = self.prod[i]
-            for j in inside:
-                out |= row[j]
-        return out
-
 
 def normal_closure(group: ConcreteGroup, g: int) -> ConcreteSubgroup:
     """Smallest normal subgroup containing g: the closure of its class."""
@@ -395,25 +369,72 @@ def normal_closure(group: ConcreteGroup, g: int) -> ConcreteSubgroup:
     return table.subgroup(table.closure(table.class_of[g]))
 
 
-def is_normal(group: ConcreteGroup, sub: ConcreteSubgroup) -> bool:
-    ids = sub.id_set()
-    return all(group.conjugate(x, h) in ids for x in sub.ids for h in group.generators)
+def _normal_masks(table: ClassTable) -> set[int]:
+    """Every normal subgroup as a class mask.
+
+    Every normal subgroup is the product of the closures of its classes, so
+    joining each distinct closure s onto everything found so far reaches all
+    of them, one closure at a time.  What is found is the set of products of
+    the closures joined so far, so a closure already in it adds nothing.
+    With the reach row R_s[j] = OR_{i in s} prod[i][j], the product of s and
+    a found n is n | s | the OR of R_s[j] over the classes j of n outside s:
+    those of n inside s only give products inside s.  An n that contains s
+    is its own product.
+    """
+    prod = table.prod
+    closures = {table.closure(c) for c in range(len(prod))}
+    found = {1}
+    for s in sorted(closures):
+        if s in found:
+            continue
+        members = [prod[i] for i in _bits(s)]
+        reach: dict[int, int] = {}
+        joined = set()
+        for n in found:
+            if not s & ~n:
+                continue
+            out = n | s
+            for j in _bits(n & ~s):
+                if j not in reach:
+                    r = 0
+                    for row in members:
+                        r |= row[j]
+                    reach[j] = r
+                out |= reach[j]
+            joined.add(out)
+        found |= joined
+    return found
 
 
 def all_normal_subgroups(group: ConcreteGroup) -> list[ConcreteSubgroup]:
-    """Every normal subgroup, found as a union of conjugacy classes.
+    """Every normal subgroup as an id list, sorted by (order, ids).
 
-    Every normal subgroup is the product of the closures of its classes, so
-    joining each distinct closure onto everything found so far reaches all
-    of them, one closure at a time.  Sorted by (order, ids), so the trivial
-    subgroup is first and the whole group last.
+    The trivial subgroup comes first and the whole group last.
     """
     table = group.class_table
-    closures = {table.closure(c) for c in range(len(table.classes))}
-    found = {1}
-    for s in sorted(closures):
-        found |= {table.join(s, n) for n in found}
-    return sorted((table.subgroup(m) for m in found), key=lambda s: (len(s), s.ids))
+    return sorted((table.subgroup(m) for m in _normal_masks(table)), key=lambda s: (len(s), s.ids))
+
+
+def _down_sets(masks: Sequence[int], width: int) -> list[int]:
+    """``down[a]``, the bitset of all b with masks[b] inside masks[a].
+
+    masks[b] lies inside masks[a] exactly when it holds no class outside
+    masks[a], so down[a] is everything but the OR, over the classes c
+    outside masks[a], of ``containing[c]``, the masks that hold c.
+    """
+    containing = [0] * width
+    for b, m in enumerate(masks):
+        for c in _bits(m):
+            containing[c] |= 1 << b
+    everything = (1 << len(masks)) - 1
+    all_classes = (1 << width) - 1
+    down = []
+    for m in masks:
+        above = 0
+        for c in _bits(all_classes & ~m):
+            above |= containing[c]
+        down.append(everything & ~above)
+    return down
 
 
 def normal_subgroup_poset(
@@ -422,43 +443,8 @@ def normal_subgroup_poset(
     """The subgroup-inclusion order as a bare lattice, read off class masks."""
     if normals is None:
         normals = all_normal_subgroups(group)
-    masks = [group.class_table.mask_of(n) for n in normals]
-    down = []
-    for big in masks:
-        m = 0
-        for i, small in enumerate(masks):
-            if not small & ~big:
-                m |= 1 << i
-        down.append(m)
-    return AbstractLattice(down)
-
-
-def block_projection(
-    group: ConcreteGroup, sub: ConcreteSubgroup, factors: Iterable[int]
-) -> ConcreteSubgroup:
-    """Image under projection onto some factors, embedded back with identity."""
-    keep = set(factors)
-    out = set()
-    for g in sub.ids:
-        comp = list(group.components[g])
-        for j in range(len(group.degrees)):
-            if j not in keep:
-                comp[j] = 0
-        out.add(group.from_components(comp))
-    return ConcreteSubgroup.from_ids(out)
-
-
-def block_intersection(
-    group: ConcreteGroup, sub: ConcreteSubgroup, factors: Iterable[int]
-) -> ConcreteSubgroup:
-    """Elements of the subgroup supported entirely on the given factors."""
-    keep = set(factors)
-    out = [
-        g
-        for g in sub.ids
-        if all(c == 0 for j, c in enumerate(group.components[g]) if j not in keep)
-    ]
-    return ConcreteSubgroup.from_ids(out)
+    table = group.class_table
+    return AbstractLattice(_down_sets([table.mask_of(n) for n in normals], len(table.prod)))
 
 
 def extract_profile(group: ConcreteGroup, sub: ConcreteSubgroup) -> Profile:
@@ -506,14 +492,7 @@ class OracleReport:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "group_order": self.group_order,
-            "oracle_count": self.oracle_count,
-            "enumerated_count": self.enumerated_count,
-            "pairs_checked": self.pairs_checked,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def differential_validate(
@@ -522,55 +501,66 @@ def differential_validate(
     max_slots: int = DEFAULT_MAX_SLOTS,
     lattice: Lattice | None = None,
 ) -> OracleReport:
-    """Compare the triple enumeration against the raw permutation computation.
+    """Compare the triple enumeration against the conjugacy classes of G.
 
-    Checks, in order: the counts agree; profiles give a bijection between the
-    two lists; and for every pair, inclusion, intersection and product of the
-    class masks agree with leq, meet and join on the enumerated side.  The
-    first divergence raises OracleMismatch.
+    Both bounds are checked before any class is built.  Then, in order: the
+    counts agree; profiles give a bijection between the two lists; the
+    oracle down set of every element, a bitset over the enumeration, equals
+    its ``down_masks`` entry, which is leq on all ordered pairs; and for
+    every pair, the intersection of the class masks is the enumerated meet
+    and the enumerated join J is the product N1 N2.  J's mask is a normal
+    subgroup, so once it contains N1 and N2 it holds N1 N2, and then equals
+    it exactly when |J| |N1 meet N2| = |N1| |N2|.  Orders are sums of class
+    sizes, so no element of G is built.  The first divergence raises
+    OracleMismatch.
     """
-    group = concrete_group(spec, max_order=max_order)
-    normals = all_normal_subgroups(group)
+    group_order = _group_order(spec.degrees, max_order)
+    _check_slots(spec, max_slots)
+    table = ClassTable(spec.degrees)
+    masks = _normal_masks(table)
     lat = lattice if lattice is not None else enumerate_lattice(spec, max_slots)
     name = format_spec(spec)
-    if len(normals) != len(lat):
+    n = len(lat)
+    if len(masks) != n:
         raise OracleMismatch(
-            f"{name}: oracle found {len(normals)} normal subgroups, enumeration {len(lat)}"
+            f"{name}: oracle found {len(masks)} normal subgroups, enumeration {n}"
         )
 
-    mapped: list[int] = []
-    for n in normals:
-        profile = extract_profile(group, n)
+    at = [0] * n  # the oracle's mask of each enumerated element; 0 while unmatched
+    for m in sorted(masks):
         try:
-            mapped.append(lat.index_of_profile(profile))
+            k = lat.index_of_profile(table.profile(m, spec))
         except KeyError:
             raise OracleMismatch(
-                f"{name}: oracle subgroup of order {len(n)} has no enumerated profile"
+                f"{name}: oracle subgroup of order {table.order(m)} has no enumerated profile"
             ) from None
-    if len(set(mapped)) != len(mapped):
-        raise OracleMismatch(f"{name}: profile map is not injective")
+        if at[k]:
+            raise OracleMismatch(f"{name}: profile map is not injective")
+        at[k] = m
 
-    table = group.class_table
-    masks = [table.mask_of(n) for n in normals]
-    by_mask = dict(zip(masks, mapped))
+    for a, (mine, theirs) in enumerate(zip(_down_sets(at, len(table.prod)), lat.down_masks)):
+        if mine != theirs:
+            raise OracleMismatch(f"{name}: leq disagrees on the down set of element {a}")
+
+    orders = [table.order(m) for m in at]
+    by_mask = {m: k for k, m in enumerate(at)}
+    meet_idx, join_idx = lat.meet_idx, lat.join_idx
     pairs = 0
-    for i, (mi, idx_i) in enumerate(zip(masks, mapped)):
-        for j in range(i, len(masks)):
-            mj, idx_j = masks[j], mapped[j]
+    for a, (ma, oa) in enumerate(zip(at, orders)):
+        for b in range(a, n):
+            mb = at[b]
+            meet = meet_idx(a, b)
+            if by_mask.get(ma & mb) != meet:
+                raise OracleMismatch(f"{name}: meet disagrees on pair ({a}, {b})")
+            j = join_idx(a, b)
+            if (ma | mb) & ~at[j] or orders[j] * orders[meet] != oa * orders[b]:
+                raise OracleMismatch(f"{name}: join disagrees on pair ({a}, {b})")
             pairs += 1
-            if (not mi & ~mj) != lat.leq_idx(idx_i, idx_j):
-                raise OracleMismatch(f"{name}: leq disagrees on pair ({i}, {j})")
-            if (not mj & ~mi) != lat.leq_idx(idx_j, idx_i):
-                raise OracleMismatch(f"{name}: leq disagrees on pair ({j}, {i})")
-            if by_mask.get(mi & mj) != lat.meet_idx(idx_i, idx_j):
-                raise OracleMismatch(f"{name}: meet disagrees on pair ({i}, {j})")
-            if by_mask.get(table.join(mi, mj)) != lat.join_idx(idx_i, idx_j):
-                raise OracleMismatch(f"{name}: join disagrees on pair ({i}, {j})")
     return OracleReport(
         spec=name,
-        group_order=group.order,
-        oracle_count=len(normals),
-        enumerated_count=len(lat),
+        group_order=group_order,
+        oracle_count=len(masks),
+        enumerated_count=n,
         pairs_checked=pairs,
         ok=True,
     )

@@ -39,3 +39,28 @@ class LatticeCache:
 @pytest.fixture(scope="session")
 def lattices() -> LatticeCache:
     return LatticeCache()
+
+
+def _corrupt_lattice(lat: Lattice, check: str) -> Lattice:
+    """Make the lattice's join, meet or leq ("leq": its down sets) wrong.
+
+    The join of two distinct elements becomes the top, which still contains
+    both, so only the order of the product can tell; the meet becomes the
+    bottom; the top joins the down set of the bottom.
+    """
+    if check == "join":
+        real_join = lat.join_idx
+        lat.join_idx = lambda i, j: lat.top_index if i != j else real_join(i, j)
+    elif check == "meet":
+        real_meet = lat.meet_idx
+        lat.meet_idx = lambda i, j: lat.bottom_index if i != j else real_meet(i, j)
+    else:
+        down = list(lat.down_masks)
+        down[lat.bottom_index] |= 1 << lat.top_index
+        lat.down_masks = tuple(down)
+    return lat
+
+
+@pytest.fixture
+def corrupt_lattice():
+    return _corrupt_lattice

@@ -59,16 +59,19 @@ def test_criterion_1_census_s3_cubed():
 
 
 def test_criterion_2_oracle_agreement():
-    with criterion(2, "oracle agreement on seven groups", 60.0):
+    with criterion(2, "oracle agreement on eight groups", 60.0):
         for text in ("S3^2", "S3^3", "S3*S4", "S4^2", "S3^2*S4", "S3^4"):
             report = differential_validate(parse_spec(text))
             assert report.ok, text
             assert report.oracle_count == report.enumerated_count
         assert (report.oracle_count, report.pairs_checked) == (170, 14535)
-        # order 20,736, past DEFAULT_MAX_ORDER, so its bound is given here
+        # orders 20,736 and 7,776, past DEFAULT_MAX_ORDER, so their bounds are given here
         report = differential_validate(parse_spec("S4^2*S3^2"), max_order=20_736)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (256, 32896)
+        report = differential_validate(parse_spec("S3^5"), max_order=7776)
+        assert report.ok
+        assert (report.oracle_count, report.pairs_checked) == (930, 432915)
 
 
 PRODUCT_FORMULA_CASES = {

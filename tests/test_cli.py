@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, cli
+from lattower import autgroup, cli, perm_oracle
 from lattower.cli import main
 from lattower.errors import OracleMismatch
 from lattower.group_spec import parse_spec
@@ -298,6 +298,41 @@ def test_oracle_diff(capsys):
 
 def test_oracle_diff_respects_max_order(capsys):
     assert main(["oracle-diff", "--spec", "S3^2", "--max-order", "10"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", "S3^5", "--max-order", "7776", "--max-T", "4"],
+        ["--spec", "S3^5", "--max-T", "4"],
+        ["--spec", "S3^3", "--max-order", "100"],
+    ],
+)
+def test_oracle_diff_checks_its_bounds_before_the_class_table(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
+    assert main(["oracle-diff", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("check", ["join", "meet", "leq"])
+def test_oracle_diff_on_a_corrupted_lattice_exits_4(
+    check, fmt, corrupt_lattice, monkeypatch, capsys
+):
+    real = perm_oracle.enumerate_lattice
+    monkeypatch.setattr(
+        perm_oracle, "enumerate_lattice", lambda *args: corrupt_lattice(real(*args), check)
+    )
+    assert main(["oracle-diff", "--spec", "S4*S3", "--format", fmt]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"{check} disagrees" in captured.err
 
 
 def test_hasse_of_lemma_group(capsys):

@@ -1,24 +1,138 @@
+from dataclasses import dataclass
+
 import pytest
 
-from lattower.errors import LatTowerError, NotTowerGroup, TooLarge
+import lattower.perm_oracle as perm_oracle
+from lattower.errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import parse_spec
+from lattower.group_spec import parse_spec, spec_of_degrees
+from lattower.lattice_core import enumerate_lattice
 from lattower.perm_oracle import (
+    ClassTable,
     ConcreteGroup,
     ConcreteSubgroup,
     LEMMA_GROUP_DEGREES,
-    Perm,
+    _down_sets,
+    _normal_masks,
     all_normal_subgroups,
-    block_intersection,
-    block_projection,
     concrete_group,
     differential_validate,
     extract_profile,
-    is_normal,
     lemma_lattices,
     normal_closure,
     normal_subgroup_poset,
 )
+
+
+@dataclass(frozen=True)
+class _ReferencePerm:
+    """A permutation of {0..d-1} given by its image tuple."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(self.images) != list(range(len(self.images))):
+            raise LatTowerError(f"not a permutation: {self.images}")
+
+    def __mul__(self, other):
+        """self after other."""
+        return _ReferencePerm(tuple(self.images[x] for x in other.images))
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for x, y in enumerate(self.images):
+            inv[y] = x
+        return _ReferencePerm(tuple(inv))
+
+    @property
+    def sign(self):
+        """+1 for even, -1 for odd, by cycle parity."""
+        seen = [False] * len(self.images)
+        transpositions = 0
+        for x in range(len(self.images)):
+            if seen[x]:
+                continue
+            length = 0
+            y = x
+            while not seen[y]:
+                seen[y] = True
+                y = self.images[y]
+                length += 1
+            transpositions += length - 1
+        return -1 if transpositions % 2 else 1
+
+
+def _reference_element_perms(group, a):
+    return tuple(_ReferencePerm(t.perms[c]) for t, c in zip(group.tables, group.components[a]))
+
+
+def _reference_generators(group):
+    """A transposition and a full cycle in every factor."""
+    gens = []
+    for j, (d, table) in enumerate(zip(group.degrees, group.tables)):
+        gens.append(group.embed(j, table.index[tuple([1, 0] + list(range(2, d)))]))
+        if d > 2:
+            gens.append(group.embed(j, table.index[tuple(list(range(1, d)) + [0])]))
+    return gens
+
+
+def _reference_is_normal(group, sub):
+    ids = sub.id_set()
+    gens = _reference_generators(group)
+    return all(group.conjugate(x, h) in ids for x in sub.ids for h in gens)
+
+
+def _reference_block_projection(group, sub, factors):
+    """Image under projection onto some factors, embedded back with identity."""
+    out = set()
+    for g in sub.ids:
+        comp = [c if j in factors else 0 for j, c in enumerate(group.components[g])]
+        out.add(group.from_components(comp))
+    return ConcreteSubgroup.from_ids(out)
+
+
+def _reference_block_intersection(group, sub, factors):
+    """Elements of the subgroup supported entirely on the given factors."""
+    return ConcreteSubgroup.from_ids(
+        g
+        for g in sub.ids
+        if all(c == 0 for j, c in enumerate(group.components[g]) if j not in factors)
+    )
+
+
+def _reference_class_join(table, a, b):
+    """The product N1 N2 as the OR of prod[i][j] over the classes i of a outside b and j of b.
+
+    Classes of a inside b only contribute products already in b.
+    """
+    out = a | b
+    inside = list(perm_oracle._bits(b))
+    for i in perm_oracle._bits(a & ~b):
+        row = table.prod[i]
+        for j in inside:
+            out |= row[j]
+    return out
+
+
+def _reference_normal_masks(table):
+    """The closure the reach rows replaced: each closure joined onto all found."""
+    closures = {table.closure(c) for c in range(len(table.prod))}
+    found = {1}
+    for s in sorted(closures):
+        found |= {_reference_class_join(table, s, n) for n in found}
+    return found
+
+
+def _reference_down_sets(masks):
+    """The pairwise inclusion loop the per-class bitsets replaced."""
+    down = []
+    for big in masks:
+        m = 0
+        for i, small in enumerate(masks):
+            if not small & ~big:
+                m |= 1 << i
+        down.append(m)
+    return down
 
 
 # The set-based route the class masks replaced, kept as their referee.  It
@@ -79,7 +193,7 @@ def _reference_class_table(group):
     The whole-group construction the per-factor table replaced, kept as its
     referee: returns (classes, class_of, prod) in the same numbering.
     """
-    gens = group.generators
+    gens = _reference_generators(group)
     class_of = [-1] * group.order
     classes = []
     for g in range(group.order):
@@ -108,15 +222,19 @@ def _reference_class_table(group):
 
 
 def test_perm_basics():
-    t = Perm((1, 0, 2))
-    c = Perm((1, 2, 0))
+    t = _ReferencePerm((1, 0, 2))
+    c = _ReferencePerm((1, 2, 0))
     assert (t * c).images == tuple(t.images[c.images[x]] for x in range(3))
     assert t.inverse() == t
     assert (c * c.inverse()).images == (0, 1, 2)
     assert t.sign == -1
     assert c.sign == 1
     with pytest.raises(LatTowerError):
-        Perm((0, 0, 1))
+        _ReferencePerm((0, 0, 1))
+    # the factor tables read the sign off the inversion count
+    for d in (2, 3, 4, 5):
+        table = perm_oracle._factor_table(d)
+        assert table.sign_bit == [_ReferencePerm(p).sign == -1 for p in table.perms]
 
 
 def test_group_layout():
@@ -134,7 +252,7 @@ def test_group_product_matches_perm_product(rng):
     for _ in range(80):
         a, b = rng.randrange(g.order), rng.randrange(g.order)
         ab = g.product(a, b)
-        for pa, pb, pab in zip(g.element_perms(a), g.element_perms(b), g.element_perms(ab)):
+        for pa, pb, pab in zip(*(_reference_element_perms(g, x) for x in (a, b, ab))):
             assert pa * pb == pab
         assert g.product(a, g.inverse(a)) == g.identity
 
@@ -173,10 +291,10 @@ def test_normal_closure_of_double_transposition_is_v():
 def test_is_normal():
     g = ConcreteGroup((3,))
     alt = ConcreteSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
-    assert is_normal(g, alt)
+    assert _reference_is_normal(g, alt)
     transposition = g.tables[0].index[(1, 0, 2)]
     two = ConcreteSubgroup.from_ids({g.identity, transposition})
-    assert not is_normal(g, two)
+    assert not _reference_is_normal(g, two)
 
 
 def test_subgroup_join():
@@ -185,9 +303,10 @@ def test_subgroup_join():
     transposition = g.tables[0].index[(1, 0, 2)]
     whole = _reference_join(g, alt, normal_closure(g, transposition))
     assert len(whole) == 6
-    assert is_normal(g, whole)
+    assert _reference_is_normal(g, whole)
     table = g.class_table
-    assert table.subgroup(table.join(table.mask_of(alt), table.mask_of(whole))) == whole
+    joined = _reference_class_join(table, table.mask_of(alt), table.mask_of(whole))
+    assert table.subgroup(joined) == whole
 
 
 def test_class_table_of_s4():
@@ -223,7 +342,7 @@ def test_normal_subgroup_counts(degrees, count):
     assert len(normals) == count
     assert len(normals[0]) == 1
     assert len(normals[-1]) == ConcreteGroup(degrees).order
-    assert all(is_normal(ConcreteGroup(degrees), n) for n in normals)
+    assert all(_reference_is_normal(ConcreteGroup(degrees), n) for n in normals)
 
 
 REFEREE_DEGREES = sorted(
@@ -273,7 +392,7 @@ def test_class_masks_find_the_reference_normal_subgroups(degrees):
     g = ConcreteGroup(degrees)
     normals = all_normal_subgroups(g)
     assert [n.ids for n in normals] == [n.ids for n in _reference_normal_subgroups(g)]
-    assert all(is_normal(g, n) for n in normals)
+    assert all(_reference_is_normal(g, n) for n in normals)
 
 
 @pytest.mark.parametrize(
@@ -291,7 +410,7 @@ def test_class_mask_operations_match_the_sets_on_every_pair(degrees):
         for b, sb, mb in zip(normals, sets, masks):
             assert (not ma & ~mb) == (sa <= sb)
             assert table.subgroup(ma & mb) == ConcreteSubgroup.from_ids(sa & sb)
-            assert table.subgroup(table.join(ma, mb)) == _reference_join(g, a, b)
+            assert table.subgroup(_reference_class_join(table, ma, mb)) == _reference_join(g, a, b)
 
 
 def test_poset_of_s4_is_a_chain():
@@ -312,10 +431,10 @@ def test_goursat_invariants_on_s3_x_s4():
     # for N normal in G1 x G2: |N| = |proj_1 N| * |N meet G2| = |proj_2 N| * |N meet G1|
     g = ConcreteGroup((3, 4))
     for n in all_normal_subgroups(g):
-        a = block_projection(g, n, (0,))
-        b = block_intersection(g, n, (0,))
-        c = block_projection(g, n, (1,))
-        d = block_intersection(g, n, (1,))
+        a = _reference_block_projection(g, n, (0,))
+        b = _reference_block_intersection(g, n, (0,))
+        c = _reference_block_projection(g, n, (1,))
+        d = _reference_block_intersection(g, n, (1,))
         assert len(b) <= len(a) and len(d) <= len(c)
         assert len(n) == len(a) * len(d) == len(c) * len(b)
 
@@ -352,3 +471,117 @@ def test_differential_validate_smoke(lattices):
     assert report.oracle_count == report.enumerated_count == 10
     assert report.pairs_checked == 55
     assert report.to_json_dict()["spec"] == "S3^2"
+
+
+# The class-route fast paths, each refereed by the route it replaced, on every
+# group up to S4^2*S3^2.
+FAST_PATH_DEGREES = REFEREE_DEGREES + [(3, 3, 3, 3), (3, 3, 5), (3, 4, 4), (3, 3, 4, 4)]
+TOWER_DEGREES = [d for d in FAST_PATH_DEGREES if min(d) >= 3]
+
+
+def _group(degrees):
+    return ConcreteGroup(degrees, max_order=20_736)
+
+
+def _oracle_at(degrees):
+    """The spec, its lattice, the class table and each element's oracle mask."""
+    spec = spec_of_degrees(degrees)
+    lat = enumerate_lattice(spec)
+    table = ClassTable(degrees)
+    at = [0] * len(lat)
+    for m in _normal_masks(table):
+        at[lat.index_of_profile(table.profile(m, spec))] = m
+    assert all(at)
+    return spec, lat, table, at
+
+
+@pytest.mark.parametrize("degrees", FAST_PATH_DEGREES, ids=_name)
+def test_reach_row_closure_matches_the_pairwise_join_closure(degrees):
+    g = _group(degrees)
+    table = g.class_table
+    old = _reference_normal_masks(table)
+    assert _normal_masks(table) == old
+    by_old = sorted((table.subgroup(m) for m in old), key=lambda s: (len(s), s.ids))
+    assert [n.ids for n in all_normal_subgroups(g)] == [n.ids for n in by_old]
+
+
+@pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
+def test_class_route_profile_and_order_match_the_element_route(degrees):
+    g = _group(degrees)
+    spec = spec_of_degrees(degrees)
+    table = g.class_table
+    assert sum(table.sizes) == g.order
+    for n in all_normal_subgroups(g):
+        m = table.mask_of(n)
+        assert table.order(m) == len(n)
+        assert table.profile(m, spec) == extract_profile(g, n)
+
+
+@pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
+def test_the_order_check_singles_out_the_product_on_every_pair(degrees):
+    # Among all normal masks, the ones holding N1 and N2 with
+    # |M| |N1 meet N2| = |N1| |N2| are exactly the product N1 N2; and it is
+    # the enumerated join.
+    _, lat, table, at = _oracle_at(degrees)
+    orders = [table.order(m) for m in at]
+    by_order = {}
+    for m, o in zip(at, orders):
+        by_order.setdefault(o, []).append(m)
+    for a, (ma, oa) in enumerate(zip(at, orders)):
+        for b in range(a, len(at)):
+            mb = at[b]
+            size, rest = divmod(oa * orders[b], table.order(ma & mb))
+            assert rest == 0
+            passing = [m for m in by_order.get(size, []) if not (ma | mb) & ~m]
+            assert passing == [_reference_class_join(table, ma, mb)]
+            assert at[lat.join_idx(a, b)] == passing[0]
+
+
+@pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
+def test_oracle_down_sets_equal_down_masks(degrees):
+    _, lat, table, at = _oracle_at(degrees)
+    down = _down_sets(at, len(table.prod))
+    assert down == list(lat.down_masks) == _reference_down_sets(at)
+
+
+@pytest.mark.parametrize("degrees", sorted(LEMMA_GROUP_DEGREES.values()) + [(3, 4)], ids=_name)
+def test_poset_down_sets_match_the_pairwise_loop(degrees):
+    g = ConcreteGroup(degrees)
+    normals = all_normal_subgroups(g)
+    masks = [g.class_table.mask_of(n) for n in normals]
+    assert normal_subgroup_poset(g, normals).down == tuple(_reference_down_sets(masks))
+
+
+def test_differential_validate_builds_no_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("element built")
+
+    monkeypatch.setattr(ConcreteGroup, "__init__", refuse)
+    monkeypatch.setattr(ConcreteSubgroup, "__init__", refuse)
+    monkeypatch.setattr(ClassTable, "classes", property(refuse))
+    monkeypatch.setattr(ClassTable, "class_of", property(refuse))
+    monkeypatch.setattr(perm_oracle, "extract_profile", refuse)
+    report = differential_validate(parse_spec("S3^4"))
+    assert (report.group_order, report.oracle_count, report.pairs_checked) == (1296, 170, 14535)
+
+
+@pytest.mark.parametrize(
+    "spec, max_order, max_slots",
+    [("S3^5", 7776, 4), ("S3^3", 100, 8), ("S5^2", 5000, 1)],
+)
+def test_bounds_are_checked_before_the_class_table(spec, max_order, max_slots, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
+    with pytest.raises(TooLarge):
+        differential_validate(parse_spec(spec), max_order=max_order, max_slots=max_slots)
+
+
+@pytest.mark.parametrize("check", ["join", "meet", "leq"])
+@pytest.mark.parametrize("text", ["S3^2", "S4*S3"])
+def test_a_corrupted_lattice_is_caught_by_its_check(check, text, corrupt_lattice):
+    spec = parse_spec(text)
+    lat = corrupt_lattice(enumerate_lattice(spec), check)
+    with pytest.raises(OracleMismatch, match=f"{check} disagrees"):
+        differential_validate(spec, lattice=lat)
