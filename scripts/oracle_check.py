@@ -14,7 +14,6 @@ import argparse
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial
 
 from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.perm_oracle import DEFAULT_MAX_ORDER, differential_validate
@@ -42,12 +41,9 @@ def main() -> None:
     start = time.perf_counter()
     for t in range(1, config.max_slots + 1):
         for combo in combinations_with_replacement(config.degrees, t):
-            order = 1
-            for d in combo:
-                order *= factorial(d)
-            if order > config.max_order:
-                continue
             spec = spec_of_degrees(combo)
+            if spec.group_order > config.max_order:
+                continue
             t0 = time.perf_counter()
             report = differential_validate(spec, max_order=config.max_order)
             secs = time.perf_counter() - t0

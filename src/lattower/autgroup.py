@@ -39,11 +39,11 @@ from .lattice_core import (
     element_from_profile,
     enumerate_lattice,
 )
-from .stabiliser import Perm, StabiliserChain, schreier_sims
+from .stabiliser import Perm, StabiliserChain, _inverse, schreier_sims
 
 __all__ = [
     "DEFAULT_MAX_LATTICE",
-    "SlotPermutation",
+    "cycle_notation",
     "complemented_elements",
     "factor_atoms",
     "tau_sigma",
@@ -62,50 +62,28 @@ __all__ = [
 DEFAULT_MAX_LATTICE = 10_000
 
 
-@dataclass(frozen=True)
-class SlotPermutation:
-    """A permutation of slot indices; mapping[s] is the image of slot s."""
+def cycle_notation(perm: Perm, labels: tuple[str, ...] | None = None) -> str:
+    """A slot permutation in cycle notation, fixed slots left out.
 
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise LatTowerError(f"not a permutation: {self.mapping}")
-
-    @classmethod
-    def identity(cls, n: int) -> "SlotPermutation":
-        return cls(tuple(range(n)))
-
-    def __call__(self, s: int) -> int:
-        return self.mapping[s]
-
-    def compose(self, other: "SlotPermutation") -> "SlotPermutation":
-        """self after other: (self.compose(other))(s) = self(other(s))."""
-        return SlotPermutation(tuple(self.mapping[other.mapping[s]] for s in range(len(self.mapping))))
-
-    def inverse(self) -> "SlotPermutation":
-        inv = [0] * len(self.mapping)
-        for s, t in enumerate(self.mapping):
-            inv[t] = s
-        return SlotPermutation(tuple(inv))
-
-    def cycle_notation(self, labels: tuple[str, ...] | None = None) -> str:
-        name = (lambda s: labels[s]) if labels else str
-        seen = set()
-        cycles = []
-        for s in range(len(self.mapping)):
-            if s in seen or self.mapping[s] == s:
-                seen.add(s)
-                continue
-            cyc = [s]
+    Slot permutations, like automorphisms, are ``stabiliser.Perm`` tuples:
+    perm[s] is the image of slot s.
+    """
+    name = (lambda s: labels[s]) if labels else str
+    seen = set()
+    cycles = []
+    for s in range(len(perm)):
+        if s in seen or perm[s] == s:
             seen.add(s)
-            t = self.mapping[s]
-            while t != s:
-                cyc.append(t)
-                seen.add(t)
-                t = self.mapping[t]
-            cycles.append("(" + " ".join(name(x) for x in cyc) + ")")
-        return "".join(cycles) if cycles else "()"
+            continue
+        cyc = [s]
+        seen.add(s)
+        t = perm[s]
+        while t != s:
+            cyc.append(t)
+            seen.add(t)
+            t = perm[t]
+        cycles.append("(" + " ".join(name(x) for x in cyc) + ")")
+    return "".join(cycles) if cycles else "()"
 
 
 def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
@@ -167,21 +145,21 @@ def factor_atoms(lat: Lattice) -> list[int]:
     return [by_slot[s] for s in range(lat.spec.num_slots)]
 
 
-def _check_class_preserving(spec: TowerGroupSpec, sigma: SlotPermutation) -> None:
-    if len(sigma.mapping) != spec.num_slots:
-        raise LatTowerError(
-            f"permutation of {len(sigma.mapping)} slots on a {spec.num_slots}-slot group"
-        )
-    for s in range(spec.num_slots):
-        if spec.slots[s].slot_class != spec.slots[sigma(s)].slot_class:
+def _check_class_preserving(spec: TowerGroupSpec, sigma: Perm) -> None:
+    if sorted(sigma) != list(range(len(sigma))):
+        raise LatTowerError(f"not a permutation: {sigma}")
+    if len(sigma) != spec.num_slots:
+        raise LatTowerError(f"permutation of {len(sigma)} slots on a {spec.num_slots}-slot group")
+    for s, t in enumerate(sigma):
+        if spec.slots[s].slot_class != spec.slots[t].slot_class:
             raise ClassViolation(
-                f"slot {s} (degree {spec.slots[s].degree}) maps to slot {sigma(s)} "
-                f"(degree {spec.slots[sigma(s)].degree})"
+                f"slot {s} (degree {spec.slots[s].degree}) maps to slot {t} "
+                f"(degree {spec.slots[t].degree})"
             )
 
 
 def _profile_relabelling(
-    spec: TowerGroupSpec, sigma: SlotPermutation
+    spec: TowerGroupSpec, sigma: Perm
 ) -> Callable[[Profile], tuple[int, tuple[int, ...]]]:
     """The relabelling of profiles along sigma, a permutation of coordinates.
 
@@ -193,13 +171,12 @@ def _profile_relabelling(
     basis, built without a Profile or a validated subspace.
     """
     _check_class_preserving(spec, sigma)
-    image = sigma.mapping
-    pack = _eff_packer(image)
+    pack = _eff_packer(sigma)
     # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
     moved = [0] * (1 << spec.num_slots)
     for v in range(1, len(moved)):
         low = v & -v
-        moved[v] = moved[v ^ low] | 1 << image[low.bit_length() - 1]
+        moved[v] = moved[v ^ low] | 1 << sigma[low.bit_length() - 1]
 
     def relabel(p: Profile) -> tuple[int, tuple[int, ...]]:
         return pack(p.eff), _reduce(map(moved.__getitem__, p.signs.basis))
@@ -207,14 +184,14 @@ def _profile_relabelling(
     return relabel
 
 
-def tau_sigma(sigma: SlotPermutation, e: LatticeElement) -> LatticeElement:
+def tau_sigma(sigma: Perm, e: LatticeElement) -> LatticeElement:
     """Relabel a normal subgroup along a class-preserving slot permutation."""
     _, basis = _profile_relabelling(e.spec, sigma)(e.profile)
-    eff = tuple(map(e.profile.eff.__getitem__, sigma.inverse().mapping))
+    eff = tuple(map(e.profile.eff.__getitem__, _inverse(sigma)))
     return element_from_profile(Profile(e.spec, eff, Subspace(e.spec.num_slots, basis)))
 
 
-def tau_on_lattice(sigma: SlotPermutation, lat: Lattice) -> Perm:
+def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     """The induced permutation of element indices."""
     relabel = _profile_relabelling(lat.spec, sigma)
     index = lat._profile_index
@@ -453,14 +430,12 @@ def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, 
     return extend
 
 
-def induced_permutation(phi: Perm, lat: Lattice) -> SlotPermutation:
+def induced_permutation(phi: Perm, lat: Lattice) -> Perm:
     """Read the slot permutation off an automorphism via the factor atoms."""
     return _induced_by_atoms(phi, factor_atoms(lat), lat.spec)
 
 
-def _induced_by_atoms(
-    phi: Perm, atoms: list[int], spec: TowerGroupSpec
-) -> SlotPermutation:
+def _induced_by_atoms(phi: Perm, atoms: list[int], spec: TowerGroupSpec) -> Perm:
     slot_of_atom = {atom: s for s, atom in enumerate(atoms)}
     mapping = [0] * spec.num_slots
     for s, atom in enumerate(atoms):
@@ -468,7 +443,7 @@ def _induced_by_atoms(
         if image not in slot_of_atom:
             raise ClassViolation(f"automorphism sends factor atom {atom} to non-atom {image}")
         mapping[s] = slot_of_atom[image]
-    sigma = SlotPermutation(tuple(mapping))
+    sigma = tuple(mapping)
     _check_class_preserving(spec, sigma)
     return sigma
 
@@ -516,16 +491,16 @@ def _class_permutations(spec: TowerGroupSpec):
                 mapping[src] = dst
             for src, dst in zip(b_slots, pb):
                 mapping[src] = dst
-            yield SlotPermutation(tuple(mapping))
+            yield tuple(mapping)
 
 
-def _adjacent_transpositions(spec: TowerGroupSpec) -> list[SlotPermutation]:
+def _adjacent_transpositions(spec: TowerGroupSpec) -> list[Perm]:
     gens = []
     for slots in (spec.a_slots(), spec.b_slots()):
         for s, t in zip(slots, slots[1:]):
             mapping = list(range(spec.num_slots))
             mapping[s], mapping[t] = t, s
-            gens.append(SlotPermutation(tuple(mapping)))
+            gens.append(tuple(mapping))
     return gens
 
 
@@ -571,5 +546,5 @@ def verify_product_formula(
         brute_force_order=chain.order,
         constructive_order=constructive,
         match=match,
-        generators=tuple(sigma.cycle_notation(labels) for sigma in sigmas),
+        generators=tuple(cycle_notation(sigma, labels) for sigma in sigmas),
     )

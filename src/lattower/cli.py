@@ -209,7 +209,7 @@ def cmd_hasse(args) -> int:
         group = ConcreteGroup(degrees, max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
-        _emit(_dot((len(n) for n in normals), poset.covers), args.out)
+        _emit(_dot(map(group.class_table.order, normals), poset.covers), args.out)
         return 0
     spec = parse_spec(args.spec)
     lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)

@@ -3,15 +3,14 @@
 Everything here works with permutations, products and conjugation, never
 with triples or profiles, so it can referee the enumeration.  A normal
 subgroup is a union of conjugacy classes, held as an int mask over the
-classes (Hulpke, "Computing normal subgroups", ISSAC 1998).  In a direct
-product of symmetric factors a class is a product of factor classes, so the
-ClassTable (class sizes, sign patterns, and the classes each product C_i C_j
-meets) is assembled from per-factor tables, and differential validation
-builds no element of the whole group.  Normal subgroups are the normal
-closures of the classes closed under joins.  The element route, a
-ConcreteGroup with mixed-radix element ids (degree 2 allowed, for the small
-groups C2, C2^2 and C2 x Sm) and subgroups as id lists, serves the small
-groups and the tests.
+classes (Hulpke, "Computing normal subgroups", ISSAC 1998), and that mask is
+its only representation.  In a direct product of symmetric factors a class
+is a product of factor classes, so the ClassTable (class sizes, sign
+patterns, and the classes each product C_i C_j meets) is assembled from
+per-factor tables, and no element of the whole group is built.  Normal
+subgroups are the normal closures of the classes closed under joins.  A
+ConcreteGroup (degree 2 allowed, for the small groups C2, C2^2 and C2 x Sm)
+is just the degrees under the order bound, with their class table.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
+from .errors import LatTowerError, OracleMismatch, TooLarge
 from .gf2 import span
-from .group_spec import ChainPosition, TowerGroupSpec, format_spec, spec_of_degrees
+from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
@@ -34,17 +33,15 @@ from .lattice_core import (
     _check_slots,
     enumerate_lattice,
 )
+from .stabiliser import _compose, _inverse
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
     "ConcreteGroup",
-    "ConcreteSubgroup",
     "ClassTable",
     "concrete_group",
-    "normal_closure",
     "all_normal_subgroups",
     "normal_subgroup_poset",
-    "extract_profile",
     "OracleReport",
     "differential_validate",
     "lemma_lattices",
@@ -67,22 +64,12 @@ class _FactorTable:
     def __init__(self, degree: int):
         self.degree = degree
         self.perms = tuple(iter_permutations(range(degree)))
-        index = {p: i for i, p in enumerate(self.perms)}
-        self.index = index
-        n = len(self.perms)
-        self.mul = [
-            [index[tuple(p[q[x]] for x in range(degree))] for q in self.perms]
-            for p in self.perms
-        ]
-        self.inv = [0] * n
-        for i, p in enumerate(self.perms):
-            invp = [0] * degree
-            for x, y in enumerate(p):
-                invp[y] = x
-            self.inv[i] = index[tuple(invp)]
+        self.index = index = {p: i for i, p in enumerate(self.perms)}
+        self.mul = mul = [[index[_compose(p, q)] for q in self.perms] for p in self.perms]
+        self.inv = inv = [index[_inverse(p)] for p in self.perms]
         pairs = list(combinations(range(degree), 2))
         self.sign_bit = [sum(p[x] > p[y] for x, y in pairs) & 1 for p in self.perms]
-        mul, inv = self.mul, self.inv
+        n = len(self.perms)
         self.class_of = [-1] * n
         self.classes: list[tuple[int, ...]] = []
         for x in range(n):
@@ -99,7 +86,7 @@ class _FactorTable:
             self.prod.append(row)
 
     def position_ids(self, pos: ChainPosition) -> frozenset[int]:
-        """Element ids of one chain subgroup; V only exists at degree 4."""
+        """Indices of the permutations in one chain subgroup; V only at degree 4."""
         if pos is ChainPosition.TRIV:
             return frozenset({self.index[tuple(range(self.degree))]})
         if pos is ChainPosition.V:
@@ -127,73 +114,17 @@ def _factor_table(degree: int) -> _FactorTable:
 
 
 class ConcreteGroup:
-    """A product of symmetric factors with global mixed-radix element ids.
+    """A product of symmetric factors of degree at least 2, within the order bound.
 
-    Factor j has degree degrees[j]; the id of an element is the ranking of
-    its per-factor permutation indices, most significant factor first.  The
-    identity always gets id 0.
+    Factor j has degree degrees[j].  Its normal subgroups are read off the
+    class table, so no element of the group is built.
     """
 
     def __init__(self, degrees: Sequence[int], max_order: int = DEFAULT_MAX_ORDER):
         if not all(d >= 2 for d in degrees):
             raise LatTowerError(f"factor degrees must be at least 2, got {degrees}")
         self.degrees = tuple(degrees)
-        self.order = order = _group_order(self.degrees, max_order)
-        self.tables = [_factor_table(d) for d in self.degrees]
-        sizes = [factorial(d) for d in self.degrees]
-        places = []
-        acc = 1
-        for size in reversed(sizes):
-            places.append(acc)
-            acc *= size
-        self.places = tuple(reversed(places))
-        self.components: list[tuple[int, ...]] = []
-        for g in range(order):
-            rest = g
-            comp = []
-            for place, size in zip(self.places, sizes):
-                comp.append(rest // place)
-                rest %= place
-            self.components.append(tuple(comp))
-        self.inverses = [
-            self.from_components(tuple(t.inv[c] for t, c in zip(self.tables, comp)))
-            for comp in self.components
-        ]
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def from_components(self, comp: Sequence[int]) -> int:
-        return sum(c * p for c, p in zip(comp, self.places))
-
-    def product(self, a: int, b: int) -> int:
-        ca, cb = self.components[a], self.components[b]
-        return self.from_components(
-            tuple(t.mul[x][y] for t, x, y in zip(self.tables, ca, cb))
-        )
-
-    def inverse(self, a: int) -> int:
-        return self.inverses[a]
-
-    def conjugate(self, a: int, by: int) -> int:
-        return self.product(self.product(by, a), self.inverses[by])
-
-    def embed(self, factor: int, perm_index: int) -> int:
-        comp = [0] * len(self.degrees)
-        comp[factor] = perm_index
-        return self.from_components(comp)
-
-    @cached_property
-    def _sign_bits(self) -> list[int]:
-        return [
-            sum(t.sign_bit[c] << j for j, (t, c) in enumerate(zip(self.tables, comp)))
-            for comp in self.components
-        ]
-
-    def sign_bits(self, a: int) -> int:
-        """Bit j set when the component in factor j is odd."""
-        return self._sign_bits[a]
+        self.order = _group_order(self.degrees, max_order)
 
     @cached_property
     def class_table(self) -> "ClassTable":
@@ -213,23 +144,6 @@ def _group_order(degrees: Sequence[int], max_order: int) -> int:
 def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
     """Build the concrete group of a tower spec, factor j = slot j."""
     return ConcreteGroup(spec.degrees, max_order=max_order)
-
-
-@dataclass(frozen=True)
-class ConcreteSubgroup:
-    """A subgroup as a sorted tuple of element ids."""
-
-    ids: tuple[int, ...]
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[int]) -> "ConcreteSubgroup":
-        return cls(tuple(sorted(set(ids))))
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def id_set(self) -> frozenset[int]:
-        return frozenset(self.ids)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -258,9 +172,7 @@ class ClassTable:
     is c.  ``prod[i][j]`` is the mask of the classes met by x * C_j for any
     x in C_i; conjugation moves x within C_i and keeps those classes, so
     this is the support of C_i C_j, the product of the factor supports.
-    For the element route, ``classes`` lists each class by ConcreteGroup
-    element ids and ``class_of`` inverts it, both built on first use; class
-    0 is {identity} and the others come by smallest element id.
+    Class 0 is {identity}.
     """
 
     def __init__(self, degrees: Sequence[int]):
@@ -290,41 +202,6 @@ class ClassTable:
             for fibre, c in zip(self.fibres, digit):
                 fibre[c] |= 1 << i
         self.sizes, self.signs, self.prod = sizes, signs, prod
-
-    @cached_property
-    def classes(self) -> list[tuple[int, ...]]:
-        classes = [(0,)]
-        size = 1
-        for t in reversed(self.tables):
-            classes = [
-                tuple(x * size + g for x in head for g in tail)
-                for head in t.classes
-                for tail in classes
-            ]
-            size *= len(t.perms)
-        return classes
-
-    @cached_property
-    def class_of(self) -> list[int]:
-        class_of = [0]
-        width = 1
-        for t in reversed(self.tables):
-            class_of = [c * width + rest for c in t.class_of for rest in class_of]
-            width *= len(t.classes)
-        return class_of
-
-    def mask_of(self, sub: ConcreteSubgroup) -> int:
-        """The classes an element set meets; exact for a union of classes."""
-        class_of = self.class_of
-        mask = 0
-        for g in sub.ids:
-            mask |= 1 << class_of[g]
-        return mask
-
-    def subgroup(self, mask: int) -> ConcreteSubgroup:
-        return ConcreteSubgroup(
-            tuple(sorted(g for i in _bits(mask) for g in self.classes[i]))
-        )
 
     def order(self, mask: int) -> int:
         sizes = self.sizes
@@ -361,12 +238,6 @@ class ClassTable:
             fresh = grown & ~mask
             mask = grown
         return mask
-
-
-def normal_closure(group: ConcreteGroup, g: int) -> ConcreteSubgroup:
-    """Smallest normal subgroup containing g: the closure of its class."""
-    table = group.class_table
-    return table.subgroup(table.closure(table.class_of[g]))
 
 
 def _normal_masks(table: ClassTable) -> set[int]:
@@ -406,13 +277,15 @@ def _normal_masks(table: ClassTable) -> set[int]:
     return found
 
 
-def all_normal_subgroups(group: ConcreteGroup) -> list[ConcreteSubgroup]:
-    """Every normal subgroup as an id list, sorted by (order, ids).
+def all_normal_subgroups(group: ConcreteGroup) -> list[int]:
+    """Every normal subgroup as a class mask, sorted by order, then classes.
 
-    The trivial subgroup comes first and the whole group last.
+    The trivial subgroup comes first and the whole group last.  Classes are
+    numbered by their smallest element, so this is the order of the sorted
+    element lists by (length, elements).
     """
     table = group.class_table
-    return sorted((table.subgroup(m) for m in _normal_masks(table)), key=lambda s: (len(s), s.ids))
+    return sorted(_normal_masks(table), key=lambda m: (table.order(m), tuple(_bits(m))))
 
 
 def _down_sets(masks: Sequence[int], width: int) -> list[int]:
@@ -438,46 +311,12 @@ def _down_sets(masks: Sequence[int], width: int) -> list[int]:
 
 
 def normal_subgroup_poset(
-    group: ConcreteGroup, normals: list[ConcreteSubgroup] | None = None
+    group: ConcreteGroup, normals: list[int] | None = None
 ) -> AbstractLattice:
-    """The subgroup-inclusion order as a bare lattice, read off class masks."""
+    """The subgroup-inclusion order of the class masks as a bare lattice."""
     if normals is None:
         normals = all_normal_subgroups(group)
-    table = group.class_table
-    return AbstractLattice(_down_sets([table.mask_of(n) for n in normals], len(table.prod)))
-
-
-def extract_profile(group: ConcreteGroup, sub: ConcreteSubgroup) -> Profile:
-    """Read the profile of a normal subgroup off its raw element set.
-
-    The effective component per slot is the projection, identified among the
-    chain subgroups; the sign subspace is spanned by the sign patterns of all
-    elements.  Factors of degree 2 have no tower profile, hence NotTowerGroup.
-    """
-    if any(d < 3 for d in group.degrees):
-        raise NotTowerGroup(f"degrees {group.degrees} include a factor below S3")
-    if any(a > b for a, b in zip(group.degrees, group.degrees[1:])):
-        raise NotTowerGroup(f"degrees {group.degrees} not in canonical slot order")
-    spec = _spec_of_degrees(group.degrees)
-    eff = []
-    for j, table in enumerate(group.tables):
-        proj = {group.components[g][j] for g in sub.ids}
-        for pos in (ChainPosition.TRIV, ChainPosition.V, ChainPosition.ALT, ChainPosition.FULL):
-            if pos is ChainPosition.V and table.degree != 4:
-                continue
-            if proj == table.position_ids(pos):
-                eff.append(pos)
-                break
-        else:
-            raise OracleMismatch(
-                f"projection of size {len(proj)} at factor {j} is no chain subgroup"
-            )
-    signs = span(len(group.degrees), {group.sign_bits(g) for g in sub.ids})
-    return Profile(spec, tuple(eff), signs)
-
-
-# extract_profile runs once per normal subgroup, always on the same degrees
-_spec_of_degrees = lru_cache(maxsize=None)(spec_of_degrees)
+    return AbstractLattice(_down_sets(normals, len(group.class_table.prod)))
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,25 @@
 from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 
 import lattower.perm_oracle as perm_oracle
 from lattower.errors import LatTowerError, NotTowerGroup, OracleMismatch, TooLarge
+from lattower.gf2 import span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec, spec_of_degrees
-from lattower.lattice_core import enumerate_lattice
+from lattower.lattice_core import Profile, enumerate_lattice
 from lattower.perm_oracle import (
     ClassTable,
     ConcreteGroup,
-    ConcreteSubgroup,
     LEMMA_GROUP_DEGREES,
+    _bits,
     _down_sets,
     _normal_masks,
     all_normal_subgroups,
     concrete_group,
     differential_validate,
-    extract_profile,
     lemma_lattices,
-    normal_closure,
     normal_subgroup_poset,
 )
 
@@ -62,6 +62,140 @@ class _ReferencePerm:
         return -1 if transpositions % 2 else 1
 
 
+class _ReferenceGroup(ConcreteGroup):
+    """The element model the class masks replaced, kept as their referee.
+
+    The id of an element is the mixed-radix ranking of its per-factor
+    permutation indices, most significant factor first, so the identity gets
+    id 0.  ``classes`` lists each conjugacy class by element ids, in the
+    numbering of the class table, and ``class_of`` inverts it.
+    """
+
+    def __init__(self, degrees, max_order=perm_oracle.DEFAULT_MAX_ORDER):
+        super().__init__(degrees, max_order)
+        self.tables = [perm_oracle._factor_table(d) for d in self.degrees]
+        sizes = [len(t.perms) for t in self.tables]
+        places = []
+        acc = 1
+        for size in reversed(sizes):
+            places.append(acc)
+            acc *= size
+        self.places = tuple(reversed(places))
+        self.components = []
+        for g in range(self.order):
+            rest = g
+            comp = []
+            for place in self.places:
+                comp.append(rest // place)
+                rest %= place
+            self.components.append(tuple(comp))
+        self.inverses = [
+            self.from_components(tuple(t.inv[c] for t, c in zip(self.tables, comp)))
+            for comp in self.components
+        ]
+
+    identity = 0
+
+    def from_components(self, comp):
+        return sum(c * p for c, p in zip(comp, self.places))
+
+    def product(self, a, b):
+        ca, cb = self.components[a], self.components[b]
+        return self.from_components(tuple(t.mul[x][y] for t, x, y in zip(self.tables, ca, cb)))
+
+    def inverse(self, a):
+        return self.inverses[a]
+
+    def conjugate(self, a, by):
+        return self.product(self.product(by, a), self.inverses[by])
+
+    def embed(self, factor, perm_index):
+        comp = [0] * len(self.degrees)
+        comp[factor] = perm_index
+        return self.from_components(comp)
+
+    def sign_bits(self, a):
+        """Bit j set when the component in factor j is odd."""
+        comp = self.components[a]
+        return sum(t.sign_bit[c] << j for j, (t, c) in enumerate(zip(self.tables, comp)))
+
+    @cached_property
+    def classes(self):
+        classes = [(0,)]
+        size = 1
+        for t in reversed(self.tables):
+            classes = [
+                tuple(x * size + g for x in head for g in tail)
+                for head in t.classes
+                for tail in classes
+            ]
+            size *= len(t.perms)
+        return classes
+
+    @cached_property
+    def class_of(self):
+        class_of = [0]
+        width = 1
+        for t in reversed(self.tables):
+            class_of = [c * width + rest for c in t.class_of for rest in class_of]
+            width *= len(t.classes)
+        return class_of
+
+    def mask_of(self, sub):
+        """The classes an element set meets; exact for a union of classes."""
+        mask = 0
+        for g in sub.ids:
+            mask |= 1 << self.class_of[g]
+        return mask
+
+    def subgroup(self, mask):
+        return _ReferenceSubgroup(tuple(sorted(g for i in _bits(mask) for g in self.classes[i])))
+
+
+@dataclass(frozen=True)
+class _ReferenceSubgroup:
+    """A subgroup as a sorted tuple of element ids."""
+
+    ids: tuple
+
+    @classmethod
+    def from_ids(cls, ids):
+        return cls(tuple(sorted(set(ids))))
+
+    def __len__(self):
+        return len(self.ids)
+
+    def id_set(self):
+        return frozenset(self.ids)
+
+
+def _reference_extract_profile(group, sub):
+    """Read the profile of a normal subgroup off its raw element set.
+
+    The effective component per slot is the projection, identified among the
+    chain subgroups; the sign subspace is spanned by the sign patterns of all
+    elements.  Factors of degree 2 have no tower profile, hence NotTowerGroup.
+    """
+    if any(d < 3 for d in group.degrees):
+        raise NotTowerGroup(f"degrees {group.degrees} include a factor below S3")
+    if any(a > b for a, b in zip(group.degrees, group.degrees[1:])):
+        raise NotTowerGroup(f"degrees {group.degrees} not in canonical slot order")
+    spec = spec_of_degrees(group.degrees)
+    eff = []
+    for j, table in enumerate(group.tables):
+        proj = {group.components[g][j] for g in sub.ids}
+        for pos in (CP.TRIV, CP.V, CP.ALT, CP.FULL):
+            if pos is CP.V and table.degree != 4:
+                continue
+            if proj == table.position_ids(pos):
+                eff.append(pos)
+                break
+        else:
+            raise OracleMismatch(f"projection of size {len(proj)} at factor {j} is no chain")
+    signs = span(len(group.degrees), {group.sign_bits(g) for g in sub.ids})
+    return Profile(spec, tuple(eff), signs)
+
+
 def _reference_element_perms(group, a):
     return tuple(_ReferencePerm(t.perms[c]) for t, c in zip(group.tables, group.components[a]))
 
@@ -88,12 +222,12 @@ def _reference_block_projection(group, sub, factors):
     for g in sub.ids:
         comp = [c if j in factors else 0 for j, c in enumerate(group.components[g])]
         out.add(group.from_components(comp))
-    return ConcreteSubgroup.from_ids(out)
+    return _ReferenceSubgroup.from_ids(out)
 
 
 def _reference_block_intersection(group, sub, factors):
     """Elements of the subgroup supported entirely on the given factors."""
-    return ConcreteSubgroup.from_ids(
+    return _ReferenceSubgroup.from_ids(
         g
         for g in sub.ids
         if all(c == 0 for j, c in enumerate(group.components[g]) if j not in factors)
@@ -150,7 +284,7 @@ def _reference_normal_closure(group, g):
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return ConcreteSubgroup.from_ids(seen)
+    return _ReferenceSubgroup.from_ids(seen)
 
 
 def _reference_join(group, a, b):
@@ -161,7 +295,7 @@ def _reference_join(group, a, b):
         if r in result:
             continue
         result.update(group.product(r, m) for m in large.ids)
-    return ConcreteSubgroup.from_ids(result)
+    return _ReferenceSubgroup.from_ids(result)
 
 
 def _reference_normal_subgroups(group):
@@ -238,7 +372,7 @@ def test_perm_basics():
 
 
 def test_group_layout():
-    g = ConcreteGroup((3, 3))
+    g = _ReferenceGroup((3, 3))
     assert g.order == 36
     assert g.identity == 0
     assert g.components[0] == (0, 0)
@@ -248,7 +382,7 @@ def test_group_layout():
 
 
 def test_group_product_matches_perm_product(rng):
-    g = ConcreteGroup((3, 4))
+    g = _ReferenceGroup((3, 4))
     for _ in range(80):
         a, b = rng.randrange(g.order), rng.randrange(g.order)
         ab = g.product(a, b)
@@ -263,7 +397,7 @@ def test_group_order_bound():
 
 
 def test_sign_bits():
-    g = ConcreteGroup((3, 3))
+    g = _ReferenceGroup((3, 3))
     t = g.tables[0].index[(1, 0, 2)]
     odd_left = g.embed(0, t)
     odd_both = g.product(odd_left, g.embed(1, t))
@@ -272,51 +406,58 @@ def test_sign_bits():
     assert g.sign_bits(odd_both) == 0b11
 
 
+def _class_closure(group, g):
+    """The normal closure of g through the class table's closure of its class."""
+    closure = group.subgroup(group.class_table.closure(group.class_of[g]))
+    assert closure == _reference_normal_closure(group, g)
+    return closure
+
+
 def test_normal_closures_in_s3():
-    g = ConcreteGroup((3,))
+    g = _ReferenceGroup((3,))
     transposition = g.tables[0].index[(1, 0, 2)]
     three_cycle = g.tables[0].index[(1, 2, 0)]
-    assert len(normal_closure(g, transposition)) == 6
-    assert len(normal_closure(g, three_cycle)) == 3
+    assert len(_class_closure(g, transposition)) == 6
+    assert len(_class_closure(g, three_cycle)) == 3
 
 
 def test_normal_closure_of_double_transposition_is_v():
-    g = ConcreteGroup((4,))
+    g = _ReferenceGroup((4,))
     double = g.tables[0].index[(1, 0, 3, 2)]
-    v = normal_closure(g, double)
+    v = _class_closure(g, double)
     assert len(v) == 4
     assert v.id_set() == g.tables[0].position_ids(CP.V)
 
 
 def test_is_normal():
-    g = ConcreteGroup((3,))
-    alt = ConcreteSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
+    g = _ReferenceGroup((3,))
+    alt = _ReferenceSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
     assert _reference_is_normal(g, alt)
     transposition = g.tables[0].index[(1, 0, 2)]
-    two = ConcreteSubgroup.from_ids({g.identity, transposition})
+    two = _ReferenceSubgroup.from_ids({g.identity, transposition})
     assert not _reference_is_normal(g, two)
 
 
 def test_subgroup_join():
-    g = ConcreteGroup((3,))
-    alt = ConcreteSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
+    g = _ReferenceGroup((3,))
+    alt = _ReferenceSubgroup.from_ids(g.tables[0].position_ids(CP.ALT))
     transposition = g.tables[0].index[(1, 0, 2)]
-    whole = _reference_join(g, alt, normal_closure(g, transposition))
+    whole = _reference_join(g, alt, _class_closure(g, transposition))
     assert len(whole) == 6
     assert _reference_is_normal(g, whole)
-    table = g.class_table
-    joined = _reference_class_join(table, table.mask_of(alt), table.mask_of(whole))
-    assert table.subgroup(joined) == whole
+    joined = _reference_class_join(g.class_table, g.mask_of(alt), g.mask_of(whole))
+    assert g.subgroup(joined) == whole
 
 
 def test_class_table_of_s4():
-    g = ConcreteGroup((4,))
+    g = _ReferenceGroup((4,))
     table = g.class_table
     # identity, transpositions, double transpositions, 3-cycles, 4-cycles
-    assert table.classes[0] == (g.identity,)
-    assert sorted(len(c) for c in table.classes) == [1, 3, 6, 6, 8]
-    assert all(table.class_of[x] == i for i, c in enumerate(table.classes) for x in c)
-    assert [c[0] for c in table.classes] == sorted(c[0] for c in table.classes)
+    assert g.classes[0] == (g.identity,)
+    assert table.sizes == [len(c) for c in g.classes]
+    assert sorted(table.sizes) == [1, 3, 6, 6, 8]
+    assert all(g.class_of[x] == i for i, c in enumerate(g.classes) for x in c)
+    assert [c[0] for c in g.classes] == sorted(c[0] for c in g.classes)
     assert g.class_table is table
 
 
@@ -338,11 +479,12 @@ NORMAL_COUNTS = {
 
 @pytest.mark.parametrize("degrees, count", sorted(NORMAL_COUNTS.items()))
 def test_normal_subgroup_counts(degrees, count):
-    normals = all_normal_subgroups(ConcreteGroup(degrees))
+    g = _ReferenceGroup(degrees)
+    normals = all_normal_subgroups(g)
     assert len(normals) == count
-    assert len(normals[0]) == 1
-    assert len(normals[-1]) == ConcreteGroup(degrees).order
-    assert all(_reference_is_normal(ConcreteGroup(degrees), n) for n in normals)
+    assert g.class_table.order(normals[0]) == 1
+    assert g.class_table.order(normals[-1]) == g.order
+    assert all(_reference_is_normal(g, g.subgroup(m)) for m in normals)
 
 
 REFEREE_DEGREES = sorted(
@@ -360,9 +502,17 @@ def _name(degrees):
     "degrees", REFEREE_DEGREES + [(3, 3, 3, 3), (3, 3, 5), (3, 4, 4)], ids=_name
 )
 def test_class_table_matches_the_whole_group_construction(degrees):
-    g = ConcreteGroup(degrees)
+    g = _ReferenceGroup(degrees)
     table = g.class_table
-    assert (table.classes, table.class_of, table.prod) == _reference_class_table(g)
+    classes, class_of, prod = _reference_class_table(g)
+    assert (g.classes, g.class_of, table.prod) == (classes, class_of, prod)
+    assert table.sizes == [len(c) for c in classes]
+    assert table.signs == [g.sign_bits(c[0]) for c in classes]
+    fibres = [[0] * len(t.classes) for t in g.tables]
+    for i, members in enumerate(classes):
+        for fibre, t, x in zip(fibres, g.tables, g.components[members[0]]):
+            fibre[t.class_of[x]] |= 1 << i
+    assert table.fibres == fibres
 
 
 @pytest.mark.parametrize(
@@ -370,17 +520,12 @@ def test_class_table_matches_the_whole_group_construction(degrees):
 )
 def test_class_count_is_the_product_of_the_partition_counts(degrees, count):
     # p(3) = 3 and p(4) = 5: 3^2 * 5^2 and 3^5
-    g = ConcreteGroup(degrees, max_order=20_736)
-    table = g.class_table
-    assert len(table.classes) == count
-    assert sorted(x for c in table.classes for x in c) == list(range(g.order))
+    g = _ReferenceGroup(degrees, max_order=20_736)
+    assert len(g.class_table.sizes) == len(g.classes) == count
+    assert sorted(x for c in g.classes for x in c) == list(range(g.order))
 
 
-def test_the_oracle_multiplies_no_element_of_the_whole_group(monkeypatch):
-    def refuse(self, a, b):
-        raise AssertionError("whole-group product")
-
-    monkeypatch.setattr(ConcreteGroup, "product", refuse)
+def test_the_oracle_multiplies_no_element_of_the_whole_group():
     report = differential_validate(parse_spec("S4*S3^2"))
     assert (report.oracle_count, report.pairs_checked) == (48, 1176)
     sizes = {name: poset.n for name, poset in lemma_lattices().items()}
@@ -389,28 +534,29 @@ def test_the_oracle_multiplies_no_element_of_the_whole_group(monkeypatch):
 
 @pytest.mark.parametrize("degrees", REFEREE_DEGREES, ids=_name)
 def test_class_masks_find_the_reference_normal_subgroups(degrees):
-    g = ConcreteGroup(degrees)
+    # the same subgroups, and in the reference (order, ids) order
+    g = _ReferenceGroup(degrees)
     normals = all_normal_subgroups(g)
-    assert [n.ids for n in normals] == [n.ids for n in _reference_normal_subgroups(g)]
-    assert all(_reference_is_normal(g, n) for n in normals)
+    assert normals == [g.mask_of(n) for n in _reference_normal_subgroups(g)]
+    assert all(_reference_is_normal(g, g.subgroup(m)) for m in normals)
 
 
 @pytest.mark.parametrize(
     "degrees", [d for d in REFEREE_DEGREES if ConcreteGroup(d).order <= 216], ids=_name
 )
 def test_class_mask_operations_match_the_sets_on_every_pair(degrees):
-    g = ConcreteGroup(degrees)
+    g = _ReferenceGroup(degrees)
     table = g.class_table
     normals = _reference_normal_subgroups(g)
     sets = [n.id_set() for n in normals]
-    masks = [table.mask_of(n) for n in normals]
+    masks = [g.mask_of(n) for n in normals]
     for n, m in zip(normals, masks):
-        assert table.subgroup(m) == n
+        assert g.subgroup(m) == n
     for a, sa, ma in zip(normals, sets, masks):
         for b, sb, mb in zip(normals, sets, masks):
             assert (not ma & ~mb) == (sa <= sb)
-            assert table.subgroup(ma & mb) == ConcreteSubgroup.from_ids(sa & sb)
-            assert table.subgroup(_reference_class_join(table, ma, mb)) == _reference_join(g, a, b)
+            assert g.subgroup(ma & mb) == _ReferenceSubgroup.from_ids(sa & sb)
+            assert g.subgroup(_reference_class_join(table, ma, mb)) == _reference_join(g, a, b)
 
 
 def test_poset_of_s4_is_a_chain():
@@ -429,8 +575,8 @@ def test_poset_of_c2_squared_is_a_diamond():
 
 def test_goursat_invariants_on_s3_x_s4():
     # for N normal in G1 x G2: |N| = |proj_1 N| * |N meet G2| = |proj_2 N| * |N meet G1|
-    g = ConcreteGroup((3, 4))
-    for n in all_normal_subgroups(g):
+    g = _ReferenceGroup((3, 4))
+    for n in map(g.subgroup, all_normal_subgroups(g)):
         a = _reference_block_projection(g, n, (0,))
         b = _reference_block_intersection(g, n, (0,))
         c = _reference_block_projection(g, n, (1,))
@@ -441,23 +587,24 @@ def test_goursat_invariants_on_s3_x_s4():
 
 def test_extract_profile_top_and_bottom():
     spec = parse_spec("S3^2")
-    g = concrete_group(spec)
-    whole = ConcreteSubgroup.from_ids(range(g.order))
-    top = extract_profile(g, whole)
+    assert concrete_group(spec).degrees == spec.degrees
+    g = _ReferenceGroup(spec.degrees)
+    whole = _ReferenceSubgroup.from_ids(range(g.order))
+    top = _reference_extract_profile(g, whole)
     assert top.eff == (CP.FULL, CP.FULL)
     assert top.signs.size == 4
-    bottom = extract_profile(g, ConcreteSubgroup.from_ids({g.identity}))
+    bottom = _reference_extract_profile(g, _ReferenceSubgroup.from_ids({g.identity}))
     assert bottom.eff == (CP.TRIV, CP.TRIV)
     assert bottom.signs.dim == 0
 
 
 def test_extract_profile_rejects_non_tower_groups():
-    g = ConcreteGroup((2, 3))
+    g = _ReferenceGroup((2, 3))
     with pytest.raises(NotTowerGroup):
-        extract_profile(g, ConcreteSubgroup.from_ids({g.identity}))
-    g = ConcreteGroup((4, 3))
+        _reference_extract_profile(g, _ReferenceSubgroup.from_ids({g.identity}))
+    g = _ReferenceGroup((4, 3))
     with pytest.raises(NotTowerGroup):
-        extract_profile(g, ConcreteSubgroup.from_ids({g.identity}))
+        _reference_extract_profile(g, _ReferenceSubgroup.from_ids({g.identity}))
 
 
 def test_lemma_lattice_sizes():
@@ -480,7 +627,7 @@ TOWER_DEGREES = [d for d in FAST_PATH_DEGREES if min(d) >= 3]
 
 
 def _group(degrees):
-    return ConcreteGroup(degrees, max_order=20_736)
+    return _ReferenceGroup(degrees, max_order=20_736)
 
 
 def _oracle_at(degrees):
@@ -497,12 +644,17 @@ def _oracle_at(degrees):
 
 @pytest.mark.parametrize("degrees", FAST_PATH_DEGREES, ids=_name)
 def test_reach_row_closure_matches_the_pairwise_join_closure(degrees):
+    table = ClassTable(degrees)
+    assert _normal_masks(table) == _reference_normal_masks(table)
+
+
+@pytest.mark.parametrize("degrees", FAST_PATH_DEGREES, ids=_name)
+def test_the_mask_order_is_the_reference_id_order(degrees):
+    # (order, classes) sorts the masks as (length, ids) sorts their element lists
     g = _group(degrees)
-    table = g.class_table
-    old = _reference_normal_masks(table)
-    assert _normal_masks(table) == old
-    by_old = sorted((table.subgroup(m) for m in old), key=lambda s: (len(s), s.ids))
-    assert [n.ids for n in all_normal_subgroups(g)] == [n.ids for n in by_old]
+    normals = all_normal_subgroups(g)
+    by_ids = sorted(map(g.subgroup, normals), key=lambda s: (len(s), s.ids))
+    assert normals == [g.mask_of(n) for n in by_ids]
 
 
 @pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
@@ -511,10 +663,11 @@ def test_class_route_profile_and_order_match_the_element_route(degrees):
     spec = spec_of_degrees(degrees)
     table = g.class_table
     assert sum(table.sizes) == g.order
-    for n in all_normal_subgroups(g):
-        m = table.mask_of(n)
+    for m in all_normal_subgroups(g):
+        n = g.subgroup(m)
+        assert g.mask_of(n) == m
         assert table.order(m) == len(n)
-        assert table.profile(m, spec) == extract_profile(g, n)
+        assert table.profile(m, spec) == _reference_extract_profile(g, n)
 
 
 @pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
@@ -546,10 +699,12 @@ def test_oracle_down_sets_equal_down_masks(degrees):
 
 @pytest.mark.parametrize("degrees", sorted(LEMMA_GROUP_DEGREES.values()) + [(3, 4)], ids=_name)
 def test_poset_down_sets_match_the_pairwise_loop(degrees):
-    g = ConcreteGroup(degrees)
+    g = _ReferenceGroup(degrees)
     normals = all_normal_subgroups(g)
-    masks = [g.class_table.mask_of(n) for n in normals]
-    assert normal_subgroup_poset(g, normals).down == tuple(_reference_down_sets(masks))
+    sets = [g.subgroup(m).id_set() for m in normals]
+    by_sets = [sum(1 << i for i, small in enumerate(sets) if small <= big) for big in sets]
+    down = normal_subgroup_poset(g, normals).down
+    assert down == tuple(_reference_down_sets(normals)) == tuple(by_sets)
 
 
 def test_differential_validate_builds_no_element(monkeypatch):
@@ -557,10 +712,6 @@ def test_differential_validate_builds_no_element(monkeypatch):
         raise AssertionError("element built")
 
     monkeypatch.setattr(ConcreteGroup, "__init__", refuse)
-    monkeypatch.setattr(ConcreteSubgroup, "__init__", refuse)
-    monkeypatch.setattr(ClassTable, "classes", property(refuse))
-    monkeypatch.setattr(ClassTable, "class_of", property(refuse))
-    monkeypatch.setattr(perm_oracle, "extract_profile", refuse)
     report = differential_validate(parse_spec("S3^4"))
     assert (report.group_order, report.oracle_count, report.pairs_checked) == (1296, 170, 14535)
 
