@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import (
     DegreeTooLarge,
@@ -125,7 +126,7 @@ def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
         lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
-        _emit(_json_dump(lat.to_json_dict()), args.out)
+        _emit(_lattice_json(lat), args.out)
         return 0
     c = census_of(spec, max_slots=args.max_slots)
     try:
@@ -197,6 +198,53 @@ def _dot(labels, covers) -> str:
 
 def _dot_of_lattice(lat: Lattice) -> str:
     return _dot((f"{e.family}:{e.order}" for e in lat.elements), lat.covers())
+
+
+def _lattice_json(lat: Lattice) -> str:
+    """``_json_dump(lat.to_json_dict())`` byte for byte, with no dict tree.
+
+    One f-string per element and per edge; each distinct P, H and J block once.
+    """
+    q = json.encoder.encode_basestring_ascii
+
+    def block(brackets, items):  # a value in "triple": its key at 8 spaces, its items at 10
+        inner = ",\n          ".join(items)
+        return f"{brackets[0]}\n          {inner}\n        {brackets[1]}" if items else brackets
+
+    @lru_cache(maxsize=None)
+    def p_block(positions):  # sort_keys compares the keys as strings: "10" before "2"
+        keyed = sorted((str(s), p.token) for s, p in positions)
+        return block("{}", [f"{q(s)}: {q(token)}" for s, token in keyed])
+
+    h_block = lru_cache(maxsize=None)(lambda signs: block("[]", list(map(q, signs.to_strings()))))
+    j_block = lru_cache(maxsize=None)(lambda coupled: block("[]", list(map(str, coupled))))
+
+    def array(key, items):
+        if not items:
+            return [f'  "{key}": [],']
+        items[-1] = items[-1][:-1]  # the last item drops its comma
+        return [f'  "{key}": [', *items, "  ],"]
+
+    c = lat.census
+    lines = [f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
+             f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},']
+    lines += array("elements", [
+        f'    {{\n      "family": {q(e.family)},\n      "index": {i},\n      "order": {e.order},\n'
+        f'      "triple": {{\n        "H": {h_block(e.triple.signs)},\n'
+        f'        "J": {j_block(e.triple.coupled)},\n        "P": {p_block(e.triple.positions)}\n'
+        "      }\n    },"
+        for i, e in enumerate(lat.elements)
+    ])
+    lines += array("hasse_edges", [
+        f"    [\n      {i},\n      {j}\n    ]," for i, j in lat.covers()
+    ])
+    lines += array("slots", [
+        f'    {{\n      "class": {q(s.slot_class)},\n      "copy": {s.copy},\n'
+        f'      "degree": {s.degree},\n      "index": {s.index}\n    }},'
+        for s in lat.spec.slots
+    ])
+    lines.append(f'  "spec": {q(format_spec(lat.spec))}\n}}')
+    return "\n".join(lines)
 
 
 # the small-group names, with case and whitespace ignored as in parse_spec

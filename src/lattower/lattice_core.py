@@ -35,7 +35,6 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     InvalidProfile,
-    NotMixed,
     SpecMismatch,
     TooLarge,
     UnitVectorInH,
@@ -87,7 +86,6 @@ __all__ = [
     "join",
     "enumerate_lattice",
     "census_of",
-    "decompose_mixed",
     "sub_product_element",
     "sign_parity_element",
     "bottom_element",
@@ -532,37 +530,6 @@ def top_element(spec: TowerGroupSpec) -> LatticeElement:
     return sub_product_element(spec, {s: ChainPosition.FULL for s in range(spec.num_slots)})
 
 
-def decompose_mixed(e: LatticeElement) -> tuple[LatticeElement, list[tuple[int, ...]]]:
-    """Write a mixed element as a sub-product met with sign-parity elements.
-
-    The parity index sets come from a basis of the annihilator of H, pulled
-    back to global slot indices; admissibility guarantees every basis vector
-    touches at least two slots.  The result is checked by recomputing the
-    meet.  The decomposition depends on the echelon basis chosen for the
-    annihilator and is not unique.
-    """
-    if e.family != FAMILY_MIXED:
-        raise NotMixed(f"element of family {e.family!r}")
-    t = e.triple
-    spec = t.spec
-    positions = dict(t.positions)
-    for s in t.coupled:
-        positions[s] = ChainPosition.FULL
-    envelope = sub_product_element(spec, positions)
-    parity_sets: list[tuple[int, ...]] = []
-    for row in t.signs.annihilator().basis:
-        idx = tuple(t.coupled[j] for j in range(len(t.coupled)) if (row >> j) & 1)
-        if len(idx) < 2:
-            raise LatTowerError("annihilator basis vector with support below 2")
-        parity_sets.append(idx)
-    recombined = envelope
-    for idx in parity_sets:
-        recombined = meet(recombined, sign_parity_element(spec, idx))
-    if recombined.triple != t:
-        raise LatTowerError("meet decomposition failed to recompose the element")
-    return envelope, parity_sets
-
-
 class AbstractLattice:
     """A finite lattice given purely by its order relation.
 
@@ -831,7 +798,10 @@ class Lattice:
         return self._abstract
 
     def to_json_dict(self) -> dict:
-        """Stable JSON form: spec header, census, elements, covering edges."""
+        """Stable JSON form: spec header, census, elements, covering edges.
+
+        The schema referee of ``cli._lattice_json``, and perfbench's trace input.
+        """
         return {
             "spec": format_spec(self.spec),
             "slots": [

@@ -149,16 +149,19 @@ def test_criterion_6_property_suites(lattices):
                             lat.join_idx(x, y), z
                         ), (text, x, y, z)
 
-        # rank identity h(x) + h(y) = h(x ^ y) + h(x v y) on every pair of S3^5:
-        # with gradedness, modularity again (Birkhoff, Lattice Theory)
-        lat = lattices.get("S3^5")
-        h = lat.to_abstract().heights
-        pairs = 0
-        for x in range(len(lat)):
-            for y in range(x, len(lat)):
-                assert h[x] + h[y] == h[lat.meet_idx(x, y)] + h[lat.join_idx(x, y)], (x, y)
-                pairs += 1
-        assert pairs == 432_915
+        # rank identity h(x) + h(y) = h(x ^ y) + h(x v y) on every pair of S3^5
+        # and S4^3*S3^2: with gradedness, modularity again (Birkhoff, Lattice Theory)
+        for text, expected_pairs in (("S3^5", 432_915), ("S4^3*S3^2", 1_223_830)):
+            lat = lattices.get(text)
+            h = lat.to_abstract().heights
+            pairs = 0
+            for x in range(len(lat)):
+                for y in range(x, len(lat)):
+                    assert h[x] + h[y] == h[lat.meet_idx(x, y)] + h[lat.join_idx(x, y)], (
+                        text, x, y
+                    )
+                    pairs += 1
+            assert pairs == expected_pairs, text
 
         # triple <-> profile round trip on every element, T up to 5
         from lattower.lattice_core import profile_to_triple, triple_to_profile

@@ -12,7 +12,15 @@ from lattower import autgroup, cli, perm_oracle
 from lattower.cli import main
 from lattower.errors import OracleMismatch
 from lattower.group_spec import parse_spec
-from lattower.lattice_core import enumerate_lattice
+from lattower.lattice_core import (
+    Census,
+    Lattice,
+    bottom_element,
+    enumerate_lattice,
+    sign_parity_element,
+    top_element,
+)
+from test_acceptance import ROUND_TRIP_SPECS
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +140,9 @@ def test_enumerate_json(capsys):
 
 # sha256 of stdout, pinned from the output the order-relation route printed
 # before the Hasse diagram was read off the profiles
+JSON_S4_2_S3_2_SHA256 = "0c31217ed9e302c879d1f7be261692fa51e0de29fcd175b55baacf1171616785"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -139,16 +150,55 @@ def test_enumerate_json(capsys):
             ["hasse", "--spec", "S3^4"],
             "84cd93ff844d17eb78bfc8336f0b8f9f69312c62ebca360d7b18fb98ad706b83",
         ),
-        (
-            ["enumerate", "--spec", "S4^2*S3^2", "--format", "json"],
-            "0c31217ed9e302c879d1f7be261692fa51e0de29fcd175b55baacf1171616785",
-        ),
+        (["enumerate", "--spec", "S4^2*S3^2", "--format", "json"], JSON_S4_2_S3_2_SHA256),
     ],
 )
 def test_hasse_and_json_bytes_are_pinned(argv, digest, capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _json_via_dict(lat):
+    return json.dumps(lat.to_json_dict(), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_SPECS + ("S3", "S7*S5", "S6^3*S4^2"))
+def test_lattice_json_is_the_dict_route_byte_for_byte(spec, lattices):
+    lat = lattices.get(spec)
+    assert cli._lattice_json(lat) == _json_via_dict(lat)
+
+
+def test_lattice_json_orders_p_keys_as_strings():
+    # eleven slots, so the P keys run to "10", which sorts before "2"
+    spec = parse_spec("S3^11")
+    elements = (bottom_element(spec), sign_parity_element(spec, (0, 1)), top_element(spec))
+    lat = Lattice(spec, elements, Census(sub_products=2, sign_parity=1, mixed=0, total=3))
+    lat.covers = lambda: ((0, 1), (1, 2))
+    text = cli._lattice_json(lat)
+    assert text == _json_via_dict(lat)
+    element = json.loads(text)["elements"][1]
+    assert list(element["triple"]["P"]) == ["10", "2", "3", "4", "5", "6", "7", "8", "9"]
+
+
+def test_enumerate_json_writes_the_same_bytes_to_out(tmp_path, capsys):
+    argv = ["enumerate", "--spec", "S4^2*S3^2", "--format", "json"]
+    _, out = run_cli(capsys, *argv)
+    target = tmp_path / "lattice.json"
+    code, printed = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, printed) == (0, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_enumerate_json_builds_no_dict_tree(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dict tree built")
+
+    monkeypatch.setattr(cli, "_json_dump", refuse)
+    monkeypatch.setattr(Lattice, "to_json_dict", refuse)
+    code, out = run_cli(capsys, "enumerate", "--spec", "S4^2*S3^2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_S4_2_S3_2_SHA256
 
 
 def test_enumerate_is_deterministic(capsys):
