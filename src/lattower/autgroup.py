@@ -20,7 +20,7 @@ the individual factors, and any automorphism permutes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 from math import factorial
 from typing import Callable
@@ -56,9 +56,10 @@ __all__ = [
     "verify_product_formula",
 ]
 
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820), whose `aut` took 1.4 s
-# and 2.2 s (48 MB and 72 MB max RSS) on 2 cores with Python 3.11; refuses
-# S4^4*S3^2 (11,384) and everything larger.
+# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 1.8-2.2 s and
+# 2.4-3.0 s (47 and 67-68 MB max RSS) on 2 cores with Python 3.11, against
+# 2.7-3.2 s and 4.1-4.9 s (48 and 71-72 MB) with a bit-by-bit transposition of
+# the down sets.  Refuses S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
 
@@ -92,13 +93,17 @@ def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
     In a finite lattice x ^ c is the bottom exactly when no atom lies under
     both, and x v c is the top exactly when no coatom lies over both.  So the
     complements of x are the elements above no atom under x and below no
-    coatom over x, two ORs of masks instead of a scan over every c.
+    coatom over x, two ORs of masks instead of a scan over every c.  Raises
+    LatTowerError unless exactly one element is minimal and one maximal.
     """
     order = lat.to_abstract() if isinstance(lat, Lattice) else lat
     down, up = order.down, order.up
     everything = (1 << len(down)) - 1
-    bottom = next(i for i, m in enumerate(down) if m == 1 << i)
-    top = next(i for i, m in enumerate(up) if m == 1 << i)
+    bottoms = [i for i, m in enumerate(down) if m == 1 << i]
+    tops = [i for i, m in enumerate(up) if m == 1 << i]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal, {len(tops)} maximal elements")
+    (bottom,), (top,) = bottoms, tops
     atoms = [i for i, m in enumerate(down) if i != bottom and m == 1 << bottom | 1 << i]
     coatoms = [i for i, m in enumerate(up) if i != top and m == 1 << top | 1 << i]
     out = set()
@@ -209,8 +214,8 @@ def _refined_classes(a: AbstractLattice) -> list[int]:
         (
             a.heights[i],
             a.depths[i],
-            bin(a.down[i]).count("1"),
-            bin(a.up[i]).count("1"),
+            a.down[i].bit_count(),
+            a.up[i].bit_count(),
             len(a.down_covers[i]),
             len(a.up_covers[i]),
         )
@@ -398,7 +403,7 @@ def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, 
     bottom = bottoms[0]
     by_up = {mask: i for i, mask in enumerate(up)}
     rest = sorted(
-        (i for i in range(n) if len(lower[i]) != 1), key=lambda i: bin(a.down[i]).count("1")
+        (i for i in range(n) if len(lower[i]) != 1), key=lambda i: a.down[i].bit_count()
     )
     is_cover = set(a.covers)
     low = [i for i, _ in a.covers]
@@ -462,16 +467,7 @@ class ProductFormulaReport:
     generators: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "a4": self.a4,
-            "b": self.b,
-            "predicted_order": self.predicted_order,
-            "brute_force_order": self.brute_force_order,
-            "constructive_order": self.constructive_order,
-            "match": self.match,
-            "generators": list(self.generators),
-        }
+        return {**asdict(self), "generators": list(self.generators)}
 
 
 def _class_permutations(spec: TowerGroupSpec):

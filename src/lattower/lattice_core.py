@@ -26,11 +26,12 @@ so the two routes can be cross-checked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, product
 from math import comb, factorial, prod
-from operator import lshift, or_
+from operator import and_, getitem, lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -453,17 +454,17 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
     census counts the families of the elements built, independently of
     ``census_of``.
 
-    Each element is what ``element_from_triple`` builds.  The lifted basis
-    of H, the order |H| prod_{s in J} k_s!/2 and the parity-kernel test are
-    computed once per (J, H); each choice of positions then adds only the
-    unit vectors of its FULL slots.  Those lie off J and the lifted rows on
-    J, so together, sorted by pivot, they are already the reduced basis of W.
+    Each element is what ``element_from_triple`` builds.  The placements of
+    P (eff, the FULL-slot unit vectors, the size off J, whether P is all
+    FULL) are built once per J; the lifted basis of H, |H| prod_{s in J}
+    k_s!/2 and the parity-kernel test once per (J, H); and W once per (J, H)
+    and set of FULL slots: the unit vectors lie off J and the lifted rows on
+    J, so together, sorted by pivot, they are already its reduced basis.
     """
     _check_slots(spec, max_slots)
     n = spec.num_slots
     degrees = spec.degrees
     elements: list[LatticeElement] = []
-    counts = {FAMILY_SUB_PRODUCT: 0, FAMILY_SIGN_PARITY: 0, FAMILY_MIXED: 0}
     for j_mask in range(1 << n):
         coupled = tuple(s for s in range(n) if (j_mask >> s) & 1)
         subspaces = _admissible_subspaces(len(coupled))
@@ -472,8 +473,19 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
         off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
         half = prod(factorial(degrees[s]) // 2 for s in coupled)
         kernel = parity_kernel(len(coupled))
+        placements = []
+        for combo in product(*(chain(degrees[s]) for s in off)):
+            positions = tuple(zip(off, combo))
+            eff = [ChainPosition.FULL] * n
+            for s, p in positions:
+                eff[s] = p
+            units = tuple(1 << s for s, p in positions if p is ChainPosition.FULL)
+            size = prod(position_size(p, degrees[s]) for s, p in positions)
+            placements.append((tuple(eff), units, size, positions, len(units) == len(off)))
+        unit_sets = {units for _, units, *_ in placements}
         for signs in subspaces:
             lifted = tuple(_lift(row, coupled) for row in signs.basis)
+            spaces = {u: Subspace(n, tuple(sorted(lifted + u, key=_pivot))) for u in unit_sets}
             # indexed by whether every slot off J is FULL
             if not coupled:
                 families = (FAMILY_SUB_PRODUCT, FAMILY_SUB_PRODUCT)
@@ -482,17 +494,11 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
             else:
                 families = (FAMILY_MIXED, FAMILY_MIXED)
             order = signs.size * half
-            for combo in product(*(chain(degrees[s]) for s in off)):
-                eff = [ChainPosition.FULL] * n
-                for s, p in zip(off, combo):
-                    eff[s] = p
-                units = tuple(1 << s for s, p in zip(off, combo) if p is ChainPosition.FULL)
-                size = prod(position_size(p, degrees[s]) for s, p in zip(off, combo))
-                family = families[len(units) == len(off)]
-                counts[family] += 1
-                w = Subspace(n, tuple(sorted(lifted + units, key=_pivot)))
-                t = AdmissibleTriple(spec, coupled, tuple(zip(off, combo)), signs)
-                elements.append(LatticeElement(t, Profile(spec, tuple(eff), w), family, order * size))
+            for eff, units, size, positions, all_full in placements:
+                t = AdmissibleTriple(spec, coupled, positions, signs)
+                p = Profile(spec, eff, spaces[units])
+                elements.append(LatticeElement(t, p, families[all_full], order * size))
+    counts = Counter(e.family for e in elements)
     census = Census(
         sub_products=counts[FAMILY_SUB_PRODUCT],
         sign_parity=counts[FAMILY_SIGN_PARITY],
@@ -533,28 +539,24 @@ def top_element(spec: TowerGroupSpec) -> LatticeElement:
 class AbstractLattice:
     """A finite lattice given purely by its order relation.
 
-    ``down_masks[j]`` is the bitmask of all i with i <= j, including j.  No
-    element data is kept, so consumers of this class cannot accidentally peek
-    at triples or subgroup sets.
+    ``down[j]`` and ``up[j]`` are the bitmasks of all i with i <= j and with
+    j <= i.  No element data is kept, so consumers cannot peek at triples.
+    The caller vouches that ``up`` is the transpose of ``down``, as the tests
+    referee for each producer; the checks here take O(n) int operations.
     """
 
-    def __init__(self, down_masks: Iterable[int]):
+    def __init__(self, down_masks: Iterable[int], up_masks: Iterable[int]):
         self.down = tuple(down_masks)
-        self.n = len(self.down)
-        # the up sets fill in as bit buffers: OR-ing 1 << j into an int
-        # would copy the whole int once per set bit
-        rows = [bytearray((self.n + 7) // 8) for _ in range(self.n)]
-        for j, mask in enumerate(self.down):
-            if not (mask >> j) & 1:
-                raise LatTowerError(f"down set of {j} misses {j} itself")
-            if mask >> self.n:
-                raise LatTowerError(f"down set of {j} names elements outside 0..{self.n - 1}")
-            byte, bit = j >> 3, 1 << (j & 7)
-            while mask:
-                i = mask.bit_length() - 1
-                rows[i][byte] |= bit
-                mask ^= 1 << i
-        self.up = tuple(int.from_bytes(row, "little") for row in rows)
+        self.up = tuple(up_masks)
+        self.n = n = len(self.down)
+        if len(self.up) != n:
+            raise LatTowerError(f"{n} down sets but {len(self.up)} up sets")
+        for kind, masks in (("down", self.down), ("up", self.up)):
+            for j, mask in enumerate(masks):
+                if mask >> n or not (mask >> j) & 1:
+                    raise LatTowerError(f"{kind} set of {j} must hold {j} and nothing past {n - 1}")
+        if sum(m.bit_count() for m in self.down) != sum(m.bit_count() for m in self.up):
+            raise LatTowerError("the up sets are not the transpose of the down sets")
 
     def __len__(self) -> int:
         return self.n
@@ -610,17 +612,15 @@ class AbstractLattice:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         h = [0] * self.n
-        for i in sorted(range(self.n), key=lambda x: bin(self.down[x]).count("1")):
-            below = self.down_covers[i]
-            h[i] = 1 + max((h[j] for j in below), default=-1)
+        for i in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
+            h[i] = 1 + max((h[j] for j in self.down_covers[i]), default=-1)
         return tuple(h)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         d = [0] * self.n
-        for i in sorted(range(self.n), key=lambda x: bin(self.up[x]).count("1")):
-            above = self.up_covers[i]
-            d[i] = 1 + max((d[j] for j in above), default=-1)
+        for i in sorted(range(self.n), key=lambda x: self.up[x].bit_count()):
+            d[i] = 1 + max((d[j] for j in self.up_covers[i]), default=-1)
         return tuple(d)
 
 
@@ -663,55 +663,55 @@ class Lattice:
         return self._profile_index[self._pack(p.eff), p.signs.basis]
 
     @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """``down_masks[j]`` is the bitmask of all i with element i <= element j.
+    def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The down and up masks: ``leq`` evaluated a whole column at a time.
 
-        This is ``leq`` evaluated for a whole column at once.  Element i lies
-        below element j exactly when eff_i[s] <= eff_j[s] at every slot s and
-        W_i is inside W_j.  One sweep over the elements collects ``le[s][p]``,
-        the elements with eff[s] <= p, and ``has[v]``, the elements whose W
-        contains the sign vector v.  Then
+        Element i lies below element j exactly when eff_i[s] <= eff_j[s] at
+        every slot s and W_i is inside W_j.  One sweep over the elements
+        collects ``at[s][p]``, the elements with eff[s] = p, whose prefix and
+        suffix ORs are ``le[s][p]`` and ``ge[s][p]``, and ``has[v]``, the
+        elements whose W contains the sign vector v.  Then
 
-            down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]).
+            down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]),
+            up[i]   = AND_s ge[s][eff_i[s]]  &  AND_{r in basis(W_i)} has[r].
 
-        The first factor is the componentwise test read off one column per
-        slot.  The second is exact because W_i lies inside W_j precisely when
-        W_i holds no vector outside W_j.  It depends on W_j alone, so it is
-        computed once per distinct sign subspace.
+        The sign factors are exact because W_i lies inside W_j precisely when
+        W_i holds no vector outside W_j, and precisely when W_j holds every
+        basis row of W_i.  Each depends on one W alone, so it is computed
+        once per distinct sign subspace.
         """
         num_slots = self.spec.num_slots
         at = [[0] * len(ChainPosition) for _ in range(num_slots)]
         with_signs: dict[Subspace, int] = {}
-        for i, e in enumerate(self.elements):
+        profiles = [e.profile for e in self.elements]
+        for i, p in enumerate(profiles):
             bit = 1 << i
-            for s, pos in enumerate(e.profile.eff):
+            for s, pos in enumerate(p.eff):
                 at[s][pos] |= bit
-            w = e.profile.signs
-            with_signs[w] = with_signs.get(w, 0) | bit
+            with_signs[p.signs] = with_signs.get(p.signs, 0) | bit
         le = [list(accumulate(row, or_)) for row in at]
+        ge = [list(accumulate(row[::-1], or_))[::-1] for row in at]
         has = [0] * (1 << num_slots)
         for w, mask in with_signs.items():
             for v in w.elements():
                 has[v] |= mask
-        everything = (1 << len(self.elements)) - 1
-        inside: dict[Subspace, int] = {}
-        for w in with_signs:
-            outside = 0
-            for v in range(1 << num_slots):
-                if not w.contains(v):
-                    outside |= has[v]
-            inside[w] = everything & ~outside
-        masks = []
-        for e in self.elements:
-            m = inside[e.profile.signs]
-            for s, pos in enumerate(e.profile.eff):
-                m &= le[s][pos]
-            masks.append(m)
-        return tuple(masks)
+        everything, every_vector = (1 << len(self.elements)) - 1, set(range(len(has)))
+        inside = {
+            w: everything & ~reduce(or_, map(has.__getitem__, every_vector - set(w.elements())), 0)
+            for w in with_signs
+        }
+        holding = {w: reduce(and_, map(has.__getitem__, w.basis), everything) for w in with_signs}
+        down = tuple(reduce(and_, map(getitem, le, p.eff), inside[p.signs]) for p in profiles)
+        up = tuple(reduce(and_, map(getitem, ge, p.eff), holding[p.signs]) for p in profiles)
+        return down, up
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        return self._order_masks[0]
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        return self.to_abstract().up
+        return self._order_masks[1]
 
     @cached_property
     def _down_index(self) -> dict[int, int]:
@@ -792,7 +792,7 @@ class Lattice:
 
     @cached_property
     def _abstract(self) -> AbstractLattice:
-        return AbstractLattice(self.down_masks)
+        return AbstractLattice(*self._order_masks)
 
     def to_abstract(self) -> AbstractLattice:
         return self._abstract

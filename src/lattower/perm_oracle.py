@@ -16,10 +16,11 @@ is just the degrees under the order bound, with their class table.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import factorial
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from .errors import LatTowerError, OracleMismatch, TooLarge
@@ -288,26 +289,26 @@ def all_normal_subgroups(group: ConcreteGroup) -> list[int]:
     return sorted(_normal_masks(table), key=lambda m: (table.order(m), tuple(_bits(m))))
 
 
-def _down_sets(masks: Sequence[int], width: int) -> list[int]:
-    """``down[a]``, the bitset of all b with masks[b] inside masks[a].
+def _order_sets(masks: Sequence[int], width: int) -> tuple[list[int], list[int]]:
+    """``down[a]`` and ``up[a]``: all b with masks[b] inside, and over, masks[a].
 
-    masks[b] lies inside masks[a] exactly when it holds no class outside
-    masks[a], so down[a] is everything but the OR, over the classes c
-    outside masks[a], of ``containing[c]``, the masks that hold c.
+    With ``containing[c]`` the masks that hold class c: masks[b] lies inside
+    masks[a] exactly when it holds no class outside masks[a], so down[a] is
+    everything but the OR of ``containing[c]`` over those classes; masks[b]
+    holds masks[a] exactly when it holds each of its classes, so up[a] is
+    the AND of ``containing[c]`` over the classes of masks[a].
     """
+    classes = [list(_bits(m)) for m in masks]
     containing = [0] * width
-    for b, m in enumerate(masks):
-        for c in _bits(m):
+    for b, inside in enumerate(classes):
+        for c in inside:
             containing[c] |= 1 << b
     everything = (1 << len(masks)) - 1
     all_classes = (1 << width) - 1
-    down = []
-    for m in masks:
-        above = 0
-        for c in _bits(all_classes & ~m):
-            above |= containing[c]
-        down.append(everything & ~above)
-    return down
+    column = containing.__getitem__
+    down = [everything & ~reduce(or_, map(column, _bits(all_classes & ~m)), 0) for m in masks]
+    up = [reduce(and_, map(column, inside), everything) for inside in classes]
+    return down, up
 
 
 def normal_subgroup_poset(
@@ -316,7 +317,7 @@ def normal_subgroup_poset(
     """The subgroup-inclusion order of the class masks as a bare lattice."""
     if normals is None:
         normals = all_normal_subgroups(group)
-    return AbstractLattice(_down_sets(normals, len(group.class_table.prod)))
+    return AbstractLattice(*_order_sets(normals, len(group.class_table.prod)))
 
 
 @dataclass(frozen=True)
@@ -344,14 +345,14 @@ def differential_validate(
 
     Both bounds are checked before any class is built.  Then, in order: the
     counts agree; profiles give a bijection between the two lists; the
-    oracle down set of every element, a bitset over the enumeration, equals
-    its ``down_masks`` entry, which is leq on all ordered pairs; and for
-    every pair, the intersection of the class masks is the enumerated meet
-    and the enumerated join J is the product N1 N2.  J's mask is a normal
-    subgroup, so once it contains N1 and N2 it holds N1 N2, and then equals
-    it exactly when |J| |N1 meet N2| = |N1| |N2|.  Orders are sums of class
-    sizes, so no element of G is built.  The first divergence raises
-    OracleMismatch.
+    oracle down and up sets of every element, bitsets over the enumeration,
+    equal its ``down_masks`` and ``up_masks`` entries (leq on all ordered
+    pairs); and for every pair, the intersection of the class masks is the
+    enumerated meet and the enumerated join J is the product N1 N2.  J's
+    mask is a normal subgroup, so once it contains N1 and N2 it holds N1 N2,
+    and then equals it exactly when |J| |N1 meet N2| = |N1| |N2|.  Orders
+    are sums of class sizes, so no element of G is built.  The first
+    divergence raises OracleMismatch.
     """
     group_order = _group_order(spec.degrees, max_order)
     _check_slots(spec, max_slots)
@@ -377,9 +378,9 @@ def differential_validate(
             raise OracleMismatch(f"{name}: profile map is not injective")
         at[k] = m
 
-    for a, (mine, theirs) in enumerate(zip(_down_sets(at, len(table.prod)), lat.down_masks)):
-        if mine != theirs:
-            raise OracleMismatch(f"{name}: leq disagrees on the down set of element {a}")
+    for a, mine in enumerate(zip(*_order_sets(at, len(table.prod)))):
+        if mine != (lat.down_masks[a], lat.up_masks[a]):
+            raise OracleMismatch(f"{name}: leq disagrees on the down or up set of element {a}")
 
     orders = [table.order(m) for m in at]
     by_mask = {m: k for k, m in enumerate(at)}

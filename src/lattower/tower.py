@@ -12,7 +12,7 @@ all three steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 from typing import Union
 
@@ -149,14 +149,7 @@ class StepReport:
     match: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "result": self.result,
-            "predicted_order": self.predicted_order,
-            "observed_order": self.observed_order,
-            "skipped": self.skipped,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def _node_lattice(
@@ -174,7 +167,7 @@ def _node_lattice(
         return searchable_lattice(node.spec, max_slots=max_slots, max_size=max_size)
     degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
     if not degrees:
-        return AbstractLattice((1,))
+        return AbstractLattice((1,), (1,))
     if degrees[0] == 2:
         return normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
     return searchable_lattice(spec_of_degrees(degrees), max_slots=max_slots, max_size=max_size)

@@ -28,20 +28,27 @@ from lattower.lattice_core import (
 from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import _compose, _inverse, schreier_sims
 from test_acceptance import PRODUCT_FORMULA_CASES
+from test_lattice_core import _reference_up_sets
+
+
+def _poset(down):
+    """A bare poset from its down sets, the up sets transposed bit by bit."""
+    down = tuple(down)
+    return AbstractLattice(down, _reference_up_sets(down))
 
 
 def _chain(n):
-    return AbstractLattice(tuple((1 << (i + 1)) - 1 for i in range(n)))
+    return _poset((1 << (i + 1)) - 1 for i in range(n))
 
 
 def _diamond(k):
     # bottom, k incomparable atoms, top
     n = k + 2
     masks = [1] + [1 | (1 << i) for i in range(1, k + 1)] + [(1 << n) - 1]
-    return AbstractLattice(masks)
+    return _poset(masks)
 
 
-PENTAGON = AbstractLattice(
+PENTAGON = _poset(
     # 0 < 1 < 2 < 4 and 0 < 3 < 4, with 1, 2 incomparable to 3
     (0b00001, 0b00011, 0b00111, 0b01001, 0b11111)
 )
@@ -50,7 +57,7 @@ PENTAGON = AbstractLattice(
 def _subspace_lattice(width):
     # all subspaces of GF(2)^width under inclusion
     spaces = list(iter_subspaces(width))
-    return AbstractLattice(
+    return _poset(
         sum(1 << i for i, u in enumerate(spaces) if w.contains_subspace(u)) for w in spaces
     )
 
@@ -327,7 +334,7 @@ def test_schreier_sims_agrees_with_the_closure(name, lattices):
 )
 def test_search_rejects_posets_that_are_not_lattices(masks, message):
     with pytest.raises(LatTowerError, match=message):
-        brute_force_automorphisms(AbstractLattice(masks))
+        brute_force_automorphisms(_poset(masks))
 
 
 def test_brute_force_output_is_sorted_with_identity_first():
@@ -427,6 +434,23 @@ def test_complemented_elements_of_lemma_posets_match_the_pairwise_scan():
     for name, poset in posets.items():
         expected = _reference_complemented_elements(poset.down, poset.up)
         assert complemented_elements(poset) == expected, name
+
+
+@pytest.mark.parametrize(
+    "down",
+    [
+        # the 3-antichain: three minimal and three maximal elements
+        (0b001, 0b010, 0b100),
+        # the 2-crown: 2, 3 below both of 0, 1
+        (0b1101, 0b1110, 0b0100, 0b1000),
+    ],
+)
+def test_complemented_elements_rejects_posets_without_bottom_and_top(down):
+    poset = _poset(down)
+    with pytest.raises(LatTowerError, match="not a lattice"):
+        complemented_elements(poset)
+    with pytest.raises(LatTowerError):
+        automorphism_group(poset)
 
 
 def test_factor_atoms_in_slot_order(lattices):

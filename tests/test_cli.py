@@ -159,6 +159,26 @@ def test_hasse_and_json_bytes_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the exact stdout of aut, pinned from the output printed while the search
+# still transposed its down sets bit by bit
+AUT_BYTES = {
+    ("aut", "--spec", "S4^2*S3^2"): (
+        "spec S4^2*S3^2: LatAut order 4 = 2!*2! (brute force 4, constructive 4) match\n"
+        "generators: (4.1 4.2), (3.1 3.2)\n"
+    ),
+    ("aut", "--spec", "S3^5", "--format", "json"): (
+        '{\n  "a4": 0,\n  "b": 5,\n  "brute_force_order": 120,\n  "constructive_order": 120,\n'
+        '  "generators": [\n    "(3.1 3.2)",\n    "(3.2 3.3)",\n    "(3.3 3.4)",\n    "(3.4 3.5)"\n'
+        '  ],\n  "match": true,\n  "predicted_order": 120,\n  "spec": "S3^5"\n}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(AUT_BYTES))
+def test_aut_bytes_are_pinned(argv, capsys):
+    assert run_cli(capsys, *argv) == (0, AUT_BYTES[argv])
+
+
 def _json_via_dict(lat):
     return json.dumps(lat.to_json_dict(), indent=2, sort_keys=True)
 

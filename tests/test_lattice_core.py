@@ -459,6 +459,25 @@ def _mask(indices) -> int:
     return sum(1 << i for i in indices)
 
 
+def _reference_up_sets(down) -> tuple[int, ...]:
+    """The transpose of the down sets, by walking every set bit.
+
+    The route the column formulas for the up sets replaced, kept as their
+    referee and as the source of up sets for hand-built posets.  The up sets
+    fill in as bit buffers: OR-ing 1 << j into an int would copy the whole
+    int once per set bit.
+    """
+    n = len(down)
+    rows = [bytearray((n + 7) // 8) for _ in range(n)]
+    for j, mask in enumerate(down):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while mask:
+            i = mask.bit_length() - 1
+            rows[i][byte] |= bit
+            mask ^= 1 << i
+    return tuple(int.from_bytes(row, "little") for row in rows)
+
+
 def _check_up_and_covers(a: AbstractLattice) -> None:
     """``up`` is the transpose of ``down``; ``covers`` is i < j with |[i, j]| = 2."""
     n = a.n
@@ -490,12 +509,19 @@ def test_up_masks_and_covers_by_definition(text, lattices):
     assert lat.covers() == a.covers
 
 
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S3^6", "S4^3*S3^2"))
+def test_up_masks_are_the_transpose_of_the_down_masks(text, lattices):
+    lat = lattices.get(text)
+    assert lat.up_masks == _reference_up_sets(lat.down_masks)
+
+
 # too large for the pairwise definition, so the climb over the order
 # relation referees the cover moves there
 @pytest.mark.parametrize("text", ["S3^6", "S4^3*S3^2"])
 def test_cover_moves_match_the_order_relation(text, lattices):
     lat = lattices.get(text)
-    assert lat.covers() == AbstractLattice(lat.down_masks).covers
+    down = lat.down_masks
+    assert lat.covers() == AbstractLattice(down, _reference_up_sets(down)).covers
 
 
 def test_a_cover_move_off_the_lattice_is_an_error(lattices):
@@ -558,7 +584,7 @@ HAND_BUILT_POSETS = {
 @pytest.mark.parametrize("name", sorted(HAND_BUILT_POSETS))
 def test_covers_on_hand_built_posets(name):
     down, covers = HAND_BUILT_POSETS[name]
-    a = AbstractLattice(down)
+    a = AbstractLattice(down, _reference_up_sets(down))
     assert len(a) == len(down)
     assert a.covers == covers
     _check_up_and_covers(a)
@@ -567,4 +593,22 @@ def test_covers_on_hand_built_posets(name):
 @pytest.mark.parametrize("down", [(0b10,), (0b11,), (-1,)])
 def test_abstract_lattice_rejects_bad_down_sets(down):
     with pytest.raises(LatTowerError):
-        AbstractLattice(down)
+        AbstractLattice(down, (0b1,))
+
+
+@pytest.mark.parametrize(
+    "down, up, message",
+    [
+        # the up set of 1 misses 1
+        ((0b01, 0b11), (0b11, 0b00), "up set of 1 must hold 1"),
+        # out of range, above n and negative
+        ((0b01, 0b11), (0b111, 0b10), "up set of 0 must hold 0 and nothing past 1"),
+        ((0b01, 0b11), (-1, 0b10), "up set of 0 must hold 0 and nothing past 1"),
+        ((0b01, 0b11), (0b11,), "2 down sets but 1 up sets"),
+        # the down sets of the 2-chain 0 < 1 with the up sets of the 2-antichain
+        ((0b01, 0b11), (0b01, 0b10), "not the transpose"),
+    ],
+)
+def test_abstract_lattice_rejects_bad_up_sets(down, up, message):
+    with pytest.raises(LatTowerError, match=message):
+        AbstractLattice(down, up)

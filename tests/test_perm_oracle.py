@@ -14,14 +14,15 @@ from lattower.perm_oracle import (
     ConcreteGroup,
     LEMMA_GROUP_DEGREES,
     _bits,
-    _down_sets,
     _normal_masks,
+    _order_sets,
     all_normal_subgroups,
     concrete_group,
     differential_validate,
     lemma_lattices,
     normal_subgroup_poset,
 )
+from test_lattice_core import _reference_up_sets
 
 
 @dataclass(frozen=True)
@@ -693,8 +694,15 @@ def test_the_order_check_singles_out_the_product_on_every_pair(degrees):
 @pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
 def test_oracle_down_sets_equal_down_masks(degrees):
     _, lat, table, at = _oracle_at(degrees)
-    down = _down_sets(at, len(table.prod))
+    down, up = _order_sets(at, len(table.prod))
     assert down == list(lat.down_masks) == _reference_down_sets(at)
+    assert tuple(up) == lat.up_masks == _reference_up_sets(down)
+
+
+@pytest.mark.parametrize("degrees", FAST_PATH_DEGREES, ids=_name)
+def test_poset_up_sets_are_the_transpose_of_the_down_sets(degrees):
+    poset = normal_subgroup_poset(ConcreteGroup(degrees, max_order=20_736))
+    assert poset.up == _reference_up_sets(poset.down)
 
 
 @pytest.mark.parametrize("degrees", sorted(LEMMA_GROUP_DEGREES.values()) + [(3, 4)], ids=_name)
@@ -735,4 +743,14 @@ def test_a_corrupted_lattice_is_caught_by_its_check(check, text, corrupt_lattice
     spec = parse_spec(text)
     lat = corrupt_lattice(enumerate_lattice(spec), check)
     with pytest.raises(OracleMismatch, match=f"{check} disagrees"):
+        differential_validate(spec, lattice=lat)
+
+
+def test_a_corrupted_up_set_is_caught_by_the_leq_check():
+    spec = parse_spec("S4*S3")
+    lat = enumerate_lattice(spec)
+    up = list(lat.up_masks)
+    up[lat.top_index] |= 1 << lat.bottom_index
+    lat.up_masks = tuple(up)
+    with pytest.raises(OracleMismatch, match="leq disagrees on the down or up set"):
         differential_validate(spec, lattice=lat)
