@@ -4,13 +4,15 @@ A permutation of the factor slots that keeps degree-4 slots among degree-4
 slots induces a lattice automorphism tau by permuting the coordinates of
 profiles; the induced maps realise all of LatAut(G), which is the product of
 the symmetric groups on the class-A and class-B slots.  The search below
-knows none of that: it works on the bare order relation, backtracks over the
-join-irreducible elements, extends each map to the rest by joins, and keeps
-only enough automorphisms to generate the group, as a stabiliser chain whose
+knows none of that: it reads the bare cover relation, backtracks over the
+join-irreducible elements, extends each map to the rest by the sets of
+join-irreducibles below each element, and keeps only enough automorphisms to
+generate the group, as a stabiliser chain on the join-irreducibles whose
 orbit lengths give its order.  The product formula is then checked on groups,
 not lists: the maps tau of the adjacent slot transpositions must generate a
 group of order a4! * b! (by Schreier-Sims) and each must sift through the
-searched chain, so agreement between the two routes is genuine evidence.
+searched chain and be the extension of its own restriction, so agreement
+between the two routes is genuine evidence.
 
 The bridge between abstract automorphisms and slot permutations is the set
 of complemented elements.  These are exactly the sub-products that are full
@@ -21,9 +23,12 @@ the individual factors, and any automorphism permutes them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import permutations
 from math import factorial
-from typing import Callable
+from operator import or_
+from typing import Callable, Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import ClassViolation, LatTowerError, TooLarge
 from .gf2 import Subspace, _reduce
@@ -56,10 +61,10 @@ __all__ = [
     "verify_product_formula",
 ]
 
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 1.8-2.2 s and
-# 2.4-3.0 s (47 and 67-68 MB max RSS) on 2 cores with Python 3.11, against
-# 2.7-3.2 s and 4.1-4.9 s (48 and 71-72 MB) with a bit-by-bit transposition of
-# the down sets.  Refuses S4^4*S3^2 (11,384) and everything larger.
+# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 1.1-1.3 s and
+# 1.5-1.6 s (32 and 36-37 MB max RSS) on 2 cores with Python 3.11, against
+# 1.9-2.1 s and 2.5-2.7 s (47-48 and 67 MB) while the search read the n^2
+# order relation.  Refuses S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
 
@@ -91,32 +96,31 @@ def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
     """Indices of all N with a complement: meet at bottom, join at top.
 
     In a finite lattice x ^ c is the bottom exactly when no atom lies under
-    both, and x v c is the top exactly when no coatom lies over both.  So the
-    complements of x are the elements above no atom under x and below no
-    coatom over x, two ORs of masks instead of a scan over every c.  Raises
-    LatTowerError unless exactly one element is minimal and one maximal.
+    both, and x v c is the top exactly when no coatom lies over both.  Both
+    sets are read off the covers as bits, the atoms out of J(x) and the
+    coatoms over x by a sweep that starts at the top.  Elements with the same
+    atoms are handled together: their coatom sets are compared only with
+    those of the groups whose atoms miss theirs.  Raises LatTowerError
+    unless exactly one element is minimal and one maximal.
     """
-    order = lat.to_abstract() if isinstance(lat, Lattice) else lat
-    down, up = order.down, order.up
-    everything = (1 << len(down)) - 1
-    bottoms = [i for i, m in enumerate(down) if m == 1 << i]
-    tops = [i for i, m in enumerate(up) if m == 1 << i]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal, {len(tops)} maximal elements")
-    (bottom,), (top,) = bottoms, tops
-    atoms = [i for i, m in enumerate(down) if i != bottom and m == 1 << bottom | 1 << i]
-    coatoms = [i for i, m in enumerate(up) if i != top and m == 1 << top | 1 << i]
+    ctx = _context(lat)
+    tops = [x for x, above in enumerate(ctx.upper) if not above]
+    if len(tops) != 1:
+        raise LatTowerError(f"not a lattice: {len(tops)} maximal elements")
+    bottom, (top,) = ctx.order[0], tops
+    atoms = reduce(or_, map(ctx.J.__getitem__, ctx.upper[bottom]), 0)
+    coatoms = [0] * ctx.n
+    for k, c in enumerate(ctx.lower[top]):
+        coatoms[c] = 1 << k
+    over = _fold(reversed(ctx.order), ctx.upper, coatoms)
+    groups: dict[int, list[int]] = {}
+    for x, under in enumerate(ctx.J):
+        groups.setdefault(under & atoms, []).append(x)
+    overs = {a: {over[x] for x in xs} for a, xs in groups.items()}
     out = set()
-    for x in range(len(down)):
-        excluded = 0
-        for a in atoms:
-            if (down[x] >> a) & 1:
-                excluded |= up[a]
-        for m in coatoms:
-            if (up[x] >> m) & 1:
-                excluded |= down[m]
-        if everything & ~excluded:
-            out.add(x)
+    for a, xs in groups.items():
+        partners = [c for b, cs in overs.items() if not a & b for c in cs]
+        out.update(x for x in xs if any(not over[x] & c for c in partners))
     return out
 
 
@@ -126,18 +130,14 @@ def factor_atoms(lat: Lattice) -> list[int]:
     Each is the sub-product that is FULL in a single slot, so the list index
     doubles as the slot index.
     """
-    comp = complemented_elements(lat)
-    bottom = lat.bottom_index
-    down = lat.down_masks
-    atoms = []
-    for i in comp:
-        if i == bottom:
-            continue
-        strictly_between = any(
-            c != i and c != bottom and (down[i] >> c) & 1 for c in comp
-        )
-        if not strictly_between:
-            atoms.append(i)
+    comp, ctx = complemented_elements(lat), _context(lat)
+    bottom, under = ctx.order[0], ctx.J
+    atoms = [
+        i
+        for i in comp
+        if i != bottom
+        and not any(c not in (i, bottom) and not under[c] & ~under[i] for c in comp)
+    ]
     by_slot: dict[int, int] = {}
     for i in atoms:
         t = lat.elements[i].triple
@@ -203,33 +203,134 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     return tuple(index[relabel(e.profile)] for e in lat.elements)
 
 
-def _refined_classes(a: AbstractLattice) -> list[int]:
+def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) -> list[int]:
+    """OR into each element's set those of its neighbours, which come first in order."""
+    for x in order:
+        sets[x] = reduce(or_, map(sets.__getitem__, neighbours[x]), sets[x])
+    return sets
+
+
+def _levels(order: Iterable[int], neighbours: list[list[int]]) -> list[int]:
+    """The length of the longest path from each element through its neighbours."""
+    level = [0] * len(neighbours)
+    for x in order:
+        level[x] = 1 + max(map(level.__getitem__, neighbours[x]), default=-1)
+    return level
+
+
+class _Context:
+    """The join-irreducible context of a finite poset, read off its covers alone.
+
+    ``lower[x]`` (sorted) and ``upper[x]`` list the elements that x covers
+    and that cover x, and ``order`` lists every element after its lower
+    covers.  The join-irreducibles, the elements with exactly one lower
+    cover, are the points 0, ..., m-1 in element order; ``J[x]`` is the set
+    of points under x as an m-bit int, the OR of x's own point and the sets
+    of its lower covers.  In a lattice every element is the join of the
+    points under it, so J is one-to-one, x <= y exactly when J(x) is inside
+    J(y), and an automorphism is fixed by what it does on the points (Ganter
+    and Wille, *Formal Concept Analysis*, Springer 1999, ch. 1).  LatTowerError is
+    raised unless exactly one element is minimal and J is one-to-one.
+    """
+
+    def __init__(self, n: int, covers: Iterable[tuple[int, int]]):
+        self.n = n
+        self.lower: list[list[int]] = [[] for _ in range(n)]
+        self.upper: list[list[int]] = [[] for _ in range(n)]
+        for i, j in covers:
+            self.lower[j].append(i)
+            self.upper[i].append(j)
+        for below in self.lower:
+            below.sort()
+        order = [x for x in range(n) if not self.lower[x]]
+        if n and len(order) != 1:
+            raise LatTowerError(f"not a lattice: {len(order)} minimal elements")
+        waiting = list(map(len, self.lower))
+        for x in order:  # the list grows as elements lose their last waiting cover
+            for y in self.upper[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        self.order = order
+        self.irreducibles = [x for x in range(n) if len(self.lower[x]) == 1]
+        self.point = {x: k for k, x in enumerate(self.irreducibles)}
+        self.J = _fold(order, self.lower, self._seeds(range(len(self.irreducibles))))
+        self._by_J = {under: x for x, under in enumerate(self.J)}
+        if len(self._by_J) != n:
+            raise LatTowerError(
+                "not a lattice: no join, as two elements lie over the same join-irreducibles"
+            )
+        self.heights = _levels(order, self.lower)
+        self.depths = _levels(reversed(order), self.upper)
+
+    def _seeds(self, psi: Iterable[int]) -> list[int]:
+        sets = [0] * self.n
+        for x, y in zip(self.irreducibles, psi):
+            sets[x] = 1 << y
+        return sets
+
+    def extend(self, psi: Sequence[int]) -> Perm | None:
+        """The automorphism that permutes the points as psi does, or None.
+
+        x goes to the element whose J-set is psi(J(x)), a dict lookup.  As J
+        is one-to-one, the map is a bijection once every lookup succeeds.  It
+        is kept only if it sends every cover to a cover: both ends have the
+        same number of covers, so it is then an automorphism of the Hasse
+        diagram and so of the order.  In a lattice the lookups alone imply
+        that; in a poset where J(y) lies inside J(x) but y does not lie
+        below x, they do not.
+        """
+        sets = _fold(self.order, self.lower, self._seeds(psi))
+        try:
+            image = tuple(map(self._by_J.__getitem__, sets))
+        except KeyError:
+            return None
+        lower, moved = self.lower, image.__getitem__
+        covers_kept = all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
+        return image if covers_kept else None
+
+    def restrict(self, g: Perm) -> Perm | None:
+        """The permutation g induces on the points, or None if it does not permute them."""
+        psi = tuple(self.point.get(g[x], -1) for x in self.irreducibles)
+        return psi if sorted(psi) == list(range(len(psi))) else None
+
+
+_CONTEXTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _context(lattice: Lattice | AbstractLattice) -> _Context:
+    """The context of a lattice, built once per lattice object.
+
+    A tower lattice gives its covers as profile moves and builds no order
+    relation; a bare one gives the covers of its order relation.  No caller
+    changes a lattice after it is built, so a kept context cannot go stale,
+    and it goes when its lattice does.
+    """
+    ctx = _CONTEXTS.get(lattice)
+    if ctx is None:
+        covers = lattice.covers() if isinstance(lattice, Lattice) else lattice.covers
+        ctx = _CONTEXTS[lattice] = _Context(len(lattice), covers)
+    return ctx
+
+
+def _refined_classes(ctx: _Context) -> list[int]:
     """Order-invariant colouring, iterated to a fixed point.
 
-    Starts from height, depth and degree data, then folds in the colour
-    multisets of covers above and below.  Automorphic elements always share
-    a colour, so colours partition the search space soundly.
+    Starts from height, depth, the number of join-irreducibles below and
+    the numbers of covers, then folds in the colour multisets of covers
+    above and below.  Automorphic elements always share a colour, so
+    colours partition the search space soundly.
     """
-    sig: list = [
-        (
-            a.heights[i],
-            a.depths[i],
-            a.down[i].bit_count(),
-            a.up[i].bit_count(),
-            len(a.down_covers[i]),
-            len(a.up_covers[i]),
-        )
-        for i in range(a.n)
-    ]
-    ids = _canonical_ids(sig)
+    counts = map(int.bit_count, ctx.J), map(len, ctx.lower), map(len, ctx.upper)
+    ids = _canonical_ids(list(zip(ctx.heights, ctx.depths, *counts)))
     while True:
         refined = [
             (
                 ids[i],
-                tuple(sorted(ids[j] for j in a.down_covers[i])),
-                tuple(sorted(ids[j] for j in a.up_covers[i])),
+                tuple(sorted(ids[j] for j in ctx.lower[i])),
+                tuple(sorted(ids[j] for j in ctx.upper[i])),
             )
-            for i in range(a.n)
+            for i in range(ctx.n)
         ]
         new_ids = _canonical_ids(refined)
         if len(set(new_ids)) == len(set(ids)):
@@ -264,14 +365,16 @@ def searchable_lattice(
 def automorphism_group(
     lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
 ) -> StabiliserChain:
-    """LatAut of a bare lattice as a stabiliser chain, by an orbit-pruned search.
+    """LatAut of a bare lattice as a stabiliser chain on its join-irreducibles.
 
-    The search never looks at triples, profiles or subgroup sets.  Its base
-    is the join-irreducibles, the elements with exactly one lower cover:
-    every element of a finite lattice is a join of those, so an automorphism
-    is fixed by what it does on them.  They are ordered by the size of their
-    class under the invariant colouring, which also gives each one its
-    candidate images.
+    The search never looks at triples, profiles or subgroup sets, and builds
+    no order relation: it reads the cover relation into a ``_Context``.  An
+    automorphism is fixed by what it does on the join-irreducibles, so the
+    chain acts on those, as points 0, ..., m-1; ``_Context.extend`` and
+    ``_Context.restrict`` go between its elements and maps of the whole
+    lattice.  The base is all the points, ordered by the size of their class
+    under the invariant colouring, which also gives each one its candidate
+    images.
 
     Levels are completed from the deepest to the shallowest, as in McKay and
     Piperno, "Practical graph isomorphism II" (J. Symbolic Comput. 60, 2014,
@@ -279,94 +382,61 @@ def automorphism_group(
     orbit of b_t under the generators found so far gets one backtracking
     run: b_0, ..., b_(t-1) stay fixed, b_t goes to y, the later base points
     range over their candidates, each placement checked against all earlier
-    ones in both directions, and each full assignment is extended by joins
-    (see ``_extension_by_joins``).  The first automorphism found becomes a
+    ones in both directions by the bits of J, and each full assignment is
+    extended to the whole lattice.  The first one that extends becomes a
     generator, which puts y and its whole orbit out of reach of further
     runs; a run that finds none shows y outside the orbit.  So level t ends
     with the full orbit of b_t under the stabiliser of the earlier base
     points, and the order is the product of the orbit lengths.  Raises
     LatTowerError when the input is not a lattice.
     """
-    n = len(lattice)
-    _check_search_size(n, max_size)
-    a = lattice.to_abstract() if isinstance(lattice, Lattice) else lattice
-    if n == 0:
-        return StabiliserChain(0)
-    colours = _refined_classes(a)
+    _check_search_size(len(lattice), max_size)
+    ctx = _context(lattice)
+    colours = _refined_classes(ctx)
+    point_colours = [colours[x] for x in ctx.irreducibles]
+    m = len(point_colours)
     buckets: dict[int, list[int]] = {}
-    for i, c in enumerate(colours):
-        buckets.setdefault(c, []).append(i)
-    candidates = [buckets[colours[i]] for i in range(n)]
-    # the colouring separates elements by their number of lower covers, so
-    # every candidate of a join-irreducible is one
-    irreducibles = [i for i in range(n) if len(a.down_covers[i]) == 1]
-    base = sorted(irreducibles, key=lambda i: (len(candidates[i]), colours[i], i))
-    extend = _extension_by_joins(a)
-    down = a.down
-    m = len(base)
-
-    # extending the identity meets every join the runs below rely on, and
-    # raises where one is missing even when no run is needed
-    identity_on_base = [-1] * n
-    for x in base:
-        identity_on_base[x] = x
-    extend(identity_on_base)
+    for k, c in enumerate(point_colours):
+        buckets.setdefault(c, []).append(k)
+    candidates = [buckets[c] for c in point_colours]
+    base = sorted(range(m), key=lambda k: (len(candidates[k]), point_colours[k], k))
+    # under[k]: the points below point k, itself included
+    under = [ctx.J[x] for x in ctx.irreducibles]
 
     def first_automorphism(t: int, y: int) -> tuple[int, ...] | None:
-        """An automorphism fixing base[:t] and sending base[t] to y, or None."""
-        mapping = [-1] * n
-        used = [False] * n
+        """A map of the points that fixes base[:t], sends base[t] to y and extends, or None."""
+        mapping = [-1] * m
+        used = [False] * m
         for x in base[:t]:
-            mapping[x] = x
-            used[x] = True
-        next_choice = [0] * (m + 1)
-        s = t
-        while s >= t:
-            if s == m:
-                image = extend(mapping)
-                if image is not None:
-                    return image
-            else:
-                x = base[s]
-                cand = (y,) if s == t else candidates[x]
-                advanced = False
-                while next_choice[s] < len(cand):
-                    z = cand[next_choice[s]]
-                    next_choice[s] += 1
-                    if used[z]:
-                        continue
-                    ok = True
-                    for x2 in base[:s]:
-                        z2 = mapping[x2]
-                        if ((down[x2] >> x) & 1) != ((down[z2] >> z) & 1) or (
-                            (down[x] >> x2) & 1
-                        ) != ((down[z] >> z2) & 1):
-                            ok = False
-                            break
-                    if ok:
-                        mapping[x] = z
-                        used[z] = True
-                        s += 1
-                        next_choice[s] = 0
-                        advanced = True
-                        break
-                if advanced:
-                    continue
-            s -= 1
-            if s >= t:
-                x = base[s]
-                used[mapping[x]] = False
-                mapping[x] = -1
-        return None
+            mapping[x], used[x] = x, True
 
-    chain = StabiliserChain(n, base)
+        def place(s: int) -> bool:
+            if s == m:
+                return ctx.extend(mapping) is not None
+            x = base[s]
+            for z in (y,) if s == t else candidates[x]:
+                if used[z] or any(
+                    ((under[x] >> x2) & 1) != ((under[z] >> mapping[x2]) & 1)
+                    or ((under[x2] >> x) & 1) != ((under[mapping[x2]] >> z) & 1)
+                    for x2 in base[:s]
+                ):
+                    continue
+                mapping[x], used[z] = z, True
+                if place(s + 1):
+                    return True
+                mapping[x], used[z] = -1, False
+            return False
+
+        return tuple(mapping) if place(t) else None
+
+    chain = StabiliserChain(m, base)
     for t in reversed(range(m)):
         orbit = chain.orbit(t)
         for y in candidates[base[t]]:
             if y not in orbit:
-                image = first_automorphism(t, y)
-                if image is not None:
-                    chain.generators.append(image)
+                psi = first_automorphism(t, y)
+                if psi is not None:
+                    chain.generators.append(psi)
                     orbit = chain.orbit(t)
     return chain
 
@@ -376,63 +446,11 @@ def brute_force_automorphisms(
 ) -> list[Perm]:
     """Every lattice automorphism, listed from the chain of ``automorphism_group``.
 
-    Output is sorted by mapping, so the identity comes first.
+    Each element of the chain is extended to the whole lattice.  Output is
+    sorted by mapping, so the identity comes first.
     """
     chain = automorphism_group(lattice, max_size)
-    return sorted(chain.elements())
-
-
-def _extension_by_joins(a: AbstractLattice) -> Callable[[list[int]], tuple[int, ...] | None]:
-    """Extend a map of the join-irreducibles to every element, or reject it.
-
-    The other elements are visited in order of increasing down set, so their
-    lower covers come first.  The bottom maps to the bottom, and an element
-    with lower covers p != q maps to the join of the images of p and q: the
-    element whose up set is the intersection of theirs.  The extension is
-    kept only if it is a bijection that sends every cover to a cover; since
-    both ends have the same number of covers, it is then an automorphism of
-    the Hasse diagram and so of the order.  LatTowerError is raised when the
-    input has other than one minimal element or a needed join is missing,
-    since the search would then silently lose automorphisms.
-    """
-    n = a.n
-    lower, up = a.down_covers, a.up
-    bottoms = [i for i in range(n) if not lower[i]]
-    if len(bottoms) != 1:
-        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal elements")
-    bottom = bottoms[0]
-    by_up = {mask: i for i, mask in enumerate(up)}
-    rest = sorted(
-        (i for i in range(n) if len(lower[i]) != 1), key=lambda i: a.down[i].bit_count()
-    )
-    is_cover = set(a.covers)
-    low = [i for i, _ in a.covers]
-    high = [j for _, j in a.covers]
-
-    def extend(mapping: list[int]) -> tuple[int, ...] | None:
-        image = list(mapping)
-        used = [False] * n
-        for y in mapping:
-            if y >= 0:
-                used[y] = True
-        for x in rest:
-            if x == bottom:
-                y = bottom
-            else:
-                first, second = lower[x][0], lower[x][1]
-                y = by_up.get(up[image[first]] & up[image[second]], -1)
-                if y < 0:
-                    raise LatTowerError(
-                        f"not a lattice: no join for the images of {first} and {second}"
-                    )
-            if used[y]:
-                return None
-            used[y] = True
-            image[x] = y
-        moved = zip(map(image.__getitem__, low), map(image.__getitem__, high))
-        return tuple(image) if is_cover.issuperset(moved) else None
-
-    return extend
+    return sorted(map(_context(lattice).extend, chain.elements()))
 
 
 def induced_permutation(phi: Perm, lat: Lattice) -> Perm:
@@ -511,12 +529,15 @@ def verify_product_formula(
     Three independent orders must agree: a4! * b!, the order of the searched
     chain of ``automorphism_group``, and the order Schreier-Sims finds for
     the group generated by the maps tau of the adjacent transpositions of
-    class-A and of class-B slots (which generate S_a4 x S_B).  Additionally
-    every such tau must sift through the searched chain and induce its own
-    slot permutation back.
+    class-A and of class-B slots (which generate S_a4 x S_B), restricted to
+    the join-irreducibles, where automorphisms act faithfully.  Additionally
+    every such tau must permute the join-irreducibles, sift through the
+    searched chain there, equal the extension of that restriction on every
+    element, and induce its own slot permutation back.
     """
     lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
     chain = automorphism_group(lat, max_size)
+    ctx = _context(lat)
     predicted = factorial(spec.a4) * factorial(spec.b)
 
     atoms = factor_atoms(lat)
@@ -525,12 +546,16 @@ def verify_product_formula(
     round_trip_ok = all(
         _induced_by_atoms(phi, atoms, spec) == sigma for phi, sigma in zip(taus, sigmas)
     )
-    constructive = schreier_sims(taus, len(lat)).order
+    restricted = [ctx.restrict(phi) for phi in taus]
+    constructive = schreier_sims((psi for psi in restricted if psi is not None), chain.n).order
 
     match = (
         chain.order == predicted
         and constructive == predicted
-        and all(phi in chain for phi in taus)
+        and all(
+            psi is not None and psi in chain and ctx.extend(psi) == phi
+            for psi, phi in zip(restricted, taus)
+        )
         and round_trip_ok
     )
     labels = tuple(s.label for s in spec.slots)

@@ -16,9 +16,7 @@ __all__ = [
     "InvalidProfile",
     "SpecMismatch",
     "TooLarge",
-    "NotMixed",
     "ClassViolation",
-    "NotTowerGroup",
     "OracleMismatch",
     "NonTermination",
 ]
@@ -89,16 +87,8 @@ class TooLarge(LatTowerError):
     """Requested computation exceeds a configured size bound."""
 
 
-class NotMixed(LatTowerError):
-    """Meet decomposition applies to mixed elements only."""
-
-
 class ClassViolation(LatTowerError):
     """Slot permutation mixes degree-4 slots with other slots."""
-
-
-class NotTowerGroup(LatTowerError):
-    """Concrete group has a factor of degree below 3, so profiles are undefined."""
 
 
 class OracleMismatch(LatTowerError):

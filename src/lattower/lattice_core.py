@@ -595,34 +595,6 @@ class AbstractLattice:
         out.sort()
         return tuple(out)
 
-    @cached_property
-    def up_covers(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            out[i].append(j)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def down_covers(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            out[j].append(i)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        h = [0] * self.n
-        for i in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
-            h[i] = 1 + max((h[j] for j in self.down_covers[i]), default=-1)
-        return tuple(h)
-
-    @cached_property
-    def depths(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for i in sorted(range(self.n), key=lambda x: self.up[x].bit_count()):
-            d[i] = 1 + max((d[j] for j in self.up_covers[i]), default=-1)
-        return tuple(d)
-
 
 class Lattice:
     """The enumerated lattice of one tower group, in a fixed element order.

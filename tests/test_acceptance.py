@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement
 
 from lattower.autgroup import (
+    _context,
     brute_force_automorphisms,
     complemented_elements,
     factor_atoms,
@@ -90,8 +91,19 @@ PRODUCT_FORMULA_CASES = {
 
 def test_criterion_3_product_formula(lattices):
     with criterion(3, "automorphism product formula", 60.0):
-        for text, expected in PRODUCT_FORMULA_CASES.items():
-            report = verify_product_formula(parse_spec(text), lattice=lattices.get(text))
+        cases = [
+            (text, expected, verify_product_formula(parse_spec(text), lattice=lattices.get(text)))
+            for text, expected in PRODUCT_FORMULA_CASES.items()
+        ]
+        # 11,384 and 59,866 elements, past DEFAULT_MAX_LATTICE (and S3^7 past
+        # DEFAULT_MAX_SLOTS), so their bounds are given here; S3^7 is built
+        # here and dropped, not kept in the lattice cache
+        lat = lattices.get("S4^4*S3^2")
+        report = verify_product_formula(lat.spec, max_size=11_384, lattice=lat)
+        cases.append(("S4^4*S3^2", 48, report))
+        report = verify_product_formula(parse_spec("S3^7"), max_slots=7, max_size=59_866)
+        cases.append(("S3^7", 5040, report))
+        for text, expected, report in cases:
             assert report.match, text
             assert report.predicted_order == expected, text
             assert report.brute_force_order == expected, text
@@ -153,7 +165,7 @@ def test_criterion_6_property_suites(lattices):
         # and S4^3*S3^2: with gradedness, modularity again (Birkhoff, Lattice Theory)
         for text, expected_pairs in (("S3^5", 432_915), ("S4^3*S3^2", 1_223_830)):
             lat = lattices.get(text)
-            h = lat.to_abstract().heights
+            h = _context(lat).heights
             pairs = 0
             for x in range(len(lat)):
                 for y in range(x, len(lat)):

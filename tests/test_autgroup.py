@@ -26,8 +26,8 @@ from lattower.lattice_core import (
     sub_product_element,
 )
 from lattower.perm_oracle import lemma_lattices
-from lattower.stabiliser import _compose, _inverse, schreier_sims
-from test_acceptance import PRODUCT_FORMULA_CASES
+from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
+from test_acceptance import COMPLEMENTED_SPECS, PRODUCT_FORMULA_CASES
 from test_lattice_core import _reference_up_sets
 
 
@@ -62,6 +62,150 @@ def _subspace_lattice(width):
     )
 
 
+def _cover_lists(a):
+    """The lower and upper covers of every element of a bare poset."""
+    lower = [[] for _ in range(a.n)]
+    upper = [[] for _ in range(a.n)]
+    for i, j in a.covers:
+        lower[j].append(i)
+        upper[i].append(j)
+    return lower, upper
+
+
+def _reference_refined_classes(a):
+    """The colouring the mask search used: its seed reads the popcounts of the
+    down and up masks where the context search reads |J(x)|."""
+    lower, upper = _cover_lists(a)
+    heights, depths = [0] * a.n, [0] * a.n
+    for i in sorted(range(a.n), key=lambda x: a.down[x].bit_count()):
+        heights[i] = 1 + max((heights[j] for j in lower[i]), default=-1)
+    for i in sorted(range(a.n), key=lambda x: a.up[x].bit_count()):
+        depths[i] = 1 + max((depths[j] for j in upper[i]), default=-1)
+    sizes = map(int.bit_count, a.down), map(int.bit_count, a.up), map(len, lower), map(len, upper)
+    ids = autgroup._canonical_ids(list(zip(heights, depths, *sizes)))
+    while True:
+        refined = [
+            (
+                ids[i],
+                tuple(sorted(ids[j] for j in lower[i])),
+                tuple(sorted(ids[j] for j in upper[i])),
+            )
+            for i in range(a.n)
+        ]
+        new_ids = autgroup._canonical_ids(refined)
+        if len(set(new_ids)) == len(set(ids)):
+            return new_ids
+        ids = new_ids
+
+
+def _reference_extension_by_joins(a):
+    """The mask search's extension of a map of the join-irreducibles.
+
+    The other elements are visited in order of increasing down set; an
+    element with lower covers p != q maps to the element whose up set is the
+    intersection of those of the images of p and q.  The extension is kept
+    only if it is a bijection that sends every cover to a cover.
+    """
+    n = a.n
+    lower, _ = _cover_lists(a)
+    up = a.up
+    bottoms = [i for i in range(n) if not lower[i]]
+    if len(bottoms) != 1:
+        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal elements")
+    bottom = bottoms[0]
+    by_up = {mask: i for i, mask in enumerate(up)}
+    rest = sorted((i for i in range(n) if len(lower[i]) != 1), key=lambda i: a.down[i].bit_count())
+    is_cover = set(a.covers)
+
+    def extend(mapping):
+        image = list(mapping)
+        used = [False] * n
+        for y in mapping:
+            if y >= 0:
+                used[y] = True
+        for x in rest:
+            if x == bottom:
+                y = bottom
+            else:
+                first, second = lower[x][0], lower[x][1]
+                y = by_up.get(up[image[first]] & up[image[second]], -1)
+                if y < 0:
+                    raise LatTowerError(
+                        f"not a lattice: no join for the images of {first} and {second}"
+                    )
+            if used[y]:
+                return None
+            used[y] = True
+            image[x] = y
+        moved = {(image[i], image[j]) for i, j in a.covers}
+        return tuple(image) if moved <= is_cover else None
+
+    return extend
+
+
+def _reference_automorphism_group(a):
+    """The orbit-pruned search on the n-point order relation that the context
+    search replaced: the same base, candidates and levels, each placement
+    checked against the down masks, each assignment extended by joins, and
+    the chain kept on all n elements."""
+    n = a.n
+    if n == 0:
+        return StabiliserChain(0)
+    colours = _reference_refined_classes(a)
+    buckets = {}
+    for i, c in enumerate(colours):
+        buckets.setdefault(c, []).append(i)
+    candidates = [buckets[colours[i]] for i in range(n)]
+    lower, _ = _cover_lists(a)
+    irreducibles = [i for i in range(n) if len(lower[i]) == 1]
+    base = sorted(irreducibles, key=lambda i: (len(candidates[i]), colours[i], i))
+    extend = _reference_extension_by_joins(a)
+    down = a.down
+    m = len(base)
+    identity_on_base = [-1] * n
+    for x in base:
+        identity_on_base[x] = x
+    extend(identity_on_base)
+
+    def first_automorphism(t, y):
+        mapping = [-1] * n
+        used = [False] * n
+        for x in base[:t]:
+            mapping[x] = x
+            used[x] = True
+
+        def place(s):
+            if s == m:
+                return extend(mapping)
+            x = base[s]
+            for z in (y,) if s == t else candidates[x]:
+                if used[z] or any(
+                    ((down[x2] >> x) & 1) != ((down[mapping[x2]] >> z) & 1)
+                    or ((down[x] >> x2) & 1) != ((down[z] >> mapping[x2]) & 1)
+                    for x2 in base[:s]
+                ):
+                    continue
+                mapping[x], used[z] = z, True
+                image = place(s + 1)
+                mapping[x], used[z] = -1, False
+                if image is not None:
+                    return image
+            return None
+
+        return place(t)
+
+    chain = StabiliserChain(n, base)
+    for t in reversed(range(m)):
+        orbit = chain.orbit(t)
+        for y in candidates[base[t]]:
+            if y not in orbit:
+                image = first_automorphism(t, y)
+                if image is not None:
+                    chain.generators.append(image)
+                    orbit = chain.orbit(t)
+    return chain
+
+
 def _reference_automorphisms(a):
     """The search over every element, kept as a referee for the search over
     the join-irreducibles: colour-class candidates, each checked against all
@@ -69,7 +213,7 @@ def _reference_automorphisms(a):
     n = len(a)
     if n == 0:
         return [()]
-    colours = autgroup._refined_classes(a)
+    colours = _reference_refined_classes(a)
     buckets = {}
     for i, c in enumerate(colours):
         buckets.setdefault(c, []).append(i)
@@ -145,32 +289,28 @@ def _listing_search(a):
     """The join-irreducible search that listed every automorphism, kept as
     the referee for the orbit-pruned search on lattices too large for the
     search over every element: it extends every consistent assignment of
-    the join-irreducibles by joins and keeps those that extend."""
-    n = len(a)
-    colours = autgroup._refined_classes(a)
-    buckets = {}
-    for i, c in enumerate(colours):
-        buckets.setdefault(c, []).append(i)
-    candidates = [buckets[colours[i]] for i in range(n)]
-    irreducibles = [i for i in range(n) if len(a.down_covers[i]) == 1]
-    order = sorted(irreducibles, key=lambda i: (len(candidates[i]), colours[i], i))
-    extend = autgroup._extension_by_joins(a)
-    down = a.down
-    mapping = [-1] * n
-    used = [False] * n
+    the join-irreducibles and keeps those that extend."""
+    ctx = autgroup._context(a)
+    colours = [autgroup._refined_classes(ctx)[x] for x in ctx.irreducibles]
+    m = len(colours)
+    candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
+    order = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
+    under = [ctx.J[x] for x in ctx.irreducibles]
+    mapping = [-1] * m
+    used = [False] * m
     found = []
 
     def place(t):
         if t == len(order):
-            image = extend(mapping)
+            image = ctx.extend(mapping)
             if image is not None:
                 found.append(image)
             return
         x = order[t]
         for y in candidates[x]:
             if used[y] or any(
-                ((down[x2] >> x) & 1) != ((down[mapping[x2]] >> y) & 1)
-                or ((down[x] >> x2) & 1) != ((down[y] >> mapping[x2]) & 1)
+                ((under[x] >> x2) & 1) != ((under[y] >> mapping[x2]) & 1)
+                or ((under[x2] >> x) & 1) != ((under[mapping[x2]] >> y) & 1)
                 for x2 in order[:t]
             ):
                 continue
@@ -203,7 +343,8 @@ def _assert_search_matches_the_reference(a):
     reference = _reference_automorphisms(a)
     chain = automorphism_group(a)
     assert chain.order == len(reference)
-    assert _generated_group(chain.generators, len(a)) == set(reference)
+    extended = [autgroup._context(a).extend(g) for g in chain.generators]
+    assert _generated_group(extended, len(a)) == set(reference)
     assert brute_force_automorphisms(a) == reference
 
 
@@ -227,18 +368,13 @@ def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
     # no run, so the whole search extends fewer assignments (81) than the
     # listing search keeps automorphisms (168), and 4 generators suffice
     calls = []
-    real = autgroup._extension_by_joins
+    real = autgroup._Context.extend
 
-    def counting(a):
-        extend = real(a)
+    def counting(ctx, psi):
+        calls.append(1)
+        return real(ctx, psi)
 
-        def counted(mapping):
-            calls.append(1)
-            return extend(mapping)
-
-        return counted
-
-    monkeypatch.setattr(autgroup, "_extension_by_joins", counting)
+    monkeypatch.setattr(autgroup._Context, "extend", counting)
     chain = automorphism_group(_subspace_lattice(3))
     assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
     assert len(chain.generators) <= 7
@@ -248,6 +384,31 @@ def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
 @pytest.mark.parametrize("text", ["S3^3", "S3*S4", "S4^2", "S3^4", "S4^2*S3^2", "S4^4"])
 def test_search_agrees_with_the_reference_on_tower_lattices(text, lattices):
     _assert_search_matches_the_reference(lattices.get(text).to_abstract())
+
+
+def _assert_search_matches_the_mask_search(lattice, a):
+    """The same order as the mask search on the order relation a, and the
+    same group on the join-irreducibles: the reference generators restrict
+    into the searched chain, and restriction is faithful on automorphisms."""
+    chain = automorphism_group(lattice, max_size=len(lattice))
+    reference = _reference_automorphism_group(a)
+    assert chain.order == reference.order
+    ctx = autgroup._context(lattice)
+    assert all(ctx.restrict(g) in chain for g in reference.generators)
+
+
+def test_search_agrees_with_the_mask_search_on_small_lattices():
+    small = [_chain(n) for n in (1, 2, 3, 5)] + [_diamond(k) for k in (2, 3, 4)]
+    small += [PENTAGON, _subspace_lattice(3)] + list(lemma_lattices().values())
+    for a in small:
+        _assert_search_matches_the_mask_search(a, a)
+
+
+# every criterion 3 spec but S3^7, whose order relation alone takes 427 MB a direction
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2"])
+def test_search_agrees_with_the_mask_search_on_tower_lattices(text, lattices):
+    lat = lattices.get(text)
+    _assert_search_matches_the_mask_search(lat, lat.to_abstract())
 
 
 @pytest.mark.parametrize("text, order", [("S3^5", 120), ("S4^3*S3^2", 12)])
@@ -260,21 +421,39 @@ def test_chain_order_is_the_length_of_the_full_listing(text, order, lattices):
 
 
 def test_sifting_rejects_what_is_not_an_automorphism(lattices):
+    # the chain acts on the join-irreducibles: an n-point map is restricted
+    # to them before it sifts, and must then equal the extension of its
+    # restriction
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
+    ctx = autgroup._context(lat)
+
+    def accepted(g):
+        psi = ctx.restrict(g)
+        return psi is not None and psi in chain and ctx.extend(psi) == g
+
     autos = brute_force_automorphisms(lat)
     for g in autos:
-        assert g in chain
+        assert ctx.restrict(g) in chain
+        assert accepted(g)
     bottom, top = lat.bottom_index, lat.top_index
     swap = list(range(len(lat)))
     swap[bottom], swap[top] = top, bottom
-    assert tuple(swap) not in chain
+    assert not accepted(tuple(swap))
     # an automorphism on the join-irreducibles, but not on two other elements
     g = list(autos[1])
-    x, y = [i for i in range(len(lat)) if i not in chain.base and g[i] != i][:2]
+    x, y = [i for i in range(len(lat)) if i not in ctx.point and g[i] != i][:2]
     g[x], g[y] = g[y], g[x]
-    assert tuple(g) not in chain
-    assert tuple(range(len(lat) - 1)) not in chain
+    assert ctx.restrict(tuple(g)) in chain
+    assert not accepted(tuple(g))
+    # a permutation of the join-irreducibles that no automorphism induces
+    first, other = ctx.irreducibles[0], next(
+        j for j in ctx.irreducibles if ctx.heights[j] != ctx.heights[ctx.irreducibles[0]]
+    )
+    moved = list(range(len(lat)))
+    moved[first], moved[other] = other, first
+    assert ctx.restrict(tuple(moved)) not in chain
+    assert tuple(range(chain.n - 1)) not in chain
 
 
 def test_schreier_sims_orders():
@@ -310,9 +489,10 @@ def test_schreier_sims_agrees_with_the_closure(name, lattices):
         a = lattices.get(name).to_abstract()
     else:
         a = {"M3": _diamond(3), "M4": _diamond(4), "GF(2)^3": _subspace_lattice(3)}[name]
-    generators = automorphism_group(a).generators
-    chain = schreier_sims(generators, len(a))
-    group = _generated_group(generators, len(a))
+    searched = automorphism_group(a)
+    generators = searched.generators
+    chain = schreier_sims(generators, searched.n)
+    group = _generated_group(generators, searched.n)
     assert chain.order == len(group)
     assert sorted(chain.elements()) == sorted(group)
 
@@ -337,6 +517,44 @@ def test_search_rejects_posets_that_are_not_lattices(masks, message):
         brute_force_automorphisms(_poset(masks))
 
 
+# 0 < a, b, c, d; y covers a and b, x covers a, b and c, the top covers x, y
+# and d.  J is one-to-one, but J(y) lies inside J(x) while y does not lie
+# below x: a and b have the two minimal upper bounds x and y.
+NOT_A_LATTICE_WITH_DISTINCT_J_SETS = (
+    0b00000001, 0b00000011, 0b00000101, 0b00001001, 0b00010001, 0b00100111,
+    0b01001111, 0b11111111,
+)
+
+
+def test_search_on_a_poset_whose_j_sets_misorder_it():
+    poset = _poset(NOT_A_LATTICE_WITH_DISTINCT_J_SETS)
+    try:
+        found = brute_force_automorphisms(poset)
+    except LatTowerError:
+        return
+    assert found == _reference_automorphisms(poset)
+
+
+def test_extension_rejects_a_map_that_permutes_the_j_sets_but_not_the_covers():
+    # 0 < a, b, c, d (points 0-3); u covers a, b; v covers a, b, c; u' covers
+    # c, d; v' covers u' and a; the top covers u, v, v'.  The points map
+    # a -> c -> a, b -> d -> b sends the J-sets of u, v, u', v' to those of
+    # u', v', u, v, so every lookup succeeds, but u' < v' while u is not
+    # below v: only the cover check rejects it
+    poset = _poset(
+        (0b1, 0b11, 0b101, 0b1001, 0b10001, 0b100111, 0b1001111, 0b10011001,
+         0b110011011, 0b1111111111)
+    )
+    ctx = autgroup._context(poset)
+    assert ctx.irreducibles == [1, 2, 3, 4]
+    psi = (2, 3, 0, 1)
+    images = {sum(1 << psi[k] for k in range(4) if (j >> k) & 1) for j in ctx.J}
+    assert images == set(ctx.J)
+    assert ctx.extend(psi) is None
+    assert ctx.extend((0, 1, 2, 3)) == tuple(range(10))
+    assert brute_force_automorphisms(poset) == _reference_automorphisms(poset)
+
+
 def test_brute_force_output_is_sorted_with_identity_first():
     autos = brute_force_automorphisms(_diamond(3))
     assert autos[0] == tuple(range(5))
@@ -354,6 +572,12 @@ def test_size_bound_is_checked_before_the_order_relation():
         verify_product_formula(lat.spec, max_size=100, lattice=lat)
     assert "down_masks" not in vars(lat)
     assert "_abstract" not in vars(lat)
+
+
+def test_the_product_formula_builds_no_order_relation():
+    lat = enumerate_lattice(parse_spec("S4^2*S3^2"))
+    assert verify_product_formula(lat.spec, lattice=lat).match
+    assert not {"_order_masks", "down_masks", "up_masks", "_abstract"} & set(vars(lat))
 
 
 def test_brute_force_finds_only_order_maps(lattices):
@@ -409,8 +633,8 @@ def test_complemented_elements_are_the_full_sub_products(lattices):
     assert comp == expected
 
 
-def _reference_complemented_elements(down, up):
-    """The scan over every pair that complemented_elements replaced."""
+def _pairwise_complemented_elements(down, up):
+    """The scan over every pair that the mask scan replaced."""
     n = len(down)
     bottom_mask = next(m for i, m in enumerate(down) if m == 1 << i)
     top_mask = next(m for i, m in enumerate(up) if m == 1 << i)
@@ -421,18 +645,55 @@ def _reference_complemented_elements(down, up):
     }
 
 
+def _reference_complemented_elements(a):
+    """The mask scan that the context scan replaced: the complements of x
+    are the elements above no atom under x and below no coatom over x."""
+    down, up = a.down, a.up
+    everything = (1 << len(down)) - 1
+    bottoms = [i for i, m in enumerate(down) if m == 1 << i]
+    tops = [i for i, m in enumerate(up) if m == 1 << i]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise LatTowerError(f"not a lattice: {len(bottoms)} minimal, {len(tops)} maximal elements")
+    (bottom,), (top,) = bottoms, tops
+    atoms = [i for i, m in enumerate(down) if i != bottom and m == 1 << bottom | 1 << i]
+    coatoms = [i for i, m in enumerate(up) if i != top and m == 1 << top | 1 << i]
+    out = set()
+    for x in range(len(down)):
+        excluded = 0
+        for a in atoms:
+            if (down[x] >> a) & 1:
+                excluded |= up[a]
+        for m in coatoms:
+            if (up[x] >> m) & 1:
+                excluded |= down[m]
+        if everything & ~excluded:
+            out.add(x)
+    return out
+
+
+@pytest.mark.parametrize("text", COMPLEMENTED_SPECS + ("S3^6",))
+def test_complemented_elements_match_the_mask_scan(text, lattices):
+    lat = lattices.get(text)
+    assert complemented_elements(lat) == _reference_complemented_elements(lat.to_abstract())
+
+
+def test_complemented_elements_of_lemma_posets_match_the_mask_scan():
+    for name, poset in lemma_lattices().items():
+        assert complemented_elements(poset) == _reference_complemented_elements(poset), name
+
+
 # the pairwise scan is quadratic in the lattice: it stays off the largest cases
 @pytest.mark.parametrize("text", sorted(set(PRODUCT_FORMULA_CASES) - {"S3^6", "S4^3*S3^3"}))
 def test_complemented_elements_match_the_pairwise_scan(text, lattices):
     lat = lattices.get(text)
-    expected = _reference_complemented_elements(lat.down_masks, lat.up_masks)
+    expected = _pairwise_complemented_elements(lat.down_masks, lat.up_masks)
     assert complemented_elements(lat) == expected
 
 
 def test_complemented_elements_of_lemma_posets_match_the_pairwise_scan():
     posets = {**lemma_lattices(), "chain": _chain(4), "one": _chain(1), "M3": _diamond(3)}
     for name, poset in posets.items():
-        expected = _reference_complemented_elements(poset.down, poset.up)
+        expected = _pairwise_complemented_elements(poset.down, poset.up)
         assert complemented_elements(poset) == expected, name
 
 
@@ -636,15 +897,17 @@ def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
 def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch):
     # every tau conjugated by a swap pi of two elements that are neither
     # join-irreducibles nor factor atoms: the maps still generate a group of
-    # order 6 and agree with the real tau on the factor atoms, so the order
-    # checks and the round trip pass, but they are not automorphisms, and
-    # only the sift rejects them
+    # order 6 and agree with the real tau on the factor atoms and on every
+    # join-irreducible, so the order checks, the round trip and the sift of
+    # the restrictions pass, but they are not automorphisms, and only the
+    # check that each equals the extension of its restriction rejects them
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
+    ctx = autgroup._context(lat)
     atoms = set(factor_atoms(lat))
     real = autgroup.tau_on_lattice
     first = real((1, 0, 2), lat)
-    x, y = [i for i in range(len(lat)) if i not in chain.base and i not in atoms][:2]
+    x, y = [i for i in range(len(lat)) if i not in ctx.point and i not in atoms][:2]
     if first[x] == x:
         x, y = y, x
     pi = list(range(len(lat)))
@@ -655,7 +918,9 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
         return tuple(pi[mapping[pi[i]]] for i in range(len(lat)))
 
     monkeypatch.setattr(autgroup, "tau_on_lattice", conjugated)
-    assert conjugated((1, 0, 2), lat) not in chain
+    psi = ctx.restrict(conjugated((1, 0, 2), lat))
+    assert psi in chain
+    assert ctx.extend(psi) != conjugated((1, 0, 2), lat)
     report = verify_product_formula(parse_spec("S3^3"), lattice=lat)
     assert (report.brute_force_order, report.constructive_order) == (6, 6)
     assert not report.match
