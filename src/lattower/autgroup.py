@@ -27,31 +27,28 @@ from functools import reduce
 from itertools import permutations
 from math import factorial
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import ClassViolation, LatTowerError, TooLarge
-from .gf2 import Subspace, _reduce
+from .gf2 import _reduce
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
-    LatticeElement,
-    Profile,
+    _digits,
     _eff_packer,
     census_of,
-    element_from_profile,
     enumerate_lattice,
 )
-from .stabiliser import Perm, StabiliserChain, _inverse, schreier_sims
+from .stabiliser import Perm, StabiliserChain, schreier_sims
 
 __all__ = [
     "DEFAULT_MAX_LATTICE",
     "cycle_notation",
     "complemented_elements",
     "factor_atoms",
-    "tau_sigma",
     "tau_on_lattice",
     "automorphism_group",
     "brute_force_automorphisms",
@@ -140,9 +137,10 @@ def factor_atoms(lat: Lattice) -> list[int]:
     ]
     by_slot: dict[int, int] = {}
     for i in atoms:
-        t = lat.elements[i].triple
-        full_slots = [s for s, p in t.positions if p is ChainPosition.FULL]
-        if t.coupled or len(full_slots) != 1:
+        coupled, _ = lat.blocks[lat.block_of[i]]
+        digits = _digits(lat.keys[i], lat.spec.num_slots)
+        full_slots = [s for s, p in enumerate(digits) if p == ChainPosition.FULL]
+        if coupled or len(full_slots) != 1:
             raise LatTowerError(f"factor atom {i} is not a single-slot sub-product")
         by_slot[full_slots[0]] = i
     if sorted(by_slot) != list(range(lat.spec.num_slots)):
@@ -163,44 +161,30 @@ def _check_class_preserving(spec: TowerGroupSpec, sigma: Perm) -> None:
             )
 
 
-def _profile_relabelling(
-    spec: TowerGroupSpec, sigma: Perm
-) -> Callable[[Profile], tuple[int, tuple[int, ...]]]:
-    """The relabelling of profiles along sigma, a permutation of coordinates.
+def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
+    """The permutation of element indices induced by a class-preserving slot permutation.
 
-    Slot s moves to sigma(s): eff'[sigma(s)] = eff[s], and bit s of every
-    sign pattern moves to bit sigma(s), after which the basis is reduced
-    again.  A position keeps its name because sigma preserves the slot
-    class and all class-B chains are TRIV < ALT < FULL.  The result is the
-    image's key in ``Lattice._profile_index``, eff' packed with the reduced
-    basis, built without a Profile or a validated subspace.
+    Slot s moves to sigma(s): digit s of each key moves to digit sigma(s),
+    and bit s of every sign pattern moves to bit sigma(s), after which the
+    basis of W is reduced again.  A position keeps its name because sigma
+    preserves the slot class and all class-B chains are TRIV < ALT < FULL.
+    Each distinct key and each W is moved once; then every image is looked
+    up in the profile index, under ``key | wid << 2T``.
     """
+    spec = lat.spec
     _check_class_preserving(spec, sigma)
+    n = spec.num_slots
     pack = _eff_packer(sigma)
     # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
-    moved = [0] * (1 << spec.num_slots)
+    moved = [0] * (1 << n)
     for v in range(1, len(moved)):
         low = v & -v
         moved[v] = moved[v ^ low] | 1 << sigma[low.bit_length() - 1]
-
-    def relabel(p: Profile) -> tuple[int, tuple[int, ...]]:
-        return pack(p.eff), _reduce(map(moved.__getitem__, p.signs.basis))
-
-    return relabel
-
-
-def tau_sigma(sigma: Perm, e: LatticeElement) -> LatticeElement:
-    """Relabel a normal subgroup along a class-preserving slot permutation."""
-    _, basis = _profile_relabelling(e.spec, sigma)(e.profile)
-    eff = tuple(map(e.profile.eff.__getitem__, _inverse(sigma)))
-    return element_from_profile(Profile(e.spec, eff, Subspace(e.spec.num_slots, basis)))
-
-
-def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
-    """The induced permutation of element indices."""
-    relabel = _profile_relabelling(lat.spec, sigma)
+    keys = {key: pack(_digits(key, n)) for key in set(lat.keys)}
+    spaces = lat.spaces
+    wids = [spaces[_reduce(map(moved.__getitem__, basis))] << 2 * n for basis in lat.bases]
     index = lat._profile_index
-    return tuple(index[relabel(e.profile)] for e in lat.elements)
+    return tuple(index[keys[key] | wids[wid]] for key, wid in zip(lat.keys, lat.wids))
 
 
 def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) -> list[int]:

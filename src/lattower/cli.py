@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from itertools import chain, islice, starmap
+from typing import Iterable, Iterator
 
 from .errors import (
     DegreeTooLarge,
@@ -28,7 +29,7 @@ from .autgroup import (
     searchable_lattice,
     verify_product_formula,
 )
-from .group_spec import format_spec, parse_spec
+from .group_spec import ChainPosition, format_spec, parse_spec
 from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, census_of
 from .perm_oracle import (
     DEFAULT_MAX_ORDER,
@@ -108,14 +109,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, whole or as an iterable of chunks, ending it with a newline.
+
+    The first chunk is made before ``out`` is opened, so a writer that fails
+    before its first chunk leaves no file behind.
+    """
+    chunks = iter((text,) if isinstance(text, str) else text)
+    first = next(chunks, "")
+    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+    try:
+        fh.write(first)
+        ends_line = first.endswith("\n")
+        for chunk in chunks:
+            if chunk:
+                fh.write(chunk)
+                ends_line = chunk.endswith("\n")
+        if not ends_line:
+            fh.write("\n")
+    finally:
+        if out is not None:
+            fh.close()
 
 
 def _json_dump(data) -> str:
@@ -188,63 +202,89 @@ def cmd_oracle_diff(args) -> int:
     return 0
 
 
-def _dot(labels, covers) -> str:
-    lines = ["digraph lattice {", "  rankdir=BT;"]
-    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
-    lines += [f"  n{i} -> n{j};" for i, j in covers]
-    lines.append("}")
-    return "\n".join(lines)
+def _batches(items: Iterable[str], size: int = 4096) -> Iterator[list[str]]:
+    """The items in lists of at most ``size``, so a writer holds one chunk at a time."""
+    it = iter(items)
+    while batch := list(islice(it, size)):
+        yield batch
 
 
-def _dot_of_lattice(lat: Lattice) -> str:
-    return _dot((f"{e.family}:{e.order}" for e in lat.elements), lat.covers())
+def _dot(labels: Iterable[str], covers: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The DOT text, in chunks of lines."""
+    yield "digraph lattice {\n  rankdir=BT;"
+    nodes = starmap('  n{} [label="{}"];'.format, enumerate(labels))
+    edges = starmap("  n{} -> n{};".format, covers)
+    for batch in _batches(chain(nodes, edges)):
+        yield "\n" + "\n".join(batch)
+    yield "\n}"
 
 
-def _lattice_json(lat: Lattice) -> str:
-    """``_json_dump(lat.to_json_dict())`` byte for byte, with no dict tree.
+def _dot_of_lattice(lat: Lattice) -> Iterator[str]:
+    return _dot(map("{}:{}".format, lat.families, lat.orders), lat.covers())
 
-    One f-string per element and per edge; each distinct P, H and J block once.
+
+def _lattice_json(lat: Lattice) -> Iterator[str]:
+    """``_json_dump(lat.to_json_dict())`` byte for byte, in chunks, with no dict tree.
+
+    Read off the columns: one f-string per element and per edge, J and H
+    rendered once per (J, H) block, and P, the key's digits off J, once per
+    J and key.  The covers are read before the first chunk.
     """
+    edges = lat.covers()
     q = json.encoder.encode_basestring_ascii
+    n = lat.spec.num_slots
 
     def block(brackets, items):  # a value in "triple": its key at 8 spaces, its items at 10
         inner = ",\n          ".join(items)
         return f"{brackets[0]}\n          {inner}\n        {brackets[1]}" if items else brackets
 
-    @lru_cache(maxsize=None)
-    def p_block(positions):  # sort_keys compares the keys as strings: "10" before "2"
-        keyed = sorted((str(s), p.token) for s, p in positions)
-        return block("{}", [f"{q(s)}: {q(token)}" for s, token in keyed])
+    # sort_keys compares the P keys as strings: "10" before "2"
+    p_order = sorted(range(n), key=str)
+    p_items = [[f'"{s}": "{p.token}"' for p in ChainPosition] for s in range(n)]
 
-    h_block = lru_cache(maxsize=None)(lambda signs: block("[]", list(map(q, signs.to_strings()))))
-    j_block = lru_cache(maxsize=None)(lambda coupled: block("[]", list(map(str, coupled))))
+    def p_block(coupled, key):
+        return block("{}", [p_items[s][(key >> 2 * s) & 3] for s in p_order if s not in coupled])
+
+    heads = []  # per block: the H and J lines, its J, and the P blocks of that J by key
+    p_by_j: dict[tuple[int, ...], dict[int, str]] = {}
+    for coupled, signs in lat.blocks:
+        h = block("[]", list(map(q, signs.to_strings())))
+        j = block("[]", list(map(str, coupled)))
+        head = f'        "H": {h},\n        "J": {j},\n        "P": '
+        heads.append((head, coupled, p_by_j.setdefault(coupled, {})))
+
+    def elements():
+        columns = zip(lat.keys, lat.block_of, lat.orders, map(q, lat.families))
+        for i, (key, b, order, family) in enumerate(columns):
+            head, coupled, p_blocks = heads[b]
+            p = p_blocks.get(key) or p_blocks.setdefault(key, p_block(coupled, key))
+            yield (
+                f'    {{\n      "family": {family},\n      "index": {i},\n      "order": {order},\n'
+                f'      "triple": {{\n{head}{p}\n      }}\n    }}'
+            )
 
     def array(key, items):
-        if not items:
-            return [f'  "{key}": [],']
-        items[-1] = items[-1][:-1]  # the last item drops its comma
-        return [f'  "{key}": [', *items, "  ],"]
+        batches = _batches(items)
+        first = next(batches, None)
+        if first is None:
+            yield f'\n  "{key}": [],'
+            return
+        yield f'\n  "{key}": [\n' + ",\n".join(first)
+        for batch in batches:
+            yield ",\n" + ",\n".join(batch)
+        yield "\n  ],"
 
     c = lat.census
-    lines = [f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
-             f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},']
-    lines += array("elements", [
-        f'    {{\n      "family": {q(e.family)},\n      "index": {i},\n      "order": {e.order},\n'
-        f'      "triple": {{\n        "H": {h_block(e.triple.signs)},\n'
-        f'        "J": {j_block(e.triple.coupled)},\n        "P": {p_block(e.triple.positions)}\n'
-        "      }\n    },"
-        for i, e in enumerate(lat.elements)
-    ])
-    lines += array("hasse_edges", [
-        f"    [\n      {i},\n      {j}\n    ]," for i, j in lat.covers()
-    ])
-    lines += array("slots", [
+    yield (f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
+           f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},')
+    yield from array("elements", elements())
+    yield from array("hasse_edges", starmap("    [\n      {},\n      {}\n    ]".format, edges))
+    yield from array("slots", [
         f'    {{\n      "class": {q(s.slot_class)},\n      "copy": {s.copy},\n'
-        f'      "degree": {s.degree},\n      "index": {s.index}\n    }},'
+        f'      "degree": {s.degree},\n      "index": {s.index}\n    }}'
         for s in lat.spec.slots
     ])
-    lines.append(f'  "spec": {q(format_spec(lat.spec))}\n}}')
-    return "\n".join(lines)
+    yield f'\n  "spec": {q(format_spec(lat.spec))}\n}}'
 
 
 # the small-group names, with case and whitespace ignored as in parse_spec

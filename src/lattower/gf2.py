@@ -9,7 +9,6 @@ canonical form: two subspaces are equal iff their bases are equal.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -55,27 +54,6 @@ def _lift(row: int, coords: tuple[int, ...]) -> int:
         if (row >> j) & 1:
             w |= 1 << c
     return w
-
-
-def _widenings(basis: tuple[int, ...], coords: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(v, reduced basis of W + <v>) for each nonzero v inside the coordinate
-    mask and zero on the pivots of W, the reduced basis ``basis``.
-
-    These v are the reduced representatives of the cosets of W, so each
-    W + <v> is a different subspace.  Its reduced basis is W's with v added
-    at the rows that have v's pivot, and v inserted in pivot order.
-    """
-    pivots = [row & -row for row in basis]
-    free = coords & ~sum(pivots)
-    out = []
-    v = free
-    while v:
-        low = v & -v
-        rows = [row ^ v if row & low else row for row in basis]
-        rows.insert(bisect(pivots, low), v)
-        out.append((v, tuple(rows)))
-        v = (v - 1) & free
-    return out
 
 
 @dataclass(frozen=True)
@@ -205,16 +183,17 @@ class Subspace:
         return tuple(SignVector(self.width, r).to_string() for r in self.basis)
 
 
+def _span(basis: Iterable[int]) -> list[int]:
+    """Every vector of the span of independent rows: entry m XORs the rows at the bits of m."""
+    out = [0]
+    for row in basis:
+        out += [v ^ row for v in out]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _elements_of(s: Subspace) -> tuple[int, ...]:
-    out = []
-    for mask in range(1 << s.dim):
-        v = 0
-        for i in range(s.dim):
-            if (mask >> i) & 1:
-                v ^= s.basis[i]
-        out.append(v)
-    return tuple(out)
+    return tuple(_span(s.basis))
 
 
 def span(width: int, vectors: Iterable[SignVector | int]) -> Subspace:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, product
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
 from operator import and_, getitem, lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping
@@ -48,7 +48,7 @@ from .gf2 import (
     Subspace,
     _lift,
     _pivot,
-    _widenings,
+    _span,
     iter_subspaces,
     parity_kernel,
     span,
@@ -202,6 +202,14 @@ def _eff_packer(digits: Iterable[int]) -> Callable[[Iterable[ChainPosition]], in
     """
     shifts = [2 * d for d in digits]
     return lambda eff: sum(map(lshift, eff, shifts))
+
+
+_POSITIONS = tuple(ChainPosition)
+
+
+def _digits(key: int, num_slots: int) -> list[int]:
+    """The base-4 digits of a packed eff, slot 0 first."""
+    return [(key >> 2 * s) & 3 for s in range(num_slots)]
 
 
 def triple_to_profile(t: AdmissibleTriple) -> Profile:
@@ -454,58 +462,77 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
     census counts the families of the elements built, independently of
     ``census_of``.
 
-    Each element is what ``element_from_triple`` builds.  The placements of
-    P (eff, the FULL-slot unit vectors, the size off J, whether P is all
-    FULL) are built once per J; the lifted basis of H, |H| prod_{s in J}
-    k_s!/2 and the parity-kernel test once per (J, H); and W once per (J, H)
-    and set of FULL slots: the unit vectors lie off J and the lifted rows on
-    J, so together, sorted by pivot, they are already its reduced basis.
+    The columns are filled a (J, H) block at a time, and no element object
+    is built.  The placements of P (key, FULL-slot mask, size off J) are
+    built once per J; |H| prod_{s in J} k_s!/2 and the parity-kernel test
+    once per (J, H); and W once per (J, H) and set of FULL slots: the unit
+    vectors lie off J and the lifted rows of H on J, so together, sorted by
+    pivot, they are already its reduced basis.
     """
     _check_slots(spec, max_slots)
     n = spec.num_slots
     degrees = spec.degrees
-    elements: list[LatticeElement] = []
+    keys, wids, block_of, orders, families = [], [], [], [], []  # the columns
+    spaces: dict[tuple[int, ...], int] = {}
+    blocks: list[tuple[tuple[int, ...], Subspace]] = []
+    # per slot and chain position: its digit in the key, its FULL bit and its size
+    options = [
+        (
+            [p << 2 * s for p in chain(d)],
+            [(p is ChainPosition.FULL) << s for p in chain(d)],
+            [position_size(p, d) for p in chain(d)],
+        )
+        for s, d in enumerate(degrees)
+    ]
     for j_mask in range(1 << n):
         coupled = tuple(s for s in range(n) if (j_mask >> s) & 1)
         subspaces = _admissible_subspaces(len(coupled))
         if not subspaces:
             continue
         off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
+        off_mask = ~j_mask & ((1 << n) - 1)
         half = prod(factorial(degrees[s]) // 2 for s in coupled)
         kernel = parity_kernel(len(coupled))
-        placements = []
-        for combo in product(*(chain(degrees[s]) for s in off)):
-            positions = tuple(zip(off, combo))
-            eff = [ChainPosition.FULL] * n
-            for s, p in positions:
-                eff[s] = p
-            units = tuple(1 << s for s, p in positions if p is ChainPosition.FULL)
-            size = prod(position_size(p, degrees[s]) for s, p in positions)
-            placements.append((tuple(eff), units, size, positions, len(units) == len(off)))
-        unit_sets = {units for _, units, *_ in placements}
+        j_key = sum(ChainPosition.FULL << 2 * s for s in coupled)
+        # every P on the slots off J, the last slot running fastest
+        p_keys, p_full, p_sizes = [j_key], [0], [1]
+        for s in off:
+            keys_s, full_s, sizes_s = options[s]
+            p_keys = [k + d for k in p_keys for d in keys_s]
+            p_full = [f | d for f in p_full for d in full_s]
+            p_sizes = [z * d for z in p_sizes for d in sizes_s]
+        full_masks = set(p_full)
+        count = len(p_keys)
         for signs in subspaces:
-            lifted = tuple(_lift(row, coupled) for row in signs.basis)
-            spaces = {u: Subspace(n, tuple(sorted(lifted + u, key=_pivot))) for u in unit_sets}
-            # indexed by whether every slot off J is FULL
-            if not coupled:
-                families = (FAMILY_SUB_PRODUCT, FAMILY_SUB_PRODUCT)
-            elif signs == kernel:
-                families = (FAMILY_MIXED, FAMILY_SIGN_PARITY)
-            else:
-                families = (FAMILY_MIXED, FAMILY_MIXED)
+            lifted = [_lift(row, coupled) for row in signs.basis]
+            wid_of_full = {
+                full: spaces.setdefault(
+                    tuple(sorted(lifted + [1 << s for s in off if (full >> s) & 1], key=_pivot)),
+                    len(spaces),
+                )
+                for full in full_masks
+            }
+            block_of += [len(blocks)] * count
+            blocks.append((coupled, signs))
+            keys += p_keys
+            wids += map(wid_of_full.__getitem__, p_full)
             order = signs.size * half
-            for eff, units, size, positions, all_full in placements:
-                t = AdmissibleTriple(spec, coupled, positions, signs)
-                p = Profile(spec, eff, spaces[units])
-                elements.append(LatticeElement(t, p, families[all_full], order * size))
-    counts = Counter(e.family for e in elements)
+            orders += [order * size for size in p_sizes]
+            if not coupled:
+                families += [FAMILY_SUB_PRODUCT] * count
+            elif signs == kernel:
+                kinds = (FAMILY_MIXED, FAMILY_SIGN_PARITY)  # by whether every slot off J is FULL
+                families += [kinds[full == off_mask] for full in p_full]
+            else:
+                families += [FAMILY_MIXED] * count
+    counts = Counter(families)
     census = Census(
         sub_products=counts[FAMILY_SUB_PRODUCT],
         sign_parity=counts[FAMILY_SIGN_PARITY],
         mixed=counts[FAMILY_MIXED],
-        total=len(elements),
+        total=len(keys),
     )
-    return Lattice(spec, tuple(elements), census)
+    return Lattice(spec, census, keys, wids, spaces, blocks, block_of, orders, families)
 
 
 def sub_product_element(
@@ -597,42 +624,88 @@ class AbstractLattice:
 
 
 class Lattice:
-    """The enumerated lattice of one tower group, in a fixed element order.
+    """The enumerated lattice of one tower group, held as columns in a fixed element order.
 
-    The indexes below are built on first use, so enumerating pays for none.
+    Element i is
+    * ``keys[i]``, its eff packed base 4 with eff[s] in digit s (see ``_eff_packer``);
+    * ``wids[i]``, the id of its W: ``spaces`` maps each reduced basis to its
+      id, and the ids count up in its insertion order;
+    * ``blocks[block_of[i]]``, its (J, H) as the coupled slots and the sign
+      subgroup, with P the digits of the key off J;
+    * ``orders[i]`` and ``families[i]``.
+
+    Nothing in the CLI builds an element object; ``elements`` derives them for
+    the callers that want them.  The indexes below are built on first use, so
+    enumerating pays for none.
     """
 
-    def __init__(self, spec: TowerGroupSpec, elements: tuple[LatticeElement, ...], census: Census):
+    def __init__(
+        self,
+        spec: TowerGroupSpec,
+        census: Census,
+        keys: list[int],
+        wids: list[int],
+        spaces: dict[tuple[int, ...], int],
+        blocks: list[tuple[tuple[int, ...], Subspace]],
+        block_of: list[int],
+        orders: list[int],
+        families: list[str],
+    ):
         self.spec = spec
-        self.elements = elements
         self.census = census
+        self.keys, self.wids, self.spaces = keys, wids, spaces
+        self.blocks, self.block_of = blocks, block_of
+        self.orders, self.families = orders, families
         self._pack = _eff_packer(range(spec.num_slots))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __iter__(self) -> Iterator[LatticeElement]:
         return iter(self.elements)
 
     @cached_property
-    def _profile_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
-        """Element index by the packed key (eff as a base-4 int, reduced sign basis).
+    def bases(self) -> list[tuple[int, ...]]:
+        """The reduced basis of each W, by id."""
+        return list(self.spaces)
 
-        Within one spec that pair pins a profile down, and it hashes without
-        the spec, so a caller that permutes coordinates or moves up a cover
-        can look its image up without building a Profile or a validated
-        subspace.
+    @cached_property
+    def elements(self) -> tuple[LatticeElement, ...]:
+        """The elements as objects, each what ``element_from_triple`` builds of its triple."""
+        spec, n = self.spec, self.spec.num_slots
+        signs = [Subspace(n, basis) for basis in self.bases]
+        effs = {key: tuple(map(_POSITIONS.__getitem__, _digits(key, n))) for key in set(self.keys)}
+        out = []
+        for key, wid, b, order, family in zip(
+            self.keys, self.wids, self.block_of, self.orders, self.families
+        ):
+            coupled, h = self.blocks[b]
+            eff = effs[key]
+            positions = tuple((s, p) for s, p in enumerate(eff) if s not in coupled)
+            t = AdmissibleTriple(spec, coupled, positions, h)
+            out.append(LatticeElement(t, Profile(spec, eff, signs[wid]), family, order))
+        return tuple(out)
+
+    @cached_property
+    def _profile_index(self) -> dict[int, int]:
+        """Element index by one int, ``key | wid << 2T`` with T the slot count.
+
+        Within one spec that int pins a profile down, so a caller that
+        permutes coordinates or moves up a cover can look its image up
+        without building a Profile or a validated subspace.
         """
-        pack = self._pack
-        return {(pack(e.profile.eff), e.profile.signs.basis): i for i, e in enumerate(self.elements)}
+        codes = map(or_, self.keys, map(lshift, self.wids, repeat(2 * self.spec.num_slots)))
+        return dict(zip(codes, range(len(self))))
 
     def index_of(self, e: LatticeElement) -> int:
         return self.index_of_profile(e.profile)
 
     def index_of_profile(self, p: Profile) -> int:
+        """The index of a profile; KeyError when it is not in the lattice."""
         if p.spec != self.spec:
             raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
-        return self._profile_index[self._pack(p.eff), p.signs.basis]
+        wid = self.spaces[p.signs.basis]
+        return self._profile_index[self._pack(p.eff) | wid << 2 * self.spec.num_slots]
 
     @cached_property
     def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -640,41 +713,51 @@ class Lattice:
 
         Element i lies below element j exactly when eff_i[s] <= eff_j[s] at
         every slot s and W_i is inside W_j.  One sweep over the elements
-        collects ``at[s][p]``, the elements with eff[s] = p, whose prefix and
-        suffix ORs are ``le[s][p]`` and ``ge[s][p]``, and ``has[v]``, the
-        elements whose W contains the sign vector v.  Then
+        collects the elements of each key and of each W.  From those come
+        ``at[s][p]``, the elements with eff[s] = p, whose prefix and suffix
+        ORs are ``le[s][p]`` and ``ge[s][p]``, and ``has[v]``, the elements
+        whose W contains the sign vector v.  Then
 
             down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]),
             up[i]   = AND_s ge[s][eff_i[s]]  &  AND_{r in basis(W_i)} has[r].
 
         The sign factors are exact because W_i lies inside W_j precisely when
         W_i holds no vector outside W_j, and precisely when W_j holds every
-        basis row of W_i.  Each depends on one W alone, so it is computed
-        once per distinct sign subspace.
+        basis row of W_i.  Each factor depends on one key or one W alone, so
+        it is computed once per distinct key or W.
         """
         num_slots = self.spec.num_slots
-        at = [[0] * len(ChainPosition) for _ in range(num_slots)]
-        with_signs: dict[Subspace, int] = {}
-        profiles = [e.profile for e in self.elements]
-        for i, p in enumerate(profiles):
+        with_key: dict[int, int] = {}
+        with_wid: dict[int, int] = {}
+        for i, (key, wid) in enumerate(zip(self.keys, self.wids)):
             bit = 1 << i
-            for s, pos in enumerate(p.eff):
-                at[s][pos] |= bit
-            with_signs[p.signs] = with_signs.get(p.signs, 0) | bit
+            with_key[key] = with_key.get(key, 0) | bit
+            with_wid[wid] = with_wid.get(wid, 0) | bit
+        digits = {key: _digits(key, num_slots) for key in with_key}
+        at = [[0] * len(ChainPosition) for _ in range(num_slots)]
+        for key, mask in with_key.items():
+            for s, p in enumerate(digits[key]):
+                at[s][p] |= mask
         le = [list(accumulate(row, or_)) for row in at]
         ge = [list(accumulate(row[::-1], or_))[::-1] for row in at]
         has = [0] * (1 << num_slots)
-        for w, mask in with_signs.items():
-            for v in w.elements():
+        spans = {wid: _span(self.bases[wid]) for wid in with_wid}
+        for wid, mask in with_wid.items():
+            for v in spans[wid]:
                 has[v] |= mask
-        everything, every_vector = (1 << len(self.elements)) - 1, set(range(len(has)))
+        everything, every_vector = (1 << len(self)) - 1, set(range(len(has)))
+        outside = {wid: every_vector.difference(vectors) for wid, vectors in spans.items()}
         inside = {
-            w: everything & ~reduce(or_, map(has.__getitem__, every_vector - set(w.elements())), 0)
-            for w in with_signs
+            wid: everything & ~reduce(or_, map(has.__getitem__, vectors), 0)
+            for wid, vectors in outside.items()
         }
-        holding = {w: reduce(and_, map(has.__getitem__, w.basis), everything) for w in with_signs}
-        down = tuple(reduce(and_, map(getitem, le, p.eff), inside[p.signs]) for p in profiles)
-        up = tuple(reduce(and_, map(getitem, ge, p.eff), holding[p.signs]) for p in profiles)
+        holding = {
+            wid: reduce(and_, map(has.__getitem__, self.bases[wid]), everything) for wid in with_wid
+        }
+        below = {key: reduce(and_, map(getitem, le, d), everything) for key, d in digits.items()}
+        above = {key: reduce(and_, map(getitem, ge, d), everything) for key, d in digits.items()}
+        down = tuple(below[k] & inside[w] for k, w in zip(self.keys, self.wids))
+        up = tuple(above[k] & holding[w] for k, w in zip(self.keys, self.wids))
         return down, up
 
     @cached_property
@@ -731,33 +814,57 @@ class Lattice:
         Let y cover x.  A chain step at a slot below ALT that y raises lies
         in [x, y], so it is y.  Otherwise y raises only ALT slots, W_y is
         larger, and W + <v> for the reduced v of any vector of W_y outside W
-        lies in [x, y].  Each image is looked up under the packed key, where
-        the second move ORs 4^s in at each slot s of v.  No order relation
-        is built; ``AbstractLattice.covers`` referees this in the tests.
+        lies in [x, y].  Each image is looked up in the profile index: a
+        chain step adds to the key, and W + <v> ORs 4^s into the key at each
+        slot s of v and takes the id of the wider W, found once per W and v.
+        No order relation is built; ``AbstractLattice.covers`` referees this
+        in the tests.
         """
         num_slots = self.spec.num_slots
-        index, pack = self._profile_index, self._pack
-        # one chain step up from TRIV or V: TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
-        steps = [(1 if d == 4 else 2) << 2 * s for s, d in enumerate(self.spec.degrees)]
+        shift = 2 * num_slots
+        index, spaces, bases = self._profile_index, self.spaces, self.bases
+        # per key of every eff: its chain steps up, and the slots at ALT or FULL;
+        # one step up from TRIV or V is TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
+        moves_of_key: dict[int, tuple[tuple[int, ...], int]] = {0: ((), 0)}
+        for s, d in enumerate(self.spec.degrees):
+            step = (1 if d == 4 else 2) << 2 * s
+            moves_of_key = {
+                key + (p << 2 * s): (
+                    (ups + (step,), up) if p < ChainPosition.ALT else (ups, up | 1 << s)
+                )
+                for key, (ups, up) in moves_of_key.items()
+                for p in chain(d)
+            }
         # digit 1 at each slot of v: ORed into a key, it raises those slots from ALT to FULL
-        spread = [pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
-        widenings: dict[tuple[tuple[int, ...], int], list[tuple[int, tuple[int, ...]]]] = {}
-        out = []
-        for i, e in enumerate(self.elements):
-            eff, basis = e.profile.eff, e.profile.signs.basis
-            key = pack(eff)
-            moves, upper = [], 0
-            for s, p in enumerate(eff):
-                if p < ChainPosition.ALT:
-                    moves.append((key + steps[s], basis))
-                else:
-                    upper |= 1 << s
-            wider = widenings.get((basis, upper))
-            if wider is None:
-                wider = widenings[basis, upper] = _widenings(basis, upper)
-            moves += [(key | spread[v], w) for v, w in wider]
+        spread = [self._pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
+        # the pivot slots of each W
+        pivots_of = [sum(row & -row for row in basis) for basis in bases]
+        # wid << T | v -> spread[v] | the id of W + <v> << 2T
+        wider: dict[int, int] = {}
+        submasks: dict[int, list[int]] = {}  # the nonzero submasks of each free-slot mask
+        out: list[tuple[int, int]] = []
+        for i, (key, wid) in enumerate(zip(self.keys, self.wids)):
+            ups, upper = moves_of_key[key]
+            moves = list(map((key | wid << shift).__add__, ups))
+            free = upper & ~pivots_of[wid]
+            vs = submasks.get(free)
+            if vs is None:
+                vs = submasks[free] = [v for v in range(1, free + 1) if not v & ~free]
+            terms = list(map(wider.get, map((wid << num_slots).__or__, vs)))
+            if None in terms:
+                basis, pivots = bases[wid], pivots_of[wid]
+                for k, v in enumerate(vs):
+                    if terms[k] is None:
+                        low = v & -v
+                        rows = [row ^ v if row & low else row for row in basis]
+                        rows.insert((pivots & (low - 1)).bit_count(), v)
+                        w = spaces.get(tuple(rows))
+                        if w is None:
+                            raise LatTowerError(f"a cover move from element {i} leaves the lattice")
+                        terms[k] = wider[wid << num_slots | v] = spread[v] | w << shift
+            moves += map(key.__or__, terms)
             try:
-                out += [(i, j) for j in sorted(map(index.__getitem__, moves))]
+                out += zip(repeat(i), sorted(map(index.__getitem__, moves)))
             except KeyError:
                 raise LatTowerError(f"a cover move from element {i} leaves the lattice") from None
         return tuple(out)

@@ -21,7 +21,7 @@ from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import factorial
 from operator import and_, or_
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import LatTowerError, OracleMismatch, TooLarge
 from .gf2 import span
@@ -147,12 +147,19 @@ def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> 
     return ConcreteGroup(spec.degrees, max_order=max_order)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+@lru_cache(maxsize=None)
+def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the indices 8k + i of the set bits i of the byte b, lowest first."""
+    return tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, lowest first, a byte at a time."""
+    out: list[int] = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += _byte_bits(k)[byte]
+    return out
 
 
 def _spread(mask: int, shifts: list[int]) -> int:
@@ -205,8 +212,7 @@ class ClassTable:
         self.sizes, self.signs, self.prod = sizes, signs, prod
 
     def order(self, mask: int) -> int:
-        sizes = self.sizes
-        return sum(sizes[i] for i in _bits(mask))
+        return sum(map(self.sizes.__getitem__, _bits(mask)))
 
     def profile(self, mask: int, spec: TowerGroupSpec) -> Profile:
         """The profile of a normal subgroup, read off its classes.
@@ -286,7 +292,7 @@ def all_normal_subgroups(group: ConcreteGroup) -> list[int]:
     element lists by (length, elements).
     """
     table = group.class_table
-    return sorted(_normal_masks(table), key=lambda m: (table.order(m), tuple(_bits(m))))
+    return sorted(_normal_masks(table), key=lambda m: (table.order(m), _bits(m)))
 
 
 def _order_sets(masks: Sequence[int], width: int) -> tuple[list[int], list[int]]:
@@ -298,7 +304,7 @@ def _order_sets(masks: Sequence[int], width: int) -> tuple[list[int], list[int]]
     holds masks[a] exactly when it holds each of its classes, so up[a] is
     the AND of ``containing[c]`` over the classes of masks[a].
     """
-    classes = [list(_bits(m)) for m in masks]
+    classes = [_bits(m) for m in masks]
     containing = [0] * width
     for b, inside in enumerate(classes):
         for c in inside:

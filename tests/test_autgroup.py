@@ -11,7 +11,6 @@ from lattower.autgroup import (
     factor_atoms,
     induced_permutation,
     tau_on_lattice,
-    tau_sigma,
     verify_product_formula,
 )
 from lattower.errors import ClassViolation, LatTowerError, TooLarge
@@ -20,6 +19,8 @@ from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import chain, parse_spec
 from lattower.lattice_core import (
     AbstractLattice,
+    Profile,
+    element_from_profile,
     enumerate_lattice,
     leq,
     sign_parity_element,
@@ -27,7 +28,7 @@ from lattower.lattice_core import (
 )
 from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
-from test_acceptance import COMPLEMENTED_SPECS, PRODUCT_FORMULA_CASES
+from test_acceptance import COMPLEMENTED_SPECS, PRODUCT_FORMULA_CASES, ROUND_TRIP_SPECS
 from test_lattice_core import _reference_up_sets
 
 
@@ -728,32 +729,70 @@ def test_factor_atoms_in_slot_order(lattices):
     assert bin(down[atoms[1]]).count("1") == 4
 
 
+def _reference_tau_sigma(sigma, e):
+    """Relabel one element along a class-preserving slot permutation, by its
+    profile: slot s moves to sigma(s) in eff and in every basis row of W, and
+    the element is rebuilt and checked by ``element_from_profile``."""
+    autgroup._check_class_preserving(e.spec, sigma)
+    n = e.spec.num_slots
+    eff = [None] * n
+    for s, p in enumerate(e.profile.eff):
+        eff[sigma[s]] = p
+    rows = [sum(1 << sigma[s] for s in range(n) if (row >> s) & 1) for row in e.profile.signs.basis]
+    return element_from_profile(Profile(e.spec, tuple(eff), span(n, rows)))
+
+
 def test_tau_sigma_rejects_class_mixing():
     spec = parse_spec("S3*S4")
     top = sub_product_element(spec, {0: CP.FULL, 1: CP.FULL})
     with pytest.raises(ClassViolation):
-        tau_sigma((1, 0), top)
+        _reference_tau_sigma((1, 0), top)
+    with pytest.raises(ClassViolation):
+        tau_on_lattice((1, 0), enumerate_lattice(spec))
 
 
-def test_tau_sigma_moves_labels():
+def test_tau_sigma_moves_labels(lattices):
     spec = parse_spec("S3^3")
     sigma = (1, 2, 0)
     e = sign_parity_element(spec, (0, 1))
-    assert tau_sigma(sigma, e) == sign_parity_element(spec, (1, 2))
+    assert _reference_tau_sigma(sigma, e) == sign_parity_element(spec, (1, 2))
     s = sub_product_element(spec, {0: CP.ALT, 1: CP.TRIV, 2: CP.FULL})
-    assert tau_sigma(sigma, s) == sub_product_element(spec, {1: CP.ALT, 2: CP.TRIV, 0: CP.FULL})
+    image = sub_product_element(spec, {1: CP.ALT, 2: CP.TRIV, 0: CP.FULL})
+    assert _reference_tau_sigma(sigma, s) == image
+    lat = lattices.get("S3^3")
+    assert tau_on_lattice(sigma, lat)[lat.index_of(s)] == lat.index_of(image)
 
 
 def test_tau_sigma_is_functorial(rng, lattices):
     lat = lattices.get("S3^3")
     elements = rng.sample(list(lat.elements), 12)
     perms = list(permutations(range(3)))
+    tau = _reference_tau_sigma
     for sigma in perms:
         for rho in perms:
             for e in elements:
-                assert tau_sigma(_compose(sigma, rho), e) == tau_sigma(sigma, tau_sigma(rho, e))
+                assert tau(_compose(sigma, rho), e) == tau(sigma, tau(rho, e))
     for e in elements:
-        assert tau_sigma((0, 1, 2), e) == e
+        assert tau((0, 1, 2), e) == e
+
+
+def _random_class_permutation(spec, rng):
+    sigma = list(range(spec.num_slots))
+    for slots in (spec.a_slots(), spec.b_slots()):
+        for s, t in zip(slots, rng.sample(slots, len(slots))):
+            sigma[s] = t
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
+def test_tau_on_lattice_relabels_every_element_as_the_reference(text, rng, lattices):
+    lat = lattices.get(text)
+    sigmas = autgroup._adjacent_transpositions(lat.spec)
+    sigmas.append(_random_class_permutation(lat.spec, rng))
+    for sigma in sigmas:
+        phi = tau_on_lattice(sigma, lat)
+        for i, e in enumerate(lat.elements):
+            assert lat.elements[phi[i]] == _reference_tau_sigma(sigma, e), (sigma, i)
 
 
 def test_tau_on_lattice_preserves_order(lattices):

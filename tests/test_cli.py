@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 from lattower import autgroup, cli, perm_oracle
 from lattower.cli import main
-from lattower.errors import OracleMismatch
+from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import (
     Census,
     Lattice,
+    LatticeElement,
     bottom_element,
     enumerate_lattice,
     sign_parity_element,
     top_element,
 )
+from lattower.tower import StartNode, run_tower, verify_step_against_lattice
 from test_acceptance import ROUND_TRIP_SPECS
+from test_lattice_core import _lattice_of_elements
 
 
 def run_cli(capsys, *argv):
@@ -140,19 +143,15 @@ def test_enumerate_json(capsys):
 
 # sha256 of stdout, pinned from the output the order-relation route printed
 # before the Hasse diagram was read off the profiles
+HASSE_S3_4_SHA256 = "84cd93ff844d17eb78bfc8336f0b8f9f69312c62ebca360d7b18fb98ad706b83"
 JSON_S4_2_S3_2_SHA256 = "0c31217ed9e302c879d1f7be261692fa51e0de29fcd175b55baacf1171616785"
+PINNED_DIGESTS = [
+    (["hasse", "--spec", "S3^4"], HASSE_S3_4_SHA256),
+    (["enumerate", "--spec", "S4^2*S3^2", "--format", "json"], JSON_S4_2_S3_2_SHA256),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["hasse", "--spec", "S3^4"],
-            "84cd93ff844d17eb78bfc8336f0b8f9f69312c62ebca360d7b18fb98ad706b83",
-        ),
-        (["enumerate", "--spec", "S4^2*S3^2", "--format", "json"], JSON_S4_2_S3_2_SHA256),
-    ],
-)
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS)
 def test_hasse_and_json_bytes_are_pinned(argv, digest, capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
@@ -179,6 +178,34 @@ def test_aut_bytes_are_pinned(argv, capsys):
     assert run_cli(capsys, *argv) == (0, AUT_BYTES[argv])
 
 
+@pytest.fixture
+def no_element_objects(monkeypatch):
+    """Make ``Lattice.elements`` and every ``LatticeElement`` construction raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element object built")
+
+    monkeypatch.setattr(Lattice, "elements", property(refuse))
+    monkeypatch.setattr(LatticeElement, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        bottom_element(parse_spec("S3"))
+
+
+def test_the_cli_builds_no_element_object(no_element_objects, capsys):
+    for argv, digest in PINNED_DIGESTS:
+        code, out = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+    for argv, out in AUT_BYTES.items():
+        assert run_cli(capsys, *argv) == (0, out), argv
+    code, out = run_cli(capsys, "oracle-diff", "--spec", "S4^2*S3^2", "--max-order", "20736")
+    assert (code, out) == (0, "ok\n")
+    run = run_tower(StartNode(parse_spec("S4^2*S3^2")))
+    assert run.sharp
+    for node in run.nodes:
+        report = verify_step_against_lattice(node)
+        assert report.match and report.skipped is None, report
+
+
 def _json_via_dict(lat):
     return json.dumps(lat.to_json_dict(), indent=2, sort_keys=True)
 
@@ -186,16 +213,17 @@ def _json_via_dict(lat):
 @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS + ("S3", "S7*S5", "S6^3*S4^2"))
 def test_lattice_json_is_the_dict_route_byte_for_byte(spec, lattices):
     lat = lattices.get(spec)
-    assert cli._lattice_json(lat) == _json_via_dict(lat)
+    assert "".join(cli._lattice_json(lat)) == _json_via_dict(lat)
 
 
 def test_lattice_json_orders_p_keys_as_strings():
     # eleven slots, so the P keys run to "10", which sorts before "2"
     spec = parse_spec("S3^11")
     elements = (bottom_element(spec), sign_parity_element(spec, (0, 1)), top_element(spec))
-    lat = Lattice(spec, elements, Census(sub_products=2, sign_parity=1, mixed=0, total=3))
+    census = Census(sub_products=2, sign_parity=1, mixed=0, total=3)
+    lat = _lattice_of_elements(spec, elements, census)
     lat.covers = lambda: ((0, 1), (1, 2))
-    text = cli._lattice_json(lat)
+    text = "".join(cli._lattice_json(lat))
     assert text == _json_via_dict(lat)
     element = json.loads(text)["elements"][1]
     assert list(element["triple"]["P"]) == ["10", "2", "3", "4", "5", "6", "7", "8", "9"]
@@ -513,6 +541,37 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["census"]["total"] == 10
+
+
+@pytest.mark.parametrize(
+    "chunks, text",
+    [
+        ("ab", "ab\n"),
+        ("ab\n", "ab\n"),
+        ("", "\n"),
+        (["a", "b"], "ab\n"),
+        (["a\n", ""], "a\n"),
+        (["a", "\n", "b"], "a\nb\n"),
+        ([], "\n"),
+    ],
+)
+def test_emit_ends_whole_or_chunked_text_with_one_newline(chunks, text, tmp_path, capsys):
+    cli._emit(iter(chunks) if isinstance(chunks, list) else chunks, None)
+    assert capsys.readouterr().out == text
+    target = tmp_path / "out.txt"
+    cli._emit(iter(chunks) if isinstance(chunks, list) else chunks, str(target))
+    assert target.read_text() == text
+
+
+def test_emit_opens_no_file_when_the_writer_fails_first(tmp_path):
+    def failing():
+        raise LatTowerError("no first chunk")
+        yield ""
+
+    target = tmp_path / "out.txt"
+    with pytest.raises(LatTowerError):
+        cli._emit(failing(), str(target))
+    assert not target.exists()
 
 
 def test_module_entry_point():

@@ -44,6 +44,7 @@ from lattower.lattice_core import (
     leq,
     leq_patterns,
     meet,
+    order_of,
     sign_parity_element,
     sub_product_element,
     top_element,
@@ -51,6 +52,7 @@ from lattower.lattice_core import (
     profile_to_triple,
     validate_triple,
     _admissible_subspaces,
+    _eff_packer,
     _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
@@ -528,11 +530,24 @@ def test_cover_moves_match_the_order_relation(text, lattices):
     assert lat.covers() == AbstractLattice(down, _reference_up_sets(down)).covers
 
 
+def _lattice_of_elements(spec, elements, census):
+    """A Lattice holding the given element objects, its columns filled from them."""
+    pack = _eff_packer(range(spec.num_slots))
+    spaces, blocks = {}, {}
+    wids = [spaces.setdefault(e.profile.signs.basis, len(spaces)) for e in elements]
+    triples = [(e.triple.coupled, e.triple.signs) for e in elements]
+    block_of = [blocks.setdefault(t, len(blocks)) for t in triples]
+    keys = [pack(e.profile.eff) for e in elements]
+    orders, families = [e.order for e in elements], [e.family for e in elements]
+    return Lattice(spec, census, keys, wids, spaces, list(blocks), block_of, orders, families)
+
+
 def test_a_cover_move_off_the_lattice_is_an_error(lattices):
     lat = lattices.get("S3^3")
     # every coatom has a move up to the top
     top = lat.top_index
-    without_top = Lattice(lat.spec, lat.elements[:top] + lat.elements[top + 1 :], lat.census)
+    elements = lat.elements[:top] + lat.elements[top + 1 :]
+    without_top = _lattice_of_elements(lat.spec, elements, lat.census)
     with pytest.raises(LatTowerError, match="leaves the lattice"):
         without_top.covers()
 
@@ -567,6 +582,19 @@ def _reference_enumeration(spec) -> tuple:
 def test_enumeration_builds_element_from_triple_in_order(text, lattices):
     lat = lattices.get(text)
     assert lat.elements == _reference_enumeration(lat.spec)
+
+
+@pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S6^3*S4^2", "S4^4"))
+def test_columns_agree_with_the_element_route(text, lattices):
+    lat = lattices.get(text)
+    spec = lat.spec
+    assert lat.census == census_of(spec)
+    assert len(lat.elements) == len(lat) == lat.census.total
+    for i, e in enumerate(lat.elements):
+        t = validate_triple(spec, e.triple.coupled, e.triple.positions, e.triple.signs)
+        assert e == element_from_triple(t), i
+        assert (lat.families[i], lat.orders[i]) == (classify(t), order_of(t)), i
+        assert lat.index_of_profile(e.profile) == i
 
 
 @pytest.mark.parametrize("name", sorted(LEMMA_GROUP_DEGREES))

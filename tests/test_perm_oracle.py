@@ -402,6 +402,21 @@ def test_group_order_bound():
         ConcreteGroup((5, 5), max_order=5000)
 
 
+def _reference_bits(mask):
+    """The set bits of mask, lowest first, one bit at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def test_bits_reads_every_set_bit_in_order(rng):
+    masks = [0, 1, 0x80, 0x100, (1 << 200) - 1, 1 << 1124]
+    masks += [rng.getrandbits(rng.randrange(1, 1200)) for _ in range(200)]
+    for mask in masks:
+        assert _bits(mask) == list(_reference_bits(mask)), hex(mask)
+
+
 def test_sign_bits():
     g = _ReferenceGroup((3, 3))
     t = g.tables[0].index[(1, 0, 2)]
