@@ -582,6 +582,9 @@ class AbstractLattice:
             for j, mask in enumerate(masks):
                 if mask >> n or not (mask >> j) & 1:
                     raise LatTowerError(f"{kind} set of {j} must hold {j} and nothing past {n - 1}")
+        for j, (down, up) in enumerate(zip(self.down, self.up)):
+            if down & up != 1 << j:
+                raise LatTowerError(f"the down and up sets of {j} share another element")
         if sum(m.bit_count() for m in self.down) != sum(m.bit_count() for m in self.up):
             raise LatTowerError("the up sets are not the transpose of the down sets")
 
@@ -784,20 +787,6 @@ class Lattice:
 
     def join_idx(self, i: int, j: int) -> int:
         return self._up_index[self.up_masks[i] & self.up_masks[j]]
-
-    @cached_property
-    def bottom_index(self) -> int:
-        for i, m in enumerate(self.down_masks):
-            if m == 1 << i:
-                return i
-        raise LatTowerError("lattice has no bottom")
-
-    @cached_property
-    def top_index(self) -> int:
-        for i, m in enumerate(self.up_masks):
-            if m == 1 << i:
-                return i
-        raise LatTowerError("lattice has no top")
 
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) with j covering i, sorted, read off the profiles.

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import Lattice, enumerate_lattice
+from test_acceptance import _bottom_index, _top_index
 
 settings.register_profile(
     "lattower",
@@ -50,13 +51,13 @@ def _corrupt_lattice(lat: Lattice, check: str) -> Lattice:
     """
     if check == "join":
         real_join = lat.join_idx
-        lat.join_idx = lambda i, j: lat.top_index if i != j else real_join(i, j)
+        lat.join_idx = lambda i, j: _top_index(lat) if i != j else real_join(i, j)
     elif check == "meet":
         real_meet = lat.meet_idx
-        lat.meet_idx = lambda i, j: lat.bottom_index if i != j else real_meet(i, j)
+        lat.meet_idx = lambda i, j: _bottom_index(lat) if i != j else real_meet(i, j)
     else:
         down = list(lat.down_masks)
-        down[lat.bottom_index] |= 1 << lat.top_index
+        down[_bottom_index(lat)] |= 1 << _top_index(lat)
         lat.down_masks = tuple(down)
     return lat
 

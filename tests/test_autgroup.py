@@ -28,7 +28,14 @@ from lattower.lattice_core import (
 )
 from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
-from test_acceptance import COMPLEMENTED_SPECS, PRODUCT_FORMULA_CASES, ROUND_TRIP_SPECS
+from test_acceptance import (
+    COMPLEMENTED_SPECS,
+    PRODUCT_FORMULA_CASES,
+    ROUND_TRIP_SPECS,
+    _bottom_index,
+    _heights,
+    _top_index,
+)
 from test_lattice_core import _reference_up_sets
 
 
@@ -73,6 +80,25 @@ def _cover_lists(a):
     return lower, upper
 
 
+def _refine_by_covers(seed, lower, upper):
+    """Colour ids of the seed keys, refined by the sorted colours of the
+    lower and upper covers until a round splits no class."""
+    ids = autgroup._canonical_ids(seed)
+    while True:
+        refined = [
+            (
+                ids[i],
+                tuple(sorted(ids[j] for j in lower[i])),
+                tuple(sorted(ids[j] for j in upper[i])),
+            )
+            for i in range(len(ids))
+        ]
+        new_ids = autgroup._canonical_ids(refined)
+        if len(set(new_ids)) == len(set(ids)):
+            return new_ids
+        ids = new_ids
+
+
 def _reference_refined_classes(a):
     """The colouring the mask search used: its seed reads the popcounts of the
     down and up masks where the context search reads |J(x)|."""
@@ -83,20 +109,19 @@ def _reference_refined_classes(a):
     for i in sorted(range(a.n), key=lambda x: a.up[x].bit_count()):
         depths[i] = 1 + max((depths[j] for j in upper[i]), default=-1)
     sizes = map(int.bit_count, a.down), map(int.bit_count, a.up), map(len, lower), map(len, upper)
-    ids = autgroup._canonical_ids(list(zip(heights, depths, *sizes)))
-    while True:
-        refined = [
-            (
-                ids[i],
-                tuple(sorted(ids[j] for j in lower[i])),
-                tuple(sorted(ids[j] for j in upper[i])),
-            )
-            for i in range(a.n)
-        ]
-        new_ids = autgroup._canonical_ids(refined)
-        if len(set(new_ids)) == len(set(ids)):
-            return new_ids
-        ids = new_ids
+    return _refine_by_covers(list(zip(heights, depths, *sizes)), lower, upper)
+
+
+def _reference_element_refinement(ctx):
+    """The colouring of every element that the search took its point colours
+    from before it refined on the points alone: seeded by height, depth,
+    |J(x)| and the numbers of lower and upper covers, then refined by the
+    colours of the covers below and above."""
+    covers = [(i, j) for j, below in enumerate(ctx.lower) for i in below]
+    heights = _heights(ctx.n, covers)
+    depths = _heights(ctx.n, [(j, i) for i, j in covers])
+    counts = map(int.bit_count, ctx.J), map(len, ctx.lower), map(len, ctx.upper)
+    return _refine_by_covers(list(zip(heights, depths, *counts)), ctx.lower, ctx.upper)
 
 
 def _reference_extension_by_joins(a):
@@ -292,7 +317,7 @@ def _listing_search(a):
     search over every element: it extends every consistent assignment of
     the join-irreducibles and keeps those that extend."""
     ctx = autgroup._context(a)
-    colours = [autgroup._refined_classes(ctx)[x] for x in ctx.irreducibles]
+    colours = autgroup._refined_classes(ctx)
     m = len(colours)
     candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
     order = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
@@ -398,10 +423,13 @@ def _assert_search_matches_the_mask_search(lattice, a):
     assert all(ctx.restrict(g) in chain for g in reference.generators)
 
 
-def test_search_agrees_with_the_mask_search_on_small_lattices():
+def _small_lattices():
     small = [_chain(n) for n in (1, 2, 3, 5)] + [_diamond(k) for k in (2, 3, 4)]
-    small += [PENTAGON, _subspace_lattice(3)] + list(lemma_lattices().values())
-    for a in small:
+    return small + [PENTAGON, _subspace_lattice(3)] + list(lemma_lattices().values())
+
+
+def test_search_agrees_with_the_mask_search_on_small_lattices():
+    for a in _small_lattices():
         _assert_search_matches_the_mask_search(a, a)
 
 
@@ -410,6 +438,69 @@ def test_search_agrees_with_the_mask_search_on_small_lattices():
 def test_search_agrees_with_the_mask_search_on_tower_lattices(text, lattices):
     lat = lattices.get(text)
     _assert_search_matches_the_mask_search(lat, lat.to_abstract())
+
+
+def _colour_classes(colours):
+    """The partition of the indices by colour."""
+    classes = {}
+    for k, c in enumerate(colours):
+        classes.setdefault(c, set()).add(k)
+    return sorted(map(sorted, classes.values()))
+
+
+def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=True):
+    """The point colours split the points as the element refinement does
+    (exact) or more coarsely, and every automorphism (n-point maps) and
+    every generator of the searched chain keeps them."""
+    ctx = autgroup._context(lattice)
+    colours = autgroup._refined_classes(ctx)
+    assert len(colours) == len(ctx.irreducibles)
+    reference = _reference_element_refinement(ctx)
+    ours = _colour_classes(colours)
+    theirs = _colour_classes([reference[x] for x in ctx.irreducibles])
+    if exact:
+        assert ours == theirs
+    else:
+        assert all(any(set(r) <= set(c) for c in ours) for r in theirs)
+    maps = [ctx.restrict(g) for g in automorphisms]
+    maps += automorphism_group(lattice, max_size=len(lattice)).generators
+    for psi in maps:
+        assert [colours[k] for k in psi] == colours
+
+
+def test_point_colours_split_small_lattices_as_the_element_refinement():
+    for a in _small_lattices():
+        _assert_point_colours_refine_as_the_reference(a, _reference_automorphisms(a))
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES))
+def test_point_colours_split_tower_lattices_as_the_element_refinement(text, lattices):
+    # the maps tau of the adjacent slot transpositions generate LatAut
+    lat = lattices.get(text)
+    taus = [tau_on_lattice(sigma, lat) for sigma in autgroup._adjacent_transpositions(lat.spec)]
+    _assert_point_colours_refine_as_the_reference(lat, taus)
+
+
+def _random_lattice(rng):
+    """The union closure of a few random subsets of a small set, empty set
+    included: a lattice under inclusion, seldom modular."""
+    width = rng.randint(2, 5)
+    family = {0}
+    for _ in range(rng.randint(1, 6)):
+        g = rng.randrange(1, 1 << width)
+        family |= {f | g for f in family}
+    sets = sorted(family, key=lambda u: (u.bit_count(), u))
+    return _poset(sum(1 << i for i, u in enumerate(sets) if not u & ~v) for v in sets)
+
+
+def test_point_colours_on_random_lattices(rng):
+    # beyond modular lattices the point colours may be coarser than the
+    # element refinement; the search must still find the whole group
+    for _ in range(60):
+        a = _random_lattice(rng)
+        reference = _reference_automorphisms(a)
+        _assert_point_colours_refine_as_the_reference(a, reference, exact=False)
+        _assert_search_matches_the_reference(a)
 
 
 @pytest.mark.parametrize("text, order", [("S3^5", 120), ("S4^3*S3^2", 12)])
@@ -437,7 +528,7 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     for g in autos:
         assert ctx.restrict(g) in chain
         assert accepted(g)
-    bottom, top = lat.bottom_index, lat.top_index
+    bottom, top = _bottom_index(lat), _top_index(lat)
     swap = list(range(len(lat)))
     swap[bottom], swap[top] = top, bottom
     assert not accepted(tuple(swap))
@@ -448,8 +539,9 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     assert ctx.restrict(tuple(g)) in chain
     assert not accepted(tuple(g))
     # a permutation of the join-irreducibles that no automorphism induces
+    heights = _heights(len(lat), lat.covers())
     first, other = ctx.irreducibles[0], next(
-        j for j in ctx.irreducibles if ctx.heights[j] != ctx.heights[ctx.irreducibles[0]]
+        j for j in ctx.irreducibles if heights[j] != heights[ctx.irreducibles[0]]
     )
     moved = list(range(len(lat)))
     moved[first], moved[other] = other, first
@@ -900,7 +992,7 @@ def _identity_tau(real, sigma, lat):
 
 def _swap_bottom_and_top(real, sigma, lat):
     mapping = list(real(sigma, lat))
-    b, t = lat.bottom_index, lat.top_index
+    b, t = _bottom_index(lat), _top_index(lat)
     mapping[b], mapping[t] = mapping[t], mapping[b]
     return tuple(mapping)
 

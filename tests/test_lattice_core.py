@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from lattower.autgroup import _Context
 from lattower.errors import (
     DeadCoordinate,
     IllegalChainPosition,
@@ -56,7 +55,7 @@ from lattower.lattice_core import (
     _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
-from test_acceptance import ROUND_TRIP_SPECS
+from test_acceptance import ROUND_TRIP_SPECS, _bottom_index, _heights, _top_index
 
 # censuses (sub-products, sign-parity, mixed, total).  The first five are
 # confirmed against the raw permutation computation in test_perm_oracle; the
@@ -179,9 +178,9 @@ def test_census_of_matches_the_enumerated_families_at_seven_slots(text, total):
 
 def test_first_element_is_bottom(lattices):
     lat = lattices.get("S3^3")
-    assert lat.bottom_index == 0
+    assert _bottom_index(lat) == 0
     assert lat.elements[0] == bottom_element(lat.spec)
-    assert lat.elements[lat.top_index] == top_element(lat.spec)
+    assert lat.elements[_top_index(lat)] == top_element(lat.spec)
 
 
 def test_validate_triple_rejects_unit_vector():
@@ -304,7 +303,7 @@ def test_index_of_profile_refuses_another_spec(lattices):
         lat.index_of_profile(other.profile)
     with pytest.raises(SpecMismatch):
         lat.index_of(other)
-    assert lat.index_of_profile(bottom_element(lat.spec).profile) == lat.bottom_index
+    assert lat.index_of_profile(bottom_element(lat.spec).profile) == _bottom_index(lat)
 
 
 def test_lattice_ops_are_lattice_ops(lattices):
@@ -545,7 +544,7 @@ def _lattice_of_elements(spec, elements, census):
 def test_a_cover_move_off_the_lattice_is_an_error(lattices):
     lat = lattices.get("S3^3")
     # every coatom has a move up to the top
-    top = lat.top_index
+    top = _top_index(lat)
     elements = lat.elements[:top] + lat.elements[top + 1 :]
     without_top = _lattice_of_elements(lat.spec, elements, lat.census)
     with pytest.raises(LatTowerError, match="leaves the lattice"):
@@ -561,7 +560,7 @@ def _rank(e) -> int:
 @pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
 def test_profile_rank_is_the_height(text, lattices):
     lat = lattices.get(text)
-    assert list(map(_rank, lat.elements)) == _Context(len(lat), lat.to_abstract().covers).heights
+    assert list(map(_rank, lat.elements)) == _heights(len(lat), lat.to_abstract().covers)
 
 
 def _reference_enumeration(spec) -> tuple:
@@ -639,6 +638,13 @@ def test_abstract_lattice_rejects_bad_down_sets(down):
         ((0b01, 0b11), (0b11,), "2 down sets but 1 up sets"),
         # the down sets of the 2-chain 0 < 1 with the up sets of the 2-antichain
         ((0b01, 0b11), (0b01, 0b10), "not the transpose"),
+        # 1 and 2 each lie below the other, which no other check sees and on
+        # which the covers climb never ends
+        (
+            (0b0001, 0b0111, 0b0111, 0b1111),
+            (0b1111, 0b1110, 0b1110, 0b1000),
+            "the down and up sets of 1 share another element",
+        ),
     ],
 )
 def test_abstract_lattice_rejects_bad_up_sets(down, up, message):

@@ -4,7 +4,6 @@ from functools import cached_property
 import pytest
 
 import lattower.perm_oracle as perm_oracle
-from lattower.autgroup import _context
 from lattower.errors import LatTowerError, OracleMismatch, TooLarge
 from lattower.gf2 import span
 from lattower.group_spec import ChainPosition as CP
@@ -23,6 +22,7 @@ from lattower.perm_oracle import (
     lemma_lattices,
     normal_subgroup_poset,
 )
+from test_acceptance import _bottom_index, _heights, _top_index
 from test_lattice_core import _reference_up_sets
 
 
@@ -584,14 +584,14 @@ def test_poset_of_s4_is_a_chain():
     poset = normal_subgroup_poset(ConcreteGroup((4,)))
     assert poset.n == 4
     assert len(poset.covers) == 3
-    assert _context(poset).heights == [0, 1, 2, 3]
+    assert _heights(poset.n, poset.covers) == [0, 1, 2, 3]
 
 
 def test_poset_of_c2_squared_is_a_diamond():
     poset = normal_subgroup_poset(ConcreteGroup((2, 2)))
     assert poset.n == 5
     assert len(poset.covers) == 6
-    assert sorted(_context(poset).heights) == [0, 1, 1, 1, 2]
+    assert sorted(_heights(poset.n, poset.covers)) == [0, 1, 1, 1, 2]
 
 
 def test_goursat_invariants_on_s3_x_s4():
@@ -770,7 +770,7 @@ def test_a_corrupted_up_set_is_caught_by_the_leq_check():
     spec = parse_spec("S4*S3")
     lat = enumerate_lattice(spec)
     up = list(lat.up_masks)
-    up[lat.top_index] |= 1 << lat.bottom_index
+    up[_top_index(lat)] |= 1 << _bottom_index(lat)
     lat.up_masks = tuple(up)
     with pytest.raises(OracleMismatch, match="leq disagrees on the down or up set"):
         differential_validate(spec, lattice=lat)
