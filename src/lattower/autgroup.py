@@ -27,8 +27,6 @@ from functools import reduce
 from itertools import permutations
 from math import factorial
 from operator import or_
-from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import ClassViolation, LatTowerError, TooLarge
 from .gf2 import _reduce
@@ -37,8 +35,10 @@ from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
+    _Context,
     _digits,
     _eff_packer,
+    _fold,
     census_of,
     enumerate_lattice,
 )
@@ -100,7 +100,7 @@ def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
     those of the groups whose atoms miss theirs.  Raises LatTowerError
     unless exactly one element is minimal and one maximal.
     """
-    ctx = _context(lat)
+    ctx = lat.context
     tops = [x for x, above in enumerate(ctx.upper) if not above]
     if len(tops) != 1:
         raise LatTowerError(f"not a lattice: {len(tops)} maximal elements")
@@ -127,7 +127,7 @@ def factor_atoms(lat: Lattice) -> list[int]:
     Each is the sub-product that is FULL in a single slot, so the list index
     doubles as the slot index.
     """
-    comp, ctx = complemented_elements(lat), _context(lat)
+    comp, ctx = complemented_elements(lat), lat.context
     bottom, under = ctx.order[0], ctx.J
     atoms = [
         i
@@ -185,106 +185,6 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     wids = [spaces[_reduce(map(moved.__getitem__, basis))] << 2 * n for basis in lat.bases]
     index = lat._profile_index
     return tuple(index[keys[key] | wids[wid]] for key, wid in zip(lat.keys, lat.wids))
-
-
-def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) -> list[int]:
-    """OR into each element's set those of its neighbours, which come first in order."""
-    for x in order:
-        sets[x] = reduce(or_, map(sets.__getitem__, neighbours[x]), sets[x])
-    return sets
-
-
-class _Context:
-    """The join-irreducible context of a finite poset, read off its covers alone.
-
-    ``lower[x]`` (sorted) and ``upper[x]`` list the elements that x covers
-    and that cover x, and ``order`` lists every element after its lower
-    covers.  The join-irreducibles, the elements with exactly one lower
-    cover, are the points 0, ..., m-1 in element order; ``J[x]`` is the set
-    of points under x as an m-bit int, the OR of x's own point and the sets
-    of its lower covers.  In a lattice every element is the join of the
-    points under it, so J is one-to-one, x <= y exactly when J(x) is inside
-    J(y), and an automorphism is fixed by what it does on the points (Ganter
-    and Wille, *Formal Concept Analysis*, Springer 1999, ch. 1).  LatTowerError is
-    raised unless exactly one element is minimal and J is one-to-one.
-    """
-
-    def __init__(self, n: int, covers: Iterable[tuple[int, int]]):
-        self.n = n
-        self.lower: list[list[int]] = [[] for _ in range(n)]
-        self.upper: list[list[int]] = [[] for _ in range(n)]
-        for i, j in covers:
-            self.lower[j].append(i)
-            self.upper[i].append(j)
-        for below in self.lower:
-            below.sort()
-        order = [x for x in range(n) if not self.lower[x]]
-        if n and len(order) != 1:
-            raise LatTowerError(f"not a lattice: {len(order)} minimal elements")
-        waiting = list(map(len, self.lower))
-        for x in order:  # the list grows as elements lose their last waiting cover
-            for y in self.upper[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    order.append(y)
-        self.order = order
-        self.irreducibles = [x for x in range(n) if len(self.lower[x]) == 1]
-        self.point = {x: k for k, x in enumerate(self.irreducibles)}
-        self.J = _fold(order, self.lower, self._seeds(range(len(self.irreducibles))))
-        self._by_J = {under: x for x, under in enumerate(self.J)}
-        if len(self._by_J) != n:
-            raise LatTowerError(
-                "not a lattice: no join, as two elements lie over the same join-irreducibles"
-            )
-
-    def _seeds(self, psi: Iterable[int]) -> list[int]:
-        sets = [0] * self.n
-        for x, y in zip(self.irreducibles, psi):
-            sets[x] = 1 << y
-        return sets
-
-    def extend(self, psi: Sequence[int]) -> Perm | None:
-        """The automorphism that permutes the points as psi does, or None.
-
-        x goes to the element whose J-set is psi(J(x)), a dict lookup.  As J
-        is one-to-one, the map is a bijection once every lookup succeeds.  It
-        is kept only if it sends every cover to a cover: both ends have the
-        same number of covers, so it is then an automorphism of the Hasse
-        diagram and so of the order.  In a lattice the lookups alone imply
-        that; in a poset where J(y) lies inside J(x) but y does not lie
-        below x, they do not.
-        """
-        sets = _fold(self.order, self.lower, self._seeds(psi))
-        try:
-            image = tuple(map(self._by_J.__getitem__, sets))
-        except KeyError:
-            return None
-        lower, moved = self.lower, image.__getitem__
-        covers_kept = all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
-        return image if covers_kept else None
-
-    def restrict(self, g: Perm) -> Perm | None:
-        """The permutation g induces on the points, or None if it does not permute them."""
-        psi = tuple(self.point.get(g[x], -1) for x in self.irreducibles)
-        return psi if sorted(psi) == list(range(len(psi))) else None
-
-
-_CONTEXTS: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _context(lattice: Lattice | AbstractLattice) -> _Context:
-    """The context of a lattice, built once per lattice object.
-
-    A tower lattice gives its covers as profile moves and builds no order
-    relation; a bare one gives the covers of its order relation.  No caller
-    changes a lattice after it is built, so a kept context cannot go stale,
-    and it goes when its lattice does.
-    """
-    ctx = _CONTEXTS.get(lattice)
-    if ctx is None:
-        covers = lattice.covers() if isinstance(lattice, Lattice) else lattice.covers
-        ctx = _CONTEXTS[lattice] = _Context(len(lattice), covers)
-    return ctx
 
 
 def _refined_classes(ctx: _Context) -> list[int]:
@@ -352,11 +252,11 @@ def automorphism_group(
     """LatAut of a bare lattice as a stabiliser chain on its join-irreducibles.
 
     The search never looks at triples, profiles or subgroup sets, and builds
-    no order relation: it reads the cover relation into a ``_Context``.  An
-    automorphism is fixed by what it does on the join-irreducibles, so the
-    chain acts on those, as points 0, ..., m-1; ``_Context.extend`` and
-    ``_Context.restrict`` go between its elements and maps of the whole
-    lattice.  The base is all the points, ordered by the size of their class
+    no order relation: it reads the lattice's join-irreducible ``context``,
+    built once per lattice from its covers.  An automorphism is fixed by
+    what it does on the join-irreducibles, so the chain acts on those, as
+    points 0, ..., m-1; the context's ``extend`` and ``restrict`` go between
+    its elements and maps of the whole lattice.  The base is all the points, ordered by the size of their class
     under the colouring of ``_refined_classes``, which colours the points
     only and gives each one its candidate images.
 
@@ -375,7 +275,7 @@ def automorphism_group(
     LatTowerError when the input is not a lattice.
     """
     _check_search_size(len(lattice), max_size)
-    ctx = _context(lattice)
+    ctx = lattice.context
     colours = _refined_classes(ctx)
     m = len(colours)
     buckets: dict[int, list[int]] = {}
@@ -433,7 +333,7 @@ def brute_force_automorphisms(
     sorted by mapping, so the identity comes first.
     """
     chain = automorphism_group(lattice, max_size)
-    return sorted(map(_context(lattice).extend, chain.elements()))
+    return sorted(map(lattice.context.extend, chain.elements()))
 
 
 def induced_permutation(phi: Perm, lat: Lattice) -> Perm:
@@ -520,7 +420,7 @@ def verify_product_formula(
     """
     lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
     chain = automorphism_group(lat, max_size)
-    ctx = _context(lat)
+    ctx = lat.context
     predicted = factorial(spec.a4) * factorial(spec.b)
 
     atoms = factor_atoms(lat)

@@ -2,7 +2,9 @@
 
 Subcommands: enumerate, aut, tower, oracle-diff, hasse, lemmas.  Output is
 deterministic; identical invocations print identical bytes.  Exit codes:
-0 success, 1 unexpected error, 2 parse errors, 3 bound violations,
+0 success, 1 unexpected error or a reader that closed the output pipe early,
+2 usage errors (an unparseable spec, an option the subcommand does not
+take, an ``--out`` path that cannot be written), 3 bound violations,
 4 verification mismatches.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain, islice, starmap
 from typing import Iterable, Iterator
@@ -42,11 +45,16 @@ from .perm_oracle import (
 )
 from .tower import StartNode, format_node, format_run, run_tower
 
-EXIT_PARSE = 2
+EXIT_USAGE = 2
 EXIT_BOUNDS = 3
 EXIT_MISMATCH = 4
 
-_PARSE_ERRORS = (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent)
+
+class _Unwritable(LatTowerError):
+    """The ``--out`` path cannot be opened for writing."""
+
+
+_USAGE_ERRORS = (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent, _Unwritable)
 
 
 # Every option a subcommand can take; each bound default comes from the
@@ -113,11 +121,17 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text, whole or as an iterable of chunks, ending it with a newline.
 
     The first chunk is made before ``out`` is opened, so a writer that fails
-    before its first chunk leaves no file behind.
+    before its first chunk leaves no file behind; the handlers check every
+    bound before they call this.  The covers stream while they are written,
+    so only a corrupted lattice, one with a cover move that leaves it, can
+    raise later: part of the output has then gone out, and the run exits 1.
     """
     chunks = iter((text,) if isinstance(text, str) else text)
     first = next(chunks, "")
-    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+    try:
+        fh = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {out}: {exc.strerror}") from None
     try:
         fh.write(first)
         ends_line = first.endswith("\n")
@@ -228,9 +242,8 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
 
     Read off the columns: one f-string per element and per edge, J and H
     rendered once per (J, H) block, and P, the key's digits off J, once per
-    J and key.  The covers are read before the first chunk.
+    J and key.
     """
-    edges = lat.covers()
     q = json.encoder.encode_basestring_ascii
     n = lat.spec.num_slots
 
@@ -278,7 +291,7 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
     yield (f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
            f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},')
     yield from array("elements", elements())
-    yield from array("hasse_edges", starmap("    [\n      {},\n      {}\n    ]".format, edges))
+    yield from array("hasse_edges", starmap("    [\n      {},\n      {}\n    ]".format, lat.covers()))
     yield from array("slots", [
         f'    {{\n      "class": {q(s.slot_class)},\n      "copy": {s.copy},\n'
         f'      "degree": {s.degree},\n      "index": {s.index}\n    }}'
@@ -339,10 +352,17 @@ _PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except _PARSE_ERRORS as exc:
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so the flush at exit raises nothing, and stop as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_USAGE
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUNDS

@@ -17,11 +17,9 @@ from typing import Iterable, Iterator
 from .errors import BadCoordinate, WidthMismatch
 
 __all__ = [
-    "SignVector",
     "Subspace",
     "span",
     "zero_subspace",
-    "full_subspace",
     "unit_span",
     "parity_kernel",
     "iter_subspaces",
@@ -54,31 +52,6 @@ def _lift(row: int, coords: tuple[int, ...]) -> int:
         if (row >> j) & 1:
             w |= 1 << c
     return w
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """A sign pattern: bit i set means slot i is odd."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self):
-        if self.width < 0 or not 0 <= self.bits < (1 << self.width):
-            raise WidthMismatch(f"bits {self.bits:#x} do not fit width {self.width}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignVector":
-        if set(text) - {"0", "1"}:
-            raise WidthMismatch(f"bitstring must be over 0/1, got {text!r}")
-        bits = 0
-        for i, c in enumerate(text):
-            if c == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.width))
 
 
 @dataclass(frozen=True)
@@ -118,11 +91,7 @@ class Subspace:
             m |= row
         return m
 
-    def contains(self, v: "SignVector | int") -> bool:
-        if isinstance(v, SignVector):
-            if v.width != self.width:
-                raise WidthMismatch(f"vector width {v.width} vs subspace width {self.width}")
-            v = v.bits
+    def contains(self, v: int) -> bool:
         for r in self.basis:
             if v & (r & -r):
                 v ^= r
@@ -180,7 +149,8 @@ class Subspace:
         return _elements_of(self)
 
     def to_strings(self) -> tuple[str, ...]:
-        return tuple(SignVector(self.width, r).to_string() for r in self.basis)
+        """Each basis row as a string of 0s and 1s, coordinate 0 first."""
+        return tuple(f"{r:0{self.width}b}"[::-1] for r in self.basis)
 
 
 def _span(basis: Iterable[int]) -> list[int]:
@@ -196,26 +166,16 @@ def _elements_of(s: Subspace) -> tuple[int, ...]:
     return tuple(_span(s.basis))
 
 
-def span(width: int, vectors: Iterable[SignVector | int]) -> Subspace:
-    raw = []
-    for v in vectors:
-        if isinstance(v, SignVector):
-            if v.width != width:
-                raise WidthMismatch(f"vector width {v.width} vs {width}")
-            raw.append(v.bits)
-        else:
-            if not 0 <= v < (1 << width):
-                raise WidthMismatch(f"value {v:#x} outside width {width}")
-            raw.append(v)
+def span(width: int, vectors: Iterable[int]) -> Subspace:
+    raw = list(vectors)
+    for v in raw:
+        if not 0 <= v < (1 << width):
+            raise WidthMismatch(f"value {v:#x} outside width {width}")
     return Subspace(width, _reduce(raw))
 
 
 def zero_subspace(width: int) -> Subspace:
     return Subspace(width, ())
-
-
-def full_subspace(width: int) -> Subspace:
-    return Subspace(width, tuple(1 << i for i in range(width)))
 
 
 def unit_span(width: int, mask: int) -> Subspace:

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_DEGREE",
+    "MAX_DEGREE",
     "MAX_MULTIPLICITY",
     "ChainPosition",
     "FactorSlot",
@@ -40,7 +40,7 @@ __all__ = [
     "position_size",
 ]
 
-DEFAULT_MAX_DEGREE = 20
+MAX_DEGREE = 20
 # Copies of one degree a spec may hold.  Only the tower reads specs this
 # large, from the multiplicities alone, but a spec holds one slot per copy.
 MAX_MULTIPLICITY = 1000
@@ -61,16 +61,6 @@ class ChainPosition(IntEnum):
     @property
     def token(self) -> str:
         return ("triv", "v4", "alt", "full")[self]
-
-    @classmethod
-    def from_token(cls, token: str) -> "ChainPosition":
-        try:
-            return _TOKEN_TO_POSITION[token]
-        except KeyError:
-            raise IllegalChainPosition(f"unknown chain position {token!r}") from None
-
-
-_TOKEN_TO_POSITION = {p.token: p for p in ChainPosition}
 
 
 def chain(degree: int) -> tuple[ChainPosition, ...]:
@@ -156,14 +146,12 @@ class TowerGroupSpec:
         return format_spec(self)
 
 
-def make_spec(
-    exponents: Mapping[int, int], max_degree: int = DEFAULT_MAX_DEGREE
-) -> TowerGroupSpec:
+def make_spec(exponents: Mapping[int, int]) -> TowerGroupSpec:
     """Validate a degree -> multiplicity map and build the canonical spec.
 
     Zero multiplicities are dropped; the empty map gives the trivial group.
-    A multiplicity above MAX_MULTIPLICITY raises TooLarge before any slot is
-    built.
+    A degree above MAX_DEGREE raises DegreeTooLarge, and a multiplicity
+    above MAX_MULTIPLICITY raises TooLarge, before any slot is built.
     """
     cleaned: list[tuple[int, int]] = []
     for degree in sorted(exponents):
@@ -174,8 +162,8 @@ def make_spec(
             continue
         if degree < 3:
             raise DegreeTooSmall(f"symmetric factor needs degree >= 3, got {degree}")
-        if degree > max_degree:
-            raise DegreeTooLarge(f"degree {degree} exceeds the maximum {max_degree}")
+        if degree > MAX_DEGREE:
+            raise DegreeTooLarge(f"degree {degree} exceeds the maximum {MAX_DEGREE}")
         if mult > MAX_MULTIPLICITY:
             raise TooLarge(f"{mult} copies of S{degree} exceeds the bound {MAX_MULTIPLICITY}")
         cleaned.append((degree, mult))
@@ -202,7 +190,7 @@ def spec_of_degrees(degrees: Iterable[int]) -> TowerGroupSpec:
 _PART_RE = re.compile(r"s(\d+)(?:\^(\d+))?", re.IGNORECASE)
 
 
-def parse_spec(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> TowerGroupSpec:
+def parse_spec(text: str) -> TowerGroupSpec:
     """Parse a literal like ``S3^3`` or ``S4^2*S3^2`` (case and spaces ignored).
 
     ``1`` denotes the trivial group.  Repeated factors accumulate, so
@@ -230,7 +218,7 @@ def parse_spec(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> TowerGroupSpe
             raise SpecParseError(text, position, "explicit zero multiplicity")
         exponents[degree] = exponents.get(degree, 0) + mult
         position += len(part) + 1
-    return make_spec(exponents, max_degree=max_degree)
+    return make_spec(exponents)
 
 
 def format_spec(spec: TowerGroupSpec) -> str:

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
 from operator import and_, getitem, lshift, or_
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidProfile,
@@ -63,6 +63,7 @@ from .group_spec import (
     legal_position,
     position_size,
 )
+from .stabiliser import Perm
 
 __all__ = [
     "FAMILY_SUB_PRODUCT",
@@ -563,6 +564,89 @@ def top_element(spec: TowerGroupSpec) -> LatticeElement:
     return sub_product_element(spec, {s: ChainPosition.FULL for s in range(spec.num_slots)})
 
 
+def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) -> list[int]:
+    """OR into each element's set those of its neighbours, which come first in order."""
+    for x in order:
+        sets[x] = reduce(or_, map(sets.__getitem__, neighbours[x]), sets[x])
+    return sets
+
+
+class _Context:
+    """The join-irreducible context of a finite poset, read off its covers alone.
+
+    ``lower[x]`` (sorted) and ``upper[x]`` list the elements that x covers
+    and that cover x, and ``order`` lists every element after its lower
+    covers.  The join-irreducibles, the elements with exactly one lower
+    cover, are the points 0, ..., m-1 in element order; ``J[x]`` is the set
+    of points under x as an m-bit int, the OR of x's own point and the sets
+    of its lower covers.  In a lattice every element is the join of the
+    points under it, so J is one-to-one, x <= y exactly when J(x) is inside
+    J(y), and an automorphism is fixed by what it does on the points (Ganter
+    and Wille, *Formal Concept Analysis*, Springer 1999, ch. 1).  The covers
+    are read in one pass.  LatTowerError is raised unless exactly one
+    element is minimal and J is one-to-one.
+    """
+
+    def __init__(self, n: int, covers: Iterable[tuple[int, int]]):
+        self.n = n
+        self.lower: list[list[int]] = [[] for _ in range(n)]
+        self.upper: list[list[int]] = [[] for _ in range(n)]
+        for i, j in covers:
+            self.lower[j].append(i)
+            self.upper[i].append(j)
+        for below in self.lower:
+            below.sort()
+        order = [x for x in range(n) if not self.lower[x]]
+        if n and len(order) != 1:
+            raise LatTowerError(f"not a lattice: {len(order)} minimal elements")
+        waiting = list(map(len, self.lower))
+        for x in order:  # the list grows as elements lose their last waiting cover
+            for y in self.upper[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        self.order = order
+        self.irreducibles = [x for x in range(n) if len(self.lower[x]) == 1]
+        self.point = {x: k for k, x in enumerate(self.irreducibles)}
+        self.J = _fold(order, self.lower, self._seeds(range(len(self.irreducibles))))
+        self._by_J = {under: x for x, under in enumerate(self.J)}
+        if len(self._by_J) != n:
+            raise LatTowerError(
+                "not a lattice: no join, as two elements lie over the same join-irreducibles"
+            )
+
+    def _seeds(self, psi: Iterable[int]) -> list[int]:
+        sets = [0] * self.n
+        for x, y in zip(self.irreducibles, psi):
+            sets[x] = 1 << y
+        return sets
+
+    def extend(self, psi: Sequence[int]) -> Perm | None:
+        """The automorphism that permutes the points as psi does, or None.
+
+        x goes to the element whose J-set is psi(J(x)), a dict lookup.  As J
+        is one-to-one, the map is a bijection once every lookup succeeds.  It
+        is kept only if it sends every cover to a cover: both ends have the
+        same number of covers, so it is then an automorphism of the Hasse
+        diagram and so of the order.  In a lattice the lookups alone imply
+        that; in a poset where J(y) lies inside J(x) but y does not lie
+        below x, they do not.
+        """
+        sets = _fold(self.order, self.lower, self._seeds(psi))
+        try:
+            image = tuple(map(self._by_J.__getitem__, sets))
+        except KeyError:
+            return None
+        lower, moved = self.lower, image.__getitem__
+        covers_kept = all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
+        return image if covers_kept else None
+
+    def restrict(self, g: Perm) -> Perm | None:
+        """The permutation g induces on the points, or None if it does not permute them."""
+        psi = tuple(self.point.get(g[x], -1) for x in self.irreducibles)
+        return psi if sorted(psi) == list(range(len(psi))) else None
+
+
 class AbstractLattice:
     """A finite lattice given purely by its order relation.
 
@@ -624,6 +708,11 @@ class AbstractLattice:
                 candidates &= ~self.down[i]
         out.sort()
         return tuple(out)
+
+    @cached_property
+    def context(self) -> _Context:
+        """The join-irreducible context, read off ``covers``."""
+        return _Context(self.n, self.covers)
 
 
 class Lattice:
@@ -788,8 +877,8 @@ class Lattice:
     def join_idx(self, i: int, j: int) -> int:
         return self._up_index[self.up_masks[i] & self.up_masks[j]]
 
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with j covering i, sorted, read off the profiles.
+    def covers(self) -> Iterator[tuple[int, int]]:
+        """Pairs (i, j) with j covering i, yielded in sorted order, read off the profiles.
 
         The rank sum_s chainrank(min(eff_s, ALT)) + dim W rises strictly
         along the order, so a move that raises it by one lands on a cover.
@@ -806,6 +895,7 @@ class Lattice:
         lies in [x, y].  Each image is looked up in the profile index: a
         chain step adds to the key, and W + <v> ORs 4^s into the key at each
         slot s of v and takes the id of the wider W, found once per W and v.
+        The pairs come one element i at a time, so no list of edges is held.
         No order relation is built; ``AbstractLattice.covers`` referees this
         in the tests.
         """
@@ -831,7 +921,6 @@ class Lattice:
         # wid << T | v -> spread[v] | the id of W + <v> << 2T
         wider: dict[int, int] = {}
         submasks: dict[int, list[int]] = {}  # the nonzero submasks of each free-slot mask
-        out: list[tuple[int, int]] = []
         for i, (key, wid) in enumerate(zip(self.keys, self.wids)):
             ups, upper = moves_of_key[key]
             moves = list(map((key | wid << shift).__add__, ups))
@@ -853,10 +942,15 @@ class Lattice:
                         terms[k] = wider[wid << num_slots | v] = spread[v] | w << shift
             moves += map(key.__or__, terms)
             try:
-                out += zip(repeat(i), sorted(map(index.__getitem__, moves)))
+                above = sorted(map(index.__getitem__, moves))
             except KeyError:
                 raise LatTowerError(f"a cover move from element {i} leaves the lattice") from None
-        return tuple(out)
+            yield from zip(repeat(i), above)
+
+    @cached_property
+    def context(self) -> _Context:
+        """The join-irreducible context, read off the cover moves as they are made."""
+        return _Context(len(self), self.covers())
 
     @cached_property
     def _abstract(self) -> AbstractLattice:

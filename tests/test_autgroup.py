@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from lattower import autgroup
+from lattower import autgroup, lattice_core
 from lattower.autgroup import (
     automorphism_group,
     brute_force_automorphisms,
@@ -316,7 +316,7 @@ def _listing_search(a):
     the referee for the orbit-pruned search on lattices too large for the
     search over every element: it extends every consistent assignment of
     the join-irreducibles and keeps those that extend."""
-    ctx = autgroup._context(a)
+    ctx = a.context
     colours = autgroup._refined_classes(ctx)
     m = len(colours)
     candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
@@ -369,7 +369,7 @@ def _assert_search_matches_the_reference(a):
     reference = _reference_automorphisms(a)
     chain = automorphism_group(a)
     assert chain.order == len(reference)
-    extended = [autgroup._context(a).extend(g) for g in chain.generators]
+    extended = [a.context.extend(g) for g in chain.generators]
     assert _generated_group(extended, len(a)) == set(reference)
     assert brute_force_automorphisms(a) == reference
 
@@ -394,13 +394,13 @@ def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
     # no run, so the whole search extends fewer assignments (81) than the
     # listing search keeps automorphisms (168), and 4 generators suffice
     calls = []
-    real = autgroup._Context.extend
+    real = lattice_core._Context.extend
 
     def counting(ctx, psi):
         calls.append(1)
         return real(ctx, psi)
 
-    monkeypatch.setattr(autgroup._Context, "extend", counting)
+    monkeypatch.setattr(lattice_core._Context, "extend", counting)
     chain = automorphism_group(_subspace_lattice(3))
     assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
     assert len(chain.generators) <= 7
@@ -419,7 +419,7 @@ def _assert_search_matches_the_mask_search(lattice, a):
     chain = automorphism_group(lattice, max_size=len(lattice))
     reference = _reference_automorphism_group(a)
     assert chain.order == reference.order
-    ctx = autgroup._context(lattice)
+    ctx = lattice.context
     assert all(ctx.restrict(g) in chain for g in reference.generators)
 
 
@@ -452,7 +452,7 @@ def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=
     """The point colours split the points as the element refinement does
     (exact) or more coarsely, and every automorphism (n-point maps) and
     every generator of the searched chain keeps them."""
-    ctx = autgroup._context(lattice)
+    ctx = lattice.context
     colours = autgroup._refined_classes(ctx)
     assert len(colours) == len(ctx.irreducibles)
     reference = _reference_element_refinement(ctx)
@@ -518,7 +518,7 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     # restriction
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
-    ctx = autgroup._context(lat)
+    ctx = lat.context
 
     def accepted(g):
         psi = ctx.restrict(g)
@@ -638,7 +638,7 @@ def test_extension_rejects_a_map_that_permutes_the_j_sets_but_not_the_covers():
         (0b1, 0b11, 0b101, 0b1001, 0b10001, 0b100111, 0b1001111, 0b10011001,
          0b110011011, 0b1111111111)
     )
-    ctx = autgroup._context(poset)
+    ctx = poset.context
     assert ctx.irreducibles == [1, 2, 3, 4]
     psi = (2, 3, 0, 1)
     images = {sum(1 << psi[k] for k in range(4) if (j >> k) & 1) for j in ctx.J}
@@ -986,6 +986,43 @@ def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
     assert len(calls) == 1
 
 
+def _count_contexts(monkeypatch) -> list[int]:
+    """The sizes of the join-irreducible contexts built from here on."""
+    built = []
+    real = lattice_core._Context.__init__
+
+    def counting(ctx, n, covers):
+        built.append(n)
+        real(ctx, n, covers)
+
+    monkeypatch.setattr(lattice_core._Context, "__init__", counting)
+    return built
+
+
+def test_product_formula_builds_one_context_per_lattice(monkeypatch):
+    built = _count_contexts(monkeypatch)
+    for text in ("S3^3", "S4^2*S3"):
+        assert verify_product_formula(parse_spec(text)).match
+    assert built == [38, 61]
+    lat = enumerate_lattice(parse_spec("S4*S3^2"))
+    for _ in range(2):
+        assert verify_product_formula(lat.spec, lattice=lat).match
+    assert built == [38, 61, len(lat)]
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+def test_the_search_and_the_checks_share_one_context(abstract, monkeypatch):
+    lat = enumerate_lattice(parse_spec("S4*S3^2"))
+    lattice = lat.to_abstract() if abstract else lat
+    built = _count_contexts(monkeypatch)
+    assert automorphism_group(lattice).order == 2
+    assert len(brute_force_automorphisms(lattice)) == 2
+    assert len(complemented_elements(lattice)) == 8
+    if not abstract:
+        assert len(factor_atoms(lattice)) == 3
+    assert built == [len(lat)]
+
+
 def _identity_tau(real, sigma, lat):
     return tuple(range(len(lat)))
 
@@ -1034,7 +1071,7 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     # check that each equals the extension of its restriction rejects them
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
-    ctx = autgroup._context(lat)
+    ctx = lat.context
     atoms = set(factor_atoms(lat))
     real = autgroup.tau_on_lattice
     first = real((1, 0, 2), lat)

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -118,7 +120,7 @@ def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
 def test_the_lattice_bound_admits_what_it_names(capsys):
     code, out = run_cli(capsys, "hasse", "--spec", "S3^3", "--max-lattice", "38")
     assert code == 0
-    assert out.count(" -> ") == len(enumerate_lattice(parse_spec("S3^3")).covers())
+    assert out.count(" -> ") == len(tuple(enumerate_lattice(parse_spec("S3^3")).covers()))
 
 
 def test_aut_reports_a_wrong_tau_generator_as_a_mismatch(monkeypatch, capsys):
@@ -572,6 +574,38 @@ def test_emit_opens_no_file_when_the_writer_fails_first(tmp_path):
     with pytest.raises(LatTowerError):
         cli._emit(failing(), str(target))
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["enumerate", "--spec", "S3"], errno.ENOENT),
+        (["hasse", "--spec", "S3^2"], errno.EISDIR),
+    ],
+    ids=["no-such-directory", "a-directory"],
+)
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(argv, error, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt" if error == errno.ENOENT else tmp_path
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: {os.strerror(error)}\n"
+
+
+def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly():
+    # about 1 MB of DOT, far more than a pipe buffers, so the writer is
+    # still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lattower.cli", "hasse", "--spec", "S3^6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    assert proc.stdout.readline() == b"digraph lattice {\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_module_entry_point():

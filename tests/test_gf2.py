@@ -6,28 +6,13 @@ from hypothesis import strategies as st
 
 from lattower.errors import BadCoordinate, WidthMismatch
 from lattower.gf2 import (
-    SignVector,
     Subspace,
-    full_subspace,
     iter_subspaces,
     parity_kernel,
     span,
     unit_span,
     zero_subspace,
 )
-
-
-def test_sign_vector_string_round_trip():
-    v = SignVector.from_string("0110")
-    assert v.bits == 0b0110
-    assert v.to_string() == "0110"
-
-
-def test_sign_vector_rejects_bad_input():
-    with pytest.raises(WidthMismatch):
-        SignVector.from_string("01x")
-    with pytest.raises(WidthMismatch):
-        SignVector(2, 4)
 
 
 def test_span_is_canonical():
@@ -50,9 +35,7 @@ def test_contains():
     s = span(3, [0b011, 0b110])
     assert s.contains(0b101)
     assert not s.contains(0b001)
-    assert s.contains(SignVector(3, 0b000))
-    with pytest.raises(WidthMismatch):
-        s.contains(SignVector(2, 0b01))
+    assert s.contains(0b000)
 
 
 def test_elements():
@@ -94,7 +77,7 @@ def test_project():
 
 def test_named_subspaces():
     assert zero_subspace(3).dim == 0
-    assert full_subspace(3).size == 8
+    assert unit_span(3, 0b111).size == 8
     u = unit_span(4, 0b0101)
     assert u.basis == (0b0001, 0b0100)
     assert parity_kernel(3).size == 4

@@ -145,13 +145,6 @@ def test_position_v_needs_degree_4():
         position_size(ChainPosition.V, 5)
 
 
-def test_chain_position_tokens_round_trip():
-    for p in ChainPosition:
-        assert ChainPosition.from_token(p.token) is p
-    with pytest.raises(IllegalChainPosition):
-        ChainPosition.from_token("klein")
-
-
 exponent_maps = st.dictionaries(
     st.integers(min_value=3, max_value=9), st.integers(min_value=1, max_value=3), max_size=4
 )

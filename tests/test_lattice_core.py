@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import Iterator
 
 import pytest
 
@@ -16,7 +17,6 @@ from lattower.errors import (
 )
 from lattower.gf2 import (
     Subspace,
-    full_subspace,
     iter_subspaces,
     parity_kernel,
     span,
@@ -186,7 +186,7 @@ def test_first_element_is_bottom(lattices):
 def test_validate_triple_rejects_unit_vector():
     spec = parse_spec("S3^2")
     with pytest.raises(UnitVectorInH):
-        validate_triple(spec, (0, 1), {}, full_subspace(2))
+        validate_triple(spec, (0, 1), {}, unit_span(2, 0b11))
 
 
 def test_validate_triple_rejects_dead_coordinate():
@@ -347,7 +347,7 @@ def test_profile_support_and_activity_checks():
     spec = parse_spec("S3^2")
     # odd pattern at a slot that is not FULL
     with pytest.raises(InvalidProfile):
-        element_from_profile(Profile(spec, (CP.ALT, CP.FULL), full_subspace(2)))
+        element_from_profile(Profile(spec, (CP.ALT, CP.FULL), unit_span(2, 0b11)))
     # FULL slot with no odd pattern at all
     with pytest.raises(InvalidProfile):
         element_from_profile(Profile(spec, (CP.FULL, CP.FULL), zero_subspace(2)))
@@ -451,7 +451,7 @@ def test_json_dump_shape(lattices):
     assert d["spec"] == "S3^2"
     assert d["census"]["total"] == 10
     assert len(d["elements"]) == 10
-    assert len(d["hasse_edges"]) == len(lat.covers())
+    assert len(d["hasse_edges"]) == len(tuple(lat.covers()))
     families = {e["family"] for e in d["elements"]}
     assert families == {FAMILY_SUB_PRODUCT, FAMILY_SIGN_PARITY}
 
@@ -511,7 +511,7 @@ def test_up_masks_and_covers_by_definition(text, lattices):
     assert a.down == lat.down_masks
     assert lat.up_masks == a.up
     _check_up_and_covers(a)
-    assert lat.covers() == a.covers
+    assert tuple(lat.covers()) == a.covers
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S3^6", "S4^3*S3^2"))
@@ -526,7 +526,15 @@ def test_up_masks_are_the_transpose_of_the_down_masks(text, lattices):
 def test_cover_moves_match_the_order_relation(text, lattices):
     lat = lattices.get(text)
     down = lat.down_masks
-    assert lat.covers() == AbstractLattice(down, _reference_up_sets(down)).covers
+    assert tuple(lat.covers()) == AbstractLattice(down, _reference_up_sets(down)).covers
+
+
+def test_cover_moves_are_yielded_one_at_a_time(lattices):
+    lat = lattices.get("S3^3")
+    edges = lat.covers()
+    assert isinstance(edges, Iterator) and not isinstance(edges, tuple)
+    first = next(edges)
+    assert (first, *edges) == lat.to_abstract().covers
 
 
 def _lattice_of_elements(spec, elements, census):
@@ -548,7 +556,7 @@ def test_a_cover_move_off_the_lattice_is_an_error(lattices):
     elements = lat.elements[:top] + lat.elements[top + 1 :]
     without_top = _lattice_of_elements(lat.spec, elements, lat.census)
     with pytest.raises(LatTowerError, match="leaves the lattice"):
-        without_top.covers()
+        tuple(without_top.covers())
 
 
 def _rank(e) -> int:
