@@ -29,7 +29,7 @@ from math import factorial
 from operator import or_
 
 from .errors import ClassViolation, LatTowerError, TooLarge
-from .gf2 import _reduce
+from .gf2 import _annihilator_mask
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
@@ -165,11 +165,11 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     """The permutation of element indices induced by a class-preserving slot permutation.
 
     Slot s moves to sigma(s): digit s of each key moves to digit sigma(s),
-    and bit s of every sign pattern moves to bit sigma(s), after which the
-    basis of W is reduced again.  A position keeps its name because sigma
-    preserves the slot class and all class-B chains are TRIV < ALT < FULL.
-    Each distinct key and each W is moved once; then every image is looked
-    up in the profile index, under ``key | wid << 2T``.
+    and bit s of every sign pattern moves to bit sigma(s).  A position
+    keeps its name because sigma preserves the slot class and all class-B
+    chains are TRIV < ALT < FULL.  Each distinct key is moved once, and each
+    W once by the D of its moved basis rows, with no reduction; then every
+    image is looked up in the profile index, under ``key | D << 2T``.
     """
     spec = lat.spec
     _check_class_preserving(spec, sigma)
@@ -181,10 +181,9 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
         low = v & -v
         moved[v] = moved[v ^ low] | 1 << sigma[low.bit_length() - 1]
     keys = {key: pack(_digits(key, n)) for key in set(lat.keys)}
-    spaces = lat.spaces
-    wids = [spaces[_reduce(map(moved.__getitem__, basis))] << 2 * n for basis in lat.bases]
+    duals = [_annihilator_mask(n, map(moved.__getitem__, basis)) << 2 * n for basis in lat.bases]
     index = lat._profile_index
-    return tuple(index[keys[key] | wids[wid]] for key, wid in zip(lat.keys, lat.wids))
+    return tuple(index[keys[key] | duals[wid]] for key, wid in zip(lat.keys, lat.wids))
 
 
 def _refined_classes(ctx: _Context) -> list[int]:

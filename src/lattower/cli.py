@@ -223,26 +223,37 @@ def _batches(items: Iterable[str], size: int = 4096) -> Iterator[list[str]]:
         yield batch
 
 
-def _dot(labels: Iterable[str], covers: Iterable[tuple[int, int]]) -> Iterator[str]:
+def _edge_rows(up_covers: Iterable[list[int]], head: str, tail: str, sep: str) -> Iterator[str]:
+    """The edges out of each element with up-covers, one ``str.join`` per element.
+
+    An edge is ``head`` with the lower end put in, the upper end and
+    ``tail``; ``sep`` goes between two edges, as between any two items.
+    """
+    for i, above in enumerate(up_covers):
+        if above:
+            start = head.format(i)
+            yield start + (tail + sep + start).join(map(str, above)) + tail
+
+
+def _dot(labels: Iterable[str], up_covers: Iterable[list[int]]) -> Iterator[str]:
     """The DOT text, in chunks of lines."""
     yield "digraph lattice {\n  rankdir=BT;"
     nodes = starmap('  n{} [label="{}"];'.format, enumerate(labels))
-    edges = starmap("  n{} -> n{};".format, covers)
-    for batch in _batches(chain(nodes, edges)):
+    for batch in _batches(chain(nodes, _edge_rows(up_covers, "  n{} -> n", ";", "\n"))):
         yield "\n" + "\n".join(batch)
     yield "\n}"
 
 
 def _dot_of_lattice(lat: Lattice) -> Iterator[str]:
-    return _dot(map("{}:{}".format, lat.families, lat.orders), lat.covers())
+    return _dot(map("{}:{}".format, lat.families, lat.orders), lat.up_covers())
 
 
 def _lattice_json(lat: Lattice) -> Iterator[str]:
     """``_json_dump(lat.to_json_dict())`` byte for byte, in chunks, with no dict tree.
 
-    Read off the columns: one f-string per element and per edge, J and H
-    rendered once per (J, H) block, and P, the key's digits off J, once per
-    J and key.
+    Read off the columns: one f-string per element, one join per row of
+    up-covers, J and H rendered once per (J, H) block, and P, the key's
+    digits off J, once per J and key.
     """
     q = json.encoder.encode_basestring_ascii
     n = lat.spec.num_slots
@@ -291,7 +302,8 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
     yield (f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
            f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},')
     yield from array("elements", elements())
-    yield from array("hasse_edges", starmap("    [\n      {},\n      {}\n    ]".format, lat.covers()))
+    edges = _edge_rows(lat.up_covers(), "    [\n      {},\n      ", "\n    ]", ",\n")
+    yield from array("hasse_edges", edges)
     yield from array("slots", [
         f'    {{\n      "class": {q(s.slot_class)},\n      "copy": {s.copy},\n'
         f'      "degree": {s.degree},\n      "index": {s.index}\n    }}'
@@ -310,7 +322,7 @@ def cmd_hasse(args) -> int:
         group = ConcreteGroup(degrees, max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
-        _emit(_dot(map(group.class_table.order, normals), poset.covers), args.out)
+        _emit(_dot(map(group.class_table.order, normals), poset.up_covers()), args.out)
         return 0
     spec = parse_spec(args.spec)
     lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)

@@ -10,8 +10,9 @@ canonical form: two subspaces are equal iff their bases are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import BadCoordinate, WidthMismatch
@@ -164,6 +165,35 @@ def _span(basis: Iterable[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def _elements_of(s: Subspace) -> tuple[int, ...]:
     return tuple(_span(s.basis))
+
+
+@lru_cache(maxsize=None)
+def _perps(width: int) -> tuple[int, ...]:
+    """v-perp for every v, each as a 2^width-bit mask: bit u is set when u.v is even.
+
+    The annihilator of a span is the AND of these masks over any spanning
+    set, so that of W + <v> is that of W ANDed with ``_perps(width)[v]``.
+    Entry 0 has every bit set.
+    """
+    size = 1 << width
+    odd = [0] * size  # odd[v]: the u with u.v odd, additive in v
+    for v in range(1, size):
+        low = v & -v
+        if v == low:  # the u with bit s set: every other run of 2^s bits, from u = 2^s
+            odd[v] = sum(((1 << v) - 1) << u for u in range(v, size, 2 * v))
+        else:
+            odd[v] = odd[v ^ low] ^ odd[low]
+    everything = (1 << size) - 1
+    return tuple(everything ^ mask for mask in odd)
+
+
+def _annihilator_mask(width: int, rows: Iterable[int]) -> int:
+    """The annihilator of the span of the rows as a 2^width-bit mask, the AND of their perps.
+
+    A span is the annihilator of its annihilator, so the mask pins it down.
+    """
+    perps = _perps(width)
+    return reduce(and_, map(perps.__getitem__, rows), perps[0])
 
 
 def span(width: int, vectors: Iterable[int]) -> Subspace:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb, factorial, prod
 from operator import and_, getitem, lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -46,7 +46,9 @@ from .errors import (
 )
 from .gf2 import (
     Subspace,
+    _annihilator_mask,
     _lift,
+    _perps,
     _pivot,
     _span,
     iter_subspaces,
@@ -574,28 +576,26 @@ def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) ->
 class _Context:
     """The join-irreducible context of a finite poset, read off its covers alone.
 
-    ``lower[x]`` (sorted) and ``upper[x]`` list the elements that x covers
-    and that cover x, and ``order`` lists every element after its lower
-    covers.  The join-irreducibles, the elements with exactly one lower
-    cover, are the points 0, ..., m-1 in element order; ``J[x]`` is the set
-    of points under x as an m-bit int, the OR of x's own point and the sets
-    of its lower covers.  In a lattice every element is the join of the
-    points under it, so J is one-to-one, x <= y exactly when J(x) is inside
-    J(y), and an automorphism is fixed by what it does on the points (Ganter
-    and Wille, *Formal Concept Analysis*, Springer 1999, ch. 1).  The covers
-    are read in one pass.  LatTowerError is raised unless exactly one
-    element is minimal and J is one-to-one.
+    ``upper[x]``, given, lists the elements that cover x, and ``lower[x]``
+    those that x covers, filled in ascending order; ``order`` lists every
+    element after its lower covers.  The join-irreducibles, the elements
+    with exactly one lower cover, are the points 0, ..., m-1 in element
+    order; ``J[x]`` is the set of points under x as an m-bit int, the OR of
+    x's own point and the sets of its lower covers.  In a lattice every
+    element is the join of the points under it, so J is one-to-one, x <= y
+    exactly when J(x) is inside J(y), and an automorphism is fixed by what it
+    does on the points (Ganter and Wille, *Formal Concept Analysis*,
+    Springer 1999, ch. 1).  The covers are read in one pass.  LatTowerError
+    is raised unless exactly one element is minimal and J is one-to-one.
     """
 
-    def __init__(self, n: int, covers: Iterable[tuple[int, int]]):
-        self.n = n
+    def __init__(self, upper: Iterable[list[int]]):
+        self.upper = list(upper)
+        self.n = n = len(self.upper)
         self.lower: list[list[int]] = [[] for _ in range(n)]
-        self.upper: list[list[int]] = [[] for _ in range(n)]
-        for i, j in covers:
-            self.lower[j].append(i)
-            self.upper[i].append(j)
-        for below in self.lower:
-            below.sort()
+        for x, above in enumerate(self.upper):
+            for y in above:
+                self.lower[y].append(x)
         order = [x for x in range(n) if not self.lower[x]]
         if n and len(order) != 1:
             raise LatTowerError(f"not a lattice: {len(order)} minimal elements")
@@ -709,10 +709,17 @@ class AbstractLattice:
         out.sort()
         return tuple(out)
 
+    def up_covers(self) -> list[list[int]]:
+        """The elements that cover each element, ascending: ``covers`` by its first entry."""
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in self.covers:
+            rows[i].append(j)
+        return rows
+
     @cached_property
     def context(self) -> _Context:
-        """The join-irreducible context, read off ``covers``."""
-        return _Context(self.n, self.covers)
+        """The join-irreducible context, read off ``up_covers``."""
+        return _Context(self.up_covers())
 
 
 class Lattice:
@@ -720,8 +727,8 @@ class Lattice:
 
     Element i is
     * ``keys[i]``, its eff packed base 4 with eff[s] in digit s (see ``_eff_packer``);
-    * ``wids[i]``, the id of its W: ``spaces`` maps each reduced basis to its
-      id, and the ids count up in its insertion order;
+    * ``wids[i]``, the id of its W, whose reduced basis is ``bases[wid]``,
+      the ids counting up in the insertion order of ``spaces``;
     * ``blocks[block_of[i]]``, its (J, H) as the coupled slots and the sign
       subgroup, with P the digits of the key off J;
     * ``orders[i]`` and ``families[i]``.
@@ -745,7 +752,7 @@ class Lattice:
     ):
         self.spec = spec
         self.census = census
-        self.keys, self.wids, self.spaces = keys, wids, spaces
+        self.keys, self.wids, self.bases = keys, wids, list(spaces)
         self.blocks, self.block_of = blocks, block_of
         self.orders, self.families = orders, families
         self._pack = _eff_packer(range(spec.num_slots))
@@ -755,11 +762,6 @@ class Lattice:
 
     def __iter__(self) -> Iterator[LatticeElement]:
         return iter(self.elements)
-
-    @cached_property
-    def bases(self) -> list[tuple[int, ...]]:
-        """The reduced basis of each W, by id."""
-        return list(self.spaces)
 
     @cached_property
     def elements(self) -> tuple[LatticeElement, ...]:
@@ -779,15 +781,23 @@ class Lattice:
         return tuple(out)
 
     @cached_property
-    def _profile_index(self) -> dict[int, int]:
-        """Element index by one int, ``key | wid << 2T`` with T the slot count.
+    def _codes(self) -> list[int]:
+        """Each element as one int, ``key | D << 2T`` with T the slot count.
 
-        Within one spec that int pins a profile down, so a caller that
-        permutes coordinates or moves up a cover can look its image up
-        without building a Profile or a validated subspace.
+        D, the annihilator of W as a 2^T-bit mask (bit u is set when u.w is
+        even for every w in W), pins W down, so within one spec the int pins
+        a profile down.
         """
-        codes = map(or_, self.keys, map(lshift, self.wids, repeat(2 * self.spec.num_slots)))
-        return dict(zip(codes, range(len(self))))
+        num_slots = self.spec.num_slots
+        dual = [_annihilator_mask(num_slots, basis) << 2 * num_slots for basis in self.bases]
+        return list(map(or_, self.keys, map(dual.__getitem__, self.wids)))
+
+    @cached_property
+    def _profile_index(self) -> dict[int, int]:
+        """Element index by code, so a caller that permutes coordinates or
+        moves up a cover can look its image up without building a Profile
+        or a validated subspace."""
+        return dict(zip(self._codes, range(len(self))))
 
     def index_of(self, e: LatticeElement) -> int:
         return self.index_of_profile(e.profile)
@@ -796,8 +806,9 @@ class Lattice:
         """The index of a profile; KeyError when it is not in the lattice."""
         if p.spec != self.spec:
             raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
-        wid = self.spaces[p.signs.basis]
-        return self._profile_index[self._pack(p.eff) | wid << 2 * self.spec.num_slots]
+        num_slots = self.spec.num_slots
+        dual = _annihilator_mask(num_slots, p.signs.basis)
+        return self._profile_index[self._pack(p.eff) | dual << 2 * num_slots]
 
     @cached_property
     def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -877,8 +888,8 @@ class Lattice:
     def join_idx(self, i: int, j: int) -> int:
         return self._up_index[self.up_masks[i] & self.up_masks[j]]
 
-    def covers(self) -> Iterator[tuple[int, int]]:
-        """Pairs (i, j) with j covering i, yielded in sorted order, read off the profiles.
+    def up_covers(self) -> Iterator[list[int]]:
+        """The elements that cover each element, ascending, a list per element in order.
 
         The rank sum_s chainrank(min(eff_s, ALT)) + dim W rises strictly
         along the order, so a move that raises it by one lands on a cover.
@@ -892,16 +903,17 @@ class Lattice:
         Let y cover x.  A chain step at a slot below ALT that y raises lies
         in [x, y], so it is y.  Otherwise y raises only ALT slots, W_y is
         larger, and W + <v> for the reduced v of any vector of W_y outside W
-        lies in [x, y].  Each image is looked up in the profile index: a
-        chain step adds to the key, and W + <v> ORs 4^s into the key at each
-        slot s of v and takes the id of the wider W, found once per W and v.
-        The pairs come one element i at a time, so no list of edges is held.
-        No order relation is built; ``AbstractLattice.covers`` referees this
-        in the tests.
+        lies in [x, y].  Each image is looked up in the profile index, by
+        arithmetic on the code of x: a chain step adds to the key, and
+        W + <v>, whose D is D(W) & v-perp, is ``(code & M_v) | S_v``, where
+        M_v keeps the key and ANDs v-perp into D, and S_v ORs 4^s into the
+        key at each slot s of v.  The rows come one element at a time, so no
+        list of edges is held.  No order relation is built;
+        ``AbstractLattice.covers`` referees this in the tests.
         """
         num_slots = self.spec.num_slots
         shift = 2 * num_slots
-        index, spaces, bases = self._profile_index, self.spaces, self.bases
+        index = self._profile_index
         # per key of every eff: its chain steps up, and the slots at ALT or FULL;
         # one step up from TRIV or V is TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
         moves_of_key: dict[int, tuple[tuple[int, ...], int]] = {0: ((), 0)}
@@ -914,43 +926,29 @@ class Lattice:
                 for key, (ups, up) in moves_of_key.items()
                 for p in chain(d)
             }
-        # digit 1 at each slot of v: ORed into a key, it raises those slots from ALT to FULL
+        keep = [perp << shift | (1 << shift) - 1 for perp in _perps(num_slots)]  # M_v
         spread = [self._pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
-        # the pivot slots of each W
-        pivots_of = [sum(row & -row for row in basis) for basis in bases]
-        # wid << T | v -> spread[v] | the id of W + <v> << 2T
-        wider: dict[int, int] = {}
-        submasks: dict[int, list[int]] = {}  # the nonzero submasks of each free-slot mask
-        for i, (key, wid) in enumerate(zip(self.keys, self.wids)):
+        pivots_of = [sum(row & -row for row in basis) for basis in self.bases]
+        widenings: dict[int, tuple[list[int], list[int]]] = {}  # M_v and S_v by free-slot mask
+        for i, (key, wid, code) in enumerate(zip(self.keys, self.wids, self._codes)):
             ups, upper = moves_of_key[key]
-            moves = list(map((key | wid << shift).__add__, ups))
             free = upper & ~pivots_of[wid]
-            vs = submasks.get(free)
-            if vs is None:
-                vs = submasks[free] = [v for v in range(1, free + 1) if not v & ~free]
-            terms = list(map(wider.get, map((wid << num_slots).__or__, vs)))
-            if None in terms:
-                basis, pivots = bases[wid], pivots_of[wid]
-                for k, v in enumerate(vs):
-                    if terms[k] is None:
-                        low = v & -v
-                        rows = [row ^ v if row & low else row for row in basis]
-                        rows.insert((pivots & (low - 1)).bit_count(), v)
-                        w = spaces.get(tuple(rows))
-                        if w is None:
-                            raise LatTowerError(f"a cover move from element {i} leaves the lattice")
-                        terms[k] = wider[wid << num_slots | v] = spread[v] | w << shift
-            moves += map(key.__or__, terms)
+            masks = widenings.get(free)
+            if masks is None:
+                vs = [v for v in range(1, free + 1) if not v & ~free]
+                masks = widenings[free] = ([keep[v] for v in vs], [spread[v] for v in vs])
+            moves = list(map(code.__add__, ups))
+            moves += map(or_, map(code.__and__, masks[0]), masks[1])
             try:
                 above = sorted(map(index.__getitem__, moves))
             except KeyError:
                 raise LatTowerError(f"a cover move from element {i} leaves the lattice") from None
-            yield from zip(repeat(i), above)
+            yield above
 
     @cached_property
     def context(self) -> _Context:
         """The join-irreducible context, read off the cover moves as they are made."""
-        return _Context(len(self), self.covers())
+        return _Context(self.up_covers())
 
     @cached_property
     def _abstract(self) -> AbstractLattice:
@@ -989,5 +987,5 @@ class Lattice:
                 }
                 for i, e in enumerate(self.elements)
             ],
-            "hasse_edges": [list(edge) for edge in self.covers()],
+            "hasse_edges": [[i, j] for i, above in enumerate(self.up_covers()) for j in above],
         }

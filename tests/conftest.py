@@ -1,5 +1,6 @@
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +24,19 @@ SEED = int(os.environ.get("LATTOWER_SEED", "20260819"))
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(SEED)
+
+
+@pytest.fixture
+def src_env() -> dict[str, str]:
+    """The environment for a child Python that imports lattower from this checkout.
+
+    The ``pythonpath`` setting of pytest reaches this process only, so
+    ``src`` goes first on the child's PYTHONPATH.
+    """
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class LatticeCache:

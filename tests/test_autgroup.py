@@ -33,6 +33,7 @@ from test_acceptance import (
     PRODUCT_FORMULA_CASES,
     ROUND_TRIP_SPECS,
     _bottom_index,
+    _edges,
     _heights,
     _top_index,
 )
@@ -539,7 +540,7 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     assert ctx.restrict(tuple(g)) in chain
     assert not accepted(tuple(g))
     # a permutation of the join-irreducibles that no automorphism induces
-    heights = _heights(len(lat), lat.covers())
+    heights = _heights(len(lat), _edges(lat.up_covers()))
     first, other = ctx.irreducibles[0], next(
         j for j in ctx.irreducibles if heights[j] != heights[ctx.irreducibles[0]]
     )
@@ -991,9 +992,10 @@ def _count_contexts(monkeypatch) -> list[int]:
     built = []
     real = lattice_core._Context.__init__
 
-    def counting(ctx, n, covers):
-        built.append(n)
-        real(ctx, n, covers)
+    def counting(ctx, upper):
+        upper = list(upper)
+        built.append(len(upper))
+        real(ctx, upper)
 
     monkeypatch.setattr(lattice_core._Context, "__init__", counting)
     return built

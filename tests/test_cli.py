@@ -120,7 +120,7 @@ def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
 def test_the_lattice_bound_admits_what_it_names(capsys):
     code, out = run_cli(capsys, "hasse", "--spec", "S3^3", "--max-lattice", "38")
     assert code == 0
-    assert out.count(" -> ") == len(tuple(enumerate_lattice(parse_spec("S3^3")).covers()))
+    assert out.count(" -> ") == sum(map(len, enumerate_lattice(parse_spec("S3^3")).up_covers()))
 
 
 def test_aut_reports_a_wrong_tau_generator_as_a_mismatch(monkeypatch, capsys):
@@ -147,9 +147,15 @@ def test_enumerate_json(capsys):
 # before the Hasse diagram was read off the profiles
 HASSE_S3_4_SHA256 = "84cd93ff844d17eb78bfc8336f0b8f9f69312c62ebca360d7b18fb98ad706b83"
 JSON_S4_2_S3_2_SHA256 = "0c31217ed9e302c879d1f7be261692fa51e0de29fcd175b55baacf1171616785"
+# taken while the writers batched one edge per item: the 7,298 edges of
+# S4^3*S3^2 filled two batches of 4,096, and the 6,482 rows of S3^6 fill two
+HASSE_S3_6_SHA256 = "ab2d336f9978ece8ce1e1b27074d0e44e33736e2d50d726f6784677ea50c4e46"
+JSON_S4_3_S3_2_SHA256 = "be09006f38f0af595ea56666a190a8c4b89422ab0c2cee52ae2596579caa3350"
 PINNED_DIGESTS = [
     (["hasse", "--spec", "S3^4"], HASSE_S3_4_SHA256),
     (["enumerate", "--spec", "S4^2*S3^2", "--format", "json"], JSON_S4_2_S3_2_SHA256),
+    (["hasse", "--spec", "S3^6"], HASSE_S3_6_SHA256),
+    (["enumerate", "--spec", "S4^3*S3^2", "--format", "json"], JSON_S4_3_S3_2_SHA256),
 ]
 
 
@@ -224,7 +230,7 @@ def test_lattice_json_orders_p_keys_as_strings():
     elements = (bottom_element(spec), sign_parity_element(spec, (0, 1)), top_element(spec))
     census = Census(sub_products=2, sign_parity=1, mixed=0, total=3)
     lat = _lattice_of_elements(spec, elements, census)
-    lat.covers = lambda: ((0, 1), (1, 2))
+    lat.up_covers = lambda: iter([[1], [2], []])
     text = "".join(cli._lattice_json(lat))
     assert text == _json_via_dict(lat)
     element = json.loads(text)["elements"][1]
@@ -592,7 +598,7 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(argv, error, tmp_pa
     assert captured.err == f"error: cannot write {target}: {os.strerror(error)}\n"
 
 
-def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly():
+def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly(src_env):
     # about 1 MB of DOT, far more than a pipe buffers, so the writer is
     # still writing when the reader goes
     proc = subprocess.Popen(
@@ -600,6 +606,7 @@ def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         bufsize=0,
+        env=src_env,
     )
     assert proc.stdout.readline() == b"digraph lattice {\n"
     proc.stdout.close()
@@ -608,11 +615,12 @@ def test_a_pipe_closed_after_the_first_line_ends_the_run_quietly():
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
-def test_module_entry_point():
+def test_module_entry_point(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "lattower.cli", "tower", "--spec", "S3"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "G_0 = S3 → G_1 = 1 (1 step)"

@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from typing import Iterator
 
@@ -17,6 +17,9 @@ from lattower.errors import (
 )
 from lattower.gf2 import (
     Subspace,
+    _annihilator_mask,
+    _lift,
+    _perps,
     iter_subspaces,
     parity_kernel,
     span,
@@ -51,11 +54,12 @@ from lattower.lattice_core import (
     profile_to_triple,
     validate_triple,
     _admissible_subspaces,
+    _digits,
     _eff_packer,
     _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
-from test_acceptance import ROUND_TRIP_SPECS, _bottom_index, _heights, _top_index
+from test_acceptance import ROUND_TRIP_SPECS, _bottom_index, _edges, _heights, _top_index
 
 # censuses (sub-products, sign-parity, mixed, total).  The first five are
 # confirmed against the raw permutation computation in test_perm_oracle; the
@@ -451,7 +455,7 @@ def test_json_dump_shape(lattices):
     assert d["spec"] == "S3^2"
     assert d["census"]["total"] == 10
     assert len(d["elements"]) == 10
-    assert len(d["hasse_edges"]) == len(tuple(lat.covers()))
+    assert d["hasse_edges"] == list(map(list, _edges(lat.up_covers())))
     families = {e["family"] for e in d["elements"]}
     assert families == {FAMILY_SUB_PRODUCT, FAMILY_SIGN_PARITY}
 
@@ -511,7 +515,8 @@ def test_up_masks_and_covers_by_definition(text, lattices):
     assert a.down == lat.down_masks
     assert lat.up_masks == a.up
     _check_up_and_covers(a)
-    assert tuple(lat.covers()) == a.covers
+    assert list(lat.up_covers()) == a.up_covers()
+    assert _edges(a.up_covers()) == list(a.covers)
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S3^6", "S4^3*S3^2"))
@@ -526,15 +531,90 @@ def test_up_masks_are_the_transpose_of_the_down_masks(text, lattices):
 def test_cover_moves_match_the_order_relation(text, lattices):
     lat = lattices.get(text)
     down = lat.down_masks
-    assert tuple(lat.covers()) == AbstractLattice(down, _reference_up_sets(down)).covers
+    assert _edges(lat.up_covers()) == list(AbstractLattice(down, _reference_up_sets(down)).covers)
+
+
+def _reference_profile_covers(lat: Lattice) -> list[list[int]]:
+    """The up-covers by the cover moves on ``key | wid << 2T``, with W by its id.
+
+    The route ``Lattice.up_covers`` replaced, kept as its referee where the
+    order relation is too large: each widening W + <v> inserts v into the
+    reduced basis of W and looks the basis up among the lattice's W, once
+    per W and v.
+    """
+    num_slots = lat.spec.num_slots
+    shift = 2 * num_slots
+    pack = _eff_packer(range(num_slots))
+    wid_of = {basis: wid for wid, basis in enumerate(lat.bases)}
+    index = {key | wid << shift: i for i, (key, wid) in enumerate(zip(lat.keys, lat.wids))}
+    wider: dict[tuple[int, int], int] = {}
+    rows = []
+    for key, wid in zip(lat.keys, lat.wids):
+        code, digits = key | wid << shift, _digits(key, num_slots)
+        moves = [
+            code + ((1 if d == 4 else 2) << 2 * s)
+            for s, (d, p) in enumerate(zip(lat.spec.degrees, digits))
+            if p < CP.ALT
+        ]
+        basis = lat.bases[wid]
+        pivots = sum(row & -row for row in basis)
+        free = sum(1 << s for s, p in enumerate(digits) if p >= CP.ALT) & ~pivots
+        for v in range(1, free + 1):
+            if v & ~free:
+                continue
+            if (wid, v) not in wider:
+                low = v & -v
+                wide = [row ^ v if row & low else row for row in basis]
+                wide.insert((pivots & (low - 1)).bit_count(), v)
+                wider[wid, v] = wid_of[tuple(wide)]
+            moves.append(key | pack((v >> s) & 1 for s in range(num_slots)) | wider[wid, v] << shift)
+        rows.append(sorted(map(index.__getitem__, moves)))
+    return rows
+
+
+# S3^7 (59,866 elements) is too large for the order relation
+@pytest.mark.parametrize("text", ["S4^3*S3^2", "S3^7"])
+def test_cover_moves_match_the_basis_route(text):
+    lat = enumerate_lattice(parse_spec(text))
+    assert list(lat.up_covers()) == _reference_profile_covers(lat)
+
+
+def test_annihilator_masks_follow_widenings_and_slot_permutations(lattices):
+    lat = lattices.get("S3^4")
+    perps = _perps(4)
+
+    def rebuilt(basis):  # D read off the reduced basis, bit by bit
+        return sum(1 << u for u in span(4, basis).annihilator().elements())
+
+    for basis in lat.bases:
+        dual = _annihilator_mask(4, basis)
+        assert dual == rebuilt(basis), basis
+        for v in range(16):
+            assert dual & perps[v] == rebuilt(basis + (v,)), (basis, v)
+        for sigma in permutations(range(4)):
+            moved = [_lift(row, sigma) for row in basis]
+            assert _annihilator_mask(4, moved) == rebuilt(moved), (basis, sigma)
 
 
 def test_cover_moves_are_yielded_one_at_a_time(lattices):
     lat = lattices.get("S3^3")
-    edges = lat.covers()
-    assert isinstance(edges, Iterator) and not isinstance(edges, tuple)
-    first = next(edges)
-    assert (first, *edges) == lat.to_abstract().covers
+    rows = lat.up_covers()
+    assert isinstance(rows, Iterator) and not isinstance(rows, (list, tuple))
+    first = next(rows)
+    assert isinstance(first, list)
+    assert _edges([first, *rows]) == list(lat.to_abstract().covers)
+
+
+@pytest.mark.parametrize("kind", ["Lattice", "AbstractLattice", "oracle poset"])
+def test_context_lower_covers_are_ascending(kind, lattices):
+    if kind == "oracle poset":
+        lat = normal_subgroup_poset(ConcreteGroup(LEMMA_GROUP_DEGREES["C2xS4"]))
+    else:
+        lat = lattices.get("S4^2*S3^2")
+        lat = lat.to_abstract() if kind == "AbstractLattice" else lat
+    ctx = lat.context
+    assert all(below == sorted(set(below)) for below in ctx.lower)
+    assert sorted((i, j) for j, below in enumerate(ctx.lower) for i in below) == _edges(ctx.upper)
 
 
 def _lattice_of_elements(spec, elements, census):
@@ -556,7 +636,7 @@ def test_a_cover_move_off_the_lattice_is_an_error(lattices):
     elements = lat.elements[:top] + lat.elements[top + 1 :]
     without_top = _lattice_of_elements(lat.spec, elements, lat.census)
     with pytest.raises(LatTowerError, match="leaves the lattice"):
-        tuple(without_top.covers())
+        list(without_top.up_covers())
 
 
 def _rank(e) -> int:

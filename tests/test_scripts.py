@@ -1,6 +1,5 @@
 """The sweep scripts run end to end on tiny arguments."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,16 +29,12 @@ RUNS = [
 
 
 @pytest.mark.parametrize("script, args, expected", RUNS, ids=[r[0] for r in RUNS])
-def test_script_runs(script, args, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_script_runs(script, args, expected, src_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
