@@ -4,46 +4,30 @@ Prints one row per spec: slot count, census split, group order, and how long
 the enumeration took.  Useful for eyeballing how the mixed family starts to
 dominate as slots are added.  Every row is also checked against the
 closed-form ``census_of``: a census that differs from the families counted
-in the enumeration stops the sweep with an error.
+in the enumeration stops the sweep with an error.  ``--max-T`` is both the
+largest slot count swept and the slot bound handed to the library.
 
     python scripts/census_sweep.py --degrees 3 4 --max-T 4
 """
 
 import argparse
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.lattice_core import census_of, enumerate_lattice
 
 
-@dataclass
-class SweepConfig:
-    degrees: tuple[int, ...]
-    max_slots: int
-    sort_by_size: bool
-
-
-def parse_args() -> SweepConfig:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5])
-    parser.add_argument("--max-T", dest="max_slots", type=int, default=4)
-    parser.add_argument("--sort-by-size", action="store_true")
-    args = parser.parse_args()
-    return SweepConfig(tuple(sorted(set(args.degrees))), args.max_slots, args.sort_by_size)
-
-
-def sweep(config: SweepConfig) -> list[tuple]:
+def sweep(degrees: tuple[int, ...], max_slots: int) -> list[tuple]:
     rows = []
-    for t in range(1, config.max_slots + 1):
-        for combo in combinations_with_replacement(config.degrees, t):
+    for t in range(1, max_slots + 1):
+        for combo in combinations_with_replacement(degrees, t):
             spec = spec_of_degrees(combo)
             start = time.perf_counter()
-            lat = enumerate_lattice(spec)
+            lat = enumerate_lattice(spec, max_slots)
             elapsed = time.perf_counter() - start
             c = lat.census
-            closed_form = census_of(spec)
+            closed_form = census_of(spec, max_slots)
             if closed_form != c:
                 raise SystemExit(f"{format_spec(spec)}: census_of {closed_form}, enumerated {c}")
             rows.append(
@@ -54,10 +38,11 @@ def sweep(config: SweepConfig) -> list[tuple]:
 
 
 def main() -> None:
-    config = parse_args()
-    rows = sweep(config)
-    if config.sort_by_size:
-        rows.sort(key=lambda r: r[5])
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5])
+    parser.add_argument("--max-T", dest="max_slots", type=int, default=4)
+    args = parser.parse_args()
+    rows = sweep(tuple(sorted(set(args.degrees))), args.max_slots)
     header = f"{'spec':<14} {'T':>2} {'sub':>6} {'par':>5} {'mixed':>7} {'total':>7} {'|G|':>12} {'secs':>7}"
     print(header)
     print("-" * len(header))

@@ -4,7 +4,8 @@ Walks all tower groups whose order fits under the oracle bound, recomputes
 their normal subgroups from conjugacy classes, and compares counts, profiles,
 every down set and all pairwise meet/join answers against the triple
 enumeration.  Any disagreement raises immediately; a clean run prints one
-line per spec.
+line per spec.  ``--max-T`` is both the largest slot count walked and the
+slot bound handed to the library.
 
     python scripts/oracle_check.py --max-order 1000
     python scripts/oracle_check.py --degrees 3 --max-T 5 --max-order 7776   # up to S3^5
@@ -12,40 +13,27 @@ line per spec.
 
 import argparse
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from lattower.group_spec import format_spec, spec_of_degrees
 from lattower.perm_oracle import DEFAULT_MAX_ORDER, differential_validate
 
 
-@dataclass
-class OracleCheckConfig:
-    degrees: tuple[int, ...]
-    max_slots: int
-    max_order: int
-
-
-def parse_args() -> OracleCheckConfig:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5])
     parser.add_argument("--max-T", dest="max_slots", type=int, default=4)
     parser.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     args = parser.parse_args()
-    return OracleCheckConfig(tuple(sorted(set(args.degrees))), args.max_slots, args.max_order)
-
-
-def main() -> None:
-    config = parse_args()
     checked = 0
     start = time.perf_counter()
-    for t in range(1, config.max_slots + 1):
-        for combo in combinations_with_replacement(config.degrees, t):
+    for t in range(1, args.max_slots + 1):
+        for combo in combinations_with_replacement(sorted(set(args.degrees)), t):
             spec = spec_of_degrees(combo)
-            if spec.group_order > config.max_order:
+            if spec.group_order > args.max_order:
                 continue
             t0 = time.perf_counter()
-            report = differential_validate(spec, max_order=config.max_order)
+            report = differential_validate(spec, args.max_order, args.max_slots)
             secs = time.perf_counter() - t0
             print(
                 f"{format_spec(spec):<12} order {report.group_order:>5}: "

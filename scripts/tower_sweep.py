@@ -12,48 +12,34 @@ lands on C2^2 pass through S3.
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from lattower.group_spec import format_spec, spec_of_degrees
+from lattower.group_spec import spec_of_degrees
 from lattower.tower import StartNode, format_run, run_tower
 
 
-@dataclass
-class TowerSweepConfig:
-    degrees: tuple[int, ...]
-    max_slots: int
-    show_sharp: bool
-
-
-def parse_args() -> TowerSweepConfig:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5, 6, 7])
     parser.add_argument("--max-T", dest="max_slots", type=int, default=6)
-    parser.add_argument("--no-sharp-list", dest="show_sharp", action="store_false")
     args = parser.parse_args()
-    return TowerSweepConfig(tuple(sorted(set(args.degrees))), args.max_slots, args.show_sharp)
-
-
-def main() -> None:
-    config = parse_args()
+    degrees = tuple(sorted(set(args.degrees)))
     histogram: Counter[int] = Counter()
-    sharp_specs = []
+    sharp_lines = []
     total = 0
-    for t in range(config.max_slots + 1):
-        for combo in combinations_with_replacement(config.degrees, t):
-            spec = spec_of_degrees(combo)
-            run = run_tower(StartNode(spec))
+    for t in range(args.max_slots + 1):
+        for combo in combinations_with_replacement(degrees, t):
+            run = run_tower(StartNode(spec_of_degrees(combo)))
             histogram[run.steps] += 1
             total += 1
             if run.sharp:
-                sharp_specs.append((format_spec(spec), format_run(run)))
-    print(f"{total} specs, degrees {config.degrees}, T <= {config.max_slots}")
+                sharp_lines.append(format_run(run))
+    print(f"{total} specs, degrees {degrees}, T <= {args.max_slots}")
     for steps in sorted(histogram):
         print(f"  {steps} steps: {histogram[steps]}")
-    if config.show_sharp and sharp_specs:
-        print(f"\nsharp towers ({len(sharp_specs)}):")
-        for _, line in sharp_specs:
+    if sharp_lines:
+        print(f"\nsharp towers ({len(sharp_lines)}):")
+        for line in sharp_lines:
             print(" ", line)
 
 

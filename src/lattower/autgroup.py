@@ -28,7 +28,7 @@ from itertools import permutations
 from math import factorial
 from operator import or_
 
-from .errors import ClassViolation, LatTowerError, TooLarge
+from .errors import ClassViolation, LatTowerError, SpecMismatch, TooLarge
 from .gf2 import _annihilator_mask
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
@@ -59,9 +59,8 @@ __all__ = [
 ]
 
 # Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.8-1.3 s and
-# 1.2-1.3 s (25 and 29 MB max RSS) on 2 cores with Python 3.11, against
-# 1.9-2.1 s and 2.5-2.7 s (47-48 and 67 MB) while the search read the n^2
-# order relation.  Refuses S4^4*S3^2 (11,384) and everything larger.
+# 1.2-1.3 s (25 and 29 MB max RSS) on 2 cores with Python 3.11.  Refuses
+# S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
 
@@ -417,6 +416,8 @@ def verify_product_formula(
     searched chain there, equal the extension of that restriction on every
     element, and induce its own slot permutation back.
     """
+    if lattice is not None and lattice.spec != spec:
+        raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
     lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
     chain = automorphism_group(lat, max_size)
     ctx = lat.context

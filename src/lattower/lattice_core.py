@@ -29,9 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate
 from math import comb, factorial, prod
-from operator import and_, getitem, lshift, or_
+from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -50,7 +49,6 @@ from .gf2 import (
     _lift,
     _perps,
     _pivot,
-    _span,
     iter_subspaces,
     parity_kernel,
     span,
@@ -812,56 +810,15 @@ class Lattice:
 
     @cached_property
     def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The down and up masks: ``leq`` evaluated a whole column at a time.
+        """The down and up masks, the reflexive-transitive closure of the covers.
 
-        Element i lies below element j exactly when eff_i[s] <= eff_j[s] at
-        every slot s and W_i is inside W_j.  One sweep over the elements
-        collects the elements of each key and of each W.  From those come
-        ``at[s][p]``, the elements with eff[s] = p, whose prefix and suffix
-        ORs are ``le[s][p]`` and ``ge[s][p]``, and ``has[v]``, the elements
-        whose W contains the sign vector v.  Then
-
-            down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]),
-            up[i]   = AND_s ge[s][eff_i[s]]  &  AND_{r in basis(W_i)} has[r].
-
-        The sign factors are exact because W_i lies inside W_j precisely when
-        W_i holds no vector outside W_j, and precisely when W_j holds every
-        basis row of W_i.  Each factor depends on one key or one W alone, so
-        it is computed once per distinct key or W.
+        j's down set is j and the down sets of its lower covers, folded along
+        ``context.order``; the up sets are the same fold over the upper covers.
         """
-        num_slots = self.spec.num_slots
-        with_key: dict[int, int] = {}
-        with_wid: dict[int, int] = {}
-        for i, (key, wid) in enumerate(zip(self.keys, self.wids)):
-            bit = 1 << i
-            with_key[key] = with_key.get(key, 0) | bit
-            with_wid[wid] = with_wid.get(wid, 0) | bit
-        digits = {key: _digits(key, num_slots) for key in with_key}
-        at = [[0] * len(ChainPosition) for _ in range(num_slots)]
-        for key, mask in with_key.items():
-            for s, p in enumerate(digits[key]):
-                at[s][p] |= mask
-        le = [list(accumulate(row, or_)) for row in at]
-        ge = [list(accumulate(row[::-1], or_))[::-1] for row in at]
-        has = [0] * (1 << num_slots)
-        spans = {wid: _span(self.bases[wid]) for wid in with_wid}
-        for wid, mask in with_wid.items():
-            for v in spans[wid]:
-                has[v] |= mask
-        everything, every_vector = (1 << len(self)) - 1, set(range(len(has)))
-        outside = {wid: every_vector.difference(vectors) for wid, vectors in spans.items()}
-        inside = {
-            wid: everything & ~reduce(or_, map(has.__getitem__, vectors), 0)
-            for wid, vectors in outside.items()
-        }
-        holding = {
-            wid: reduce(and_, map(has.__getitem__, self.bases[wid]), everything) for wid in with_wid
-        }
-        below = {key: reduce(and_, map(getitem, le, d), everything) for key, d in digits.items()}
-        above = {key: reduce(and_, map(getitem, ge, d), everything) for key, d in digits.items()}
-        down = tuple(below[k] & inside[w] for k, w in zip(self.keys, self.wids))
-        up = tuple(above[k] & holding[w] for k, w in zip(self.keys, self.wids))
-        return down, up
+        ctx = self.context
+        down = _fold(ctx.order, ctx.lower, [1 << x for x in range(ctx.n)])
+        up = _fold(reversed(ctx.order), ctx.upper, [1 << x for x in range(ctx.n)])
+        return tuple(down), tuple(up)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -908,8 +865,8 @@ class Lattice:
         W + <v>, whose D is D(W) & v-perp, is ``(code & M_v) | S_v``, where
         M_v keeps the key and ANDs v-perp into D, and S_v ORs 4^s into the
         key at each slot s of v.  The rows come one element at a time, so no
-        list of edges is held.  No order relation is built;
-        ``AbstractLattice.covers`` referees this in the tests.
+        list of edges is held.  ``down_masks`` and ``up_masks`` are their
+        closure, and in the tests a column sweep referees both.
         """
         num_slots = self.spec.num_slots
         shift = 2 * num_slots

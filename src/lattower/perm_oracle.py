@@ -23,7 +23,7 @@ from math import factorial
 from operator import and_, or_
 from typing import Sequence
 
-from .errors import LatTowerError, OracleMismatch, TooLarge
+from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge
 from .gf2 import span
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
@@ -349,17 +349,19 @@ def differential_validate(
 ) -> OracleReport:
     """Compare the triple enumeration against the conjugacy classes of G.
 
-    Both bounds are checked before any class is built.  Then, in order: the
-    counts agree; profiles give a bijection between the two lists; the
-    oracle down and up sets of every element, bitsets over the enumeration,
-    equal its ``down_masks`` and ``up_masks`` entries (leq on all ordered
-    pairs); and for every pair, the intersection of the class masks is the
-    enumerated meet and the enumerated join J is the product N1 N2.  J's
-    mask is a normal subgroup, so once it contains N1 and N2 it holds N1 N2,
-    and then equals it exactly when |J| |N1 meet N2| = |N1| |N2|.  Orders
-    are sums of class sizes, so no element of G is built.  The first
-    divergence raises OracleMismatch.
+    A lattice of another spec and both bounds are checked before any class is
+    built.  Then, in order: the counts agree; profiles give a bijection between
+    the two lists; the oracle down and up sets of every element, bitsets over
+    the enumeration, equal its ``down_masks`` and ``up_masks``, the closure of
+    its cover moves (leq on all ordered pairs); and for every pair, the
+    intersection of the class masks is the enumerated meet and the enumerated
+    join J is the product N1 N2.  J's mask is a normal subgroup, so once it
+    contains N1 and N2 it holds N1 N2, and then equals it exactly when
+    |J| |N1 meet N2| = |N1| |N2|.  Orders are sums of class sizes, so no element
+    of G is built.  The first divergence raises OracleMismatch.
     """
+    if lattice is not None and lattice.spec != spec:
+        raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
     group_order = _group_order(spec.degrees, max_order)
     _check_slots(spec, max_slots)
     table = ClassTable(spec.degrees)

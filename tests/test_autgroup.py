@@ -13,7 +13,7 @@ from lattower.autgroup import (
     tau_on_lattice,
     verify_product_formula,
 )
-from lattower.errors import ClassViolation, LatTowerError, TooLarge
+from lattower.errors import ClassViolation, LatTowerError, SpecMismatch, TooLarge
 from lattower.gf2 import iter_subspaces, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import chain, parse_spec
@@ -672,6 +672,17 @@ def test_the_product_formula_builds_no_order_relation():
     lat = enumerate_lattice(parse_spec("S4^2*S3^2"))
     assert verify_product_formula(lat.spec, lattice=lat).match
     assert not {"_order_masks", "down_masks", "up_masks", "_abstract"} & set(vars(lat))
+
+
+def test_a_lattice_of_another_spec_is_refused_before_the_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search run")
+
+    monkeypatch.setattr(autgroup, "automorphism_group", refuse)
+    lat = enumerate_lattice(parse_spec("S3^2"))
+    with pytest.raises(SpecMismatch, match=r"lattice of S3\^2 given for S5\^2"):
+        verify_product_formula(parse_spec("S5^2"), lattice=lat)
+    assert not {"context", "_profile_index"} & set(vars(lat))
 
 
 def test_brute_force_finds_only_order_maps(lattices):

@@ -1,6 +1,7 @@
-from functools import lru_cache
-from itertools import permutations, product
+from functools import lru_cache, reduce
+from itertools import accumulate, permutations, product
 from math import comb
+from operator import and_, getitem, or_
 from typing import Iterator
 
 import pytest
@@ -20,6 +21,7 @@ from lattower.gf2 import (
     _annihilator_mask,
     _lift,
     _perps,
+    _span,
     iter_subspaces,
     parity_kernel,
     span,
@@ -460,8 +462,8 @@ def test_json_dump_shape(lattices):
     assert families == {FAMILY_SUB_PRODUCT, FAMILY_SIGN_PARITY}
 
 
-# Referees for the column-at-a-time order relation and the climbing covers:
-# each fast path against the definition it replaces, pair by pair.
+# Referees for the order relation (the closure of the cover moves) and the
+# climbing covers: each fast path against the definition it replaces.
 
 
 def _mask(indices) -> int:
@@ -471,10 +473,9 @@ def _mask(indices) -> int:
 def _reference_up_sets(down) -> tuple[int, ...]:
     """The transpose of the down sets, by walking every set bit.
 
-    The route the column formulas for the up sets replaced, kept as their
-    referee and as the source of up sets for hand-built posets.  The up sets
-    fill in as bit buffers: OR-ing 1 << j into an int would copy the whole
-    int once per set bit.
+    Kept as a referee of the up sets and as the source of up sets for
+    hand-built posets.  The up sets fill in as bit buffers: OR-ing 1 << j
+    into an int would copy the whole int once per set bit.
     """
     n = len(down)
     rows = [bytearray((n + 7) // 8) for _ in range(n)]
@@ -525,13 +526,70 @@ def test_up_masks_are_the_transpose_of_the_down_masks(text, lattices):
     assert lat.up_masks == _reference_up_sets(lat.down_masks)
 
 
-# too large for the pairwise definition, so the climb over the order
-# relation referees the cover moves there
+def _reference_order_masks(lat: Lattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The down and up masks: ``leq`` evaluated a whole column at a time.
+
+    The route the closure of the cover moves replaced, kept as its referee
+    on lattices too large for the pairwise definition.  Element i lies below
+    element j exactly when eff_i[s] <= eff_j[s] at every slot s and W_i is
+    inside W_j.  One sweep over the elements collects the elements of each
+    key and of each W.  From those come ``at[s][p]``, the elements with
+    eff[s] = p, whose prefix and suffix ORs are ``le[s][p]`` and
+    ``ge[s][p]``, and ``has[v]``, the elements whose W contains the sign
+    vector v.  Then
+
+        down[j] = AND_s le[s][eff_j[s]]  &  ~(OR_{v not in W_j} has[v]),
+        up[i]   = AND_s ge[s][eff_i[s]]  &  AND_{r in basis(W_i)} has[r].
+
+    The sign factors are exact because W_i lies inside W_j precisely when
+    W_i holds no vector outside W_j, and precisely when W_j holds every
+    basis row of W_i.  Each factor depends on one key or one W alone, so
+    it is computed once per distinct key or W.
+    """
+    num_slots = lat.spec.num_slots
+    with_key: dict[int, int] = {}
+    with_wid: dict[int, int] = {}
+    for i, (key, wid) in enumerate(zip(lat.keys, lat.wids)):
+        bit = 1 << i
+        with_key[key] = with_key.get(key, 0) | bit
+        with_wid[wid] = with_wid.get(wid, 0) | bit
+    digits = {key: _digits(key, num_slots) for key in with_key}
+    at = [[0] * len(CP) for _ in range(num_slots)]
+    for key, mask in with_key.items():
+        for s, p in enumerate(digits[key]):
+            at[s][p] |= mask
+    le = [list(accumulate(row, or_)) for row in at]
+    ge = [list(accumulate(row[::-1], or_))[::-1] for row in at]
+    has = [0] * (1 << num_slots)
+    spans = {wid: _span(lat.bases[wid]) for wid in with_wid}
+    for wid, mask in with_wid.items():
+        for v in spans[wid]:
+            has[v] |= mask
+    everything, every_vector = (1 << len(lat)) - 1, set(range(len(has)))
+    outside = {wid: every_vector.difference(vectors) for wid, vectors in spans.items()}
+    inside = {
+        wid: everything & ~reduce(or_, map(has.__getitem__, vectors), 0)
+        for wid, vectors in outside.items()
+    }
+    holding = {
+        wid: reduce(and_, map(has.__getitem__, lat.bases[wid]), everything) for wid in with_wid
+    }
+    below = {key: reduce(and_, map(getitem, le, d), everything) for key, d in digits.items()}
+    above = {key: reduce(and_, map(getitem, ge, d), everything) for key, d in digits.items()}
+    down = tuple(below[k] & inside[w] for k, w in zip(lat.keys, lat.wids))
+    up = tuple(above[k] & holding[w] for k, w in zip(lat.keys, lat.wids))
+    return down, up
+
+
+# too large for the pairwise definition, so the column sweep referees the
+# closure there, and the climb over the sweep's order relation the cover moves
 @pytest.mark.parametrize("text", ["S3^6", "S4^3*S3^2"])
 def test_cover_moves_match_the_order_relation(text, lattices):
     lat = lattices.get(text)
-    down = lat.down_masks
-    assert _edges(lat.up_covers()) == list(AbstractLattice(down, _reference_up_sets(down)).covers)
+    down, up = _reference_order_masks(lat)
+    assert lat.down_masks == down
+    assert lat.up_masks == up
+    assert _edges(lat.up_covers()) == list(AbstractLattice(down, up).covers)
 
 
 def _reference_profile_covers(lat: Lattice) -> list[list[int]]:

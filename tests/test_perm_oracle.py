@@ -4,7 +4,7 @@ from functools import cached_property
 import pytest
 
 import lattower.perm_oracle as perm_oracle
-from lattower.errors import LatTowerError, OracleMismatch, TooLarge
+from lattower.errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge
 from lattower.gf2 import span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec, spec_of_degrees
@@ -772,5 +772,33 @@ def test_a_corrupted_up_set_is_caught_by_the_leq_check():
     up = list(lat.up_masks)
     up[_top_index(lat)] |= 1 << _bottom_index(lat)
     lat.up_masks = tuple(up)
+    with pytest.raises(OracleMismatch, match="leq disagrees on the down or up set"):
+        differential_validate(spec, lattice=lat)
+
+
+def test_a_lattice_of_another_spec_is_refused_before_the_class_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("class table built")
+
+    monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
+    with pytest.raises(SpecMismatch, match="lattice of S3 given for S4"):
+        differential_validate(parse_spec("S4"), lattice=enumerate_lattice(parse_spec("S3")))
+
+
+def test_a_dropped_cover_is_caught_by_the_leq_check():
+    """The order relation is the closure of the cover moves, so the oracle
+    referees the covers: one cover dropped into an element with three or
+    more lower covers keeps every join-irreducible, but leaves the lower
+    end out of that element's down set."""
+    spec = parse_spec("S3^3")
+    lat = enumerate_lattice(spec)
+    rows = list(lat.up_covers())
+    lower: dict[int, list[int]] = {}
+    for x, above in enumerate(rows):
+        for y in above:
+            lower.setdefault(y, []).append(x)
+    y = min(y for y, below in lower.items() if len(below) >= 3)
+    rows[lower[y][0]].remove(y)
+    lat.up_covers = lambda: iter(rows)
     with pytest.raises(OracleMismatch, match="leq disagrees on the down or up set"):
         differential_validate(spec, lattice=lat)

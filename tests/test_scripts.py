@@ -1,10 +1,14 @@
-"""The sweep scripts run end to end on tiny arguments."""
+"""The sweep scripts run end to end on tiny arguments, and pass their bounds on."""
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lattower.lattice_core import census_of, enumerate_lattice
+from lattower.perm_oracle import differential_validate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +45,39 @@ def test_script_runs(script, args, expected, src_env):
     lines = proc.stdout.splitlines()
     for line in expected:
         assert any(out.startswith(line) for out in lines), (line, proc.stdout)
+
+
+def _recording(monkeypatch, module, name, real, seen):
+    """Replace ``module.name`` by ``real``, first noting the ``max_slots`` it is passed."""
+    signature = inspect.signature(real)
+
+    def wrapper(*args, **kwargs):
+        seen.append((name, signature.bind(*args, **kwargs).arguments.get("max_slots")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_census_sweep_passes_its_slot_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import census_sweep
+
+    seen = []
+    _recording(monkeypatch, census_sweep, "enumerate_lattice", enumerate_lattice, seen)
+    _recording(monkeypatch, census_sweep, "census_of", census_of, seen)
+    rows = census_sweep.sweep((3,), 2)
+    assert [row[0] for row in rows] == ["S3", "S3^2"]
+    assert seen == [(name, 2) for _ in rows for name in ("enumerate_lattice", "census_of")]
+
+
+def test_oracle_check_passes_its_slot_bound(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import oracle_check
+
+    seen = []
+    _recording(monkeypatch, oracle_check, "differential_validate", differential_validate, seen)
+    argv = ["oracle_check.py", "--degrees", "3", "--max-T", "2", "--max-order", "36"]
+    monkeypatch.setattr(sys, "argv", argv)
+    oracle_check.main()
+    assert seen == [("differential_validate", 2)] * 2
+    assert "2 specs validated in" in capsys.readouterr().out
