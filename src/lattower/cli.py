@@ -322,7 +322,7 @@ def cmd_hasse(args) -> int:
         group = ConcreteGroup(degrees, max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
-        _emit(_dot(map(group.class_table.order, normals), poset.up_covers()), args.out)
+        _emit(_dot(map(group.class_table.order, normals), poset.upper), args.out)
         return 0
     spec = parse_spec(args.spec)
     lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)

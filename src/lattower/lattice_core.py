@@ -571,8 +571,55 @@ def _fold(order: Iterable[int], neighbours: list[list[int]], sets: list[int]) ->
     return sets
 
 
-class _Context:
-    """The join-irreducible context of a finite poset, read off its covers alone.
+def _covers_of_order(down: Sequence[int], up: Sequence[int]) -> list[list[int]]:
+    """The up-covers of each element, ascending, of a poset given by its order relation.
+
+    ``down[j]`` and ``up[j]`` are the bitmasks of all i with i <= j and with
+    j <= i.  The caller vouches that ``up`` is the transpose of ``down``, as
+    the tests referee for each producer; the checks here take O(n) int
+    operations and raise LatTowerError on sets that no poset has.
+
+    The elements that j covers are the maximal elements of its strict down
+    set, the candidates.  Climbing from any candidate to any candidate
+    strictly above it ends, within the height of the poset, at a maximal
+    candidate i.  Record that j covers i, drop i and everything below it
+    from the candidates, and climb again until none is left.  This is exact:
+    dropping down[i] removes no other maximal candidate, since those are
+    incomparable with i; and a later climb cannot end below a dropped
+    candidate, because it would then have been dropped with it.  The cost is
+    one climb per cover edge instead of a test per pair.
+    """
+    n = len(down)
+    if len(up) != n:
+        raise LatTowerError(f"{n} down sets but {len(up)} up sets")
+    for kind, masks in (("down", down), ("up", up)):
+        for j, mask in enumerate(masks):
+            if mask >> n or not (mask >> j) & 1:
+                raise LatTowerError(f"{kind} set of {j} must hold {j} and nothing past {n - 1}")
+    for j, (below, above) in enumerate(zip(down, up)):
+        if below & above != 1 << j:
+            raise LatTowerError(f"the down and up sets of {j} share another element")
+    if sum(m.bit_count() for m in down) != sum(m.bit_count() for m in up):
+        raise LatTowerError("the up sets are not the transpose of the down sets")
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j, mask in enumerate(down):
+        candidates = mask ^ (1 << j)
+        while candidates:
+            # element orders put larger elements late, so starting from
+            # the highest index usually makes the climb empty
+            i = candidates.bit_length() - 1
+            while True:
+                above = (up[i] & candidates) ^ (1 << i)
+                if not above:
+                    break
+                i = above.bit_length() - 1
+            rows[i].append(j)
+            candidates &= ~down[i]
+    return rows
+
+
+class AbstractLattice:
+    """A finite lattice given by its covers alone, held as its join-irreducible context.
 
     ``upper[x]``, given, lists the elements that cover x, and ``lower[x]``
     those that x covers, filled in ascending order; ``order`` lists every
@@ -583,8 +630,10 @@ class _Context:
     element is the join of the points under it, so J is one-to-one, x <= y
     exactly when J(x) is inside J(y), and an automorphism is fixed by what it
     does on the points (Ganter and Wille, *Formal Concept Analysis*,
-    Springer 1999, ch. 1).  The covers are read in one pass.  LatTowerError
-    is raised unless exactly one element is minimal and J is one-to-one.
+    Springer 1999, ch. 1).  The covers are read in one pass.  No element
+    data is kept, so consumers cannot peek at triples.  LatTowerError is
+    raised unless every cover lies in 0..n-1, the covers have no cycle,
+    exactly one element is minimal and J is one-to-one.
     """
 
     def __init__(self, upper: Iterable[list[int]]):
@@ -592,6 +641,9 @@ class _Context:
         self.n = n = len(self.upper)
         self.lower: list[list[int]] = [[] for _ in range(n)]
         for x, above in enumerate(self.upper):
+            if above and not (0 <= min(above) and max(above) < n):
+                y = next(y for y in above if not 0 <= y < n)
+                raise LatTowerError(f"not a lattice: {x} is covered by {y}, outside 0..{n - 1}")
             for y in above:
                 self.lower[y].append(x)
         order = [x for x in range(n) if not self.lower[x]]
@@ -603,6 +655,8 @@ class _Context:
                 waiting[y] -= 1
                 if not waiting[y]:
                     order.append(y)
+        if len(order) != n:
+            raise LatTowerError("not a lattice: the covers have a cycle")
         self.order = order
         self.irreducibles = [x for x in range(n) if len(self.lower[x]) == 1]
         self.point = {x: k for k, x in enumerate(self.irreducibles)}
@@ -612,6 +666,35 @@ class _Context:
             raise LatTowerError(
                 "not a lattice: no join, as two elements lie over the same join-irreducibles"
             )
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def context(self) -> AbstractLattice:
+        """The lattice itself, so a search reads a ``Lattice`` and a bare lattice alike."""
+        return self
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Per element j, the bitmask of all i <= j: the closure of the covers.
+
+        j's down set is j and the down sets of its lower covers, folded along
+        ``order``; ``up`` is the same fold over the upper covers, in reverse.
+        """
+        return tuple(_fold(self.order, self.lower, [1 << x for x in range(self.n)]))
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        return tuple(_fold(reversed(self.order), self.upper, [1 << x for x in range(self.n)]))
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool((self.down[j] >> i) & 1)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Pairs (i, j) with j covering i, sorted."""
+        return tuple(sorted((x, y) for x, above in enumerate(self.upper) for y in above))
 
     def _seeds(self, psi: Iterable[int]) -> list[int]:
         sets = [0] * self.n
@@ -643,81 +726,6 @@ class _Context:
         """The permutation g induces on the points, or None if it does not permute them."""
         psi = tuple(self.point.get(g[x], -1) for x in self.irreducibles)
         return psi if sorted(psi) == list(range(len(psi))) else None
-
-
-class AbstractLattice:
-    """A finite lattice given purely by its order relation.
-
-    ``down[j]`` and ``up[j]`` are the bitmasks of all i with i <= j and with
-    j <= i.  No element data is kept, so consumers cannot peek at triples.
-    The caller vouches that ``up`` is the transpose of ``down``, as the tests
-    referee for each producer; the checks here take O(n) int operations.
-    """
-
-    def __init__(self, down_masks: Iterable[int], up_masks: Iterable[int]):
-        self.down = tuple(down_masks)
-        self.up = tuple(up_masks)
-        self.n = n = len(self.down)
-        if len(self.up) != n:
-            raise LatTowerError(f"{n} down sets but {len(self.up)} up sets")
-        for kind, masks in (("down", self.down), ("up", self.up)):
-            for j, mask in enumerate(masks):
-                if mask >> n or not (mask >> j) & 1:
-                    raise LatTowerError(f"{kind} set of {j} must hold {j} and nothing past {n - 1}")
-        for j, (down, up) in enumerate(zip(self.down, self.up)):
-            if down & up != 1 << j:
-                raise LatTowerError(f"the down and up sets of {j} share another element")
-        if sum(m.bit_count() for m in self.down) != sum(m.bit_count() for m in self.up):
-            raise LatTowerError("the up sets are not the transpose of the down sets")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool((self.down[j] >> i) & 1)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) with j covering i, sorted.
-
-        The elements that j covers are the maximal elements of its strict
-        down set, the candidates.  Climbing from any candidate to any
-        candidate strictly above it ends, within the height of the poset, at
-        a maximal candidate i.  Emit (i, j), drop i and everything below it
-        from the candidates, and climb again until none is left.  This is
-        exact: dropping down[i] removes no other maximal candidate, since
-        those are incomparable with i; and a later climb cannot end below a
-        dropped candidate, because it would then have been dropped with it.
-        The cost is one climb per cover edge instead of a test per pair.
-        """
-        out = []
-        for j, mask in enumerate(self.down):
-            candidates = mask ^ (1 << j)
-            while candidates:
-                # element orders put larger elements late, so starting from
-                # the highest index usually makes the climb empty
-                i = candidates.bit_length() - 1
-                while True:
-                    above = (self.up[i] & candidates) ^ (1 << i)
-                    if not above:
-                        break
-                    i = above.bit_length() - 1
-                out.append((i, j))
-                candidates &= ~self.down[i]
-        out.sort()
-        return tuple(out)
-
-    def up_covers(self) -> list[list[int]]:
-        """The elements that cover each element, ascending: ``covers`` by its first entry."""
-        rows: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            rows[i].append(j)
-        return rows
-
-    @cached_property
-    def context(self) -> _Context:
-        """The join-irreducible context, read off ``up_covers``."""
-        return _Context(self.up_covers())
 
 
 class Lattice:
@@ -809,24 +817,12 @@ class Lattice:
         return self._profile_index[self._pack(p.eff) | dual << 2 * num_slots]
 
     @cached_property
-    def _order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The down and up masks, the reflexive-transitive closure of the covers.
-
-        j's down set is j and the down sets of its lower covers, folded along
-        ``context.order``; the up sets are the same fold over the upper covers.
-        """
-        ctx = self.context
-        down = _fold(ctx.order, ctx.lower, [1 << x for x in range(ctx.n)])
-        up = _fold(reversed(ctx.order), ctx.upper, [1 << x for x in range(ctx.n)])
-        return tuple(down), tuple(up)
-
-    @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        return self._order_masks[0]
+        return self.context.down
 
     @cached_property
     def up_masks(self) -> tuple[int, ...]:
-        return self._order_masks[1]
+        return self.context.up
 
     @cached_property
     def _down_index(self) -> dict[int, int]:
@@ -903,16 +899,12 @@ class Lattice:
             yield above
 
     @cached_property
-    def context(self) -> _Context:
-        """The join-irreducible context, read off the cover moves as they are made."""
-        return _Context(self.up_covers())
-
-    @cached_property
-    def _abstract(self) -> AbstractLattice:
-        return AbstractLattice(*self._order_masks)
+    def context(self) -> AbstractLattice:
+        """The bare lattice, read off the cover moves as they are made."""
+        return AbstractLattice(self.up_covers())
 
     def to_abstract(self) -> AbstractLattice:
-        return self._abstract
+        return self.context
 
     def to_json_dict(self) -> dict:
         """Stable JSON form: spec header, census, elements, covering edges.

@@ -32,6 +32,7 @@ from .lattice_core import (
     Lattice,
     Profile,
     _check_slots,
+    _covers_of_order,
     enumerate_lattice,
 )
 from .stabiliser import _compose, _inverse
@@ -323,7 +324,8 @@ def normal_subgroup_poset(
     """The subgroup-inclusion order of the class masks as a bare lattice."""
     if normals is None:
         normals = all_normal_subgroups(group)
-    return AbstractLattice(*_order_sets(normals, len(group.class_table.prod)))
+    down, up = _order_sets(normals, len(group.class_table.prod))
+    return AbstractLattice(_covers_of_order(down, up))
 
 
 @dataclass(frozen=True)

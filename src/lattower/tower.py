@@ -130,7 +130,10 @@ def format_node(node: TowerNode) -> str:
 
 
 def format_run(run: TowerRun) -> str:
-    """One line, e.g. ``G_0 = S4^2*S3^2 → G_1 = C2^2 → G_2 = S3 → G_3 = 1 (3 steps, sharp)``."""
+    """One line, e.g.
+
+    ``G_0 = S4^2*S3^2 → G_1 = C2^2 → G_2 = S3 → G_3 = 1 (3 steps, sharp)``.
+    """
     chain = " → ".join(f"G_{i} = {format_node(node)}" for i, node in enumerate(run.nodes))
     plural = "step" if run.steps == 1 else "steps"
     suffix = f"({run.steps} {plural}, sharp)" if run.sharp else f"({run.steps} {plural})"
@@ -167,7 +170,7 @@ def _node_lattice(
         return searchable_lattice(node.spec, max_slots=max_slots, max_size=max_size)
     degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
     if not degrees:
-        return AbstractLattice((1,), (1,))
+        return AbstractLattice([[]])
     if degrees[0] == 2:
         return normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
     return searchable_lattice(spec_of_degrees(degrees), max_slots=max_slots, max_size=max_size)

@@ -20,6 +20,7 @@ from lattower.group_spec import chain, parse_spec
 from lattower.lattice_core import (
     AbstractLattice,
     Profile,
+    _covers_of_order,
     element_from_profile,
     enumerate_lattice,
     leq,
@@ -41,9 +42,9 @@ from test_lattice_core import _reference_up_sets
 
 
 def _poset(down):
-    """A bare poset from its down sets, the up sets transposed bit by bit."""
+    """A bare lattice from its down sets, the up sets transposed bit by bit."""
     down = tuple(down)
-    return AbstractLattice(down, _reference_up_sets(down))
+    return AbstractLattice(_covers_of_order(down, _reference_up_sets(down)))
 
 
 def _chain(n):
@@ -395,13 +396,13 @@ def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
     # no run, so the whole search extends fewer assignments (81) than the
     # listing search keeps automorphisms (168), and 4 generators suffice
     calls = []
-    real = lattice_core._Context.extend
+    real = lattice_core.AbstractLattice.extend
 
     def counting(ctx, psi):
         calls.append(1)
         return real(ctx, psi)
 
-    monkeypatch.setattr(lattice_core._Context, "extend", counting)
+    monkeypatch.setattr(lattice_core.AbstractLattice, "extend", counting)
     chain = automorphism_group(_subspace_lattice(3))
     assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
     assert len(chain.generators) <= 7
@@ -664,14 +665,14 @@ def test_size_bound_is_checked_before_the_order_relation():
     lat = enumerate_lattice(parse_spec("S4^3*S3^2"))
     with pytest.raises(TooLarge, match="1564 elements exceeds the search bound 100"):
         verify_product_formula(lat.spec, max_size=100, lattice=lat)
-    assert "down_masks" not in vars(lat)
-    assert "_abstract" not in vars(lat)
+    assert not {"context", "down_masks"} & set(vars(lat))
 
 
 def test_the_product_formula_builds_no_order_relation():
     lat = enumerate_lattice(parse_spec("S4^2*S3^2"))
     assert verify_product_formula(lat.spec, lattice=lat).match
-    assert not {"_order_masks", "down_masks", "up_masks", "_abstract"} & set(vars(lat))
+    assert not {"down_masks", "up_masks"} & set(vars(lat))
+    assert not {"down", "up", "covers"} & set(vars(lat.context))
 
 
 def test_a_lattice_of_another_spec_is_refused_before_the_search(monkeypatch):
@@ -812,11 +813,17 @@ def test_complemented_elements_of_lemma_posets_match_the_pairwise_scan():
     ],
 )
 def test_complemented_elements_rejects_posets_without_bottom_and_top(down):
-    poset = _poset(down)
-    with pytest.raises(LatTowerError, match="not a lattice"):
+    # neither has one minimal element, so neither builds as a bare lattice
+    with pytest.raises(LatTowerError, match="not a lattice: [23] minimal elements"):
+        complemented_elements(_poset(down))
+
+
+def test_complemented_elements_rejects_a_poset_without_a_top():
+    # 0 < 1 and 0 < 2: a bottom, and J one-to-one, so it builds, but the
+    # check for a top still has something to reject
+    poset = _poset((0b001, 0b011, 0b101))
+    with pytest.raises(LatTowerError, match="not a lattice: 2 maximal elements"):
         complemented_elements(poset)
-    with pytest.raises(LatTowerError):
-        automorphism_group(poset)
 
 
 def test_factor_atoms_in_slot_order(lattices):
@@ -1001,14 +1008,14 @@ def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
 def _count_contexts(monkeypatch) -> list[int]:
     """The sizes of the join-irreducible contexts built from here on."""
     built = []
-    real = lattice_core._Context.__init__
+    real = lattice_core.AbstractLattice.__init__
 
     def counting(ctx, upper):
         upper = list(upper)
         built.append(len(upper))
         real(ctx, upper)
 
-    monkeypatch.setattr(lattice_core._Context, "__init__", counting)
+    monkeypatch.setattr(lattice_core.AbstractLattice, "__init__", counting)
     return built
 
 
@@ -1026,14 +1033,16 @@ def test_product_formula_builds_one_context_per_lattice(monkeypatch):
 @pytest.mark.parametrize("abstract", [False, True])
 def test_the_search_and_the_checks_share_one_context(abstract, monkeypatch):
     lat = enumerate_lattice(parse_spec("S4*S3^2"))
-    lattice = lat.to_abstract() if abstract else lat
     built = _count_contexts(monkeypatch)
+    lattice = lat.to_abstract() if abstract else lat
+    assert built == ([len(lat)] if abstract else [])
     assert automorphism_group(lattice).order == 2
     assert len(brute_force_automorphisms(lattice)) == 2
     assert len(complemented_elements(lattice)) == 8
     if not abstract:
         assert len(factor_atoms(lattice)) == 3
     assert built == [len(lat)]
+    assert lattice.context is lat.context is lat.to_abstract()
 
 
 def _identity_tau(real, sigma, lat):

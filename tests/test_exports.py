@@ -57,3 +57,10 @@ def test_every_import_is_used_or_exported(name):
     tree = ast.parse(Path(module.__file__).read_text())
     used = set(_used_names(tree)) | set(getattr(module, "__all__", ()))
     assert sorted(set(_imported_names(tree)) - used) == []
+
+
+@pytest.mark.parametrize("name", MODULES + ["lattower"])
+def test_source_lines_are_at_most_100_characters(name):
+    path = Path(importlib.import_module(name).__file__)
+    lines = path.read_text().splitlines()
+    assert [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 100] == []

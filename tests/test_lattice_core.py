@@ -56,6 +56,7 @@ from lattower.lattice_core import (
     profile_to_triple,
     validate_triple,
     _admissible_subspaces,
+    _covers_of_order,
     _digits,
     _eff_packer,
     _galois_numbers,
@@ -488,17 +489,23 @@ def _reference_up_sets(down) -> tuple[int, ...]:
     return tuple(int.from_bytes(row, "little") for row in rows)
 
 
+def _covers_by_definition(down, up) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j with |[i, j]| = 2, sorted."""
+    n = len(down)
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and (down[j] >> i) & 1 and bin(down[j] & up[i]).count("1") == 2
+    )
+
+
 def _check_up_and_covers(a: AbstractLattice) -> None:
     """``up`` is the transpose of ``down``; ``covers`` is i < j with |[i, j]| = 2."""
     n = a.n
     for i in range(n):
-        assert a.up[i] == _mask(j for j in range(n) if (a.down[j] >> i) & 1), i
-    assert a.covers == tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and a.leq(i, j) and bin(a.down[j] & a.up[i]).count("1") == 2
-    )
+        assert a.up[i] == _mask(j for j in range(n) if a.leq(i, j)), i
+    assert a.covers == _covers_by_definition(a.down, a.up)
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
@@ -513,11 +520,10 @@ def test_down_masks_match_pairwise_leq(text, lattices):
 def test_up_masks_and_covers_by_definition(text, lattices):
     lat = lattices.get(text)
     a = lat.to_abstract()
-    assert a.down == lat.down_masks
-    assert lat.up_masks == a.up
+    assert a is lat.context
+    assert (a.down, a.up) == (lat.down_masks, lat.up_masks)
     _check_up_and_covers(a)
-    assert list(lat.up_covers()) == a.up_covers()
-    assert _edges(a.up_covers()) == list(a.covers)
+    assert list(lat.up_covers()) == a.upper == _covers_of_order(a.down, a.up)
 
 
 @pytest.mark.parametrize("text", ROUND_TRIP_SPECS + ("S3^6", "S4^3*S3^2"))
@@ -589,7 +595,7 @@ def test_cover_moves_match_the_order_relation(text, lattices):
     down, up = _reference_order_masks(lat)
     assert lat.down_masks == down
     assert lat.up_masks == up
-    assert _edges(lat.up_covers()) == list(AbstractLattice(down, up).covers)
+    assert list(lat.up_covers()) == _covers_of_order(down, up)
 
 
 def _reference_profile_covers(lat: Lattice) -> list[list[int]]:
@@ -669,10 +675,12 @@ def test_context_lower_covers_are_ascending(kind, lattices):
         lat = normal_subgroup_poset(ConcreteGroup(LEMMA_GROUP_DEGREES["C2xS4"]))
     else:
         lat = lattices.get("S4^2*S3^2")
-        lat = lat.to_abstract() if kind == "AbstractLattice" else lat
+        if kind == "AbstractLattice":  # the same covers, each row descending
+            lat = AbstractLattice(row[::-1] for row in lat.up_covers())
     ctx = lat.context
     assert all(below == sorted(set(below)) for below in ctx.lower)
-    assert sorted((i, j) for j, below in enumerate(ctx.lower) for i in below) == _edges(ctx.upper)
+    assert sorted((i, j) for j, below in enumerate(ctx.lower) for i in below) == list(ctx.covers)
+    assert sorted(_edges(ctx.upper)) == list(ctx.covers)
 
 
 def _lattice_of_elements(spec, elements, census):
@@ -761,16 +769,38 @@ HAND_BUILT_POSETS = {
 @pytest.mark.parametrize("name", sorted(HAND_BUILT_POSETS))
 def test_covers_on_hand_built_posets(name):
     down, covers = HAND_BUILT_POSETS[name]
-    a = AbstractLattice(down, _reference_up_sets(down))
-    assert len(a) == len(down)
-    assert a.covers == covers
+    up = _reference_up_sets(down)
+    rows = _covers_of_order(down, up)
+    assert len(rows) == len(down)
+    assert _edges(rows) == sorted(covers) == sorted(_covers_by_definition(down, up))
+    if name in ("antichain", "2-crown"):
+        with pytest.raises(LatTowerError, match="not a lattice"):
+            AbstractLattice(rows)
+        return
+    a = AbstractLattice(rows)
+    assert (a.down, a.up, a.covers) == (down, up, covers)
     _check_up_and_covers(a)
+
+
+@pytest.mark.parametrize(
+    "upper, message",
+    [
+        # 2 and 3 cover each other: 0 is the one minimal element, and the
+        # order stops at 1
+        ([[1], [], [3], [2]], "not a lattice: the covers have a cycle"),
+        ([[-1], []], r"not a lattice: 0 is covered by -1, outside 0\.\.1"),
+        ([[2], []], r"not a lattice: 0 is covered by 2, outside 0\.\.1"),
+    ],
+)
+def test_abstract_lattice_rejects_bad_cover_rows(upper, message):
+    with pytest.raises(LatTowerError, match=message):
+        AbstractLattice(upper)
 
 
 @pytest.mark.parametrize("down", [(0b10,), (0b11,), (-1,)])
 def test_abstract_lattice_rejects_bad_down_sets(down):
     with pytest.raises(LatTowerError):
-        AbstractLattice(down, (0b1,))
+        _covers_of_order(down, (0b1,))
 
 
 @pytest.mark.parametrize(
@@ -795,4 +825,4 @@ def test_abstract_lattice_rejects_bad_down_sets(down):
 )
 def test_abstract_lattice_rejects_bad_up_sets(down, up, message):
     with pytest.raises(LatTowerError, match=message):
-        AbstractLattice(down, up)
+        _covers_of_order(down, up)
