@@ -43,7 +43,10 @@ def main() -> None:
     parser.add_argument("--max-T", dest="max_slots", type=int, default=4)
     args = parser.parse_args()
     rows = sweep(tuple(sorted(set(args.degrees))), args.max_slots)
-    header = f"{'spec':<14} {'T':>2} {'sub':>6} {'par':>5} {'mixed':>7} {'total':>7} {'|G|':>12} {'secs':>7}"
+    header = (
+        f"{'spec':<14} {'T':>2} {'sub':>6} {'par':>5} {'mixed':>7} {'total':>7}"
+        f" {'|G|':>12} {'secs':>7}"
+    )
     print(header)
     print("-" * len(header))
     for spec, t, sub, par, mixed, total, order, secs in rows:

@@ -54,60 +54,45 @@ DEFAULT_MAX_ORDER = 5000
 
 
 class _FactorTable:
-    """Dense multiplication and conjugacy data for one symmetric factor.
+    """Conjugacy data for one symmetric factor, with no multiplication table.
 
-    ``classes`` lists the conjugacy classes, each as its sorted member
-    indices, numbered by smallest member (so class 0 is {identity});
-    ``class_of`` is the class of each permutation, and ``prod[a][b]`` is the
-    mask of the classes met by x_a * C_b for the smallest member x_a of
-    class a.
+    The permutations are walked in lex order, and each one not yet classed
+    starts a class, found by conjugating it by every permutation.  So the
+    classes are numbered by smallest member, and class 0 is {identity}.
+    ``sizes`` and ``sign_bit`` give each class's size and parity;
+    ``prod[a][b]`` is the mask of the classes met by x_a * C_b for the first
+    member x_a of class a; ``chain_classes`` is each chain subgroup of the
+    factor as a mask over its classes, V only at degree 4.
     """
 
     def __init__(self, degree: int):
-        self.degree = degree
-        self.perms = tuple(iter_permutations(range(degree)))
-        self.index = index = {p: i for i, p in enumerate(self.perms)}
-        self.mul = mul = [[index[_compose(p, q)] for q in self.perms] for p in self.perms]
-        self.inv = inv = [index[_inverse(p)] for p in self.perms]
+        perms = list(iter_permutations(range(degree)))
+        conjugators = [(h, _inverse(h)) for h in perms]
+        class_of: dict[tuple[int, ...], int] = {}
+        firsts: list[tuple[int, ...]] = []
+        for x in perms:
+            if x not in class_of:
+                for h, h_inv in conjugators:
+                    class_of[_compose(_compose(h, x), h_inv)] = len(firsts)
+                firsts.append(x)
+        self.sizes = [0] * len(firsts)
+        for c in class_of.values():
+            self.sizes[c] += 1
         pairs = list(combinations(range(degree), 2))
-        self.sign_bit = [sum(p[x] > p[y] for x, y in pairs) & 1 for p in self.perms]
-        n = len(self.perms)
-        self.class_of = [-1] * n
-        self.classes: list[tuple[int, ...]] = []
-        for x in range(n):
-            if self.class_of[x] < 0:
-                members = tuple(sorted({mul[mul[h][x]][inv[h]] for h in range(n)}))
-                for y in members:
-                    self.class_of[y] = len(self.classes)
-                self.classes.append(members)
+        self.sign_bit = [sum(x[i] > x[j] for i, j in pairs) & 1 for x in firsts]
         self.prod = []
-        for members in self.classes:
-            row = [0] * len(self.classes)
-            for cy, xy in zip(self.class_of, mul[members[0]]):
-                row[cy] |= 1 << self.class_of[xy]
+        for x in firsts:
+            row = [0] * len(firsts)
+            for y in perms:
+                row[class_of[y]] |= 1 << class_of[_compose(x, y)]
             self.prod.append(row)
-
-    def position_ids(self, pos: ChainPosition) -> frozenset[int]:
-        """Indices of the permutations in one chain subgroup; V only at degree 4."""
-        if pos is ChainPosition.TRIV:
-            return frozenset({self.index[tuple(range(self.degree))]})
-        if pos is ChainPosition.V:
-            if self.degree != 4:
-                raise LatTowerError("V position outside degree 4")
-            vperms = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-            return frozenset(self.index[p] for p in vperms)
-        if pos is ChainPosition.ALT:
-            return frozenset(i for i, b in enumerate(self.sign_bit) if b == 0)
-        return frozenset(range(len(self.perms)))
-
-    @cached_property
-    def chain_classes(self) -> dict[ChainPosition, int]:
-        """Each chain subgroup of this factor as a mask over its classes."""
-        return {
-            pos: sum(1 << c for c in {self.class_of[x] for x in self.position_ids(pos)})
-            for pos in ChainPosition
-            if pos is not ChainPosition.V or self.degree == 4
-        }
+        self.chain_classes = {ChainPosition.TRIV: 1}
+        if degree == 4:
+            self.chain_classes[ChainPosition.V] = 1 | 1 << class_of[(1, 0, 3, 2)]
+        self.chain_classes[ChainPosition.ALT] = sum(
+            1 << c for c, odd in enumerate(self.sign_bit) if not odd
+        )
+        self.chain_classes[ChainPosition.FULL] = (1 << len(firsts)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -126,21 +111,15 @@ class ConcreteGroup:
         if not all(d >= 2 for d in degrees):
             raise LatTowerError(f"factor degrees must be at least 2, got {degrees}")
         self.degrees = tuple(degrees)
-        self.order = _group_order(self.degrees, max_order)
+        self.order = 1
+        for d in self.degrees:
+            self.order *= factorial(d)
+        if self.order > max_order:
+            raise TooLarge(f"group order {self.order} exceeds the oracle bound {max_order}")
 
     @cached_property
     def class_table(self) -> "ClassTable":
         return ClassTable(self.degrees)
-
-
-def _group_order(degrees: Sequence[int], max_order: int) -> int:
-    """|G| of a product of symmetric factors, refused past the oracle bound."""
-    order = 1
-    for d in degrees:
-        order *= factorial(d)
-    if order > max_order:
-        raise TooLarge(f"group order {order} exceeds the oracle bound {max_order}")
-    return order
 
 
 def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
@@ -196,17 +175,17 @@ class ClassTable:
         width = 1
         for j in reversed(range(len(self.tables))):
             t = self.tables[j]
-            digits = [(c,) + rest for c in range(len(t.classes)) for rest in digits]
-            sizes = [len(head) * rest for head in t.classes for rest in sizes]
-            signs = [t.sign_bit[head[0]] << j | rest for head in t.classes for rest in signs]
+            digits = [(c,) + rest for c in range(len(t.sizes)) for rest in digits]
+            sizes = [size * rest for size in t.sizes for rest in sizes]
+            signs = [bit << j | rest for bit in t.sign_bit for rest in signs]
             offsets = [[[c * width for c in _bits(m)] for m in t_row] for t_row in t.prod]
             prod = [
                 [_spread(mask, shifts) for shifts in row_offsets for mask in row]
                 for row_offsets in offsets
                 for row in prod
             ]
-            width *= len(t.classes)
-        self.fibres = [[0] * len(t.classes) for t in self.tables]
+            width *= len(t.sizes)
+        self.fibres = [[0] * len(t.sizes) for t in self.tables]
         for i, digit in enumerate(digits):
             for fibre, c in zip(self.fibres, digit):
                 fibre[c] |= 1 << i
@@ -364,9 +343,9 @@ def differential_validate(
     """
     if lattice is not None and lattice.spec != spec:
         raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
-    group_order = _group_order(spec.degrees, max_order)
+    group = concrete_group(spec, max_order)
     _check_slots(spec, max_slots)
-    table = ClassTable(spec.degrees)
+    table = group.class_table
     masks = _normal_masks(table)
     lat = lattice if lattice is not None else enumerate_lattice(spec, max_slots)
     name = format_spec(spec)
@@ -408,7 +387,7 @@ def differential_validate(
             pairs += 1
     return OracleReport(
         spec=name,
-        group_order=group_order,
+        group_order=group.order,
         oracle_count=len(masks),
         enumerated_count=n,
         pairs_checked=pairs,

@@ -92,19 +92,25 @@ def test_criterion_1_census_s3_cubed():
 
 
 def test_criterion_2_oracle_agreement():
-    with criterion(2, "oracle agreement on eight groups", 60.0):
+    with criterion(2, "oracle agreement on ten groups", 60.0):
         for text in ("S3^2", "S3^3", "S3*S4", "S4^2", "S3^2*S4", "S3^4"):
             report = differential_validate(parse_spec(text))
             assert report.ok, text
             assert report.oracle_count == report.enumerated_count
         assert (report.oracle_count, report.pairs_checked) == (170, 14535)
-        # orders 20,736 and 7,776, past DEFAULT_MAX_ORDER, so their bounds are given here
+        report = differential_validate(parse_spec("S6*S3"))
+        assert report.ok
+        assert (report.oracle_count, report.pairs_checked) == (10, 55)
+        # orders 20,736, 7,776 and 5,040, past DEFAULT_MAX_ORDER, so their bounds are given here
         report = differential_validate(parse_spec("S4^2*S3^2"), max_order=20_736)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (256, 32896)
         report = differential_validate(parse_spec("S3^5"), max_order=7776)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (930, 432915)
+        report = differential_validate(parse_spec("S7"), max_order=5040)
+        assert report.ok
+        assert (report.oracle_count, report.pairs_checked) == (3, 6)
 
 
 PRODUCT_FORMULA_CASES = {
@@ -149,8 +155,8 @@ def test_criterion_4_lemma_lattices():
             for name, poset in lemma_lattices().items()
         }
         assert counts == {"C2": 1, "C2^2": 6, "C2xS3": 2, "C2xS4": 2, "C2xS5": 2}
-        for n in (3, 4, 5, 6):
-            poset = normal_subgroup_poset(ConcreteGroup((n,)))
+        for n in (3, 4, 5, 6, 7):
+            poset = normal_subgroup_poset(ConcreteGroup((n,), max_order=5040))
             assert len(brute_force_automorphisms(poset)) == 1, f"S{n}"
 
 

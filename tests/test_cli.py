@@ -2,9 +2,11 @@ import errno
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,6 +34,37 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _readme_examples():
+    """Each ``$ lattower ...`` line of the README's Command line block, with
+    the lines shown under it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ lattower "):
+            examples.append((line.removeprefix("$ lattower "), []))
+        elif line:
+            examples[-1][1].append(line)
+    assert examples
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_command_line_examples(command, shown, capsys, tmp_path, monkeypatch):
+    # an example with no lines shown under it must still succeed
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    if shown:
+        assert out.splitlines() == shown
+    if "--out" in argv:
+        assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
 
 
 def test_enumerate_text(capsys):
@@ -545,7 +578,9 @@ def test_lemmas_listing(capsys):
 
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "lattice.json"
-    code, out = run_cli(capsys, "enumerate", "--spec", "S3^2", "--format", "json", "--out", str(target))
+    code, out = run_cli(
+        capsys, "enumerate", "--spec", "S3^2", "--format", "json", "--out", str(target)
+    )
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["census"]["total"] == 10

@@ -11,6 +11,13 @@ import pytest
 import lattower
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(lattower.__path__, "lattower."))
+ROOT = Path(__file__).resolve().parent.parent
+# the test and script files, by their path from the repository root
+SOURCE_FILES = sorted(
+    path.relative_to(ROOT).as_posix()
+    for folder in ("tests", "scripts")
+    for path in (ROOT / folder).glob("*.py")
+)
 
 
 def test_the_package_exports_resolve():
@@ -59,8 +66,11 @@ def test_every_import_is_used_or_exported(name):
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
-@pytest.mark.parametrize("name", MODULES + ["lattower"])
+@pytest.mark.parametrize("name", MODULES + ["lattower"] + SOURCE_FILES)
 def test_source_lines_are_at_most_100_characters(name):
-    path = Path(importlib.import_module(name).__file__)
+    if name.endswith(".py"):
+        path = ROOT / name
+    else:
+        path = Path(importlib.import_module(name).__file__)
     lines = path.read_text().splitlines()
     assert [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 100] == []

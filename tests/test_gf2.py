@@ -108,7 +108,11 @@ def test_double_annihilator_is_identity(s):
     assert s.dim + s.annihilator().dim == s.width
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(lambda w: st.tuples(_subspaces(w), _subspaces(w))))
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda w: st.tuples(_subspaces(w), _subspaces(w))
+    )
+)
 def test_sum_and_intersect_bounds(pair):
     a, b = pair
     total = a.sum(b)

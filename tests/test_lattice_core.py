@@ -222,7 +222,8 @@ def test_validate_triple_rejects_bad_shape():
 
 def test_classify():
     spec = parse_spec("S3^3")
-    assert sub_product_element(spec, {0: CP.TRIV, 1: CP.ALT, 2: CP.FULL}).family == FAMILY_SUB_PRODUCT
+    element = sub_product_element(spec, {0: CP.TRIV, 1: CP.ALT, 2: CP.FULL})
+    assert element.family == FAMILY_SUB_PRODUCT
     assert sign_parity_element(spec, (0, 1, 2)).family == FAMILY_SIGN_PARITY
     # full on two coupled slots but only ALT on the third: not a parity kernel setup
     t = validate_triple(spec, (0, 1), {2: CP.ALT}, parity_kernel(2))
@@ -631,7 +632,8 @@ def _reference_profile_covers(lat: Lattice) -> list[list[int]]:
                 wide = [row ^ v if row & low else row for row in basis]
                 wide.insert((pivots & (low - 1)).bit_count(), v)
                 wider[wid, v] = wid_of[tuple(wide)]
-            moves.append(key | pack((v >> s) & 1 for s in range(num_slots)) | wider[wid, v] << shift)
+            step = pack((v >> s) & 1 for s in range(num_slots))
+            moves.append(key | step | wider[wid, v] << shift)
         rows.append(sorted(map(index.__getitem__, moves)))
     return rows
 

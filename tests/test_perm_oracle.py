@@ -1,5 +1,6 @@
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,6 +23,7 @@ from lattower.perm_oracle import (
     lemma_lattices,
     normal_subgroup_poset,
 )
+from lattower.stabiliser import _compose
 from test_acceptance import _bottom_index, _heights, _top_index
 from test_lattice_core import _reference_up_sets
 
@@ -64,6 +66,71 @@ class _ReferencePerm:
         return -1 if transpositions % 2 else 1
 
 
+class _ReferenceFactorTable:
+    """The dense factor table the conjugation walk replaced, kept as its referee.
+
+    ``perms`` lists the permutations in lex order, ``index`` numbers them,
+    ``mul`` and ``inv`` are the multiplication table and the inverses by
+    index, and ``sign_bit`` is the parity of each permutation.  ``classes``
+    lists the conjugacy classes as sorted member indices, numbered by
+    smallest member, ``class_of`` inverts it, and ``prod[a][b]`` is the mask
+    of the classes met by x_a * C_b for the smallest member x_a of class a.
+    """
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.perms = tuple(permutations(range(degree)))
+        self.index = index = {p: i for i, p in enumerate(self.perms)}
+        self.mul = mul = [
+            [index[tuple(p[x] for x in q)] for q in self.perms] for p in self.perms
+        ]
+        self.inv = inv = [row.index(0) for row in mul]
+        pairs = list(combinations(range(degree), 2))
+        self.sign_bit = [sum(p[x] > p[y] for x, y in pairs) & 1 for p in self.perms]
+        n = len(self.perms)
+        self.class_of = [-1] * n
+        self.classes = []
+        for x in range(n):
+            if self.class_of[x] < 0:
+                members = tuple(sorted({mul[mul[h][x]][inv[h]] for h in range(n)}))
+                for y in members:
+                    self.class_of[y] = len(self.classes)
+                self.classes.append(members)
+        self.prod = []
+        for members in self.classes:
+            row = [0] * len(self.classes)
+            for cy, xy in zip(self.class_of, mul[members[0]]):
+                row[cy] |= 1 << self.class_of[xy]
+            self.prod.append(row)
+
+    def position_ids(self, pos):
+        """Indices of the permutations in one chain subgroup; V only at degree 4."""
+        if pos is CP.TRIV:
+            return frozenset({self.index[tuple(range(self.degree))]})
+        if pos is CP.V:
+            if self.degree != 4:
+                raise LatTowerError("V position outside degree 4")
+            vperms = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+            return frozenset(self.index[p] for p in vperms)
+        if pos is CP.ALT:
+            return frozenset(i for i, b in enumerate(self.sign_bit) if b == 0)
+        return frozenset(range(len(self.perms)))
+
+    @cached_property
+    def chain_classes(self):
+        """Each chain subgroup of this factor as a mask over its classes."""
+        return {
+            pos: sum(1 << c for c in {self.class_of[x] for x in self.position_ids(pos)})
+            for pos in CP
+            if pos is not CP.V or self.degree == 4
+        }
+
+
+@lru_cache(maxsize=None)
+def _reference_factor_table(degree):
+    return _ReferenceFactorTable(degree)
+
+
 class _ReferenceGroup(ConcreteGroup):
     """The element model the class masks replaced, kept as their referee.
 
@@ -75,7 +142,7 @@ class _ReferenceGroup(ConcreteGroup):
 
     def __init__(self, degrees, max_order=perm_oracle.DEFAULT_MAX_ORDER):
         super().__init__(degrees, max_order)
-        self.tables = [perm_oracle._factor_table(d) for d in self.degrees]
+        self.tables = [_reference_factor_table(d) for d in self.degrees]
         sizes = [len(t.perms) for t in self.tables]
         places = []
         acc = 1
@@ -371,10 +438,21 @@ def test_perm_basics():
     assert c.sign == 1
     with pytest.raises(LatTowerError):
         _ReferencePerm((0, 0, 1))
-    # the factor tables read the sign off the inversion count
+    # the reference factor tables read the sign off the inversion count
     for d in (2, 3, 4, 5):
-        table = perm_oracle._factor_table(d)
+        table = _reference_factor_table(d)
         assert table.sign_bit == [_ReferencePerm(p).sign == -1 for p in table.perms]
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_factor_table_matches_the_dense_table(degree):
+    # same classes in the same numbering, read without a multiplication table
+    t = perm_oracle._factor_table(degree)
+    ref = _reference_factor_table(degree)
+    assert t.sizes == [len(c) for c in ref.classes]
+    assert t.sign_bit == [ref.sign_bit[c[0]] for c in ref.classes]
+    assert t.prod == ref.prod
+    assert list(t.chain_classes.items()) == list(ref.chain_classes.items())
 
 
 def test_group_layout():
@@ -736,12 +814,19 @@ def test_poset_down_sets_match_the_pairwise_loop(degrees):
 
 
 def test_differential_validate_builds_no_element(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("element built")
+    # Only the factor tables compose permutations, each of one S3 factor, and
+    # they make fewer products than G = S3^4 has elements.
+    degrees = []
 
-    monkeypatch.setattr(ConcreteGroup, "__init__", refuse)
+    def counted(a, b):
+        degrees.append(len(a))
+        return _compose(a, b)
+
+    monkeypatch.setattr(perm_oracle, "_compose", counted)
+    perm_oracle._factor_table.cache_clear()
     report = differential_validate(parse_spec("S3^4"))
     assert (report.group_order, report.oracle_count, report.pairs_checked) == (1296, 170, 14535)
+    assert set(degrees) == {3} and len(degrees) < report.group_order
 
 
 @pytest.mark.parametrize(
