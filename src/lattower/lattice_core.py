@@ -632,8 +632,9 @@ class AbstractLattice:
     does on the points (Ganter and Wille, *Formal Concept Analysis*,
     Springer 1999, ch. 1).  The covers are read in one pass.  No element
     data is kept, so consumers cannot peek at triples.  LatTowerError is
-    raised unless every cover lies in 0..n-1, the covers have no cycle,
-    exactly one element is minimal and J is one-to-one.
+    raised unless every cover lies in 0..n-1, no row names an element twice,
+    the covers have no cycle, exactly one element is minimal and J is
+    one-to-one.
     """
 
     def __init__(self, upper: Iterable[list[int]]):
@@ -644,6 +645,9 @@ class AbstractLattice:
             if above and not (0 <= min(above) and max(above) < n):
                 y = next(y for y in above if not 0 <= y < n)
                 raise LatTowerError(f"not a lattice: {x} is covered by {y}, outside 0..{n - 1}")
+            if len(set(above)) != len(above):
+                y = next(y for y in above if above.count(y) > 1)
+                raise LatTowerError(f"not a lattice: {x} is covered by {y} twice")
             for y in above:
                 self.lower[y].append(x)
         order = [x for x in range(n) if not self.lower[x]]
@@ -707,20 +711,28 @@ class AbstractLattice:
 
         x goes to the element whose J-set is psi(J(x)), a dict lookup.  As J
         is one-to-one, the map is a bijection once every lookup succeeds.  It
-        is kept only if it sends every cover to a cover: both ends have the
-        same number of covers, so it is then an automorphism of the Hasse
-        diagram and so of the order.  In a lattice the lookups alone imply
-        that; in a poset where J(y) lies inside J(x) but y does not lie
-        below x, they do not.
+        is kept only if ``keeps_covers`` holds.  In a lattice the lookups
+        alone imply that; in a poset where J(y) lies inside J(x) but y does
+        not lie below x, they do not.
         """
         sets = _fold(self.order, self.lower, self._seeds(psi))
         try:
             image = tuple(map(self._by_J.__getitem__, sets))
         except KeyError:
             return None
+        return image if self.keeps_covers(image) else None
+
+    def keeps_covers(self, image: Sequence[int]) -> bool:
+        """Whether the bijection ``image`` of 0..n-1 sends each element's lower
+        covers exactly onto those of its image.
+
+        Such a bijection and its inverse both send covers to covers, so it is
+        an automorphism of the Hasse diagram and so of the order; it permutes
+        the points, and J(image(x)) is the restricted map applied to J(x).
+        As J is one-to-one, ``extend`` of that restriction is ``image``.
+        """
         lower, moved = self.lower, image.__getitem__
-        covers_kept = all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
-        return image if covers_kept else None
+        return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
 
     def restrict(self, g: Perm) -> Perm | None:
         """The permutation g induces on the points, or None if it does not permute them."""

@@ -650,6 +650,31 @@ def test_extension_rejects_a_map_that_permutes_the_j_sets_but_not_the_covers():
     assert brute_force_automorphisms(poset) == _reference_automorphisms(poset)
 
 
+# The Boolean lattice on {a, b, c, d} with {a, b} removed: a and b have the
+# two minimal upper bounds {a, b, c} and {a, b, d}, so it is not a lattice,
+# but J (the atoms under each element) is one-to-one and the rows are
+# accepted.
+BOOLEAN_WITHOUT_AB = (1, 3, 5, 9, 17, 43, 83, 141, 277, 537, 1199, 2391, 4731, 9117, 32767)
+
+
+def test_meet_irreducible_j_sets_do_not_certify_an_automorphism():
+    # swapping b and c sends the J-sets of the four meet-irreducibles (the
+    # coatoms) onto themselves, yet sends {a, c} to {a, b}, which is not
+    # there: a test on J and the meet-irreducibles alone would accept it
+    poset = _poset(BOOLEAN_WITHOUT_AB)
+    assert poset.irreducibles == [1, 2, 3, 4]
+    meet_irreducibles = [x for x in range(poset.n) if len(poset.upper[x]) == 1]
+    assert len(meet_irreducibles) == 4
+    psi = (0, 2, 1, 3)
+    m_sets = {poset.J[x] for x in meet_irreducibles}
+    moved = {sum(1 << psi[k] for k in range(4) if (j >> k) & 1) for j in m_sets}
+    assert moved == m_sets
+    assert poset.extend(psi) is None
+    autos = brute_force_automorphisms(poset)
+    assert len(autos) == 4
+    assert autos == _reference_automorphisms(poset)
+
+
 def test_brute_force_output_is_sorted_with_identity_first():
     autos = brute_force_automorphisms(_diamond(3))
     assert autos[0] == tuple(range(5))
@@ -1090,7 +1115,8 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     # order 6 and agree with the real tau on the factor atoms and on every
     # join-irreducible, so the order checks, the round trip and the sift of
     # the restrictions pass, but they are not automorphisms, and only the
-    # check that each equals the extension of its restriction rejects them
+    # check that each is a bijection sending every element's lower covers
+    # onto those of its image rejects them
     lat = lattices.get("S3^3")
     chain = automorphism_group(lat)
     ctx = lat.context
@@ -1111,6 +1137,72 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     psi = ctx.restrict(conjugated((1, 0, 2), lat))
     assert psi in chain
     assert ctx.extend(psi) != conjugated((1, 0, 2), lat)
+    assert not autgroup._is_automorphism(ctx, conjugated((1, 0, 2), lat))
     report = verify_product_formula(parse_spec("S3^3"), lattice=lat)
     assert (report.brute_force_order, report.constructive_order) == (6, 6)
     assert not report.match
+
+
+def _cover_pass_and_extension(ctx, phi):
+    """The product formula's check of a map of the elements, and its referee:
+    the map equals the extension of its restriction to the points."""
+    psi = ctx.restrict(phi)
+    return (
+        psi is not None and autgroup._is_automorphism(ctx, phi),
+        psi is not None and ctx.extend(psi) == phi,
+    )
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2", "S3^7"])
+def test_the_cover_pass_agrees_with_the_extension_on_every_tau(text, lattices):
+    # S3^7 is past DEFAULT_MAX_SLOTS, and built here, not kept in the cache
+    spec = parse_spec(text)
+    lat = enumerate_lattice(spec, max_slots=7) if text == "S3^7" else lattices.get(text)
+    ctx = lat.context
+    for sigma in autgroup._adjacent_transpositions(spec):
+        assert _cover_pass_and_extension(ctx, tau_on_lattice(sigma, lat)) == (True, True)
+
+
+@pytest.mark.parametrize("text", ["S3^3", "S4^2*S3^2", "S4^3*S3^3"])
+def test_the_cover_pass_and_the_extension_reject_the_same_wrong_maps(text, lattices):
+    lat = lattices.get(text)
+    ctx = lat.context
+    bottom, top = _bottom_index(lat), _top_index(lat)
+    for sigma in autgroup._adjacent_transpositions(lat.spec):
+        tau = tau_on_lattice(sigma, lat)
+        swapped = list(tau)
+        swapped[bottom], swapped[top] = tau[top], tau[bottom]
+        # two elements off the points, each moved by tau, trade images
+        off_base = list(tau)
+        x, y = [i for i in range(len(lat)) if i not in ctx.point and tau[i] != i][:2]
+        off_base[x], off_base[y] = tau[y], tau[x]
+        repeated = list(tau)
+        repeated[top] = tau[bottom]
+        # one element too many, which a pass over the n elements' covers
+        # alone would not see
+        longer = [*tau, tau[0]]
+        for wrong in (swapped, off_base, repeated, longer):
+            assert ctx.restrict(tuple(wrong)) == ctx.restrict(tau)
+            assert _cover_pass_and_extension(ctx, tuple(wrong)) == (False, False)
+
+
+def test_the_product_formula_extends_only_in_the_search(lattices, monkeypatch):
+    lat = lattices.get("S3^3")
+    searching, calls = [], []
+    real_search, real_extend = autgroup.automorphism_group, AbstractLattice.extend
+
+    def search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def extend(ctx, psi):
+        calls.append(bool(searching))
+        return real_extend(ctx, psi)
+
+    monkeypatch.setattr(autgroup, "automorphism_group", search)
+    monkeypatch.setattr(AbstractLattice, "extend", extend)
+    assert verify_product_formula(lat.spec, lattice=lat).match
+    assert calls and all(calls)

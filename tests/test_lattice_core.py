@@ -792,6 +792,9 @@ def test_covers_on_hand_built_posets(name):
         ([[1], [], [3], [2]], "not a lattice: the covers have a cycle"),
         ([[-1], []], r"not a lattice: 0 is covered by -1, outside 0\.\.1"),
         ([[2], []], r"not a lattice: 0 is covered by 2, outside 0\.\.1"),
+        # the diamond with 1 < 3 named twice: 1 would seem to have two upper
+        # covers and 2 one, and the search would tell them apart
+        ([[1, 2], [3, 3], [3], []], "not a lattice: 1 is covered by 3 twice"),
     ],
 )
 def test_abstract_lattice_rejects_bad_cover_rows(upper, message):
