@@ -5,8 +5,8 @@ slots induces a lattice automorphism tau by permuting the coordinates of
 profiles; the induced maps realise all of LatAut(G), which is the product of
 the symmetric groups on the class-A and class-B slots.  The search below
 knows none of that: it reads the bare cover relation, backtracks over the
-join-irreducible elements, extends each map to the rest by the sets of
-join-irreducibles below each element, and keeps only enough automorphisms to
+join-irreducible elements, extends each map to the rest by the images of
+each element's lower covers, and keeps only enough automorphisms to
 generate the group, as a stabiliser chain on the join-irreducibles whose
 orbit lengths give its order.  The product formula is then checked on groups,
 not lists: the maps tau of the adjacent slot transpositions must generate a
@@ -57,8 +57,8 @@ __all__ = [
     "verify_product_formula",
 ]
 
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.36-0.57 s
-# and 0.40-0.53 s (22 and 24 MB max RSS) on 2 cores with Python 3.11.7.
+# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.60-0.62 s
+# and 0.64-0.72 s (22 and 24 MB max RSS) on 2 cores with Python 3.11.7.
 # Refuses S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
@@ -191,27 +191,43 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     return tuple(map(lat._profile_index.__getitem__, codes))
 
 
-def _refined_classes(ctx: AbstractLattice) -> list[int]:
+def _point_masks(ctx: AbstractLattice) -> tuple[list[int], list[int]]:
+    """Per point k, the points below it and the points above it, k included, as bitmasks.
+
+    The points below are read off J; those above by transposing those sets
+    once.
+    """
+    under = [ctx.J[x] for x in ctx.irreducibles]
+    over = [1 << k for k in range(len(under))]
+    for k, mask in enumerate(under):
+        for j in _bits(mask ^ 1 << k):
+            over[j] |= 1 << k
+    return under, over
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _refined_classes(ctx: AbstractLattice, under: list[int], over: list[int]) -> list[int]:
     """One colour per point, refined on the points alone to a fixed point.
 
-    The seed of a point is its number of upper covers and the numbers of
-    points strictly below and strictly above it: the points below are read
-    off J, and those above by transposing those sets once.  Each round folds
-    in the sorted colours of the points below and of those above, until a
-    round splits no class.  An automorphism permutes the points, keeps their
-    order and keeps cover counts, so automorphic points always share a
-    colour.  The search branches on the points only, so the other elements
-    get no colour (McKay and Piperno, secs. 3-4).
+    ``under`` and ``over`` are the masks of ``_point_masks``.  The seed of a
+    point is its number of upper covers and the numbers of points strictly
+    below and strictly above it.  Each round folds in the sorted colours of
+    the points below and of those above, until a round splits no class.  An
+    automorphism permutes the points, keeps their order and keeps cover
+    counts, so automorphic points always share a colour.  The search
+    branches on the points only, so the other elements get no colour (McKay
+    and Piperno, secs. 3-4).
     """
-    below: list[list[int]] = [[] for _ in ctx.irreducibles]
-    above: list[list[int]] = [[] for _ in ctx.irreducibles]
-    for k, x in enumerate(ctx.irreducibles):
-        rest = ctx.J[x] ^ 1 << k
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            below[k].append(j)
-            above[j].append(k)
-            rest &= rest - 1
+    below = [_bits(mask ^ 1 << k) for k, mask in enumerate(under)]
+    above = [_bits(mask ^ 1 << k) for k, mask in enumerate(over)]
     upper_covers = (len(ctx.upper[x]) for x in ctx.irreducibles)
     ids = _canonical_ids(list(zip(upper_covers, map(len, below), map(len, above))))
     while True:
@@ -270,29 +286,40 @@ def automorphism_group(
     secs. 3-4).  At level t, every candidate y of b_t that is not yet in the
     orbit of b_t under the generators found so far gets one backtracking
     run: b_0, ..., b_(t-1) stay fixed, b_t goes to y, the later base points
-    range over their candidates, each placement checked against all earlier
-    ones in both directions by the bits of J, and each full assignment is
-    extended to the whole lattice.  The first one that extends becomes a
-    generator, which puts y and its whole orbit out of reach of further
-    runs; a run that finds none shows y outside the orbit.  So level t ends
-    with the full orbit of b_t under the stabiliser of the earlier base
-    points, and the order is the product of the orbit lengths.  Raises
-    LatTowerError when the input is not a lattice.
+    range over their candidates, and each full assignment is extended to the
+    whole lattice.  The first assignment that extends becomes a generator,
+    which puts y and its whole orbit out of reach of further runs; a run
+    that finds none shows y outside the orbit.  So level t ends with the
+    full orbit of b_t under the stabiliser of the earlier base points, and
+    the order is the product of the orbit lengths.
+
+    A placement of x at z must keep the order with every earlier base point
+    in both directions.  Against the fixed ones that is two mask tests: the
+    points below z and those above z, cut to the fixed prefix, are those of
+    x, so a y that fails them gets no run at all.  Against the base points
+    placed in the run it is checked bit by bit.  Raises LatTowerError when
+    the input is not a lattice.
     """
     _check_search_size(len(lattice), max_size)
     ctx = lattice.context
-    colours = _refined_classes(ctx)
+    under, over = _point_masks(ctx)
+    colours = _refined_classes(ctx, under, over)
     m = len(colours)
     buckets: dict[int, list[int]] = {}
     for k, c in enumerate(colours):
         buckets.setdefault(c, []).append(k)
     candidates = [buckets[c] for c in colours]
     base = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
-    # under[k]: the points below point k, itself included
-    under = [ctx.J[x] for x in ctx.irreducibles]
+    # prefix[t]: the points base[:t], which level t fixes
+    prefix = [0]
+    for k in base:
+        prefix.append(prefix[-1] | 1 << k)
 
     def first_automorphism(t: int, y: int) -> tuple[int, ...] | None:
         """A map of the points that fixes base[:t], sends base[t] to y and extends, or None."""
+        fixed, b = prefix[t], base[t]
+        if (under[b] ^ under[y]) & fixed or (over[b] ^ over[y]) & fixed:
+            return None
         mapping = [-1] * m
         used = [False] * m
         for x in base[:t]:
@@ -302,11 +329,17 @@ def automorphism_group(
             if s == m:
                 return ctx.extend(mapping) is not None
             x = base[s]
+            fixed_under, fixed_over = under[x] & fixed, over[x] & fixed
             for z in (y,) if s == t else candidates[x]:
-                if used[z] or any(
-                    ((under[x] >> x2) & 1) != ((under[z] >> mapping[x2]) & 1)
-                    or ((under[x2] >> x) & 1) != ((under[mapping[x2]] >> z) & 1)
-                    for x2 in base[:s]
+                if (
+                    used[z]
+                    or under[z] & fixed != fixed_under
+                    or over[z] & fixed != fixed_over
+                    or any(
+                        ((under[x] >> x2) & 1) != ((under[z] >> mapping[x2]) & 1)
+                        or ((over[x] >> x2) & 1) != ((over[z] >> mapping[x2]) & 1)
+                        for x2 in base[t:s]
+                    )
                 ):
                     continue
                 mapping[x], used[z] = z, True

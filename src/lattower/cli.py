@@ -4,8 +4,8 @@ Subcommands: enumerate, aut, tower, oracle-diff, hasse, lemmas.  Output is
 deterministic; identical invocations print identical bytes.  Exit codes:
 0 success, 1 unexpected error or a reader that closed the output pipe early,
 2 usage errors (an unparseable spec, an option the subcommand does not
-take, an ``--out`` path that cannot be written), 3 bound violations,
-4 verification mismatches.
+take, a negative bound, an ``--out`` path that cannot be written), 3 bound
+violations, 4 verification mismatches.
 """
 
 from __future__ import annotations
@@ -57,6 +57,17 @@ class _Unwritable(LatTowerError):
 _USAGE_ERRORS = (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent, _Unwritable)
 
 
+def _bound(text: str) -> int:
+    """A bound option's value: an int, and not negative, else a usage error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 # Every option a subcommand can take; each bound default comes from the
 # module that enforces the bound.
 _OPTIONS = {
@@ -64,20 +75,20 @@ _OPTIONS = {
     "--format": dict(choices=("text", "json"), default="text"),
     "--out": dict(help="write output to this file"),
     "--max-order": dict(
-        type=int,
+        type=_bound,
         default=DEFAULT_MAX_ORDER,
         help="largest permutation group to build (default %(default)s); "
         "hasse on a tower group ignores it",
     ),
     "--max-T": dict(
         dest="max_slots",
-        type=int,
+        type=_bound,
         default=DEFAULT_MAX_SLOTS,
         help="most factor slots to enumerate (default %(default)s); "
         "hasse on a small-group name ignores it",
     ),
     "--max-lattice": dict(
-        type=int,
+        type=_bound,
         default=DEFAULT_MAX_LATTICE,
         help="most lattice elements to build (default %(default)s); "
         "enumerate as text and hasse on a small-group name ignore it",

@@ -630,7 +630,8 @@ class AbstractLattice:
     element is the join of the points under it, so J is one-to-one, x <= y
     exactly when J(x) is inside J(y), and an automorphism is fixed by what it
     does on the points (Ganter and Wille, *Formal Concept Analysis*,
-    Springer 1999, ch. 1).  The covers are read in one pass.  No element
+    Springer 1999, ch. 1); ``extend`` pins every other image down by the
+    images of the lower covers.  The covers are read in one pass.  No element
     data is kept, so consumers cannot peek at triples.  LatTowerError is
     raised unless every cover lies in 0..n-1, no row names an element twice,
     the covers have no cycle, exactly one element is minimal and J is
@@ -664,9 +665,11 @@ class AbstractLattice:
         self.order = order
         self.irreducibles = [x for x in range(n) if len(self.lower[x]) == 1]
         self.point = {x: k for k, x in enumerate(self.irreducibles)}
-        self.J = _fold(order, self.lower, self._seeds(range(len(self.irreducibles))))
-        self._by_J = {under: x for x, under in enumerate(self.J)}
-        if len(self._by_J) != n:
+        seeds = [0] * n
+        for k, x in enumerate(self.irreducibles):
+            seeds[x] = 1 << k
+        self.J = _fold(order, self.lower, seeds)
+        if len(set(self.J)) != n:
             raise LatTowerError(
                 "not a lattice: no join, as two elements lie over the same join-irreducibles"
             )
@@ -700,36 +703,71 @@ class AbstractLattice:
         """Pairs (i, j) with j covering i, sorted."""
         return tuple(sorted((x, y) for x, above in enumerate(self.upper) for y in above))
 
-    def _seeds(self, psi: Iterable[int]) -> list[int]:
-        sets = [0] * self.n
-        for x, y in zip(self.irreducibles, psi):
-            sets[x] = 1 << y
-        return sets
+    @cached_property
+    def _by_low_covers(self) -> dict[int, int]:
+        """Each element with two or more lower covers c0 < c1 < ..., keyed
+        ``c0 * n + c1``; -1 where two elements share the key.
+
+        In a lattice no key is shared, as the join of c0 and c1 is the
+        element; in a poset the constructor accepts, it can be.
+        """
+        n, lower, index = self.n, self.lower, {}
+        # the values are the ints ``order`` holds, so only the keys are new
+        for x in self.order:
+            below = lower[x]
+            if len(below) > 1:
+                key = below[0] * n + below[1]
+                index[key] = -1 if key in index else x
+        return index
 
     def extend(self, psi: Sequence[int]) -> Perm | None:
         """The automorphism that permutes the points as psi does, or None.
 
-        x goes to the element whose J-set is psi(J(x)), a dict lookup.  As J
-        is one-to-one, the map is a bijection once every lookup succeeds.  It
-        is kept only if ``keeps_covers`` holds.  In a lattice the lookups
-        alone imply that; in a poset where J(y) lies inside J(x) but y does
-        not lie below x, they do not.
+        One pass along ``order``: the bottom goes to the bottom, the point x
+        to the point psi(x), and any other element to the one whose lower
+        covers are the images of its own, found under its two lowest in
+        ``_by_low_covers``.  Each image is kept only if its whole lower-cover
+        row is the sorted images of x's lower covers, the test
+        ``keeps_covers`` makes per element.  The map is then a bijection, by
+        induction along ``order``: points go to distinct points, and two
+        other elements with one image would have the same lower covers, hence
+        the same J-set, and J is one-to-one.  So a map that passes is an
+        automorphism of the covers, and an automorphism passes every step.
         """
-        sets = _fold(self.order, self.lower, self._seeds(psi))
-        try:
-            image = tuple(map(self._by_J.__getitem__, sets))
-        except KeyError:
+        m = len(self.irreducibles)
+        if sorted(psi) != list(range(m)):
             return None
-        return image if self.keeps_covers(image) else None
+        n, lower, point, irreducibles = self.n, self.lower, self.point, self.irreducibles
+        by_low_covers = self._by_low_covers
+        image = [-1] * n
+        moved = image.__getitem__
+        for x in self.order:
+            below = lower[x]
+            if len(below) == 1:
+                y = irreducibles[psi[point[x]]]
+                # a point has one lower cover
+                if lower[y][0] != image[below[0]]:
+                    return None
+            elif below:
+                row = sorted(map(moved, below))
+                y = by_low_covers.get(row[0] * n + row[1])
+                if y is not None and y < 0:  # a shared key: match the whole row
+                    y = next((z for z, r in enumerate(lower) if r == row), None)
+                if y is None or lower[y] != row:
+                    return None
+            else:
+                y = x
+            image[x] = y
+        return tuple(image)
 
     def keeps_covers(self, image: Sequence[int]) -> bool:
         """Whether the bijection ``image`` of 0..n-1 sends each element's lower
         covers exactly onto those of its image.
 
         Such a bijection and its inverse both send covers to covers, so it is
-        an automorphism of the Hasse diagram and so of the order; it permutes
-        the points, and J(image(x)) is the restricted map applied to J(x).
-        As J is one-to-one, ``extend`` of that restriction is ``image``.
+        an automorphism of the Hasse diagram and so of the order, and it
+        permutes the points.  ``extend`` makes the same test one element at a
+        time, so it returns ``image`` from the restriction of ``image``.
         """
         lower, moved = self.lower, image.__getitem__
         return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))

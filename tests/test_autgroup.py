@@ -319,7 +319,7 @@ def _listing_search(a):
     search over every element: it extends every consistent assignment of
     the join-irreducibles and keeps those that extend."""
     ctx = a.context
-    colours = autgroup._refined_classes(ctx)
+    colours = autgroup._refined_classes(ctx, *autgroup._point_masks(ctx))
     m = len(colours)
     candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
     order = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
@@ -442,6 +442,87 @@ def test_search_agrees_with_the_mask_search_on_tower_lattices(text, lattices):
     _assert_search_matches_the_mask_search(lat, lat.to_abstract())
 
 
+def _reference_unpruned_search(ctx):
+    """The search as it was before the prefix masks: each placement checked
+    bit by bit against every earlier base point, the fixed ones included.
+    The base, candidates and level order are the search's own."""
+    under, over = autgroup._point_masks(ctx)
+    colours = autgroup._refined_classes(ctx, under, over)
+    m = len(colours)
+    buckets = {}
+    for k, c in enumerate(colours):
+        buckets.setdefault(c, []).append(k)
+    candidates = [buckets[c] for c in colours]
+    base = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
+
+    def first_automorphism(t, y):
+        mapping = [-1] * m
+        used = [False] * m
+        for x in base[:t]:
+            mapping[x], used[x] = x, True
+
+        def place(s):
+            if s == m:
+                return ctx.extend(mapping) is not None
+            x = base[s]
+            for z in (y,) if s == t else candidates[x]:
+                if used[z] or any(
+                    ((under[x] >> x2) & 1) != ((under[z] >> mapping[x2]) & 1)
+                    or ((under[x2] >> x) & 1) != ((under[mapping[x2]] >> z) & 1)
+                    for x2 in base[:s]
+                ):
+                    continue
+                mapping[x], used[z] = z, True
+                if place(s + 1):
+                    return True
+                mapping[x], used[z] = -1, False
+            return False
+
+        return tuple(mapping) if place(t) else None
+
+    chain = StabiliserChain(m, base)
+    for t in reversed(range(m)):
+        orbit = chain.orbit(t)
+        for y in candidates[base[t]]:
+            if y not in orbit:
+                psi = first_automorphism(t, y)
+                if psi is not None:
+                    chain.generators.append(psi)
+                    orbit = chain.orbit(t)
+    return chain
+
+
+def _assert_the_pruned_search_finds_the_unpruned_chain(ctx, monkeypatch):
+    calls = []
+    real = AbstractLattice.extend
+
+    def counting(a, psi):
+        calls.append(1)
+        return real(a, psi)
+
+    monkeypatch.setattr(AbstractLattice, "extend", counting)
+    reference = _reference_unpruned_search(ctx)
+    reference_calls, calls[:] = len(calls), []
+    chain = automorphism_group(ctx, max_size=ctx.n)
+    assert chain.base == reference.base
+    assert chain.generators == reference.generators
+    assert chain.order == reference.order
+    # the pruning turns away only runs that would have found nothing
+    assert len(calls) == reference_calls
+
+
+def test_the_pruned_search_finds_the_unpruned_chain_on_small_lattices(monkeypatch):
+    for a in _small_lattices():
+        _assert_the_pruned_search_finds_the_unpruned_chain(a.context, monkeypatch)
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2"])
+def test_the_pruned_search_finds_the_unpruned_chain_on_tower_lattices(
+    text, lattices, monkeypatch
+):
+    _assert_the_pruned_search_finds_the_unpruned_chain(lattices.get(text).context, monkeypatch)
+
+
 def _colour_classes(colours):
     """The partition of the indices by colour."""
     classes = {}
@@ -455,7 +536,7 @@ def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=
     (exact) or more coarsely, and every automorphism (n-point maps) and
     every generator of the searched chain keeps them."""
     ctx = lattice.context
-    colours = autgroup._refined_classes(ctx)
+    colours = autgroup._refined_classes(ctx, *autgroup._point_masks(ctx))
     assert len(colours) == len(ctx.irreducibles)
     reference = _reference_element_refinement(ctx)
     ours = _colour_classes(colours)
@@ -630,16 +711,19 @@ def test_search_on_a_poset_whose_j_sets_misorder_it():
     assert found == _reference_automorphisms(poset)
 
 
+PERMUTED_J_SETS = (
+    0b1, 0b11, 0b101, 0b1001, 0b10001, 0b100111, 0b1001111, 0b10011001,
+    0b110011011, 0b1111111111,
+)
+
+
 def test_extension_rejects_a_map_that_permutes_the_j_sets_but_not_the_covers():
     # 0 < a, b, c, d (points 0-3); u covers a, b; v covers a, b, c; u' covers
     # c, d; v' covers u' and a; the top covers u, v, v'.  The points map
     # a -> c -> a, b -> d -> b sends the J-sets of u, v, u', v' to those of
     # u', v', u, v, so every lookup succeeds, but u' < v' while u is not
     # below v: only the cover check rejects it
-    poset = _poset(
-        (0b1, 0b11, 0b101, 0b1001, 0b10001, 0b100111, 0b1001111, 0b10011001,
-         0b110011011, 0b1111111111)
-    )
+    poset = _poset(PERMUTED_J_SETS)
     ctx = poset.context
     assert ctx.irreducibles == [1, 2, 3, 4]
     psi = (2, 3, 0, 1)
@@ -673,6 +757,89 @@ def test_meet_irreducible_j_sets_do_not_certify_an_automorphism():
     autos = brute_force_automorphisms(poset)
     assert len(autos) == 4
     assert autos == _reference_automorphisms(poset)
+
+
+def _reference_extend_by_j_sets(ctx, psi, by_j=None):
+    """The extension the lower-cover pass replaced: the points seeded with
+    psi, the sets folded along ``order``, each looked up by its J-set (in
+    ``by_j``, built here unless given), and the map kept only if it keeps
+    the covers."""
+    sets = [0] * ctx.n
+    for x, y in zip(ctx.irreducibles, psi):
+        sets[x] = 1 << y
+    if by_j is None:
+        by_j = {under: x for x, under in enumerate(ctx.J)}
+    try:
+        image = tuple(map(by_j.__getitem__, lattice_core._fold(ctx.order, ctx.lower, sets)))
+    except KeyError:
+        return None
+    return image if ctx.keeps_covers(image) else None
+
+
+def _assert_extend_matches_the_references(ctx, rng, is_lattice=True):
+    """``extend`` against the J-set fold, and on lattices against the
+    extension by joins, on every generator of the searched chain and on 200
+    random point maps, half of them within the colour classes."""
+    m = len(ctx.irreducibles)
+    generators = automorphism_group(ctx, max_size=ctx.n).generators
+    classes = _colour_classes(autgroup._refined_classes(ctx, *autgroup._point_masks(ctx)))
+    maps = list(generators)
+    for _ in range(100):
+        maps.append(tuple(rng.sample(range(m), m)))
+        psi = list(range(m))
+        for cls in classes:
+            for k, y in zip(cls, rng.sample(cls, len(cls))):
+                psi[k] = y
+        maps.append(tuple(psi))
+    by_j = {under: x for x, under in enumerate(ctx.J)}
+    by_joins = _reference_extension_by_joins(ctx) if is_lattice else None
+    for psi in maps:
+        image = ctx.extend(psi)
+        assert image == _reference_extend_by_j_sets(ctx, psi, by_j)
+        if by_joins is not None:
+            mapping = [-1] * ctx.n
+            for x, y in zip(ctx.irreducibles, psi):
+                mapping[x] = ctx.irreducibles[y]
+            assert image == by_joins(mapping)
+    assert all(ctx.extend(g) is not None for g in generators)
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2"])
+def test_extend_agrees_with_the_j_set_fold_on_tower_lattices(text, rng, lattices):
+    _assert_extend_matches_the_references(lattices.get(text).context, rng)
+
+
+def test_extend_agrees_with_the_j_set_fold_on_small_lattices_and_posets(rng):
+    for a in _small_lattices():
+        _assert_extend_matches_the_references(a.context, rng)
+    for masks in BOOLEAN_WITHOUT_AB, PERMUTED_J_SETS:
+        _assert_extend_matches_the_references(_poset(masks), rng, is_lattice=False)
+
+
+# 0 < a, b, c, d (1-4); x (5) covers a, b; y (6) covers a, b, c; the top
+# covers x, y and d.  J is one-to-one, but a and b have the two minimal upper
+# bounds x and y, which share their two lowest lower covers.
+SHARED_KEY_ROWS = ([1, 2, 3, 4], [5, 6], [5, 6], [6], [7], [7], [7], [])
+
+
+def test_extend_resolves_a_shared_key_by_the_whole_row():
+    poset = AbstractLattice(SHARED_KEY_ROWS)
+    assert poset.lower[5] == [1, 2] and poset.lower[6] == [1, 2, 3]
+    assert poset._by_low_covers[1 * 8 + 2] == -1
+    assert poset.extend((1, 0, 2, 3)) == (0, 2, 1, 3, 4, 5, 6, 7)
+    assert poset.extend((2, 1, 0, 3)) is None
+    for psi in (1, 0, 2, 3), (2, 1, 0, 3):
+        assert poset.extend(psi) == _reference_extend_by_j_sets(poset, psi)
+    autos = brute_force_automorphisms(poset)
+    assert len(autos) == 2
+    assert autos == _reference_automorphisms(poset)
+
+
+def test_extend_refuses_a_point_map_that_repeats_a_point():
+    shared = AbstractLattice(SHARED_KEY_ROWS)
+    for a, psi in (shared, (0, 0, 2, 3)), (_diamond(3), (0, 0, 1)), (_chain(3), (0, 0)):
+        assert a.extend(psi) is None
+        assert _reference_extend_by_j_sets(a, psi) is None
 
 
 def test_brute_force_output_is_sorted_with_identity_first():

@@ -354,6 +354,32 @@ def test_options_a_subcommand_does_not_read_are_rejected(command, option, value,
     assert capsys.readouterr().out == ""
 
 
+# Each bound option on each subcommand that takes it.
+BOUNDS = [
+    (command, option)
+    for command, options in sorted(ACCEPTED.items())
+    for option in ("--max-order", "--max-T", "--max-lattice")
+    if option in options
+]
+
+
+@pytest.mark.parametrize("command, option", BOUNDS)
+def test_a_negative_bound_is_a_usage_error(command, option, monkeypatch, capsys):
+    # the parser refuses it, so the handler never runs; a bound of 0 is
+    # parsed and exits 3, as test_exit_code_on_bound_violation shows
+    def no_work(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, command, no_work)
+    spec = [] if command == "lemmas" else ["--spec", "S3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *spec, option, "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must not be negative, got -1" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_oracle_mismatch_goes_to_stderr(fmt, monkeypatch, capsys):
     def mismatch(*args, **kwargs):
@@ -387,6 +413,7 @@ def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
         not used <= ACCEPTED[command]
         or fmt == "dot"
         or (command != "lemmas" and spec is None)
+        or any(value < 0 for value in bounds.values())
     )
     try:
         code = main(argv)
