@@ -9,6 +9,7 @@ that is asserted, not just reported.
 import time
 from contextlib import contextmanager
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 
 from lattower.autgroup import (
     brute_force_automorphisms,
@@ -17,7 +18,7 @@ from lattower.autgroup import (
     verify_product_formula,
 )
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import parse_spec, spec_of_degrees
+from lattower.group_spec import format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import (
     enumerate_lattice,
     leq_patterns,
@@ -125,6 +126,14 @@ PRODUCT_FORMULA_CASES = {
     "S3^6": 720,
     "S4^3*S3^3": 36,
 }
+# Up to isomorphism the lattice depends only on the shape (a4, B): every
+# shape with 1 <= a4 + B <= 6, realised with degrees 4 and 3.  27 lattices,
+# at most 15,541 elements (S4^6).
+SHAPE_SPECS = tuple(
+    format_spec(spec_of_degrees((4,) * a4 + (3,) * (t - a4)))
+    for t in range(1, 7)
+    for a4 in range(t + 1)
+)
 
 
 def test_criterion_3_product_formula(lattices):
@@ -141,6 +150,11 @@ def test_criterion_3_product_formula(lattices):
         cases.append(("S4^4*S3^2", 48, report))
         report = verify_product_formula(parse_spec("S3^7"), max_slots=7, max_size=59_866)
         cases.append(("S3^7", 5040, report))
+        # the shapes, each built here and dropped
+        for text in SHAPE_SPECS:
+            spec = parse_spec(text)
+            report = verify_product_formula(spec, max_size=15_541)
+            cases.append((text, factorial(spec.a4) * factorial(spec.b), report))
         for text, expected, report in cases:
             assert report.match, text
             assert report.predicted_order == expected, text

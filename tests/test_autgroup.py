@@ -1,4 +1,5 @@
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from lattower.lattice_core import (
     AbstractLattice,
     Profile,
     _covers_of_order,
+    _digits,
     element_from_profile,
     enumerate_lattice,
     leq,
@@ -33,6 +35,7 @@ from test_acceptance import (
     COMPLEMENTED_SPECS,
     PRODUCT_FORMULA_CASES,
     ROUND_TRIP_SPECS,
+    SHAPE_SPECS,
     _bottom_index,
     _edges,
     _heights,
@@ -428,6 +431,25 @@ def _assert_search_matches_the_mask_search(lattice, a):
 def _small_lattices():
     small = [_chain(n) for n in (1, 2, 3, 5)] + [_diamond(k) for k in (2, 3, 4)]
     return small + [PENTAGON, _subspace_lattice(3)] + list(lemma_lattices().values())
+
+
+# the lattices the session cache keeps; criterion 3's other ones are built per test
+CACHED_SPECS = {*PRODUCT_FORMULA_CASES, "S4^4*S3^2"}
+CRITERION_3_SPECS = sorted({*CACHED_SPECS, "S3^7", *SHAPE_SPECS})
+
+
+@pytest.fixture(scope="module")
+def s3_7():
+    """S3^7, past DEFAULT_MAX_SLOTS: built once for this module, not kept in the cache."""
+    return enumerate_lattice(parse_spec("S3^7"), max_slots=7)
+
+
+def _criterion_3_lattice(text, request):
+    if text == "S3^7":
+        return request.getfixturevalue("s3_7")
+    if text in CACHED_SPECS:
+        return request.getfixturevalue("lattices").get(text)
+    return enumerate_lattice(parse_spec(text))
 
 
 def test_search_agrees_with_the_mask_search_on_small_lattices():
@@ -842,6 +864,51 @@ def test_extend_refuses_a_point_map_that_repeats_a_point():
         assert _reference_extend_by_j_sets(a, psi) is None
 
 
+def _assert_the_context_chain_is_the_exact_chain(ctx):
+    """The product formula's search, by the (J, M) context test, finds the
+    chain of the exact search."""
+    exact = automorphism_group(ctx, max_size=ctx.n)
+    chain = autgroup._search(ctx, autgroup._keeps_meet_irreducibles(ctx))
+    assert chain.base == exact.base
+    assert chain.generators == exact.generators
+    assert chain.order == exact.order
+
+
+@pytest.mark.parametrize("text", CRITERION_3_SPECS)
+def test_the_context_chain_is_the_exact_chain_on_criterion_3_lattices(text, request):
+    _assert_the_context_chain_is_the_exact_chain(_criterion_3_lattice(text, request).context)
+
+
+def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_posets(rng):
+    # on a lattice the context test accepts exactly the point maps that
+    # extend (Ganter and Wille, ch. 1); on the two posets it need not, but
+    # the chains still agree
+    for a in _small_lattices() + [_random_lattice(rng) for _ in range(200)]:
+        ctx = a.context
+        _assert_the_context_chain_is_the_exact_chain(ctx)
+        accept, m = autgroup._keeps_meet_irreducibles(ctx), len(ctx.irreducibles)
+        maps = permutations(range(m)) if m <= 6 else (rng.sample(range(m), m) for _ in range(100))
+        for psi in maps:
+            assert accept(psi) == (ctx.extend(psi) is not None), psi
+    for masks in BOOLEAN_WITHOUT_AB, PERMUTED_J_SETS:
+        _assert_the_context_chain_is_the_exact_chain(_poset(masks))
+
+
+@pytest.mark.parametrize("masks, found", [(BOOLEAN_WITHOUT_AB, 20), (PERMUTED_J_SETS, 0)])
+def test_the_colours_refuse_every_map_only_the_context_test_accepts(masks, found):
+    # on these non-lattices the context test alone accepts maps that are no
+    # automorphism, but none of them keeps the colours, so none reaches it
+    poset = _poset(masks)
+    accept = autgroup._keeps_meet_irreducibles(poset)
+    colours = autgroup._refined_classes(poset, *autgroup._point_masks(poset))
+    m = len(poset.irreducibles)
+    wrong = [
+        psi for psi in permutations(range(m)) if accept(psi) and poset.extend(psi) is None
+    ]
+    assert len(wrong) == found
+    assert all([colours[k] for k in psi] != colours for psi in wrong)
+
+
 def test_brute_force_output_is_sorted_with_identity_first():
     autos = brute_force_automorphisms(_diamond(3))
     assert autos[0] == tuple(range(5))
@@ -1030,6 +1097,53 @@ def test_factor_atoms_in_slot_order(lattices):
     down = lat.down_masks
     assert bin(down[atoms[0]]).count("1") == 3
     assert bin(down[atoms[1]]).count("1") == 4
+
+
+def _reference_factor_atoms(lat):
+    """The route the J-set pass replaced: the minimal nontrivial complemented
+    elements, each with its slot read off its key."""
+    comp, ctx = complemented_elements(lat), lat.context
+    bottom, under = ctx.order[0], ctx.J
+    atoms = [
+        i
+        for i in comp
+        if i != bottom
+        and not any(c not in (i, bottom) and not under[c] & ~under[i] for c in comp)
+    ]
+    by_slot = {}
+    for i in atoms:
+        coupled, _ = lat.blocks[lat.block_of[i]]
+        digits = _digits(lat.keys[i], lat.spec.num_slots)
+        full_slots = [s for s, p in enumerate(digits) if p == CP.FULL]
+        assert not coupled and len(full_slots) == 1, i
+        by_slot[full_slots[0]] = i
+    assert sorted(by_slot) == list(range(lat.spec.num_slots))
+    return [by_slot[s] for s in range(lat.spec.num_slots)]
+
+
+@pytest.mark.parametrize("text", sorted({*CRITERION_3_SPECS, *COMPLEMENTED_SPECS}))
+def test_factor_atoms_match_the_complemented_elements(text, request):
+    lat = _criterion_3_lattice(text, request)
+    assert factor_atoms(lat) == _reference_factor_atoms(lat)
+
+
+@pytest.mark.parametrize(
+    "rows, atom",
+    [
+        # M3: no element holds every atom but one
+        ([[1, 2, 3], [4], [4], [4], []], 1),
+        # 0 < a, b < x < top: a and b meet at the bottom, but x lies over both
+        ([[1, 2], [3], [3], [4], []], 1),
+        # 0 < a, b; a < p, q; the top covers p, q and b: p and q hold a
+        # alone, but nothing holding a alone lies over both
+        ([[1, 2], [3, 4], [5], [5], [5], []], 1),
+    ],
+    ids=["no-partner", "joined-below-the-top", "no-largest"],
+)
+def test_factor_atoms_refuse_an_atom_under_no_complemented_element(rows, atom):
+    lat = SimpleNamespace(context=AbstractLattice(rows))
+    with pytest.raises(LatTowerError, match=f"no complemented factor atom over atom {atom}"):
+        factor_atoms(lat)
 
 
 def _reference_tau_sigma(sigma, e):
@@ -1254,6 +1368,19 @@ def _tau_of_the_mirror_image(real, sigma, lat):
     return real(_compose(_compose(rho, sigma), rho), lat)
 
 
+def _recording_exact_searches(monkeypatch) -> list[int]:
+    """The orders of the chains ``automorphism_group`` returns from here on."""
+    orders, real = [], autgroup.automorphism_group
+
+    def search(*args, **kwargs):
+        chain = real(*args, **kwargs)
+        orders.append(chain.order)
+        return chain
+
+    monkeypatch.setattr(autgroup, "automorphism_group", search)
+    return orders
+
+
 @pytest.mark.parametrize(
     "wrong",
     [_identity_tau, _swap_bottom_and_top, _tau_of_the_mirror_image],
@@ -1262,9 +1389,22 @@ def _tau_of_the_mirror_image(real, sigma, lat):
 def test_product_formula_fails_on_a_wrong_tau(wrong, lattices, monkeypatch):
     real = autgroup.tau_on_lattice
     monkeypatch.setattr(autgroup, "tau_on_lattice", lambda sigma, lat: wrong(real, sigma, lat))
+    exact = _recording_exact_searches(monkeypatch)
     report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
     assert not report.match
+    # the mismatch reran the exact search, and the order reported is its
+    assert exact == [6]
     assert report.brute_force_order == 6
+
+
+def test_the_exact_search_overrules_a_wrong_context_chain(lattices, monkeypatch):
+    # a context test that accepts nothing gives a chain of order 1; the
+    # mismatch reruns the exact search, whose chain decides the report
+    monkeypatch.setattr(autgroup, "_keeps_meet_irreducibles", lambda ctx: lambda psi: False)
+    exact = _recording_exact_searches(monkeypatch)
+    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    assert exact == [6]
+    assert report.match and report.brute_force_order == 6
 
 
 def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
@@ -1321,12 +1461,10 @@ def _cover_pass_and_extension(ctx, phi):
 
 
 @pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2", "S3^7"])
-def test_the_cover_pass_agrees_with_the_extension_on_every_tau(text, lattices):
-    # S3^7 is past DEFAULT_MAX_SLOTS, and built here, not kept in the cache
-    spec = parse_spec(text)
-    lat = enumerate_lattice(spec, max_slots=7) if text == "S3^7" else lattices.get(text)
+def test_the_cover_pass_agrees_with_the_extension_on_every_tau(text, request):
+    lat = _criterion_3_lattice(text, request)
     ctx = lat.context
-    for sigma in autgroup._adjacent_transpositions(spec):
+    for sigma in autgroup._adjacent_transpositions(lat.spec):
         assert _cover_pass_and_extension(ctx, tau_on_lattice(sigma, lat)) == (True, True)
 
 
@@ -1353,23 +1491,16 @@ def test_the_cover_pass_and_the_extension_reject_the_same_wrong_maps(text, latti
             assert _cover_pass_and_extension(ctx, tuple(wrong)) == (False, False)
 
 
-def test_the_product_formula_extends_only_in_the_search(lattices, monkeypatch):
-    lat = lattices.get("S3^3")
-    searching, calls = [], []
-    real_search, real_extend = autgroup.automorphism_group, AbstractLattice.extend
-
-    def search(*args, **kwargs):
-        searching.append(True)
-        try:
-            return real_search(*args, **kwargs)
-        finally:
-            searching.pop()
+def test_a_matching_product_formula_extends_nothing(monkeypatch):
+    # a fresh lattice, so that no other test has built its index
+    lat = enumerate_lattice(parse_spec("S3^3"))
+    calls, real = [], AbstractLattice.extend
 
     def extend(ctx, psi):
-        calls.append(bool(searching))
-        return real_extend(ctx, psi)
+        calls.append(psi)
+        return real(ctx, psi)
 
-    monkeypatch.setattr(autgroup, "automorphism_group", search)
     monkeypatch.setattr(AbstractLattice, "extend", extend)
     assert verify_product_formula(lat.spec, lattice=lat).match
-    assert calls and all(calls)
+    assert calls == []
+    assert "_by_low_covers" not in vars(lat.context)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lattower.autgroup import verify_product_formula
 from lattower.lattice_core import census_of, enumerate_lattice
 from lattower.perm_oracle import differential_validate
 
@@ -28,6 +29,11 @@ RUNS = [
         "oracle_check.py",
         ["--degrees", "3", "--max-T", "2"],
         ["2 specs validated in"],
+    ),
+    (
+        "shape_sweep.py",
+        ["--max-T", "2"],
+        [" 0  2  S3^2                10      2      2      2  match", " 2  0  S4^2  "],
     ),
 ]
 
@@ -81,3 +87,15 @@ def test_oracle_check_passes_its_slot_bound(monkeypatch, capsys):
     oracle_check.main()
     assert seen == [("differential_validate", 2)] * 2
     assert "2 specs validated in" in capsys.readouterr().out
+
+
+def test_shape_sweep_passes_its_slot_bound(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import shape_sweep
+
+    seen = []
+    _recording(monkeypatch, shape_sweep, "verify_product_formula", verify_product_formula, seen)
+    monkeypatch.setattr(sys, "argv", ["shape_sweep.py", "--max-T", "2"])
+    shape_sweep.main()
+    assert seen == [("verify_product_formula", 2)] * 5
+    assert capsys.readouterr().out.count("match") == 5
