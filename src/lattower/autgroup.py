@@ -7,15 +7,16 @@ the symmetric groups on the class-A and class-B slots.  The search below
 knows none of that: it reads the bare cover relation, backtracks over the
 join-irreducible elements, and keeps only enough maps to generate the group,
 as a stabiliser chain on the join-irreducibles whose orbit lengths give its
-order.  Its caller gives the test a full map must pass: ``automorphism_group``
-extends it to every element by the images of the lower covers, and the
-product-formula check asks only that it keep the standard context (J, M).
+order.  A full map must keep the standard context (J, M), the J-sets of the
+meet-irreducibles, so the searched group holds every automorphism; in a
+lattice it holds nothing else, and ``automorphism_group`` certifies that by
+extending each generator to every element by the images of the lower covers.
 The product formula is then checked on groups, not lists: the maps tau of
 the adjacent slot transpositions must generate a group of order a4! * b! (by
 Schreier-Sims), and each must sift through the searched chain and be a
 bijection that keeps the covers.  That group of automorphisms is then as
 large as the searched group, which holds every automorphism, so agreement
-between the two routes is genuine evidence.
+between the two routes is genuine evidence, and needs no certificate.
 
 The bridge between abstract automorphisms and slot permutations is the
 factor atoms, the individual factors.  Each is the largest element over one
@@ -310,28 +311,41 @@ def automorphism_group(
     secs. 3-4).  At level t, every candidate y of b_t that is not yet in the
     orbit of b_t under the generators found so far gets one backtracking
     run: b_0, ..., b_(t-1) stay fixed, b_t goes to y, the later base points
-    range over their candidates, and each full assignment is extended to the
-    whole lattice.  The first assignment that extends becomes a generator,
-    which puts y and its whole orbit out of reach of further runs; a run
-    that finds none shows y outside the orbit.  So level t ends with the
-    full orbit of b_t under the stabiliser of the earlier base points, and
-    the order is the product of the orbit lengths.
+    range over their candidates, and each full assignment is tested against
+    the standard context (J, M).  The first assignment that passes becomes a
+    generator, which puts y and its whole orbit out of reach of further
+    runs; a run that finds none shows y outside the orbit.  So level t ends
+    with the full orbit of b_t under the stabiliser of the earlier base
+    points, and the order is the product of the orbit lengths.
 
     A placement of x at z must keep the order with every earlier base point
     in both directions.  Against the fixed ones that is two mask tests: the
     points below z and those above z, cut to the fixed prefix, are those of
     x, so a y that fails them gets no run at all.  Against the base points
-    placed in the run it is checked bit by bit.  Raises LatTowerError when
-    the input is not a lattice.
+    placed in the run it is checked bit by bit.
 
-    The search (``_search``) takes its test of a full assignment from its
-    caller.  Here it is ``extend``, so the chain is LatAut exactly on every
-    poset the bare lattice accepts; ``verify_product_formula`` passes the
-    cheaper test of the standard context instead.
+    The searched group S holds LatAut (``_search``).  Each of its generators
+    is then extended to the whole lattice (``_certified``): when every one
+    extends, S is LatAut exactly.  LatTowerError is raised when one does not,
+    or when the input is otherwise not a lattice.
     """
     _check_search_size(len(lattice), max_size)
     ctx = lattice.context
-    return _search(ctx, lambda psi: ctx.extend(psi) is not None)
+    return _certified(ctx, _search(ctx))
+
+
+def _certified(ctx: AbstractLattice, chain: StabiliserChain) -> StabiliserChain:
+    """The searched chain, once each of its generators extends to an automorphism.
+
+    J is one-to-one, so the point maps that extend are the restrictions of
+    the automorphisms, a group; with every generator among them the searched
+    group S lies inside LatAut, and S always holds LatAut.  In a lattice
+    every map that keeps (J, M) extends (Ganter and Wille, ch. 1), so a
+    generator that does not shows the input is not a lattice.
+    """
+    if any(ctx.extend(psi) is None for psi in chain.generators):
+        raise LatTowerError("not a lattice: a map of the points that keeps (J, M) does not extend")
+    return chain
 
 
 def _keeps_meet_irreducibles(ctx: AbstractLattice) -> Callable[[Sequence[int]], bool]:
@@ -349,14 +363,16 @@ def _keeps_meet_irreducibles(ctx: AbstractLattice) -> Callable[[Sequence[int]], 
     return lambda psi: all(sum(map(shifted, map(psi.__getitem__, r))) in sets for r in rows)
 
 
-def _search(ctx: AbstractLattice, accept: Callable[[Sequence[int]], bool]) -> StabiliserChain:
-    """The search of ``automorphism_group``, taking each full map of the
-    points that ``accept`` passes.
+def _search(ctx: AbstractLattice) -> StabiliserChain:
+    """The search of ``automorphism_group``: the group S of the point maps
+    that keep the colours, the order of the points and (J, M).
 
-    The maps that keep the colours, the order of the points and ``accept``
-    form a group when the maps ``accept`` passes do, and the levels are
-    completed over all candidates, so the chain is that group exactly.
+    The maps that keep each of the three form a group, and the levels are
+    completed over all candidates, so the chain is S exactly.  Every
+    automorphism keeps all three, so S holds LatAut on any poset the bare
+    lattice accepts.
     """
+    accept = _keeps_meet_irreducibles(ctx)
     under, over = _point_masks(ctx)
     colours = _refined_classes(ctx, under, over)
     m = len(colours)
@@ -371,7 +387,7 @@ def _search(ctx: AbstractLattice, accept: Callable[[Sequence[int]], bool]) -> St
         prefix.append(prefix[-1] | 1 << k)
 
     def first_automorphism(t: int, y: int) -> tuple[int, ...] | None:
-        """A map of the points that fixes base[:t], sends base[t] to y and extends, or None."""
+        """A map of the points that fixes base[:t], sends base[t] to y and keeps (J, M), or None."""
         fixed, b = prefix[t], base[t]
         if (under[b] ^ under[y]) & fixed or (over[b] ^ over[y]) & fixed:
             return None
@@ -521,24 +537,21 @@ def verify_product_formula(
     Such a bijection is an order automorphism, and it is the extension of
     its restriction, since J is one-to-one.  So T <= LatAut.
 
-    The search behind the chain runs the test of the standard context
-    (``_keeps_meet_irreducibles``) in place of ``extend``: it computes the
-    group S of the point maps that keep the colours, the order of the points
-    and the J-sets of the meet-irreducibles.  An automorphism keeps all
-    three, so LatAut <= S, and T <= LatAut <= S.  When T and S both have
-    order a4! * b! and T sifts through S, the three are one group, so the
-    report is the one the exact search would give.  That rests on the lower
-    bound T, not on the colours, and holds on any poset the bare lattice
-    accepts.  On any failure the exact search (``automorphism_group``)
-    reruns and the check is made against its chain, so the searched order
-    is LatAut's and a mismatch reads as before.
+    The chain is the searched group S of ``automorphism_group``, the point
+    maps that keep the colours, the order of the points and the J-sets of
+    the meet-irreducibles, so T <= LatAut <= S.  When T and S both have
+    order a4! * b! and T sifts through S, the three are one group, and no
+    generator of S need be extended.  That rests on the lower bound T, not
+    on the colours, and holds on any poset the bare lattice accepts.  On a
+    mismatch the chain is certified as ``automorphism_group`` certifies it,
+    so the searched order reported is LatAut's.
     """
     if lattice is not None and lattice.spec != spec:
         raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
     lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
     _check_search_size(len(lat), max_size)
     ctx = lat.context
-    chain = _search(ctx, _keeps_meet_irreducibles(ctx))
+    chain = _search(ctx)
     predicted = factorial(spec.a4) * factorial(spec.b)
 
     atoms = factor_atoms(lat)
@@ -550,20 +563,15 @@ def verify_product_formula(
     restricted = [ctx.restrict(phi) for phi in taus]
     constructive = schreier_sims((psi for psi in restricted if psi is not None), chain.n).order
 
-    taus_ok = (
-        constructive == predicted
+    match = (
+        constructive == predicted == chain.order
         and round_trip_ok
         and None not in restricted
+        and all(psi in chain for psi in restricted)
         and all(_is_automorphism(ctx, phi) for phi in taus)
     )
-
-    def sifts(chain: StabiliserChain) -> bool:
-        return chain.order == predicted and all(psi in chain for psi in restricted)
-
-    match = taus_ok and sifts(chain)
     if not match:
-        chain = automorphism_group(lat, max_size)
-        match = taus_ok and sifts(chain)
+        _certified(ctx, chain)
     labels = tuple(s.label for s in spec.slots)
     return ProductFormulaReport(
         spec=format_spec(spec),

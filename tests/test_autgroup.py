@@ -396,16 +396,9 @@ def test_search_on_the_subspace_lattice_of_gf2_cubed():
 
 def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
     # the 7 points form one colour class: candidates already in an orbit get
-    # no run, so the whole search extends fewer assignments (81) than the
+    # no run, so the whole search tests fewer assignments (81) than the
     # listing search keeps automorphisms (168), and 4 generators suffice
-    calls = []
-    real = lattice_core.AbstractLattice.extend
-
-    def counting(ctx, psi):
-        calls.append(1)
-        return real(ctx, psi)
-
-    monkeypatch.setattr(lattice_core.AbstractLattice, "extend", counting)
+    calls = _recording_context_tests(monkeypatch)
     chain = automorphism_group(_subspace_lattice(3))
     assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
     assert len(chain.generators) <= 7
@@ -514,23 +507,48 @@ def _reference_unpruned_search(ctx):
     return chain
 
 
+def _recording_extensions(monkeypatch) -> list[tuple[int, ...]]:
+    """The point maps ``AbstractLattice.extend`` is called on from here on."""
+    calls, real = [], AbstractLattice.extend
+
+    def extend(ctx, psi):
+        calls.append(tuple(psi))
+        return real(ctx, psi)
+
+    monkeypatch.setattr(AbstractLattice, "extend", extend)
+    return calls
+
+
+def _recording_context_tests(monkeypatch) -> list[tuple[int, ...]]:
+    """The point maps the search's (J, M) test is called on from here on."""
+    calls, real = [], autgroup._keeps_meet_irreducibles
+
+    def keeps(ctx):
+        accept = real(ctx)
+
+        def test(psi):
+            calls.append(tuple(psi))
+            return accept(psi)
+
+        return test
+
+    monkeypatch.setattr(autgroup, "_keeps_meet_irreducibles", keeps)
+    return calls
+
+
 def _assert_the_pruned_search_finds_the_unpruned_chain(ctx, monkeypatch):
-    calls = []
-    real = AbstractLattice.extend
-
-    def counting(a, psi):
-        calls.append(1)
-        return real(a, psi)
-
-    monkeypatch.setattr(AbstractLattice, "extend", counting)
+    extended = _recording_extensions(monkeypatch)
     reference = _reference_unpruned_search(ctx)
-    reference_calls, calls[:] = len(calls), []
+    reference_calls = extended[:]
+    tested = _recording_context_tests(monkeypatch)
     chain = automorphism_group(ctx, max_size=ctx.n)
     assert chain.base == reference.base
     assert chain.generators == reference.generators
     assert chain.order == reference.order
-    # the pruning turns away only runs that would have found nothing
-    assert len(calls) == reference_calls
+    # the pruning turns away only runs that would have found nothing, and on
+    # a lattice the (J, M) test passes the maps that extend, so the search
+    # tests the maps the reference extends, in the same order
+    assert tested == reference_calls
 
 
 def test_the_pruned_search_finds_the_unpruned_chain_on_small_lattices(monkeypatch):
@@ -586,6 +604,12 @@ def test_point_colours_split_tower_lattices_as_the_element_refinement(text, latt
     _assert_point_colours_refine_as_the_reference(lat, taus)
 
 
+def _inclusion_masks(family):
+    """The down masks of a family of sets under inclusion, smaller sets first."""
+    sets = sorted(family, key=lambda u: (u.bit_count(), u))
+    return [sum(1 << i for i, u in enumerate(sets) if not u & ~v) for v in sets]
+
+
 def _random_lattice(rng):
     """The union closure of a few random subsets of a small set, empty set
     included: a lattice under inclusion, seldom modular."""
@@ -594,8 +618,61 @@ def _random_lattice(rng):
     for _ in range(rng.randint(1, 6)):
         g = rng.randrange(1, 1 << width)
         family |= {f | g for f in family}
-    sets = sorted(family, key=lambda u: (u.bit_count(), u))
-    return _poset(sum(1 << i for i, u in enumerate(sets) if not u & ~v) for v in sets)
+    return _poset(_inclusion_masks(family))
+
+
+def _symmetric_family(rng, width):
+    """The union closure of a few random subsets of ``width`` points and of
+    their images under the powers of one random permutation of the points,
+    empty set included: a union-closed family that the permutation keeps."""
+    pi = rng.sample(range(width), width)
+    family = {0}
+    for _ in range(rng.randint(1, 4)):
+        g = h = rng.randrange(1, 1 << width)
+        while True:
+            family |= {f | h for f in family}
+            h = sum(1 << pi[k] for k in range(width) if (h >> k) & 1)
+            if h == g:
+                break
+    return family
+
+
+def _random_symmetric_lattice(rng):
+    """A lattice under inclusion with the symmetry of a random permutation."""
+    return _poset(_inclusion_masks(_symmetric_family(rng, rng.randint(2, 5))))
+
+
+def _random_non_lattice_masks(rng):
+    """A symmetric family on 3-5 points with the full set added and one inner
+    set removed that is the union of two others, as ``BOOLEAN_WITHOUT_AB`` is
+    built; the two then often have two minimal upper bounds.  Families with
+    no such set are drawn again."""
+    while True:
+        width = rng.randint(3, 5)
+        full = (1 << width) - 1
+        family = _symmetric_family(rng, width) | {full}
+        # the union of the sets strictly inside u is u when u is a union of two
+        under = dict.fromkeys(family, 0)
+        for u in family:
+            for v in family:
+                if v != u and not v & ~u:
+                    under[u] |= v
+        inner = sorted(u for u in family - {0, full} if under[u] == u)
+        if inner:
+            family.remove(rng.choice(inner))
+            return _inclusion_masks(family)
+
+
+def _is_lattice(a):
+    """Whether every two elements of a poset with a bottom have a least upper
+    bound: an upper bound whose up set holds every upper bound."""
+    up = a.up
+    for i in range(a.n):
+        for j in range(i):
+            bounds = up[i] & up[j]
+            if not any(not bounds & ~up[k] for k in autgroup._bits(bounds)):
+                return False
+    return True
 
 
 def test_point_colours_on_random_lattices(rng):
@@ -798,12 +875,13 @@ def _reference_extend_by_j_sets(ctx, psi, by_j=None):
     return image if ctx.keeps_covers(image) else None
 
 
-def _assert_extend_matches_the_references(ctx, rng, is_lattice=True):
+def _assert_extend_matches_the_references(ctx, rng, is_lattice=True, chain=None):
     """``extend`` against the J-set fold, and on lattices against the
-    extension by joins, on every generator of the searched chain and on 200
-    random point maps, half of them within the colour classes."""
+    extension by joins, on every generator of the searched chain (searched
+    here unless given) and on 200 random point maps, half of them within the
+    colour classes."""
     m = len(ctx.irreducibles)
-    generators = automorphism_group(ctx, max_size=ctx.n).generators
+    generators = (chain or automorphism_group(ctx, max_size=ctx.n)).generators
     classes = _colour_classes(autgroup._refined_classes(ctx, *autgroup._point_masks(ctx)))
     maps = list(generators)
     for _ in range(100):
@@ -865,13 +943,14 @@ def test_extend_refuses_a_point_map_that_repeats_a_point():
 
 
 def _assert_the_context_chain_is_the_exact_chain(ctx):
-    """The product formula's search, by the (J, M) context test, finds the
-    chain of the exact search."""
-    exact = automorphism_group(ctx, max_size=ctx.n)
-    chain = autgroup._search(ctx, autgroup._keeps_meet_irreducibles(ctx))
-    assert chain.base == exact.base
-    assert chain.generators == exact.generators
-    assert chain.order == exact.order
+    """The search by the (J, M) context test, certified by its generators,
+    finds the chain of the unpruned search, which extends each full map."""
+    chain = automorphism_group(ctx, max_size=ctx.n)
+    reference = _reference_unpruned_search(ctx)
+    assert chain.base == reference.base
+    assert chain.generators == reference.generators
+    assert chain.order == reference.order
+    return chain
 
 
 @pytest.mark.parametrize("text", CRITERION_3_SPECS)
@@ -892,6 +971,74 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
             assert accept(psi) == (ctx.extend(psi) is not None), psi
     for masks in BOOLEAN_WITHOUT_AB, PERMUTED_J_SETS:
         _assert_the_context_chain_is_the_exact_chain(_poset(masks))
+
+
+def _assert_the_certificate_extends_each_generator_once(ctx, monkeypatch):
+    extended = _recording_extensions(monkeypatch)
+    chain = automorphism_group(ctx, max_size=ctx.n)
+    assert extended == chain.generators
+
+
+@pytest.mark.parametrize("text", CRITERION_3_SPECS)
+def test_the_certificate_extends_each_generator_once_on_criterion_3_lattices(
+    text, request, monkeypatch
+):
+    lattice = _criterion_3_lattice(text, request)
+    _assert_the_certificate_extends_each_generator_once(lattice.context, monkeypatch)
+
+
+def test_the_certificate_extends_each_generator_once_on_small_lattices(monkeypatch):
+    for a in _small_lattices():
+        _assert_the_certificate_extends_each_generator_once(a.context, monkeypatch)
+
+
+def test_the_referees_agree_on_symmetric_random_lattices(rng):
+    for _ in range(100):
+        ctx = _random_symmetric_lattice(rng).context
+        chain = _assert_the_context_chain_is_the_exact_chain(ctx)
+        _assert_extend_matches_the_references(ctx, rng, chain=chain)
+
+
+# The subsets of {a, b, c, d, e} that are empty, a point, one of the pairs
+# ab, bc, ad, de (the path c-b-a-d-e), one of the triples abc, abd, ade, bce,
+# cde, or the whole set.  c and e have the two minimal upper bounds bce and
+# cde, so it is not a lattice.  The points share one colour, and the maps of
+# them that keep the triples, the meet-irreducibles, form a dihedral group of
+# order 10, but only the reversal of the path also keeps the pairs.
+CONTEXT_CHAIN_TOO_LARGE = (
+    1, 3, 5, 9, 17, 33, 71, 141, 275, 561, 1231, 2391, 4915, 8365, 16953, 65535,
+)
+
+
+def test_the_certificate_refuses_a_poset_whose_context_chain_is_too_large():
+    poset = _poset(CONTEXT_CHAIN_TOO_LARGE)
+    assert autgroup._search(poset).order == 10
+    assert len(_reference_automorphisms(poset)) == 2
+    assert _reference_unpruned_search(poset).order == 2
+    for search in automorphism_group, brute_force_automorphisms:
+        with pytest.raises(LatTowerError, match="not a lattice"):
+            search(poset)
+
+
+def test_random_non_lattices_are_searched_exactly_or_refused(rng):
+    # a refusal is sound: the (J, M) chain is larger than the group, which
+    # happens only on a poset that is not a lattice
+    for _ in range(150):
+        try:
+            poset = _poset(_random_non_lattice_masks(rng))
+        except LatTowerError as error:  # J is not one-to-one
+            assert "not a lattice" in str(error)
+            continue
+        reference = _reference_automorphisms(poset)
+        try:
+            found = brute_force_automorphisms(poset)
+        except LatTowerError as error:
+            assert "not a lattice" in str(error)
+            assert not _is_lattice(poset)
+            assert _reference_unpruned_search(poset).order == len(reference)
+            assert autgroup._search(poset).order > len(reference)
+            continue
+        assert found == reference
 
 
 @pytest.mark.parametrize("masks, found", [(BOOLEAN_WITHOUT_AB, 20), (PERMUTED_J_SETS, 0)])
@@ -1368,19 +1515,6 @@ def _tau_of_the_mirror_image(real, sigma, lat):
     return real(_compose(_compose(rho, sigma), rho), lat)
 
 
-def _recording_exact_searches(monkeypatch) -> list[int]:
-    """The orders of the chains ``automorphism_group`` returns from here on."""
-    orders, real = [], autgroup.automorphism_group
-
-    def search(*args, **kwargs):
-        chain = real(*args, **kwargs)
-        orders.append(chain.order)
-        return chain
-
-    monkeypatch.setattr(autgroup, "automorphism_group", search)
-    return orders
-
-
 @pytest.mark.parametrize(
     "wrong",
     [_identity_tau, _swap_bottom_and_top, _tau_of_the_mirror_image],
@@ -1389,22 +1523,15 @@ def _recording_exact_searches(monkeypatch) -> list[int]:
 def test_product_formula_fails_on_a_wrong_tau(wrong, lattices, monkeypatch):
     real = autgroup.tau_on_lattice
     monkeypatch.setattr(autgroup, "tau_on_lattice", lambda sigma, lat: wrong(real, sigma, lat))
-    exact = _recording_exact_searches(monkeypatch)
-    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    lat = lattices.get("S3^3")
+    generators = automorphism_group(lat).generators
+    extended = _recording_extensions(monkeypatch)
+    report = verify_product_formula(lat.spec, lattice=lat)
     assert not report.match
-    # the mismatch reran the exact search, and the order reported is its
-    assert exact == [6]
+    # the mismatch certified the searched chain by extending each generator
+    # once, so the order reported is LatAut's
+    assert extended == generators
     assert report.brute_force_order == 6
-
-
-def test_the_exact_search_overrules_a_wrong_context_chain(lattices, monkeypatch):
-    # a context test that accepts nothing gives a chain of order 1; the
-    # mismatch reruns the exact search, whose chain decides the report
-    monkeypatch.setattr(autgroup, "_keeps_meet_irreducibles", lambda ctx: lambda psi: False)
-    exact = _recording_exact_searches(monkeypatch)
-    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
-    assert exact == [6]
-    assert report.match and report.brute_force_order == 6
 
 
 def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
@@ -1494,13 +1621,7 @@ def test_the_cover_pass_and_the_extension_reject_the_same_wrong_maps(text, latti
 def test_a_matching_product_formula_extends_nothing(monkeypatch):
     # a fresh lattice, so that no other test has built its index
     lat = enumerate_lattice(parse_spec("S3^3"))
-    calls, real = [], AbstractLattice.extend
-
-    def extend(ctx, psi):
-        calls.append(psi)
-        return real(ctx, psi)
-
-    monkeypatch.setattr(AbstractLattice, "extend", extend)
+    calls = _recording_extensions(monkeypatch)
     assert verify_product_formula(lat.spec, lattice=lat).match
     assert calls == []
     assert "_by_low_covers" not in vars(lat.context)
