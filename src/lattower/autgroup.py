@@ -191,9 +191,9 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     and bit s of every sign pattern moves to bit sigma(s).  A position
     keeps its name because sigma preserves the slot class and all class-B
     chains are TRIV < ALT < FULL.  The moved key of every possible key is
-    built slot by slot over the chain positions, as ``up_covers`` builds its
-    moves, and each W is moved once by the D of its moved basis rows, with
-    no reduction; then every image is looked up in the profile index, under
+    built slot by slot over the chain positions, as the enumeration builds
+    P, and each W is moved by the D of its moved spanning rows, with no
+    reduction; then every image is looked up in the profile index, under
     ``key | D << 2T``.
     """
     spec = lat.spec
@@ -201,17 +201,12 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     n = spec.num_slots
     moved_keys = {0: 0}
     for s, d in enumerate(spec.degrees):
-        moved_keys = {
-            key + (p << 2 * s): image + (p << 2 * sigma[s])
-            for key, image in moved_keys.items()
-            for p in positions_of(d)
-        }
-    # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
-    moved = [0] * (1 << n)
-    for v in range(1, len(moved)):
-        low = v & -v
-        moved[v] = moved[v ^ low] | 1 << sigma[low.bit_length() - 1]
-    duals = [_annihilator_mask(n, map(moved.__getitem__, basis)) << 2 * n for basis in lat.bases]
+        options = [(p << 2 * s, p << 2 * sigma[s]) for p in positions_of(d)]
+        moved_keys = {key + k: image + m for key, image in moved_keys.items() for k, m in options}
+    moved = [0]  # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
+    for s in range(n):
+        moved += [v | 1 << sigma[s] for v in moved]
+    duals = [_annihilator_mask(n, map(moved.__getitem__, rows)) << 2 * n for rows in lat.spans]
     codes = map(or_, map(moved_keys.__getitem__, lat.keys), map(duals.__getitem__, lat.wids))
     return tuple(map(lat._profile_index.__getitem__, codes))
 

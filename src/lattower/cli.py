@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -234,29 +234,32 @@ def _batches(items: Iterable[str], size: int = 4096) -> Iterator[list[str]]:
         yield batch
 
 
-def _edge_rows(up_covers: Iterable[list[int]], head: str, tail: str, sep: str) -> Iterator[str]:
+def _edge_rows(
+    up_covers: Iterable[list[int]], names: list[str], head: str, tail: str, sep: str
+) -> Iterator[str]:
     """The edges out of each element with up-covers, one ``str.join`` per element.
 
-    An edge is ``head`` with the lower end put in, the upper end and
-    ``tail``; ``sep`` goes between two edges, as between any two items.
+    An edge is ``head`` with the lower end put in, the upper end and ``tail``,
+    each end as ``names[i] == str(i)``; ``sep`` goes between two edges.
     """
     for i, above in enumerate(up_covers):
         if above:
-            start = head.format(i)
-            yield start + (tail + sep + start).join(map(str, above)) + tail
+            start = head.format(names[i])
+            yield start + (tail + sep + start).join(map(names.__getitem__, above)) + tail
 
 
-def _dot(labels: Iterable[str], up_covers: Iterable[list[int]]) -> Iterator[str]:
-    """The DOT text, in chunks of lines."""
+def _dot(labels: Iterable[str], up_covers: Iterable[list[int]], n: int) -> Iterator[str]:
+    """The DOT text of n elements, in chunks of lines."""
     yield "digraph lattice {\n  rankdir=BT;"
-    nodes = starmap('  n{} [label="{}"];'.format, enumerate(labels))
-    for batch in _batches(chain(nodes, _edge_rows(up_covers, "  n{} -> n", ";", "\n"))):
+    names = list(map(str, range(n)))
+    nodes = map('  n{} [label="{}"];'.format, names, labels)
+    for batch in _batches(chain(nodes, _edge_rows(up_covers, names, "  n{} -> n", ";", "\n"))):
         yield "\n" + "\n".join(batch)
     yield "\n}"
 
 
 def _dot_of_lattice(lat: Lattice) -> Iterator[str]:
-    return _dot(map("{}:{}".format, lat.families, lat.orders), lat.up_covers())
+    return _dot(map("{}:{}".format, lat.families, lat.orders), lat.up_covers(), len(lat))
 
 
 def _lattice_json(lat: Lattice) -> Iterator[str]:
@@ -268,6 +271,7 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
     """
     q = json.encoder.encode_basestring_ascii
     n = lat.spec.num_slots
+    names = list(map(str, range(len(lat))))
 
     def block(brackets, items):  # a value in "triple": its key at 8 spaces, its items at 10
         inner = ",\n          ".join(items)
@@ -289,8 +293,8 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
         heads.append((head, coupled, p_by_j.setdefault(coupled, {})))
 
     def elements():
-        columns = zip(lat.keys, lat.block_of, lat.orders, map(q, lat.families))
-        for i, (key, b, order, family) in enumerate(columns):
+        columns = zip(names, lat.keys, lat.block_of, lat.orders, map(q, lat.families))
+        for i, key, b, order, family in columns:
             head, coupled, p_blocks = heads[b]
             p = p_blocks.get(key) or p_blocks.setdefault(key, p_block(coupled, key))
             yield (
@@ -313,7 +317,7 @@ def _lattice_json(lat: Lattice) -> Iterator[str]:
     yield (f'{{\n  "census": {{\n    "mixed": {c.mixed},\n    "sign_parity": {c.sign_parity},\n'
            f'    "sub_products": {c.sub_products},\n    "total": {c.total}\n  }},')
     yield from array("elements", elements())
-    edges = _edge_rows(lat.up_covers(), "    [\n      {},\n      ", "\n    ]", ",\n")
+    edges = _edge_rows(lat.up_covers(), names, "    [\n      {},\n      ", "\n    ]", ",\n")
     yield from array("hasse_edges", edges)
     yield from array("slots", [
         f'    {{\n      "class": {q(s.slot_class)},\n      "copy": {s.copy},\n'
@@ -333,7 +337,7 @@ def cmd_hasse(args) -> int:
         group = ConcreteGroup(degrees, max_order=args.max_order)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
-        _emit(_dot(map(group.class_table.order, normals), poset.upper), args.out)
+        _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
         return 0
     spec = parse_spec(args.spec)
     lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)

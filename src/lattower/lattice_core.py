@@ -464,17 +464,17 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
     ``census_of``.
 
     The columns are filled a (J, H) block at a time, and no element object
-    is built.  The placements of P (key, FULL-slot mask, size off J) are
-    built once per J; |H| prod_{s in J} k_s!/2 and the parity-kernel test
-    once per (J, H); and W once per (J, H) and set of FULL slots: the unit
-    vectors lie off J and the lifted rows of H on J, so together, sorted by
-    pivot, they are already its reduced basis.
+    is built.  P's placements (key, FULL-slot mask, size off J) and the
+    lift of GF(2)^J are built once per J, |H| prod_{s in J} k_s!/2 and the
+    parity-kernel test once per (J, H).  W, spanned by the lifted rows of H
+    and the units of the FULL slots off J, gives them back (H holds no unit
+    vector), so each (J, H) and FULL mask is a new W, numbered as met.
     """
     _check_slots(spec, max_slots)
     n = spec.num_slots
     degrees = spec.degrees
     keys, wids, block_of, orders, families = [], [], [], [], []  # the columns
-    spaces: dict[tuple[int, ...], int] = {}
+    spans: list[tuple[int, ...]] = []  # per W id, the rows that span it
     blocks: list[tuple[tuple[int, ...], Subspace]] = []
     # per slot and chain position: its digit in the key, its FULL bit and its size
     options = [
@@ -493,7 +493,9 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
         off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
         off_mask = ~j_mask & ((1 << n) - 1)
         half = prod(factorial(degrees[s]) // 2 for s in coupled)
-        kernel = parity_kernel(len(coupled))
+        lift = [0]  # lift[h]: h, a pattern on J, on all the slots
+        for s in coupled:
+            lift += [v | 1 << s for v in lift]
         j_key = sum(ChainPosition.FULL << 2 * s for s in coupled)
         # every P on the slots off J, the last slot running fastest
         p_keys, p_full, p_sizes = [j_key], [0], [1]
@@ -502,26 +504,22 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
             p_keys = [k + d for k in p_keys for d in keys_s]
             p_full = [f | d for f in p_full for d in full_s]
             p_sizes = [z * d for z in p_sizes for d in sizes_s]
-        full_masks = set(p_full)
+        full_masks = list(set(p_full))  # a W id per (J, H) and mask, in this order
+        p_rank = list(map({full: k for k, full in enumerate(full_masks)}.__getitem__, p_full))
+        units = [tuple(1 << s for s in off if (full >> s) & 1) for full in full_masks]
         count = len(p_keys)
         for signs in subspaces:
-            lifted = [_lift(row, coupled) for row in signs.basis]
-            wid_of_full = {
-                full: spaces.setdefault(
-                    tuple(sorted(lifted + [1 << s for s in off if (full >> s) & 1], key=_pivot)),
-                    len(spaces),
-                )
-                for full in full_masks
-            }
             block_of += [len(blocks)] * count
             blocks.append((coupled, signs))
             keys += p_keys
-            wids += map(wid_of_full.__getitem__, p_full)
+            wids += map(len(spans).__add__, p_rank)
+            lifted = tuple(map(lift.__getitem__, signs.basis))
+            spans += [lifted + u for u in units]
             order = signs.size * half
             orders += [order * size for size in p_sizes]
             if not coupled:
                 families += [FAMILY_SUB_PRODUCT] * count
-            elif signs == kernel:
+            elif signs.dim == len(coupled) - 1:  # the parity kernel: the one admissible codim-1 H
                 kinds = (FAMILY_MIXED, FAMILY_SIGN_PARITY)  # by whether every slot off J is FULL
                 families += [kinds[full == off_mask] for full in p_full]
             else:
@@ -533,7 +531,7 @@ def enumerate_lattice(spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS) 
         mixed=counts[FAMILY_MIXED],
         total=len(keys),
     )
-    return Lattice(spec, census, keys, wids, spaces, blocks, block_of, orders, families)
+    return Lattice(spec, census, keys, wids, spans, blocks, block_of, orders, families)
 
 
 def sub_product_element(
@@ -783,15 +781,15 @@ class Lattice:
 
     Element i is
     * ``keys[i]``, its eff packed base 4 with eff[s] in digit s (see ``_eff_packer``);
-    * ``wids[i]``, the id of its W, whose reduced basis is ``bases[wid]``,
-      the ids counting up in the insertion order of ``spaces``;
+    * ``wids[i]``, the id of its W, spanned by the rows ``spans[wid]``: the
+      rows of H lifted onto J, and the unit vectors of the FULL slots off J;
     * ``blocks[block_of[i]]``, its (J, H) as the coupled slots and the sign
       subgroup, with P the digits of the key off J;
     * ``orders[i]`` and ``families[i]``.
 
-    Nothing in the CLI builds an element object; ``elements`` derives them for
-    the callers that want them.  The indexes below are built on first use, so
-    enumerating pays for none.
+    The CLI reads W only through the D and pivots of its rows, and builds no
+    element object or sorted basis; ``elements`` and ``bases`` derive them
+    for the callers that want them.  The indexes below are built on first use.
     """
 
     def __init__(
@@ -800,7 +798,7 @@ class Lattice:
         census: Census,
         keys: list[int],
         wids: list[int],
-        spaces: dict[tuple[int, ...], int],
+        spans: list[tuple[int, ...]],
         blocks: list[tuple[tuple[int, ...], Subspace]],
         block_of: list[int],
         orders: list[int],
@@ -808,7 +806,7 @@ class Lattice:
     ):
         self.spec = spec
         self.census = census
-        self.keys, self.wids, self.bases = keys, wids, list(spaces)
+        self.keys, self.wids, self.spans = keys, wids, spans
         self.blocks, self.block_of = blocks, block_of
         self.orders, self.families = orders, families
         self._pack = _eff_packer(range(spec.num_slots))
@@ -818,6 +816,11 @@ class Lattice:
 
     def __iter__(self) -> Iterator[LatticeElement]:
         return iter(self.elements)
+
+    @cached_property
+    def bases(self) -> list[tuple[int, ...]]:
+        """The reduced basis of each W by id: its rows, none odd at another's pivot, sorted."""
+        return [tuple(sorted(rows, key=_pivot)) for rows in self.spans]
 
     @cached_property
     def elements(self) -> tuple[LatticeElement, ...]:
@@ -845,7 +848,7 @@ class Lattice:
         a profile down.
         """
         num_slots = self.spec.num_slots
-        dual = [_annihilator_mask(num_slots, basis) << 2 * num_slots for basis in self.bases]
+        dual = [_annihilator_mask(num_slots, rows) << 2 * num_slots for rows in self.spans]
         return list(map(or_, self.keys, map(dual.__getitem__, self.wids)))
 
     @cached_property
@@ -882,9 +885,6 @@ class Lattice:
     def _up_index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.up_masks)}
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool((self.down_masks[j] >> i) & 1)
-
     def meet_idx(self, i: int, j: int) -> int:
         return self._down_index[self.down_masks[i] & self.down_masks[j]]
 
@@ -917,21 +917,22 @@ class Lattice:
         num_slots = self.spec.num_slots
         shift = 2 * num_slots
         index = self._profile_index
-        # per key of every eff: its chain steps up, and the slots at ALT or FULL;
-        # one step up from TRIV or V is TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
+        # per key of every eff, built as P is: its chain steps up, and the slots at ALT
+        # or FULL; one step up from TRIV or V is TRIV -> V -> ALT at degree 4, TRIV -> ALT elsewhere
         moves_of_key: dict[int, tuple[tuple[int, ...], int]] = {0: ((), 0)}
         for s, d in enumerate(self.spec.degrees):
             step = (1 if d == 4 else 2) << 2 * s
-            moves_of_key = {
-                key + (p << 2 * s): (
-                    (ups + (step,), up) if p < ChainPosition.ALT else (ups, up | 1 << s)
-                )
-                for key, (ups, up) in moves_of_key.items()
+            options = [
+                (p << 2 * s, (step,), 0) if p < ChainPosition.ALT else (p << 2 * s, (), 1 << s)
                 for p in chain(d)
+            ]
+            moves_of_key = {
+                key + k: (ups + u, up | f)
+                for key, (ups, up) in moves_of_key.items() for k, u, f in options
             }
         keep = [perp << shift | (1 << shift) - 1 for perp in _perps(num_slots)]  # M_v
         spread = [self._pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
-        pivots_of = [sum(row & -row for row in basis) for basis in self.bases]
+        pivots_of = [sum(row & -row for row in rows) for rows in self.spans]
         widenings: dict[int, tuple[list[int], list[int]]] = {}  # M_v and S_v by free-slot mask
         for i, (key, wid, code) in enumerate(zip(self.keys, self.wids, self._codes)):
             ups, upper = moves_of_key[key]

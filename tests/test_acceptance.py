@@ -47,6 +47,11 @@ def _top_index(lat) -> int:
     return next(i for i, mask in enumerate(lat.up_masks) if mask == 1 << i)
 
 
+def _reference_leq(lat, i: int, j: int) -> bool:
+    """Whether element i lies below element j, read off j's down set."""
+    return bool((lat.down_masks[j] >> i) & 1)
+
+
 def _heights(n, covers) -> list[int]:
     """The length of the longest chain of covers up to each element.
 
@@ -256,7 +261,7 @@ def test_criterion_6_property_suites(lattices):
                 for b in subsets:
                     if a == b:
                         continue
-                    assert not lat.leq_idx(lat.index_of(ds[a]), lat.index_of(ds[b]))
+                    assert not _reference_leq(lat, lat.index_of(ds[a]), lat.index_of(ds[b]))
                     assert join(ds[a], ds[b]) == top
 
         # concrete orders: 54 and index 4 for a pairwise meet, 18 and index 2 for one D

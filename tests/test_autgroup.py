@@ -41,7 +41,7 @@ from test_acceptance import (
     _heights,
     _top_index,
 )
-from test_lattice_core import _reference_up_sets
+from test_lattice_core import _reference_up_sets, _reference_w_ids
 
 
 def _poset(down):
@@ -443,6 +443,12 @@ def _criterion_3_lattice(text, request):
     if text in CACHED_SPECS:
         return request.getfixturevalue("lattices").get(text)
     return enumerate_lattice(parse_spec(text))
+
+
+@pytest.mark.parametrize("text", CRITERION_3_SPECS)
+def test_w_ids_and_bases_match_the_basis_interning(text, request):
+    lat = _criterion_3_lattice(text, request)
+    assert (lat.wids, lat.bases) == _reference_w_ids(lat)
 
 
 def test_search_agrees_with_the_mask_search_on_small_lattices():

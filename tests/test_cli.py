@@ -247,6 +247,26 @@ def test_the_cli_builds_no_element_object(no_element_objects, capsys):
         assert report.match and report.skipped is None, report
 
 
+@pytest.fixture
+def no_sorted_bases(monkeypatch):
+    """Make ``Lattice.bases``, the sorted basis of every W, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted W bases built")
+
+    monkeypatch.setattr(Lattice, "bases", property(refuse))
+    with pytest.raises(AssertionError):
+        enumerate_lattice(parse_spec("S3")).bases
+
+
+def test_the_writers_and_aut_sort_no_basis(no_sorted_bases, capsys):
+    for argv, digest in PINNED_DIGESTS:
+        code, out = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), argv
+    for argv, out in AUT_BYTES.items():
+        assert run_cli(capsys, *argv) == (0, out), argv
+
+
 def _json_via_dict(lat):
     return json.dumps(lat.to_json_dict(), indent=2, sort_keys=True)
 

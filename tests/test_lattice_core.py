@@ -21,6 +21,7 @@ from lattower.gf2 import (
     _annihilator_mask,
     _lift,
     _perps,
+    _pivot,
     _span,
     iter_subspaces,
     parity_kernel,
@@ -62,7 +63,14 @@ from lattower.lattice_core import (
     _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
-from test_acceptance import ROUND_TRIP_SPECS, _bottom_index, _edges, _heights, _top_index
+from test_acceptance import (
+    ROUND_TRIP_SPECS,
+    _bottom_index,
+    _edges,
+    _heights,
+    _reference_leq,
+    _top_index,
+)
 
 # censuses (sub-products, sign-parity, mixed, total).  The first five are
 # confirmed against the raw permutation computation in test_perm_oracle; the
@@ -322,8 +330,8 @@ def test_lattice_ops_are_lattice_ops(lattices):
         for j in range(i, n):
             mi = lat.meet_idx(i, j)
             ji = lat.join_idx(i, j)
-            assert lat.leq_idx(mi, i) and lat.leq_idx(mi, j)
-            assert lat.leq_idx(i, ji) and lat.leq_idx(j, ji)
+            assert _reference_leq(lat, mi, i) and _reference_leq(lat, mi, j)
+            assert _reference_leq(lat, i, ji) and _reference_leq(lat, j, ji)
             m = meet(lat.elements[i], lat.elements[j])
             jn = join(lat.elements[i], lat.elements[j])
             assert lat.index_of(m) == mi
@@ -638,6 +646,32 @@ def _reference_profile_covers(lat: Lattice) -> list[list[int]]:
     return rows
 
 
+def _reference_w_ids(lat: Lattice) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The W ids and bases by the interning the enumeration replaced.
+
+    Each W was keyed by its reduced basis, the lifted rows of H and the unit
+    vectors of the FULL slots off J sorted by pivot, and numbered when first
+    met: per (J, H) block, over the set of its elements' FULL masks.
+    """
+    num_slots = lat.spec.num_slots
+    fulls = []  # per element, its FULL slots off J
+    for key, b in zip(lat.keys, lat.block_of):
+        coupled, digits = lat.blocks[b][0], _digits(key, num_slots)
+        fulls.append(sum(1 << s for s, p in enumerate(digits) if p == CP.FULL and s not in coupled))
+    full_of: list[list[int]] = [[] for _ in lat.blocks]  # per block, in element order
+    for b, full in zip(lat.block_of, fulls):
+        full_of[b].append(full)
+    spaces: dict[tuple[int, ...], int] = {}
+    wid_of: dict[tuple[int, int], int] = {}
+    for b, (coupled, h) in enumerate(lat.blocks):
+        lifted = [_lift(row, coupled) for row in h.basis]
+        for full in set(full_of[b]):
+            units = [1 << s for s in range(num_slots) if (full >> s) & 1]
+            basis = tuple(sorted(lifted + units, key=_pivot))
+            wid_of[b, full] = spaces.setdefault(basis, len(spaces))
+    return [wid_of[b, full] for b, full in zip(lat.block_of, fulls)], list(spaces)
+
+
 # S3^7 (59,866 elements) is too large for the order relation
 @pytest.mark.parametrize("text", ["S4^3*S3^2", "S3^7"])
 def test_cover_moves_match_the_basis_route(text):
@@ -694,7 +728,7 @@ def _lattice_of_elements(spec, elements, census):
     block_of = [blocks.setdefault(t, len(blocks)) for t in triples]
     keys = [pack(e.profile.eff) for e in elements]
     orders, families = [e.order for e in elements], [e.family for e in elements]
-    return Lattice(spec, census, keys, wids, spaces, list(blocks), block_of, orders, families)
+    return Lattice(spec, census, keys, wids, list(spaces), list(blocks), block_of, orders, families)
 
 
 def test_a_cover_move_off_the_lattice_is_an_error(lattices):

@@ -35,6 +35,16 @@ RUNS = [
         ["--max-T", "2"],
         [" 0  2  S3^2                10      2      2      2  match", " 2  0  S4^2  "],
     ),
+    (
+        "output_digests.py",
+        ["--spec", "S3^2"],
+        [
+            "cb3188bbda1bdc508a9085113d225634c259ba63fe4482ca77f066278d938ca8         506  ",
+            "1c2d75ee750f3fbb380453e8cf5c1f4dff7cacdee9d7bae68e6dcac9782629d0        2871  ",
+            "3e0dcaa28d7206315818aa85491be8db1e057a1c5b316e09827e01c783ba09f0          94  ",
+            "7a08b1b5e5228f94c09f8bdcde4decca3ee995975f1655a028a7fb9b763916fe         175  ",
+        ],
+    ),
 ]
 
 
