@@ -33,8 +33,8 @@ from itertools import permutations
 from math import factorial
 from operator import or_
 
-from .errors import ClassViolation, LatTowerError, SpecMismatch, TooLarge
-from .gf2 import _annihilator_mask
+from .errors import ClassViolation, LatTowerError, TooLarge
+from .gf2 import _annihilator_mask, _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .group_spec import chain as positions_of
 from .lattice_core import (
@@ -225,15 +225,6 @@ def _point_masks(ctx: AbstractLattice) -> tuple[list[int], list[int]]:
     return under, over
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _refined_classes(ctx: AbstractLattice, under: list[int], over: list[int]) -> list[int]:
     """One colour per point, refined on the points alone to a fixed point.
 
@@ -267,28 +258,24 @@ def _canonical_ids(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _check_search_size(n: int, max_size: int) -> None:
-    if n > max_size:
-        raise TooLarge(f"{n} elements exceeds the search bound {max_size}")
-
-
 def searchable_lattice(
     spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
 ) -> Lattice:
-    """N(G) enumerated, once its closed-form census fits the search bound.
+    """N(G) enumerated, once its closed-form census fits ``max_size``.
 
-    A lattice the search would refuse raises the search's own TooLarge
-    before a single element is built.  The same bound guards ``hasse`` and
-    ``enumerate --format json``, which build no order relation but print
-    every element and every cover.
+    This is the one place the lattice-size bound is checked: a lattice past
+    it raises TooLarge before a single element is built.  ``aut``, ``hasse``,
+    ``enumerate --format json`` and ``tower.verify_step_against_lattice``
+    build their lattices here, and the search and the product-formula check
+    take the lattice as built.
     """
-    _check_search_size(census_of(spec, max_slots).total, max_size)
+    total = census_of(spec, max_slots).total
+    if total > max_size:
+        raise TooLarge(f"{total} elements exceeds the search bound {max_size}")
     return enumerate_lattice(spec, max_slots)
 
 
-def automorphism_group(
-    lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
-) -> StabiliserChain:
+def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:
     """LatAut of a bare lattice as a stabiliser chain on its join-irreducibles.
 
     The search never looks at triples, profiles or subgroup sets, and builds
@@ -322,9 +309,10 @@ def automorphism_group(
     The searched group S holds LatAut (``_search``).  Each of its generators
     is then extended to the whole lattice (``_certified``): when every one
     extends, S is LatAut exactly.  LatTowerError is raised when one does not,
-    or when the input is otherwise not a lattice.
+    or when the input is otherwise not a lattice.  The lattice comes already
+    built, so no size bound is checked here: ``searchable_lattice`` bounds it
+    before its elements are enumerated.
     """
-    _check_search_size(len(lattice), max_size)
     ctx = lattice.context
     return _certified(ctx, _search(ctx))
 
@@ -428,15 +416,13 @@ def _search(ctx: AbstractLattice) -> StabiliserChain:
     return chain
 
 
-def brute_force_automorphisms(
-    lattice: "Lattice | AbstractLattice", max_size: int = DEFAULT_MAX_LATTICE
-) -> list[Perm]:
+def brute_force_automorphisms(lattice: "Lattice | AbstractLattice") -> list[Perm]:
     """Every lattice automorphism, listed from the chain of ``automorphism_group``.
 
     Each element of the chain is extended to the whole lattice.  Output is
     sorted by mapping, so the identity comes first.
     """
-    chain = automorphism_group(lattice, max_size)
+    chain = automorphism_group(lattice)
     return sorted(map(lattice.context.extend, chain.elements()))
 
 
@@ -466,6 +452,7 @@ class ProductFormulaReport:
     a4: int
     b: int
     predicted_order: int
+    # the searched group's order; the name stays, since the JSON keys are pinned
     brute_force_order: int
     constructive_order: int
     match: bool
@@ -495,11 +482,6 @@ def _class_permutations(spec: TowerGroupSpec):
             yield tuple(mapping)
 
 
-def _is_automorphism(ctx: AbstractLattice, phi: Perm) -> bool:
-    """Whether phi is a bijection of the elements that keeps the covers."""
-    return sorted(phi) == list(range(ctx.n)) and ctx.keeps_covers(phi)
-
-
 def _adjacent_transpositions(spec: TowerGroupSpec) -> list[Perm]:
     gens = []
     for slots in (spec.a_slots(), spec.b_slots()):
@@ -510,13 +492,11 @@ def _adjacent_transpositions(spec: TowerGroupSpec) -> list[Perm]:
     return gens
 
 
-def verify_product_formula(
-    spec: TowerGroupSpec,
-    max_slots: int = DEFAULT_MAX_SLOTS,
-    max_size: int = DEFAULT_MAX_LATTICE,
-    lattice: Lattice | None = None,
-) -> ProductFormulaReport:
+def verify_product_formula(lat: Lattice) -> ProductFormulaReport:
     """Check that LatAut(N(G)) is exactly the class-preserving slot group.
+
+    G is ``lat.spec``, and the lattice comes built: ``searchable_lattice``
+    bounds its size before enumerating it.
 
     Three orders must agree: a4! * b!, the order of a searched chain, and
     the order Schreier-Sims finds for the group T generated by the maps tau
@@ -541,11 +521,7 @@ def verify_product_formula(
     mismatch the chain is certified as ``automorphism_group`` certifies it,
     so the searched order reported is LatAut's.
     """
-    if lattice is not None and lattice.spec != spec:
-        raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
-    lat = lattice if lattice is not None else searchable_lattice(spec, max_slots, max_size)
-    _check_search_size(len(lat), max_size)
-    ctx = lat.context
+    spec, ctx = lat.spec, lat.context
     chain = _search(ctx)
     predicted = factorial(spec.a4) * factorial(spec.b)
 
@@ -563,7 +539,7 @@ def verify_product_formula(
         and round_trip_ok
         and None not in restricted
         and all(psi in chain for psi in restricted)
-        and all(_is_automorphism(ctx, phi) for phi in taus)
+        and all(map(ctx.keeps_covers, taus))
     )
     if not match:
         _certified(ctx, chain)

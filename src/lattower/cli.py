@@ -90,8 +90,8 @@ _OPTIONS = {
     "--max-lattice": dict(
         type=_bound,
         default=DEFAULT_MAX_LATTICE,
-        help="most lattice elements to build (default %(default)s); "
-        "enumerate as text and hasse on a small-group name ignore it",
+        help="most elements of N(G) that aut, hasse and enumerate --format json build "
+        "(default %(default)s); enumerate as text and hasse on a small-group name ignore it",
     ),
 }
 
@@ -108,10 +108,7 @@ _SUBCOMMANDS = {
         "--spec --format --out --max-order --max-T",
     ),
     "hasse": ("covering relations as DOT", "--spec --out --max-order --max-T --max-lattice"),
-    "lemmas": (
-        "small-group lattices and their symmetries",
-        "--format --out --max-order --max-lattice",
-    ),
+    "lemmas": ("small-group lattices and their symmetries", "--format --out --max-order"),
 }
 
 
@@ -185,7 +182,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_aut(args) -> int:
     spec = parse_spec(args.spec)
-    report = verify_product_formula(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+    lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+    report = verify_product_formula(lat)
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
@@ -348,7 +346,7 @@ def cmd_hasse(args) -> int:
 def cmd_lemmas(args) -> int:
     rows = []
     for name, poset in lemma_lattices(args.max_order).items():
-        order = automorphism_group(poset, max_size=args.max_lattice).order
+        order = automorphism_group(poset).order
         rows.append({"group": name, "elements": poset.n, "automorphisms": order})
     if args.format == "json":
         _emit(_json_dump(rows), args.out)

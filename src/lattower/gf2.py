@@ -31,6 +31,21 @@ def _pivot(row: int) -> int:
     return (row & -row).bit_length() - 1
 
 
+@lru_cache(maxsize=None)
+def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the indices 8k + i of the set bits i of the byte b, lowest first."""
+    return tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative mask, lowest first, a byte at a time."""
+    out: list[int] = []
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            out += _byte_bits(k)[byte]
+    return out
+
+
 def _reduce(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon basis of the span, rows sorted by pivot."""
     rows: list[int] = []

@@ -759,14 +759,15 @@ class AbstractLattice:
         return tuple(image)
 
     def keeps_covers(self, image: Sequence[int]) -> bool:
-        """Whether the bijection ``image`` of 0..n-1 sends each element's lower
-        covers exactly onto those of its image.
+        """Whether ``image`` is a bijection of 0..n-1 that sends each element's
+        lower covers exactly onto those of its image.
 
-        Such a bijection and its inverse both send covers to covers, so it is
-        an automorphism of the Hasse diagram and so of the order, and it
-        permutes the points.  ``extend`` makes the same test one element at a
-        time, so it returns ``image`` from the restriction of ``image``.
+        Such a bijection and its inverse send covers to covers: it is an
+        automorphism of the order and permutes the points.  ``extend`` tests
+        this per element, so it returns ``image`` from its restriction.
         """
+        if sorted(image) != list(range(self.n)):
+            return False
         lower, moved = self.lower, image.__getitem__
         return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
 

@@ -24,7 +24,7 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge
-from .gf2 import span
+from .gf2 import _bits, span
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     DEFAULT_MAX_SLOTS,
@@ -125,21 +125,6 @@ class ConcreteGroup:
 def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> ConcreteGroup:
     """Build the concrete group of a tower spec, factor j = slot j."""
     return ConcreteGroup(spec.degrees, max_order=max_order)
-
-
-@lru_cache(maxsize=None)
-def _byte_bits(k: int) -> tuple[tuple[int, ...], ...]:
-    """Entry b: the indices 8k + i of the set bits i of the byte b, lowest first."""
-    return tuple(tuple(8 * k + i for i in range(8) if b >> i & 1) for b in range(256))
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of a nonnegative mask, lowest first, a byte at a time."""
-    out: list[int] = []
-    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
-        if byte:
-            out += _byte_bits(k)[byte]
-    return out
 
 
 def _spread(mask: int, shifts: list[int]) -> int:

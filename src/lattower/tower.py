@@ -195,7 +195,7 @@ def verify_step_against_lattice(
     predicted = factorial(result.a) * factorial(result.b)
     try:
         abstract = _node_lattice(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
-        observed = automorphism_group(abstract, max_size=max_size).order
+        observed = automorphism_group(abstract).order
     except TooLarge as exc:
         return StepReport(
             node=format_node(node),

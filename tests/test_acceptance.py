@@ -144,21 +144,17 @@ SHAPE_SPECS = tuple(
 def test_criterion_3_product_formula(lattices):
     with criterion(3, "automorphism product formula", 60.0):
         cases = [
-            (text, expected, verify_product_formula(parse_spec(text), lattice=lattices.get(text)))
+            (text, expected, verify_product_formula(lattices.get(text)))
             for text, expected in PRODUCT_FORMULA_CASES.items()
         ]
-        # 11,384 and 59,866 elements, past DEFAULT_MAX_LATTICE (and S3^7 past
-        # DEFAULT_MAX_SLOTS), so their bounds are given here; S3^7 is built
-        # here and dropped, not kept in the lattice cache
-        lat = lattices.get("S4^4*S3^2")
-        report = verify_product_formula(lat.spec, max_size=11_384, lattice=lat)
-        cases.append(("S4^4*S3^2", 48, report))
-        report = verify_product_formula(parse_spec("S3^7"), max_slots=7, max_size=59_866)
-        cases.append(("S3^7", 5040, report))
+        # 11,384 and 59,866 elements; S3^7 is built here and dropped, not
+        # kept in the lattice cache
+        cases.append(("S4^4*S3^2", 48, verify_product_formula(lattices.get("S4^4*S3^2"))))
+        cases.append(("S3^7", 5040, verify_product_formula(enumerate_lattice(parse_spec("S3^7")))))
         # the shapes, each built here and dropped
         for text in SHAPE_SPECS:
             spec = parse_spec(text)
-            report = verify_product_formula(spec, max_size=15_541)
+            report = verify_product_formula(enumerate_lattice(spec))
             cases.append((text, factorial(spec.a4) * factorial(spec.b), report))
         for text, expected, report in cases:
             assert report.match, text

@@ -14,8 +14,8 @@ from lattower.autgroup import (
     tau_on_lattice,
     verify_product_formula,
 )
-from lattower.errors import ClassViolation, LatTowerError, SpecMismatch, TooLarge
-from lattower.gf2 import iter_subspaces, span
+from lattower.errors import ClassViolation, LatTowerError
+from lattower.gf2 import _bits, iter_subspaces, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import chain, parse_spec
 from lattower.lattice_core import (
@@ -414,7 +414,7 @@ def _assert_search_matches_the_mask_search(lattice, a):
     """The same order as the mask search on the order relation a, and the
     same group on the join-irreducibles: the reference generators restrict
     into the searched chain, and restriction is faithful on automorphisms."""
-    chain = automorphism_group(lattice, max_size=len(lattice))
+    chain = automorphism_group(lattice)
     reference = _reference_automorphism_group(a)
     assert chain.order == reference.order
     ctx = lattice.context
@@ -547,7 +547,7 @@ def _assert_the_pruned_search_finds_the_unpruned_chain(ctx, monkeypatch):
     reference = _reference_unpruned_search(ctx)
     reference_calls = extended[:]
     tested = _recording_context_tests(monkeypatch)
-    chain = automorphism_group(ctx, max_size=ctx.n)
+    chain = automorphism_group(ctx)
     assert chain.base == reference.base
     assert chain.generators == reference.generators
     assert chain.order == reference.order
@@ -592,7 +592,7 @@ def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=
     else:
         assert all(any(set(r) <= set(c) for c in ours) for r in theirs)
     maps = [ctx.restrict(g) for g in automorphisms]
-    maps += automorphism_group(lattice, max_size=len(lattice)).generators
+    maps += automorphism_group(lattice).generators
     for psi in maps:
         assert [colours[k] for k in psi] == colours
 
@@ -676,7 +676,7 @@ def _is_lattice(a):
     for i in range(a.n):
         for j in range(i):
             bounds = up[i] & up[j]
-            if not any(not bounds & ~up[k] for k in autgroup._bits(bounds)):
+            if not any(not bounds & ~up[k] for k in _bits(bounds)):
                 return False
     return True
 
@@ -887,7 +887,7 @@ def _assert_extend_matches_the_references(ctx, rng, is_lattice=True, chain=None)
     here unless given) and on 200 random point maps, half of them within the
     colour classes."""
     m = len(ctx.irreducibles)
-    generators = (chain or automorphism_group(ctx, max_size=ctx.n)).generators
+    generators = (chain or automorphism_group(ctx)).generators
     classes = _colour_classes(autgroup._refined_classes(ctx, *autgroup._point_masks(ctx)))
     maps = list(generators)
     for _ in range(100):
@@ -951,7 +951,7 @@ def test_extend_refuses_a_point_map_that_repeats_a_point():
 def _assert_the_context_chain_is_the_exact_chain(ctx):
     """The search by the (J, M) context test, certified by its generators,
     finds the chain of the unpruned search, which extends each full map."""
-    chain = automorphism_group(ctx, max_size=ctx.n)
+    chain = automorphism_group(ctx)
     reference = _reference_unpruned_search(ctx)
     assert chain.base == reference.base
     assert chain.generators == reference.generators
@@ -981,7 +981,7 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
 
 def _assert_the_certificate_extends_each_generator_once(ctx, monkeypatch):
     extended = _recording_extensions(monkeypatch)
-    chain = automorphism_group(ctx, max_size=ctx.n)
+    chain = automorphism_group(ctx)
     assert extended == chain.generators
 
 
@@ -1068,34 +1068,11 @@ def test_brute_force_output_is_sorted_with_identity_first():
     assert autos == sorted(autos)
 
 
-def test_brute_force_respects_size_bound(lattices):
-    with pytest.raises(TooLarge):
-        brute_force_automorphisms(lattices.get("S3^3"), max_size=10)
-
-
-def test_size_bound_is_checked_before_the_order_relation():
-    lat = enumerate_lattice(parse_spec("S4^3*S3^2"))
-    with pytest.raises(TooLarge, match="1564 elements exceeds the search bound 100"):
-        verify_product_formula(lat.spec, max_size=100, lattice=lat)
-    assert not {"context", "down_masks"} & set(vars(lat))
-
-
 def test_the_product_formula_builds_no_order_relation():
     lat = enumerate_lattice(parse_spec("S4^2*S3^2"))
-    assert verify_product_formula(lat.spec, lattice=lat).match
+    assert verify_product_formula(lat).match
     assert not {"down_masks", "up_masks"} & set(vars(lat))
     assert not {"down", "up", "covers"} & set(vars(lat.context))
-
-
-def test_a_lattice_of_another_spec_is_refused_before_the_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("search run")
-
-    monkeypatch.setattr(autgroup, "automorphism_group", refuse)
-    lat = enumerate_lattice(parse_spec("S3^2"))
-    with pytest.raises(SpecMismatch, match=r"lattice of S3\^2 given for S5\^2"):
-        verify_product_formula(parse_spec("S5^2"), lattice=lat)
-    assert not {"context", "_profile_index"} & set(vars(lat))
 
 
 def test_brute_force_finds_only_order_maps(lattices):
@@ -1429,7 +1406,7 @@ def test_induced_permutation_round_trip(lattices):
     [("S3^2", 2), ("S3*S4", 1), ("S4^2", 2)],
 )
 def test_product_formula_small(text, count, lattices):
-    report = verify_product_formula(parse_spec(text), lattice=lattices.get(text))
+    report = verify_product_formula(lattices.get(text))
     assert report.match
     assert report.predicted_order == count
     assert report.brute_force_order == count
@@ -1437,14 +1414,14 @@ def test_product_formula_small(text, count, lattices):
 
 
 def test_product_formula_generators(lattices):
-    report = verify_product_formula(parse_spec("S3^2"), lattice=lattices.get("S3^2"))
+    report = verify_product_formula(lattices.get("S3^2"))
     assert report.generators == ("(3.1 3.2)",)
-    report = verify_product_formula(parse_spec("S3*S4"), lattice=lattices.get("S3*S4"))
+    report = verify_product_formula(lattices.get("S3*S4"))
     assert report.generators == ()
 
 
 def test_product_formula_json(lattices):
-    report = verify_product_formula(parse_spec("S3^2"), lattice=lattices.get("S3^2"))
+    report = verify_product_formula(lattices.get("S3^2"))
     d = report.to_json_dict()
     assert d["spec"] == "S3^2"
     assert d["match"] is True
@@ -1459,7 +1436,7 @@ def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
         return factor_atoms(lat)
 
     monkeypatch.setattr(autgroup, "factor_atoms", counting_factor_atoms)
-    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    report = verify_product_formula(lattices.get("S3^3"))
     assert report.match and report.constructive_order == 6
     assert len(calls) == 1
 
@@ -1481,11 +1458,11 @@ def _count_contexts(monkeypatch) -> list[int]:
 def test_product_formula_builds_one_context_per_lattice(monkeypatch):
     built = _count_contexts(monkeypatch)
     for text in ("S3^3", "S4^2*S3"):
-        assert verify_product_formula(parse_spec(text)).match
+        assert verify_product_formula(enumerate_lattice(parse_spec(text))).match
     assert built == [38, 61]
     lat = enumerate_lattice(parse_spec("S4*S3^2"))
     for _ in range(2):
-        assert verify_product_formula(lat.spec, lattice=lat).match
+        assert verify_product_formula(lat).match
     assert built == [38, 61, len(lat)]
 
 
@@ -1532,7 +1509,7 @@ def test_product_formula_fails_on_a_wrong_tau(wrong, lattices, monkeypatch):
     lat = lattices.get("S3^3")
     generators = automorphism_group(lat).generators
     extended = _recording_extensions(monkeypatch)
-    report = verify_product_formula(lat.spec, lattice=lat)
+    report = verify_product_formula(lat)
     assert not report.match
     # the mismatch certified the searched chain by extending each generator
     # once, so the order reported is LatAut's
@@ -1544,7 +1521,7 @@ def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
     # every tau checks out, but (3.1 3.2) alone generates a group of order 2
     adjacent = autgroup._adjacent_transpositions
     monkeypatch.setattr(autgroup, "_adjacent_transpositions", lambda spec: adjacent(spec)[:1])
-    report = verify_product_formula(parse_spec("S3^3"), lattice=lattices.get("S3^3"))
+    report = verify_product_formula(lattices.get("S3^3"))
     assert (report.brute_force_order, report.constructive_order) == (6, 2)
     assert not report.match
 
@@ -1577,8 +1554,8 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     psi = ctx.restrict(conjugated((1, 0, 2), lat))
     assert psi in chain
     assert ctx.extend(psi) != conjugated((1, 0, 2), lat)
-    assert not autgroup._is_automorphism(ctx, conjugated((1, 0, 2), lat))
-    report = verify_product_formula(parse_spec("S3^3"), lattice=lat)
+    assert not ctx.keeps_covers(conjugated((1, 0, 2), lat))
+    report = verify_product_formula(lat)
     assert (report.brute_force_order, report.constructive_order) == (6, 6)
     assert not report.match
 
@@ -1588,7 +1565,7 @@ def _cover_pass_and_extension(ctx, phi):
     the map equals the extension of its restriction to the points."""
     psi = ctx.restrict(phi)
     return (
-        psi is not None and autgroup._is_automorphism(ctx, phi),
+        psi is not None and ctx.keeps_covers(phi),
         psi is not None and ctx.extend(psi) == phi,
     )
 
@@ -1628,6 +1605,6 @@ def test_a_matching_product_formula_extends_nothing(monkeypatch):
     # a fresh lattice, so that no other test has built its index
     lat = enumerate_lattice(parse_spec("S3^3"))
     calls = _recording_extensions(monkeypatch)
-    assert verify_product_formula(lat.spec, lattice=lat).match
+    assert verify_product_formula(lat).match
     assert calls == []
     assert "_by_low_covers" not in vars(lat.context)

@@ -36,11 +36,13 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
 def _readme_examples():
     """Each ``$ lattower ...`` line of the README's Command line block, with
     the lines shown under it."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    block = README.split("## Command line", 1)[1].split("```\n", 2)[1]
     examples = []
     for line in block.splitlines():
         if line.startswith("$ lattower "):
@@ -65,6 +67,17 @@ def test_readme_command_line_examples(command, shown, capsys, tmp_path, monkeypa
         assert out.splitlines() == shown
     if "--out" in argv:
         assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+def test_readme_library_example(capsys):
+    block = README.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "756682",
+        "Census(sub_products=144, sign_parity=11, mixed=101, total=256)",
+        "True",
+        "G_0 = S4^2*S3^2 → G_1 = C2^2 → G_2 = S3 → G_3 = 1 (3 steps, sharp)",
+    ]
 
 
 def test_enumerate_text(capsys):
@@ -332,7 +345,6 @@ def test_exit_code_on_bound_violation(capsys):
     assert main(["hasse", "--spec", "C2^2", "--max-order", "1"]) == 3
     assert main(["oracle-diff", "--spec", "S3", "--max-T", "0"]) == 3
     assert main(["lemmas", "--max-order", "1"]) == 3
-    assert main(["lemmas", "--max-lattice", "0"]) == 3
     assert main(["tower", "--spec", "S3^99999999999"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -346,7 +358,7 @@ ACCEPTED = {
     "tower": {"--spec", "--format"},
     "oracle-diff": {"--spec", "--format", "--max-order", "--max-T"},
     "hasse": {"--spec", "--max-order", "--max-T", "--max-lattice"},
-    "lemmas": {"--format", "--max-order", "--max-lattice"},
+    "lemmas": {"--format", "--max-order"},
 }
 REJECTED = [
     ("enumerate", "--max-order", "1"),
@@ -361,6 +373,7 @@ REJECTED = [
     ("oracle-diff", "--format", "dot"),
     ("hasse", "--format", "text"),
     ("lemmas", "--max-T", "1"),
+    ("lemmas", "--max-lattice", "1"),
     ("lemmas", "--format", "dot"),
 ]
 

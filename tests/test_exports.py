@@ -1,5 +1,6 @@
-"""Every exported name resolves and every import is used, so a deletion
-cannot leave a stale export or a stale import behind."""
+"""Every exported name resolves and every import is used, in the package,
+the tests and the scripts, so a deletion cannot leave a stale export or a
+stale import behind."""
 
 import ast
 import importlib
@@ -58,19 +59,22 @@ def _used_names(tree):
                 yield from _used_names(ast.parse(annotation.value, mode="eval"))
 
 
-@pytest.mark.parametrize("name", MODULES + ["lattower"])
+def _source(name):
+    """The text of a module, by its name, or of a test or script file, by its path."""
+    if name.endswith(".py"):
+        return (ROOT / name).read_text()
+    return Path(importlib.import_module(name).__file__).read_text()
+
+
+@pytest.mark.parametrize("name", MODULES + ["lattower"] + SOURCE_FILES)
 def test_every_import_is_used_or_exported(name):
-    module = importlib.import_module(name)
-    tree = ast.parse(Path(module.__file__).read_text())
-    used = set(_used_names(tree)) | set(getattr(module, "__all__", ()))
+    tree = ast.parse(_source(name))
+    exported = () if name.endswith(".py") else getattr(importlib.import_module(name), "__all__", ())
+    used = set(_used_names(tree)) | set(exported)
     assert sorted(set(_imported_names(tree)) - used) == []
 
 
 @pytest.mark.parametrize("name", MODULES + ["lattower"] + SOURCE_FILES)
 def test_source_lines_are_at_most_100_characters(name):
-    if name.endswith(".py"):
-        path = ROOT / name
-    else:
-        path = Path(importlib.import_module(name).__file__)
-    lines = path.read_text().splitlines()
+    lines = _source(name).splitlines()
     assert [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 100] == []

@@ -6,7 +6,7 @@ import pytest
 
 import lattower.perm_oracle as perm_oracle
 from lattower.errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge
-from lattower.gf2 import span
+from lattower.gf2 import _bits, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec, spec_of_degrees
 from lattower.lattice_core import Profile, enumerate_lattice
@@ -14,7 +14,6 @@ from lattower.perm_oracle import (
     ClassTable,
     ConcreteGroup,
     LEMMA_GROUP_DEGREES,
-    _bits,
     _normal_masks,
     _order_sets,
     all_normal_subgroups,
@@ -313,8 +312,8 @@ def _reference_class_join(table, a, b):
     Classes of a inside b only contribute products already in b.
     """
     out = a | b
-    inside = list(perm_oracle._bits(b))
-    for i in perm_oracle._bits(a & ~b):
+    inside = list(_bits(b))
+    for i in _bits(a & ~b):
         row = table.prod[i]
         for j in inside:
             out |= row[j]

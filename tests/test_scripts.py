@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from lattower.autgroup import verify_product_formula
 from lattower.lattice_core import census_of, enumerate_lattice
 from lattower.perm_oracle import differential_validate
 
@@ -104,8 +103,8 @@ def test_shape_sweep_passes_its_slot_bound(monkeypatch, capsys):
     import shape_sweep
 
     seen = []
-    _recording(monkeypatch, shape_sweep, "verify_product_formula", verify_product_formula, seen)
+    _recording(monkeypatch, shape_sweep, "enumerate_lattice", enumerate_lattice, seen)
     monkeypatch.setattr(sys, "argv", ["shape_sweep.py", "--max-T", "2"])
     shape_sweep.main()
-    assert seen == [("verify_product_formula", 2)] * 5
+    assert seen == [("enumerate_lattice", 2)] * 5
     assert capsys.readouterr().out.count("match") == 5
