@@ -2,28 +2,37 @@
 
 N(G) sees a slot only through its chain, TRIV < V < ALT < FULL at degree 4
 and TRIV < ALT < FULL at degree 3, so each shape with 1 <= a4 + B <= --max-T
-is realised as S4^a4 * S3^B and checked by ``verify_product_formula``.  One
-line per shape gives its element count, the three orders (a4! * B!, the
-searched group and the group of the tau maps), the verdict and the seconds
-taken, enumeration included.  ``--max-T`` is both the largest slot count
-swept and the slot bound handed to ``enumerate_lattice``.  A shape that does
-not match stops the sweep with an error after its line.
+is realised as S4^a4 * S3^B and checked by ``verify_product_formula``, on
+N(G)'s standard context in closed form, with no element enumerated.  One
+line per shape gives its element count (the closed-form census), the three
+orders (a4! * B!, the searched group and the group of the tau maps), the
+verdict and the seconds taken.  ``--max-T`` is both the largest slot count
+swept and the slot bound handed to ``census_of``; past ``MAX_CONTEXT_SLOTS``
+(9), the closed-form context's own bound, it is refused before any shape is
+swept.  A shape that does not match stops the sweep with an error after its
+line.
 
-    python scripts/shape_sweep.py --max-T 6
+    python scripts/shape_sweep.py --max-T 9
 """
 
 import argparse
 import time
 
 from lattower.autgroup import verify_product_formula
+from lattower.context import MAX_CONTEXT_SLOTS
 from lattower.group_spec import format_spec, spec_of_degrees
-from lattower.lattice_core import enumerate_lattice
+from lattower.lattice_core import census_of
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-T", dest="max_slots", type=int, default=6)
     args = parser.parse_args()
+    if args.max_slots > MAX_CONTEXT_SLOTS:
+        parser.error(
+            f"--max-T {args.max_slots} is past {MAX_CONTEXT_SLOTS}, the slot bound of the "
+            "closed-form context (ROADMAP item 3(a))"
+        )
     header = (
         f"{'a4':>2} {'B':>2}  {'spec':<12} {'elements':>9} {'a4!*B!':>6} {'search':>6}"
         f" {'tau':>6}  {'verdict':<8} {'secs':>6}"
@@ -34,12 +43,12 @@ def main() -> None:
         for a4 in range(t + 1):
             spec = spec_of_degrees((4,) * a4 + (3,) * (t - a4))
             start = time.perf_counter()
-            lat = enumerate_lattice(spec, args.max_slots)
-            r = verify_product_formula(lat)
+            elements = census_of(spec, args.max_slots).total
+            r = verify_product_formula(spec)
             secs = time.perf_counter() - start
             verdict = "match" if r.match else "MISMATCH"
             print(
-                f"{a4:>2} {t - a4:>2}  {format_spec(spec):<12} {len(lat):>9} {r.predicted_order:>6}"
+                f"{a4:>2} {t - a4:>2}  {format_spec(spec):<12} {elements:>9} {r.predicted_order:>6}"
                 f" {r.brute_force_order:>6} {r.constructive_order:>6}  {verdict:<8} {secs:>6.2f}",
                 flush=True,
             )

@@ -4,24 +4,28 @@ A permutation of the factor slots that keeps degree-4 slots among degree-4
 slots induces a lattice automorphism tau by permuting the coordinates of
 profiles; the induced maps realise all of LatAut(G), which is the product of
 the symmetric groups on the class-A and class-B slots.  The search below
-knows none of that: it reads the bare cover relation, backtracks over the
-join-irreducible elements, and keeps only enough maps to generate the group,
-as a stabiliser chain on the join-irreducibles whose orbit lengths give its
-order.  A full map must keep the standard context (J, M), the J-sets of the
-meet-irreducibles, so the searched group holds every automorphism; in a
-lattice it holds nothing else, and ``automorphism_group`` certifies that by
-extending each generator to every element by the images of the lower covers.
-The product formula is then checked on groups, not lists: the maps tau of
-the adjacent slot transpositions must generate a group of order a4! * b! (by
-Schreier-Sims), and each must sift through the searched chain and be a
-bijection that keeps the covers.  That group of automorphisms is then as
-large as the searched group, which holds every automorphism, so agreement
-between the two routes is genuine evidence, and needs no certificate.
+knows none of that: it reads a standard context (J, M), the join-irreducible
+points with the J-sets of the meet-irreducibles, backtracks over the points,
+and keeps only enough maps to generate the group, as a stabiliser chain on
+the points whose orbit lengths give its order.  A full map must keep (J, M),
+so the searched group holds every automorphism of the context, which in a
+lattice's context are exactly the lattice's automorphisms.  A bare lattice
+hands the search the context read off its covers, and ``automorphism_group``
+certifies the chain by extending each generator to every element by the
+images of the lower covers.
 
-The bridge between abstract automorphisms and slot permutations is the
-factor atoms, the individual factors.  Each is the largest element over one
-atom alone, complemented by the largest element over all the other atoms,
-so any automorphism permutes them.
+The product formula is checked on N(G)'s context in closed form
+(``context.closed_form_context``), with no element of N(G) enumerated: the
+maps tau of the adjacent slot transpositions, acting on the points, must
+keep (J, M), sift through the searched chain and generate a group of order
+a4! * b! (by Schreier-Sims), and the searched chain must have that order
+too.  Each tau must also send the factor atoms, the individual factors,
+as its slot permutation says.
+
+``tau_on_lattice``, ``factor_atoms`` and ``induced_permutation`` act on an
+enumerated lattice's elements instead.  A factor atom is the largest element
+over one atom alone, complemented by the largest element over all the other
+atoms, so any automorphism permutes them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from itertools import permutations
 from math import factorial
 from operator import or_
 
+from .context import StandardContext, closed_form_context, factor_atom_points, slot_action
 from .errors import ClassViolation, LatTowerError, TooLarge
 from .gf2 import _annihilator_mask, _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
@@ -56,15 +61,18 @@ __all__ = [
     "tau_on_lattice",
     "automorphism_group",
     "brute_force_automorphisms",
-    "searchable_lattice",
+    "check_lattice_size",
+    "bounded_lattice",
     "induced_permutation",
     "ProductFormulaReport",
     "verify_product_formula",
 ]
 
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `aut` took 0.21-0.22 s
-# and 0.23-0.25 s (21 and 23 MB max RSS) on 2 cores with Python 3.11.7.
-# Refuses S4^4*S3^2 (11,384) and everything larger.
+# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `hasse` took 0.26-0.33 s
+# and 0.37-0.38 s (22 and 23 MB max RSS), `enumerate --format json` 0.25-0.33 s
+# and 0.34-0.37 s (24 and 28 MB), and `aut`, which builds no element, 0.23 s
+# (17 MB) on each, on 2 cores with Python 3.11.7.  Refuses S4^4*S3^2 (11,384)
+# and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
 
@@ -211,13 +219,13 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     return tuple(map(lat._profile_index.__getitem__, codes))
 
 
-def _point_masks(ctx: AbstractLattice) -> tuple[list[int], list[int]]:
+def _point_masks(ctx: StandardContext) -> tuple[list[int], list[int]]:
     """Per point k, the points below it and the points above it, k included, as bitmasks.
 
-    The points below are read off J; those above by transposing those sets
-    once.
+    The points below are the context's; those above come by transposing
+    those sets once.
     """
-    under = [ctx.J[x] for x in ctx.irreducibles]
+    under = list(ctx.under)
     over = [1 << k for k in range(len(under))]
     for k, mask in enumerate(under):
         for j in _bits(mask ^ 1 << k):
@@ -225,22 +233,20 @@ def _point_masks(ctx: AbstractLattice) -> tuple[list[int], list[int]]:
     return under, over
 
 
-def _refined_classes(ctx: AbstractLattice, under: list[int], over: list[int]) -> list[int]:
+def _refined_classes(ctx: StandardContext, under: list[int], over: list[int]) -> list[int]:
     """One colour per point, refined on the points alone to a fixed point.
 
-    ``under`` and ``over`` are the masks of ``_point_masks``.  The seed of a
-    point is its number of upper covers and the numbers of points strictly
-    below and strictly above it.  Each round folds in the sorted colours of
-    the points below and of those above, until a round splits no class.  An
-    automorphism permutes the points, keeps their order and keeps cover
-    counts, so automorphic points always share a colour.  The search
-    branches on the points only, so the other elements get no colour (McKay
-    and Piperno, secs. 3-4).
+    ``under`` and ``over`` are the masks of ``_point_masks``.  The colours
+    start from the context's seeds.  Each round folds in the sorted colours
+    of the points below and of those above, until a round splits no class.
+    An automorphism permutes the points, keeps their order and keeps the
+    seeds, which are invariants, so automorphic points always share a
+    colour.  The search branches on the points only, so the other elements
+    get no colour (McKay and Piperno, secs. 3-4).
     """
     below = [_bits(mask ^ 1 << k) for k, mask in enumerate(under)]
     above = [_bits(mask ^ 1 << k) for k, mask in enumerate(over)]
-    upper_covers = (len(ctx.upper[x]) for x in ctx.irreducibles)
-    ids = _canonical_ids(list(zip(upper_covers, map(len, below), map(len, above))))
+    ids = _canonical_ids(list(ctx.seeds))
     while True:
         new_ids = _canonical_ids(
             [
@@ -258,20 +264,27 @@ def _canonical_ids(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def searchable_lattice(
+def check_lattice_size(
     spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
-) -> Lattice:
-    """N(G) enumerated, once its closed-form census fits ``max_size``.
+) -> None:
+    """Raise TooLarge unless N(G)'s closed-form census fits ``max_size``.
 
-    This is the one place the lattice-size bound is checked: a lattice past
-    it raises TooLarge before a single element is built.  ``aut``, ``hasse``,
-    ``enumerate --format json`` and ``tower.verify_step_against_lattice``
-    build their lattices here, and the search and the product-formula check
-    take the lattice as built.
+    This is the one check of the lattice-size bound, made before anything
+    is built: ``aut`` and ``tower.verify_step_against_lattice`` make it
+    before they build the closed-form context, and ``bounded_lattice``
+    before it enumerates.  ``census_of`` checks the slot bound.
     """
     total = census_of(spec, max_slots).total
     if total > max_size:
-        raise TooLarge(f"{total} elements exceeds the search bound {max_size}")
+        raise TooLarge(f"{total} elements exceeds the lattice bound {max_size}")
+
+
+def bounded_lattice(
+    spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
+) -> Lattice:
+    """N(G) enumerated, once ``check_lattice_size`` admits it: what ``hasse``
+    and ``enumerate --format json`` write."""
+    check_lattice_size(spec, max_slots, max_size)
     return enumerate_lattice(spec, max_slots)
 
 
@@ -306,15 +319,15 @@ def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:
     x, so a y that fails them gets no run at all.  Against the base points
     placed in the run it is checked bit by bit.
 
-    The searched group S holds LatAut (``_search``).  Each of its generators
-    is then extended to the whole lattice (``_certified``): when every one
-    extends, S is LatAut exactly.  LatTowerError is raised when one does not,
-    or when the input is otherwise not a lattice.  The lattice comes already
-    built, so no size bound is checked here: ``searchable_lattice`` bounds it
-    before its elements are enumerated.
+    The searched group S holds LatAut (``_search``, on the context that
+    ``AbstractLattice.standard_context`` reads off the covers).  Each of its
+    generators is then extended to the whole lattice (``_certified``): when
+    every one extends, S is LatAut exactly.  LatTowerError is raised when
+    one does not, or when the input is otherwise not a lattice.  The lattice
+    comes already built, so no size bound is checked here.
     """
     ctx = lattice.context
-    return _certified(ctx, _search(ctx))
+    return _certified(ctx, _search(ctx.standard_context()))
 
 
 def _certified(ctx: AbstractLattice, chain: StabiliserChain) -> StabiliserChain:
@@ -331,29 +344,29 @@ def _certified(ctx: AbstractLattice, chain: StabiliserChain) -> StabiliserChain:
     return chain
 
 
-def _keeps_meet_irreducibles(ctx: AbstractLattice) -> Callable[[Sequence[int]], bool]:
+def _keeps_meet_irreducibles(ctx: StandardContext) -> Callable[[Sequence[int]], bool]:
     """The test of the standard context (J, M): whether a permutation psi of
-    the points sends the J-sets of the meet-irreducibles, the elements with
-    one upper cover, onto themselves.
+    the points sends the J-sets of the meet-irreducibles onto themselves.
 
     In a lattice such a psi and the map it induces on the meet-irreducibles
     keep the incidence of the context, so psi extends to an automorphism
     (Ganter and Wille, ch. 1); in a poset that is no lattice it need not.
     """
-    sets = {ctx.J[x] for x, above in enumerate(ctx.upper) if len(above) == 1}
+    sets = ctx.extents
     rows = list(map(_bits, sets))
     shifted = (1).__lshift__
     return lambda psi: all(sum(map(shifted, map(psi.__getitem__, r))) in sets for r in rows)
 
 
-def _search(ctx: AbstractLattice) -> StabiliserChain:
+def _search(ctx: StandardContext) -> StabiliserChain:
     """The search of ``automorphism_group``: the group S of the point maps
     that keep the colours, the order of the points and (J, M).
 
     The maps that keep each of the three form a group, and the levels are
     completed over all candidates, so the chain is S exactly.  Every
-    automorphism keeps all three, so S holds LatAut on any poset the bare
-    lattice accepts.
+    automorphism of the context keeps all three, the seeds being invariants,
+    so S is the context's automorphism group; on a bare lattice it holds
+    LatAut on any poset the bare lattice accepts.
     """
     accept = _keeps_meet_irreducibles(ctx)
     under, over = _point_masks(ctx)
@@ -431,7 +444,9 @@ def induced_permutation(phi: Perm, lat: Lattice) -> Perm:
     return _induced_by_atoms(phi, factor_atoms(lat), lat.spec)
 
 
-def _induced_by_atoms(phi: Perm, atoms: list[int], spec: TowerGroupSpec) -> Perm:
+def _induced_by_atoms(phi: Perm | dict[int, int], atoms: list[int], spec: TowerGroupSpec) -> Perm:
+    """The slot permutation phi induces on the factor atoms, given per slot
+    as elements or as J-sets; ``phi[atom]`` is an atom's image."""
     slot_of_atom = {atom: s for s, atom in enumerate(atoms)}
     mapping = [0] * spec.num_slots
     for s, atom in enumerate(atoms):
@@ -492,57 +507,54 @@ def _adjacent_transpositions(spec: TowerGroupSpec) -> list[Perm]:
     return gens
 
 
-def verify_product_formula(lat: Lattice) -> ProductFormulaReport:
-    """Check that LatAut(N(G)) is exactly the class-preserving slot group.
+def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
+    """Check that LatAut(N(G)) is exactly the class-preserving slot group, G being ``spec``.
 
-    G is ``lat.spec``, and the lattice comes built: ``searchable_lattice``
-    bounds its size before enumerating it.
+    N(G) is not enumerated: the check reads its standard context (J, M) in
+    closed form (``closed_form_context``), whose size is 2^T + T + a4 - 1
+    points for T slots.  TooLarge is raised past ``MAX_CONTEXT_SLOTS``
+    slots; ``aut`` checks the slot and lattice-size bounds by the census
+    before calling this.
 
-    Three orders must agree: a4! * b!, the order of a searched chain, and
+    Three orders must agree: a4! * b!, the order of the searched chain, and
     the order Schreier-Sims finds for the group T generated by the maps tau
     of the adjacent transpositions of class-A and of class-B slots (which
-    generate S_a4 x S_B), restricted to the join-irreducibles, where
-    automorphisms act faithfully.  Additionally every such tau must permute
-    the join-irreducibles, sift through the searched chain there, be an
-    automorphism, and induce its own slot permutation back.
+    generate S_a4 x S_B), acting on the points.  Additionally every such tau
+    must be a permutation of the points that keeps (J, M), sift through the
+    searched chain, and send the factor atoms' J-sets {V_s, A_s, P_(e_s)} as
+    its own slot permutation does.
 
-    Tau is checked to be an automorphism by one pass over the covers: it
-    must be a bijection of the elements that sends each element's lower
-    covers exactly onto those of its image (``AbstractLattice.keeps_covers``).
-    Such a bijection is an order automorphism, and it is the extension of
-    its restriction, since J is one-to-one.  So T <= LatAut.
-
-    The chain is the searched group S of ``automorphism_group``, the point
-    maps that keep the colours, the order of the points and the J-sets of
-    the meet-irreducibles, so T <= LatAut <= S.  When T and S both have
-    order a4! * b! and T sifts through S, the three are one group, and no
-    generator of S need be extended.  That rests on the lower bound T, not
-    on the colours, and holds on any poset the bare lattice accepts.  On a
-    mismatch the chain is certified as ``automorphism_group`` certifies it,
-    so the searched order reported is LatAut's.
+    The chain is the searched group S, the point maps that keep the colours,
+    the order of the points and (J, M).  The seeds are read off the context
+    alone, so S is the automorphism group of the context, which is LatAut
+    (Ganter and Wille, ch. 1).  A tau that keeps (J, M) lies in it, so
+    T <= LatAut = S, and equal orders with T sifting through S make them
+    one group.  No generator is extended: there are no elements to extend
+    to.
     """
-    spec, ctx = lat.spec, lat.context
+    ctx = closed_form_context(spec)
     chain = _search(ctx)
     predicted = factorial(spec.a4) * factorial(spec.b)
 
-    atoms = factor_atoms(lat)
     sigmas = _adjacent_transpositions(spec)
-    taus = [tau_on_lattice(sigma, lat) for sigma in sigmas]
+    taus = [slot_action(spec, sigma) for sigma in sigmas]
+    perms = [psi for psi in taus if sorted(psi) == list(range(chain.n))]
+    keeps = _keeps_meet_irreducibles(ctx)
+    atoms = [ctx.under[k] for k in factor_atom_points(spec)]
     round_trip_ok = all(
-        _induced_by_atoms(phi, atoms, spec) == sigma for phi, sigma in zip(taus, sigmas)
+        _induced_by_atoms({a: sum(1 << psi[k] for k in _bits(a)) for a in atoms}, atoms, spec)
+        == sigma
+        for psi, sigma in zip(taus, sigmas)
     )
-    restricted = [ctx.restrict(phi) for phi in taus]
-    constructive = schreier_sims((psi for psi in restricted if psi is not None), chain.n).order
+    constructive = schreier_sims(perms, chain.n).order
 
     match = (
         constructive == predicted == chain.order
+        and len(perms) == len(taus)
         and round_trip_ok
-        and None not in restricted
-        and all(psi in chain for psi in restricted)
-        and all(map(ctx.keeps_covers, taus))
+        and all(map(keeps, perms))
+        and all(psi in chain for psi in perms)
     )
-    if not match:
-        _certified(ctx, chain)
     labels = tuple(s.label for s in spec.slots)
     return ProductFormulaReport(
         spec=format_spec(spec),

@@ -29,7 +29,8 @@ from .errors import (
 from .autgroup import (
     DEFAULT_MAX_LATTICE,
     automorphism_group,
-    searchable_lattice,
+    bounded_lattice,
+    check_lattice_size,
     verify_product_formula,
 )
 from .group_spec import ChainPosition, format_spec, parse_spec
@@ -90,8 +91,9 @@ _OPTIONS = {
     "--max-lattice": dict(
         type=_bound,
         default=DEFAULT_MAX_LATTICE,
-        help="most elements of N(G) that aut, hasse and enumerate --format json build "
-        "(default %(default)s); enumerate as text and hasse on a small-group name ignore it",
+        help="most elements of N(G) that hasse and enumerate --format json build, and that "
+        "aut admits by the census (default %(default)s); enumerate as text and hasse on a "
+        "small-group name ignore it",
     ),
 }
 
@@ -161,7 +163,7 @@ def _json_dump(data) -> str:
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
-        lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+        lat = bounded_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
         _emit(_lattice_json(lat), args.out)
         return 0
     c = census_of(spec, max_slots=args.max_slots)
@@ -182,8 +184,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_aut(args) -> int:
     spec = parse_spec(args.spec)
-    lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
-    report = verify_product_formula(lat)
+    check_lattice_size(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+    report = verify_product_formula(spec)
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
@@ -338,7 +340,7 @@ def cmd_hasse(args) -> int:
         _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
         return 0
     spec = parse_spec(args.spec)
-    lat = searchable_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+    lat = bounded_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
     _emit(_dot_of_lattice(lat), args.out)
     return 0
 

@@ -33,6 +33,7 @@ from math import comb, factorial, prod
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .context import StandardContext, point_counts
 from .errors import (
     InvalidProfile,
     SpecMismatch,
@@ -725,12 +726,12 @@ class AbstractLattice:
         to the point psi(x), and any other element to the one whose lower
         covers are the images of its own, found under its two lowest in
         ``_by_low_covers``.  Each image is kept only if its whole lower-cover
-        row is the sorted images of x's lower covers, the test
-        ``keeps_covers`` makes per element.  The map is then a bijection, by
-        induction along ``order``: points go to distinct points, and two
-        other elements with one image would have the same lower covers, hence
-        the same J-set, and J is one-to-one.  So a map that passes is an
-        automorphism of the covers, and an automorphism passes every step.
+        row is the sorted images of x's lower covers.  The map is then a
+        bijection, by induction along ``order``: points go to distinct
+        points, and two other elements with one image would have the same
+        lower covers, hence the same J-set, and J is one-to-one.  So a map
+        that passes is an automorphism of the covers, and an automorphism
+        passes every step.
         """
         m = len(self.irreducibles)
         if sorted(psi) != list(range(m)):
@@ -758,18 +759,15 @@ class AbstractLattice:
             image[x] = y
         return tuple(image)
 
-    def keeps_covers(self, image: Sequence[int]) -> bool:
-        """Whether ``image`` is a bijection of 0..n-1 that sends each element's
-        lower covers exactly onto those of its image.
-
-        Such a bijection and its inverse send covers to covers: it is an
-        automorphism of the order and permutes the points.  ``extend`` tests
-        this per element, so it returns ``image`` from its restriction.
-        """
-        if sorted(image) != list(range(self.n)):
-            return False
-        lower, moved = self.lower, image.__getitem__
-        return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
+    def standard_context(self) -> StandardContext:
+        """(J, M) read off the covers: the points' J-sets and those of the
+        elements with one upper cover, the meet-irreducibles.  A point's seed
+        is its number of upper covers and the numbers of points strictly
+        below and above it."""
+        under = [self.J[x] for x in self.irreducibles]
+        extents = frozenset(self.J[x] for x, above in enumerate(self.upper) if len(above) == 1)
+        seeds = zip((len(self.upper[x]) for x in self.irreducibles), *point_counts(under))
+        return StandardContext(tuple(under), extents, tuple(seeds))
 
     def restrict(self, g: Perm) -> Perm | None:
         """The permutation g induces on the points, or None if it does not permute them."""

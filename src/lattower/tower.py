@@ -18,8 +18,9 @@ from typing import Union
 
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, spec_of_degrees
-from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice, Lattice
-from .autgroup import DEFAULT_MAX_LATTICE, automorphism_group, searchable_lattice
+from .context import closed_form_context
+from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice
+from .autgroup import DEFAULT_MAX_LATTICE, _search, automorphism_group, check_lattice_size
 from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
@@ -155,25 +156,27 @@ class StepReport:
         return asdict(self)
 
 
-def _node_lattice(
-    node: TowerNode, max_order: int, max_slots: int, max_size: int
-) -> Lattice | AbstractLattice:
-    """The normal-subgroup lattice of the node's group.
+def _node_order(node: TowerNode, max_order: int, max_slots: int, max_size: int) -> int:
+    """The order of the searched automorphism group of the node's normal-subgroup lattice.
 
-    Tower groups go through the triple enumeration, and only when their
-    closed-form census fits the search bound, so an oversized node costs no
-    enumeration and no order relation; anything with a C2 factor goes
-    through the permutation oracle; the trivial group is a single point.
+    Tower groups are searched on their standard context in closed form, and
+    only when their closed-form census fits the lattice bound, so no element
+    is enumerated; anything with a C2 factor goes through the permutation
+    oracle and ``automorphism_group``; the trivial group is a single point.
     TooLarge propagates to the caller.
     """
     if isinstance(node, StartNode):
-        return searchable_lattice(node.spec, max_slots=max_slots, max_size=max_size)
-    degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
-    if not degrees:
-        return AbstractLattice([[]])
-    if degrees[0] == 2:
-        return normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
-    return searchable_lattice(spec_of_degrees(degrees), max_slots=max_slots, max_size=max_size)
+        spec = node.spec
+    else:
+        degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
+        if not degrees:
+            return automorphism_group(AbstractLattice([[]])).order
+        if degrees[0] == 2:
+            poset = normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
+            return automorphism_group(poset).order
+        spec = spec_of_degrees(degrees)
+    check_lattice_size(spec, max_slots=max_slots, max_size=max_size)
+    return _search(closed_form_context(spec)).order
 
 
 def verify_step_against_lattice(
@@ -185,17 +188,17 @@ def verify_step_against_lattice(
     """Check one latauto_step answer against the searched automorphism group.
 
     The step claims LatAut of the node is S_a x S_b of order a! * b!; the
-    check recomputes the node's lattice and reads the order of its
-    automorphism group off the stabiliser chain of the order-only search
-    (``automorphism_group``), without listing the automorphisms.  Nodes
+    check recomputes the node's lattice, or for a tower group its standard
+    context in closed form, and reads the order of its automorphism group
+    off the stabiliser chain of the order-only search (``_search``, or
+    ``automorphism_group`` on a lattice), without listing the automorphisms.  Nodes
     beyond the size bounds are reported as skipped, with ``match`` None,
     rather than guessed at.
     """
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
-        abstract = _node_lattice(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
-        observed = automorphism_group(abstract).order
+        observed = _node_order(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
     except TooLarge as exc:
         return StepReport(
             node=format_node(node),

@@ -131,30 +131,35 @@ PRODUCT_FORMULA_CASES = {
     "S3^6": 720,
     "S4^3*S3^3": 36,
 }
-# Up to isomorphism the lattice depends only on the shape (a4, B): every
-# shape with 1 <= a4 + B <= 6, realised with degrees 4 and 3.  27 lattices,
-# at most 15,541 elements (S4^6).
-SHAPE_SPECS = tuple(
-    format_spec(spec_of_degrees((4,) * a4 + (3,) * (t - a4)))
-    for t in range(1, 7)
-    for a4 in range(t + 1)
-)
+def _shape_specs(max_slots: int) -> tuple[str, ...]:
+    """Every shape (a4, B) with 1 <= a4 + B <= max_slots, realised with degrees 4 and 3."""
+    return tuple(
+        format_spec(spec_of_degrees((4,) * a4 + (3,) * (t - a4)))
+        for t in range(1, max_slots + 1)
+        for a4 in range(t + 1)
+    )
 
 
-def test_criterion_3_product_formula(lattices):
+# Up to isomorphism the lattice depends only on the shape (a4, B).  The 27
+# shapes with at most 6 slots, at most 15,541 elements (S4^6), are the ones
+# the referees enumerate.
+SHAPE_SPECS = _shape_specs(6)
+
+
+def test_criterion_3_product_formula():
     with criterion(3, "automorphism product formula", 60.0):
+        # on the closed-form context: no lattice is enumerated
         cases = [
-            (text, expected, verify_product_formula(lattices.get(text)))
+            (text, expected, verify_product_formula(parse_spec(text)))
             for text, expected in PRODUCT_FORMULA_CASES.items()
         ]
-        # 11,384 and 59,866 elements; S3^7 is built here and dropped, not
-        # kept in the lattice cache
-        cases.append(("S4^4*S3^2", 48, verify_product_formula(lattices.get("S4^4*S3^2"))))
-        cases.append(("S3^7", 5040, verify_product_formula(enumerate_lattice(parse_spec("S3^7")))))
-        # the shapes, each built here and dropped
-        for text in SHAPE_SPECS:
+        cases.append(("S4^4*S3^2", 48, verify_product_formula(parse_spec("S4^4*S3^2"))))
+        cases.append(("S3^7", 5040, verify_product_formula(parse_spec("S3^7"))))
+        # the 54 shapes with at most 9 slots, up to S3^9 (13.4 million
+        # elements) and contexts of 520 to 529 points
+        for text in _shape_specs(9):
             spec = parse_spec(text)
-            report = verify_product_formula(enumerate_lattice(spec))
+            report = verify_product_formula(spec)
             cases.append((text, factorial(spec.a4) * factorial(spec.b), report))
         for text, expected, report in cases:
             assert report.match, text

@@ -1,10 +1,12 @@
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
 
-from lattower import autgroup, lattice_core
+from lattower import autgroup, context, lattice_core
 from lattower.autgroup import (
+    ProductFormulaReport,
     automorphism_group,
     brute_force_automorphisms,
     complemented_elements,
@@ -14,10 +16,11 @@ from lattower.autgroup import (
     tau_on_lattice,
     verify_product_formula,
 )
-from lattower.errors import ClassViolation, LatTowerError
+from lattower.errors import ClassViolation, LatTowerError, TooLarge
 from lattower.gf2 import _bits, iter_subspaces, span
 from lattower.group_spec import ChainPosition as CP
-from lattower.group_spec import chain, parse_spec
+from lattower.context import closed_form_context, factor_atom_points
+from lattower.group_spec import chain, format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import (
     AbstractLattice,
     Profile,
@@ -316,13 +319,32 @@ def test_brute_force_on_pentagon():
     assert len(autos) == 1
 
 
+def _point_colours(ctx):
+    """The search's colours of a bare lattice's points, read off the
+    standard context of its covers."""
+    context = ctx.standard_context()
+    return autgroup._refined_classes(context, *autgroup._point_masks(context))
+
+
+def _reference_keeps_covers(ctx, image):
+    """Whether ``image`` is a bijection of the elements that sends each
+    element's lower covers exactly onto those of its image: the whole-lattice
+    check the product formula made before it read the closed-form context.
+    Such a bijection and its inverse send covers to covers, so it is an
+    automorphism of the order, and it is the extension of its restriction."""
+    if sorted(image) != list(range(ctx.n)):
+        return False
+    lower, moved = ctx.lower, image.__getitem__
+    return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
+
+
 def _listing_search(a):
     """The join-irreducible search that listed every automorphism, kept as
     the referee for the orbit-pruned search on lattices too large for the
     search over every element: it extends every consistent assignment of
     the join-irreducibles and keeps those that extend."""
     ctx = a.context
-    colours = autgroup._refined_classes(ctx, *autgroup._point_masks(ctx))
+    colours = _point_colours(ctx)
     m = len(colours)
     candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
     order = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
@@ -451,6 +473,76 @@ def test_w_ids_and_bases_match_the_basis_interning(text, request):
     assert (lat.wids, lat.bases) == _reference_w_ids(lat)
 
 
+def _closed_form_elements(lat):
+    """The element of each point of the closed-form context, in its order,
+    found by its profile: V_s and A_s with W = 0, and P_v, FULL on supp v
+    with W = <v>."""
+    spec, n = lat.spec, lat.spec.num_slots
+
+    def index(eff, rows):
+        return lat.index_of_profile(Profile(spec, tuple(eff), span(n, rows)))
+
+    def at(s, p):
+        return [p if t == s else CP.TRIV for t in range(n)]
+
+    out = [index(at(s, CP.V), []) for s, d in enumerate(spec.degrees) if d == 4]
+    out += [index(at(s, CP.ALT), []) for s in range(n)]
+    for v in range(1, 1 << n):
+        out.append(index([CP.FULL if v >> s & 1 else CP.TRIV for s in range(n)], [v]))
+    return out
+
+
+def _assert_the_closed_form_is_the_enumerated_context(lat):
+    """The closed-form context is that of the lattice's covers, point for
+    point by profile: the same points, J-sets and meet-irreducible J-sets;
+    its slot action is tau on the points, and its factor atoms are
+    ``factor_atoms``."""
+    spec, ctx, a = lat.spec, closed_form_context(lat.spec), lat.context
+    elements = _closed_form_elements(lat)
+    assert sorted(elements) == a.irreducibles
+    point_of = {a.point[x]: k for k, x in enumerate(elements)}
+
+    def ours(j_set):
+        return sum(1 << point_of[k] for k in _bits(j_set))
+
+    assert [ours(a.J[x]) for x in elements] == list(ctx.under)
+    extents = [ours(a.J[x]) for x, above in enumerate(a.upper) if len(above) == 1]
+    assert len(extents) == len(ctx.extents) and set(extents) == ctx.extents
+    for sigma in autgroup._adjacent_transpositions(spec):
+        tau = tau_on_lattice(sigma, lat)
+        on_points = tuple(point_of[a.point[tau[x]]] for x in elements)
+        assert autgroup.slot_action(spec, sigma) == on_points
+    assert [elements[k] for k in factor_atom_points(spec)] == factor_atoms(lat)
+
+
+@pytest.mark.parametrize("text", CRITERION_3_SPECS)
+def test_the_closed_form_context_is_the_enumerated_one_on_criterion_3_lattices(text, request):
+    _assert_the_closed_form_is_the_enumerated_context(_criterion_3_lattice(text, request))
+
+
+# every spec with degrees 3 to 7 and at most four slots: 125 specs
+MIXED_DEGREE_SPECS = [
+    format_spec(spec_of_degrees(degrees))
+    for t in range(1, 5)
+    for degrees in combinations_with_replacement((3, 4, 5, 6, 7), t)
+]
+
+
+@pytest.mark.parametrize("text", MIXED_DEGREE_SPECS)
+def test_the_closed_form_context_is_the_enumerated_one_on_mixed_degrees(text):
+    _assert_the_closed_form_is_the_enumerated_context(enumerate_lattice(parse_spec(text)))
+
+
+def test_the_closed_form_context_has_its_counted_points():
+    assert len(MIXED_DEGREE_SPECS) == 125
+    for text in ("1", "S5", "S4", "S3^9", "S4^3*S3^6", "S4^9"):
+        spec = parse_spec(text)
+        ctx = closed_form_context(spec)
+        assert len(ctx.under) == len(ctx.seeds) == 2**spec.num_slots + spec.num_slots + spec.a4 - 1
+        per_slot = sum(3 if d == 4 else 2 for d in spec.degrees)
+        assert len(ctx.extents) == per_slot + 2**spec.num_slots - spec.num_slots - 1
+
+
 def test_search_agrees_with_the_mask_search_on_small_lattices():
     for a in _small_lattices():
         _assert_search_matches_the_mask_search(a, a)
@@ -467,8 +559,9 @@ def _reference_unpruned_search(ctx):
     """The search as it was before the prefix masks: each placement checked
     bit by bit against every earlier base point, the fixed ones included.
     The base, candidates and level order are the search's own."""
-    under, over = autgroup._point_masks(ctx)
-    colours = autgroup._refined_classes(ctx, under, over)
+    context = ctx.standard_context()
+    under, over = autgroup._point_masks(context)
+    colours = autgroup._refined_classes(context, under, over)
     m = len(colours)
     buckets = {}
     for k, c in enumerate(colours):
@@ -582,7 +675,7 @@ def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=
     (exact) or more coarsely, and every automorphism (n-point maps) and
     every generator of the searched chain keeps them."""
     ctx = lattice.context
-    colours = autgroup._refined_classes(ctx, *autgroup._point_masks(ctx))
+    colours = _point_colours(ctx)
     assert len(colours) == len(ctx.irreducibles)
     reference = _reference_element_refinement(ctx)
     ours = _colour_classes(colours)
@@ -878,7 +971,7 @@ def _reference_extend_by_j_sets(ctx, psi, by_j=None):
         image = tuple(map(by_j.__getitem__, lattice_core._fold(ctx.order, ctx.lower, sets)))
     except KeyError:
         return None
-    return image if ctx.keeps_covers(image) else None
+    return image if _reference_keeps_covers(ctx, image) else None
 
 
 def _assert_extend_matches_the_references(ctx, rng, is_lattice=True, chain=None):
@@ -888,7 +981,7 @@ def _assert_extend_matches_the_references(ctx, rng, is_lattice=True, chain=None)
     colour classes."""
     m = len(ctx.irreducibles)
     generators = (chain or automorphism_group(ctx)).generators
-    classes = _colour_classes(autgroup._refined_classes(ctx, *autgroup._point_masks(ctx)))
+    classes = _colour_classes(_point_colours(ctx))
     maps = list(generators)
     for _ in range(100):
         maps.append(tuple(rng.sample(range(m), m)))
@@ -971,7 +1064,8 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
     for a in _small_lattices() + [_random_lattice(rng) for _ in range(200)]:
         ctx = a.context
         _assert_the_context_chain_is_the_exact_chain(ctx)
-        accept, m = autgroup._keeps_meet_irreducibles(ctx), len(ctx.irreducibles)
+        accept = autgroup._keeps_meet_irreducibles(ctx.standard_context())
+        m = len(ctx.irreducibles)
         maps = permutations(range(m)) if m <= 6 else (rng.sample(range(m), m) for _ in range(100))
         for psi in maps:
             assert accept(psi) == (ctx.extend(psi) is not None), psi
@@ -1018,7 +1112,7 @@ CONTEXT_CHAIN_TOO_LARGE = (
 
 def test_the_certificate_refuses_a_poset_whose_context_chain_is_too_large():
     poset = _poset(CONTEXT_CHAIN_TOO_LARGE)
-    assert autgroup._search(poset).order == 10
+    assert autgroup._search(poset.standard_context()).order == 10
     assert len(_reference_automorphisms(poset)) == 2
     assert _reference_unpruned_search(poset).order == 2
     for search in automorphism_group, brute_force_automorphisms:
@@ -1042,7 +1136,7 @@ def test_random_non_lattices_are_searched_exactly_or_refused(rng):
             assert "not a lattice" in str(error)
             assert not _is_lattice(poset)
             assert _reference_unpruned_search(poset).order == len(reference)
-            assert autgroup._search(poset).order > len(reference)
+            assert autgroup._search(poset.standard_context()).order > len(reference)
             continue
         assert found == reference
 
@@ -1052,8 +1146,8 @@ def test_the_colours_refuse_every_map_only_the_context_test_accepts(masks, found
     # on these non-lattices the context test alone accepts maps that are no
     # automorphism, but none of them keeps the colours, so none reaches it
     poset = _poset(masks)
-    accept = autgroup._keeps_meet_irreducibles(poset)
-    colours = autgroup._refined_classes(poset, *autgroup._point_masks(poset))
+    accept = autgroup._keeps_meet_irreducibles(poset.standard_context())
+    colours = _point_colours(poset)
     m = len(poset.irreducibles)
     wrong = [
         psi for psi in permutations(range(m)) if accept(psi) and poset.extend(psi) is None
@@ -1068,11 +1162,17 @@ def test_brute_force_output_is_sorted_with_identity_first():
     assert autos == sorted(autos)
 
 
-def test_the_product_formula_builds_no_order_relation():
-    lat = enumerate_lattice(parse_spec("S4^2*S3^2"))
-    assert verify_product_formula(lat).match
-    assert not {"down_masks", "up_masks"} & set(vars(lat))
-    assert not {"down", "up", "covers"} & set(vars(lat.context))
+def _refuse(*args, **kwargs):
+    raise AssertionError("a lattice was built")
+
+
+def test_the_product_formula_builds_no_order_relation(monkeypatch):
+    # nor any lattice at all: no enumeration, no covers, no bare lattice
+    monkeypatch.setattr(lattice_core, "enumerate_lattice", _refuse)
+    monkeypatch.setattr(autgroup, "enumerate_lattice", _refuse)
+    monkeypatch.setattr(lattice_core.Lattice, "up_covers", _refuse)
+    monkeypatch.setattr(AbstractLattice, "__init__", _refuse)
+    assert verify_product_formula(parse_spec("S4^2*S3^2")).match
 
 
 def test_brute_force_finds_only_order_maps(lattices):
@@ -1405,40 +1505,58 @@ def test_induced_permutation_round_trip(lattices):
     "text, count",
     [("S3^2", 2), ("S3*S4", 1), ("S4^2", 2)],
 )
-def test_product_formula_small(text, count, lattices):
-    report = verify_product_formula(lattices.get(text))
+def test_product_formula_small(text, count):
+    report = verify_product_formula(parse_spec(text))
     assert report.match
     assert report.predicted_order == count
     assert report.brute_force_order == count
     assert report.constructive_order == count
 
 
-def test_product_formula_generators(lattices):
-    report = verify_product_formula(lattices.get("S3^2"))
+def test_product_formula_generators():
+    report = verify_product_formula(parse_spec("S3^2"))
     assert report.generators == ("(3.1 3.2)",)
-    report = verify_product_formula(lattices.get("S3*S4"))
+    report = verify_product_formula(parse_spec("S3*S4"))
     assert report.generators == ()
 
 
-def test_product_formula_json(lattices):
-    report = verify_product_formula(lattices.get("S3^2"))
+def test_product_formula_json():
+    report = verify_product_formula(parse_spec("S3^2"))
     d = report.to_json_dict()
     assert d["spec"] == "S3^2"
     assert d["match"] is True
     assert d["predicted_order"] == 2
 
 
-def test_product_formula_scans_factor_atoms_once(lattices, monkeypatch):
+def test_product_formula_scans_factor_atoms_once(monkeypatch):
     calls = []
+    real = autgroup.factor_atom_points
 
-    def counting_factor_atoms(lat):
-        calls.append(lat)
-        return factor_atoms(lat)
+    def counting_factor_atoms(spec):
+        calls.append(spec)
+        return real(spec)
 
-    monkeypatch.setattr(autgroup, "factor_atoms", counting_factor_atoms)
-    report = verify_product_formula(lattices.get("S3^3"))
+    monkeypatch.setattr(autgroup, "factor_atom_points", counting_factor_atoms)
+    report = verify_product_formula(parse_spec("S3^3"))
     assert report.match and report.constructive_order == 6
     assert len(calls) == 1
+
+
+def test_the_closed_form_context_stops_at_its_slot_bound(monkeypatch):
+    # the search recurses once per point: nine slots give at most 529 points,
+    # and ten are refused before a single one is built
+    assert len(closed_form_context(parse_spec("S4^9")).under) == 529
+
+    def must_not_layout(spec):
+        raise AssertionError("points were laid out")
+
+    monkeypatch.setattr(context, "_layout", must_not_layout)
+    message = r"^10 slots exceeds the closed-form context bound 9: .* \(ROADMAP item 3\(a\)\)$"
+    for text in ("S3^10", "S4^5*S3^5"):
+        with pytest.raises(TooLarge, match=message):
+            verify_product_formula(parse_spec(text))
+    with pytest.raises(TooLarge, match="^12 slots exceeds the closed-form context bound 9"):
+        verify_product_formula(parse_spec("S3^12"))
 
 
 def _count_contexts(monkeypatch) -> list[int]:
@@ -1456,14 +1574,21 @@ def _count_contexts(monkeypatch) -> list[int]:
 
 
 def test_product_formula_builds_one_context_per_lattice(monkeypatch):
+    # one closed-form context of 2^T + T + a4 - 1 points per call, and no
+    # bare lattice
     built = _count_contexts(monkeypatch)
-    for text in ("S3^3", "S4^2*S3"):
-        assert verify_product_formula(enumerate_lattice(parse_spec(text))).match
-    assert built == [38, 61]
-    lat = enumerate_lattice(parse_spec("S4*S3^2"))
-    for _ in range(2):
-        assert verify_product_formula(lat).match
-    assert built == [38, 61, len(lat)]
+    points, real = [], autgroup.closed_form_context
+
+    def counting(spec):
+        ctx = real(spec)
+        points.append(len(ctx.under))
+        return ctx
+
+    monkeypatch.setattr(autgroup, "closed_form_context", counting)
+    for text in ("S3^3", "S4^2*S3", "S4*S3^2", "S4*S3^2"):
+        assert verify_product_formula(parse_spec(text)).match
+    assert points == [10, 12, 11, 11]
+    assert built == []
 
 
 @pytest.mark.parametrize("abstract", [False, True])
@@ -1481,54 +1606,115 @@ def test_the_search_and_the_checks_share_one_context(abstract, monkeypatch):
     assert lattice.context is lat.context is lat.to_abstract()
 
 
-def _identity_tau(real, sigma, lat):
-    return tuple(range(len(lat)))
+def _identity_tau(real, spec, sigma):
+    return real(spec, tuple(range(spec.num_slots)))
 
 
-def _swap_bottom_and_top(real, sigma, lat):
-    mapping = list(real(sigma, lat))
-    b, t = _bottom_index(lat), _top_index(lat)
-    mapping[b], mapping[t] = mapping[t], mapping[b]
+def _swap_the_last_two_points(real, spec, sigma):
+    # P_(0, 1, 1) and P_(1, 1, 1) of S3^3 trade images: still a permutation
+    # of the points that sends the factor atoms as sigma does, but it breaks
+    # (J, M)
+    mapping = list(real(spec, sigma))
+    mapping[-2], mapping[-1] = mapping[-1], mapping[-2]
     return tuple(mapping)
 
 
-def _tau_of_the_mirror_image(real, sigma, lat):
+def _tau_of_the_mirror_image(real, spec, sigma):
     # the same generators in another order: only the round trip can tell
     rho = tuple(reversed(range(len(sigma))))
-    return real(_compose(_compose(rho, sigma), rho), lat)
+    return real(spec, _compose(_compose(rho, sigma), rho))
 
 
 @pytest.mark.parametrize(
     "wrong",
-    [_identity_tau, _swap_bottom_and_top, _tau_of_the_mirror_image],
+    [_identity_tau, _swap_the_last_two_points, _tau_of_the_mirror_image],
     ids=["identity", "non-member", "another-transposition"],
 )
-def test_product_formula_fails_on_a_wrong_tau(wrong, lattices, monkeypatch):
-    real = autgroup.tau_on_lattice
-    monkeypatch.setattr(autgroup, "tau_on_lattice", lambda sigma, lat: wrong(real, sigma, lat))
-    lat = lattices.get("S3^3")
-    generators = automorphism_group(lat).generators
+def test_product_formula_fails_on_a_wrong_tau(wrong, monkeypatch):
+    real = autgroup.slot_action
+    monkeypatch.setattr(autgroup, "slot_action", lambda spec, sigma: wrong(real, spec, sigma))
     extended = _recording_extensions(monkeypatch)
-    report = verify_product_formula(lat)
+    report = verify_product_formula(parse_spec("S3^3"))
     assert not report.match
-    # the mismatch certified the searched chain by extending each generator
-    # once, so the order reported is LatAut's
-    assert extended == generators
+    # the searched chain is the context's automorphism group, with nothing
+    # extended, so the order reported is LatAut's on a mismatch too
+    assert extended == []
     assert report.brute_force_order == 6
 
 
-def test_product_formula_fails_on_too_few_generators(lattices, monkeypatch):
+def test_the_wrong_taus_fail_each_check_they_should(monkeypatch):
+    spec = parse_spec("S3^3")
+    ctx = autgroup.closed_form_context(spec)
+    chain, keeps = autgroup._search(ctx), autgroup._keeps_meet_irreducibles(ctx)
+    sigma = (1, 0, 2)
+    real = autgroup.slot_action(spec, sigma)
+    swapped = _swap_the_last_two_points(autgroup.slot_action, spec, sigma)
+    assert keeps(real) and real in chain
+    assert not keeps(swapped) and swapped not in chain
+    mirrored = _tau_of_the_mirror_image(autgroup.slot_action, spec, sigma)
+    assert keeps(mirrored) and mirrored in chain and mirrored != real
+
+
+def test_product_formula_fails_on_too_few_generators(monkeypatch):
     # every tau checks out, but (3.1 3.2) alone generates a group of order 2
     adjacent = autgroup._adjacent_transpositions
     monkeypatch.setattr(autgroup, "_adjacent_transpositions", lambda spec: adjacent(spec)[:1])
-    report = verify_product_formula(lattices.get("S3^3"))
+    report = verify_product_formula(parse_spec("S3^3"))
     assert (report.brute_force_order, report.constructive_order) == (6, 2)
     assert not report.match
 
 
+def _reference_product_formula(lat):
+    """The product-formula check as it ran on the enumerated lattice, before
+    the closed-form context: the search on the context of the lattice's
+    covers, the maps tau over every element, each checked by one pass over
+    the covers, and the factor atoms found by a pass over the J-sets.  On a
+    mismatch the chain is certified by extending each generator."""
+    spec, ctx = lat.spec, lat.context
+    chain = autgroup._search(ctx.standard_context())
+    predicted = factorial(spec.a4) * factorial(spec.b)
+    atoms = factor_atoms(lat)
+    sigmas = autgroup._adjacent_transpositions(spec)
+    taus = [autgroup.tau_on_lattice(sigma, lat) for sigma in sigmas]
+    round_trip_ok = all(
+        autgroup._induced_by_atoms(phi, atoms, spec) == sigma for phi, sigma in zip(taus, sigmas)
+    )
+    restricted = [ctx.restrict(phi) for phi in taus]
+    constructive = schreier_sims((psi for psi in restricted if psi is not None), chain.n).order
+    match = (
+        constructive == predicted == chain.order
+        and round_trip_ok
+        and None not in restricted
+        and all(psi in chain for psi in restricted)
+        and all(_reference_keeps_covers(ctx, phi) for phi in taus)
+    )
+    if not match:
+        autgroup._certified(ctx, chain)
+    labels = tuple(s.label for s in spec.slots)
+    return ProductFormulaReport(
+        spec=format_spec(spec),
+        a4=spec.a4,
+        b=spec.b,
+        predicted_order=predicted,
+        brute_force_order=chain.order,
+        constructive_order=constructive,
+        match=match,
+        generators=tuple(cycle_notation(sigma, labels) for sigma in sigmas),
+    )
+
+
+@pytest.mark.parametrize("text", [*SHAPE_SPECS, "S3^7"])
+def test_the_whole_lattice_check_agrees_with_the_closed_form(text, request):
+    lat = _criterion_3_lattice(text, request)
+    report = verify_product_formula(lat.spec)
+    assert report.match
+    assert _reference_product_formula(lat) == report
+
+
 def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch):
-    # every tau conjugated by a swap pi of two elements that are neither
-    # join-irreducibles nor factor atoms: the maps still generate a group of
+    # the whole-lattice check's own referee: every tau conjugated by a swap
+    # pi of two elements that are neither join-irreducibles nor factor
+    # atoms: the maps still generate a group of
     # order 6 and agree with the real tau on the factor atoms and on every
     # join-irreducible, so the order checks, the round trip and the sift of
     # the restrictions pass, but they are not automorphisms, and only the
@@ -1550,12 +1736,13 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
         mapping = real(sigma, lat)
         return tuple(pi[mapping[pi[i]]] for i in range(len(lat)))
 
+    assert _reference_product_formula(lat).match
     monkeypatch.setattr(autgroup, "tau_on_lattice", conjugated)
     psi = ctx.restrict(conjugated((1, 0, 2), lat))
     assert psi in chain
     assert ctx.extend(psi) != conjugated((1, 0, 2), lat)
-    assert not ctx.keeps_covers(conjugated((1, 0, 2), lat))
-    report = verify_product_formula(lat)
+    assert not _reference_keeps_covers(ctx, conjugated((1, 0, 2), lat))
+    report = _reference_product_formula(lat)
     assert (report.brute_force_order, report.constructive_order) == (6, 6)
     assert not report.match
 
@@ -1565,7 +1752,7 @@ def _cover_pass_and_extension(ctx, phi):
     the map equals the extension of its restriction to the points."""
     psi = ctx.restrict(phi)
     return (
-        psi is not None and ctx.keeps_covers(phi),
+        psi is not None and _reference_keeps_covers(ctx, phi),
         psi is not None and ctx.extend(psi) == phi,
     )
 
@@ -1602,9 +1789,7 @@ def test_the_cover_pass_and_the_extension_reject_the_same_wrong_maps(text, latti
 
 
 def test_a_matching_product_formula_extends_nothing(monkeypatch):
-    # a fresh lattice, so that no other test has built its index
-    lat = enumerate_lattice(parse_spec("S3^3"))
     calls = _recording_extensions(monkeypatch)
-    assert verify_product_formula(lat).match
-    assert calls == []
-    assert "_by_low_covers" not in vars(lat.context)
+    built = _count_contexts(monkeypatch)
+    assert verify_product_formula(parse_spec("S3^3")).match
+    assert calls == [] and built == []

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, cli, perm_oracle
+from lattower import autgroup, cli, lattice_core, perm_oracle
 from lattower.cli import main
 from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
@@ -126,12 +126,19 @@ def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["--spec", "S3^7"], "error: 59866 elements exceeds the search bound 10000\n"),
+        (["--spec", "S3^7"], "error: 59866 elements exceeds the lattice bound 10000\n"),
         (
             ["--spec", "S4^3*S3^2", "--max-lattice", "100"],
-            "error: 1564 elements exceeds the search bound 100\n",
+            "error: 1564 elements exceeds the lattice bound 100\n",
         ),
         (["--spec", "S3^9"], "error: 9 slots exceeds the enumeration bound 8\n"),
+        # S3^10 passes the census check (335,573,314 elements), but its context
+        # of 1,033 points would pass the recursion limit of the search
+        (
+            ["--spec", "S3^10", "--max-T", "10", "--max-lattice", "10000000000"],
+            "error: 10 slots exceeds the closed-form context bound 9: "
+            "the search recurses once per point (ROADMAP item 3(a))\n",
+        ),
     ],
 )
 def test_aut_refuses_an_oversized_lattice_before_enumerating(argv, err, monkeypatch, capsys):
@@ -160,7 +167,7 @@ def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
     captured = capsys.readouterr()
     assert captured.out == ""
     elements, bound = ("38", "37") if "S3^3" in argv else ("756682", "10000")
-    assert captured.err == f"error: {elements} elements exceeds the search bound {bound}\n"
+    assert captured.err == f"error: {elements} elements exceeds the lattice bound {bound}\n"
 
 
 def test_the_lattice_bound_admits_what_it_names(capsys):
@@ -170,10 +177,12 @@ def test_the_lattice_bound_admits_what_it_names(capsys):
 
 
 def test_aut_reports_a_wrong_tau_generator_as_a_mismatch(monkeypatch, capsys):
-    def identity_tau(sigma, lat):
-        return tuple(range(len(lat)))
+    real = autgroup.slot_action
 
-    monkeypatch.setattr(autgroup, "tau_on_lattice", identity_tau)
+    def identity_tau(spec, sigma):
+        return real(spec, tuple(range(spec.num_slots)))
+
+    monkeypatch.setattr(autgroup, "slot_action", identity_tau)
     code, out = run_cli(capsys, "aut", "--spec", "S3^3")
     assert code == 4
     assert out.startswith("spec S3^3: LatAut order 6 = 0!*3! (brute force 6, constructive 1) ")
@@ -230,6 +239,25 @@ AUT_BYTES = {
 @pytest.mark.parametrize("argv", sorted(AUT_BYTES))
 def test_aut_bytes_are_pinned(argv, capsys):
     assert run_cli(capsys, *argv) == (0, AUT_BYTES[argv])
+
+
+# the sha256 and byte count of aut's stdout on S3^8, as scripts/output_digests.py
+# printed them while aut still enumerated the lattice's 756,682 elements
+AUT_S3_8_DIGESTS = {
+    "text": ("25f133fbface09df52d45ab7b4032bc45f14f8df43ff14945c2f1d7b8ee189c4", 172),
+    "json": ("8d8391dec52c483305bf165a1ecc46354abec37363be6137fc3b49a10cca4fcd", 289),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(AUT_S3_8_DIGESTS))
+def test_aut_builds_no_lattice(fmt, monkeypatch, capsys):
+    for module in (autgroup, lattice_core):
+        monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
+    monkeypatch.setattr(Lattice, "up_covers", _must_not_enumerate)
+    bounds = ["--max-T", "8", "--max-lattice", "1000000"]
+    code, out = run_cli(capsys, "aut", "--spec", "S3^8", *bounds, "--format", fmt)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(), len(out.encode())) == AUT_S3_8_DIGESTS[fmt]
 
 
 @pytest.fixture

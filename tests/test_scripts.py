@@ -103,8 +103,23 @@ def test_shape_sweep_passes_its_slot_bound(monkeypatch, capsys):
     import shape_sweep
 
     seen = []
-    _recording(monkeypatch, shape_sweep, "enumerate_lattice", enumerate_lattice, seen)
+    _recording(monkeypatch, shape_sweep, "census_of", census_of, seen)
     monkeypatch.setattr(sys, "argv", ["shape_sweep.py", "--max-T", "2"])
     shape_sweep.main()
-    assert seen == [("enumerate_lattice", 2)] * 5
+    assert seen == [("census_of", 2)] * 5
     assert capsys.readouterr().out.count("match") == 5
+
+
+@pytest.mark.parametrize("max_t", ["10", "12"])
+def test_shape_sweep_refuses_a_slot_count_past_nine(max_t, src_env):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "shape_sweep.py"), "--max-T", max_t],
+        capture_output=True,
+        text=True,
+        env=src_env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--max-T {max_t} is past 9, the slot bound of the closed-form context" in proc.stderr
+    assert "ROADMAP item 3(a)" in proc.stderr

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup
+from lattower import autgroup, lattice_core
 from lattower.errors import NonTermination
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import enumerate_lattice
@@ -122,9 +122,16 @@ def test_verify_step_skips_oversized_nodes():
     assert d["skipped"]
 
 
+def test_verify_step_skips_a_start_node_past_the_context_slot_bound():
+    node = StartNode(parse_spec("S3^10"))
+    report = verify_step_against_lattice(node, max_slots=10, max_size=10**10)
+    assert report.skipped.startswith("10 slots exceeds the closed-form context bound 9: ")
+    assert (report.observed_order, report.match) == (None, None)
+
+
 def test_verify_step_skips_an_oversized_start_node():
     report = verify_step_against_lattice(StartNode(parse_spec("S4^2*S3^2")), max_size=10)
-    assert report.skipped == "256 elements exceeds the search bound 10"
+    assert report.skipped == "256 elements exceeds the lattice bound 10"
     assert report.observed_order is None
     assert report.to_json_dict()["match"] is None
 
@@ -148,6 +155,21 @@ def test_oversized_nodes_are_skipped_before_enumerating(node, max_size, elements
 
     monkeypatch.setattr(autgroup, "enumerate_lattice", must_not_enumerate)
     report = verify_step_against_lattice(node, max_size=max_size)
-    assert report.skipped == f"{elements} elements exceeds the search bound {max_size}"
+    assert report.skipped == f"{elements} elements exceeds the lattice bound {max_size}"
     assert report.observed_order is None
     assert report.match is None
+
+
+@pytest.mark.parametrize(
+    "node, order",
+    [(StartNode(parse_spec("S4^2*S3^2")), 4), (PairNode(0, 3), 1), (PairNode(3, 4), 1)],
+)
+def test_tower_group_nodes_are_searched_on_the_closed_form_context(node, order, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(autgroup, "enumerate_lattice", refuse)
+    monkeypatch.setattr(lattice_core.Lattice, "up_covers", refuse)
+    monkeypatch.setattr(lattice_core.AbstractLattice, "__init__", refuse)
+    report = verify_step_against_lattice(node)
+    assert (report.match, report.observed_order) == (True, order)
