@@ -8,11 +8,11 @@ line per shape gives its element count (the closed-form census), the three
 orders (a4! * B!, the searched group and the group of the tau maps), the
 verdict and the seconds taken.  ``--max-T`` is both the largest slot count
 swept and the slot bound handed to ``census_of``; past ``MAX_CONTEXT_SLOTS``
-(9), the closed-form context's own bound, it is refused before any shape is
+(12), the closed-form context's own bound, it is refused before any shape is
 swept.  A shape that does not match stops the sweep with an error after its
 line.
 
-    python scripts/shape_sweep.py --max-T 9
+    python scripts/shape_sweep.py --max-T 12
 """
 
 import argparse
@@ -31,11 +31,11 @@ def main() -> None:
     if args.max_slots > MAX_CONTEXT_SLOTS:
         parser.error(
             f"--max-T {args.max_slots} is past {MAX_CONTEXT_SLOTS}, the slot bound of the "
-            "closed-form context (ROADMAP item 3(a))"
+            "closed-form context"
         )
     header = (
-        f"{'a4':>2} {'B':>2}  {'spec':<12} {'elements':>9} {'a4!*B!':>6} {'search':>6}"
-        f" {'tau':>6}  {'verdict':<8} {'secs':>6}"
+        f"{'a4':>2} {'B':>2}  {'spec':<12} {'elements':>12} {'a4!*B!':>9} {'search':>9}"
+        f" {'tau':>9}  {'verdict':<8} {'secs':>6}"
     )
     print(header)
     print("-" * len(header))
@@ -48,8 +48,9 @@ def main() -> None:
             secs = time.perf_counter() - start
             verdict = "match" if r.match else "MISMATCH"
             print(
-                f"{a4:>2} {t - a4:>2}  {format_spec(spec):<12} {elements:>9} {r.predicted_order:>6}"
-                f" {r.brute_force_order:>6} {r.constructive_order:>6}  {verdict:<8} {secs:>6.2f}",
+                f"{a4:>2} {t - a4:>2}  {format_spec(spec):<12} {elements:>12}"
+                f" {r.predicted_order:>9} {r.brute_force_order:>9} {r.constructive_order:>9}"
+                f"  {verdict:<8} {secs:>6.2f}",
                 flush=True,
             )
             if not r.match:

@@ -306,18 +306,23 @@ def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:
     secs. 3-4).  At level t, every candidate y of b_t that is not yet in the
     orbit of b_t under the generators found so far gets one backtracking
     run: b_0, ..., b_(t-1) stay fixed, b_t goes to y, the later base points
-    range over their candidates, and each full assignment is tested against
-    the standard context (J, M).  The first assignment that passes becomes a
+    range over their candidates, and every assignment must keep the
+    standard context (J, M).  The first full assignment becomes a
     generator, which puts y and its whole orbit out of reach of further
     runs; a run that finds none shows y outside the orbit.  So level t ends
     with the full orbit of b_t under the stabiliser of the earlier base
     points, and the order is the product of the orbit lengths.
 
-    A placement of x at z must keep the order with every earlier base point
-    in both directions.  Against the fixed ones that is two mask tests: the
-    points below z and those above z, cut to the fixed prefix, are those of
-    x, so a y that fails them gets no run at all.  Against the base points
-    placed in the run it is checked bit by bit.
+    A run is a depth-first walk over the base positions t, t+1, ..., kept
+    on an explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.  A placement of x at z must keep the order with every
+    earlier base point in both directions.  That is two mask tests: the
+    points below x among the earlier base points, mapped, must be exactly
+    the placed images below z, and likewise above.  A y that fails them
+    against the fixed prefix alone gets no run at all.  Each row of (J, M),
+    the J-set of a meet-irreducible, is tested as soon as its last point in
+    base order is placed, so every row is tested once on each full map, and
+    a row inside the fixed prefix, which maps to itself, is never tested.
 
     The searched group S holds LatAut (``_search``, on the context that
     ``AbstractLattice.standard_context`` reads off the covers).  Each of its
@@ -352,10 +357,31 @@ def _keeps_meet_irreducibles(ctx: StandardContext) -> Callable[[Sequence[int]], 
     keep the incidence of the context, so psi extends to an automorphism
     (Ganter and Wille, ch. 1); in a poset that is no lattice it need not.
     """
-    sets = ctx.extents
-    rows = list(map(_bits, sets))
-    shifted = (1).__lshift__
-    return lambda psi: all(sum(map(shifted, map(psi.__getitem__, r))) in sets for r in rows)
+    keeps, rows = _keeps_rows(ctx), ctx.rows
+    return lambda psi: keeps(rows, psi)
+
+
+def _keeps_rows(ctx: StandardContext) -> Callable[[Sequence[Sequence[int]], Sequence[int]], bool]:
+    """Whether a map psi of the points sends each of the given MI rows, lists
+    of points, onto the J-set of a meet-irreducible; psi need be defined on
+    their points only.
+
+    Each image is written as binary digits, which costs a byte per point,
+    where a sum of powers of two costs the width of the context per point.
+    """
+    extents, zeros = ctx.extents, bytearray(b"0") * len(ctx.under)
+
+    def keeps(rows: Sequence[Sequence[int]], psi: Sequence[int]) -> bool:
+        for row in rows:
+            digits = zeros[:]
+            for k in row:
+                digits[psi[k]] = 49  # "1"
+            digits.reverse()
+            if int(digits, 2) not in extents:
+                return False
+        return True
+
+    return keeps
 
 
 def _search(ctx: StandardContext) -> StabiliserChain:
@@ -368,7 +394,7 @@ def _search(ctx: StandardContext) -> StabiliserChain:
     so S is the context's automorphism group; on a bare lattice it holds
     LatAut on any poset the bare lattice accepts.
     """
-    accept = _keeps_meet_irreducibles(ctx)
+    accept = _keeps_rows(ctx)
     under, over = _point_masks(ctx)
     colours = _refined_classes(ctx, under, over)
     m = len(colours)
@@ -377,51 +403,69 @@ def _search(ctx: StandardContext) -> StabiliserChain:
         buckets.setdefault(c, []).append(k)
     candidates = [buckets[c] for c in colours]
     base = sorted(range(m), key=lambda k: (len(candidates[k]), colours[k], k))
-    # prefix[t]: the points base[:t], which level t fixes
+    position = [0] * m
+    # prefix[s]: the points base[:s]
     prefix = [0]
-    for k in base:
+    for s, k in enumerate(base):
+        position[k] = s
         prefix.append(prefix[-1] | 1 << k)
+    # rows[s]: the MI rows whose last point in base order is base[s]
+    rows: list[list[list[int]]] = [[] for _ in range(m)]
+    for row in filter(None, ctx.rows):
+        rows[max(map(position.__getitem__, row))].append(row)
+    # the map a run at level t starts from: base[:t] fixed, the rest unplaced (-1)
+    start = list(range(m))
+    # per position s of a run: the candidates left for base[s], and the images
+    # of the points below and above it among base[:s]
+    options = [iter(())] * m
+    wants = [(0, 0)] * m
 
     def first_automorphism(t: int, y: int) -> tuple[int, ...] | None:
-        """A map of the points that fixes base[:t], sends base[t] to y and keeps (J, M), or None."""
-        fixed, b = prefix[t], base[t]
-        if (under[b] ^ under[y]) & fixed or (over[b] ^ over[y]) & fixed:
-            return None
-        mapping = [-1] * m
-        used = [False] * m
-        for x in base[:t]:
-            mapping[x], used[x] = x, True
-
-        def place(s: int) -> bool:
-            if s == m:
-                return accept(mapping)
-            x = base[s]
-            fixed_under, fixed_over = under[x] & fixed, over[x] & fixed
-            for z in (y,) if s == t else candidates[x]:
+        """A map of the points that fixes base[:t], sends base[t] to y and
+        keeps (J, M), or None; ``wants[t]`` is already set."""
+        mapping = start[:]
+        placed = fixed = prefix[t]  # placed: the images of base[:s]
+        options[t] = iter((y,))
+        s = t
+        while True:
+            want_under, want_over = wants[s]
+            for z in options[s]:
                 if (
-                    used[z]
-                    or under[z] & fixed != fixed_under
-                    or over[z] & fixed != fixed_over
-                    or any(
-                        ((under[x] >> x2) & 1) != ((under[z] >> mapping[x2]) & 1)
-                        or ((over[x] >> x2) & 1) != ((over[z] >> mapping[x2]) & 1)
-                        for x2 in base[t:s]
-                    )
+                    not placed >> z & 1
+                    and under[z] & placed == want_under
+                    and over[z] & placed == want_over
                 ):
-                    continue
-                mapping[x], used[z] = z, True
-                if place(s + 1):
-                    return True
-                mapping[x], used[z] = -1, False
-            return False
-
-        return tuple(mapping) if place(t) else None
+                    mapping[base[s]] = z
+                    if accept(rows[s], mapping):
+                        break
+            else:  # no candidate left: back to the previous position
+                mapping[base[s]] = -1
+                s -= 1
+                if s < t:
+                    return None
+                placed ^= 1 << mapping[base[s]]
+                continue
+            placed |= 1 << z
+            s += 1
+            if s == m:
+                return tuple(mapping)
+            x, run = base[s], prefix[s] ^ fixed
+            wants[s] = (
+                reduce(or_, [1 << mapping[k] for k in _bits(under[x] & run)], under[x] & fixed),
+                reduce(or_, [1 << mapping[k] for k in _bits(over[x] & run)], over[x] & fixed),
+            )
+            options[s] = iter(candidates[x])
 
     chain = StabiliserChain(m, base)
     for t in reversed(range(m)):
+        b, fixed = base[t], prefix[t]
+        start[b] = -1
+        wants[t] = below, above = under[b] & fixed, over[b] & fixed
         orbit = chain.orbit(t)
-        for y in candidates[base[t]]:
-            if y not in orbit:
+        for y in candidates[b]:
+            # a fixed y, or one placed otherwise than b against the fixed
+            # points, gets no run
+            if y not in orbit and under[y] & fixed == below and over[y] & fixed == above:
                 psi = first_automorphism(t, y)
                 if psi is not None:
                     chain.generators.append(psi)

@@ -38,7 +38,7 @@ enough to enumerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .errors import TooLarge
@@ -56,10 +56,10 @@ __all__ = [
 ]
 
 
-# The automorphism search recurses once per point, and the 1,033 points of a
-# context with 10 slots pass the interpreter's recursion limit (ROADMAP item
-# 3(a)); 9 slots give at most 529.
-MAX_CONTEXT_SLOTS = 9
+# The product-formula check on a context of T slots costs about five times
+# that of T - 1: 1.0 s at 10 slots (1,033 points), 4 s at 11 and 20 s at 12
+# (4,107 points, 135 MB), then 100 s at 13, on 2 cores with Python 3.11.7.
+MAX_CONTEXT_SLOTS = 12
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,11 @@ class StandardContext:
     under: tuple[int, ...]
     extents: frozenset[int]
     seeds: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def rows(self) -> tuple[list[int], ...]:
+        """The extents as lists of points, read once for every (J, M) test."""
+        return tuple(map(_bits, self.extents))
 
 
 def point_counts(under: list[int]) -> tuple[list[int], list[int]]:
@@ -104,9 +109,10 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     """
     n = spec.num_slots
     if n > MAX_CONTEXT_SLOTS:
+        points = 2**n + n + spec.a4 - 1
         raise TooLarge(
             f"{n} slots exceeds the closed-form context bound {MAX_CONTEXT_SLOTS}: "
-            "the search recurses once per point (ROADMAP item 3(a))"
+            f"the automorphism search on its {points} points would take minutes"
         )
     v_index, p0 = _layout(spec)
     a_first = p0 + 1 - n

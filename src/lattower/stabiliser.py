@@ -91,7 +91,10 @@ class StabiliserChain:
         number of levels if it passed them all.
         """
         for k in range(start, len(self.base)):
-            y = g[self.base[k]]
+            b = self.base[k]
+            y = g[b]
+            if y == b:  # the transversal element of b_k is the identity
+                continue
             if y not in self.transversals[k]:
                 return g, k
             g = _compose(self._inverse_of(k, y), g)

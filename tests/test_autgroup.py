@@ -3,6 +3,8 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lattower import autgroup, context, lattice_core
 from lattower.autgroup import (
@@ -418,13 +420,13 @@ def test_search_on_the_subspace_lattice_of_gf2_cubed():
 
 def test_orbit_pruning_skips_candidates_on_the_subspace_lattice(monkeypatch):
     # the 7 points form one colour class: candidates already in an orbit get
-    # no run, so the whole search tests fewer assignments (81) than the
-    # listing search keeps automorphisms (168), and 4 generators suffice
-    calls = _recording_context_tests(monkeypatch)
+    # no run, so the whole search reaches fewer full maps than the listing
+    # search keeps automorphisms (168), and 4 generators suffice
+    calls = _recording_row_tests(monkeypatch)
     chain = automorphism_group(_subspace_lattice(3))
     assert [len(t) for t in chain.transversals if len(t) > 1] == [7, 6, 4]
     assert len(chain.generators) <= 7
-    assert len(calls) < 168
+    assert len(_full_maps(calls)) < 168
 
 
 @pytest.mark.parametrize("text", ["S3^3", "S3*S4", "S4^2", "S3^4", "S4^2*S3^2", "S4^4"])
@@ -555,10 +557,13 @@ def test_search_agrees_with_the_mask_search_on_tower_lattices(text, lattices):
     _assert_search_matches_the_mask_search(lat, lat.to_abstract())
 
 
-def _reference_unpruned_search(ctx):
+def _reference_unpruned_search(ctx, accept=None):
     """The search as it was before the prefix masks: each placement checked
-    bit by bit against every earlier base point, the fixed ones included.
+    bit by bit against every earlier base point, the fixed ones included,
+    and each full map kept if ``accept`` passes it, by default if it extends.
     The base, candidates and level order are the search's own."""
+    if accept is None:
+        accept = lambda psi: ctx.extend(psi) is not None
     context = ctx.standard_context()
     under, over = autgroup._point_masks(context)
     colours = autgroup._refined_classes(context, under, over)
@@ -577,7 +582,7 @@ def _reference_unpruned_search(ctx):
 
         def place(s):
             if s == m:
-                return ctx.extend(mapping) is not None
+                return accept(mapping)
             x = base[s]
             for z in (y,) if s == t else candidates[x]:
                 if used[z] or any(
@@ -618,36 +623,51 @@ def _recording_extensions(monkeypatch) -> list[tuple[int, ...]]:
     return calls
 
 
-def _recording_context_tests(monkeypatch) -> list[tuple[int, ...]]:
-    """The point maps the search's (J, M) test is called on from here on."""
-    calls, real = [], autgroup._keeps_meet_irreducibles
+def _recording_row_tests(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """Each map the search's MI-row test sees from here on, -1 at the points
+    not yet placed, with its verdict."""
+    calls, real = [], autgroup._keeps_rows
 
-    def keeps(ctx):
+    def keeps_rows(ctx):
         accept = real(ctx)
 
-        def test(psi):
-            calls.append(tuple(psi))
-            return accept(psi)
+        def test(rows, psi):
+            verdict = accept(rows, psi)
+            calls.append((tuple(psi), verdict))
+            return verdict
 
         return test
 
-    monkeypatch.setattr(autgroup, "_keeps_meet_irreducibles", keeps)
+    monkeypatch.setattr(autgroup, "_keeps_rows", keeps_rows)
     return calls
+
+
+def _full_maps(calls) -> list[tuple[int, ...]]:
+    """The full maps among the recorded row tests, in order."""
+    return [psi for psi, _ in calls if -1 not in psi]
+
+
+def _is_subsequence(short, long) -> bool:
+    items = iter(long)
+    return all(any(x == y for y in items) for x in short)
 
 
 def _assert_the_pruned_search_finds_the_unpruned_chain(ctx, monkeypatch):
     extended = _recording_extensions(monkeypatch)
     reference = _reference_unpruned_search(ctx)
     reference_calls = extended[:]
-    tested = _recording_context_tests(monkeypatch)
+    tested = _recording_row_tests(monkeypatch)
     chain = automorphism_group(ctx)
     assert chain.base == reference.base
     assert chain.generators == reference.generators
     assert chain.order == reference.order
-    # the pruning turns away only runs that would have found nothing, and on
-    # a lattice the (J, M) test passes the maps that extend, so the search
-    # tests the maps the reference extends, in the same order
-    assert tested == reference_calls
+    # the masks turn away only runs that would have found nothing, the rows
+    # tested as they fill end some runs before a full map, and on a lattice
+    # the (J, M) test passes the maps that extend: so the full maps the
+    # search reaches are, in order, among those the reference extends, and
+    # the ones that pass are the generators
+    assert _is_subsequence(_full_maps(tested), reference_calls)
+    assert [psi for psi, ok in tested if ok and -1 not in psi] == chain.generators
 
 
 def test_the_pruned_search_finds_the_unpruned_chain_on_small_lattices(monkeypatch):
@@ -660,6 +680,101 @@ def test_the_pruned_search_finds_the_unpruned_chain_on_tower_lattices(
     text, lattices, monkeypatch
 ):
     _assert_the_pruned_search_finds_the_unpruned_chain(lattices.get(text).context, monkeypatch)
+
+
+def test_the_row_test_sees_only_maps_that_keep_the_order(rng, monkeypatch):
+    # every map the MI-row test sees, full or not, keeps the order of the
+    # points it has placed, in both directions.  A placement test that lets
+    # a map through against the order changes no chain, as the rows turn it
+    # away later, but the map reaches this record.
+    posets = _small_lattices() + [_random_lattice(rng) for _ in range(40)]
+    posets += [_random_symmetric_lattice(rng) for _ in range(40)]
+    contexts = [a.standard_context() for a in posets]
+    contexts += [closed_form_context(parse_spec(text)) for text in ("S3^4", "S4^2*S3^2", "S3^5")]
+    calls = _recording_row_tests(monkeypatch)
+    for context in contexts:
+        calls.clear()
+        chain = autgroup._search(context)
+        under = context.under
+        for psi, _ in calls:
+            placed = [k for k, z in enumerate(psi) if z >= 0]
+            images = sum(1 << psi[k] for k in placed)
+            for x in placed:
+                below = sum(1 << psi[k] for k in placed if under[x] >> k & 1)
+                assert under[psi[x]] & images == below, psi
+        assert [psi for psi, ok in calls if ok and -1 not in psi] == chain.generators
+
+
+def _keeps_the_context(context):
+    """The (J, M) test written out: psi sends the J-sets of the
+    meet-irreducibles onto themselves."""
+    extents = context.extents
+    return lambda psi: {sum(1 << psi[k] for k in _bits(e)) for e in extents} == extents
+
+
+@st.composite
+def _drawn_families(draw):
+    """The down masks of a family of subsets of k <= 6 points by inclusion,
+    its labels shuffled.  Random sets, closed under the powers of a random
+    permutation of the points in half the draws, then under intersection
+    with the full set added, make a lattice.  A third of the draws then
+    remove one inner set; another third put X = A | B | {p} and
+    Y = A | B | {q} over two incomparable sets A and B, for new points p and
+    q, in place of every set over A | B, with {p} and {q} over the bottom.
+    X and Y then have the same lower covers but one, and A and B have no
+    join."""
+    k = draw(st.integers(1, 6))
+    full = (1 << k) - 1
+    family = set(draw(st.lists(st.integers(0, full), min_size=1, max_size=6))) | {full}
+    if draw(st.booleans()):
+        pi = draw(st.permutations(range(k)))
+        for u in list(family):
+            v = sum(1 << pi[i] for i in _bits(u))
+            while v not in family:
+                family.add(v)
+                v = sum(1 << pi[i] for i in _bits(v))
+    while True:
+        meets = {u & v for u in family for v in family} - family
+        if not meets:
+            break
+        family |= meets
+    bottom = min(family, key=int.bit_count)
+    change = draw(st.sampled_from(["none", "remove", "two upper bounds"]))
+    inner = sorted(family - {bottom, full})
+    pairs = [(u, v) for u in inner for v in inner if u < v and u & ~v and v & ~u]
+    if change == "remove" and inner:
+        family.remove(draw(st.sampled_from(inner)))
+    elif change == "two upper bounds" and pairs:
+        a, b = draw(st.sampled_from(pairs))
+        p, q = 1 << k, 1 << (k + 1)
+        family = {u for u in family if (a | b) & ~u}
+        family |= {a | b | p, a | b | q, bottom | p, bottom | q, full | p | q}
+    masks = _inclusion_masks(family)
+    label = draw(st.permutations(range(len(masks))))
+    shuffled = [0] * len(masks)
+    for i, mask in enumerate(masks):
+        shuffled[label[i]] = sum(1 << label[j] for j in _bits(mask))
+    return shuffled
+
+
+@given(_drawn_families())
+@settings(max_examples=50, deadline=None)
+def test_the_search_finds_the_unpruned_chain_on_drawn_families(masks):
+    # on a lattice the reference keeps the full maps that extend; on a poset
+    # the search's group is that of the context, so the reference keeps the
+    # full maps that keep (J, M)
+    try:
+        poset = _poset(masks)
+    except LatTowerError as error:  # J is not one-to-one
+        assert "not a lattice" in str(error)
+        return
+    context = poset.standard_context()
+    chain = autgroup._search(context)
+    accept = None if _is_lattice(poset) else _keeps_the_context(context)
+    reference = _reference_unpruned_search(poset, accept)
+    assert chain.base == reference.base
+    assert chain.generators == reference.generators
+    assert chain.order == reference.order
 
 
 def _colour_classes(colours):
@@ -1543,20 +1658,24 @@ def test_product_formula_scans_factor_atoms_once(monkeypatch):
 
 
 def test_the_closed_form_context_stops_at_its_slot_bound(monkeypatch):
-    # the search recurses once per point: nine slots give at most 529 points,
-    # and ten are refused before a single one is built
-    assert len(closed_form_context(parse_spec("S4^9")).under) == 529
+    # twelve slots are laid out, and thirteen are refused before a single
+    # point is built
+    class LaidOut(Exception):
+        pass
 
     def must_not_layout(spec):
-        raise AssertionError("points were laid out")
+        raise LaidOut
 
     monkeypatch.setattr(context, "_layout", must_not_layout)
-    message = r"^10 slots exceeds the closed-form context bound 9: .* \(ROADMAP item 3\(a\)\)$"
-    for text in ("S3^10", "S4^5*S3^5"):
-        with pytest.raises(TooLarge, match=message):
+    for text in ("S3^12", "S4^12", "S4^6*S3^6"):
+        with pytest.raises(LaidOut):
+            closed_form_context(parse_spec(text))
+    message = "^13 slots exceeds the closed-form context bound 12: the automorphism search on its "
+    for text, points in ("S3^13", 8204), ("S4^6*S3^7", 8210):
+        with pytest.raises(TooLarge, match=f"{message}{points} points would take minutes$"):
             verify_product_formula(parse_spec(text))
-    with pytest.raises(TooLarge, match="^12 slots exceeds the closed-form context bound 9"):
-        verify_product_formula(parse_spec("S3^12"))
+    with pytest.raises(TooLarge, match="^15 slots exceeds the closed-form context bound 12"):
+        verify_product_formula(parse_spec("S3^15"))
 
 
 def _count_contexts(monkeypatch) -> list[int]:

@@ -132,12 +132,12 @@ def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
             "error: 1564 elements exceeds the lattice bound 100\n",
         ),
         (["--spec", "S3^9"], "error: 9 slots exceeds the enumeration bound 8\n"),
-        # S3^10 passes the census check (335,573,314 elements), but its context
-        # of 1,033 points would pass the recursion limit of the search
+        # S3^13 passes the census check (44,674,324,262,898 elements), but the
+        # search on its context of 8,204 points would take minutes
         (
-            ["--spec", "S3^10", "--max-T", "10", "--max-lattice", "10000000000"],
-            "error: 10 slots exceeds the closed-form context bound 9: "
-            "the search recurses once per point (ROADMAP item 3(a))\n",
+            ["--spec", "S3^13", "--max-T", "13", "--max-lattice", "100000000000000"],
+            "error: 13 slots exceeds the closed-form context bound 12: "
+            "the automorphism search on its 8204 points would take minutes\n",
         ),
     ],
 )
@@ -258,6 +258,22 @@ def test_aut_builds_no_lattice(fmt, monkeypatch, capsys):
     code, out = run_cli(capsys, "aut", "--spec", "S3^8", *bounds, "--format", fmt)
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest(), len(out.encode())) == AUT_S3_8_DIGESTS[fmt]
+
+
+def test_aut_checks_a_spec_past_the_old_slot_bound(monkeypatch, capsys):
+    # S3^10 (335,573,314 elements) has a context of 1,033 points, which the
+    # search, recursing once per point, used to refuse
+    for module in (autgroup, lattice_core):
+        monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
+    bounds = ["--max-T", "10", "--max-lattice", "10000000000"]
+    code, out = run_cli(capsys, "aut", "--spec", "S3^10", *bounds)
+    assert code == 0
+    first, generators = out.splitlines()
+    assert first == (
+        "spec S3^10: LatAut order 3628800 = 0!*10! "
+        "(brute force 3628800, constructive 3628800) match"
+    )
+    assert generators == "generators: " + ", ".join(f"(3.{i} 3.{i + 1})" for i in range(1, 10))
 
 
 @pytest.fixture

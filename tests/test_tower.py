@@ -123,9 +123,9 @@ def test_verify_step_skips_oversized_nodes():
 
 
 def test_verify_step_skips_a_start_node_past_the_context_slot_bound():
-    node = StartNode(parse_spec("S3^10"))
-    report = verify_step_against_lattice(node, max_slots=10, max_size=10**10)
-    assert report.skipped.startswith("10 slots exceeds the closed-form context bound 9: ")
+    node = StartNode(parse_spec("S3^13"))
+    report = verify_step_against_lattice(node, max_slots=13, max_size=10**14)
+    assert report.skipped.startswith("13 slots exceeds the closed-form context bound 12: ")
     assert (report.observed_order, report.match) == (None, None)
 
 
