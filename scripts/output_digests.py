@@ -5,7 +5,8 @@ through ``lattower.cli.main`` in this process, with stdout hashed as it is
 written, so even a large lattice's output is never held whole.  One line per
 command gives the sha256 of its stdout, the byte count, the seconds taken,
 the exit code and the command.  Two checkouts print the same digests exactly
-when the four outputs are byte-identical.
+when the four outputs are byte-identical.  The bounds go to ``hasse`` and
+``enumerate`` only: ``aut`` builds no element and takes no bound.
 
     python scripts/output_digests.py --spec 'S3^7' --max-T 7 --max-lattice 100000
 """
@@ -38,12 +39,12 @@ class _Digest:
 
 
 def commands(spec: str, max_slots: int, max_lattice: int) -> list[list[str]]:
-    bounds = ["--spec", spec, "--max-T", str(max_slots), "--max-lattice", str(max_lattice)]
+    bounds = ["--max-T", str(max_slots), "--max-lattice", str(max_lattice)]
     return [
-        ["hasse", *bounds],
-        ["enumerate", *bounds, "--format", "json"],
-        ["aut", *bounds],
-        ["aut", *bounds, "--format", "json"],
+        ["hasse", "--spec", spec, *bounds],
+        ["enumerate", "--spec", spec, *bounds, "--format", "json"],
+        ["aut", "--spec", spec],
+        ["aut", "--spec", spec, "--format", "json"],
     ]
 
 

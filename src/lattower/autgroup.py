@@ -69,10 +69,9 @@ __all__ = [
 ]
 
 # Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `hasse` took 0.26-0.33 s
-# and 0.37-0.38 s (22 and 23 MB max RSS), `enumerate --format json` 0.25-0.33 s
-# and 0.34-0.37 s (24 and 28 MB), and `aut`, which builds no element, 0.23 s
-# (17 MB) on each, on 2 cores with Python 3.11.7.  Refuses S4^4*S3^2 (11,384)
-# and everything larger.
+# and 0.37-0.38 s (22 and 23 MB max RSS) and `enumerate --format json`
+# 0.25-0.33 s and 0.34-0.37 s (24 and 28 MB) on them, on 2 cores with
+# Python 3.11.7.  Refuses S4^4*S3^2 (11,384) and everything larger.
 DEFAULT_MAX_LATTICE = 10_000
 
 
@@ -270,9 +269,9 @@ def check_lattice_size(
     """Raise TooLarge unless N(G)'s closed-form census fits ``max_size``.
 
     This is the one check of the lattice-size bound, made before anything
-    is built: ``aut`` and ``tower.verify_step_against_lattice`` make it
-    before they build the closed-form context, and ``bounded_lattice``
-    before it enumerates.  ``census_of`` checks the slot bound.
+    is built: ``bounded_lattice`` makes it before it enumerates, and
+    ``tower.verify_step_against_lattice`` before it builds a tower group's
+    closed-form context.  ``census_of`` checks the slot bound.
     """
     total = census_of(spec, max_slots).total
     if total > max_size:
@@ -349,22 +348,16 @@ def _certified(ctx: AbstractLattice, chain: StabiliserChain) -> StabiliserChain:
     return chain
 
 
-def _keeps_meet_irreducibles(ctx: StandardContext) -> Callable[[Sequence[int]], bool]:
-    """The test of the standard context (J, M): whether a permutation psi of
-    the points sends the J-sets of the meet-irreducibles onto themselves.
-
-    In a lattice such a psi and the map it induces on the meet-irreducibles
-    keep the incidence of the context, so psi extends to an automorphism
-    (Ganter and Wille, ch. 1); in a poset that is no lattice it need not.
-    """
-    keeps, rows = _keeps_rows(ctx), ctx.rows
-    return lambda psi: keeps(rows, psi)
-
-
 def _keeps_rows(ctx: StandardContext) -> Callable[[Sequence[Sequence[int]], Sequence[int]], bool]:
     """Whether a map psi of the points sends each of the given MI rows, lists
     of points, onto the J-set of a meet-irreducible; psi need be defined on
     their points only.
+
+    On all of ``ctx.rows`` this is the test of the standard context (J, M).
+    In a lattice a permutation psi of the points that passes it, with the
+    map it induces on the meet-irreducibles, keeps the incidence of the
+    context, so psi extends to an automorphism (Ganter and Wille, ch. 1); in
+    a poset that is no lattice it need not.
 
     Each image is written as binary digits, which costs a byte per point,
     where a sum of powers of two costs the width of the context per point.
@@ -557,8 +550,8 @@ def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
     N(G) is not enumerated: the check reads its standard context (J, M) in
     closed form (``closed_form_context``), whose size is 2^T + T + a4 - 1
     points for T slots.  TooLarge is raised past ``MAX_CONTEXT_SLOTS``
-    slots; ``aut`` checks the slot and lattice-size bounds by the census
-    before calling this.
+    slots, the one bound ``aut`` has: no census is read, since no element
+    is built.
 
     Three orders must agree: a4! * b!, the order of the searched chain, and
     the order Schreier-Sims finds for the group T generated by the maps tau
@@ -583,7 +576,7 @@ def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
     sigmas = _adjacent_transpositions(spec)
     taus = [slot_action(spec, sigma) for sigma in sigmas]
     perms = [psi for psi in taus if sorted(psi) == list(range(chain.n))]
-    keeps = _keeps_meet_irreducibles(ctx)
+    keeps = _keeps_rows(ctx)
     atoms = [ctx.under[k] for k in factor_atom_points(spec)]
     round_trip_ok = all(
         _induced_by_atoms({a: sum(1 << psi[k] for k in _bits(a)) for a in atoms}, atoms, spec)
@@ -596,7 +589,7 @@ def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
         constructive == predicted == chain.order
         and len(perms) == len(taus)
         and round_trip_ok
-        and all(map(keeps, perms))
+        and all(keeps(ctx.rows, psi) for psi in perms)
         and all(psi in chain for psi in perms)
     )
     labels = tuple(s.label for s in spec.slots)

@@ -30,7 +30,6 @@ from .autgroup import (
     DEFAULT_MAX_LATTICE,
     automorphism_group,
     bounded_lattice,
-    check_lattice_size,
     verify_product_formula,
 )
 from .group_spec import ChainPosition, format_spec, parse_spec
@@ -78,8 +77,7 @@ _OPTIONS = {
     "--max-order": dict(
         type=_bound,
         default=DEFAULT_MAX_ORDER,
-        help="largest permutation group to build (default %(default)s); "
-        "hasse on a tower group ignores it",
+        help="largest permutation group oracle-diff builds (default %(default)s)",
     ),
     "--max-T": dict(
         dest="max_slots",
@@ -91,26 +89,22 @@ _OPTIONS = {
     "--max-lattice": dict(
         type=_bound,
         default=DEFAULT_MAX_LATTICE,
-        help="most elements of N(G) that hasse and enumerate --format json build, and that "
-        "aut admits by the census (default %(default)s); enumerate as text and hasse on a "
-        "small-group name ignore it",
+        help="most elements of N(G) that hasse and enumerate --format json build "
+        "(default %(default)s); enumerate as text and hasse on a small-group name ignore it",
     ),
 }
 
 # subcommand -> (help, the options its handler reads)
 _SUBCOMMANDS = {
     "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-T --max-lattice"),
-    "aut": (
-        "check LatAut(G) against the slot formula",
-        "--spec --format --out --max-T --max-lattice",
-    ),
+    "aut": ("check LatAut(G) against the slot formula", "--spec --format --out"),
     "tower": ("iterate G -> LatAut(G) to the trivial group", "--spec --format --out"),
     "oracle-diff": (
         "differential validation against permutations",
         "--spec --format --out --max-order --max-T",
     ),
-    "hasse": ("covering relations as DOT", "--spec --out --max-order --max-T --max-lattice"),
-    "lemmas": ("small-group lattices and their symmetries", "--format --out --max-order"),
+    "hasse": ("covering relations as DOT", "--spec --out --max-T --max-lattice"),
+    "lemmas": ("small-group lattices and their symmetries", "--format --out"),
 }
 
 
@@ -183,9 +177,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    spec = parse_spec(args.spec)
-    check_lattice_size(spec, max_slots=args.max_slots, max_size=args.max_lattice)
-    report = verify_product_formula(spec)
+    report = verify_product_formula(parse_spec(args.spec))
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
@@ -334,7 +326,7 @@ _SMALL_GROUPS = {name.casefold(): degrees for name, degrees in LEMMA_GROUP_DEGRE
 def cmd_hasse(args) -> int:
     degrees = _SMALL_GROUPS.get("".join(args.spec.split()).casefold())
     if degrees is not None:
-        group = ConcreteGroup(degrees, max_order=args.max_order)
+        group = ConcreteGroup(degrees)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
         _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
@@ -347,7 +339,7 @@ def cmd_hasse(args) -> int:
 
 def cmd_lemmas(args) -> int:
     rows = []
-    for name, poset in lemma_lattices(args.max_order).items():
+    for name, poset in lemma_lattices().items():
         order = automorphism_group(poset).order
         rows.append({"group": name, "elements": poset.n, "automorphisms": order})
     if args.format == "json":

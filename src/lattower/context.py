@@ -105,11 +105,15 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     tuple sets the colour ids, which break ties between classes of equal
     size in the search's base; this one keeps the search fast.
 
-    TooLarge is raised past ``MAX_CONTEXT_SLOTS`` slots.
+    TooLarge is raised past ``MAX_CONTEXT_SLOTS`` slots, before any point
+    is laid out, for every spec that ``parse_spec`` accepts.
     """
     n = spec.num_slots
     if n > MAX_CONTEXT_SLOTS:
-        points = 2**n + n + spec.a4 - 1
+        try:
+            points = str(2**n + n + spec.a4 - 1)
+        except ValueError:  # past the interpreter's int-to-str digit limit, which stays as it is
+            points = f"2^{n} + {n + spec.a4 - 1}"
         raise TooLarge(
             f"{n} slots exceeds the closed-form context bound {MAX_CONTEXT_SLOTS}: "
             f"the automorphism search on its {points} points would take minutes"

@@ -389,15 +389,15 @@ LEMMA_GROUP_DEGREES: dict[str, tuple[int, ...]] = {
 }
 
 
-def lemma_lattices(max_order: int = DEFAULT_MAX_ORDER) -> dict[str, AbstractLattice]:
+def lemma_lattices() -> dict[str, AbstractLattice]:
     """Concrete normal-subgroup lattices of the small groups the tower visits.
 
     These are the groups where LatAut cannot be read off the slot formula:
     C2 and C2 x Sm have two-point fibres, C2^2 has the diamond with the full
     GL(2,2) symmetry.  Exported as bare posets for the automorphism search.
+    The largest, C2 x S5, has order 240, well inside ``DEFAULT_MAX_ORDER``.
     """
-    out = {}
-    for name, degrees in LEMMA_GROUP_DEGREES.items():
-        group = ConcreteGroup(degrees, max_order=max_order)
-        out[name] = normal_subgroup_poset(group)
-    return out
+    return {
+        name: normal_subgroup_poset(ConcreteGroup(degrees))
+        for name, degrees in LEMMA_GROUP_DEGREES.items()
+    }

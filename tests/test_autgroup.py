@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 from types import SimpleNamespace
@@ -1179,7 +1180,8 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
     for a in _small_lattices() + [_random_lattice(rng) for _ in range(200)]:
         ctx = a.context
         _assert_the_context_chain_is_the_exact_chain(ctx)
-        accept = autgroup._keeps_meet_irreducibles(ctx.standard_context())
+        sc = ctx.standard_context()
+        accept = partial(autgroup._keeps_rows(sc), sc.rows)
         m = len(ctx.irreducibles)
         maps = permutations(range(m)) if m <= 6 else (rng.sample(range(m), m) for _ in range(100))
         for psi in maps:
@@ -1261,7 +1263,8 @@ def test_the_colours_refuse_every_map_only_the_context_test_accepts(masks, found
     # on these non-lattices the context test alone accepts maps that are no
     # automorphism, but none of them keeps the colours, so none reaches it
     poset = _poset(masks)
-    accept = autgroup._keeps_meet_irreducibles(poset.standard_context())
+    sc = poset.standard_context()
+    accept = partial(autgroup._keeps_rows(sc), sc.rows)
     colours = _point_colours(poset)
     m = len(poset.irreducibles)
     wrong = [
@@ -1764,7 +1767,7 @@ def test_product_formula_fails_on_a_wrong_tau(wrong, monkeypatch):
 def test_the_wrong_taus_fail_each_check_they_should(monkeypatch):
     spec = parse_spec("S3^3")
     ctx = autgroup.closed_form_context(spec)
-    chain, keeps = autgroup._search(ctx), autgroup._keeps_meet_irreducibles(ctx)
+    chain, keeps = autgroup._search(ctx), partial(autgroup._keeps_rows(ctx), ctx.rows)
     sigma = (1, 0, 2)
     real = autgroup.slot_action(spec, sigma)
     swapped = _swap_the_last_two_points(autgroup.slot_action, spec, sigma)
