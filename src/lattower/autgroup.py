@@ -521,15 +521,11 @@ def _class_permutations(spec: TowerGroupSpec):
     benchmark's per-layer mirror (``perfbench/layers.py``) still times tau
     over this whole list.
     """
-    a_slots = spec.a_slots()
-    b_slots = spec.b_slots()
-    n = spec.num_slots
+    a_slots, b_slots = spec.a_slots(), spec.b_slots()
     for pa in permutations(a_slots):
         for pb in permutations(b_slots):
-            mapping = [0] * n
-            for src, dst in zip(a_slots, pa):
-                mapping[src] = dst
-            for src, dst in zip(b_slots, pb):
+            mapping = [0] * spec.num_slots
+            for src, dst in zip(a_slots + b_slots, pa + pb):
                 mapping[src] = dst
             yield tuple(mapping)
 

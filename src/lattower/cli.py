@@ -54,7 +54,12 @@ class _Unwritable(LatTowerError):
     """The ``--out`` path cannot be opened for writing."""
 
 
-_USAGE_ERRORS = (SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent, _Unwritable)
+# the exit code of each kind of error; any other LatTowerError exits 1
+_EXIT_CODES = (
+    ((SpecParseError, DegreeTooSmall, DegreeTooLarge, NegativeExponent, _Unwritable), EXIT_USAGE),
+    (TooLarge, EXIT_BOUNDS),
+    (OracleMismatch, EXIT_MISMATCH),
+)
 
 
 def _bound(text: str) -> int:
@@ -109,13 +114,15 @@ _SUBCOMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its ``subcommands`` map each name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="lattower",
         description="normal-subgroup lattices of products of symmetric groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
     for name, (help_text, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = parser.subcommands[name] = sub.add_parser(name, help=help_text)
         for option in options.split():
             p.add_argument(option, **_OPTIONS[option])
     return parser
@@ -338,20 +345,12 @@ def cmd_hasse(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    rows = []
+    rows, lines = [], []
     for name, poset in lemma_lattices().items():
         order = automorphism_group(poset).order
         rows.append({"group": name, "elements": poset.n, "automorphisms": order})
-    if args.format == "json":
-        _emit(_json_dump(rows), args.out)
-    else:
-        _emit(
-            "\n".join(
-                f"{r['group']}: {r['elements']} elements, {r['automorphisms']} automorphisms"
-                for r in rows
-            ),
-            args.out,
-        )
+        lines.append(f"{name}: {poset.n} elements, {order} automorphisms")
+    _emit(_json_dump(rows) if args.format == "json" else "\n".join(lines), args.out)
     return 0
 
 
@@ -369,7 +368,12 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _PARSER.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no arguments, -h, an unknown word or a leading --
+        args = _PARSER.parse_args(argv)
+    else:  # the rest, parsed as the top-level parser would hand it on, by one parser
+        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
@@ -379,18 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         # so the flush at exit raises nothing, and stop as on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUNDS
-    except OracleMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except LatTowerError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), 1)
 
 
 if __name__ == "__main__":

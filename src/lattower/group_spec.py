@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Mapping
 
@@ -42,7 +43,7 @@ __all__ = [
 
 MAX_DEGREE = 20
 # Copies of one degree a spec may hold.  Only the tower reads specs this
-# large, from the multiplicities alone, but a spec holds one slot per copy.
+# large, from the multiplicities alone; ``slots`` holds one slot per copy.
 MAX_MULTIPLICITY = 1000
 
 
@@ -108,22 +109,35 @@ class FactorSlot:
 
 @dataclass(frozen=True)
 class TowerGroupSpec:
-    """A tower group, canonically presented.
+    """A tower group, canonically presented by its ``exponents`` alone.
 
     ``exponents`` lists (degree, multiplicity) pairs with ascending degree and
-    positive multiplicity.  ``slots`` enumerates the factors in canonical
-    order.  ``a4`` counts class-A slots, ``b`` the rest.
+    positive multiplicity.  The rest is derived from it on first use: ``slots``
+    lists the factors in canonical order, ``a4`` counts class-A slots, ``b`` the rest.
     """
 
     exponents: tuple[tuple[int, int], ...]
-    slots: tuple[FactorSlot, ...]
-    num_slots: int
-    a4: int
-    b: int
 
-    @property
+    @cached_property
+    def num_slots(self) -> int:
+        return sum(mult for _, mult in self.exponents)
+
+    @cached_property
+    def a4(self) -> int:
+        return sum(mult for degree, mult in self.exponents if degree == 4)
+
+    @cached_property
+    def b(self) -> int:
+        return self.num_slots - self.a4
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(s.degree for s in self.slots)
+        return tuple(degree for degree, mult in self.exponents for _ in range(mult))
+
+    @cached_property
+    def slots(self) -> tuple[FactorSlot, ...]:
+        pairs = [(degree, copy) for degree, mult in self.exponents for copy in range(1, mult + 1)]
+        return tuple(FactorSlot(degree, copy, index) for index, (degree, copy) in enumerate(pairs))
 
     @property
     def group_order(self) -> int:
@@ -151,7 +165,7 @@ def make_spec(exponents: Mapping[int, int]) -> TowerGroupSpec:
 
     Zero multiplicities are dropped; the empty map gives the trivial group.
     A degree above MAX_DEGREE raises DegreeTooLarge, and a multiplicity
-    above MAX_MULTIPLICITY raises TooLarge, before any slot is built.
+    above MAX_MULTIPLICITY raises TooLarge.  No slot is built here.
     """
     cleaned: list[tuple[int, int]] = []
     for degree in sorted(exponents):
@@ -167,19 +181,7 @@ def make_spec(exponents: Mapping[int, int]) -> TowerGroupSpec:
         if mult > MAX_MULTIPLICITY:
             raise TooLarge(f"{mult} copies of S{degree} exceeds the bound {MAX_MULTIPLICITY}")
         cleaned.append((degree, mult))
-
-    slots: list[FactorSlot] = []
-    for degree, mult in cleaned:
-        for copy in range(1, mult + 1):
-            slots.append(FactorSlot(degree, copy, len(slots)))
-    a4 = sum(1 for s in slots if s.degree == 4)
-    return TowerGroupSpec(
-        exponents=tuple(cleaned),
-        slots=tuple(slots),
-        num_slots=len(slots),
-        a4=a4,
-        b=len(slots) - a4,
-    )
+    return TowerGroupSpec(tuple(cleaned))
 
 
 def spec_of_degrees(degrees: Iterable[int]) -> TowerGroupSpec:
@@ -196,29 +198,34 @@ def parse_spec(text: str) -> TowerGroupSpec:
     ``1`` denotes the trivial group.  Repeated factors accumulate, so
     ``S3*S3`` equals ``S3^2``.
     """
-    squeezed = re.sub(r"\s+", "", text)
+    squeezed = "".join(text.split())
     if squeezed == "":
         raise SpecParseError(text, 0, "empty group literal")
     if squeezed == "1":
         return make_spec({})
     exponents: dict[int, int] = {}
-    position = 0
+    position = 0  # where the part starts in ``squeezed``
     for part in squeezed.split("*"):
-        if part == "":
-            raise SpecParseError(text, position, "empty factor")
         m = _PART_RE.fullmatch(part)
         if m is None:
-            raise SpecParseError(text, position, f"bad factor {part!r}")
+            message = f"bad factor {part!r}" if part else "empty factor"
+            raise SpecParseError(text, _index_in(text, position), message)
         try:
             degree = int(m.group(1))
             mult = int(m.group(2)) if m.group(2) else 1
         except ValueError:  # more digits than int() will convert
-            raise SpecParseError(text, position, "number too long") from None
+            raise SpecParseError(text, _index_in(text, position), "number too long") from None
         if mult == 0:
-            raise SpecParseError(text, position, "explicit zero multiplicity")
+            raise SpecParseError(text, _index_in(text, position), "explicit zero multiplicity")
         exponents[degree] = exponents.get(degree, 0) + mult
         position += len(part) + 1
     return make_spec(exponents)
+
+
+def _index_in(text: str, position: int) -> int:
+    """The index in ``text`` of ``position`` in ``text`` without its whitespace."""
+    kept = [i for i, ch in enumerate(text) if not ch.isspace()]
+    return kept[position] if position < len(kept) else kept[-1] + 1
 
 
 def format_spec(spec: TowerGroupSpec) -> str:

@@ -1,18 +1,23 @@
+import argparse
 import errno
 import hashlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr
+from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, cli, lattice_core, perm_oracle
+from lattower import autgroup, cli, group_spec, lattice_core, perm_oracle
 from lattower.cli import main
 from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
@@ -21,6 +26,7 @@ from lattower.lattice_core import (
     Lattice,
     LatticeElement,
     bottom_element,
+    census_of,
     enumerate_lattice,
     sign_parity_element,
     top_element,
@@ -486,7 +492,7 @@ def test_oracle_mismatch_goes_to_stderr(fmt, monkeypatch, capsys):
     assert captured.err.startswith("error:")
 
 
-@given(
+OLD_FLAGS = dict(
     command=st.sampled_from(sorted(ACCEPTED)),
     spec=st.sampled_from([None, "1", "S3", "S4", "S3^2", "S4*S3", "C2^2", "S2", "S3^", "junk"]),
     fmt=st.sampled_from([None, "text", "json", "dot"]),
@@ -494,7 +500,9 @@ def test_oracle_mismatch_goes_to_stderr(fmt, monkeypatch, capsys):
         st.sampled_from(["--max-order", "--max-T", "--max-lattice"]), st.integers(-1, 3)
     ),
 )
-def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
+
+
+def _old_flag_argv(command, spec, fmt, bounds):
     argv = [command]
     if spec is not None:
         argv += ["--spec", spec]
@@ -502,6 +510,12 @@ def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
         argv += ["--format", fmt]
     for option, value in bounds.items():
         argv += [option, str(value)]
+    return argv
+
+
+@given(**OLD_FLAGS)
+def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
+    argv = _old_flag_argv(command, spec, fmt, bounds)
     used = set(argv[1::2])
     usage_error = (
         not used <= ACCEPTED[command]
@@ -516,6 +530,144 @@ def test_exit_codes_of_any_old_flag_combination(command, spec, fmt, bounds):
     else:
         assert not usage_error
         assert code in (0, 2, 3, 4)
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` returns, or the code it exits with."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@given(**OLD_FLAGS)
+def test_main_reaches_the_handler_with_the_top_level_namespace(command, spec, fmt, bounds):
+    # main hands a call that starts with a subcommand to that subcommand's
+    # parser alone; the namespace, or the usage error, must be the one the
+    # top-level parser gives when it parses the whole argv
+    argv = _old_flag_argv(command, spec, fmt, bounds)
+    reached = []
+    handlers = {name: lambda args: reached.append(args) or 0 for name in cli._HANDLERS}
+    with mock.patch.dict(cli._HANDLERS, handlers), redirect_stderr(io.StringIO()):
+        code = _outcome(main, argv)
+        want = _outcome(cli._PARSER.parse_args, argv)
+    if isinstance(want, argparse.Namespace):
+        assert (code, reached) == (0, [want])
+    else:
+        assert (code, want, reached) == (2, 2, [])
+
+
+TOWER_HELP = """usage: lattower tower [-h] --spec SPEC [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --spec SPEC           group literal, e.g. S4^2*S3^2
+  --format {text,json}
+  --out OUT             write output to this file
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [([], 2), (["-h"], 0), (["bogus"], 2), (["--", "tower", "--spec", "S3"], 2)],
+    ids=["no-arguments", "help", "unknown-word", "leading-double-dash"],
+)
+def test_an_argv_without_a_leading_subcommand_goes_to_the_top_level_parser(
+    argv, code, monkeypatch, capsys
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = []
+    real = cli._PARSER.parse_known_args
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, len(calls)) == (code, 1)
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out == cli._PARSER.format_help()
+        assert captured.out.startswith("usage: lattower [-h] {enumerate,aut,tower,")
+    else:
+        assert captured.err.startswith("usage: lattower [-h] {enumerate,aut,tower,")
+
+
+def test_subcommand_help_is_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == TOWER_HELP
+
+
+def test_an_unknown_option_is_reported_by_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tower", "--spec", "S3", "--max-T", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "lattower tower: error: unrecognized arguments: --max-T 1"
+    )
+
+
+def test_a_valid_command_never_calls_the_top_level_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("top-level parser called")
+
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(cli._PARSER, method, refuse)
+    assert run_cli(capsys, "tower", "--spec", "S4^2*S3^2")[0] == 0
+    assert run_cli(capsys, "enumerate", "--spec", "S3^3", "--format", "json")[0] == 0
+    assert run_cli(capsys, "lemmas")[0] == 0
+    monkeypatch.setattr(sys, "argv", ["lattower", "tower", "--spec", "S3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "G_0 = S3 → G_1 = 1 (1 step)\n"
+
+
+# Every start spec with at most six slots and degrees 3..7, the towers of the
+# census benchmark workload, as canonical literals
+TOWER_START_SPECS = [
+    "*".join(f"S{d}" if combo.count(d) == 1 else f"S{d}^{combo.count(d)}"
+             for d in sorted(set(combo), reverse=True)) or "1"
+    for t in range(7)
+    for combo in combinations_with_replacement((3, 4, 5, 6, 7), t)
+]
+# the sha256 and byte count of tower's stdout over all of them, one call each,
+# taken while every spec still built one FactorSlot per slot and main parsed
+# each call with the top-level parser
+TOWER_DIGESTS = {
+    "text": ("8e6e2b4c1a23843a1c680f9b30dee14133b5d163834b72eec76f9f75e652f617", 26218),
+    "json": ("fec472d27665453375bfdedff6ac5dd4b0baaffb8bf4bc94d2a100eee1a79d0d", 42199),
+}
+
+
+@pytest.fixture
+def no_factor_slots(monkeypatch):
+    """Make every ``FactorSlot`` construction raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FactorSlot built")
+
+    monkeypatch.setattr(group_spec, "FactorSlot", refuse)
+    with pytest.raises(AssertionError):
+        parse_spec("S3").slots
+
+
+@pytest.mark.parametrize("fmt", sorted(TOWER_DIGESTS))
+def test_tower_bytes_over_the_start_specs_are_pinned(fmt, no_factor_slots, capsys):
+    assert len(TOWER_START_SPECS) == len(set(TOWER_START_SPECS)) == 462
+    out = []
+    for spec in TOWER_START_SPECS:
+        code, text = run_cli(capsys, "tower", "--spec", spec, "--format", fmt)
+        assert code == 0, spec
+        out.append(text)
+    data = "".join(out).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == TOWER_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("spec", ["1", "S5", "S4^2*S3^2", "S7*S5*S4^2*S3", "S3^8"])
+def test_enumerate_text_builds_no_factor_slot(spec, no_factor_slots, capsys):
+    c = census_of(parse_spec(spec))
+    code, out = run_cli(capsys, "enumerate", "--spec", spec)
+    assert (code, out) == (0, f"total {c.total}: sub-products {c.sub_products}, "
+                              f"sign-parity {c.sign_parity}, mixed {c.mixed}\n")
 
 
 def test_tower_text(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,8 @@ from lattower.errors import (
 from lattower.group_spec import (
     MAX_MULTIPLICITY,
     ChainPosition,
+    FactorSlot,
+    TowerGroupSpec,
     chain,
     format_spec,
     legal_position,
@@ -39,6 +43,31 @@ def test_parse_is_case_and_whitespace_insensitive():
 def test_parse_accumulates_repeated_degrees():
     assert parse_spec("S3*S3") == parse_spec("S3^2")
     assert parse_spec("S3*S4*S3") == parse_spec("S4*S3^2")
+
+
+def test_a_spec_is_its_exponents():
+    # equality and hashing read the one field that defines a spec, so the
+    # derived fields, read or not, make no difference
+    once, twice = parse_spec("S3*S3"), parse_spec("S3^2")
+    assert once.slots
+    assert once == twice and hash(once) == hash(twice)
+    assert len({once, twice, make_spec({3: 2})}) == 1
+    assert [f.name for f in fields(TowerGroupSpec)] == ["exponents"]
+
+
+def test_slots_of_a_mixed_spec_keep_their_labels_indices_and_classes():
+    spec = parse_spec("S7*S5*S4^2*S3")
+    assert spec.slots == (
+        FactorSlot(3, 1, 0),
+        FactorSlot(4, 1, 1),
+        FactorSlot(4, 2, 2),
+        FactorSlot(5, 1, 3),
+        FactorSlot(7, 1, 4),
+    )
+    assert [s.label for s in spec.slots] == ["3.1", "4.1", "4.2", "5.1", "7.1"]
+    assert [s.slot_class for s in spec.slots] == ["B", "A", "A", "B", "B"]
+    assert (spec.num_slots, spec.a4, spec.b, spec.degrees) == (5, 2, 3, (3, 4, 4, 5, 7))
+    assert (spec.a_slots(), spec.b_slots()) == ((1, 2), (0, 3, 4))
 
 
 def test_parse_trivial():
@@ -70,6 +99,29 @@ def test_parse_trivial():
 def test_parse_rejects(bad, exc):
     with pytest.raises(exc):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("S3*X5", 3, "bad factor 'X5'"),
+        ("  S3*X5", 5, "bad factor 'X5'"),
+        ("S3 * X5", 5, "bad factor 'X5'"),
+        (" S 3 * X 5", 7, "bad factor 'X5'"),
+        ("\tS3*S4^0", 4, "explicit zero multiplicity"),
+        ("S3 *  * S4", 6, "empty factor"),
+        ("S3 * ", 4, "empty factor"),
+        ("*S3", 0, "empty factor"),
+        ("  ", 0, "empty group literal"),
+        (" S3 * S" + "9" * 5000, 6, "number too long"),
+    ],
+)
+def test_a_parse_error_gives_the_index_in_the_quoted_text(text, position, message):
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec(text)
+    assert (exc.value.text, exc.value.position) == (text, position)
+    if len(text) < 100:
+        assert str(exc.value) == f"{message} at position {position} in {text!r}"
 
 
 def test_multiplicity_bound():
