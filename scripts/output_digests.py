@@ -5,10 +5,10 @@ through ``lattower.cli.main`` in this process, with stdout hashed as it is
 written, so even a large lattice's output is never held whole.  One line per
 command gives the sha256 of its stdout, the byte count, the seconds taken,
 the exit code and the command.  Two checkouts print the same digests exactly
-when the four outputs are byte-identical.  The bounds go to ``hasse`` and
-``enumerate`` only: ``aut`` builds no element and takes no bound.
+when the four outputs are byte-identical.  ``--max-lattice`` goes to
+``hasse`` and ``enumerate`` only: ``aut`` builds no element and takes no bound.
 
-    python scripts/output_digests.py --spec 'S3^7' --max-T 7 --max-lattice 100000
+    python scripts/output_digests.py --spec 'S3^7' --max-lattice 100000
 """
 
 import argparse
@@ -18,7 +18,6 @@ from contextlib import redirect_stdout
 
 from lattower import cli
 from lattower.autgroup import DEFAULT_MAX_LATTICE
-from lattower.lattice_core import DEFAULT_MAX_SLOTS
 
 
 class _Digest:
@@ -38,8 +37,8 @@ class _Digest:
         pass
 
 
-def commands(spec: str, max_slots: int, max_lattice: int) -> list[list[str]]:
-    bounds = ["--max-T", str(max_slots), "--max-lattice", str(max_lattice)]
+def commands(spec: str, max_lattice: int) -> list[list[str]]:
+    bounds = ["--max-lattice", str(max_lattice)]
     return [
         ["hasse", "--spec", spec, *bounds],
         ["enumerate", "--spec", spec, *bounds, "--format", "json"],
@@ -51,11 +50,10 @@ def commands(spec: str, max_slots: int, max_lattice: int) -> list[list[str]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", required=True)
-    parser.add_argument("--max-T", dest="max_slots", type=int, default=DEFAULT_MAX_SLOTS)
     parser.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_LATTICE)
     args = parser.parse_args()
     failed = False
-    for argv in commands(args.spec, args.max_slots, args.max_lattice):
+    for argv in commands(args.spec, args.max_lattice):
         out = _Digest()
         start = time.perf_counter()
         with redirect_stdout(out):

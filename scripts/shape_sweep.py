@@ -6,8 +6,8 @@ is realised as S4^a4 * S3^B and checked by ``verify_product_formula``, on
 N(G)'s standard context in closed form, with no element enumerated.  One
 line per shape gives its element count (the closed-form census), the three
 orders (a4! * B!, the searched group and the group of the tau maps), the
-verdict and the seconds taken.  ``--max-T`` is both the largest slot count
-swept and the slot bound handed to ``census_of``; past ``MAX_CONTEXT_SLOTS``
+verdict and the seconds taken.  ``--max-T`` is the largest slot count
+swept, and no bound is handed to the library; past ``MAX_CONTEXT_SLOTS``
 (12), the closed-form context's own bound, it is refused before any shape is
 swept.  A shape that does not match stops the sweep with an error after its
 line.
@@ -26,11 +26,11 @@ from lattower.lattice_core import census_of
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-T", dest="max_slots", type=int, default=6)
+    parser.add_argument("--max-T", dest="max_t", type=int, default=6)
     args = parser.parse_args()
-    if args.max_slots > MAX_CONTEXT_SLOTS:
+    if args.max_t > MAX_CONTEXT_SLOTS:
         parser.error(
-            f"--max-T {args.max_slots} is past {MAX_CONTEXT_SLOTS}, the slot bound of the "
+            f"--max-T {args.max_t} is past {MAX_CONTEXT_SLOTS}, the slot bound of the "
             "closed-form context"
         )
     header = (
@@ -39,11 +39,11 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
-    for t in range(1, args.max_slots + 1):
+    for t in range(1, args.max_t + 1):
         for a4 in range(t + 1):
             spec = spec_of_degrees((4,) * a4 + (3,) * (t - a4))
             start = time.perf_counter()
-            elements = census_of(spec, args.max_slots).total
+            elements = census_of(spec).total
             r = verify_product_formula(spec)
             secs = time.perf_counter() - start
             verdict = "match" if r.match else "MISMATCH"

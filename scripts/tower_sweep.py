@@ -21,20 +21,20 @@ from lattower.tower import StartNode, format_run, run_tower
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--degrees", type=int, nargs="+", default=[3, 4, 5, 6, 7])
-    parser.add_argument("--max-T", dest="max_slots", type=int, default=6)
+    parser.add_argument("--max-T", dest="max_t", type=int, default=6)
     args = parser.parse_args()
     degrees = tuple(sorted(set(args.degrees)))
     histogram: Counter[int] = Counter()
     sharp_lines = []
     total = 0
-    for t in range(args.max_slots + 1):
+    for t in range(args.max_t + 1):
         for combo in combinations_with_replacement(degrees, t):
             run = run_tower(StartNode(spec_of_degrees(combo)))
             histogram[run.steps] += 1
             total += 1
             if run.sharp:
                 sharp_lines.append(format_run(run))
-    print(f"{total} specs, degrees {degrees}, T <= {args.max_slots}")
+    print(f"{total} specs, degrees {degrees}, T <= {args.max_t}")
     for steps in sorted(histogram):
         print(f"  {steps} steps: {histogram[steps]}")
     if sharp_lines:

@@ -38,12 +38,11 @@ from math import factorial
 from operator import or_
 
 from .context import StandardContext, closed_form_context, factor_atom_points, slot_action
-from .errors import ClassViolation, LatTowerError, TooLarge
+from .errors import ClassViolation, LatTowerError, TooLarge, decimal
 from .gf2 import _annihilator_mask, _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .group_spec import chain as positions_of
 from .lattice_core import (
-    DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
     _digits,
@@ -263,28 +262,25 @@ def _canonical_ids(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def check_lattice_size(
-    spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
-) -> None:
+def check_lattice_size(spec: TowerGroupSpec, max_size: int = DEFAULT_MAX_LATTICE) -> None:
     """Raise TooLarge unless N(G)'s closed-form census fits ``max_size``.
 
     This is the one check of the lattice-size bound, made before anything
     is built: ``bounded_lattice`` makes it before it enumerates, and
     ``tower.verify_step_against_lattice`` before it builds a tower group's
-    closed-form context.  ``census_of`` checks the slot bound.
+    closed-form context.  ``census_of`` refuses past its own fixed slot bound.
     """
-    total = census_of(spec, max_slots).total
+    total = census_of(spec).total
     if total > max_size:
-        raise TooLarge(f"{total} elements exceeds the lattice bound {max_size}")
+        elements = decimal(total) or f"a {total.bit_length()}-bit number of"
+        raise TooLarge(f"{elements} elements exceeds the lattice bound {max_size}")
 
 
-def bounded_lattice(
-    spec: TowerGroupSpec, max_slots: int = DEFAULT_MAX_SLOTS, max_size: int = DEFAULT_MAX_LATTICE
-) -> Lattice:
+def bounded_lattice(spec: TowerGroupSpec, max_size: int = DEFAULT_MAX_LATTICE) -> Lattice:
     """N(G) enumerated, once ``check_lattice_size`` admits it: what ``hasse``
     and ``enumerate --format json`` write."""
-    check_lattice_size(spec, max_slots, max_size)
-    return enumerate_lattice(spec, max_slots)
+    check_lattice_size(spec, max_size)
+    return enumerate_lattice(spec)
 
 
 def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:

@@ -25,6 +25,7 @@ from .errors import (
     OracleMismatch,
     SpecParseError,
     TooLarge,
+    decimal,
 )
 from .autgroup import (
     DEFAULT_MAX_LATTICE,
@@ -33,7 +34,7 @@ from .autgroup import (
     verify_product_formula,
 )
 from .group_spec import ChainPosition, format_spec, parse_spec
-from .lattice_core import DEFAULT_MAX_SLOTS, Lattice, census_of
+from .lattice_core import Lattice, census_of
 from .perm_oracle import (
     DEFAULT_MAX_ORDER,
     LEMMA_GROUP_DEGREES,
@@ -84,31 +85,25 @@ _OPTIONS = {
         default=DEFAULT_MAX_ORDER,
         help="largest permutation group oracle-diff builds (default %(default)s)",
     ),
-    "--max-T": dict(
-        dest="max_slots",
-        type=_bound,
-        default=DEFAULT_MAX_SLOTS,
-        help="most factor slots to enumerate (default %(default)s); "
-        "hasse on a small-group name ignores it",
-    ),
     "--max-lattice": dict(
         type=_bound,
         default=DEFAULT_MAX_LATTICE,
         help="most elements of N(G) that hasse and enumerate --format json build "
-        "(default %(default)s); enumerate as text and hasse on a small-group name ignore it",
+        "(default %(default)s); enumerate as text builds none, and hasse on a "
+        "small-group name ignores it",
     ),
 }
 
 # subcommand -> (help, the options its handler reads)
 _SUBCOMMANDS = {
-    "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-T --max-lattice"),
+    "enumerate": ("census or full dump of N(G)", "--spec --format --out --max-lattice"),
     "aut": ("check LatAut(G) against the slot formula", "--spec --format --out"),
     "tower": ("iterate G -> LatAut(G) to the trivial group", "--spec --format --out"),
     "oracle-diff": (
         "differential validation against permutations",
-        "--spec --format --out --max-order --max-T",
+        "--spec --format --out --max-order",
     ),
-    "hasse": ("covering relations as DOT", "--spec --out --max-T --max-lattice"),
+    "hasse": ("covering relations as DOT", "--spec --out --max-lattice"),
     "lemmas": ("small-group lattices and their symmetries", "--format --out"),
 }
 
@@ -164,22 +159,21 @@ def _json_dump(data) -> str:
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
-        lat = bounded_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+        lat = bounded_lattice(spec, max_size=args.max_lattice)
         _emit(_lattice_json(lat), args.out)
         return 0
-    c = census_of(spec, max_slots=args.max_slots)
-    try:
-        line = (
-            f"total {c.total}: sub-products {c.sub_products}, "
-            f"sign-parity {c.sign_parity}, mixed {c.mixed}"
-        )
-    except ValueError:
-        # past the interpreter's int-to-str digit limit, which stays as it is
+    c = census_of(spec)
+    total = decimal(c.total)  # the other three counts are smaller
+    if total is None:
         raise TooLarge(
             f"census of {format_spec(spec)} has a total of {c.total.bit_length()} bits, "
             "too long to print in decimal"
-        ) from None
-    _emit(line, args.out)
+        )
+    _emit(
+        f"total {total}: sub-products {c.sub_products}, "
+        f"sign-parity {c.sign_parity}, mixed {c.mixed}",
+        args.out,
+    )
     return 0
 
 
@@ -218,7 +212,7 @@ def cmd_tower(args) -> int:
 
 def cmd_oracle_diff(args) -> int:
     spec = parse_spec(args.spec)
-    report = differential_validate(spec, max_order=args.max_order, max_slots=args.max_slots)
+    report = differential_validate(spec, max_order=args.max_order)
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
@@ -339,7 +333,7 @@ def cmd_hasse(args) -> int:
         _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
         return 0
     spec = parse_spec(args.spec)
-    lat = bounded_lattice(spec, max_slots=args.max_slots, max_size=args.max_lattice)
+    lat = bounded_lattice(spec, max_size=args.max_lattice)
     _emit(_dot_of_lattice(lat), args.out)
     return 0
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .errors import TooLarge
+from .errors import TooLarge, decimal
 from .gf2 import _bits, _perps
 from .group_spec import TowerGroupSpec
 from .stabiliser import Perm
@@ -110,10 +110,7 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     """
     n = spec.num_slots
     if n > MAX_CONTEXT_SLOTS:
-        try:
-            points = str(2**n + n + spec.a4 - 1)
-        except ValueError:  # past the interpreter's int-to-str digit limit, which stays as it is
-            points = f"2^{n} + {n + spec.a4 - 1}"
+        points = decimal(2**n + n + spec.a4 - 1) or f"2^{n} + {n + spec.a4 - 1}"
         raise TooLarge(
             f"{n} slots exceeds the closed-form context bound {MAX_CONTEXT_SLOTS}: "
             f"the automorphism search on its {points} points would take minutes"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text of a number in their messages."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ __all__ = [
     "ClassViolation",
     "OracleMismatch",
     "NonTermination",
+    "decimal",
 ]
 
 
@@ -97,3 +98,12 @@ class OracleMismatch(LatTowerError):
 
 class NonTermination(LatTowerError):
     """Tower iteration failed to reach the trivial group within the step cap."""
+
+
+def decimal(n: int) -> str | None:
+    """n in decimal, or None past the interpreter's int-to-str digit limit,
+    which stays as it is: the text of a number in a TooLarge message."""
+    try:
+        return str(n)
+    except ValueError:
+        return None

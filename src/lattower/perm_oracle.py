@@ -23,15 +23,13 @@ from math import factorial
 from operator import and_, or_
 from typing import Sequence
 
-from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge
+from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge, decimal
 from .gf2 import _bits, span
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
-    DEFAULT_MAX_SLOTS,
     AbstractLattice,
     Lattice,
     Profile,
-    _check_slots,
     _covers_of_order,
     enumerate_lattice,
 )
@@ -115,7 +113,8 @@ class ConcreteGroup:
         for d in self.degrees:
             self.order *= factorial(d)
         if self.order > max_order:
-            raise TooLarge(f"group order {self.order} exceeds the oracle bound {max_order}")
+            order = decimal(self.order) or f"of {self.order.bit_length()} bits"
+            raise TooLarge(f"group order {order} exceeds the oracle bound {max_order}")
 
     @cached_property
     def class_table(self) -> "ClassTable":
@@ -310,29 +309,29 @@ class OracleReport:
 def differential_validate(
     spec: TowerGroupSpec,
     max_order: int = DEFAULT_MAX_ORDER,
-    max_slots: int = DEFAULT_MAX_SLOTS,
     lattice: Lattice | None = None,
 ) -> OracleReport:
     """Compare the triple enumeration against the conjugacy classes of G.
 
-    A lattice of another spec and both bounds are checked before any class is
-    built.  Then, in order: the counts agree; profiles give a bijection between
-    the two lists; the oracle down and up sets of every element, bitsets over
-    the enumeration, equal its ``down_masks`` and ``up_masks``, the closure of
-    its cover moves (leq on all ordered pairs); and for every pair, the
-    intersection of the class masks is the enumerated meet and the enumerated
-    join J is the product N1 N2.  J's mask is a normal subgroup, so once it
-    contains N1 and N2 it holds N1 N2, and then equals it exactly when
-    |J| |N1 meet N2| = |N1| |N2|.  Orders are sums of class sizes, so no element
-    of G is built.  The first divergence raises OracleMismatch.
+    A lattice of another spec and the order bound are checked before any class
+    is built; each factor has order at least 6, so the order bound also caps
+    the slots of the lattice enumerated here.  Then, in order: the counts
+    agree; profiles give a bijection between the two lists; the oracle down
+    and up sets of every element, bitsets over the enumeration, equal its
+    ``down_masks`` and ``up_masks``, the closure of its cover moves (leq on
+    all ordered pairs); and for every pair, the intersection of the class
+    masks is the enumerated meet and the enumerated join J is the product
+    N1 N2.  J's mask is a normal subgroup, so once it contains N1 and N2 it
+    holds N1 N2, and then equals it exactly when |J| |N1 meet N2| = |N1| |N2|.
+    Orders are sums of class sizes, so no element of G is built.  The first
+    divergence raises OracleMismatch.
     """
     if lattice is not None and lattice.spec != spec:
         raise SpecMismatch(f"lattice of {format_spec(lattice.spec)} given for {format_spec(spec)}")
     group = concrete_group(spec, max_order)
-    _check_slots(spec, max_slots)
     table = group.class_table
     masks = _normal_masks(table)
-    lat = lattice if lattice is not None else enumerate_lattice(spec, max_slots)
+    lat = lattice if lattice is not None else enumerate_lattice(spec)
     name = format_spec(spec)
     n = len(lat)
     if len(masks) != n:

@@ -19,7 +19,7 @@ from typing import Union
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, spec_of_degrees
 from .context import closed_form_context
-from .lattice_core import DEFAULT_MAX_SLOTS, AbstractLattice
+from .lattice_core import AbstractLattice
 from .autgroup import DEFAULT_MAX_LATTICE, _search, automorphism_group, check_lattice_size
 from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
 
@@ -156,14 +156,17 @@ class StepReport:
         return asdict(self)
 
 
-def _node_order(node: TowerNode, max_order: int, max_slots: int, max_size: int) -> int:
+def _node_order(node: TowerNode, max_order: int, max_size: int) -> int:
     """The order of the searched automorphism group of the node's normal-subgroup lattice.
 
     Tower groups are searched on their standard context in closed form, and
     only when their closed-form census fits the lattice bound, so no element
-    is enumerated; anything with a C2 factor goes through the permutation
-    oracle and ``automorphism_group``; the trivial group is a single point.
-    TooLarge propagates to the caller.
+    is enumerated.  The census and the context read a degree only as 4 or
+    not 4, so a pair S_a x S_b with a, b >= 3 is searched as its slot-class
+    representative, each degree other than 4 taken as 3: S25 x S3 as S3^2.
+    Anything with a C2 factor goes through the permutation oracle and
+    ``automorphism_group``; the trivial group is a single point.  TooLarge
+    propagates to the caller.
     """
     if isinstance(node, StartNode):
         spec = node.spec
@@ -174,15 +177,14 @@ def _node_order(node: TowerNode, max_order: int, max_slots: int, max_size: int) 
         if degrees[0] == 2:
             poset = normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
             return automorphism_group(poset).order
-        spec = spec_of_degrees(degrees)
-    check_lattice_size(spec, max_slots=max_slots, max_size=max_size)
+        spec = spec_of_degrees(4 if d == 4 else 3 for d in degrees)
+    check_lattice_size(spec, max_size=max_size)
     return _search(closed_form_context(spec)).order
 
 
 def verify_step_against_lattice(
     node: TowerNode,
     max_order: int = DEFAULT_MAX_ORDER,
-    max_slots: int = DEFAULT_MAX_SLOTS,
     max_size: int = DEFAULT_MAX_LATTICE,
 ) -> StepReport:
     """Check one latauto_step answer against the searched automorphism group.
@@ -198,7 +200,7 @@ def verify_step_against_lattice(
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
-        observed = _node_order(node, max_order=max_order, max_slots=max_slots, max_size=max_size)
+        observed = _node_order(node, max_order=max_order, max_size=max_size)
     except TooLarge as exc:
         return StepReport(
             node=format_node(node),

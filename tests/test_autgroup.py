@@ -458,8 +458,8 @@ CRITERION_3_SPECS = sorted({*CACHED_SPECS, "S3^7", *SHAPE_SPECS})
 
 @pytest.fixture(scope="module")
 def s3_7():
-    """S3^7, past DEFAULT_MAX_SLOTS: built once for this module, not kept in the cache."""
-    return enumerate_lattice(parse_spec("S3^7"), max_slots=7)
+    """S3^7: built once for this module, not kept in the cache."""
+    return enumerate_lattice(parse_spec("S3^7"))
 
 
 def _criterion_3_lattice(text, request):

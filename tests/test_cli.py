@@ -107,20 +107,25 @@ def _must_not_enumerate(*args, **kwargs):
     raise AssertionError("enumerate_lattice called")
 
 
+# the census lines of specs past the old slot bound of 8 too
+CENSUS_LINES = {
+    "S3^8": "total 756682: sub-products 6561, sign-parity 247, mixed 749874",
+    "S3^9": "total 13384290: sub-products 19683, sign-parity 502, mixed 13364105",
+    "S4^10*S3^10": "total 9655618694309985162962230546432: sub-products 61917364224, "
+    "sign-parity 1048555, mixed 9655618694309985162900312133653",
+}
+
+
 def test_enumerate_text_builds_no_element(monkeypatch, capsys):
-    monkeypatch.setattr(autgroup, "enumerate_lattice", _must_not_enumerate)
-    code, out = run_cli(capsys, "enumerate", "--spec", "S3^8")
-    assert code == 0
-    assert out == "total 756682: sub-products 6561, sign-parity 247, mixed 749874\n"
-    assert main(["enumerate", "--spec", "S3^9"]) == 3
-    assert capsys.readouterr().err == "error: 9 slots exceeds the enumeration bound 8\n"
-    assert main(["enumerate", "--spec", "S3^3", "--max-T", "2"]) == 3
-    assert capsys.readouterr().err == "error: 3 slots exceeds the enumeration bound 2\n"
+    for module in (autgroup, lattice_core, perm_oracle):
+        monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
+    for spec, line in CENSUS_LINES.items():
+        assert run_cli(capsys, "enumerate", "--spec", spec) == (0, line + "\n"), spec
 
 
 def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
     limit = sys.get_int_max_str_digits()
-    assert main(["enumerate", "--spec", "S3^300", "--max-T", "300"]) == 3
+    assert main(["enumerate", "--spec", "S3^300"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -169,12 +174,55 @@ def test_aut_refuses_an_oversized_lattice_before_enumerating(argv, err, no_latti
     assert captured.err == err
 
 
+# Past the census bound of 300 slots, each command that reads a census or
+# builds a group refuses in one line: the census refusal, or the oracle's
+# (6^301 has 234 digits; the order of the 15,000 slots is past the
+# interpreter's int-to-str digit limit, which stays as it is).
+PAST_THE_CENSUS_BOUND = [
+    (command, spec, err)
+    for spec, slots, order in [
+        ("S3^301", 301, str(6**301)),
+        (SLOTS_15000, 15000, "of 347231 bits"),
+    ]
+    for command, err in [
+        (["enumerate"], f"{slots} slots exceeds the census bound 300"),
+        (["enumerate", "--format", "json"], f"{slots} slots exceeds the census bound 300"),
+        (["hasse"], f"{slots} slots exceeds the census bound 300"),
+        (["oracle-diff"], f"group order {order} exceeds the oracle bound 5000"),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "command, spec, err",
+    PAST_THE_CENSUS_BOUND,
+    ids=[f"{' '.join(c)}-{s[:6]}" for c, s, _ in PAST_THE_CENSUS_BOUND],
+)
+def test_a_spec_past_the_census_bound_is_refused_in_one_line(
+    command, spec, err, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done past the bound")
+
+    for module in (autgroup, lattice_core, perm_oracle):
+        monkeypatch.setattr(module, "enumerate_lattice", refuse)
+    monkeypatch.setattr(lattice_core, "_galois_numbers", refuse)
+    monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
+    limit = sys.get_int_max_str_digits()
+    assert main([command[0], "--spec", spec, *command[1:]]) == 3
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["hasse", "--spec", "S3^8", "--max-T", "8"],
+        ["hasse", "--spec", "S3^8"],
         ["enumerate", "--spec", "S3^8", "--format", "json"],
         ["hasse", "--spec", "S3^3", "--max-lattice", "37"],
+        ["hasse", "--spec", "S3^9"],
+        ["hasse", "--spec", "S3^250"],
+        ["enumerate", "--spec", "S3^250", "--format", "json"],
     ],
 )
 def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
@@ -186,7 +234,15 @@ def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    elements, bound = ("38", "37") if "S3^3" in argv else ("756682", "10000")
+    # the total of S3^250 (15,628 bits) is past the interpreter's int-to-str
+    # digit limit, which stays as it is
+    elements = {
+        "S3^3": "38",
+        "S3^8": "756682",
+        "S3^9": "13384290",
+        "S3^250": "a 15628-bit number of",
+    }[argv[2]]
+    bound = "37" if "--max-lattice" in argv else "10000"
     assert captured.err == f"error: {elements} elements exceeds the lattice bound {bound}\n"
 
 
@@ -269,8 +325,9 @@ AUT_S3_8_DIGESTS = {
 }
 
 
-# the same of S3^7, as scripts/output_digests.py printed them with --max-T 7
-# --max-lattice 100000, while aut still refused S3^7 (59,866 elements) by default
+# the same of S3^7, as scripts/output_digests.py printed them with --max-lattice
+# 100000 (and the --max-T 7 it then took), while aut still refused S3^7
+# (59,866 elements) by default
 AUT_S3_7_DIGESTS = {
     "text": ("555d9357c068886a612dae765797e446585e9f63f052286f368f5bd1e132b709", 158),
     "json": ("ad3469d0cdd191e7fb0fe4b00ff361c01d712632fa0481cf002694190a6b51e0", 269),
@@ -404,10 +461,10 @@ def test_exit_code_on_parse_error(capsys):
 
 
 def test_exit_code_on_bound_violation(capsys):
-    assert main(["enumerate", "--spec", "S3^9"]) == 3
-    assert main(["enumerate", "--spec", "S3^3", "--max-T", "2"]) == 3
-    assert main(["hasse", "--spec", "S3^3", "--max-T", "2"]) == 3
-    assert main(["oracle-diff", "--spec", "S3", "--max-T", "0"]) == 3
+    assert main(["enumerate", "--spec", "S3^301"]) == 3
+    assert main(["enumerate", "--spec", "S3^3", "--format", "json", "--max-lattice", "0"]) == 3
+    assert main(["hasse", "--spec", "S3^3", "--max-lattice", "0"]) == 3
+    assert main(["oracle-diff", "--spec", "S3", "--max-order", "0"]) == 3
     assert main(["tower", "--spec", "S3^99999999999"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -416,15 +473,16 @@ def test_exit_code_on_bound_violation(capsys):
 
 # The options each subcommand takes besides --out.
 ACCEPTED = {
-    "enumerate": {"--spec", "--format", "--max-T", "--max-lattice"},
+    "enumerate": {"--spec", "--format", "--max-lattice"},
     "aut": {"--spec", "--format"},
     "tower": {"--spec", "--format"},
-    "oracle-diff": {"--spec", "--format", "--max-order", "--max-T"},
-    "hasse": {"--spec", "--max-T", "--max-lattice"},
+    "oracle-diff": {"--spec", "--format", "--max-order"},
+    "hasse": {"--spec", "--max-lattice"},
     "lemmas": {"--format"},
 }
 REJECTED = [
     ("enumerate", "--max-order", "1"),
+    ("enumerate", "--max-T", "1"),
     ("enumerate", "--format", "dot"),
     ("aut", "--max-order", "1"),
     ("aut", "--max-T", "1"),
@@ -435,8 +493,10 @@ REJECTED = [
     ("tower", "--max-lattice", "1"),
     ("tower", "--format", "dot"),
     ("oracle-diff", "--max-lattice", "1"),
+    ("oracle-diff", "--max-T", "1"),
     ("oracle-diff", "--format", "dot"),
     ("hasse", "--max-order", "1"),
+    ("hasse", "--max-T", "1"),
     ("hasse", "--format", "text"),
     ("lemmas", "--max-order", "1"),
     ("lemmas", "--max-T", "1"),
@@ -458,7 +518,7 @@ def test_options_a_subcommand_does_not_read_are_rejected(command, option, value,
 BOUNDS = [
     (command, option)
     for command, options in sorted(ACCEPTED.items())
-    for option in ("--max-order", "--max-T", "--max-lattice")
+    for option in ("--max-order", "--max-lattice")
     if option in options
 ]
 
@@ -715,9 +775,9 @@ def test_oracle_diff_respects_max_order(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--spec", "S3^5", "--max-order", "7776", "--max-T", "4"],
-        ["--spec", "S3^5", "--max-T", "4"],
+        ["--spec", "S3^5"],
         ["--spec", "S3^3", "--max-order", "100"],
+        ["--spec", "S8^1000"],
     ],
 )
 def test_oracle_diff_checks_its_bounds_before_the_class_table(argv, monkeypatch, capsys):

@@ -6,6 +6,7 @@ from typing import Iterator
 
 import pytest
 
+from lattower import lattice_core
 from lattower.errors import (
     DeadCoordinate,
     IllegalChainPosition,
@@ -38,6 +39,7 @@ from lattower.lattice_core import (
     FAMILY_MIXED,
     FAMILY_SIGN_PARITY,
     FAMILY_SUB_PRODUCT,
+    MAX_CENSUS_SLOTS,
     Profile,
     bottom_element,
     census_of,
@@ -107,23 +109,18 @@ def test_single_factor_lattices():
     assert [e.order for e in enumerate_lattice(parse_spec("S4"))] == [1, 4, 12, 24]
 
 
-def test_enumerate_bounds():
-    with pytest.raises(TooLarge):
-        enumerate_lattice(parse_spec("S3^9"))
-    enumerate_lattice(parse_spec("S3^2"), max_slots=2)
-    with pytest.raises(TooLarge):
-        enumerate_lattice(parse_spec("S3^3"), max_slots=2)
+def test_census_of_refuses_past_its_slot_bound(monkeypatch):
+    assert MAX_CENSUS_SLOTS == 300
+    census_of(parse_spec("S3^300"))  # at the bound: admitted
 
+    def refuse(m):
+        raise AssertionError("a Galois number was computed")
 
-def test_census_of_shares_the_slot_bound():
-    for text, max_slots in (("S3^9", 8), ("S3^3", 2)):
-        spec = parse_spec(text)
-        with pytest.raises(TooLarge) as by_enumeration:
-            enumerate_lattice(spec, max_slots=max_slots)
-        with pytest.raises(TooLarge) as closed_form:
-            census_of(spec, max_slots=max_slots)
-        assert str(closed_form.value) == str(by_enumeration.value)
-    assert census_of(parse_spec("S3^2"), max_slots=2).total == 10
+    monkeypatch.setattr(lattice_core, "_galois_numbers", refuse)
+    for text, slots in (("S3^301", 301), ("S4^151*S3^150", 301), ("S20^1000", 1000)):
+        with pytest.raises(TooLarge) as exc:
+            census_of(parse_spec(text))
+        assert str(exc.value) == f"{slots} slots exceeds the census bound 300"
 
 
 # The a(w) route the substituted census formula replaced, kept as its referee.
@@ -166,12 +163,12 @@ def test_admissible_count_matches_the_gf2_enumeration():
 def test_census_of_total_matches_the_admissible_count_sum(a4):
     for b in range(9):
         spec = make_spec({4: a4, 3: b})
-        assert census_of(spec, max_slots=16).total == _reference_total(a4, b), (a4, b)
+        assert census_of(spec).total == _reference_total(a4, b), (a4, b)
 
 
 def test_census_of_total_matches_the_admissible_count_sum_on_s3_300():
     spec = parse_spec("S3^300")
-    assert census_of(spec, max_slots=300).total == _reference_total(0, 300)
+    assert census_of(spec).total == _reference_total(0, 300)
 
 
 # every split into a4 class-A and B class-B slots with a4 + B <= 6

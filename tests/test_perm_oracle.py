@@ -829,16 +829,22 @@ def test_differential_validate_builds_no_element(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, max_order, max_slots",
-    [("S3^5", 7776, 4), ("S3^3", 100, 8), ("S5^2", 5000, 1)],
+    "spec, max_order, order",
+    [
+        ("S3^3", 100, "216"),
+        ("S5^2", 5000, "14400"),
+        # 8!^1000 is past the interpreter's int-to-str digit limit, which stays as it is
+        ("S8^1000", 5000, "of 15300 bits"),
+    ],
 )
-def test_bounds_are_checked_before_the_class_table(spec, max_order, max_slots, monkeypatch):
+def test_bounds_are_checked_before_the_class_table(spec, max_order, order, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("class table built")
 
     monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
-    with pytest.raises(TooLarge):
-        differential_validate(parse_spec(spec), max_order=max_order, max_slots=max_slots)
+    with pytest.raises(TooLarge) as exc:
+        differential_validate(parse_spec(spec), max_order=max_order)
+    assert str(exc.value) == f"group order {order} exceeds the oracle bound {max_order}"
 
 
 @pytest.mark.parametrize("check", ["join", "meet", "leq"])

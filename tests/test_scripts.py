@@ -1,4 +1,4 @@
-"""The sweep scripts run end to end on tiny arguments, and pass their bounds on."""
+"""The sweep scripts run end to end on tiny arguments, and hand the library no slot bound."""
 
 import inspect
 import subprocess
@@ -63,17 +63,22 @@ def test_script_runs(script, args, expected, src_env):
 
 
 def _recording(monkeypatch, module, name, real, seen):
-    """Replace ``module.name`` by ``real``, first noting the ``max_slots`` it is passed."""
+    """Replace ``module.name`` by ``real``, first noting the parameters it is passed."""
     signature = inspect.signature(real)
 
     def wrapper(*args, **kwargs):
-        seen.append((name, signature.bind(*args, **kwargs).arguments.get("max_slots")))
+        arguments = signature.bind(*args, **kwargs).arguments
+        seen.append((name, {key: value for key, value in arguments.items() if key != "spec"}))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
 
 
-def test_census_sweep_passes_its_slot_bound(monkeypatch):
+# --max-T is only how far a script sweeps: the library is handed the spec
+# alone, and oracle_check.py also the order bound, as max_order
+
+
+def test_census_sweep_hands_the_library_no_bound(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import census_sweep
 
@@ -82,10 +87,10 @@ def test_census_sweep_passes_its_slot_bound(monkeypatch):
     _recording(monkeypatch, census_sweep, "census_of", census_of, seen)
     rows = census_sweep.sweep((3,), 2)
     assert [row[0] for row in rows] == ["S3", "S3^2"]
-    assert seen == [(name, 2) for _ in rows for name in ("enumerate_lattice", "census_of")]
+    assert seen == [(name, {}) for _ in rows for name in ("enumerate_lattice", "census_of")]
 
 
-def test_oracle_check_passes_its_slot_bound(monkeypatch, capsys):
+def test_oracle_check_hands_the_library_only_the_order_bound(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import oracle_check
 
@@ -94,11 +99,11 @@ def test_oracle_check_passes_its_slot_bound(monkeypatch, capsys):
     argv = ["oracle_check.py", "--degrees", "3", "--max-T", "2", "--max-order", "36"]
     monkeypatch.setattr(sys, "argv", argv)
     oracle_check.main()
-    assert seen == [("differential_validate", 2)] * 2
+    assert seen == [("differential_validate", {"max_order": 36})] * 2
     assert "2 specs validated in" in capsys.readouterr().out
 
 
-def test_shape_sweep_passes_its_slot_bound(monkeypatch, capsys):
+def test_shape_sweep_hands_the_library_no_bound(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import shape_sweep
 
@@ -106,8 +111,20 @@ def test_shape_sweep_passes_its_slot_bound(monkeypatch, capsys):
     _recording(monkeypatch, shape_sweep, "census_of", census_of, seen)
     monkeypatch.setattr(sys, "argv", ["shape_sweep.py", "--max-T", "2"])
     shape_sweep.main()
-    assert seen == [("census_of", 2)] * 5
+    assert seen == [("census_of", {})] * 5
     assert capsys.readouterr().out.count("match") == 5
+
+
+def test_output_digests_hands_the_cli_only_the_lattice_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import output_digests
+
+    assert output_digests.commands("S3^2", 7) == [
+        ["hasse", "--spec", "S3^2", "--max-lattice", "7"],
+        ["enumerate", "--spec", "S3^2", "--max-lattice", "7", "--format", "json"],
+        ["aut", "--spec", "S3^2"],
+        ["aut", "--spec", "S3^2", "--format", "json"],
+    ]
 
 
 @pytest.mark.parametrize("max_t", ["13", "15"])

@@ -3,8 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lattower import autgroup, lattice_core
+from lattower.autgroup import _search
+from lattower.context import closed_form_context
 from lattower.errors import NonTermination
-from lattower.group_spec import parse_spec
+from lattower.group_spec import parse_spec, spec_of_degrees
 from lattower.lattice_core import enumerate_lattice
 from lattower.tower import (
     PairNode,
@@ -124,7 +126,7 @@ def test_verify_step_skips_oversized_nodes():
 
 def test_verify_step_skips_a_start_node_past_the_context_slot_bound():
     node = StartNode(parse_spec("S3^13"))
-    report = verify_step_against_lattice(node, max_slots=13, max_size=10**14)
+    report = verify_step_against_lattice(node, max_size=10**14)
     assert report.skipped.startswith("13 slots exceeds the closed-form context bound 12: ")
     assert (report.observed_order, report.match) == (None, None)
 
@@ -173,3 +175,50 @@ def test_tower_group_nodes_are_searched_on_the_closed_form_context(node, order, 
     monkeypatch.setattr(lattice_core.AbstractLattice, "__init__", refuse)
     report = verify_step_against_lattice(node)
     assert (report.match, report.observed_order) == (True, order)
+
+
+# Two sharp towers whose nodes are past a bound of the spec or of the
+# interpreter: S25 is past the largest degree a spec takes, 2002 slots are
+# past the census bound, and 2 * 2000! is past the int-to-str digit limit.
+LARGE_TOWERS = {
+    "S4^3*S3^25": [
+        ("S4^3*S3^25", "S25*S3", None, "elements exceeds the lattice bound 10000"),
+        ("S25*S3", "C2", 2, None),
+        ("C2", "1", 1, None),
+        ("1", "1", 1, None),
+    ],
+    "S5^1000*S4^2*S3^1000": [
+        ("S5^1000*S4^2*S3^1000", "S2000*C2", None, "2002 slots exceeds the census bound 300"),
+        ("S2000*C2", "C2", None, "group order of 19054 bits exceeds the oracle bound 5000"),
+        ("C2", "1", 1, None),
+        ("1", "1", 1, None),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", sorted(LARGE_TOWERS))
+def test_every_node_of_a_large_tower_gets_a_step_report(text):
+    run = run_tower(StartNode(parse_spec(text)))
+    assert run.sharp
+    reports = [verify_step_against_lattice(node) for node in run.nodes]
+    assert len(reports) == len(LARGE_TOWERS[text])
+    for r, (node, result, observed, skipped) in zip(reports, LARGE_TOWERS[text]):
+        assert (r.node, r.result, r.observed_order) == (node, result, observed)
+        if skipped is None:
+            assert (r.skipped, r.match) == (None, True)
+        else:
+            assert r.skipped.endswith(skipped) and r.match is None
+
+
+def _true_order(degrees):
+    """The searched automorphism order of N(S_d1 x ...) on its own degrees."""
+    return _search(closed_form_context(spec_of_degrees(degrees))).order
+
+
+@pytest.mark.parametrize("a", range(3, 21))
+def test_a_pair_is_searched_as_its_slot_class_representative(a):
+    for b in (0, 1, *range(3, 21)):
+        report = verify_step_against_lattice(PairNode(a, b))
+        assert report.observed_order == _true_order(tuple(d for d in (a, b) if d > 1)), (a, b)
+    # past the largest degree a spec takes, the pair is searched all the same
+    assert verify_step_against_lattice(PairNode(a, 25)).observed_order == _true_order((a, 5))
