@@ -5,8 +5,8 @@ and TRIV < ALT < FULL at degree 3, so each shape with 1 <= a4 + B <= --max-T
 is realised as S4^a4 * S3^B and checked by ``verify_product_formula``, on
 N(G)'s standard context in closed form, with no element enumerated.  One
 line per shape gives its element count (the closed-form census), the three
-orders (a4! * B!, the searched group and the group of the tau maps), the
-verdict and the seconds taken.  ``--max-T`` is the largest slot count
+orders (a4! * B!, the searched group and the group of the tau maps that
+sift through it), the verdict and the seconds taken.  ``--max-T`` is the largest slot count
 swept, and no bound is handed to the library; past ``MAX_CONTEXT_SLOTS``
 (12), the closed-form context's own bound, it is refused before any shape is
 swept.  A shape that does not match stops the sweep with an error after its

@@ -5,9 +5,10 @@ J-set of each meet-irreducible (the points below it), and the incidence
 between them; its automorphisms are exactly the permutations of the points
 that send the meet-irreducibles' J-sets onto themselves (Ganter and Wille,
 *Formal Concept Analysis*, Springer 1999, ch. 1).  ``StandardContext`` holds
-that much, plus a colour seed per point, which must be an invariant of the
-input the context came from.  ``AbstractLattice.standard_context`` reads one
-off the covers of a bare lattice.
+that much, with the points above each point, plus a colour seed per point,
+which must be an invariant of the input the context came from; it computes
+each of these once.  ``AbstractLattice.standard_context`` reads one off the
+covers of a bare lattice.
 
 ``closed_form_context`` writes N(G)'s context down from the spec alone,
 without enumerating N(G).  With the profile encoding of ``lattice_core`` an
@@ -37,8 +38,11 @@ enough to enumerate.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
+from itertools import chain
 from operator import or_
 
 from .errors import TooLarge, decimal
@@ -49,7 +53,6 @@ from .stabiliser import Perm
 __all__ = [
     "MAX_CONTEXT_SLOTS",
     "StandardContext",
-    "point_counts",
     "closed_form_context",
     "slot_action",
     "factor_atom_points",
@@ -64,27 +67,37 @@ MAX_CONTEXT_SLOTS = 12
 
 @dataclass(frozen=True)
 class StandardContext:
-    """Points 0, ..., m-1 with ``under[k]``, the points below point k (k
-    included) as an m-bit int; ``extents``, the J-sets of the
-    meet-irreducibles; and ``seeds[k]``, point k's colour seed."""
+    """Points 0, ..., m-1 with ``under[k]`` and ``over[k]``, the points below
+    and above point k (k included) as m-bit ints; ``extents``, the J-sets of
+    the meet-irreducibles, and ``rows``, the same as lists of points; and
+    ``seeds[k]``, point k's colour seed.  ``StandardContext.of`` builds one,
+    computing each of these once."""
 
     under: tuple[int, ...]
+    over: tuple[int, ...]
     extents: frozenset[int]
+    rows: tuple[list[int], ...]
     seeds: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def rows(self) -> tuple[list[int], ...]:
-        """The extents as lists of points, read once for every (J, M) test."""
-        return tuple(map(_bits, self.extents))
-
-
-def point_counts(under: list[int]) -> tuple[list[int], list[int]]:
-    """Per point, the numbers of points strictly below it and strictly above it."""
-    above = [-1] * len(under)
-    for mask in under:
-        for k in _bits(mask):
-            above[k] += 1
-    return [mask.bit_count() - 1 for mask in under], above
+    @classmethod
+    def of(
+        cls,
+        under: Sequence[int],
+        extents: frozenset[int],
+        seeds: Callable[..., Iterable[tuple[int, ...]]],
+    ) -> StandardContext:
+        """The context of the points' down sets and the meet-irreducibles'
+        J-sets.  ``over`` transposes ``under``, and ``seeds`` maps the numbers
+        of points strictly below and strictly above each point, and the
+        rows, to the seeds."""
+        over = [1 << k for k in range(len(under))]
+        for k, mask in enumerate(under):
+            for j in _bits(mask ^ 1 << k):
+                over[j] |= 1 << k
+        rows = tuple(map(_bits, extents))
+        below = [mask.bit_count() - 1 for mask in under]
+        above = [mask.bit_count() - 1 for mask in over]
+        return cls(tuple(under), tuple(over), extents, rows, tuple(seeds(below, above, rows)))
 
 
 def _layout(spec: TowerGroupSpec) -> tuple[list[int], int]:
@@ -100,10 +113,11 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     """N(G)'s standard context, built from the spec with no element enumerated.
 
     Its seed is read off the context alone: (points strictly below, points
-    strictly above, meet-irreducibles above), so the automorphism search on
-    it finds exactly the automorphisms of the context.  The order of that
-    tuple sets the colour ids, which break ties between classes of equal
-    size in the search's base; this one keeps the search fast.
+    strictly above, meet-irreducibles above, the last read off the rows), so
+    the automorphism search on it finds exactly the automorphisms of the
+    context.  The order of that tuple sets the colour ids, which break ties
+    between classes of equal size in the search's base; this one keeps the
+    search fast.
 
     TooLarge is raised past ``MAX_CONTEXT_SLOTS`` slots, before any point
     is laid out, for every spec that ``parse_spec`` accepts.
@@ -132,12 +146,12 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
         if v >= 0:
             extents.add(off | 1 << v)  # V at s
     extents.update(every | p_part[w] for w in range(1, 1 << n) if w & (w - 1))
-    mis_above = [0] * len(under)
-    for extent in extents:
-        for k in _bits(extent):
-            mis_above[k] += 1
-    seeds = tuple(zip(*point_counts(under), mis_above))
-    return StandardContext(tuple(under), frozenset(extents), seeds)
+
+    def seeds(below, above, rows):
+        mis = Counter(chain.from_iterable(rows))  # per point, the MIs above it
+        return zip(below, above, map(mis.__getitem__, range(len(below))))
+
+    return StandardContext.of(under, frozenset(extents), seeds)
 
 
 def slot_action(spec: TowerGroupSpec, sigma: Perm) -> Perm:

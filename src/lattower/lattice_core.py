@@ -33,7 +33,7 @@ from math import comb, factorial, prod
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .context import StandardContext, point_counts
+from .context import StandardContext
 from .errors import (
     InvalidProfile,
     SpecMismatch,
@@ -767,8 +767,8 @@ class AbstractLattice:
         below and above it."""
         under = [self.J[x] for x in self.irreducibles]
         extents = frozenset(self.J[x] for x, above in enumerate(self.upper) if len(above) == 1)
-        seeds = zip((len(self.upper[x]) for x in self.irreducibles), *point_counts(under))
-        return StandardContext(tuple(under), extents, tuple(seeds))
+        covers = [len(self.upper[x]) for x in self.irreducibles]
+        return StandardContext.of(under, extents, lambda below, above, _: zip(covers, below, above))
 
     def restrict(self, g: Perm) -> Perm | None:
         """The permutation g induces on the points, or None if it does not permute them."""

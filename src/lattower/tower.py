@@ -21,7 +21,7 @@ from .group_spec import TowerGroupSpec, format_spec, spec_of_degrees
 from .context import closed_form_context
 from .lattice_core import AbstractLattice
 from .autgroup import DEFAULT_MAX_LATTICE, _search, automorphism_group, check_lattice_size
-from .perm_oracle import DEFAULT_MAX_ORDER, ConcreteGroup, normal_subgroup_poset
+from .perm_oracle import ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
     "StartNode",
@@ -35,10 +35,11 @@ __all__ = [
     "format_run",
     "StepReport",
     "verify_step_against_lattice",
-    "DEFAULT_MAX_TOWER_STEPS",
+    "MAX_TOWER_STEPS",
 ]
 
-DEFAULT_MAX_TOWER_STEPS = 10
+# A defensive cap: every tower dies by step three.
+MAX_TOWER_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,14 @@ class TowerRun:
         return self.steps == 3
 
 
-def run_tower(start: TowerNode, max_steps: int = DEFAULT_MAX_TOWER_STEPS) -> TowerRun:
-    """Iterate latauto_step until the trivial group, with a defensive cap."""
+def run_tower(start: TowerNode) -> TowerRun:
+    """Iterate latauto_step until the trivial group, at most ``MAX_TOWER_STEPS`` times."""
     nodes: list[TowerNode] = [start]
     while not is_trivial_node(nodes[-1]):
-        if len(nodes) > max_steps:
-            raise NonTermination(f"tower exceeded {max_steps} steps from {format_node(start)}")
+        if len(nodes) > MAX_TOWER_STEPS:
+            raise NonTermination(
+                f"tower exceeded {MAX_TOWER_STEPS} steps from {format_node(start)}"
+            )
         nodes.append(latauto_step(nodes[-1]))
     return TowerRun(tuple(nodes))
 
@@ -156,7 +159,7 @@ class StepReport:
         return asdict(self)
 
 
-def _node_order(node: TowerNode, max_order: int, max_size: int) -> int:
+def _node_order(node: TowerNode, max_size: int) -> int:
     """The order of the searched automorphism group of the node's normal-subgroup lattice.
 
     Tower groups are searched on their standard context in closed form, and
@@ -164,9 +167,9 @@ def _node_order(node: TowerNode, max_order: int, max_size: int) -> int:
     is enumerated.  The census and the context read a degree only as 4 or
     not 4, so a pair S_a x S_b with a, b >= 3 is searched as its slot-class
     representative, each degree other than 4 taken as 3: S25 x S3 as S3^2.
-    Anything with a C2 factor goes through the permutation oracle and
-    ``automorphism_group``; the trivial group is a single point.  TooLarge
-    propagates to the caller.
+    Anything with a C2 factor goes through the permutation oracle, within
+    its default order bound, and ``automorphism_group``; the trivial group
+    is a single point.  TooLarge propagates to the caller.
     """
     if isinstance(node, StartNode):
         spec = node.spec
@@ -175,18 +178,14 @@ def _node_order(node: TowerNode, max_order: int, max_size: int) -> int:
         if not degrees:
             return automorphism_group(AbstractLattice([[]])).order
         if degrees[0] == 2:
-            poset = normal_subgroup_poset(ConcreteGroup(degrees, max_order=max_order))
+            poset = normal_subgroup_poset(ConcreteGroup(degrees))
             return automorphism_group(poset).order
         spec = spec_of_degrees(4 if d == 4 else 3 for d in degrees)
     check_lattice_size(spec, max_size=max_size)
     return _search(closed_form_context(spec)).order
 
 
-def verify_step_against_lattice(
-    node: TowerNode,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_size: int = DEFAULT_MAX_LATTICE,
-) -> StepReport:
+def verify_step_against_lattice(node: TowerNode, max_size: int = DEFAULT_MAX_LATTICE) -> StepReport:
     """Check one latauto_step answer against the searched automorphism group.
 
     The step claims LatAut of the node is S_a x S_b of order a! * b!; the
@@ -200,7 +199,7 @@ def verify_step_against_lattice(
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
-        observed = _node_order(node, max_order=max_order, max_size=max_size)
+        observed = _node_order(node, max_size=max_size)
     except TooLarge as exc:
         return StepReport(
             node=format_node(node),

@@ -1,4 +1,5 @@
 from functools import partial
+from hashlib import sha256
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 from types import SimpleNamespace
@@ -45,6 +46,7 @@ from test_acceptance import (
     _bottom_index,
     _edges,
     _heights,
+    _shape_specs,
     _top_index,
 )
 from test_lattice_core import _reference_up_sets, _reference_w_ids
@@ -325,8 +327,7 @@ def test_brute_force_on_pentagon():
 def _point_colours(ctx):
     """The search's colours of a bare lattice's points, read off the
     standard context of its covers."""
-    context = ctx.standard_context()
-    return autgroup._refined_classes(context, *autgroup._point_masks(context))
+    return autgroup._refined_classes(ctx.standard_context())
 
 
 def _reference_keeps_covers(ctx, image):
@@ -566,8 +567,8 @@ def _reference_unpruned_search(ctx, accept=None):
     if accept is None:
         accept = lambda psi: ctx.extend(psi) is not None
     context = ctx.standard_context()
-    under, over = autgroup._point_masks(context)
-    colours = autgroup._refined_classes(context, under, over)
+    under, over = context.under, context.over
+    colours = autgroup._refined_classes(context)
     m = len(colours)
     buckets = {}
     for k, c in enumerate(colours):
@@ -1784,6 +1785,76 @@ def test_product_formula_fails_on_too_few_generators(monkeypatch):
     report = verify_product_formula(parse_spec("S3^3"))
     assert (report.brute_force_order, report.constructive_order) == (6, 2)
     assert not report.match
+
+
+def _assert_the_chain_and_the_taus_keep_the_rows(spec):
+    """The row test ``verify_product_formula`` leaves out, as a referee: every
+    generator of the searched chain keeps (J, M), so every tau that sifts
+    does, and so does each tau of a matching check."""
+    ctx = closed_form_context(spec)
+    keeps = partial(autgroup._keeps_rows(ctx), ctx.rows)
+    taus = [autgroup.slot_action(spec, s) for s in autgroup._adjacent_transpositions(spec)]
+    assert all(map(keeps, autgroup._search(ctx).generators))
+    assert all(map(keeps, taus))
+
+
+@pytest.mark.parametrize("text", [*_shape_specs(9), "S3^10"])
+def test_the_searched_generators_and_the_taus_keep_the_rows(text):
+    _assert_the_chain_and_the_taus_keep_the_rows(parse_spec(text))
+
+
+def test_a_search_that_accepts_a_map_breaking_a_row_is_caught(monkeypatch):
+    # a mutant search adds a generator that swaps the last two points, which
+    # breaks (J, M): the order check and the referee both see it
+    real = autgroup._search
+
+    def accepting_a_bad_map(ctx):
+        chain = real(ctx)
+        bad = list(range(chain.n))
+        bad[-2], bad[-1] = bad[-1], bad[-2]
+        return schreier_sims([*chain.generators, tuple(bad)], chain.n)
+
+    monkeypatch.setattr(autgroup, "_search", accepting_a_bad_map)
+    spec = parse_spec("S3^3")
+    report = verify_product_formula(spec)
+    assert (report.brute_force_order, report.predicted_order) == (144, 6)
+    assert not report.match
+    with pytest.raises(AssertionError):
+        _assert_the_chain_and_the_taus_keep_the_rows(spec)
+
+
+def _chain_digest(chain):
+    data = repr((list(chain.base), [tuple(g) for g in chain.generators], chain.order))
+    return sha256(data.encode()).hexdigest()
+
+
+# The sha256 of (base, generators, order) of searched chains, so that no change
+# to the seeds, the masks or the rows can move a chain unseen
+SEARCHED_CHAIN_DIGESTS = {
+    "S3^6": "dd442c007cb415e8ba93394198940859e415edf818ba06960ea69d04dbfa6b49",
+    "S4^3*S3^4": "335741af91ccab4be4e1f29f6c6c89eb2329237613d4a7035c772af5e7326363",
+    "S3^10": "0ae4caae815e4d15208bccb34038b3aed0e50784d7e53deae5b1e5a6f325c1a2",
+}
+LATTICE_CHAIN_DIGESTS = {
+    "C2": "2962e5b033d8ff92d30989d2df74b0b8d0c7704d7db9eddd322a28da79cf2aa8",
+    "C2^2": "ed9a352e734135efbd797b4421f6e09d44fbdf4686b18bafc34bb31c071f543e",
+    "C2xS3": "2c6e917700e0bfa3c76cfced6a2447d77f3b6952b2b4cb28cd36dc07ee2d1265",
+    "C2xS4": "4af907e95361de8767d3392d2fc58a38fd41617cdccb85e4d62f651d1047b4a6",
+    "C2xS5": "2c6e917700e0bfa3c76cfced6a2447d77f3b6952b2b4cb28cd36dc07ee2d1265",
+    "S3^4": "6b8cf90eb328e0b484244f73148585c433abcfed636c55211236bb457ee6e293",
+}
+
+
+@pytest.mark.parametrize("text", sorted(SEARCHED_CHAIN_DIGESTS))
+def test_the_closed_form_chains_are_pinned(text):
+    chain = autgroup._search(closed_form_context(parse_spec(text)))
+    assert _chain_digest(chain) == SEARCHED_CHAIN_DIGESTS[text]
+
+
+def test_the_lemma_and_enumerated_chains_are_pinned(lattices):
+    posets = {**lemma_lattices(), "S3^4": lattices.get("S3^4")}
+    digests = {name: _chain_digest(automorphism_group(a)) for name, a in posets.items()}
+    assert digests == LATTICE_CHAIN_DIGESTS
 
 
 def _reference_product_formula(lat):

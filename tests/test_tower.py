@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, lattice_core
+from lattower import autgroup, lattice_core, tower
 from lattower.autgroup import _search
 from lattower.context import closed_form_context
 from lattower.errors import NonTermination
@@ -88,9 +88,10 @@ def test_short_towers():
     assert format_run(run) == "G_0 = S5^2*S3^2 → G_1 = S4 → G_2 = 1 (2 steps)"
 
 
-def test_non_termination_guard():
+def test_non_termination_guard(monkeypatch):
+    monkeypatch.setattr(tower, "MAX_TOWER_STEPS", 1)
     with pytest.raises(NonTermination):
-        run_tower(StartNode(parse_spec("S4^2*S3^2")), max_steps=1)
+        run_tower(StartNode(parse_spec("S4^2*S3^2")))
 
 
 @pytest.mark.parametrize(
