@@ -10,6 +10,7 @@ has order at least 6.
 
     python scripts/oracle_check.py --max-order 1000
     python scripts/oracle_check.py --degrees 3 --max-T 5 --max-order 7776   # up to S3^5
+    python scripts/oracle_check.py --degrees 3 4 --max-T 5 --max-order 497664   # S4^3*S3^2
 """
 
 import argparse
@@ -37,9 +38,9 @@ def main() -> None:
             report = differential_validate(spec, args.max_order)
             secs = time.perf_counter() - t0
             print(
-                f"{format_spec(spec):<12} order {report.group_order:>5}: "
-                f"{report.oracle_count:>3} normal subgroups, "
-                f"{report.pairs_checked:>5} pairs checked, {secs:.2f}s"
+                f"{format_spec(spec):<12} order {report.group_order:>6}: "
+                f"{report.oracle_count:>4} normal subgroups, "
+                f"{report.pairs_checked:>7} pairs checked, {secs:.2f}s"
             )
             checked += 1
     print(f"\n{checked} specs validated in {time.perf_counter() - start:.2f}s, no disagreements")

@@ -699,6 +699,37 @@ class AbstractLattice:
         return bool((self.down[j] >> i) & 1)
 
     @cached_property
+    def M(self) -> list[int]:
+        """Per element, the meet-irreducibles above it, the dual of ``J``.
+
+        The meet-irreducibles, the elements with exactly one upper cover, are
+        numbered in element order; ``M[x]`` is the OR of x's own bit and the
+        sets of its upper covers, folded along ``order`` reversed.  Every
+        element is the meet of the meet-irreducibles above it, so in a
+        lattice M is one-to-one and M(x join y) = M(x) & M(y).
+        """
+        seeds = [0] * self.n
+        for k, x in enumerate(x for x, above in enumerate(self.upper) if len(above) == 1):
+            seeds[x] = 1 << k
+        return _fold(reversed(self.order), self.upper, seeds)
+
+    @cached_property
+    def by_J(self) -> dict[int, int]:
+        return {s: x for x, s in enumerate(self.J)}
+
+    @cached_property
+    def by_M(self) -> dict[int, int]:
+        return {s: x for x, s in enumerate(self.M)}
+
+    def meet(self, i: int, j: int) -> int:
+        """The element whose J-set is J(i) & J(j); KeyError when the poset has no such meet."""
+        return self.by_J[self.J[i] & self.J[j]]
+
+    def join(self, i: int, j: int) -> int:
+        """The element whose M-set is M(i) & M(j); KeyError when the poset has no such join."""
+        return self.by_M[self.M[i] & self.M[j]]
+
+    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Pairs (i, j) with j covering i, sorted."""
         return tuple(sorted((x, y) for x, above in enumerate(self.upper) for y in above))
@@ -865,9 +896,15 @@ class Lattice:
         """The index of a profile; KeyError when it is not in the lattice."""
         if p.spec != self.spec:
             raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
+        return self.index_of_parts(p.eff, p.signs.basis)
+
+    def index_of_parts(self, eff: Sequence[ChainPosition], rows: Iterable[int]) -> int:
+        """The index of the element with this eff and the W that rows span,
+        any spanning set, its code packed with no Profile or Subspace built;
+        KeyError when it is not in the lattice."""
         num_slots = self.spec.num_slots
-        dual = _annihilator_mask(num_slots, p.signs.basis)
-        return self._profile_index[self._pack(p.eff) | dual << 2 * num_slots]
+        dual = _annihilator_mask(num_slots, rows)
+        return self._profile_index[self._pack(eff) | dual << 2 * num_slots]
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -878,18 +915,15 @@ class Lattice:
         return self.context.up
 
     @cached_property
-    def _down_index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.down_masks)}
+    def meet_idx(self) -> Callable[[int, int], int]:
+        """The meet of two indices: ``context.meet`` itself, so the oracle's
+        sweep makes one call per meet, not two."""
+        return self.context.meet
 
     @cached_property
-    def _up_index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.up_masks)}
-
-    def meet_idx(self, i: int, j: int) -> int:
-        return self._down_index[self.down_masks[i] & self.down_masks[j]]
-
-    def join_idx(self, i: int, j: int) -> int:
-        return self._up_index[self.up_masks[i] & self.up_masks[j]]
+    def join_idx(self) -> Callable[[int, int], int]:
+        """The join of two indices: ``context.join`` itself."""
+        return self.context.join
 
     def up_covers(self) -> Iterator[list[int]]:
         """The elements that cover each element, ascending, a list per element in order.

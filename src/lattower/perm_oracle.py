@@ -24,12 +24,11 @@ from operator import and_, or_
 from typing import Sequence
 
 from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge, decimal
-from .gf2 import _bits, span
+from .gf2 import _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .lattice_core import (
     AbstractLattice,
     Lattice,
-    Profile,
     _covers_of_order,
     enumerate_lattice,
 )
@@ -126,14 +125,6 @@ def concrete_group(spec: TowerGroupSpec, max_order: int = DEFAULT_MAX_ORDER) -> 
     return ConcreteGroup(spec.degrees, max_order=max_order)
 
 
-def _spread(mask: int, shifts: list[int]) -> int:
-    """The OR of mask shifted left by each amount."""
-    out = 0
-    for at in shifts:
-        out |= mask << at
-    return out
-
-
 class ClassTable:
     """Conjugacy classes of a product of symmetric groups, built per factor.
 
@@ -152,7 +143,8 @@ class ClassTable:
         # a factor-j class c (the high digit) times a class of the factors
         # after j, so a product support is one copy of the rest's support,
         # shifted by c * width, for each factor-j class c in the factor-j
-        # support.
+        # support.  The rest's support lies below bit width, so the copies
+        # never overlap, and their OR is one product by the sum of 2^(c * width).
         self.tables = [_factor_table(d) for d in degrees]
         digits: list[tuple[int, ...]] = [()]
         sizes, signs, prod = [1], [0], [[1]]
@@ -162,10 +154,10 @@ class ClassTable:
             digits = [(c,) + rest for c in range(len(t.sizes)) for rest in digits]
             sizes = [size * rest for size in t.sizes for rest in sizes]
             signs = [bit << j | rest for bit in t.sign_bit for rest in signs]
-            offsets = [[[c * width for c in _bits(m)] for m in t_row] for t_row in t.prod]
+            spreads = [[sum(1 << c * width for c in _bits(m)) for m in t_row] for t_row in t.prod]
             prod = [
-                [_spread(mask, shifts) for shifts in row_offsets for mask in row]
-                for row_offsets in offsets
+                [mask * k for k in row_spreads for mask in row]
+                for row_spreads in spreads
                 for row in prod
             ]
             width *= len(t.sizes)
@@ -178,12 +170,13 @@ class ClassTable:
     def order(self, mask: int) -> int:
         return sum(map(self.sizes.__getitem__, _bits(mask)))
 
-    def profile(self, mask: int, spec: TowerGroupSpec) -> Profile:
-        """The profile of a normal subgroup, read off its classes.
+    def profile(self, mask: int) -> tuple[tuple[ChainPosition, ...], set[int]]:
+        """The profile of a normal subgroup, read off its classes, as eff and
+        the sign patterns of the classes, which span W.
 
         The projection onto factor j is the set of factor-j classes the mask
         meets, identified among the chain subgroups written as factor-class
-        masks; the sign subspace is spanned by the class sign patterns.
+        masks.
         """
         eff = []
         for j, (t, fibre) in enumerate(zip(self.tables, self.fibres)):
@@ -195,7 +188,7 @@ class ClassTable:
             else:
                 raise OracleMismatch(f"projection onto factor {j} is no chain subgroup")
         signs = self.signs
-        return Profile(spec, tuple(eff), span(len(self.tables), {signs[i] for i in _bits(mask)}))
+        return tuple(eff), {signs[i] for i in _bits(mask)}
 
     def closure(self, c: int) -> int:
         """The normal closure of class c: 1 and C_c, closed under products."""
@@ -342,7 +335,7 @@ def differential_validate(
     at = [0] * n  # the oracle's mask of each enumerated element; 0 while unmatched
     for m in sorted(masks):
         try:
-            k = lat.index_of_profile(table.profile(m, spec))
+            k = lat.index_of_parts(*table.profile(m))
         except KeyError:
             raise OracleMismatch(
                 f"{name}: oracle subgroup of order {table.order(m)} has no enumerated profile"
@@ -356,14 +349,13 @@ def differential_validate(
             raise OracleMismatch(f"{name}: leq disagrees on the down or up set of element {a}")
 
     orders = [table.order(m) for m in at]
-    by_mask = {m: k for k, m in enumerate(at)}
     meet_idx, join_idx = lat.meet_idx, lat.join_idx
     pairs = 0
     for a, (ma, oa) in enumerate(zip(at, orders)):
         for b in range(a, n):
             mb = at[b]
             meet = meet_idx(a, b)
-            if by_mask.get(ma & mb) != meet:
+            if at[meet] != ma & mb:
                 raise OracleMismatch(f"{name}: meet disagrees on pair ({a}, {b})")
             j = join_idx(a, b)
             if (ma | mb) & ~at[j] or orders[j] * orders[meet] != oa * orders[b]:

@@ -98,7 +98,7 @@ def test_criterion_1_census_s3_cubed():
 
 
 def test_criterion_2_oracle_agreement():
-    with criterion(2, "oracle agreement on ten groups", 60.0):
+    with criterion(2, "oracle agreement on eleven groups", 60.0):
         for text in ("S3^2", "S3^3", "S3*S4", "S4^2", "S3^2*S4", "S3^4"):
             report = differential_validate(parse_spec(text))
             assert report.ok, text
@@ -107,13 +107,17 @@ def test_criterion_2_oracle_agreement():
         report = differential_validate(parse_spec("S6*S3"))
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (10, 55)
-        # orders 20,736, 7,776 and 5,040, past DEFAULT_MAX_ORDER, so their bounds are given here
+        # orders 20,736, 7,776, 497,664 and 5,040, past DEFAULT_MAX_ORDER, so their
+        # bounds are given here
         report = differential_validate(parse_spec("S4^2*S3^2"), max_order=20_736)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (256, 32896)
         report = differential_validate(parse_spec("S3^5"), max_order=7776)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (930, 432915)
+        report = differential_validate(parse_spec("S4^3*S3^2"), max_order=497_664)
+        assert report.ok
+        assert (report.oracle_count, report.pairs_checked) == (1564, 1223830)
         report = differential_validate(parse_spec("S7"), max_order=5040)
         assert report.ok
         assert (report.oracle_count, report.pairs_checked) == (3, 6)

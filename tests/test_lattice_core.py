@@ -348,6 +348,73 @@ def test_associativity_and_absorption(lattices):
                 assert lat.meet_idx(mij, k) == lat.meet_idx(i, lat.meet_idx(j, k))
 
 
+def _reference_meet(down):
+    """Meets by the order relation: the element whose down set is the
+    intersection of the two down sets, the route ``meet_idx`` took before
+    it read J-sets."""
+    index = {m: x for x, m in enumerate(down)}
+    return lambda i, j: index[down[i] & down[j]]
+
+
+def _reference_join(up):
+    """Joins by the order relation: the element whose up set is the
+    intersection of the two up sets."""
+    index = {m: x for x, m in enumerate(up)}
+    return lambda i, j: index[up[i] & up[j]]
+
+
+def _disagreeing_pairs(down, up, meet_of, join_of) -> list[tuple[int, int]]:
+    """Every ordered pair where meet_of or join_of differs from the order
+    relation's, or raises KeyError."""
+    n = len(down)
+    ref_meet, ref_join = _reference_meet(down), _reference_join(up)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            try:
+                ok = meet_of(i, j) == ref_meet(i, j) and join_of(i, j) == ref_join(i, j)
+            except KeyError:
+                ok = False
+            if not ok:
+                out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("text", ["S3^4", "S4^2*S3^2"])
+def test_meets_and_joins_from_j_and_m_match_the_order_relation(text, lattices):
+    lat = lattices.get(text)
+    assert len(set(lat.context.M)) == len(lat)
+    assert _disagreeing_pairs(lat.down_masks, lat.up_masks, lat.meet_idx, lat.join_idx) == []
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_GROUP_DEGREES))
+def test_meets_and_joins_on_lemma_posets_match_the_order_relation(name):
+    a = normal_subgroup_poset(ConcreteGroup(LEMMA_GROUP_DEGREES[name]))
+    assert len(set(a.M)) == a.n
+    assert _disagreeing_pairs(a.down, a.up, a.meet, a.join) == []
+
+
+@pytest.mark.parametrize("text", ["S3^4", "S4^2*S3^2"])
+def test_an_m_folded_over_the_lower_covers_is_caught(text, lattices):
+    # the meet-irreducibles below each element, not above it
+    a = AbstractLattice(lattices.get(text).up_covers())
+    seeds = [0] * a.n
+    for k, x in enumerate(x for x, above in enumerate(a.upper) if len(above) == 1):
+        seeds[x] = 1 << k
+    a.M = lattice_core._fold(a.order, a.lower, seeds)
+    assert _disagreeing_pairs(a.down, a.up, a.meet, a.join)
+
+
+@pytest.mark.parametrize("text", ["S3^2*S4", "S4^2*S3"])
+def test_index_of_parts_takes_any_spanning_set(text, lattices, rng):
+    lat = lattices.get(text)
+    for i, e in enumerate(lat.elements):
+        rows = list(e.profile.signs.elements())
+        rng.shuffle(rows)
+        assert lat.index_of_parts(e.profile.eff, rows) == i
+        assert lat.index_of_parts(e.profile.eff, e.profile.signs.basis) == i
+
+
 def test_triple_profile_round_trip(lattices):
     for text in ("S3^2", "S3^3", "S3^2*S4"):
         for e in lattices.get(text):

@@ -735,7 +735,8 @@ def _oracle_at(degrees):
     table = ClassTable(degrees)
     at = [0] * len(lat)
     for m in _normal_masks(table):
-        at[lat.index_of_profile(table.profile(m, spec))] = m
+        eff, patterns = table.profile(m)
+        at[lat.index_of_profile(Profile(spec, eff, span(len(eff), patterns)))] = m
     assert all(at)
     return spec, lat, table, at
 
@@ -765,7 +766,8 @@ def test_class_route_profile_and_order_match_the_element_route(degrees):
         n = g.subgroup(m)
         assert g.mask_of(n) == m
         assert table.order(m) == len(n)
-        assert table.profile(m, spec) == _reference_extract_profile(g, n)
+        eff, patterns = table.profile(m)
+        assert Profile(spec, eff, span(len(eff), patterns)) == _reference_extract_profile(g, n)
 
 
 @pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
