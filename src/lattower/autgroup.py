@@ -546,7 +546,10 @@ def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
     (Ganter and Wille, ch. 1).  Each generator of S passed every row test
     of the search, so a tau that sifts, a product of transversal elements,
     is a permutation of the points that keeps (J, M): no row test is run
-    again here.  So T <= S, and equal orders make them one group.  An
+    again here.  So T <= S, and equal orders make them one group.  That is
+    also why |S| bounds Schreier-Sims: it stops once T's chain reaches |S|,
+    and on a T short of S runs to T's exact order.  a4! * B! would bound T
+    only if ``slot_action`` were a homomorphism, which is under test.  An
     automorphism sends the J-set {V_s, A_s, P_(e_s)} of a factor atom onto
     that of its image, so the factor atoms' points are enough for the round
     trip.  No generator is extended: there are no elements to extend to.
@@ -562,7 +565,7 @@ def verify_product_formula(spec: TowerGroupSpec) -> ProductFormulaReport:
     round_trip_ok = all(
         _induced_by_atoms(psi, atoms, spec) == sigma for psi, sigma in zip(taus, sigmas)
     )
-    constructive = schreier_sims(perms, chain.n).order
+    constructive = schreier_sims(perms, chain.n, chain.order).order
     match = (
         constructive == predicted == chain.order
         and len(perms) == len(taus)

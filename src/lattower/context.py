@@ -59,9 +59,11 @@ __all__ = [
 ]
 
 
-# The product-formula check on a context of T slots costs about five times
-# that of T - 1: 1.0 s at 10 slots (1,033 points), 4 s at 11 and 20 s at 12
-# (4,107 points, 135 MB), then 100 s at 13, on 2 cores with Python 3.11.7.
+# The product-formula check on a context of T slots costs four to five times
+# that of T - 1: ``aut`` on S3^T in a process of its own took 0.6 s at 10
+# slots (1,033 points), 2.3 s at 11 and 12 s at 12 (4,107 points, 137 MB max
+# RSS), on 2 cores with Python 3.11.7.  13 slots (8,204 points) took 100 s
+# when last timed.
 MAX_CONTEXT_SLOTS = 12
 
 

@@ -118,15 +118,15 @@ class TowerGroupSpec:
 
     exponents: tuple[tuple[int, int], ...]
 
-    @cached_property
+    @property
     def num_slots(self) -> int:
         return sum(mult for _, mult in self.exponents)
 
-    @cached_property
+    @property
     def a4(self) -> int:
         return sum(mult for degree, mult in self.exponents if degree == 4)
 
-    @cached_property
+    @property
     def b(self) -> int:
         return self.num_slots - self.a4
 

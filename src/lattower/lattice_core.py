@@ -168,18 +168,19 @@ def validate_triple(
     away from degree 4, WidthMismatch when the sign width does not match the
     number of coupled slots.
     """
+    n = spec.num_slots
     coupled_t = tuple(sorted(coupled))
     if len(set(coupled_t)) != len(coupled_t):
         raise LatTowerError(f"repeated coupled slot in {coupled_t}")
     for s in coupled_t:
-        if not 0 <= s < spec.num_slots:
-            raise LatTowerError(f"slot {s} outside 0..{spec.num_slots - 1}")
+        if not 0 <= s < n:
+            raise LatTowerError(f"slot {s} outside 0..{n - 1}")
 
     if isinstance(positions, Mapping):
         pos_items = tuple(sorted(positions.items()))
     else:
         pos_items = tuple(sorted(positions))
-    expected = set(range(spec.num_slots)) - set(coupled_t)
+    expected = set(range(n)) - set(coupled_t)
     if {s for s, _ in pos_items} != expected or len(pos_items) != len(expected):
         raise LatTowerError("positions must cover exactly the uncoupled slots")
     for s, p in pos_items:
@@ -840,7 +841,8 @@ class Lattice:
         self.keys, self.wids, self.spans = keys, wids, spans
         self.blocks, self.block_of = blocks, block_of
         self.orders, self.families = orders, families
-        self._pack = _eff_packer(range(spec.num_slots))
+        self._num_slots = spec.num_slots  # read by every index_of_parts lookup
+        self._pack = _eff_packer(range(self._num_slots))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -902,7 +904,7 @@ class Lattice:
         """The index of the element with this eff and the W that rows span,
         any spanning set, its code packed with no Profile or Subspace built;
         KeyError when it is not in the lattice."""
-        num_slots = self.spec.num_slots
+        num_slots = self._num_slots
         dual = _annihilator_mask(num_slots, rows)
         return self._profile_index[self._pack(eff) | dual << 2 * num_slots]
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from itertools import permutations as iter_permutations
-from math import factorial
+from math import factorial, prod
 from operator import and_, or_
 from typing import Sequence
 
@@ -108,9 +108,7 @@ class ConcreteGroup:
         if not all(d >= 2 for d in degrees):
             raise LatTowerError(f"factor degrees must be at least 2, got {degrees}")
         self.degrees = tuple(degrees)
-        self.order = 1
-        for d in self.degrees:
-            self.order *= factorial(d)
+        self.order = prod(factorial(d) ** self.degrees.count(d) for d in set(self.degrees))
         if self.order > max_order:
             order = decimal(self.order) or f"of {self.order.bit_length()} bits"
             raise TooLarge(f"group order {order} exceeds the oracle bound {max_order}")

@@ -43,6 +43,13 @@ class StabiliserChain:
         self.generators: list[Perm] = []
         self.transversals: list[dict[int, Perm]] = []
         self._inverses: list[dict[int, Perm]] = []
+        # per strong generator, the first base level it moves, or the length
+        # of the base when it was last found to fix all of it
+        self._levels: list[int] = []
+        self._scanned = 0  # the length of the base when _levels was updated
+        # per level, the number of generators when its orbit was last grown:
+        # the transversal is closed under those of them that fix b_0, ..., b_(k-1)
+        self._closed: list[int] = []
         for point in base:
             self._add_level(point)
 
@@ -50,24 +57,47 @@ class StabiliserChain:
         self.base.append(point)
         self.transversals.append({point: self.identity})
         self._inverses.append({point: self.identity})
+        self._closed.append(0)
 
     def _fixing(self, k: int) -> list[int]:
-        """Indices of the strong generators that fix b_0, ..., b_(k-1)."""
-        prefix = self.base[:k]
-        return [i for i, s in enumerate(self.generators) if all(s[b] == b for b in prefix)]
+        """Indices of the strong generators that fix b_0, ..., b_(k-1).
+
+        Base points are only appended, so a generator that moves b_t keeps
+        level t for good, and its level is found once.  One that fixed the
+        whole base is scanned on from there when the base has grown.
+        Generators appended to ``generators`` directly are picked up here.
+        """
+        base, gens, levels = self.base, self.generators, self._levels
+        if self._scanned < len(base):
+            for i, t in enumerate(levels):
+                if t == self._scanned:
+                    levels[i] = _first_moved_level(gens[i], base, t)
+            self._scanned = len(base)
+        for s in gens[len(levels) :]:
+            levels.append(_first_moved_level(s, base, 0))
+        return [i for i, t in enumerate(levels) if t >= k]
 
     def orbit(self, k: int) -> dict[int, Perm]:
         """Grow level k's transversal to the whole orbit of its generators.
 
         Existing entries are kept, so a sift that reached the identity
-        before still does.
+        before still does.  The transversal is already closed under the
+        generators of the last call, so those meet only the new points.
         """
-        gens = [self.generators[i] for i in self._fixing(k)]
         transversal = self.transversals[k]
+        closed, self._closed[k] = self._closed[k], len(self.generators)
+        if closed == len(self.generators):
+            return transversal
+        fixing = self._fixing(k)
+        new = [self.generators[i] for i in fixing if i >= closed]
+        if not new:
+            return transversal
+        gens = [self.generators[i] for i in fixing]
         points = list(transversal)
-        for p in points:  # the list grows as the orbit does
+        old = len(points)
+        for j, p in enumerate(points):  # the list grows as the orbit does
             u = transversal[p]
-            for s in gens:
+            for s in new if j < old else gens:
                 q = s[p]
                 if q not in transversal:
                     transversal[q] = _compose(s, u)
@@ -117,12 +147,21 @@ class StabiliserChain:
         return walk(0, self.identity)
 
 
+def _first_moved_level(s: Perm, base: list[int], t: int) -> int:
+    """The first level from t on whose base point s moves, or len(base)."""
+    while t < len(base) and s[base[t]] == base[t]:
+        t += 1
+    return t
+
+
 def _moved_point(g: Perm) -> int:
     return next(i for i, j in enumerate(g) if i != j)
 
 
-def schreier_sims(generators: Iterable[Perm], n: int) -> StabiliserChain:
-    """The stabiliser chain of the group the generators generate.
+def schreier_sims(
+    generators: Iterable[Perm], n: int, order_bound: int | None = None
+) -> StabiliserChain:
+    """The stabiliser chain of the group G the generators generate.
 
     Deterministic Schreier-Sims (Seress 2003, sec. 4.2): the levels are
     completed from the deepest up.  At level k every Schreier generator
@@ -132,6 +171,15 @@ def schreier_sims(generators: Iterable[Perm], n: int) -> StabiliserChain:
     whole base), and the work resumes at the level where it dropped out.
     A pair that sifted to the identity is not tried again: transversal
     entries never change, so it still would.
+
+    ``order_bound``, if given, must bound |G| from above; the run stops as
+    soon as the product of the transversal lengths equals it.  That is
+    exact: level k's transversal holds distinct elements of G that fix
+    b_0, ..., b_(k-1), so the products u_0 u_1 ... are distinct elements
+    of G and the product of the lengths never exceeds |G|.  Reaching the
+    bound makes it |G|, every level is then its whole orbit, and no
+    Schreier generator would add a thing.  A bound never reached changes
+    nothing: the run completes and the order is exact.
     """
     chain = StabiliserChain(n)
     for g in generators:
@@ -143,6 +191,8 @@ def schreier_sims(generators: Iterable[Perm], n: int) -> StabiliserChain:
     k = len(chain.base) - 1
     while k >= 0:
         transversal = chain.orbit(k)
+        if chain.order == order_bound:
+            break
         resume = None
         for i in chain._fixing(k):
             s = chain.generators[i]

@@ -1,3 +1,4 @@
+import inspect
 from functools import partial
 from hashlib import sha256
 from itertools import combinations_with_replacement, permutations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattower import autgroup, context, lattice_core
+from lattower import autgroup, context, lattice_core, stabiliser
 from lattower.autgroup import (
     ProductFormulaReport,
     automorphism_group,
@@ -241,6 +242,7 @@ def _reference_automorphism_group(a):
                 image = first_automorphism(t, y)
                 if image is not None:
                     chain.generators.append(image)
+                    _assert_fixing_is_the_prefix_scan(chain)
                     orbit = chain.orbit(t)
     return chain
 
@@ -399,6 +401,7 @@ def _generated_group(generators, n):
 def _assert_search_matches_the_reference(a):
     reference = _reference_automorphisms(a)
     chain = automorphism_group(a)
+    _assert_fixing_is_the_prefix_scan(chain)
     assert chain.order == len(reference)
     extended = [a.context.extend(g) for g in chain.generators]
     assert _generated_group(extended, len(a)) == set(reference)
@@ -609,6 +612,7 @@ def _reference_unpruned_search(ctx, accept=None):
                 psi = first_automorphism(t, y)
                 if psi is not None:
                     chain.generators.append(psi)
+                    _assert_fixing_is_the_prefix_scan(chain)
                     orbit = chain.orbit(t)
     return chain
 
@@ -947,6 +951,32 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     assert tuple(range(chain.n - 1)) not in chain
 
 
+def _reference_fixing(chain, k):
+    """The prefix scan that ``StabiliserChain._fixing`` replaced: the strong
+    generators that fix b_0, ..., b_(k-1), each tested point by point."""
+    prefix = chain.base[:k]
+    return [i for i, s in enumerate(chain.generators) if all(s[b] == b for b in prefix)]
+
+
+def _assert_fixing_is_the_prefix_scan(chain):
+    for k in range(len(chain.base)):
+        assert chain._fixing(k) == _reference_fixing(chain, k), k
+
+
+def test_fixing_follows_generators_appended_directly_and_a_growing_base():
+    chain = StabiliserChain(5, [0])
+    for g in [(0, 2, 1, 3, 4), (1, 0, 2, 3, 4), (0, 1, 2, 4, 3)]:
+        chain.generators.append(g)
+        _assert_fixing_is_the_prefix_scan(chain)
+    chain.generators.append((3, 2, 1, 0, 4))
+    _assert_fixing_is_the_prefix_scan(chain)
+    # (1 2) and (3 4) fixed the whole base; they move b_1 and b_2 once those come
+    for point in (1, 3):
+        chain._add_level(point)
+        _assert_fixing_is_the_prefix_scan(chain)
+    assert [chain._fixing(k) for k in range(3)] == [[0, 1, 2, 3], [0, 2], [2]]
+
+
 def test_schreier_sims_orders():
     # S_5 on five points from a transposition and a 5-cycle, and from the
     # adjacent transpositions; C_2 x C_3 from its two factors
@@ -957,21 +987,74 @@ def test_schreier_sims_orders():
         g[k], g[k + 1] = k + 1, k
         adjacent.append(tuple(g))
     assert schreier_sims(adjacent, 5).order == 120
+    assert schreier_sims(adjacent, 5, 120).order == 120
     assert schreier_sims([(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)], 5).order == 6
     assert schreier_sims([], 4).order == 1
+    assert schreier_sims([], 4, 1).order == 1
     assert schreier_sims([(0, 1, 2)], 3).order == 1
+
+
+def _bounds(order):
+    """Upper bounds on |G|, the exact one first, and two below it that a run
+    never meets on the way.  After each orbit every level's length is at most
+    its final length, each final length is at least 2, and the product is at
+    least 2.  With two or more levels, one short level leaves the product at
+    least 2 short of |G|; with one level, the first orbit sees every
+    generator and is complete at once."""
+    return (order, order + 1, 2 * order, order - 1, 1)
+
+
+def _assert_bounded_runs_agree(generators, n, bounded_run=schreier_sims):
+    """Each bounded run gives the unbounded run's chain: base, strong
+    generators, order and the elements in their order."""
+    chain = schreier_sims(generators, n)
+    _assert_fixing_is_the_prefix_scan(chain)
+    whole = (chain.base, chain.generators, chain.order, list(chain.elements()))
+    for bound in _bounds(chain.order):
+        bounded = bounded_run(generators, n, bound)
+        assert (bounded.base, bounded.generators, bounded.order, list(bounded.elements())) == whole
+    return chain
+
+
+def _random_generators(rng):
+    n = rng.randint(1, 6)
+    return [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))], n
 
 
 def test_schreier_sims_agrees_with_the_closure_on_random_groups(rng):
     for _ in range(40):
-        n = rng.randint(1, 6)
-        generators = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        generators, n = _random_generators(rng)
         group = _generated_group(generators, n)
-        chain = schreier_sims(generators, n)
+        chain = _assert_bounded_runs_agree(generators, n)
         assert chain.order == len(group), generators
         assert sorted(chain.elements()) == sorted(group), generators
         outside = [g for g in permutations(range(n)) if g not in group]
         assert not any(g in chain for g in outside), generators
+
+
+def _schreier_sims_stopping_on(comparison):
+    """``schreier_sims`` built from the module's source, its known-order stop
+    made with ``comparison``."""
+    source, stop = inspect.getsource(stabiliser), "chain.order == order_bound"
+    assert source.count(stop) == 1
+    mutant, namespace = source.replace(stop, f"chain.order {comparison} order_bound"), {}
+    exec(compile(mutant, "stabiliser_mutant", "exec"), namespace)
+    return namespace["schreier_sims"]
+
+
+def test_a_stop_on_reaching_the_bound_from_below_is_caught(rng):
+    # the stop as it is, rebuilt, passes; a stop once the product reaches a
+    # bound below |G| ends with a chain of too small an order
+    draws = [_random_generators(rng) for _ in range(40)]
+    for comparison, caught in (("==", False), (">=", True)):
+        run = _schreier_sims_stopping_on(comparison)
+        failed = 0
+        for generators, n in draws:
+            try:
+                _assert_bounded_runs_agree(generators, n, run)
+            except AssertionError:
+                failed += 1
+        assert (failed > 0) == caught, comparison
 
 
 @pytest.mark.parametrize("name", ["M3", "M4", "GF(2)^3", "S3^3", "S4^2*S3^2"])
@@ -981,8 +1064,9 @@ def test_schreier_sims_agrees_with_the_closure(name, lattices):
     else:
         a = {"M3": _diamond(3), "M4": _diamond(4), "GF(2)^3": _subspace_lattice(3)}[name]
     searched = automorphism_group(a)
+    _assert_fixing_is_the_prefix_scan(searched)
     generators = searched.generators
-    chain = schreier_sims(generators, searched.n)
+    chain = _assert_bounded_runs_agree(generators, searched.n)
     group = _generated_group(generators, searched.n)
     assert chain.order == len(group)
     assert sorted(chain.elements()) == sorted(group)
@@ -1749,20 +1833,21 @@ def _tau_of_the_mirror_image(real, spec, sigma):
 
 
 @pytest.mark.parametrize(
-    "wrong",
-    [_identity_tau, _swap_the_last_two_points, _tau_of_the_mirror_image],
+    "wrong, constructive",
+    [(_identity_tau, 1), (_swap_the_last_two_points, 1), (_tau_of_the_mirror_image, 6)],
     ids=["identity", "non-member", "another-transposition"],
 )
-def test_product_formula_fails_on_a_wrong_tau(wrong, monkeypatch):
+def test_product_formula_fails_on_a_wrong_tau(wrong, constructive, monkeypatch):
     real = autgroup.slot_action
     monkeypatch.setattr(autgroup, "slot_action", lambda spec, sigma: wrong(real, spec, sigma))
     extended = _recording_extensions(monkeypatch)
     report = verify_product_formula(parse_spec("S3^3"))
     assert not report.match
     # the searched chain is the context's automorphism group, with nothing
-    # extended, so the order reported is LatAut's on a mismatch too
+    # extended, so the order reported is LatAut's on a mismatch too; the
+    # constructive order is that of the group the sifted taus generate
     assert extended == []
-    assert report.brute_force_order == 6
+    assert (report.brute_force_order, report.constructive_order) == (6, constructive)
 
 
 def test_the_wrong_taus_fail_each_check_they_should(monkeypatch):
@@ -1848,13 +1933,16 @@ LATTICE_CHAIN_DIGESTS = {
 @pytest.mark.parametrize("text", sorted(SEARCHED_CHAIN_DIGESTS))
 def test_the_closed_form_chains_are_pinned(text):
     chain = autgroup._search(closed_form_context(parse_spec(text)))
+    _assert_fixing_is_the_prefix_scan(chain)
     assert _chain_digest(chain) == SEARCHED_CHAIN_DIGESTS[text]
 
 
 def test_the_lemma_and_enumerated_chains_are_pinned(lattices):
     posets = {**lemma_lattices(), "S3^4": lattices.get("S3^4")}
-    digests = {name: _chain_digest(automorphism_group(a)) for name, a in posets.items()}
-    assert digests == LATTICE_CHAIN_DIGESTS
+    chains = {name: automorphism_group(a) for name, a in posets.items()}
+    for chain in chains.values():
+        _assert_fixing_is_the_prefix_scan(chain)
+    assert {name: _chain_digest(chain) for name, chain in chains.items()} == LATTICE_CHAIN_DIGESTS
 
 
 def _reference_product_formula(lat):

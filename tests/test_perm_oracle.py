@@ -837,6 +837,14 @@ def test_differential_validate_builds_no_element(monkeypatch):
         ("S5^2", 5000, "14400"),
         # 8!^1000 is past the interpreter's int-to-str digit limit, which stays as it is
         ("S8^1000", 5000, "of 15300 bits"),
+        # S20^1000*...*S3^1000, 18,000 slots: one power per degree, not a
+        # factorial per slot
+        pytest.param(
+            "*".join(f"S{d}^1000" for d in range(20, 2, -1)),
+            5000,
+            "of 517571 bits",
+            id="S20^1000*...*S3^1000",
+        ),
     ],
 )
 def test_bounds_are_checked_before_the_class_table(spec, max_order, order, monkeypatch):
