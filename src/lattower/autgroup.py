@@ -223,21 +223,19 @@ def _refined_classes(ctx: StandardContext) -> list[int]:
     """One colour per point, refined on the points alone to a fixed point.
 
     The colours start from the context's seeds.  Each round folds in the
-    sorted colours of the points below and of those above, until a round
-    splits no class.
+    sorted colours of the points below and of those above, read off the
+    context's ``below`` and ``above`` lists, until a round splits no class.
     An automorphism permutes the points, keeps their order and keeps the
     seeds, which are invariants, so automorphic points always share a
     colour.  The search branches on the points only, so the other elements
     get no colour (McKay and Piperno, secs. 3-4).
     """
-    below = [_bits(mask ^ 1 << k) for k, mask in enumerate(ctx.under)]
-    above = [_bits(mask ^ 1 << k) for k, mask in enumerate(ctx.over)]
     ids = _canonical_ids(list(ctx.seeds))
     while True:
         new_ids = _canonical_ids(
             [
                 (c, tuple(sorted(map(ids.__getitem__, b))), tuple(sorted(map(ids.__getitem__, a))))
-                for c, b, a in zip(ids, below, above)
+                for c, b, a in zip(ids, ctx.below, ctx.above)
             ]
         )
         if len(set(new_ids)) == len(set(ids)):
@@ -427,10 +425,19 @@ def _search(ctx: StandardContext) -> StabiliserChain:
             if s == m:
                 return tuple(mapping)
             x, run = base[s], prefix[s] ^ fixed
-            wants[s] = (
-                reduce(or_, [1 << mapping[k] for k in _bits(under[x] & run)], under[x] & fixed),
-                reduce(or_, [1 << mapping[k] for k in _bits(over[x] & run)], over[x] & fixed),
-            )
+            # the fixed points map to themselves; the run's points below and
+            # above x are mapped one by one, lowest bit first
+            want_under, rest = under[x] & fixed, under[x] & run
+            while rest:
+                low = rest & -rest
+                want_under |= 1 << mapping[low.bit_length() - 1]
+                rest ^= low
+            want_over, rest = over[x] & fixed, over[x] & run
+            while rest:
+                low = rest & -rest
+                want_over |= 1 << mapping[low.bit_length() - 1]
+                rest ^= low
+            wants[s] = want_under, want_over
             options[s] = iter(candidates[x])
 
     chain = StabiliserChain(m, base)

@@ -5,10 +5,11 @@ J-set of each meet-irreducible (the points below it), and the incidence
 between them; its automorphisms are exactly the permutations of the points
 that send the meet-irreducibles' J-sets onto themselves (Ganter and Wille,
 *Formal Concept Analysis*, Springer 1999, ch. 1).  ``StandardContext`` holds
-that much, with the points above each point, plus a colour seed per point,
-which must be an invariant of the input the context came from; it computes
-each of these once.  ``AbstractLattice.standard_context`` reads one off the
-covers of a bare lattice.
+that much, with the points above each point and each point's neighbours
+listed, plus a colour seed per point, which must be an invariant of the
+input the context came from; it computes each of these once.
+``AbstractLattice.standard_context`` reads one off the covers of a bare
+lattice.
 
 ``closed_form_context`` writes N(G)'s context down from the spec alone,
 without enumerating N(G).  With the profile encoding of ``lattice_core`` an
@@ -41,9 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import or_
 
 from .errors import TooLarge, decimal
 from .gf2 import _bits, _perps
@@ -70,13 +69,16 @@ MAX_CONTEXT_SLOTS = 12
 @dataclass(frozen=True)
 class StandardContext:
     """Points 0, ..., m-1 with ``under[k]`` and ``over[k]``, the points below
-    and above point k (k included) as m-bit ints; ``extents``, the J-sets of
-    the meet-irreducibles, and ``rows``, the same as lists of points; and
-    ``seeds[k]``, point k's colour seed.  ``StandardContext.of`` builds one,
-    computing each of these once."""
+    and above point k (k included) as m-bit ints, and ``below[k]`` and
+    ``above[k]``, the points strictly below and strictly above k as
+    ascending lists; ``extents``, the J-sets of the meet-irreducibles, and
+    ``rows``, the same as lists of points; and ``seeds[k]``, point k's colour
+    seed.  ``StandardContext.of`` builds one, computing each of these once."""
 
     under: tuple[int, ...]
     over: tuple[int, ...]
+    below: tuple[list[int], ...]
+    above: tuple[list[int], ...]
     extents: frozenset[int]
     rows: tuple[list[int], ...]
     seeds: tuple[tuple[int, ...], ...]
@@ -89,17 +91,20 @@ class StandardContext:
         seeds: Callable[..., Iterable[tuple[int, ...]]],
     ) -> StandardContext:
         """The context of the points' down sets and the meet-irreducibles'
-        J-sets.  ``over`` transposes ``under``, and ``seeds`` maps the numbers
-        of points strictly below and strictly above each point, and the
-        rows, to the seeds."""
+        J-sets.  One walk over each point's ``below`` list transposes it
+        into ``above`` and ``under`` into ``over``; ``seeds`` maps the numbers
+        of points strictly below and strictly above each point, the lengths
+        of those lists, and the rows, to the seeds."""
+        below = [_bits(mask ^ 1 << k) for k, mask in enumerate(under)]
+        above: list[list[int]] = [[] for _ in below]
         over = [1 << k for k in range(len(under))]
-        for k, mask in enumerate(under):
-            for j in _bits(mask ^ 1 << k):
+        for k, points in enumerate(below):
+            for j in points:
+                above[j].append(k)
                 over[j] |= 1 << k
         rows = tuple(map(_bits, extents))
-        below = [mask.bit_count() - 1 for mask in under]
-        above = [mask.bit_count() - 1 for mask in over]
-        return cls(tuple(under), tuple(over), extents, rows, tuple(seeds(below, above, rows)))
+        seed = tuple(seeds(list(map(len, below)), list(map(len, above)), rows))
+        return cls(tuple(under), tuple(over), tuple(below), tuple(above), extents, rows, seed)
 
 
 def _layout(spec: TowerGroupSpec) -> tuple[list[int], int]:
@@ -119,7 +124,9 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     the automorphism search on it finds exactly the automorphisms of the
     context.  The order of that tuple sets the colour ids, which break ties
     between classes of equal size in the search's base; this one keeps the
-    search fast.
+    search fast.  The V_s and A_s part of every P_v's down set is built by
+    doubling, one slot at a time, as ``slot_action`` builds its moved
+    patterns; ``StandardContext.of`` then lists each point's neighbours.
 
     TooLarge is raised past ``MAX_CONTEXT_SLOTS`` slots, before any point
     is laid out, for every spec that ``parse_spec`` accepts.
@@ -135,9 +142,12 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     a_first = p0 + 1 - n
     # per slot s, the bits of V_s and A_s
     slot = [(1 << v if v >= 0 else 0) | 1 << (a_first + s) for s, v in enumerate(v_index)]
+    down = [0]  # down[v]: the bits of V_s and A_s for s in supp v
+    for s in range(n):
+        down += [d | slot[s] for d in down]
+    # P_v lies over V_s and A_s for s in supp v
     under = [1 << v for v in v_index if v >= 0] + slot
-    for v in range(1, 1 << n):  # P_v lies over V_s and A_s for s in supp v
-        under.append(reduce(or_, map(slot.__getitem__, _bits(v)), 1 << (p0 + v)))
+    under += [down[v] | 1 << (p0 + v) for v in range(1, 1 << n)]
     perps, every = _perps(n), sum(slot)
     # the points P_v with v in a perp row: bit v of the row is P_v's bit
     p_part = [row >> 1 << (p0 + 1) for row in perps]

@@ -1266,6 +1266,7 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
         ctx = a.context
         _assert_the_context_chain_is_the_exact_chain(ctx)
         sc = ctx.standard_context()
+        _assert_the_neighbour_lists_are_the_masks(sc)
         accept = partial(autgroup._keeps_rows(sc), sc.rows)
         m = len(ctx.irreducibles)
         maps = permutations(range(m)) if m <= 6 else (rng.sample(range(m), m) for _ in range(100))
@@ -1883,9 +1884,21 @@ def _assert_the_chain_and_the_taus_keep_the_rows(spec):
     assert all(map(keeps, taus))
 
 
+def _assert_the_neighbour_lists_are_the_masks(ctx):
+    """``below`` and ``above`` list the bits of ``under`` and ``over``, the
+    point itself left out, and ``over`` is ``under`` transposed."""
+    under, m = ctx.under, len(ctx.under)
+    over = [sum(1 << j for j in range(m) if under[j] >> k & 1) for k in range(m)]
+    assert list(ctx.over) == over
+    assert list(ctx.below) == [_bits(mask ^ 1 << k) for k, mask in enumerate(under)]
+    assert list(ctx.above) == [_bits(mask ^ 1 << k) for k, mask in enumerate(over)]
+
+
 @pytest.mark.parametrize("text", [*_shape_specs(9), "S3^10"])
 def test_the_searched_generators_and_the_taus_keep_the_rows(text):
-    _assert_the_chain_and_the_taus_keep_the_rows(parse_spec(text))
+    spec = parse_spec(text)
+    _assert_the_chain_and_the_taus_keep_the_rows(spec)
+    _assert_the_neighbour_lists_are_the_masks(closed_form_context(spec))
 
 
 def test_a_search_that_accepts_a_map_breaking_a_row_is_caught(monkeypatch):
@@ -1919,6 +1932,8 @@ SEARCHED_CHAIN_DIGESTS = {
     "S3^6": "dd442c007cb415e8ba93394198940859e415edf818ba06960ea69d04dbfa6b49",
     "S4^3*S3^4": "335741af91ccab4be4e1f29f6c6c89eb2329237613d4a7035c772af5e7326363",
     "S3^10": "0ae4caae815e4d15208bccb34038b3aed0e50784d7e53deae5b1e5a6f325c1a2",
+    "S4^4": "826fb9622a7dce6e2255ef0eb9897b00a4c314e37fe2820387eec24977132053",
+    "S4^2*S3^2": "cbbebffcfaeba5d17acfe4e3309fad411d80ed78bfd23852072010fd0d59bd71",
 }
 LATTICE_CHAIN_DIGESTS = {
     "C2": "2962e5b033d8ff92d30989d2df74b0b8d0c7704d7db9eddd322a28da79cf2aa8",
@@ -1939,6 +1954,8 @@ def test_the_closed_form_chains_are_pinned(text):
 
 def test_the_lemma_and_enumerated_chains_are_pinned(lattices):
     posets = {**lemma_lattices(), "S3^4": lattices.get("S3^4")}
+    for a in posets.values():
+        _assert_the_neighbour_lists_are_the_masks(a.context.standard_context())
     chains = {name: automorphism_group(a) for name, a in posets.items()}
     for chain in chains.values():
         _assert_fixing_is_the_prefix_scan(chain)
