@@ -235,10 +235,11 @@ def _edge_rows(
     An edge is ``head`` with the lower end put in, the upper end and ``tail``,
     each end as ``names[i] == str(i)``; ``sep`` goes between two edges.
     """
-    for i, above in enumerate(up_covers):
+    end = tail + sep
+    for name, above in zip(names, up_covers):
         if above:
-            start = head.format(names[i])
-            yield start + (tail + sep + start).join(map(names.__getitem__, above)) + tail
+            start = head.format(name)
+            yield start + (end + start).join([names[j] for j in above]) + tail
 
 
 def _dot(labels: Iterable[str], up_covers: Iterable[list[int]], n: int) -> Iterator[str]:

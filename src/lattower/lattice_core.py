@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -50,7 +51,7 @@ from .gf2 import (
     _lift,
     _perps,
     _pivot,
-    iter_subspaces,
+    _span,
     parity_kernel,
     span,
     unit_span,
@@ -387,15 +388,33 @@ def join(e1: LatticeElement, e2: LatticeElement) -> LatticeElement:
 
 @lru_cache(maxsize=None)
 def _admissible_subspaces(width: int) -> tuple[Subspace, ...]:
-    """Sign subgroups passing both admissibility conditions, fixed order."""
+    """The sign subgroups of GF(2)^width passing both admissibility conditions.
+
+    They come in the order of ``gf2.iter_subspaces``: by dimension, then by
+    pivot set, then by the free entries above the staircase, row 0's in the
+    lowest bits.  The candidates are walked as raw echelon rows, each pivot
+    the lowest set bit of its row and in no other row, so a sum of two or
+    more rows holds two pivots and the two conditions read off the rows:
+
+    * H holds no unit vector exactly when no row is a unit vector, so each
+      row's free entries take every value but zero;
+    * every coordinate is odd somewhere in H exactly when the OR of the
+      rows is full.
+
+    Only the bases that pass are built as a (validated) ``Subspace``.
+    """
     full = (1 << width) - 1
     out = []
-    for s in iter_subspaces(width):
-        if s.active_mask() != full:
-            continue
-        if any(s.contains(1 << j) for j in range(width)):
-            continue
-        out.append(s)
+    for d in range(width + 1):
+        for pivots in combinations(range(width), d):
+            taken = sum(1 << p for p in pivots)
+            free = [[1 << q for q in range(p + 1, width) if not taken >> q & 1] for p in pivots]
+            # _span lists a row's free entries in iter_subspaces' order, zero first; the last
+            # row goes first, so that product varies row 0's entries fastest
+            choices = [[1 << p | x for x in _span(f)[1:]] for p, f in zip(pivots[::-1], free[::-1])]
+            for rows in product(*choices):
+                if reduce(or_, rows, 0) == full:
+                    out.append(Subspace(width, rows[::-1]))
     return tuple(out)
 
 
@@ -946,9 +965,12 @@ class Lattice:
         arithmetic on the code of x: a chain step adds to the key, and
         W + <v>, whose D is D(W) & v-perp, is ``(code & M_v) | S_v``, where
         M_v keeps the key and ANDs v-perp into D, and S_v ORs 4^s into the
-        key at each slot s of v.  The rows come one element at a time, so no
-        list of edges is held.  ``down_masks`` and ``up_masks`` are their
-        closure, and in the tests a column sweep referees both.
+        key at each slot s of v.  The (M_v, S_v) pairs are listed once per
+        mask of free slots, so a row is the index lookups of its chain steps
+        and of its pairs, each list built by one comprehension, then sorted.
+        The rows come one element at a time, so no list of edges is held.
+        ``down_masks`` and ``up_masks`` are their closure, and in the tests a
+        column sweep referees both.
         """
         num_slots = self.spec.num_slots
         shift = 2 * num_slots
@@ -969,20 +991,20 @@ class Lattice:
         keep = [perp << shift | (1 << shift) - 1 for perp in _perps(num_slots)]  # M_v
         spread = [self._pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
         pivots_of = [sum(row & -row for row in rows) for rows in self.spans]
-        widenings: dict[int, tuple[list[int], list[int]]] = {}  # M_v and S_v by free-slot mask
+        widenings: dict[int, list[tuple[int, int]]] = {}  # (M_v, S_v) by free-slot mask
         for i, (key, wid, code) in enumerate(zip(self.keys, self.wids, self._codes)):
             ups, upper = moves_of_key[key]
             free = upper & ~pivots_of[wid]
             masks = widenings.get(free)
             if masks is None:
                 vs = [v for v in range(1, free + 1) if not v & ~free]
-                masks = widenings[free] = ([keep[v] for v in vs], [spread[v] for v in vs])
-            moves = list(map(code.__add__, ups))
-            moves += map(or_, map(code.__and__, masks[0]), masks[1])
+                masks = widenings[free] = [(keep[v], spread[v]) for v in vs]
             try:
-                above = sorted(map(index.__getitem__, moves))
+                above = [index[code + up] for up in ups]
+                above += [index[code & m | s] for m, s in masks]
             except KeyError:
                 raise LatTowerError(f"a cover move from element {i} leaves the lattice") from None
+            above.sort()
             yield above
 
     @cached_property

@@ -1,5 +1,6 @@
 import os
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,40 @@ settings.load_profile("lattower")
 
 # seeds the sampling order of randomized spot checks; exhaustive tests ignore it
 SEED = int(os.environ.get("LATTOWER_SEED", "20260819"))
+
+
+# the wall-clock bound of one test's call, far above the 9-20 s of the slowest test
+TEST_BOUND_S = 300
+
+
+class _BoundExceeded(BaseException):
+    """Raised in a test's call when it outlives ``TEST_BOUND_S``: a
+    BaseException, so that no ``except Exception`` in the code under test
+    swallows it and hypothesis passes it on at once instead of shrinking."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose call runs past ``TEST_BOUND_S`` (a search gone wrong
+    can backtrack without end), and go on with the next test.
+
+    The timeout is reported by message alone: a frame that the signal
+    interrupts can have no line number, which pytest cannot print.
+    """
+
+    def expire(signum, frame):
+        raise _BoundExceeded
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BOUND_S)
+    try:
+        return (yield)
+    except _BoundExceeded:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    pytest.fail(f"the test ran past its {TEST_BOUND_S} s bound", pytrace=False)
 
 
 @pytest.fixture
