@@ -16,7 +16,8 @@ import time
 from itertools import combinations_with_replacement
 
 from lattower.group_spec import format_spec, spec_of_degrees
-from lattower.lattice_core import census_of, enumerate_lattice
+from lattower.census import census_of
+from lattower.lattice_core import enumerate_lattice
 
 
 def sweep(degrees: tuple[int, ...], max_t: int) -> list[tuple]:

@@ -17,7 +17,7 @@ import time
 from contextlib import redirect_stdout
 
 from lattower import cli
-from lattower.autgroup import DEFAULT_MAX_LATTICE
+from lattower.census import DEFAULT_MAX_LATTICE
 
 
 class _Digest:

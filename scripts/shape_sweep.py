@@ -19,9 +19,9 @@ import argparse
 import time
 
 from lattower.autgroup import verify_product_formula
+from lattower.census import census_of
 from lattower.context import MAX_CONTEXT_SLOTS
 from lattower.group_spec import format_spec, spec_of_degrees
-from lattower.lattice_core import census_of
 
 
 def main() -> None:

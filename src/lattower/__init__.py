@@ -5,53 +5,33 @@ product of symmetric groups of degree at least 3), its group of lattice
 automorphisms, and the tower obtained by iterating G -> LatAut(G), which
 reaches the trivial group within three steps.  An independent permutation
 oracle recomputes small cases from scratch for differential validation.
+
+The names below are loaded from their modules on first access (PEP 562), so
+importing a submodule, such as ``lattower.cli``, compiles only the modules
+it imports itself.
 """
 
 from __future__ import annotations
 
-from .errors import LatTowerError
-from .group_spec import (
-    ChainPosition,
-    FactorSlot,
-    TowerGroupSpec,
-    chain,
-    format_spec,
-    make_spec,
-    parse_spec,
-)
-from .lattice_core import (
-    AdmissibleTriple,
-    Census,
-    Lattice,
-    LatticeElement,
-    Profile,
-    census_of,
-    enumerate_lattice,
-    join,
-    leq,
-    meet,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LatTowerError",
-    "ChainPosition",
-    "FactorSlot",
-    "TowerGroupSpec",
-    "chain",
-    "make_spec",
-    "parse_spec",
-    "format_spec",
-    "AdmissibleTriple",
-    "Profile",
-    "LatticeElement",
-    "Census",
-    "Lattice",
-    "enumerate_lattice",
-    "census_of",
-    "leq",
-    "meet",
-    "join",
-    "__version__",
-]
+# module -> the names re-exported from it
+_EXPORTS = {
+    "errors": "LatTowerError",
+    "group_spec": "ChainPosition FactorSlot TowerGroupSpec chain make_spec parse_spec format_spec",
+    "census": "Census census_of",
+    "lattice_core": "AdmissibleTriple Profile LatticeElement Lattice enumerate_lattice "
+    "leq meet join",
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value

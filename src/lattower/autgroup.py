@@ -38,42 +38,29 @@ from functools import reduce
 from itertools import permutations
 from math import factorial
 from operator import or_
+from typing import TYPE_CHECKING
 
 from .context import StandardContext, closed_form_context, factor_atom_points, slot_action
-from .errors import ClassViolation, LatTowerError, TooLarge, decimal
+from .errors import ClassViolation, LatTowerError
 from .gf2 import _annihilator_mask, _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .group_spec import chain as positions_of
-from .lattice_core import (
-    AbstractLattice,
-    Lattice,
-    _digits,
-    _fold,
-    census_of,
-    enumerate_lattice,
-)
 from .stabiliser import Perm, StabiliserChain, schreier_sims
 
+if TYPE_CHECKING:
+    from .abstract_lattice import AbstractLattice
+    from .lattice_core import Lattice
+
 __all__ = [
-    "DEFAULT_MAX_LATTICE",
     "cycle_notation",
-    "complemented_elements",
     "factor_atoms",
     "tau_on_lattice",
     "automorphism_group",
     "brute_force_automorphisms",
-    "check_lattice_size",
-    "bounded_lattice",
     "induced_permutation",
     "ProductFormulaReport",
     "verify_product_formula",
 ]
-
-# Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `hasse` took 0.26-0.33 s
-# and 0.37-0.38 s (22 and 23 MB max RSS) and `enumerate --format json`
-# 0.25-0.33 s and 0.34-0.37 s (24 and 28 MB) on them, on 2 cores with
-# Python 3.11.7.  Refuses S4^4*S3^2 (11,384) and everything larger.
-DEFAULT_MAX_LATTICE = 10_000
 
 
 def cycle_notation(perm: Perm, labels: tuple[str, ...] | None = None) -> str:
@@ -100,38 +87,6 @@ def cycle_notation(perm: Perm, labels: tuple[str, ...] | None = None) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def complemented_elements(lat: Lattice | AbstractLattice) -> set[int]:
-    """Indices of all N with a complement: meet at bottom, join at top.
-
-    In a finite lattice x ^ c is the bottom exactly when no atom lies under
-    both, and x v c is the top exactly when no coatom lies over both.  Both
-    sets are read off the covers as bits, the atoms out of J(x) and the
-    coatoms over x by a sweep that starts at the top.  Elements with the same
-    atoms are handled together: their coatom sets are compared only with
-    those of the groups whose atoms miss theirs.  Raises LatTowerError
-    unless exactly one element is minimal and one maximal.
-    """
-    ctx = lat.context
-    tops = [x for x, above in enumerate(ctx.upper) if not above]
-    if len(tops) != 1:
-        raise LatTowerError(f"not a lattice: {len(tops)} maximal elements")
-    bottom, (top,) = ctx.order[0], tops
-    atoms = reduce(or_, map(ctx.J.__getitem__, ctx.upper[bottom]), 0)
-    coatoms = [0] * ctx.n
-    for k, c in enumerate(ctx.lower[top]):
-        coatoms[c] = 1 << k
-    over = _fold(reversed(ctx.order), ctx.upper, coatoms)
-    groups: dict[int, list[int]] = {}
-    for x, under in enumerate(ctx.J):
-        groups.setdefault(under & atoms, []).append(x)
-    overs = {a: {over[x] for x in xs} for a, xs in groups.items()}
-    out = set()
-    for a, xs in groups.items():
-        partners = [c for b, cs in overs.items() if not a & b for c in cs]
-        out.update(x for x in xs if any(not over[x] & c for c in partners))
-    return out
-
-
 def factor_atoms(lat: Lattice) -> list[int]:
     """The sub-products FULL in a single slot, one per slot, in slot order.
 
@@ -143,6 +98,8 @@ def factor_atoms(lat: Lattice) -> list[int]:
     coatom lies over both.  Each must be FULL in one uncoupled slot, and
     every slot must have one, so the list index doubles as the slot index.
     """
+    from .lattice_core import _digits  # here: ``aut`` builds no Lattice and never loads it
+
     ctx = lat.context
     under, bottom, top = ctx.J, ctx.order[0], ctx.order[-1]
     atoms = reduce(or_, map(under.__getitem__, ctx.upper[bottom]), 0)
@@ -246,27 +203,6 @@ def _refined_classes(ctx: StandardContext) -> list[int]:
 def _canonical_ids(keys: list) -> list[int]:
     order = {k: i for i, k in enumerate(sorted(set(keys)))}
     return [order[k] for k in keys]
-
-
-def check_lattice_size(spec: TowerGroupSpec, max_size: int = DEFAULT_MAX_LATTICE) -> None:
-    """Raise TooLarge unless N(G)'s closed-form census fits ``max_size``.
-
-    This is the one check of the lattice-size bound, made before anything
-    is built: ``bounded_lattice`` makes it before it enumerates, and
-    ``tower.verify_step_against_lattice`` before it builds a tower group's
-    closed-form context.  ``census_of`` refuses past its own fixed slot bound.
-    """
-    total = census_of(spec).total
-    if total > max_size:
-        elements = decimal(total) or f"a {total.bit_length()}-bit number of"
-        raise TooLarge(f"{elements} elements exceeds the lattice bound {max_size}")
-
-
-def bounded_lattice(spec: TowerGroupSpec, max_size: int = DEFAULT_MAX_LATTICE) -> Lattice:
-    """N(G) enumerated, once ``check_lattice_size`` admits it: what ``hasse``
-    and ``enumerate --format json`` write."""
-    check_lattice_size(spec, max_size)
-    return enumerate_lattice(spec)
 
 
 def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:

@@ -15,8 +15,9 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .census import DEFAULT_MAX_LATTICE, census_of
 from .errors import (
     DegreeTooLarge,
     DegreeTooSmall,
@@ -27,24 +28,17 @@ from .errors import (
     TooLarge,
     decimal,
 )
-from .autgroup import (
-    DEFAULT_MAX_LATTICE,
-    automorphism_group,
-    bounded_lattice,
-    verify_product_formula,
-)
-from .group_spec import ChainPosition, format_spec, parse_spec
-from .lattice_core import Lattice, census_of
-from .perm_oracle import (
+from .group_spec import (
     DEFAULT_MAX_ORDER,
     LEMMA_GROUP_DEGREES,
-    ConcreteGroup,
-    all_normal_subgroups,
-    differential_validate,
-    lemma_lattices,
-    normal_subgroup_poset,
+    ChainPosition,
+    format_spec,
+    parse_spec,
 )
 from .tower import StartNode, format_node, format_run, run_tower
+
+if TYPE_CHECKING:
+    from .lattice_core import Lattice
 
 EXIT_USAGE = 2
 EXIT_BOUNDS = 3
@@ -74,8 +68,9 @@ def _bound(text: str) -> int:
     return value
 
 
-# Every option a subcommand can take; each bound default comes from the
-# module that enforces the bound.
+# Every option a subcommand can take; each bound default comes from a module
+# the CLI loads anyway: --max-order's from group_spec, which the oracle that
+# enforces it imports, and --max-lattice's from census, which checks it.
 _OPTIONS = {
     "--spec": dict(required=True, help="group literal, e.g. S4^2*S3^2"),
     "--format": dict(choices=("text", "json"), default="text"),
@@ -159,8 +154,9 @@ def _json_dump(data) -> str:
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
-        lat = bounded_lattice(spec, max_size=args.max_lattice)
-        _emit(_lattice_json(lat), args.out)
+        from .lattice_core import bounded_lattice
+
+        _emit(_lattice_json(bounded_lattice(spec, max_size=args.max_lattice)), args.out)
         return 0
     c = census_of(spec)
     total = decimal(c.total)  # the other three counts are smaller
@@ -178,6 +174,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_aut(args) -> int:
+    from .autgroup import verify_product_formula
+
     report = verify_product_formula(parse_spec(args.spec))
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
@@ -211,8 +209,10 @@ def cmd_tower(args) -> int:
 
 
 def cmd_oracle_diff(args) -> int:
+    from . import perm_oracle
+
     spec = parse_spec(args.spec)
-    report = differential_validate(spec, max_order=args.max_order)
+    report = perm_oracle.differential_validate(spec, max_order=args.max_order)
     if args.format == "json":
         _emit(_json_dump(report.to_json_dict()), args.out)
     else:
@@ -328,18 +328,24 @@ _SMALL_GROUPS = {name.casefold(): degrees for name, degrees in LEMMA_GROUP_DEGRE
 def cmd_hasse(args) -> int:
     degrees = _SMALL_GROUPS.get("".join(args.spec.split()).casefold())
     if degrees is not None:
+        from .perm_oracle import ConcreteGroup, all_normal_subgroups, normal_subgroup_poset
+
         group = ConcreteGroup(degrees)
         normals = all_normal_subgroups(group)
         poset = normal_subgroup_poset(group, normals)
         _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
         return 0
+    from .lattice_core import bounded_lattice
+
     spec = parse_spec(args.spec)
-    lat = bounded_lattice(spec, max_size=args.max_lattice)
-    _emit(_dot_of_lattice(lat), args.out)
+    _emit(_dot_of_lattice(bounded_lattice(spec, max_size=args.max_lattice)), args.out)
     return 0
 
 
 def cmd_lemmas(args) -> int:
+    from .autgroup import automorphism_group
+    from .perm_oracle import lemma_lattices
+
     rows, lines = [], []
     for name, poset in lemma_lattices().items():
         order = automorphism_group(poset).order

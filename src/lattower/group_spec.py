@@ -30,6 +30,8 @@ from .errors import (
 __all__ = [
     "MAX_DEGREE",
     "MAX_MULTIPLICITY",
+    "DEFAULT_MAX_ORDER",
+    "LEMMA_GROUP_DEGREES",
     "ChainPosition",
     "FactorSlot",
     "TowerGroupSpec",
@@ -45,6 +47,17 @@ MAX_DEGREE = 20
 # Copies of one degree a spec may hold.  Only the tower reads specs this
 # large, from the multiplicities alone; ``slots`` holds one slot per copy.
 MAX_MULTIPLICITY = 1000
+# The largest permutation group the oracle builds by default.
+DEFAULT_MAX_ORDER = 5000
+# The small groups the tower visits whose lattices the oracle builds
+# (``perm_oracle.lemma_lattices``), and that ``hasse`` takes by name.
+LEMMA_GROUP_DEGREES: dict[str, tuple[int, ...]] = {
+    "C2": (2,),
+    "C2^2": (2, 2),
+    "C2xS3": (2, 3),
+    "C2xS4": (2, 4),
+    "C2xS5": (2, 5),
+}
 
 
 class ChainPosition(IntEnum):

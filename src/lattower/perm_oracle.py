@@ -23,15 +23,17 @@ from math import factorial, prod
 from operator import and_, or_
 from typing import Sequence
 
+from .abstract_lattice import AbstractLattice, _covers_of_order
 from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge, decimal
 from .gf2 import _bits
-from .group_spec import ChainPosition, TowerGroupSpec, format_spec
-from .lattice_core import (
-    AbstractLattice,
-    Lattice,
-    _covers_of_order,
-    enumerate_lattice,
+from .group_spec import (
+    DEFAULT_MAX_ORDER,
+    LEMMA_GROUP_DEGREES,
+    ChainPosition,
+    TowerGroupSpec,
+    format_spec,
 )
+from .lattice_core import Lattice, enumerate_lattice
 from .stabiliser import _compose, _inverse
 
 __all__ = [
@@ -46,8 +48,6 @@ __all__ = [
     "lemma_lattices",
     "LEMMA_GROUP_DEGREES",
 ]
-
-DEFAULT_MAX_ORDER = 5000
 
 
 class _FactorTable:
@@ -367,15 +367,6 @@ def differential_validate(
         pairs_checked=pairs,
         ok=True,
     )
-
-
-LEMMA_GROUP_DEGREES: dict[str, tuple[int, ...]] = {
-    "C2": (2,),
-    "C2^2": (2, 2),
-    "C2xS3": (2, 3),
-    "C2xS4": (2, 4),
-    "C2xS5": (2, 5),
-}
 
 
 def lemma_lattices() -> dict[str, AbstractLattice]:

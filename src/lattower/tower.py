@@ -16,12 +16,9 @@ from dataclasses import asdict, dataclass
 from math import factorial
 from typing import Union
 
+from .census import check_lattice_size
 from .errors import NonTermination, TooLarge
 from .group_spec import TowerGroupSpec, format_spec, spec_of_degrees
-from .context import closed_form_context
-from .lattice_core import AbstractLattice
-from .autgroup import DEFAULT_MAX_LATTICE, _search, automorphism_group, check_lattice_size
-from .perm_oracle import ConcreteGroup, normal_subgroup_poset
 
 __all__ = [
     "StartNode",
@@ -159,33 +156,41 @@ class StepReport:
         return asdict(self)
 
 
-def _node_order(node: TowerNode, max_size: int) -> int:
+def _node_order(node: TowerNode, max_size: int | None) -> int:
     """The order of the searched automorphism group of the node's normal-subgroup lattice.
 
-    Tower groups are searched on their standard context in closed form, and
-    only when their closed-form census fits the lattice bound, so no element
-    is enumerated.  The census and the context read a degree only as 4 or
-    not 4, so a pair S_a x S_b with a, b >= 3 is searched as its slot-class
-    representative, each degree other than 4 taken as 3: S25 x S3 as S3^2.
-    Anything with a C2 factor goes through the permutation oracle, within
-    its default order bound, and ``automorphism_group``; the trivial group
-    is a single point.  TooLarge propagates to the caller.
+    Tower groups are searched on their standard context in closed form, so
+    no element is enumerated; their census is checked against ``max_size``
+    first only when a bound is given, and ``closed_form_context`` refuses
+    past its own slot bound.  The census and the context read a degree only
+    as 4 or not 4, so a pair S_a x S_b with a, b >= 3 is searched as its
+    slot-class representative, each degree other than 4 taken as 3: S25 x S3
+    as S3^2.  Anything with a C2 factor goes through the permutation oracle,
+    within its default order bound, and ``automorphism_group``; the trivial
+    group is a single point.  TooLarge propagates to the caller.
+
+    The search modules are loaded here, on the first verified step, by one
+    import statement, so ``tower`` and ``enumerate`` as text never compile
+    them.
     """
+    from . import abstract_lattice, autgroup, context, perm_oracle
+
     if isinstance(node, StartNode):
         spec = node.spec
     else:
         degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
         if not degrees:
-            return automorphism_group(AbstractLattice([[]])).order
+            return autgroup.automorphism_group(abstract_lattice.AbstractLattice([[]])).order
         if degrees[0] == 2:
-            poset = normal_subgroup_poset(ConcreteGroup(degrees))
-            return automorphism_group(poset).order
+            poset = perm_oracle.normal_subgroup_poset(perm_oracle.ConcreteGroup(degrees))
+            return autgroup.automorphism_group(poset).order
         spec = spec_of_degrees(4 if d == 4 else 3 for d in degrees)
-    check_lattice_size(spec, max_size=max_size)
-    return _search(closed_form_context(spec)).order
+    if max_size is not None:
+        check_lattice_size(spec, max_size=max_size)
+    return autgroup._search(context.closed_form_context(spec)).order
 
 
-def verify_step_against_lattice(node: TowerNode, max_size: int = DEFAULT_MAX_LATTICE) -> StepReport:
+def verify_step_against_lattice(node: TowerNode, max_size: int | None = None) -> StepReport:
     """Check one latauto_step answer against the searched automorphism group.
 
     The step claims LatAut of the node is S_a x S_b of order a! * b!; the
@@ -194,7 +199,9 @@ def verify_step_against_lattice(node: TowerNode, max_size: int = DEFAULT_MAX_LAT
     off the stabiliser chain of the order-only search (``_search``, or
     ``automorphism_group`` on a lattice), without listing the automorphisms.  Nodes
     beyond the size bounds are reported as skipped, with ``match`` None,
-    rather than guessed at.
+    rather than guessed at: a tower group past the closed-form context's
+    slot bound, or past ``max_size`` elements when one is given, and a group
+    with a C2 factor past the oracle's order bound.
     """
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)

@@ -8,15 +8,18 @@ that is asserted, not just reported.
 
 import time
 from contextlib import contextmanager
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import factorial
+from operator import or_
 
+from lattower.abstract_lattice import _fold
 from lattower.autgroup import (
     brute_force_automorphisms,
-    complemented_elements,
     factor_atoms,
     verify_product_formula,
 )
+from lattower.errors import LatTowerError
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import (
@@ -291,6 +294,38 @@ def test_criterion_6_property_suites(lattices):
 
 
 COMPLEMENTED_SPECS = ("S3^2", "S3*S4", "S4^2", "S3^3", "S3^2*S4", "S3^4", "S4^2*S3^2")
+
+
+def complemented_elements(lat) -> set[int]:
+    """Indices of all N with a complement: meet at bottom, join at top.
+
+    In a finite lattice x ^ c is the bottom exactly when no atom lies under
+    both, and x v c is the top exactly when no coatom lies over both.  Both
+    sets are read off the covers as bits, the atoms out of J(x) and the
+    coatoms over x by a sweep that starts at the top.  Elements with the same
+    atoms are handled together: their coatom sets are compared only with
+    those of the groups whose atoms miss theirs.  Raises LatTowerError
+    unless exactly one element is minimal and one maximal.
+    """
+    ctx = lat.context
+    tops = [x for x, above in enumerate(ctx.upper) if not above]
+    if len(tops) != 1:
+        raise LatTowerError(f"not a lattice: {len(tops)} maximal elements")
+    bottom, (top,) = ctx.order[0], tops
+    atoms = reduce(or_, map(ctx.J.__getitem__, ctx.upper[bottom]), 0)
+    coatoms = [0] * ctx.n
+    for k, c in enumerate(ctx.lower[top]):
+        coatoms[c] = 1 << k
+    over = _fold(reversed(ctx.order), ctx.upper, coatoms)
+    groups: dict[int, list[int]] = {}
+    for x, under in enumerate(ctx.J):
+        groups.setdefault(under & atoms, []).append(x)
+    overs = {a: {over[x] for x in xs} for a, xs in groups.items()}
+    out = set()
+    for a, xs in groups.items():
+        partners = [c for b, cs in overs.items() if not a & b for c in cs]
+        out.update(x for x in xs if any(not over[x] & c for c in partners))
+    return out
 
 
 def test_criterion_7_complemented_elements(lattices):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattower import autgroup, context, lattice_core, stabiliser
+from lattower import abstract_lattice, autgroup, context, lattice_core, perm_oracle, stabiliser
+from lattower.abstract_lattice import AbstractLattice, _covers_of_order
 from lattower.autgroup import (
     ProductFormulaReport,
     automorphism_group,
     brute_force_automorphisms,
-    complemented_elements,
     cycle_notation,
     factor_atoms,
     induced_permutation,
@@ -27,9 +27,7 @@ from lattower.group_spec import ChainPosition as CP
 from lattower.context import closed_form_context, factor_atom_points
 from lattower.group_spec import chain, format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import (
-    AbstractLattice,
     Profile,
-    _covers_of_order,
     _digits,
     element_from_profile,
     enumerate_lattice,
@@ -41,6 +39,7 @@ from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
 from test_acceptance import (
     COMPLEMENTED_SPECS,
+    complemented_elements,
     PRODUCT_FORMULA_CASES,
     ROUND_TRIP_SPECS,
     SHAPE_SPECS,
@@ -1169,7 +1168,7 @@ def _reference_extend_by_j_sets(ctx, psi, by_j=None):
     if by_j is None:
         by_j = {under: x for x, under in enumerate(ctx.J)}
     try:
-        image = tuple(map(by_j.__getitem__, lattice_core._fold(ctx.order, ctx.lower, sets)))
+        image = tuple(map(by_j.__getitem__, abstract_lattice._fold(ctx.order, ctx.lower, sets)))
     except KeyError:
         return None
     return image if _reference_keeps_covers(ctx, image) else None
@@ -1373,7 +1372,7 @@ def _refuse(*args, **kwargs):
 def test_the_product_formula_builds_no_order_relation(monkeypatch):
     # nor any lattice at all: no enumeration, no covers, no bare lattice
     monkeypatch.setattr(lattice_core, "enumerate_lattice", _refuse)
-    monkeypatch.setattr(autgroup, "enumerate_lattice", _refuse)
+    monkeypatch.setattr(perm_oracle, "enumerate_lattice", _refuse)
     monkeypatch.setattr(lattice_core.Lattice, "up_covers", _refuse)
     monkeypatch.setattr(AbstractLattice, "__init__", _refuse)
     assert verify_product_formula(parse_spec("S4^2*S3^2")).match
@@ -1770,14 +1769,14 @@ def test_the_closed_form_context_stops_at_its_slot_bound(monkeypatch):
 def _count_contexts(monkeypatch) -> list[int]:
     """The sizes of the join-irreducible contexts built from here on."""
     built = []
-    real = lattice_core.AbstractLattice.__init__
+    real = AbstractLattice.__init__
 
     def counting(ctx, upper):
         upper = list(upper)
         built.append(len(upper))
         real(ctx, upper)
 
-    monkeypatch.setattr(lattice_core.AbstractLattice, "__init__", counting)
+    monkeypatch.setattr(AbstractLattice, "__init__", counting)
     return built
 
 

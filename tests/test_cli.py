@@ -17,16 +17,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, cli, group_spec, lattice_core, perm_oracle
+from lattower import autgroup, census, cli, group_spec, lattice_core, perm_oracle
+from lattower.census import Census, census_of
 from lattower.cli import main
 from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
 from lattower.lattice_core import (
-    Census,
     Lattice,
     LatticeElement,
     bottom_element,
-    census_of,
     enumerate_lattice,
     sign_parity_element,
     top_element,
@@ -117,7 +116,7 @@ CENSUS_LINES = {
 
 
 def test_enumerate_text_builds_no_element(monkeypatch, capsys):
-    for module in (autgroup, lattice_core, perm_oracle):
+    for module in (lattice_core, perm_oracle):
         monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
     for spec, line in CENSUS_LINES.items():
         assert run_cli(capsys, "enumerate", "--spec", spec) == (0, line + "\n"), spec
@@ -137,9 +136,9 @@ def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
 @pytest.fixture
 def no_lattice(monkeypatch):
     """Make the enumeration, the census and ``Lattice.up_covers`` raise."""
-    for module in (autgroup, lattice_core):
+    for module in (lattice_core, perm_oracle):
         monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
-    for module in (cli, autgroup, lattice_core):
+    for module in (cli, census):
         monkeypatch.setattr(module, "census_of", _must_not_enumerate)
     monkeypatch.setattr(Lattice, "up_covers", _must_not_enumerate)
 
@@ -204,9 +203,9 @@ def test_a_spec_past_the_census_bound_is_refused_in_one_line(
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the bound")
 
-    for module in (autgroup, lattice_core, perm_oracle):
+    for module in (lattice_core, perm_oracle):
         monkeypatch.setattr(module, "enumerate_lattice", refuse)
-    monkeypatch.setattr(lattice_core, "_galois_numbers", refuse)
+    monkeypatch.setattr(census, "_galois_numbers", refuse)
     monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
     limit = sys.get_int_max_str_digits()
     assert main([command[0], "--spec", spec, *command[1:]]) == 3
@@ -228,7 +227,7 @@ def test_a_spec_past_the_census_bound_is_refused_in_one_line(
 def test_order_relation_refuses_an_oversized_lattice_before_enumerating(
     argv, monkeypatch, capsys
 ):
-    monkeypatch.setattr(autgroup, "enumerate_lattice", _must_not_enumerate)
+    monkeypatch.setattr(lattice_core, "enumerate_lattice", _must_not_enumerate)
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 1.0
@@ -545,7 +544,7 @@ def test_oracle_mismatch_goes_to_stderr(fmt, monkeypatch, capsys):
     def mismatch(*args, **kwargs):
         raise OracleMismatch("S3^2: leq disagrees on pair (0, 1)")
 
-    monkeypatch.setattr(cli, "differential_validate", mismatch)
+    monkeypatch.setattr(perm_oracle, "differential_validate", mismatch)
     assert main(["oracle-diff", "--spec", "S3^2", "--format", fmt]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -992,6 +991,35 @@ def test_module_entry_point(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "G_0 = S3 → G_1 = 1 (1 step)"
+
+
+# the modules the text paths load; hasse on a spec adds the enumeration
+TEXT_PATH_MODULES = ["census", "cli", "errors", "group_spec", "tower"]
+# runs main on the arguments, then prints the lattower modules it loaded to stderr
+_FOOTPRINT = (
+    "import sys; from lattower.cli import main; code = main(sys.argv[1:]); "
+    "print(sorted(m for m in sys.modules if m.startswith('lattower.')), file=sys.stderr); "
+    "sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["enumerate", "--spec", "S3^3"], TEXT_PATH_MODULES),
+        (["tower", "--spec", "S4^2*S3^2"], TEXT_PATH_MODULES),
+        (["hasse", "--spec", "S3^2"], sorted(TEXT_PATH_MODULES + ["gf2", "lattice_core"])),
+    ],
+    ids=["enumerate", "tower", "hasse"],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules, src_env, capsys):
+    code, out = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv], capture_output=True, env=src_env
+    )
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+    assert proc.stderr.decode() == f"{[f'lattower.{m}' for m in modules]}\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "aut", "tower", "oracle-diff", "hasse"])

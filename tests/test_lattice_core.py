@@ -6,7 +6,9 @@ from typing import Iterator
 
 import pytest
 
-from lattower import lattice_core
+from lattower import abstract_lattice, census
+from lattower.abstract_lattice import AbstractLattice, _covers_of_order
+from lattower.census import MAX_CENSUS_SLOTS, _galois_numbers, census_of
 from lattower.errors import (
     DeadCoordinate,
     IllegalChainPosition,
@@ -33,16 +35,13 @@ from lattower.gf2 import (
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import chain, make_spec, parse_spec
 from lattower.lattice_core import (
-    AbstractLattice,
     AdmissibleTriple,
     Lattice,
     FAMILY_MIXED,
     FAMILY_SIGN_PARITY,
     FAMILY_SUB_PRODUCT,
-    MAX_CENSUS_SLOTS,
     Profile,
     bottom_element,
-    census_of,
     classify,
     element_from_profile,
     element_from_triple,
@@ -59,10 +58,8 @@ from lattower.lattice_core import (
     profile_to_triple,
     validate_triple,
     _admissible_subspaces,
-    _covers_of_order,
     _digits,
     _eff_packer,
-    _galois_numbers,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
 from test_acceptance import (
@@ -116,7 +113,7 @@ def test_census_of_refuses_past_its_slot_bound(monkeypatch):
     def refuse(m):
         raise AssertionError("a Galois number was computed")
 
-    monkeypatch.setattr(lattice_core, "_galois_numbers", refuse)
+    monkeypatch.setattr(census, "_galois_numbers", refuse)
     for text, slots in (("S3^301", 301), ("S4^151*S3^150", 301), ("S20^1000", 1000)):
         with pytest.raises(TooLarge) as exc:
             census_of(parse_spec(text))
@@ -401,7 +398,7 @@ def test_an_m_folded_over_the_lower_covers_is_caught(text, lattices):
     seeds = [0] * a.n
     for k, x in enumerate(x for x, above in enumerate(a.upper) if len(above) == 1):
         seeds[x] = 1 << k
-    a.M = lattice_core._fold(a.order, a.lower, seeds)
+    a.M = abstract_lattice._fold(a.order, a.lower, seeds)
     assert _disagreeing_pairs(a.down, a.up, a.meet, a.join)
 
 

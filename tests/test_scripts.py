@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from lattower.lattice_core import census_of, enumerate_lattice
+from lattower.census import census_of
+from lattower.lattice_core import enumerate_lattice
 from lattower.perm_oracle import differential_validate
 
 ROOT = Path(__file__).resolve().parent.parent

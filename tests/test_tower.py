@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lattower import autgroup, lattice_core, tower
+from lattower import lattice_core, perm_oracle, tower
+from lattower.abstract_lattice import AbstractLattice
 from lattower.autgroup import _search
 from lattower.context import closed_form_context
 from lattower.errors import NonTermination
@@ -127,7 +128,7 @@ def test_verify_step_skips_oversized_nodes():
 
 def test_verify_step_skips_a_start_node_past_the_context_slot_bound():
     node = StartNode(parse_spec("S3^13"))
-    report = verify_step_against_lattice(node, max_size=10**14)
+    report = verify_step_against_lattice(node)
     assert report.skipped.startswith("13 slots exceeds the closed-form context bound 12: ")
     assert (report.observed_order, report.match) == (None, None)
 
@@ -156,7 +157,8 @@ def test_oversized_nodes_are_skipped_before_enumerating(node, max_size, elements
     def must_not_enumerate(*args, **kwargs):
         raise AssertionError("enumerate_lattice called")
 
-    monkeypatch.setattr(autgroup, "enumerate_lattice", must_not_enumerate)
+    for module in (lattice_core, perm_oracle):
+        monkeypatch.setattr(module, "enumerate_lattice", must_not_enumerate)
     report = verify_step_against_lattice(node, max_size=max_size)
     assert report.skipped == f"{elements} elements exceeds the lattice bound {max_size}"
     assert report.observed_order is None
@@ -171,25 +173,34 @@ def test_tower_group_nodes_are_searched_on_the_closed_form_context(node, order, 
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice was built")
 
-    monkeypatch.setattr(autgroup, "enumerate_lattice", refuse)
+    for module in (lattice_core, perm_oracle):
+        monkeypatch.setattr(module, "enumerate_lattice", refuse)
     monkeypatch.setattr(lattice_core.Lattice, "up_covers", refuse)
-    monkeypatch.setattr(lattice_core.AbstractLattice, "__init__", refuse)
+    monkeypatch.setattr(AbstractLattice, "__init__", refuse)
     report = verify_step_against_lattice(node)
     assert (report.match, report.observed_order) == (True, order)
 
 
 # Two sharp towers whose nodes are past a bound of the spec or of the
-# interpreter: S25 is past the largest degree a spec takes, 2002 slots are
-# past the census bound, and 2 * 2000! is past the int-to-str digit limit.
+# interpreter: S25 is past the largest degree a spec takes, 28 and 2002
+# slots are past the closed-form context bound (a context of 2^T + T + a4 - 1
+# points), and 2 * 2000! is past the int-to-str digit limit.
+CONTEXT_BOUND = "exceeds the closed-form context bound 12: the automorphism search on"
+MINUTES = "points would take minutes"
 LARGE_TOWERS = {
     "S4^3*S3^25": [
-        ("S4^3*S3^25", "S25*S3", None, "elements exceeds the lattice bound 10000"),
+        ("S4^3*S3^25", "S25*S3", None, f"28 slots {CONTEXT_BOUND} its 268435486 {MINUTES}"),
         ("S25*S3", "C2", 2, None),
         ("C2", "1", 1, None),
         ("1", "1", 1, None),
     ],
     "S5^1000*S4^2*S3^1000": [
-        ("S5^1000*S4^2*S3^1000", "S2000*C2", None, "2002 slots exceeds the census bound 300"),
+        (
+            "S5^1000*S4^2*S3^1000",
+            "S2000*C2",
+            None,
+            f"2002 slots {CONTEXT_BOUND} its {2**2002 + 2002 + 2 - 1} {MINUTES}",
+        ),
         ("S2000*C2", "C2", None, "group order of 19054 bits exceeds the oracle bound 5000"),
         ("C2", "1", 1, None),
         ("1", "1", 1, None),
