@@ -135,11 +135,6 @@ class AbstractLattice:
     def __len__(self) -> int:
         return self.n
 
-    @property
-    def context(self) -> AbstractLattice:
-        """The lattice itself, so a search reads a ``Lattice`` and a bare lattice alike."""
-        return self
-
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Per element j, the bitmask of all i <= j: the closure of the covers.
@@ -152,9 +147,6 @@ class AbstractLattice:
     @cached_property
     def up(self) -> tuple[int, ...]:
         return tuple(_fold(reversed(self.order), self.upper, [1 << x for x in range(self.n)]))
-
-    def leq(self, i: int, j: int) -> bool:
-        return bool((self.down[j] >> i) & 1)
 
     @cached_property
     def M(self) -> list[int]:

@@ -44,7 +44,6 @@ from .context import StandardContext, closed_form_context, factor_atom_points, s
 from .errors import ClassViolation, LatTowerError
 from .gf2 import _annihilator_mask, _bits
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
-from .group_spec import chain as positions_of
 from .stabiliser import Perm, StabiliserChain, schreier_sims
 
 if TYPE_CHECKING:
@@ -155,19 +154,18 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     Slot s moves to sigma(s): digit s of each key moves to digit sigma(s),
     and bit s of every sign pattern moves to bit sigma(s).  A position
     keeps its name because sigma preserves the slot class and all class-B
-    chains are TRIV < ALT < FULL.  The moved key of every possible key is
-    built slot by slot over the chain positions, as the enumeration builds
-    P, and each W is moved by the D of its moved spanning rows, with no
-    reduction; then every image is looked up in the profile index, under
-    ``key | D << 2T``.
+    chains are TRIV < ALT < FULL.  Each key in the lattice is moved once,
+    its digits packed back with digit s at sigma(s), and each W is moved by
+    the D of its moved spanning rows, with no reduction; then every image
+    is looked up in the profile index, under ``key | D << 2T``.
     """
+    from .lattice_core import _digits, _eff_packer  # here, as in ``factor_atoms``
+
     spec = lat.spec
     _check_class_preserving(spec, sigma)
     n = spec.num_slots
-    moved_keys = {0: 0}
-    for s, d in enumerate(spec.degrees):
-        options = [(p << 2 * s, p << 2 * sigma[s]) for p in positions_of(d)]
-        moved_keys = {key + k: image + m for key, image in moved_keys.items() for k, m in options}
+    pack = _eff_packer(sigma)
+    moved_keys = {key: pack(_digits(key, n)) for key in set(lat.keys)}
     moved = [0]  # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
     for s in range(n):
         moved += [v | 1 << sigma[s] for v in moved]
@@ -205,18 +203,19 @@ def _canonical_ids(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:
+def automorphism_group(lattice: AbstractLattice) -> StabiliserChain:
     """LatAut of a bare lattice as a stabiliser chain on its join-irreducibles.
 
-    The search never looks at triples, profiles or subgroup sets, and builds
-    no order relation: it reads the lattice's join-irreducible ``context``,
-    built once per lattice from its covers.  An automorphism is fixed by
-    what it does on the join-irreducibles, so the chain acts on those, as
-    points 0, ..., m-1; the context's ``extend`` and ``restrict`` go between
-    its elements and maps of the whole lattice.  The base is all the points,
-    ordered by the size of their class under the colouring of
-    ``_refined_classes``, which colours the points only and gives each one
-    its candidate images.
+    The lattice is an ``AbstractLattice``; an enumerated ``Lattice`` hands
+    over its ``context``.  The search never looks at triples, profiles or
+    subgroup sets, and builds no order relation: it reads the standard
+    context that the bare lattice reads off its covers.  An automorphism is
+    fixed by what it does on the join-irreducibles, so the chain acts on
+    those, as points 0, ..., m-1; the bare lattice's ``extend`` and
+    ``restrict`` go between them and maps of all its elements.  The base is
+    all the points, ordered by the size of their class under the colouring
+    of ``_refined_classes``, which colours the points only and gives each
+    one its candidate images.
 
     Levels are completed from the deepest to the shallowest, as in McKay and
     Piperno, "Practical graph isomorphism II" (J. Symbolic Comput. 60, 2014,
@@ -248,8 +247,7 @@ def automorphism_group(lattice: "Lattice | AbstractLattice") -> StabiliserChain:
     one does not, or when the input is otherwise not a lattice.  The lattice
     comes already built, so no size bound is checked here.
     """
-    ctx = lattice.context
-    return _certified(ctx, _search(ctx.standard_context()))
+    return _certified(lattice, _search(lattice.standard_context()))
 
 
 def _certified(ctx: AbstractLattice, chain: StabiliserChain) -> StabiliserChain:
@@ -393,14 +391,15 @@ def _search(ctx: StandardContext) -> StabiliserChain:
     return chain
 
 
-def brute_force_automorphisms(lattice: "Lattice | AbstractLattice") -> list[Perm]:
+def brute_force_automorphisms(lattice: AbstractLattice) -> list[Perm]:
     """Every lattice automorphism, listed from the chain of ``automorphism_group``.
 
-    Each element of the chain is extended to the whole lattice.  Output is
+    The lattice is an ``AbstractLattice``, as there.  Each element of the
+    chain is extended to the whole lattice by its ``extend``.  Output is
     sorted by mapping, so the identity comes first.
     """
     chain = automorphism_group(lattice)
-    return sorted(map(lattice.context.extend, chain.elements()))
+    return sorted(map(lattice.extend, chain.elements()))
 
 
 def induced_permutation(phi: Perm, lat: Lattice) -> Perm:

@@ -34,7 +34,7 @@ from math import factorial, prod
 from operator import lshift, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .census import DEFAULT_MAX_LATTICE, Census, check_lattice_size
+from .census import Census, check_lattice_size
 from .errors import (
     InvalidProfile,
     SpecMismatch,
@@ -54,7 +54,6 @@ from .gf2 import (
     parity_kernel,
     span,
     unit_span,
-    zero_subspace,
 )
 from .group_spec import (
     ChainPosition,
@@ -89,10 +88,6 @@ __all__ = [
     "join",
     "enumerate_lattice",
     "bounded_lattice",
-    "sub_product_element",
-    "sign_parity_element",
-    "bottom_element",
-    "top_element",
 ]
 
 FAMILY_SUB_PRODUCT = "sub-product"
@@ -484,39 +479,11 @@ def enumerate_lattice(spec: TowerGroupSpec) -> "Lattice":
     return Lattice(spec, census, keys, wids, spans, blocks, block_of, orders, families)
 
 
-def bounded_lattice(spec: TowerGroupSpec, max_size: int = DEFAULT_MAX_LATTICE) -> Lattice:
+def bounded_lattice(spec: TowerGroupSpec, max_size: int) -> Lattice:
     """N(G) enumerated, once ``census.check_lattice_size`` admits it: what
     ``hasse`` and ``enumerate --format json`` write."""
     check_lattice_size(spec, max_size)
     return enumerate_lattice(spec)
-
-
-def sub_product_element(
-    spec: TowerGroupSpec, positions: Mapping[int, ChainPosition]
-) -> LatticeElement:
-    """The uncoupled normal subgroup with the given component per slot."""
-    return element_from_triple(validate_triple(spec, (), positions, zero_subspace(0)))
-
-
-def sign_parity_element(spec: TowerGroupSpec, slots: Iterable[int]) -> LatticeElement:
-    """D_I: full everywhere, even total sign across the slots of I (|I| >= 2)."""
-    slots_t = tuple(sorted(slots))
-    if len(slots_t) < 2:
-        raise LatTowerError(f"sign-parity element needs at least 2 slots, got {slots_t}")
-    positions = {
-        s: ChainPosition.FULL for s in range(spec.num_slots) if s not in set(slots_t)
-    }
-    return element_from_triple(
-        validate_triple(spec, slots_t, positions, parity_kernel(len(slots_t)))
-    )
-
-
-def bottom_element(spec: TowerGroupSpec) -> LatticeElement:
-    return sub_product_element(spec, {s: ChainPosition.TRIV for s in range(spec.num_slots)})
-
-
-def top_element(spec: TowerGroupSpec) -> LatticeElement:
-    return sub_product_element(spec, {s: ChainPosition.FULL for s in range(spec.num_slots)})
 
 
 class Lattice:
@@ -557,9 +524,6 @@ class Lattice:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self) -> Iterator[LatticeElement]:
-        return iter(self.elements)
 
     @cached_property
     def bases(self) -> list[tuple[int, ...]]:
@@ -602,9 +566,6 @@ class Lattice:
         or a validated subspace."""
         return dict(zip(self._codes, range(len(self))))
 
-    def index_of(self, e: LatticeElement) -> int:
-        return self.index_of_profile(e.profile)
-
     def index_of_profile(self, p: Profile) -> int:
         """The index of a profile; KeyError when it is not in the lattice."""
         if p.spec != self.spec:
@@ -618,25 +579,6 @@ class Lattice:
         num_slots = self._num_slots
         dual = _annihilator_mask(num_slots, rows)
         return self._profile_index[self._pack(eff) | dual << 2 * num_slots]
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        return self.context.down
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        return self.context.up
-
-    @cached_property
-    def meet_idx(self) -> Callable[[int, int], int]:
-        """The meet of two indices: ``context.meet`` itself, so the oracle's
-        sweep makes one call per meet, not two."""
-        return self.context.meet
-
-    @cached_property
-    def join_idx(self) -> Callable[[int, int], int]:
-        """The join of two indices: ``context.join`` itself."""
-        return self.context.join
 
     def up_covers(self) -> Iterator[list[int]]:
         """The elements that cover each element, ascending, a list per element in order.
@@ -710,8 +652,17 @@ class Lattice:
 
         return AbstractLattice(self.up_covers())
 
+    # the names under which perfbench reads the bare lattice and its order relation
     def to_abstract(self) -> AbstractLattice:
         return self.context
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        return self.context.down
+
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        return self.context.up
 
     def to_json_dict(self) -> dict:
         """Stable JSON form: spec header, census, elements, covering edges.

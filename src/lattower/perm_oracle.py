@@ -308,12 +308,13 @@ def differential_validate(
     is built; each factor has order at least 6, so the order bound also caps
     the slots of the lattice enumerated here.  Then, in order: the counts
     agree; profiles give a bijection between the two lists; the oracle down
-    and up sets of every element, bitsets over the enumeration, equal its
-    ``down_masks`` and ``up_masks``, the closure of its cover moves (leq on
-    all ordered pairs); and for every pair, the intersection of the class
-    masks is the enumerated meet and the enumerated join J is the product
-    N1 N2.  J's mask is a normal subgroup, so once it contains N1 and N2 it
-    holds N1 N2, and then equals it exactly when |J| |N1 meet N2| = |N1| |N2|.
+    and up sets of every element, bitsets over the enumeration, equal the
+    ``down`` and ``up`` of the lattice's bare ``context``, the closure of its
+    cover moves (leq on all ordered pairs); and for every pair, the
+    intersection of the class masks is the context's ``meet`` and its
+    ``join`` J is the product N1 N2.  J's mask is a normal subgroup, so once
+    it contains N1 and N2 it holds N1 N2, and then equals it exactly when
+    |J| |N1 meet N2| = |N1| |N2|.
     Orders are sums of class sizes, so no element of G is built.  The first
     divergence raises OracleMismatch.
     """
@@ -342,20 +343,21 @@ def differential_validate(
             raise OracleMismatch(f"{name}: profile map is not injective")
         at[k] = m
 
+    ctx = lat.context
     for a, mine in enumerate(zip(*_order_sets(at, len(table.prod)))):
-        if mine != (lat.down_masks[a], lat.up_masks[a]):
+        if mine != (ctx.down[a], ctx.up[a]):
             raise OracleMismatch(f"{name}: leq disagrees on the down or up set of element {a}")
 
     orders = [table.order(m) for m in at]
-    meet_idx, join_idx = lat.meet_idx, lat.join_idx
+    meet_of, join_of = ctx.meet, ctx.join
     pairs = 0
     for a, (ma, oa) in enumerate(zip(at, orders)):
         for b in range(a, n):
             mb = at[b]
-            meet = meet_idx(a, b)
+            meet = meet_of(a, b)
             if at[meet] != ma & mb:
                 raise OracleMismatch(f"{name}: meet disagrees on pair ({a}, {b})")
-            j = join_idx(a, b)
+            j = join_of(a, b)
             if (ma | mb) & ~at[j] or orders[j] * orders[meet] != oa * orders[b]:
                 raise OracleMismatch(f"{name}: join disagrees on pair ({a}, {b})")
             pairs += 1

@@ -92,22 +92,25 @@ def lattices() -> LatticeCache:
 
 
 def _corrupt_lattice(lat: Lattice, check: str) -> Lattice:
-    """Make the lattice's join, meet or leq ("leq": its down sets) wrong.
+    """Make the join, meet or leq ("leq": the down sets) of the lattice's
+    bare ``context``, which the oracle reads, wrong.
 
     The join of two distinct elements becomes the top, which still contains
     both, so only the order of the product can tell; the meet becomes the
     bottom; the top joins the down set of the bottom.
     """
+    ctx = lat.context
+    bottom, top = _bottom_index(lat), _top_index(lat)
     if check == "join":
-        real_join = lat.join_idx
-        lat.join_idx = lambda i, j: _top_index(lat) if i != j else real_join(i, j)
+        real_join = ctx.join
+        ctx.join = lambda i, j: top if i != j else real_join(i, j)
     elif check == "meet":
-        real_meet = lat.meet_idx
-        lat.meet_idx = lambda i, j: _bottom_index(lat) if i != j else real_meet(i, j)
+        real_meet = ctx.meet
+        ctx.meet = lambda i, j: bottom if i != j else real_meet(i, j)
     else:
-        down = list(lat.down_masks)
-        down[_bottom_index(lat)] |= 1 << _top_index(lat)
-        lat.down_masks = tuple(down)
+        down = list(ctx.down)
+        down[bottom] |= 1 << top
+        ctx.down = tuple(down)
     return lat
 
 

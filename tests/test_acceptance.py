@@ -20,16 +20,16 @@ from lattower.autgroup import (
     verify_product_formula,
 )
 from lattower.errors import LatTowerError
+from lattower.gf2 import parity_kernel, zero_subspace
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import (
+    element_from_triple,
     enumerate_lattice,
     leq_patterns,
     meet,
     join,
-    sign_parity_element,
-    sub_product_element,
-    top_element,
+    validate_triple,
 )
 from lattower.perm_oracle import (
     ConcreteGroup,
@@ -53,6 +53,30 @@ def _top_index(lat) -> int:
 def _reference_leq(lat, i: int, j: int) -> bool:
     """Whether element i lies below element j, read off j's down set."""
     return bool((lat.down_masks[j] >> i) & 1)
+
+
+def sub_product_element(spec, positions):
+    """The uncoupled normal subgroup with the given component per slot."""
+    return element_from_triple(validate_triple(spec, (), positions, zero_subspace(0)))
+
+
+def sign_parity_element(spec, slots):
+    """D_I: full everywhere, even total sign across the slots of I (|I| >= 2)."""
+    slots_t = tuple(sorted(slots))
+    if len(slots_t) < 2:
+        raise LatTowerError(f"sign-parity element needs at least 2 slots, got {slots_t}")
+    positions = {s: CP.FULL for s in range(spec.num_slots) if s not in slots_t}
+    return element_from_triple(
+        validate_triple(spec, slots_t, positions, parity_kernel(len(slots_t)))
+    )
+
+
+def bottom_element(spec):
+    return sub_product_element(spec, {s: CP.TRIV for s in range(spec.num_slots)})
+
+
+def top_element(spec):
+    return sub_product_element(spec, {s: CP.FULL for s in range(spec.num_slots)})
 
 
 def _heights(n, covers) -> list[int]:
@@ -217,26 +241,25 @@ def test_criterion_6_property_suites(lattices):
         for text in MODULAR_SPECS:
             lat = lattices.get(text)
             n = len(lat)
-            down = lat.down_masks
+            down, meet_of, join_of = lat.down_masks, lat.context.meet, lat.context.join
             for z in range(n):
                 below = [x for x in range(n) if (down[z] >> x) & 1]
                 for y in range(n):
                     for x in below:
-                        assert lat.join_idx(x, lat.meet_idx(y, z)) == lat.meet_idx(
-                            lat.join_idx(x, y), z
-                        ), (text, x, y, z)
+                        assert join_of(x, meet_of(y, z)) == meet_of(join_of(x, y), z), (
+                            text, x, y, z
+                        )
 
         # rank identity h(x) + h(y) = h(x ^ y) + h(x v y) on every pair of S3^5
         # and S4^3*S3^2: with gradedness, modularity again (Birkhoff, Lattice Theory)
         for text, expected_pairs in (("S3^5", 432_915), ("S4^3*S3^2", 1_223_830)):
             lat = lattices.get(text)
             h = _heights(len(lat), _edges(lat.up_covers()))
+            meet_of, join_of = lat.context.meet, lat.context.join
             pairs = 0
             for x in range(len(lat)):
                 for y in range(x, len(lat)):
-                    assert h[x] + h[y] == h[lat.meet_idx(x, y)] + h[lat.join_idx(x, y)], (
-                        text, x, y
-                    )
+                    assert h[x] + h[y] == h[meet_of(x, y)] + h[join_of(x, y)], (text, x, y)
                     pairs += 1
             assert pairs == expected_pairs, text
 
@@ -244,7 +267,7 @@ def test_criterion_6_property_suites(lattices):
         from lattower.lattice_core import profile_to_triple, triple_to_profile
 
         for text in ROUND_TRIP_SPECS:
-            for e in lattices.get(text):
+            for e in lattices.get(text).elements:
                 assert profile_to_triple(triple_to_profile(e.triple)) == e.triple, text
 
         # the two inclusion tests agree on every ordered pair, T up to 5: the
@@ -269,7 +292,8 @@ def test_criterion_6_property_suites(lattices):
                 for b in subsets:
                     if a == b:
                         continue
-                    assert not _reference_leq(lat, lat.index_of(ds[a]), lat.index_of(ds[b]))
+                    i, j = (lat.index_of_profile(ds[c].profile) for c in (a, b))
+                    assert not _reference_leq(lat, i, j)
                     assert join(ds[a], ds[b]) == top
 
         # concrete orders: 54 and index 4 for a pairwise meet, 18 and index 2 for one D
@@ -296,8 +320,9 @@ def test_criterion_6_property_suites(lattices):
 COMPLEMENTED_SPECS = ("S3^2", "S3*S4", "S4^2", "S3^3", "S3^2*S4", "S3^4", "S4^2*S3^2")
 
 
-def complemented_elements(lat) -> set[int]:
-    """Indices of all N with a complement: meet at bottom, join at top.
+def complemented_elements(ctx) -> set[int]:
+    """Indices of all elements of the bare lattice ctx with a complement:
+    meet at bottom, join at top.
 
     In a finite lattice x ^ c is the bottom exactly when no atom lies under
     both, and x v c is the top exactly when no coatom lies over both.  Both
@@ -307,7 +332,6 @@ def complemented_elements(lat) -> set[int]:
     those of the groups whose atoms miss theirs.  Raises LatTowerError
     unless exactly one element is minimal and one maximal.
     """
-    ctx = lat.context
     tops = [x for x, above in enumerate(ctx.upper) if not above]
     if len(tops) != 1:
         raise LatTowerError(f"not a lattice: {len(tops)} maximal elements")
@@ -337,8 +361,8 @@ def test_criterion_7_complemented_elements(lattices):
             expected = set()
             for bits in range(1 << t):
                 positions = {s: (CP.FULL if (bits >> s) & 1 else CP.TRIV) for s in range(t)}
-                expected.add(lat.index_of(sub_product_element(spec, positions)))
-            comp = complemented_elements(lat)
+                expected.add(lat.index_of_profile(sub_product_element(spec, positions).profile))
+            comp = complemented_elements(lat.context)
             assert comp == expected, text
             assert len(comp) == 1 << t
             atoms = factor_atoms(lat)

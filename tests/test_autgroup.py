@@ -32,8 +32,6 @@ from lattower.lattice_core import (
     element_from_profile,
     enumerate_lattice,
     leq,
-    sign_parity_element,
-    sub_product_element,
 )
 from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
@@ -48,6 +46,8 @@ from test_acceptance import (
     _heights,
     _shape_specs,
     _top_index,
+    sign_parity_element,
+    sub_product_element,
 )
 from test_lattice_core import _reference_up_sets, _reference_w_ids
 
@@ -343,12 +343,11 @@ def _reference_keeps_covers(ctx, image):
     return all(sorted(map(moved, c)) == lower[y] for c, y in zip(lower, image))
 
 
-def _listing_search(a):
+def _listing_search(ctx):
     """The join-irreducible search that listed every automorphism, kept as
     the referee for the orbit-pruned search on lattices too large for the
     search over every element: it extends every consistent assignment of
     the join-irreducibles and keeps those that extend."""
-    ctx = a.context
     colours = _point_colours(ctx)
     m = len(colours)
     candidates = [[k for k in range(m) if colours[k] == c] for c in colours]
@@ -402,7 +401,7 @@ def _assert_search_matches_the_reference(a):
     chain = automorphism_group(a)
     _assert_fixing_is_the_prefix_scan(chain)
     assert chain.order == len(reference)
-    extended = [a.context.extend(g) for g in chain.generators]
+    extended = [a.extend(g) for g in chain.generators]
     assert _generated_group(extended, len(a)) == set(reference)
     assert brute_force_automorphisms(a) == reference
 
@@ -445,8 +444,7 @@ def _assert_search_matches_the_mask_search(lattice, a):
     chain = automorphism_group(lattice)
     reference = _reference_automorphism_group(a)
     assert chain.order == reference.order
-    ctx = lattice.context
-    assert all(ctx.restrict(g) in chain for g in reference.generators)
+    assert all(lattice.restrict(g) in chain for g in reference.generators)
 
 
 def _small_lattices():
@@ -557,8 +555,8 @@ def test_search_agrees_with_the_mask_search_on_small_lattices():
 # every criterion 3 spec but S3^7, whose order relation alone takes 427 MB a direction
 @pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2"])
 def test_search_agrees_with_the_mask_search_on_tower_lattices(text, lattices):
-    lat = lattices.get(text)
-    _assert_search_matches_the_mask_search(lat, lat.to_abstract())
+    a = lattices.get(text).to_abstract()
+    _assert_search_matches_the_mask_search(a, a)
 
 
 def _reference_unpruned_search(ctx, accept=None):
@@ -677,7 +675,7 @@ def _assert_the_pruned_search_finds_the_unpruned_chain(ctx, monkeypatch):
 
 def test_the_pruned_search_finds_the_unpruned_chain_on_small_lattices(monkeypatch):
     for a in _small_lattices():
-        _assert_the_pruned_search_finds_the_unpruned_chain(a.context, monkeypatch)
+        _assert_the_pruned_search_finds_the_unpruned_chain(a, monkeypatch)
 
 
 @pytest.mark.parametrize("text", sorted(PRODUCT_FORMULA_CASES) + ["S4^4*S3^2"])
@@ -790,11 +788,10 @@ def _colour_classes(colours):
     return sorted(map(sorted, classes.values()))
 
 
-def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=True):
-    """The point colours split the points as the element refinement does
-    (exact) or more coarsely, and every automorphism (n-point maps) and
-    every generator of the searched chain keeps them."""
-    ctx = lattice.context
+def _assert_point_colours_refine_as_the_reference(ctx, automorphisms, exact=True):
+    """The point colours split the points of the bare lattice ctx as the
+    element refinement does (exact) or more coarsely, and every automorphism
+    (n-point maps) and every generator of the searched chain keeps them."""
     colours = _point_colours(ctx)
     assert len(colours) == len(ctx.irreducibles)
     reference = _reference_element_refinement(ctx)
@@ -805,7 +802,7 @@ def _assert_point_colours_refine_as_the_reference(lattice, automorphisms, exact=
     else:
         assert all(any(set(r) <= set(c) for c in ours) for r in theirs)
     maps = [ctx.restrict(g) for g in automorphisms]
-    maps += automorphism_group(lattice).generators
+    maps += automorphism_group(ctx).generators
     for psi in maps:
         assert [colours[k] for k in psi] == colours
 
@@ -820,7 +817,7 @@ def test_point_colours_split_tower_lattices_as_the_element_refinement(text, latt
     # the maps tau of the adjacent slot transpositions generate LatAut
     lat = lattices.get(text)
     taus = [tau_on_lattice(sigma, lat) for sigma in autgroup._adjacent_transpositions(lat.spec)]
-    _assert_point_colours_refine_as_the_reference(lat, taus)
+    _assert_point_colours_refine_as_the_reference(lat.context, taus)
 
 
 def _inclusion_masks(family):
@@ -918,14 +915,14 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     # to them before it sifts, and must then equal the extension of its
     # restriction
     lat = lattices.get("S3^3")
-    chain = automorphism_group(lat)
     ctx = lat.context
+    chain = automorphism_group(ctx)
 
     def accepted(g):
         psi = ctx.restrict(g)
         return psi is not None and psi in chain and ctx.extend(psi) == g
 
-    autos = brute_force_automorphisms(lat)
+    autos = brute_force_automorphisms(ctx)
     for g in autos:
         assert ctx.restrict(g) in chain
         assert accepted(g)
@@ -1122,13 +1119,12 @@ def test_extension_rejects_a_map_that_permutes_the_j_sets_but_not_the_covers():
     # u', v', u, v, so every lookup succeeds, but u' < v' while u is not
     # below v: only the cover check rejects it
     poset = _poset(PERMUTED_J_SETS)
-    ctx = poset.context
-    assert ctx.irreducibles == [1, 2, 3, 4]
+    assert poset.irreducibles == [1, 2, 3, 4]
     psi = (2, 3, 0, 1)
-    images = {sum(1 << psi[k] for k in range(4) if (j >> k) & 1) for j in ctx.J}
-    assert images == set(ctx.J)
-    assert ctx.extend(psi) is None
-    assert ctx.extend((0, 1, 2, 3)) == tuple(range(10))
+    images = {sum(1 << psi[k] for k in range(4) if (j >> k) & 1) for j in poset.J}
+    assert images == set(poset.J)
+    assert poset.extend(psi) is None
+    assert poset.extend((0, 1, 2, 3)) == tuple(range(10))
     assert brute_force_automorphisms(poset) == _reference_automorphisms(poset)
 
 
@@ -1210,7 +1206,7 @@ def test_extend_agrees_with_the_j_set_fold_on_tower_lattices(text, rng, lattices
 
 def test_extend_agrees_with_the_j_set_fold_on_small_lattices_and_posets(rng):
     for a in _small_lattices():
-        _assert_extend_matches_the_references(a.context, rng)
+        _assert_extend_matches_the_references(a, rng)
     for masks in BOOLEAN_WITHOUT_AB, PERMUTED_J_SETS:
         _assert_extend_matches_the_references(_poset(masks), rng, is_lattice=False)
 
@@ -1261,8 +1257,7 @@ def test_the_context_chain_is_the_exact_chain_on_small_and_random_lattices_and_p
     # on a lattice the context test accepts exactly the point maps that
     # extend (Ganter and Wille, ch. 1); on the two posets it need not, but
     # the chains still agree
-    for a in _small_lattices() + [_random_lattice(rng) for _ in range(200)]:
-        ctx = a.context
+    for ctx in _small_lattices() + [_random_lattice(rng) for _ in range(200)]:
         _assert_the_context_chain_is_the_exact_chain(ctx)
         sc = ctx.standard_context()
         _assert_the_neighbour_lists_are_the_masks(sc)
@@ -1291,12 +1286,12 @@ def test_the_certificate_extends_each_generator_once_on_criterion_3_lattices(
 
 def test_the_certificate_extends_each_generator_once_on_small_lattices(monkeypatch):
     for a in _small_lattices():
-        _assert_the_certificate_extends_each_generator_once(a.context, monkeypatch)
+        _assert_the_certificate_extends_each_generator_once(a, monkeypatch)
 
 
 def test_the_referees_agree_on_symmetric_random_lattices(rng):
     for _ in range(100):
-        ctx = _random_symmetric_lattice(rng).context
+        ctx = _random_symmetric_lattice(rng)
         chain = _assert_the_context_chain_is_the_exact_chain(ctx)
         _assert_extend_matches_the_references(ctx, rng, chain=chain)
 
@@ -1379,12 +1374,11 @@ def test_the_product_formula_builds_no_order_relation(monkeypatch):
 
 
 def test_brute_force_finds_only_order_maps(lattices):
-    lat = lattices.get("S3^2")
-    a = lat.to_abstract()
-    for phi in brute_force_automorphisms(lat):
+    a = lattices.get("S3^2").to_abstract()
+    for phi in brute_force_automorphisms(a):
         for i in range(a.n):
             for j in range(a.n):
-                assert a.leq(i, j) == a.leq(phi[i], phi[j])
+                assert a.down[j] >> i & 1 == a.down[phi[j]] >> phi[i] & 1
 
 
 def _composition_table(autos):
@@ -1423,11 +1417,11 @@ def test_slot_permutation_algebra(lattices):
 
 def test_complemented_elements_are_the_full_sub_products(lattices):
     lat = lattices.get("S3^2")
-    comp = complemented_elements(lat)
+    comp = complemented_elements(lat.context)
     expected = set()
     for bits in range(4):
         positions = {s: (CP.FULL if (bits >> s) & 1 else CP.TRIV) for s in range(2)}
-        expected.add(lat.index_of(sub_product_element(lat.spec, positions)))
+        expected.add(lat.index_of_profile(sub_product_element(lat.spec, positions).profile))
     assert comp == expected
 
 
@@ -1471,8 +1465,8 @@ def _reference_complemented_elements(a):
 
 @pytest.mark.parametrize("text", COMPLEMENTED_SPECS + ("S3^6",))
 def test_complemented_elements_match_the_mask_scan(text, lattices):
-    lat = lattices.get(text)
-    assert complemented_elements(lat) == _reference_complemented_elements(lat.to_abstract())
+    a = lattices.get(text).to_abstract()
+    assert complemented_elements(a) == _reference_complemented_elements(a)
 
 
 def test_complemented_elements_of_lemma_posets_match_the_mask_scan():
@@ -1485,7 +1479,7 @@ def test_complemented_elements_of_lemma_posets_match_the_mask_scan():
 def test_complemented_elements_match_the_pairwise_scan(text, lattices):
     lat = lattices.get(text)
     expected = _pairwise_complemented_elements(lat.down_masks, lat.up_masks)
-    assert complemented_elements(lat) == expected
+    assert complemented_elements(lat.context) == expected
 
 
 def test_complemented_elements_of_lemma_posets_match_the_pairwise_scan():
@@ -1535,7 +1529,8 @@ def test_factor_atoms_in_slot_order(lattices):
 def _reference_factor_atoms(lat):
     """The route the J-set pass replaced: the minimal nontrivial complemented
     elements, each with its slot read off its key."""
-    comp, ctx = complemented_elements(lat), lat.context
+    ctx = lat.context
+    comp = complemented_elements(ctx)
     bottom, under = ctx.order[0], ctx.J
     atoms = [
         i
@@ -1610,7 +1605,8 @@ def test_tau_sigma_moves_labels(lattices):
     image = sub_product_element(spec, {1: CP.ALT, 2: CP.TRIV, 0: CP.FULL})
     assert _reference_tau_sigma(sigma, s) == image
     lat = lattices.get("S3^3")
-    assert tau_on_lattice(sigma, lat)[lat.index_of(s)] == lat.index_of(image)
+    i, j = (lat.index_of_profile(e.profile) for e in (s, image))
+    assert tau_on_lattice(sigma, lat)[i] == j
 
 
 def test_tau_sigma_is_functorial(rng, lattices):
@@ -1802,15 +1798,15 @@ def test_product_formula_builds_one_context_per_lattice(monkeypatch):
 def test_the_search_and_the_checks_share_one_context(abstract, monkeypatch):
     lat = enumerate_lattice(parse_spec("S4*S3^2"))
     built = _count_contexts(monkeypatch)
-    lattice = lat.to_abstract() if abstract else lat
+    if abstract:
+        lat.to_abstract()
     assert built == ([len(lat)] if abstract else [])
-    assert automorphism_group(lattice).order == 2
-    assert len(brute_force_automorphisms(lattice)) == 2
-    assert len(complemented_elements(lattice)) == 8
-    if not abstract:
-        assert len(factor_atoms(lattice)) == 3
+    assert automorphism_group(lat.context).order == 2
+    assert len(brute_force_automorphisms(lat.context)) == 2
+    assert len(complemented_elements(lat.context)) == 8
+    assert len(factor_atoms(lat)) == 3
     assert built == [len(lat)]
-    assert lattice.context is lat.context is lat.to_abstract()
+    assert lat.context is lat.to_abstract()
 
 
 def _identity_tau(real, spec, sigma):
@@ -1952,9 +1948,9 @@ def test_the_closed_form_chains_are_pinned(text):
 
 
 def test_the_lemma_and_enumerated_chains_are_pinned(lattices):
-    posets = {**lemma_lattices(), "S3^4": lattices.get("S3^4")}
+    posets = {**lemma_lattices(), "S3^4": lattices.get("S3^4").context}
     for a in posets.values():
-        _assert_the_neighbour_lists_are_the_masks(a.context.standard_context())
+        _assert_the_neighbour_lists_are_the_masks(a.standard_context())
     chains = {name: automorphism_group(a) for name, a in posets.items()}
     for chain in chains.values():
         _assert_fixing_is_the_prefix_scan(chain)
@@ -2018,8 +2014,8 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
     # check that each is a bijection sending every element's lower covers
     # onto those of its image rejects them
     lat = lattices.get("S3^3")
-    chain = automorphism_group(lat)
     ctx = lat.context
+    chain = automorphism_group(ctx)
     atoms = set(factor_atoms(lat))
     real = autgroup.tau_on_lattice
     first = real((1, 0, 2), lat)

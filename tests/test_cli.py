@@ -22,16 +22,9 @@ from lattower.census import Census, census_of
 from lattower.cli import main
 from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
-from lattower.lattice_core import (
-    Lattice,
-    LatticeElement,
-    bottom_element,
-    enumerate_lattice,
-    sign_parity_element,
-    top_element,
-)
+from lattower.lattice_core import Lattice, LatticeElement, enumerate_lattice
 from lattower.tower import StartNode, run_tower, verify_step_against_lattice
-from test_acceptance import ROUND_TRIP_SPECS
+from test_acceptance import ROUND_TRIP_SPECS, bottom_element, sign_parity_element, top_element
 from test_lattice_core import _lattice_of_elements
 
 

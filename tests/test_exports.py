@@ -5,6 +5,7 @@ stale import behind."""
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,42 @@ def test_every_import_is_used_or_exported(name):
 def test_source_lines_are_at_most_100_characters(name):
     lines = _source(name).splitlines()
     assert [(n, len(line)) for n, line in enumerate(lines, 1) if len(line) > 100] == []
+
+
+# the folders whose code may call a definition of the package
+CALLER_FOLDERS = ("src", "scripts", "perfbench", "tests")
+
+
+def _named(tree):
+    """Every name the tree reads or imports: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+
+
+def _definitions():
+    """(module, name, node) of every function, class and method of the package,
+    nested ones included, dunders aside."""
+    for name in MODULES:
+        tree = ast.parse(_source(name))
+        for node in ast.walk(tree):
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not (node.name.startswith("__") and node.name.endswith("__")):
+                yield name, node.name, node
+
+
+def test_every_definition_is_named_outside_itself():
+    named = Counter()
+    for folder in CALLER_FOLDERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            named.update(_named(ast.parse(path.read_text())))
+    unnamed = [
+        f"{module}.{name}"
+        for module, name, node in _definitions()
+        if named[name] <= list(_named(node)).count(name)
+    ]
+    assert unnamed == []

@@ -787,7 +787,7 @@ def test_the_order_check_singles_out_the_product_on_every_pair(degrees):
             assert rest == 0
             passing = [m for m in by_order.get(size, []) if not (ma | mb) & ~m]
             assert passing == [_reference_class_join(table, ma, mb)]
-            assert at[lat.join_idx(a, b)] == passing[0]
+            assert at[lat.context.join(a, b)] == passing[0]
 
 
 @pytest.mark.parametrize("degrees", TOWER_DEGREES, ids=_name)
@@ -869,9 +869,9 @@ def test_a_corrupted_lattice_is_caught_by_its_check(check, text, corrupt_lattice
 def test_a_corrupted_up_set_is_caught_by_the_leq_check():
     spec = parse_spec("S4*S3")
     lat = enumerate_lattice(spec)
-    up = list(lat.up_masks)
+    up = list(lat.context.up)
     up[_top_index(lat)] |= 1 << _bottom_index(lat)
-    lat.up_masks = tuple(up)
+    lat.context.up = tuple(up)
     with pytest.raises(OracleMismatch, match="leq disagrees on the down or up set"):
         differential_validate(spec, lattice=lat)
 
