@@ -6,7 +6,8 @@ written, so even a large lattice's output is never held whole.  One line per
 command gives the sha256 of its stdout, the byte count, the seconds taken,
 the exit code and the command.  Two checkouts print the same digests exactly
 when the four outputs are byte-identical.  ``--max-lattice`` goes to
-``hasse`` and ``enumerate`` only: ``aut`` builds no element and takes no bound.
+``hasse`` and ``enumerate`` only, and only when it is given, so the CLI's
+own default applies otherwise: ``aut`` builds no element and takes no bound.
 
     python scripts/output_digests.py --spec 'S3^7' --max-lattice 100000
 """
@@ -17,7 +18,6 @@ import time
 from contextlib import redirect_stdout
 
 from lattower import cli
-from lattower.census import DEFAULT_MAX_LATTICE
 
 
 class _Digest:
@@ -37,8 +37,8 @@ class _Digest:
         pass
 
 
-def commands(spec: str, max_lattice: int) -> list[list[str]]:
-    bounds = ["--max-lattice", str(max_lattice)]
+def commands(spec: str, max_lattice: int | None) -> list[list[str]]:
+    bounds = [] if max_lattice is None else ["--max-lattice", str(max_lattice)]
     return [
         ["hasse", "--spec", spec, *bounds],
         ["enumerate", "--spec", spec, *bounds, "--format", "json"],
@@ -50,7 +50,7 @@ def commands(spec: str, max_lattice: int) -> list[list[str]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", required=True)
-    parser.add_argument("--max-lattice", type=int, default=DEFAULT_MAX_LATTICE)
+    parser.add_argument("--max-lattice", type=int)
     args = parser.parse_args()
     failed = False
     for argv in commands(args.spec, args.max_lattice):

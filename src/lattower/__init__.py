@@ -22,8 +22,8 @@ _EXPORTS = {
     "errors": "LatTowerError",
     "group_spec": "ChainPosition FactorSlot TowerGroupSpec chain make_spec parse_spec format_spec",
     "census": "Census census_of",
-    "lattice_core": "AdmissibleTriple Profile LatticeElement Lattice enumerate_lattice "
-    "leq meet join",
+    "lattice_core": "Lattice enumerate_lattice",
+    "triples": "AdmissibleTriple Profile LatticeElement leq meet join",
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

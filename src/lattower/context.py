@@ -12,7 +12,7 @@ input the context came from; it computes each of these once.
 lattice.
 
 ``closed_form_context`` writes N(G)'s context down from the spec alone,
-without enumerating N(G).  With the profile encoding of ``lattice_core`` an
+without enumerating N(G).  With the profile encoding of ``triples`` an
 element is (eff, W), ordered componentwise on eff and by inclusion on W.  The
 points are
 

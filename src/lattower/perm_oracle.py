@@ -11,6 +11,10 @@ per-factor tables, and no element of the whole group is built.  Normal
 subgroups are the normal closures of the classes closed under joins.  A
 ConcreteGroup (degree 2 allowed, for the small groups C2, C2^2 and C2 x Sm)
 is just the degrees under the order bound, with their class table.
+
+Only ``differential_validate``, when it is handed no lattice, loads the
+enumeration in ``lattice_core``, so the small-group posets of ``lemmas``,
+``hasse`` and the tower's step check compile none of it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import combinations
 from itertools import permutations as iter_permutations
 from math import factorial, prod
 from operator import and_, or_
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .abstract_lattice import AbstractLattice, _covers_of_order
 from .errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarge, decimal
@@ -33,8 +37,10 @@ from .group_spec import (
     TowerGroupSpec,
     format_spec,
 )
-from .lattice_core import Lattice, enumerate_lattice
 from .stabiliser import _compose, _inverse
+
+if TYPE_CHECKING:
+    from .lattice_core import Lattice
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -323,7 +329,11 @@ def differential_validate(
     group = concrete_group(spec, max_order)
     table = group.class_table
     masks = _normal_masks(table)
-    lat = lattice if lattice is not None else enumerate_lattice(spec)
+    lat = lattice
+    if lat is None:
+        from .lattice_core import enumerate_lattice  # here, so only this path loads it
+
+        lat = enumerate_lattice(spec)
     name = format_spec(spec)
     n = len(lat)
     if len(masks) != n:

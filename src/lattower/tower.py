@@ -171,7 +171,8 @@ def _node_order(node: TowerNode, max_size: int | None) -> int:
 
     The search modules are loaded here, on the first verified step, by one
     import statement, so ``tower`` and ``enumerate`` as text never compile
-    them.
+    them.  No step compiles ``lattice_core``: ``perm_oracle`` loads it only
+    to enumerate a lattice for ``differential_validate``.
     """
     from . import abstract_lattice, autgroup, context, perm_oracle
 

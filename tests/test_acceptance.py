@@ -23,14 +23,7 @@ from lattower.errors import LatTowerError
 from lattower.gf2 import parity_kernel, zero_subspace
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import format_spec, parse_spec, spec_of_degrees
-from lattower.lattice_core import (
-    element_from_triple,
-    enumerate_lattice,
-    leq_patterns,
-    meet,
-    join,
-    validate_triple,
-)
+from lattower.lattice_core import enumerate_lattice
 from lattower.perm_oracle import (
     ConcreteGroup,
     differential_validate,
@@ -38,6 +31,7 @@ from lattower.perm_oracle import (
     normal_subgroup_poset,
 )
 from lattower.tower import PairNode, StartNode, run_tower
+from lattower.triples import element_from_triple, join, leq_patterns, meet, validate_triple
 
 
 def _bottom_index(lat) -> int:
@@ -264,7 +258,7 @@ def test_criterion_6_property_suites(lattices):
             assert pairs == expected_pairs, text
 
         # triple <-> profile round trip on every element, T up to 5
-        from lattower.lattice_core import profile_to_triple, triple_to_profile
+        from lattower.triples import profile_to_triple, triple_to_profile
 
         for text in ROUND_TRIP_SPECS:
             for e in lattices.get(text).elements:

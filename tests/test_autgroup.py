@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattower import abstract_lattice, autgroup, context, lattice_core, perm_oracle, stabiliser
+from lattower import abstract_lattice, autgroup, context, lattice_core, stabiliser
 from lattower.abstract_lattice import AbstractLattice, _covers_of_order
 from lattower.autgroup import (
     ProductFormulaReport,
@@ -26,15 +26,10 @@ from lattower.gf2 import _bits, iter_subspaces, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.context import closed_form_context, factor_atom_points
 from lattower.group_spec import chain, format_spec, parse_spec, spec_of_degrees
-from lattower.lattice_core import (
-    Profile,
-    _digits,
-    element_from_profile,
-    enumerate_lattice,
-    leq,
-)
+from lattower.lattice_core import _digits, enumerate_lattice
 from lattower.perm_oracle import lemma_lattices
 from lattower.stabiliser import StabiliserChain, _compose, _inverse, schreier_sims
+from lattower.triples import Profile, element_from_profile, leq
 from test_acceptance import (
     COMPLEMENTED_SPECS,
     complemented_elements,
@@ -1367,7 +1362,6 @@ def _refuse(*args, **kwargs):
 def test_the_product_formula_builds_no_order_relation(monkeypatch):
     # nor any lattice at all: no enumeration, no covers, no bare lattice
     monkeypatch.setattr(lattice_core, "enumerate_lattice", _refuse)
-    monkeypatch.setattr(perm_oracle, "enumerate_lattice", _refuse)
     monkeypatch.setattr(lattice_core.Lattice, "up_covers", _refuse)
     monkeypatch.setattr(AbstractLattice, "__init__", _refuse)
     assert verify_product_formula(parse_spec("S4^2*S3^2")).match

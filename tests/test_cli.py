@@ -22,8 +22,9 @@ from lattower.census import Census, census_of
 from lattower.cli import main
 from lattower.errors import LatTowerError, OracleMismatch
 from lattower.group_spec import parse_spec
-from lattower.lattice_core import Lattice, LatticeElement, enumerate_lattice
+from lattower.lattice_core import Lattice, enumerate_lattice
 from lattower.tower import StartNode, run_tower, verify_step_against_lattice
+from lattower.triples import LatticeElement
 from test_acceptance import ROUND_TRIP_SPECS, bottom_element, sign_parity_element, top_element
 from test_lattice_core import _lattice_of_elements
 
@@ -109,8 +110,7 @@ CENSUS_LINES = {
 
 
 def test_enumerate_text_builds_no_element(monkeypatch, capsys):
-    for module in (lattice_core, perm_oracle):
-        monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
+    monkeypatch.setattr(lattice_core, "enumerate_lattice", _must_not_enumerate)
     for spec, line in CENSUS_LINES.items():
         assert run_cli(capsys, "enumerate", "--spec", spec) == (0, line + "\n"), spec
 
@@ -129,8 +129,7 @@ def test_enumerate_total_past_the_digit_limit_is_a_bound_violation(capsys):
 @pytest.fixture
 def no_lattice(monkeypatch):
     """Make the enumeration, the census and ``Lattice.up_covers`` raise."""
-    for module in (lattice_core, perm_oracle):
-        monkeypatch.setattr(module, "enumerate_lattice", _must_not_enumerate)
+    monkeypatch.setattr(lattice_core, "enumerate_lattice", _must_not_enumerate)
     for module in (cli, census):
         monkeypatch.setattr(module, "census_of", _must_not_enumerate)
     monkeypatch.setattr(Lattice, "up_covers", _must_not_enumerate)
@@ -196,8 +195,7 @@ def test_a_spec_past_the_census_bound_is_refused_in_one_line(
     def refuse(*args, **kwargs):
         raise AssertionError("work done past the bound")
 
-    for module in (lattice_core, perm_oracle):
-        monkeypatch.setattr(module, "enumerate_lattice", refuse)
+    monkeypatch.setattr(lattice_core, "enumerate_lattice", refuse)
     monkeypatch.setattr(census, "_galois_numbers", refuse)
     monkeypatch.setattr(perm_oracle, "ClassTable", refuse)
     limit = sys.get_int_max_str_digits()
@@ -788,9 +786,9 @@ def test_oracle_diff_checks_its_bounds_before_the_class_table(argv, monkeypatch,
 def test_oracle_diff_on_a_corrupted_lattice_exits_4(
     check, fmt, corrupt_lattice, monkeypatch, capsys
 ):
-    real = perm_oracle.enumerate_lattice
+    real = lattice_core.enumerate_lattice
     monkeypatch.setattr(
-        perm_oracle, "enumerate_lattice", lambda *args: corrupt_lattice(real(*args), check)
+        lattice_core, "enumerate_lattice", lambda *args: corrupt_lattice(real(*args), check)
     )
     assert main(["oracle-diff", "--spec", "S4*S3", "--format", fmt]) == 4
     captured = capsys.readouterr()
@@ -988,22 +986,50 @@ def test_module_entry_point(src_env):
 
 # the modules the text paths load; hasse on a spec adds the enumeration
 TEXT_PATH_MODULES = ["census", "cli", "errors", "group_spec", "tower"]
-# runs main on the arguments, then prints the lattower modules it loaded to stderr
+# what the search on a closed-form context adds, and what the oracle's posets add
+SEARCH_MODULES = ["autgroup", "context", "gf2", "stabiliser"]
+ORACLE_MODULES = ["abstract_lattice", "gf2", "perm_oracle", "stabiliser"]
+# prints the lattower modules loaded so far to stderr
+_PRINT_LOADED = (
+    "print(sorted(m for m in sys.modules if m.startswith('lattower.')), file=sys.stderr)"
+)
+# runs main on the arguments, then prints the modules it loaded
 _FOOTPRINT = (
-    "import sys; from lattower.cli import main; code = main(sys.argv[1:]); "
-    "print(sorted(m for m in sys.modules if m.startswith('lattower.')), file=sys.stderr); "
+    f"import sys; from lattower.cli import main; code = main(sys.argv[1:]); {_PRINT_LOADED}; "
     "sys.exit(code)"
 )
 
 
+# Only the lattice paths (hasse and enumerate --format json on a tower spec,
+# oracle-diff) load the enumeration, and no path loads ``triples``.
 @pytest.mark.parametrize(
     "argv, modules",
     [
         (["enumerate", "--spec", "S3^3"], TEXT_PATH_MODULES),
         (["tower", "--spec", "S4^2*S3^2"], TEXT_PATH_MODULES),
         (["hasse", "--spec", "S3^2"], sorted(TEXT_PATH_MODULES + ["gf2", "lattice_core"])),
+        (
+            ["enumerate", "--spec", "S3^2", "--format", "json"],
+            sorted(TEXT_PATH_MODULES + ["gf2", "lattice_core"]),
+        ),
+        (["aut", "--spec", "S4^2*S3^2"], sorted(TEXT_PATH_MODULES + SEARCH_MODULES)),
+        (["lemmas"], sorted(set(TEXT_PATH_MODULES + SEARCH_MODULES + ORACLE_MODULES))),
+        (
+            ["oracle-diff", "--spec", "S3^2"],
+            sorted(set(TEXT_PATH_MODULES + ORACLE_MODULES + ["lattice_core"])),
+        ),
+        (["hasse", "--spec", "C2^2"], sorted(set(TEXT_PATH_MODULES + ORACLE_MODULES))),
     ],
-    ids=["enumerate", "tower", "hasse"],
+    ids=[
+        "enumerate",
+        "tower",
+        "hasse",
+        "enumerate-json",
+        "aut",
+        "lemmas",
+        "oracle-diff",
+        "hasse-small-group",
+    ],
 )
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules, src_env, capsys):
     code, out = run_cli(capsys, *argv)
@@ -1013,6 +1039,27 @@ def test_a_subcommand_loads_only_the_modules_it_runs(argv, modules, src_env, cap
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
     assert proc.stderr.decode() == f"{[f'lattower.{m}' for m in modules]}\n"
+
+
+# checks every step of a sharp tower against its lattice, as perfbench's
+# verify-tower op does: the tower groups on their closed-form context, the
+# C2 factors on the oracle's posets
+_TOWER_STEP_FOOTPRINT = (
+    "import sys; from lattower.group_spec import parse_spec; "
+    "from lattower.tower import StartNode, run_tower, verify_step_against_lattice; "
+    "run = run_tower(StartNode(parse_spec('S4^2*S3^2'))); "
+    "assert all(verify_step_against_lattice(node).match for node in run.nodes); "
+    + _PRINT_LOADED
+)
+
+
+def test_the_tower_step_check_loads_no_enumeration(src_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _TOWER_STEP_FOOTPRINT], capture_output=True, env=src_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(TEXT_PATH_MODULES + SEARCH_MODULES + ORACLE_MODULES) - {"cli"}
+    assert proc.stderr.decode() == f"{[f'lattower.{m}' for m in sorted(modules)]}\n"
 
 
 @pytest.mark.parametrize("command", ["enumerate", "aut", "tower", "oracle-diff", "hasse"])

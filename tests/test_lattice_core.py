@@ -35,29 +35,31 @@ from lattower.gf2 import (
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import chain, make_spec, parse_spec
 from lattower.lattice_core import (
-    AdmissibleTriple,
     Lattice,
     FAMILY_MIXED,
     FAMILY_SIGN_PARITY,
     FAMILY_SUB_PRODUCT,
-    Profile,
-    classify,
-    element_from_profile,
-    element_from_triple,
     enumerate_lattice,
-    join,
-    leq,
-    leq_patterns,
-    meet,
-    order_of,
-    triple_to_profile,
-    profile_to_triple,
-    validate_triple,
     _admissible_subspaces,
     _digits,
     _eff_packer,
 )
 from lattower.perm_oracle import LEMMA_GROUP_DEGREES, ConcreteGroup, normal_subgroup_poset
+from lattower.triples import (
+    AdmissibleTriple,
+    Profile,
+    classify,
+    element_from_profile,
+    element_from_triple,
+    join,
+    leq,
+    leq_patterns,
+    meet,
+    order_of,
+    profile_to_triple,
+    triple_to_profile,
+    validate_triple,
+)
 from test_acceptance import (
     ROUND_TRIP_SPECS,
     _bottom_index,

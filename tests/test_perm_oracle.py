@@ -9,7 +9,7 @@ from lattower.errors import LatTowerError, OracleMismatch, SpecMismatch, TooLarg
 from lattower.gf2 import _bits, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.group_spec import parse_spec, spec_of_degrees
-from lattower.lattice_core import Profile, enumerate_lattice
+from lattower.lattice_core import enumerate_lattice
 from lattower.perm_oracle import (
     ClassTable,
     ConcreteGroup,
@@ -23,6 +23,7 @@ from lattower.perm_oracle import (
     normal_subgroup_poset,
 )
 from lattower.stabiliser import _compose
+from lattower.triples import Profile
 from test_acceptance import _bottom_index, _heights, _top_index
 from test_lattice_core import _reference_up_sets
 

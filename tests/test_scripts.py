@@ -126,6 +126,13 @@ def test_output_digests_hands_the_cli_only_the_lattice_bound(monkeypatch):
         ["aut", "--spec", "S3^2"],
         ["aut", "--spec", "S3^2", "--format", "json"],
     ]
+    # with no bound given, the CLI's own default applies
+    assert output_digests.commands("S3^2", None) == [
+        ["hasse", "--spec", "S3^2"],
+        ["enumerate", "--spec", "S3^2", "--format", "json"],
+        ["aut", "--spec", "S3^2"],
+        ["aut", "--spec", "S3^2", "--format", "json"],
+    ]
 
 
 @pytest.mark.parametrize("max_t", ["13", "15"])
