@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from .context import StandardContext, closed_form_context, factor_atom_points, slot_action
 from .errors import ClassViolation, LatTowerError
-from .gf2 import _annihilator_mask, _bits
+from .gf2 import _annihilator_mask, _bits, _span
 from .group_spec import ChainPosition, TowerGroupSpec, format_spec
 from .stabiliser import Perm, StabiliserChain, schreier_sims
 
@@ -166,9 +166,7 @@ def tau_on_lattice(sigma: Perm, lat: Lattice) -> Perm:
     n = spec.num_slots
     pack = _eff_packer(sigma)
     moved_keys = {key: pack(_digits(key, n)) for key in set(lat.keys)}
-    moved = [0]  # moved[v] is the sign pattern v with bit s carried to bit sigma(s)
-    for s in range(n):
-        moved += [v | 1 << sigma[s] for v in moved]
+    moved = _span([1 << t for t in sigma])  # moved[v] is v with bit s carried to bit sigma(s)
     duals = [_annihilator_mask(n, map(moved.__getitem__, rows)) << 2 * n for rows in lat.spans]
     codes = map(or_, map(moved_keys.__getitem__, lat.keys), map(duals.__getitem__, lat.wids))
     return tuple(map(lat._profile_index.__getitem__, codes))

@@ -28,8 +28,8 @@ __all__ = [
 # this bound refuses no census that could be printed.
 MAX_CENSUS_SLOTS = 300
 
-# The default of `--max-lattice` in the CLI's option table; `check_lattice_size` and
-# `bounded_lattice` take no default bound.
+# The default of `--max-lattice` in the CLI's option table; `check_lattice_size` takes
+# no default bound.
 # Admits S3^6 (6,482 elements) and S4^3*S3^3 (9,820): `hasse` took 0.26-0.33 s
 # and 0.37-0.38 s (22 and 23 MB max RSS) and `enumerate --format json`
 # 0.25-0.33 s and 0.34-0.37 s (24 and 28 MB) on them, on 2 cores with
@@ -105,8 +105,8 @@ def check_lattice_size(spec: TowerGroupSpec, max_size: int) -> None:
     """Raise TooLarge unless N(G)'s closed-form census fits ``max_size``.
 
     This is the one check of the lattice-size bound, made before anything
-    is built: ``lattice_core.bounded_lattice`` makes it before it
-    enumerates, and ``tower.verify_step_against_lattice``, when given a
+    is built: ``hasse`` and ``enumerate --format json`` make it before they
+    enumerate, and ``tower.verify_step_against_lattice``, when given a
     bound, before it builds a tower group's closed-form context.
     ``census_of`` refuses past its own fixed slot bound.
     """

@@ -17,7 +17,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .census import DEFAULT_MAX_LATTICE, census_of
+from .census import DEFAULT_MAX_LATTICE, census_of, check_lattice_size
 from .errors import (
     DegreeTooLarge,
     DegreeTooSmall,
@@ -154,9 +154,10 @@ def _json_dump(data) -> str:
 def cmd_enumerate(args) -> int:
     spec = parse_spec(args.spec)
     if args.format == "json":
-        from .lattice_core import bounded_lattice
+        from .lattice_core import enumerate_lattice
 
-        _emit(_lattice_json(bounded_lattice(spec, max_size=args.max_lattice)), args.out)
+        check_lattice_size(spec, args.max_lattice)
+        _emit(_lattice_json(enumerate_lattice(spec)), args.out)
         return 0
     c = census_of(spec)
     total = decimal(c.total)  # the other three counts are smaller
@@ -335,10 +336,11 @@ def cmd_hasse(args) -> int:
         poset = normal_subgroup_poset(group, normals)
         _emit(_dot(map(group.class_table.order, normals), poset.upper, poset.n), args.out)
         return 0
-    from .lattice_core import bounded_lattice
+    from .lattice_core import enumerate_lattice
 
     spec = parse_spec(args.spec)
-    _emit(_dot_of_lattice(bounded_lattice(spec, max_size=args.max_lattice)), args.out)
+    check_lattice_size(spec, args.max_lattice)
+    _emit(_dot_of_lattice(enumerate_lattice(spec)), args.out)
     return 0
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import TooLarge, decimal
-from .gf2 import _bits, _perps
+from .gf2 import _bits, _perps, _span
 from .group_spec import TowerGroupSpec
 from .stabiliser import Perm
 
@@ -124,9 +124,9 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     the automorphism search on it finds exactly the automorphisms of the
     context.  The order of that tuple sets the colour ids, which break ties
     between classes of equal size in the search's base; this one keeps the
-    search fast.  The V_s and A_s part of every P_v's down set is built by
-    doubling, one slot at a time, as ``slot_action`` builds its moved
-    patterns; ``StandardContext.of`` then lists each point's neighbours.
+    search fast.  The V_s and A_s part of every P_v's down set is entry v of
+    ``gf2._span`` of the slots' bits, as ``slot_action``'s moved patterns
+    are; ``StandardContext.of`` then lists each point's neighbours.
 
     TooLarge is raised past ``MAX_CONTEXT_SLOTS`` slots, before any point
     is laid out, for every spec that ``parse_spec`` accepts.
@@ -142,9 +142,7 @@ def closed_form_context(spec: TowerGroupSpec) -> StandardContext:
     a_first = p0 + 1 - n
     # per slot s, the bits of V_s and A_s
     slot = [(1 << v if v >= 0 else 0) | 1 << (a_first + s) for s, v in enumerate(v_index)]
-    down = [0]  # down[v]: the bits of V_s and A_s for s in supp v
-    for s in range(n):
-        down += [d | slot[s] for d in down]
+    down = _span(slot)  # down[v]: the bits of V_s and A_s for s in supp v
     # P_v lies over V_s and A_s for s in supp v
     under = [1 << v for v in v_index if v >= 0] + slot
     under += [down[v] | 1 << (p0 + v) for v in range(1, 1 << n)]
@@ -171,9 +169,7 @@ def slot_action(spec: TowerGroupSpec, sigma: Perm) -> Perm:
     V_s to V_sigma(s), A_s to A_sigma(s) and P_v to P_sigma(v)."""
     n = spec.num_slots
     v_index, p0 = _layout(spec)
-    moved = [0]  # moved[v] is v with bit s carried to bit sigma(s)
-    for s in range(n):
-        moved += [v | 1 << sigma[s] for v in moved]
+    moved = _span([1 << t for t in sigma])  # moved[v] is v with bit s carried to bit sigma(s)
     images = [v_index[sigma[s]] for s, v in enumerate(v_index) if v >= 0]
     images += [p0 + 1 - n + sigma[s] for s in range(n)]
     return tuple(images + [p0 + moved[v] for v in range(1, 1 << n)])

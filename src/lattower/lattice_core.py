@@ -17,7 +17,7 @@ from math import factorial, prod
 from operator import lshift, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .census import Census, check_lattice_size
+from .census import Census
 from .errors import LatTowerError, SpecMismatch
 from .gf2 import Subspace, _annihilator_mask, _perps, _pivot, _span
 from .group_spec import ChainPosition, TowerGroupSpec, chain, format_spec, position_size
@@ -32,7 +32,6 @@ __all__ = [
     "FAMILY_MIXED",
     "Lattice",
     "enumerate_lattice",
-    "bounded_lattice",
 ]
 
 FAMILY_SUB_PRODUCT = "sub-product"
@@ -106,7 +105,7 @@ def enumerate_lattice(spec: TowerGroupSpec) -> "Lattice":
     vector), so each (J, H) and FULL mask is a new W, numbered as met.
 
     No bound is checked here: each caller bounds the work first, by the
-    census total (``bounded_lattice``) or by |G| >= 6^T (the oracle).
+    census total (``census.check_lattice_size``) or by |G| >= 6^T (the oracle).
     """
     n = spec.num_slots
     degrees = spec.degrees
@@ -130,9 +129,7 @@ def enumerate_lattice(spec: TowerGroupSpec) -> "Lattice":
         off = tuple(s for s in range(n) if not (j_mask >> s) & 1)
         off_mask = ~j_mask & ((1 << n) - 1)
         half = prod(factorial(degrees[s]) // 2 for s in coupled)
-        lift = [0]  # lift[h]: h, a pattern on J, on all the slots
-        for s in coupled:
-            lift += [v | 1 << s for v in lift]
+        lift = _span([1 << s for s in coupled])  # lift[h]: h, a pattern on J, on all the slots
         j_key = sum(ChainPosition.FULL << 2 * s for s in coupled)
         # every P on the slots off J, the last slot running fastest
         p_keys, p_full, p_sizes = [j_key], [0], [1]
@@ -169,13 +166,6 @@ def enumerate_lattice(spec: TowerGroupSpec) -> "Lattice":
         total=len(keys),
     )
     return Lattice(spec, census, keys, wids, spans, blocks, block_of, orders, families)
-
-
-def bounded_lattice(spec: TowerGroupSpec, max_size: int) -> Lattice:
-    """N(G) enumerated, once ``census.check_lattice_size`` admits it: what
-    ``hasse`` and ``enumerate --format json`` write."""
-    check_lattice_size(spec, max_size)
-    return enumerate_lattice(spec)
 
 
 class Lattice:
@@ -320,7 +310,7 @@ class Lattice:
                 for key, (ups, up) in moves_of_key.items() for k, u, f in options
             }
         keep = [perp << shift | (1 << shift) - 1 for perp in _perps(num_slots)]  # M_v
-        spread = [self._pack((v >> s) & 1 for s in range(num_slots)) for v in range(1 << num_slots)]
+        spread = _span([1 << 2 * s for s in range(num_slots)])  # S_v: bit s of v at bit 2s
         pivots_of = [sum(row & -row for row in rows) for rows in self.spans]
         widenings: dict[int, list[tuple[int, int]]] = {}  # (M_v, S_v) by free-slot mask
         for i, (key, wid, code) in enumerate(zip(self.keys, self.wids, self._codes)):

@@ -167,22 +167,21 @@ def _node_order(node: TowerNode, max_size: int | None) -> int:
     slot-class representative, each degree other than 4 taken as 3: S25 x S3
     as S3^2.  Anything with a C2 factor goes through the permutation oracle,
     within its default order bound, and ``automorphism_group``; the trivial
-    group is a single point.  TooLarge propagates to the caller.
+    group is searched as the 0-slot spec, whose context has no point.
+    TooLarge propagates to the caller.
 
     The search modules are loaded here, on the first verified step, by one
     import statement, so ``tower`` and ``enumerate`` as text never compile
     them.  No step compiles ``lattice_core``: ``perm_oracle`` loads it only
     to enumerate a lattice for ``differential_validate``.
     """
-    from . import abstract_lattice, autgroup, context, perm_oracle
+    from . import autgroup, context, perm_oracle
 
     if isinstance(node, StartNode):
         spec = node.spec
     else:
         degrees = tuple(sorted(x for x in (node.a, node.b) if x >= 2))
-        if not degrees:
-            return autgroup.automorphism_group(abstract_lattice.AbstractLattice([[]])).order
-        if degrees[0] == 2:
+        if degrees[:1] == (2,):
             poset = perm_oracle.normal_subgroup_poset(perm_oracle.ConcreteGroup(degrees))
             return autgroup.automorphism_group(poset).order
         spec = spec_of_degrees(4 if d == 4 else 3 for d in degrees)
@@ -207,21 +206,14 @@ def verify_step_against_lattice(node: TowerNode, max_size: int | None = None) ->
     result = latauto_step(node)
     predicted = factorial(result.a) * factorial(result.b)
     try:
-        observed = _node_order(node, max_size=max_size)
+        observed, skipped = _node_order(node, max_size=max_size), None
     except TooLarge as exc:
-        return StepReport(
-            node=format_node(node),
-            result=format_node(result),
-            predicted_order=predicted,
-            observed_order=None,
-            skipped=str(exc),
-            match=None,
-        )
+        observed, skipped = None, str(exc)
     return StepReport(
         node=format_node(node),
         result=format_node(result),
         predicted_order=predicted,
         observed_order=observed,
-        skipped=None,
-        match=observed == predicted,
+        skipped=skipped,
+        match=observed == predicted if skipped is None else None,
     )

@@ -1,4 +1,6 @@
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, permutations
+from operator import xor
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from lattower.errors import BadCoordinate, WidthMismatch
 from lattower.gf2 import (
     Subspace,
+    _lift,
+    _span,
     iter_subspaces,
     parity_kernel,
     span,
@@ -41,6 +45,27 @@ def test_contains():
 def test_elements():
     s = span(3, [0b011, 0b110])
     assert sorted(s.elements()) == [0b000, 0b011, 0b101, 0b110]
+
+
+@pytest.mark.parametrize(
+    "rows", [(), (0b1,), (0b011, 0b110), (0b0011, 0b0110, 0b1101), (0b10000, 0b101, 0b1010, 0b1)]
+)
+def test_span_entry_m_xors_the_rows_at_the_bits_of_m(rows):
+    table = _span(rows)
+    assert len(table) == 1 << len(rows)
+    for m, entry in enumerate(table):
+        assert entry == reduce(xor, (row for j, row in enumerate(rows) if m >> j & 1), 0)
+
+
+# the sign-pattern tables of the enumeration, the context and the tau maps are
+# _span of disjoint unit rows: entry m carries bit j of m to bit coords[j]
+@pytest.mark.parametrize(
+    "coords",
+    [*permutations(range(5)), (), (3,), (0, 2), (1, 2, 6), (0, 3, 4, 9), (2, 5, 7, 8, 11, 12)],
+)
+def test_span_of_unit_rows_lifts_each_pattern(coords):
+    table = _span([1 << c for c in coords])
+    assert table == [_lift(m, coords) for m in range(1 << len(coords))]
 
 
 def test_annihilator_of_parity_kernel():

@@ -166,7 +166,13 @@ def test_oversized_nodes_are_skipped_before_enumerating(node, max_size, elements
 
 @pytest.mark.parametrize(
     "node, order",
-    [(StartNode(parse_spec("S4^2*S3^2")), 4), (PairNode(0, 3), 1), (PairNode(3, 4), 1)],
+    [
+        (StartNode(parse_spec("S4^2*S3^2")), 4),
+        (PairNode(0, 3), 1),
+        (PairNode(3, 4), 1),
+        (PairNode(0, 0), 1),
+        (PairNode(1, 1), 1),
+    ],
 )
 def test_tower_group_nodes_are_searched_on_the_closed_form_context(node, order, monkeypatch):
     def refuse(*args, **kwargs):
