@@ -253,8 +253,3 @@ class AbstractLattice:
         extents = frozenset(self.J[x] for x, above in enumerate(self.upper) if len(above) == 1)
         covers = [len(self.upper[x]) for x in self.irreducibles]
         return StandardContext.of(under, extents, lambda below, above, _: zip(covers, below, above))
-
-    def restrict(self, g: Perm) -> Perm | None:
-        """The permutation g induces on the points, or None if it does not permute them."""
-        psi = tuple(self.point.get(g[x], -1) for x in self.irreducibles)
-        return psi if sorted(psi) == list(range(len(psi))) else None

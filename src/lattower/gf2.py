@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BadCoordinate, WidthMismatch
 
@@ -23,7 +22,6 @@ __all__ = [
     "zero_subspace",
     "unit_span",
     "parity_kernel",
-    "iter_subspaces",
 ]
 
 
@@ -233,27 +231,3 @@ def unit_span(width: int, mask: int) -> Subspace:
 def parity_kernel(width: int) -> Subspace:
     """Patterns with an even number of odd slots; the product-one subgroup."""
     return span(width, [(1 << i) | (1 << (i + 1)) for i in range(width - 1)])
-
-
-def iter_subspaces(width: int) -> Iterator[Subspace]:
-    """All subspaces of GF(2)^width, in a fixed deterministic order.
-
-    Enumerates echelon bases directly: choose the pivot set, then every
-    assignment of the free entries above the staircase.
-    """
-    yield zero_subspace(width)
-    for d in range(1, width + 1):
-        for pivots in combinations(range(width), d):
-            pivot_set = set(pivots)
-            free = [
-                (i, q)
-                for i, p in enumerate(pivots)
-                for q in range(p + 1, width)
-                if q not in pivot_set
-            ]
-            for assignment in range(1 << len(free)):
-                rows = [1 << p for p in pivots]
-                for t, (i, q) in enumerate(free):
-                    if (assignment >> t) & 1:
-                        rows[i] |= 1 << q
-                yield Subspace(width, tuple(rows))

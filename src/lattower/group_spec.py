@@ -125,23 +125,26 @@ class TowerGroupSpec:
     """A tower group, canonically presented by its ``exponents`` alone.
 
     ``exponents`` lists (degree, multiplicity) pairs with ascending degree and
-    positive multiplicity.  The rest is derived from it on first use: ``slots``
-    lists the factors in canonical order, ``a4`` counts class-A slots, ``b`` the rest.
+    positive multiplicity.  The slot counts are derived from it once, when the
+    spec is made: ``num_slots`` counts every slot, ``a4`` the class-A slots and
+    ``b`` the rest.  ``degrees`` and ``slots``, which list the factors in
+    canonical order, are derived on first use.
     """
 
     exponents: tuple[tuple[int, int], ...]
 
-    @property
-    def num_slots(self) -> int:
-        return sum(mult for _, mult in self.exponents)
-
-    @property
-    def a4(self) -> int:
-        return sum(mult for degree, mult in self.exponents if degree == 4)
-
-    @property
-    def b(self) -> int:
-        return self.num_slots - self.a4
+    def __post_init__(self) -> None:
+        # plain attributes, not fields: equality, hashing and repr read the
+        # exponents alone
+        num_slots = a4 = 0
+        for degree, mult in self.exponents:
+            num_slots += mult
+            if degree == 4:
+                a4 += mult
+        set_attr = object.__setattr__  # the spec is frozen
+        set_attr(self, "num_slots", num_slots)
+        set_attr(self, "a4", a4)
+        set_attr(self, "b", num_slots - a4)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -223,9 +226,10 @@ def parse_spec(text: str) -> TowerGroupSpec:
         if m is None:
             message = f"bad factor {part!r}" if part else "empty factor"
             raise SpecParseError(text, _index_in(text, position), message)
+        digits, power = m.groups()
         try:
-            degree = int(m.group(1))
-            mult = int(m.group(2)) if m.group(2) else 1
+            degree = int(digits)
+            mult = int(power) if power else 1
         except ValueError:  # more digits than int() will convert
             raise SpecParseError(text, _index_in(text, position), "number too long") from None
         if mult == 0:
@@ -245,7 +249,4 @@ def format_spec(spec: TowerGroupSpec) -> str:
     """Render the canonical literal, highest degree first; trivial group is 1."""
     if spec.is_trivial:
         return "1"
-    parts = []
-    for degree, mult in sorted(spec.exponents, reverse=True):
-        parts.append(f"S{degree}" if mult == 1 else f"S{degree}^{mult}")
-    return "*".join(parts)
+    return "*".join([f"S{d}" if m == 1 else f"S{d}^{m}" for d, m in reversed(spec.exponents)])

@@ -18,13 +18,13 @@ from operator import lshift, or_
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .census import Census
-from .errors import LatTowerError, SpecMismatch
+from .errors import LatTowerError
 from .gf2 import Subspace, _annihilator_mask, _perps, _pivot, _span
 from .group_spec import ChainPosition, TowerGroupSpec, chain, format_spec, position_size
 
 if TYPE_CHECKING:
     from .abstract_lattice import AbstractLattice
-    from .triples import LatticeElement, Profile
+    from .triples import LatticeElement
 
 __all__ = [
     "FAMILY_SUB_PRODUCT",
@@ -60,8 +60,8 @@ def _digits(key: int, num_slots: int) -> list[int]:
 def _admissible_subspaces(width: int) -> tuple[Subspace, ...]:
     """The sign subgroups of GF(2)^width passing both admissibility conditions.
 
-    They come in the order of ``gf2.iter_subspaces``: by dimension, then by
-    pivot set, then by the free entries above the staircase, row 0's in the
+    They come in a fixed order: by dimension, then by pivot set, then by the
+    free entries above the staircase, counted in binary with row 0's in the
     lowest bits.  The candidates are walked as raw echelon rows, each pivot
     the lowest set bit of its row and in no other row, so a sum of two or
     more rows holds two pivots and the two conditions read off the rows:
@@ -79,7 +79,7 @@ def _admissible_subspaces(width: int) -> tuple[Subspace, ...]:
         for pivots in combinations(range(width), d):
             taken = sum(1 << p for p in pivots)
             free = [[1 << q for q in range(p + 1, width) if not taken >> q & 1] for p in pivots]
-            # _span lists a row's free entries in iter_subspaces' order, zero first; the last
+            # _span lists a row's free entries counting up in binary, zero first; the last
             # row goes first, so that product varies row 0's entries fastest
             choices = [[1 << p | x for x in _span(f)[1:]] for p, f in zip(pivots[::-1], free[::-1])]
             for rows in product(*choices):
@@ -252,12 +252,6 @@ class Lattice:
         moves up a cover can look its image up without building a Profile
         or a validated subspace."""
         return dict(zip(self._codes, range(len(self))))
-
-    def index_of_profile(self, p: Profile) -> int:
-        """The index of a profile; KeyError when it is not in the lattice."""
-        if p.spec != self.spec:
-            raise SpecMismatch(f"profile of {format_spec(p.spec)} in {format_spec(self.spec)}")
-        return self.index_of_parts(p.eff, p.signs.basis)
 
     def index_of_parts(self, eff: Sequence[ChainPosition], rows: Iterable[int]) -> int:
         """The index of the element with this eff and the W that rows span,

@@ -75,17 +75,16 @@ def latauto_step(node: TowerNode) -> PairNode:
     """
     if isinstance(node, StartNode):
         return PairNode(node.spec.a4, node.spec.b)
-    lo, hi = sorted((node.a, node.b))
-    if lo <= 1:
+    a, b = node.a, node.b
+    if a <= 1 or b <= 1:
         # trivial group, C2, or a single S_n: the lattice is a chain
         return PairNode(0, 0)
-    if (lo, hi) == (2, 2):
+    if a == 2 and b == 2:
         return PairNode(0, 3)
-    if lo == 2:
+    if a == 2 or b == 2:
         return PairNode(0, 2)
-    a4 = (1 if node.a == 4 else 0) + (1 if node.b == 4 else 0)
-    b = (1 if node.a >= 3 and node.a != 4 else 0) + (1 if node.b >= 3 and node.b != 4 else 0)
-    return PairNode(a4, b)
+    # both degrees are at least 3: S_a x S_b is a tower group
+    return PairNode((a == 4) + (b == 4), (a != 4) + (b != 4))
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,10 @@ def _factor_name(n: int) -> str:
 def format_node(node: TowerNode) -> str:
     if isinstance(node, StartNode):
         return format_spec(node.spec)
-    parts = [_factor_name(x) for x in sorted((node.a, node.b), reverse=True) if x >= 2]
-    if not parts:
-        return "1"
-    if len(parts) == 2 and parts[0] == parts[1]:
-        return f"{parts[0]}^2"
-    return "*".join(parts)
+    hi, lo = (node.a, node.b) if node.a >= node.b else (node.b, node.a)
+    if lo >= 2:
+        return f"{_factor_name(hi)}^2" if hi == lo else f"{_factor_name(hi)}*{_factor_name(lo)}"
+    return _factor_name(hi) if hi >= 2 else "1"
 
 
 def format_run(run: TowerRun) -> str:
@@ -135,10 +132,11 @@ def format_run(run: TowerRun) -> str:
 
     ``G_0 = S4^2*S3^2 → G_1 = C2^2 → G_2 = S3 → G_3 = 1 (3 steps, sharp)``.
     """
-    chain = " → ".join(f"G_{i} = {format_node(node)}" for i, node in enumerate(run.nodes))
-    plural = "step" if run.steps == 1 else "steps"
-    suffix = f"({run.steps} {plural}, sharp)" if run.sharp else f"({run.steps} {plural})"
-    return f"{chain} {suffix}"
+    nodes = run.nodes
+    chain = " → ".join([f"G_{i} = {format_node(node)}" for i, node in enumerate(nodes)])
+    steps = len(nodes) - 1
+    plural = "step" if steps == 1 else "steps"
+    return f"{chain} ({steps} {plural}, sharp)" if steps == 3 else f"{chain} ({steps} {plural})"
 
 
 @dataclass(frozen=True)

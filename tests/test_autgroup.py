@@ -22,7 +22,7 @@ from lattower.autgroup import (
     verify_product_formula,
 )
 from lattower.errors import ClassViolation, LatTowerError, TooLarge
-from lattower.gf2 import _bits, iter_subspaces, span
+from lattower.gf2 import _bits, span
 from lattower.group_spec import ChainPosition as CP
 from lattower.context import closed_form_context, factor_atom_points
 from lattower.group_spec import chain, format_spec, parse_spec, spec_of_degrees
@@ -41,10 +41,19 @@ from test_acceptance import (
     _heights,
     _shape_specs,
     _top_index,
+    index_of_profile,
     sign_parity_element,
     sub_product_element,
 )
+from test_gf2 import iter_subspaces
 from test_lattice_core import _reference_up_sets, _reference_w_ids
+
+
+def restrict(lat, g):
+    """The permutation g induces on the points of a bare lattice, or None if
+    it does not permute them."""
+    psi = tuple(lat.point.get(g[x], -1) for x in lat.irreducibles)
+    return psi if sorted(psi) == list(range(len(psi))) else None
 
 
 def _poset(down):
@@ -439,7 +448,7 @@ def _assert_search_matches_the_mask_search(lattice, a):
     chain = automorphism_group(lattice)
     reference = _reference_automorphism_group(a)
     assert chain.order == reference.order
-    assert all(lattice.restrict(g) in chain for g in reference.generators)
+    assert all(restrict(lattice, g) in chain for g in reference.generators)
 
 
 def _small_lattices():
@@ -479,7 +488,7 @@ def _closed_form_elements(lat):
     spec, n = lat.spec, lat.spec.num_slots
 
     def index(eff, rows):
-        return lat.index_of_profile(Profile(spec, tuple(eff), span(n, rows)))
+        return index_of_profile(lat, Profile(spec, tuple(eff), span(n, rows)))
 
     def at(s, p):
         return [p if t == s else CP.TRIV for t in range(n)]
@@ -517,6 +526,16 @@ def _assert_the_closed_form_is_the_enumerated_context(lat):
 @pytest.mark.parametrize("text", CRITERION_3_SPECS)
 def test_the_closed_form_context_is_the_enumerated_one_on_criterion_3_lattices(text, request):
     _assert_the_closed_form_is_the_enumerated_context(_criterion_3_lattice(text, request))
+
+
+# the shapes with seven slots besides S3^7: each test enumerates its own
+# lattice and drops it, so no two of them are held at once
+SEVEN_SLOT_SPECS = [format_spec(spec_of_degrees((4,) * k + (3,) * (7 - k))) for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("text", SEVEN_SLOT_SPECS)
+def test_the_closed_form_context_is_the_enumerated_one_at_seven_slots(text):
+    _assert_the_closed_form_is_the_enumerated_context(enumerate_lattice(parse_spec(text)))
 
 
 # every spec with degrees 3 to 7 and at most four slots: 125 specs
@@ -796,7 +815,7 @@ def _assert_point_colours_refine_as_the_reference(ctx, automorphisms, exact=True
         assert ours == theirs
     else:
         assert all(any(set(r) <= set(c) for c in ours) for r in theirs)
-    maps = [ctx.restrict(g) for g in automorphisms]
+    maps = [restrict(ctx, g) for g in automorphisms]
     maps += automorphism_group(ctx).generators
     for psi in maps:
         assert [colours[k] for k in psi] == colours
@@ -914,12 +933,12 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     chain = automorphism_group(ctx)
 
     def accepted(g):
-        psi = ctx.restrict(g)
+        psi = restrict(ctx, g)
         return psi is not None and psi in chain and ctx.extend(psi) == g
 
     autos = brute_force_automorphisms(ctx)
     for g in autos:
-        assert ctx.restrict(g) in chain
+        assert restrict(ctx, g) in chain
         assert accepted(g)
     bottom, top = _bottom_index(lat), _top_index(lat)
     swap = list(range(len(lat)))
@@ -929,7 +948,7 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     g = list(autos[1])
     x, y = [i for i in range(len(lat)) if i not in ctx.point and g[i] != i][:2]
     g[x], g[y] = g[y], g[x]
-    assert ctx.restrict(tuple(g)) in chain
+    assert restrict(ctx, tuple(g)) in chain
     assert not accepted(tuple(g))
     # a permutation of the join-irreducibles that no automorphism induces
     heights = _heights(len(lat), _edges(lat.up_covers()))
@@ -938,7 +957,7 @@ def test_sifting_rejects_what_is_not_an_automorphism(lattices):
     )
     moved = list(range(len(lat)))
     moved[first], moved[other] = other, first
-    assert ctx.restrict(tuple(moved)) not in chain
+    assert restrict(ctx, tuple(moved)) not in chain
     assert tuple(range(chain.n - 1)) not in chain
 
 
@@ -1415,7 +1434,7 @@ def test_complemented_elements_are_the_full_sub_products(lattices):
     expected = set()
     for bits in range(4):
         positions = {s: (CP.FULL if (bits >> s) & 1 else CP.TRIV) for s in range(2)}
-        expected.add(lat.index_of_profile(sub_product_element(lat.spec, positions).profile))
+        expected.add(index_of_profile(lat, sub_product_element(lat.spec, positions).profile))
     assert comp == expected
 
 
@@ -1599,7 +1618,7 @@ def test_tau_sigma_moves_labels(lattices):
     image = sub_product_element(spec, {1: CP.ALT, 2: CP.TRIV, 0: CP.FULL})
     assert _reference_tau_sigma(sigma, s) == image
     lat = lattices.get("S3^3")
-    i, j = (lat.index_of_profile(e.profile) for e in (s, image))
+    i, j = (index_of_profile(lat, e.profile) for e in (s, image))
     assert tau_on_lattice(sigma, lat)[i] == j
 
 
@@ -1966,7 +1985,7 @@ def _reference_product_formula(lat):
     round_trip_ok = all(
         autgroup._induced_by_atoms(phi, atoms, spec) == sigma for phi, sigma in zip(taus, sigmas)
     )
-    restricted = [ctx.restrict(phi) for phi in taus]
+    restricted = [restrict(ctx, phi) for phi in taus]
     constructive = schreier_sims((psi for psi in restricted if psi is not None), chain.n).order
     match = (
         constructive == predicted == chain.order
@@ -2025,7 +2044,7 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
 
     assert _reference_product_formula(lat).match
     monkeypatch.setattr(autgroup, "tau_on_lattice", conjugated)
-    psi = ctx.restrict(conjugated((1, 0, 2), lat))
+    psi = restrict(ctx, conjugated((1, 0, 2), lat))
     assert psi in chain
     assert ctx.extend(psi) != conjugated((1, 0, 2), lat)
     assert not _reference_keeps_covers(ctx, conjugated((1, 0, 2), lat))
@@ -2037,7 +2056,7 @@ def test_product_formula_fails_on_a_tau_wrong_off_the_base(lattices, monkeypatch
 def _cover_pass_and_extension(ctx, phi):
     """The product formula's check of a map of the elements, and its referee:
     the map equals the extension of its restriction to the points."""
-    psi = ctx.restrict(phi)
+    psi = restrict(ctx, phi)
     return (
         psi is not None and _reference_keeps_covers(ctx, phi),
         psi is not None and ctx.extend(psi) == phi,
@@ -2071,7 +2090,7 @@ def test_the_cover_pass_and_the_extension_reject_the_same_wrong_maps(text, latti
         # alone would not see
         longer = [*tau, tau[0]]
         for wrong in (swapped, off_base, repeated, longer):
-            assert ctx.restrict(tuple(wrong)) == ctx.restrict(tau)
+            assert restrict(ctx, tuple(wrong)) == restrict(ctx, tau)
             assert _cover_pass_and_extension(ctx, tuple(wrong)) == (False, False)
 
 

@@ -11,12 +11,35 @@ from lattower.gf2 import (
     Subspace,
     _lift,
     _span,
-    iter_subspaces,
     parity_kernel,
     span,
     unit_span,
     zero_subspace,
 )
+
+
+def iter_subspaces(width):
+    """All subspaces of GF(2)^width, in a fixed deterministic order.
+
+    Enumerates echelon bases directly: choose the pivot set, then every
+    assignment of the free entries above the staircase.
+    """
+    yield zero_subspace(width)
+    for d in range(1, width + 1):
+        for pivots in combinations(range(width), d):
+            pivot_set = set(pivots)
+            free = [
+                (i, q)
+                for i, p in enumerate(pivots)
+                for q in range(p + 1, width)
+                if q not in pivot_set
+            ]
+            for assignment in range(1 << len(free)):
+                rows = [1 << p for p in pivots]
+                for t, (i, q) in enumerate(free):
+                    if (assignment >> t) & 1:
+                        rows[i] |= 1 << q
+                yield Subspace(width, tuple(rows))
 
 
 def test_span_is_canonical():

@@ -26,7 +26,6 @@ from lattower.gf2 import (
     _perps,
     _pivot,
     _span,
-    iter_subspaces,
     parity_kernel,
     span,
     unit_span,
@@ -67,11 +66,13 @@ from test_acceptance import (
     _heights,
     _reference_leq,
     _top_index,
+    index_of_profile,
     bottom_element,
     sign_parity_element,
     sub_product_element,
     top_element,
 )
+from test_gf2 import iter_subspaces
 
 # censuses (sub-products, sign-parity, mixed, total).  The first five are
 # confirmed against the raw permutation computation in test_perm_oracle; the
@@ -312,8 +313,8 @@ def test_index_of_profile_refuses_another_spec(lattices):
     lat = lattices.get("S3^2")
     other = bottom_element(parse_spec("S3*S5"))
     with pytest.raises(SpecMismatch):
-        lat.index_of_profile(other.profile)
-    assert lat.index_of_profile(bottom_element(lat.spec).profile) == _bottom_index(lat)
+        index_of_profile(lat, other.profile)
+    assert index_of_profile(lat, bottom_element(lat.spec).profile) == _bottom_index(lat)
 
 
 def test_lattice_ops_are_lattice_ops(lattices):
@@ -329,8 +330,8 @@ def test_lattice_ops_are_lattice_ops(lattices):
             assert _reference_leq(lat, i, ji) and _reference_leq(lat, j, ji)
             m = meet(lat.elements[i], lat.elements[j])
             jn = join(lat.elements[i], lat.elements[j])
-            assert lat.index_of_profile(m.profile) == mi
-            assert lat.index_of_profile(jn.profile) == ji
+            assert index_of_profile(lat, m.profile) == mi
+            assert index_of_profile(lat, jn.profile) == ji
 
 
 def test_associativity_and_absorption(lattices):
@@ -859,7 +860,7 @@ def test_columns_agree_with_the_element_route(text, lattices):
         t = validate_triple(spec, e.triple.coupled, e.triple.positions, e.triple.signs)
         assert e == element_from_triple(t), i
         assert (lat.families[i], lat.orders[i]) == (classify(t), order_of(t)), i
-        assert lat.index_of_profile(e.profile) == i
+        assert index_of_profile(lat, e.profile) == i
 
 
 @pytest.mark.parametrize("name", sorted(LEMMA_GROUP_DEGREES))

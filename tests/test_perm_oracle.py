@@ -24,7 +24,7 @@ from lattower.perm_oracle import (
 )
 from lattower.stabiliser import _compose
 from lattower.triples import Profile
-from test_acceptance import _bottom_index, _heights, _top_index
+from test_acceptance import _bottom_index, _heights, _top_index, index_of_profile
 from test_lattice_core import _reference_up_sets
 
 
@@ -737,7 +737,7 @@ def _oracle_at(degrees):
     at = [0] * len(lat)
     for m in _normal_masks(table):
         eff, patterns = table.profile(m)
-        at[lat.index_of_profile(Profile(spec, eff, span(len(eff), patterns)))] = m
+        at[index_of_profile(lat, Profile(spec, eff, span(len(eff), patterns)))] = m
     assert all(at)
     return spec, lat, table, at
 

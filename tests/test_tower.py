@@ -7,7 +7,7 @@ from lattower.abstract_lattice import AbstractLattice
 from lattower.autgroup import _search
 from lattower.context import closed_form_context
 from lattower.errors import NonTermination
-from lattower.group_spec import parse_spec, spec_of_degrees
+from lattower.group_spec import format_spec, parse_spec, spec_of_degrees
 from lattower.lattice_core import enumerate_lattice
 from lattower.tower import (
     PairNode,
@@ -19,6 +19,7 @@ from lattower.tower import (
     run_tower,
     verify_step_against_lattice,
 )
+from test_cli import TOWER_START_SPECS
 
 
 def test_start_step_uses_slot_classes():
@@ -238,3 +239,81 @@ def test_a_pair_is_searched_as_its_slot_class_representative(a):
         assert report.observed_order == _true_order(tuple(d for d in (a, b) if d > 1)), (a, b)
     # past the largest degree a spec takes, the pair is searched all the same
     assert verify_step_against_lattice(PairNode(a, 25)).observed_order == _true_order((a, 5))
+
+
+# The formatting and the pair step as they were before they stopped sorting
+# and building part lists, kept as the referee of today's.
+def _reference_format_spec(spec):
+    if spec.is_trivial:
+        return "1"
+    parts = []
+    for degree, mult in sorted(spec.exponents, reverse=True):
+        parts.append(f"S{degree}" if mult == 1 else f"S{degree}^{mult}")
+    return "*".join(parts)
+
+
+def _reference_factor_name(n):
+    return "C2" if n == 2 else f"S{n}"
+
+
+def _reference_format_node(node):
+    if isinstance(node, StartNode):
+        return _reference_format_spec(node.spec)
+    parts = [_reference_factor_name(x) for x in sorted((node.a, node.b), reverse=True) if x >= 2]
+    if not parts:
+        return "1"
+    if len(parts) == 2 and parts[0] == parts[1]:
+        return f"{parts[0]}^2"
+    return "*".join(parts)
+
+
+def _reference_format_run(run):
+    chain = " → ".join(
+        f"G_{i} = {_reference_format_node(node)}" for i, node in enumerate(run.nodes)
+    )
+    plural = "step" if run.steps == 1 else "steps"
+    suffix = f"({run.steps} {plural}, sharp)" if run.sharp else f"({run.steps} {plural})"
+    return f"{chain} {suffix}"
+
+
+def _reference_pair_step(node):
+    lo, hi = sorted((node.a, node.b))
+    if lo <= 1:
+        return PairNode(0, 0)
+    if (lo, hi) == (2, 2):
+        return PairNode(0, 3)
+    if lo == 2:
+        return PairNode(0, 2)
+    a4 = (1 if node.a == 4 else 0) + (1 if node.b == 4 else 0)
+    b = (1 if node.a >= 3 and node.a != 4 else 0) + (1 if node.b >= 3 and node.b != 4 else 0)
+    return PairNode(a4, b)
+
+
+SMALL_PAIRS = [PairNode(a, b) for a in range(31) for b in range(31)]
+# the census start specs, the large towers and the trivial group
+REFEREED_SPECS = [*TOWER_START_SPECS, *sorted(LARGE_TOWERS), "1"]
+
+
+def test_pair_steps_and_formatting_are_the_reference_on_small_pairs():
+    for node in SMALL_PAIRS:
+        assert latauto_step(node) == _reference_pair_step(node), node
+        assert format_node(node) == _reference_format_node(node), node
+        run = run_tower(node)
+        assert format_run(run) == _reference_format_run(run), node
+
+
+def test_tower_formatting_is_the_reference_on_the_start_specs():
+    for text in REFEREED_SPECS:
+        spec = parse_spec(text)
+        run = run_tower(StartNode(spec))
+        assert format_spec(spec) == _reference_format_spec(spec) == text
+        assert [format_node(n) for n in run.nodes] == [_reference_format_node(n) for n in run.nodes]
+        assert format_run(run) == _reference_format_run(run), text
+
+
+def test_slot_counts_are_those_of_the_slots():
+    for text in REFEREED_SPECS:
+        spec = parse_spec(text)
+        assert spec.num_slots == len(spec.slots), text
+        assert (spec.a4, spec.b) == (len(spec.a_slots()), len(spec.b_slots())), text
+        assert spec.is_trivial == (len(spec.slots) == 0), text
