@@ -370,13 +370,43 @@ _HANDLERS = {
 _PARSER = build_parser()
 
 
+def _plain_args(command: str, rest: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a call of whole, distinct options with valid values, read
+    off ``_OPTIONS``; None for any other call, which argparse parses or refuses itself."""
+    names = _SUBCOMMANDS[command][1].split()
+    given = dict(zip(rest[::2], rest[1::2]))
+    if len(given) * 2 != len(rest) or not given.keys() <= set(names):
+        return None
+    args = argparse.Namespace(command=command)
+    for name in names:
+        kw = _OPTIONS[name]
+        value = given.get(name)
+        if value is None:
+            if kw.get("required"):
+                return None
+            value = kw.get("default")
+        elif value.startswith("-"):
+            return None
+        else:
+            try:
+                value = kw.get("type", str)(value)
+            except argparse.ArgumentTypeError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        setattr(args, name[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     sub = _PARSER.subcommands.get(argv[0]) if argv else None
     if sub is None:  # no arguments, -h, an unknown word or a leading --
         args = _PARSER.parse_args(argv)
-    else:  # the rest, parsed as the top-level parser would hand it on, by one parser
-        args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # a plain call off the table, else the rest as the top-level parser hands it on
+        args = _plain_args(argv[0], argv[1:])
+        if args is None:
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()

@@ -8,13 +8,13 @@ import shlex
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattower import autgroup, census, cli, group_spec, lattice_core, perm_oracle
@@ -607,6 +607,82 @@ def test_main_reaches_the_handler_with_the_top_level_namespace(command, spec, fm
         assert (code, want, reached) == (2, 2, [])
 
 
+# What is put into OLD_FLAGS's argv, at any place: one word, or an option
+# with a value.  The words are abbreviations, --opt=value, help, a bare --,
+# dash-led values and an empty word; the options give an option twice.
+REFEREE_WORDS = ["--sp", "--form", "--spec=S3", "-h", "--help", "--", "-1", "-x", "-", ""]
+REFEREE_INSERTS = st.one_of(
+    st.tuples(st.sampled_from(REFEREE_WORDS)),
+    st.tuples(
+        st.sampled_from(["--spec", "--format", "--out", "--max-order", "--max-lattice"]),
+        st.sampled_from(REFEREE_WORDS + ["S4", "text", "json", "dot", "0", "2", "f"]),
+    ),
+)
+REFEREE_FLAGS = dict(
+    OLD_FLAGS, extras=st.lists(st.tuples(st.integers(0, 9), REFEREE_INSERTS), max_size=3)
+)
+
+
+def _referee_examples(test):
+    """Always try a dash-led value, a last option with no value, and an option
+    given twice, with a bad value first: each is left to argparse."""
+    for extras, fmt in [
+        ([(0, ("--out", "-x"))], None),
+        ([(2, ("--out",))], None),
+        ([(0, ("--format", "dot"))], "json"),
+    ]:
+        test = example(command="tower", spec="S3", fmt=fmt, bounds={}, extras=extras)(test)
+    return test
+
+
+def _referee_argv(command, spec, fmt, bounds, extras):
+    argv = _old_flag_argv(command, spec, fmt, bounds)
+    for at, words in extras:
+        at = 1 + at % len(argv)
+        argv[at:at] = words
+    return argv
+
+
+def _argparse_outcome(command, rest):
+    """What the subcommand's own parser makes of ``rest``: a namespace, or its exit code,
+    stdout and stderr."""
+    parse = cli._PARSER.subcommands[command].parse_args
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        args = _outcome(lambda rest: parse(rest, argparse.Namespace(command=command)), rest)
+    return args if isinstance(args, argparse.Namespace) else (args, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=500)
+@_referee_examples
+@given(**REFEREE_FLAGS)
+def test_a_plain_call_gets_the_namespace_argparse_gives(command, spec, fmt, bounds, extras):
+    argv = _referee_argv(command, spec, fmt, bounds, extras)
+    args = cli._plain_args(command, argv[1:])
+    if args is not None:
+        assert args == _argparse_outcome(command, argv[1:])
+
+
+@settings(max_examples=300)
+@_referee_examples
+@given(**REFEREE_FLAGS)
+def test_main_parses_as_the_subcommand_parser_does(command, spec, fmt, bounds, extras):
+    # the handler gets argparse's namespace, or main exits as argparse does,
+    # with its help or its usage error
+    argv = _referee_argv(command, spec, fmt, bounds, extras)
+    reached = []
+    handlers = {name: lambda args: reached.append(args) or 0 for name in cli._HANDLERS}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._HANDLERS, handlers), redirect_stdout(out), redirect_stderr(err):
+        code = _outcome(main, argv)
+    want = _argparse_outcome(command, argv[1:])
+    if isinstance(want, argparse.Namespace):
+        assert (code, reached, out.getvalue(), err.getvalue()) == (0, [want], "", "")
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == want
+        assert reached == [] and code in (0, 2)
+
+
 TOWER_HELP = """usage: lattower tower [-h] --spec SPEC [--format {text,json}] [--out OUT]
 
 options:
@@ -657,18 +733,43 @@ def test_an_unknown_option_is_reported_by_the_subcommand(capsys):
     )
 
 
+# the op shapes of the benchmark's four workloads
+WORKLOAD_ARGV = [
+    ["enumerate", "--spec", "S4^2*S3"],
+    ["enumerate", "--spec", "S4*S3^2", "--format", "json"],
+    ["hasse", "--spec", "S3^2"],
+    ["aut", "--spec", "S4*S3^2"],
+    ["tower", "--spec", "S4^2*S3^2"],
+    ["oracle-diff", "--spec", "S4*S3", "--format", "json"],
+    ["lemmas"],
+]
+
+
 def test_a_valid_command_never_calls_the_top_level_parser(monkeypatch, capsys):
+    # nor, on a plain call, the subcommand's parser: main reads it off the
+    # option table, and only help, abbreviations and the like reach argparse
     def refuse(*args, **kwargs):
         raise AssertionError("top-level parser called")
 
+    def refuse_sub(*args, **kwargs):
+        raise AssertionError("subcommand parser called")
+
     for method in ("parse_args", "parse_known_args"):
         monkeypatch.setattr(cli._PARSER, method, refuse)
-    assert run_cli(capsys, "tower", "--spec", "S4^2*S3^2")[0] == 0
-    assert run_cli(capsys, "enumerate", "--spec", "S3^3", "--format", "json")[0] == 0
-    assert run_cli(capsys, "lemmas")[0] == 0
+    for sub in cli._PARSER.subcommands.values():
+        monkeypatch.setattr(sub, "parse_args", refuse_sub)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import output_digests
+
+    digest_argv = output_digests.commands("S3^2", 100) + output_digests.commands("S3^2", None)
+    for argv in WORKLOAD_ARGV + digest_argv:
+        assert run_cli(capsys, *argv)[0] == 0, argv
     monkeypatch.setattr(sys, "argv", ["lattower", "tower", "--spec", "S3"])
     assert main() == 0
     assert capsys.readouterr().out == "G_0 = S3 → G_1 = 1 (1 step)\n"
+    for argv in (["tower", "-h"], ["tower", "--spec=S3"], ["tower", "--sp", "S3"]):
+        with pytest.raises(AssertionError, match="subcommand parser called"):
+            main(argv)
 
 
 # Every start spec with at most six slots and degrees 3..7, the towers of the

@@ -1,6 +1,8 @@
 """The sweep scripts run end to end on tiny arguments, and hand the library no slot bound."""
 
 import inspect
+import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -149,3 +151,43 @@ def test_shape_sweep_refuses_a_slot_count_past_its_bound(max_t, src_env):
     assert proc.stderr.endswith(
         f"error: --max-T {max_t} is past 12, the slot bound of the closed-form context\n"
     )
+
+
+# the stdout of each quick ladder rung: its byte count and sha256
+LADDER_QUICK = {
+    "aut --spec S3^10": (
+        203, "23bf9582ac1ed794a0b83bb060183fd78fcad133323951ae65cf7405dec60dff"
+    ),
+    "hasse --spec S3^7 --max-lattice 1000000": (
+        14128011, "cbc03c0a08b183d322a06e5b0e49b55fe8d744dad1fbafa84252ce808b8205b6"
+    ),
+    "oracle-diff --spec S3^5 --max-order 7776": (
+        3, "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22"
+    ),
+}
+
+
+def test_the_quick_ladder_records_each_rung(tmp_path, src_env):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ladder.py"), "--quick", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=src_env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert set(record) == {"revision", "python", "probe_s", "rungs"}
+    assert record["python"] == platform.python_version()
+    assert set(record["probe_s"]) == {"before", "after"}
+    assert all(seconds > 0 for seconds in record["probe_s"].values())
+    rungs = {" ".join(rung["argv"]): rung for rung in record["rungs"]}
+    assert list(rungs) == list(LADDER_QUICK)
+    for name, (size, sha) in LADDER_QUICK.items():
+        rung = rungs[name]
+        assert set(rung) == {
+            "argv", "wall_s", "max_rss_mb", "exit", "stdout_bytes", "stdout_sha256"
+        }
+        assert (rung["exit"], rung["stdout_bytes"], rung["stdout_sha256"]) == (0, size, sha), name
+        assert rung["wall_s"] > 0 and rung["max_rss_mb"] > 0
